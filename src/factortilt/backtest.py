@@ -11,15 +11,15 @@ holds cash at exactly zero return until the next rebalance.
 from __future__ import annotations
 
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from itertools import compress
 
 import numpy as np
 
-from .eligibility import EligibilityParams, EligibilitySet, compute_eligibility
+from .eligibility import EligibilityParams, EligibilitySet, screen
 from .errors import ConfigError, DataError
-from .factors import FactorParams, build_factor_matrix, momentum_signal, value_signal, _latest_record
-from .market_data import MarketPanel, RebalanceSchedule
+from .factors import FactorParams, select_factor_matrix
+from .market_data import AsOf, MarketPanel, RebalanceSchedule
 from .weighting import CapParams, TiltParams, WeightVector, build_weights, equal_weight_baseline
 
 log = logging.getLogger(__name__)
@@ -59,91 +59,72 @@ class BacktestResult:
     weights: list[WeightVector]
 
 
-def _signal_universe(panel: MarketPanel, t: str, params: FactorParams) -> EligibilitySet:
-    """No-screen universe: every asset with at least one computable raw
-    signal at t (momentum prices in place, or a fresh fundamental report with
-    the needed fields plus mktcap for value)."""
-    members = []
-    for asset in panel.assets:
-        mom_ok = not np.isnan(momentum_signal(panel, asset, t, params.l_mom, params.skip))
-        val_ok = not np.isnan(value_signal(panel, asset, t, params.l_fund))
-        rec = _latest_record(panel, asset, t, params.l_fund)
-        qual_ok = rec is not None and not (
-            np.isnan(rec.roe) or np.isnan(rec.gross_margin) or np.isnan(rec.debt_to_assets)
-        )
-        if mom_ok or val_ok or qual_ok:
-            members.append(asset)
-    return EligibilitySet(t=t, members=tuple(members), assets=tuple(panel.assets))
+def _pool(snap: AsOf, strategy: str) -> np.ndarray:
+    """Membership row of an unscreened baseline's pool: any computable raw
+    signal for fixed_universe (quality needs all three components), any
+    price before t for ew_all, a market cap at t-1 for cap_weighted."""
+    if strategy == "fixed_universe":
+        quality_ok = ~(np.isnan(snap.roe) | np.isnan(snap.gross_margin) | np.isnan(snap.debt_to_assets))
+        return ~np.isnan(snap.momentum) | ~np.isnan(snap.value) | quality_ok
+    if strategy == "ew_all":
+        return snap.listed
+    return np.isfinite(snap.mktcap)
 
 
-def _listed_universe(panel: MarketPanel, t: str) -> EligibilitySet:
-    """Assets with at least one non-missing price strictly before t."""
-    it = panel.calendar.position(t)
-    listed = np.isfinite(panel.price[:it, :]).any(axis=0)
-    members = tuple(a for a, ok in zip(panel.assets, listed) if ok)
-    return EligibilitySet(t=t, members=members, assets=tuple(panel.assets))
-
-
-def _capweight_universe(panel: MarketPanel, t: str) -> EligibilitySet:
-    """Assets with a market cap observation at t-1."""
-    it = panel.calendar.position(t)
-    if it == 0:
-        return EligibilitySet(t=t, members=(), assets=tuple(panel.assets))
-    ok = np.isfinite(panel.mktcap[it - 1, :])
-    members = tuple(a for a, m in zip(panel.assets, ok) if m)
-    return EligibilitySet(t=t, members=members, assets=tuple(panel.assets))
-
-
-def _cap_weighted_vector(panel: MarketPanel, universe: EligibilitySet, t: str) -> WeightVector:
-    w = np.zeros(panel.n_assets)
-    if universe.members:
-        it = panel.calendar.position(t)
-        for a in universe.members:
-            w[panel.position(a)] = panel.mktcap[it - 1, panel.position(a)]
-        w /= w.sum()
-    return WeightVector(t=t, assets=tuple(panel.assets), w=w)
+def _date_targets(panel: MarketPanel, snap: AsOf, configs) -> dict[str, WeightVector]:
+    """Every config's target weights at the snapshot's date. The configs
+    share eligibility and factor parameters, so each universe and factor
+    matrix is built once and read by every config that uses it."""
+    assets = tuple(panel.assets)
+    universes, matrices, out = {}, {}, {}
+    for name, config in configs.items():
+        s = config.strategy
+        pool = "screened" if s in ("dmft", "ew_eligible") else s
+        if pool not in universes:
+            if pool == "screened":
+                universe = screen(snap.t, assets, snap.history, snap.adv, config.eligibility)
+                positions = panel.positions(universe.members)
+            else:
+                mask = _pool(snap, s)
+                positions = np.flatnonzero(mask)
+                members = tuple(compress(assets, mask.tolist()))
+                universe = EligibilitySet(t=snap.t, members=members, assets=assets)
+            universes[pool] = universe, positions
+        universe, positions = universes[pool]
+        if not universe.members:
+            log.warning("%s: empty universe at %s; holding cash until next rebalance", s, snap.t)
+            out[name] = WeightVector(t=snap.t, assets=assets, w=np.zeros(len(assets)))
+        elif s in ("ew_eligible", "ew_all"):
+            out[name] = equal_weight_baseline(universe)
+        elif s == "cap_weighted":
+            w = np.zeros(len(assets))
+            w[positions] = snap.mktcap[positions]
+            out[name] = WeightVector(t=snap.t, assets=assets, w=w / w.sum())
+        else:
+            if pool not in matrices:
+                matrices[pool] = select_factor_matrix(snap, universe, positions, config.factors)
+            caps = config.caps if s == "dmft" else None
+            out[name] = build_weights(panel, universe, matrices[pool], config.tilt, caps, snap.t)
+    return out
 
 
 def target_weights(panel: MarketPanel, t: str, config: BacktestConfig) -> WeightVector:
     """Target weight vector for one strategy at one rebalance date."""
-    s = config.strategy
-    if s in ("dmft", "ew_eligible"):
-        universe = compute_eligibility(panel, t, config.eligibility)
-    elif s == "fixed_universe":
-        universe = _signal_universe(panel, t, config.factors)
-    elif s == "ew_all":
-        universe = _listed_universe(panel, t)
-    else:
-        universe = _capweight_universe(panel, t)
-
-    if not universe.members:
-        log.warning("%s: empty universe at %s; holding cash until next rebalance", s, t)
-        return WeightVector(t=t, assets=tuple(panel.assets), w=np.zeros(panel.n_assets))
-
-    if s in ("ew_eligible", "ew_all"):
-        return equal_weight_baseline(universe)
-    if s == "cap_weighted":
-        return _cap_weighted_vector(panel, universe, t)
-    matrix = build_factor_matrix(panel, universe, t, config.factors)
-    caps = config.caps if s == "dmft" else None
-    return build_weights(panel, universe, matrix, config.tilt, caps, t)
+    return _date_targets(panel, snapshot(panel, t, config), {config.strategy: config})[config.strategy]
 
 
-def run_backtest(
-    panel: MarketPanel,
-    schedule: RebalanceSchedule,
-    config: BacktestConfig,
-    end: str | None = None,
-) -> BacktestResult:
-    """Evolve the configured strategy from the first rebalance date through
-    `end` (panel end by default).
+def snapshot(panel: MarketPanel, t: str, config: BacktestConfig) -> AsOf:
+    """The as-of snapshot at t with every row the config's strategies read."""
+    f = config.factors
+    return AsOf(panel, t, config.eligibility.l_adv, f.l_mom, f.skip, f.l_fund)
 
-    Daily return on day d uses the weights held coming into d; on a rebalance
-    date the book is then traded to the new targets and the turnover cost is
-    deducted from that day's return. Between rebalances, constant_mix holds
-    the targets fixed while drift lets weights evolve with relative returns
-    (turnover is then measured against the drifted weights).
-    """
+
+def _run(
+    panel: MarketPanel, schedule: RebalanceSchedule, configs, end: str | None
+) -> dict[str, BacktestResult]:
+    """Walk the rebalance dates once, building one snapshot per date that
+    every config's targets read, then evolve each config's book. The configs
+    share eligibility and factor parameters."""
     cal = panel.calendar
     for t in schedule.dates:
         if t not in cal:
@@ -156,26 +137,33 @@ def run_backtest(
     if i_end < i_start:
         raise ConfigError("backtest end precedes the first rebalance date")
 
-    targets = {t: target_weights(panel, t, config) for t in schedule.dates if t <= end}
-
+    first = next(iter(configs.values()))
+    per_date = [_date_targets(panel, snapshot(panel, t, first), configs) for t in schedule.dates if t <= end]
+    # a missing asset return is zero
+    asset_returns = np.zeros_like(panel.price)
     with np.errstate(invalid="ignore", divide="ignore"):
-        rets = panel.price[1:] / panel.price[:-1] - 1.0
-    asset_returns = np.full_like(panel.price, np.nan)
-    asset_returns[1:] = rets
+        asset_returns[1:] = panel.price[1:] / panel.price[:-1] - 1.0
+    np.nan_to_num(asset_returns, copy=False)
+    dates = cal.days[i_start : i_end + 1]
+    span = asset_returns[i_start : i_end + 1]
+    return {
+        name: _evolve(list(dates), span, [targets[name] for targets in per_date], config)
+        for name, config in configs.items()
+    }
 
-    dates = list(cal.days[i_start : i_end + 1])
+
+def _evolve(dates: list[str], returns: np.ndarray, targets: list[WeightVector], config) -> BacktestResult:
+    """The daily evolution of run_backtest over `dates`, whose asset returns
+    are the rows of `returns`, trading to each target on its date."""
+    by_date = {wv.t: wv.w for wv in targets}
     daily = np.zeros(len(dates))
     reb_dates: list[str] = []
     turnover: list[float] = []
     costs: list[float] = []
-    weights = [targets[t] for t in sorted(targets)]
 
-    w = np.zeros(panel.n_assets)
+    w = np.zeros(returns.shape[1])
     drift = config.weight_mode == "drift"
-    for k, d in enumerate(dates):
-        di = i_start + k
-        r = asset_returns[di].copy()
-        np.nan_to_num(r, copy=False)
+    for k, (d, r) in enumerate(zip(dates, returns)):
         gross = float(w @ r)
         if drift and w.sum() > 0:
             grown = w * (1.0 + r)
@@ -183,8 +171,8 @@ def run_backtest(
             w_eod = grown / total if total > 0 else w
         else:
             w_eod = w
-        if d in targets:
-            tgt = targets[d].w
+        if d in by_date:
+            tgt = by_date[d]
             to = float(np.abs(tgt - w_eod).sum())
             cost = config.cost_rate * to
             reb_dates.append(d)
@@ -205,8 +193,26 @@ def run_backtest(
         rebalance_dates=reb_dates,
         turnover=np.array(turnover),
         costs=np.array(costs),
-        weights=weights,
+        weights=targets,
     )
+
+
+def run_backtest(
+    panel: MarketPanel,
+    schedule: RebalanceSchedule,
+    config: BacktestConfig,
+    end: str | None = None,
+) -> BacktestResult:
+    """Evolve the configured strategy from the first rebalance date through
+    `end` (panel end by default).
+
+    Daily return on day d uses the weights held coming into d; on a rebalance
+    date the book is then traded to the new targets and the turnover cost is
+    deducted from that day's return. Between rebalances, constant_mix holds
+    the targets fixed while drift lets weights evolve with relative returns
+    (turnover is then measured against the drifted weights).
+    """
+    return _run(panel, schedule, {config.strategy: config}, end)[config.strategy]
 
 
 def run_baselines(
@@ -214,7 +220,6 @@ def run_baselines(
     schedule: RebalanceSchedule,
     config: BacktestConfig,
     end: str | None = None,
-    threads: int = 1,
 ) -> dict[str, BacktestResult]:
     """Run the tilted strategy and all counterfactual baselines under
     identical data, schedule, and cost assumptions. Liquidity caps apply only
@@ -224,16 +229,7 @@ def run_baselines(
         s: replace(config, strategy=s, caps=config.caps if s == "dmft" else None)
         for s in STRATEGIES
     }
-    results: dict[str, BacktestResult] = {}
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = {s: pool.submit(run_backtest, panel, schedule, c, end) for s, c in configs.items()}
-            for s in STRATEGIES:
-                results[s] = futures[s].result()
-    else:
-        for s in STRATEGIES:
-            results[s] = run_backtest(panel, schedule, configs[s], end)
-    return results
+    return _run(panel, schedule, configs, end)
 
 
 def turnover_series(result: BacktestResult) -> tuple[list[str], np.ndarray, float]:
@@ -272,7 +268,7 @@ def run_factor_removals(
 ) -> dict[str, BacktestResult]:
     """Full run plus one rerun per factor with that factor removed, for
     marginal contribution diagnostics."""
-    out = {"full": run_backtest(panel, schedule, config, end)}
+    configs = {"full": config}
     for f in config.tilt.alpha:
-        out[f"drop_{f}"] = run_backtest(panel, schedule, removal_config(config, f), end)
-    return out
+        configs[f"drop_{f}"] = removal_config(config, f)
+    return _run(panel, schedule, configs, end)

@@ -56,20 +56,22 @@ class ICSeries:
         return len(self.values)
 
 
-def forward_return(panel: MarketPanel, asset: str, t: str, horizon: int) -> float:
-    """P[t+H] / P[t] - 1 in trading-day offsets; NaN past the calendar end or
-    when either price is missing."""
+def forward_returns(panel: MarketPanel, t: str, horizon: int) -> np.ndarray:
+    """Per asset, P[t+H] / P[t] - 1 in trading-day offsets; NaN past the
+    calendar end or when either price is missing."""
     if horizon < 1:
         raise ConfigError(f"horizon must be >= 1, got {horizon}")
     it = panel.calendar.position(t)
-    ai = panel.position(asset)
     if it + horizon >= panel.n_days:
-        return math.nan
-    p0 = panel.price[it, ai]
-    p1 = panel.price[it + horizon, ai]
-    if not (np.isfinite(p0) and np.isfinite(p1)):
-        return math.nan
-    return float(p1 / p0 - 1.0)
+        return np.full(panel.n_assets, np.nan)
+    p0, p1 = panel.price[it], panel.price[it + horizon]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return np.where(np.isfinite(p0) & np.isfinite(p1), p1 / p0 - 1.0, np.nan)
+
+
+def forward_return(panel: MarketPanel, asset: str, t: str, horizon: int) -> float:
+    """One asset's entry of forward_returns."""
+    return float(forward_returns(panel, t, horizon)[panel.position(asset)])
 
 
 def spearman(x, y, min_pairs: int = 3) -> float:
@@ -112,9 +114,7 @@ def build_ic_series(
         if factors is None:
             factors = matrix.factors
             per_factor = {f: ([], []) for f in factors}
-        fwd = np.array(
-            [forward_return(panel, a, t, params.horizon) for a in matrix.assets]
-        )
+        fwd = forward_returns(panel, t, params.horizon)[panel.positions(matrix.assets)]
         for f in matrix.factors:
             ic = spearman(matrix.column(f), fwd, min_pairs=params.min_universe)
             if not math.isnan(ic):
@@ -128,6 +128,17 @@ def build_ic_series(
     }
 
 
+def information_ratio(values, m_min: int) -> float:
+    """Mean over population standard deviation of an IC series; zero when
+    the series has fewer than m_min observations or is flat."""
+    vals = np.asarray(values, dtype=float)
+    if len(vals) < m_min:
+        return 0.0
+    mu = float(np.mean(vals))
+    sd = float(np.sqrt(np.mean((vals - mu) ** 2)))
+    return 0.0 if sd == 0 else mu / sd
+
+
 def ir_to_alpha(series: Mapping[str, ICSeries], m_min: int) -> dict[str, float]:
     """IR = mean/std of each IC series (population std, zero when the series
     is short or flat), clipped at zero and normalized into a convex mixture;
@@ -135,16 +146,7 @@ def ir_to_alpha(series: Mapping[str, ICSeries], m_min: int) -> dict[str, float]:
     factors = list(series)
     if not factors:
         raise ConfigError("no IC series supplied")
-    scores = []
-    for f in factors:
-        vals = np.asarray(series[f].values, dtype=float)
-        if len(vals) < m_min:
-            scores.append(0.0)
-            continue
-        mu = float(np.mean(vals))
-        sd = float(np.sqrt(np.mean((vals - mu) ** 2)))
-        ir = 0.0 if sd == 0 else mu / sd
-        scores.append(max(ir, 0.0))
+    scores = [max(information_ratio(series[f].values, m_min), 0.0) for f in factors]
     total = sum(scores)
     if total == 0:
         return {f: 1.0 / len(factors) for f in factors}

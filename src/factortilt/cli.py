@@ -25,11 +25,12 @@ from .backtest import (
     BacktestConfig,
     run_baselines,
     run_factor_removals,
+    snapshot,
 )
-from .calibration import CalibrationParams, build_ic_series, ir_to_alpha
-from .eligibility import EligibilityParams, compute_eligibility
+from .calibration import CalibrationParams, build_ic_series, information_ratio, ir_to_alpha
+from .eligibility import EligibilityParams, screen
 from .errors import ConfigError, DataError
-from .factors import FACTORS, FactorParams, build_factor_matrix
+from .factors import FACTORS, FactorParams, select_factor_matrix
 from .market_data import build_schedule, load_panel, save_panel
 from .stats import factor_redundancy, summarize
 from .synthetic import GENERATOR_NAME, generate, scenario_from_mapping
@@ -65,7 +66,6 @@ class RunConfig:
     n_trials: int = len(STRATEGIES)
     nw_lag: int | None = None
     out_dir: Path = Path("out")
-    threads: int = 1
     eligibility: EligibilityParams = field(default_factory=EligibilityParams)
     factors: FactorParams = field(default_factory=FactorParams)
     tilt: TiltParams = field(default_factory=TiltParams)
@@ -120,8 +120,9 @@ def _bool(raw: str) -> bool:
     raise ValueError(raw)
 
 
-def load_config(path, out_override=None, threads_override=None) -> RunConfig:
-    """Parse an INI run config; missing keys take the documented defaults."""
+def load_config(path, out_override=None) -> RunConfig:
+    """Parse an INI run config; missing keys take the documented defaults.
+    `[run] threads` is parsed for compatibility and has no effect."""
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file {path} does not exist")
@@ -169,7 +170,7 @@ def load_config(path, out_override=None, threads_override=None) -> RunConfig:
         )
     nw_lag = _get(cp, "run", "nw_lag", int, -1)
     out_dir = out_override if out_override is not None else _get(cp, "run", "out", str, "out")
-    threads = threads_override if threads_override is not None else _get(cp, "run", "threads", int, 1)
+    _get(cp, "run", "threads", int, 1)
     return RunConfig(
         prices=data_path("prices"),
         volumes=data_path("volumes"),
@@ -183,7 +184,6 @@ def load_config(path, out_override=None, threads_override=None) -> RunConfig:
         n_trials=_get(cp, "run", "n_trials", int, len(STRATEGIES)),
         nw_lag=None if nw_lag < 0 else nw_lag,
         out_dir=Path(out_dir),
-        threads=max(1, threads),
         eligibility=EligibilityParams(
             h_min=_get(cp, "eligibility", "h_min", int, EligibilityParams().h_min),
             adv_min=_get(cp, "eligibility", "adv_min", float, EligibilityParams().adv_min),
@@ -312,84 +312,59 @@ def cmd_validate(cfg: RunConfig) -> int:
     return 0
 
 
-def _dump_eligibility(panel, schedule, cfg, out: Path):
-    rows = []
-    universes = {}
+def _screens_and_factors(panel, schedule, config: BacktestConfig):
+    """Screened universe and factor matrix per rebalance date, both read
+    from one as-of snapshot of that date."""
+    universes, matrices = {}, {}
     for t in schedule.dates:
-        uni = compute_eligibility(panel, t, cfg.eligibility)
-        universes[t] = uni
-        members = set(uni.members)
+        snap = snapshot(panel, t, config)
+        universes[t] = uni = screen(t, panel.assets, snap.history, snap.adv, config.eligibility)
+        if uni.members:
+            matrices[t] = select_factor_matrix(snap, uni, panel.positions(uni.members), config.factors)
+    return universes, matrices
+
+
+def _write_screens(panel, universes, matrices, out: Path) -> None:
+    rows = []
+    for t, uni in universes.items():
         for a in panel.assets:
             sv = uni.screen_values[a]
-            rows.append((t, a, sv.history, sv.adv, int(a in members)))
+            rows.append((t, a, sv.history, sv.adv, int(a in uni)))
     _write_csv(out / "eligibility.csv", ["date", "asset", "history_days", "adv", "eligible"], rows)
-    return universes
-
-
-def _dump_factors(panel, schedule, cfg, universes, out: Path):
     rows = []
-    matrices = {}
-    for t in schedule.dates:
-        uni = universes[t]
-        if not uni.members:
-            continue
-        m = build_factor_matrix(panel, uni, t, cfg.factors)
-        matrices[t] = m
+    for t, m in matrices.items():
         for i, a in enumerate(m.assets):
             for j, f in enumerate(m.factors):
                 rows.append((t, a, f, float(m.raw[i, j]), float(m.z[i, j])))
     _write_csv(out / "factors.csv", ["date", "asset", "factor", "raw", "z"], rows)
-    return matrices
+
+
+def _weight_rows(result, report_multipliers: bool):
+    """Held assets per rebalance with weight, multiplier (1 when untilted)
+    and liquidity cap (empty when uncapped)."""
+    for wv in result.weights:
+        held = np.flatnonzero(wv.w)
+        tilted = report_multipliers and wv.multipliers is not None
+        mults = wv.multipliers[held] if tilted else np.ones(len(held))
+        caps = wv.caps[held] if wv.caps is not None else np.full(len(held), np.nan)
+        for i, x, m, c in zip(held.tolist(), wv.w[held].tolist(), mults.tolist(), caps.tolist()):
+            yield wv.t, wv.assets[i], x, m, c
 
 
 def _write_results(results, cfg: RunConfig, out: Path) -> None:
     for name in STRATEGIES:
         res = results[name]
-        _write_csv(
-            out / f"returns_{name}.csv",
-            ["date", "return", "equity"],
-            zip(res.dates, res.daily_returns, res.equity_curve),
-        )
-        _write_csv(
-            out / f"turnover_{name}.csv",
-            ["date", "turnover", "cost"],
-            zip(res.rebalance_dates, res.turnover, res.costs),
-        )
-        if name == "dmft":
-            continue  # written with multiplier/cap detail separately
-        wrows = []
-        for wv in res.weights:
-            for a, x in zip(wv.assets, wv.w):
-                if x != 0.0:
-                    wrows.append((wv.t, a, float(x), 1.0, math.nan))
-        _write_csv(out / f"weights_{name}.csv", ["date", "asset", "weight", "multiplier", "cap"], wrows)
+        # weights_fixed_universe.csv has always reported untilted multipliers
+        for kind, header, rows in (
+            ("returns", ["date", "return", "equity"], zip(res.dates, res.daily_returns, res.equity_curve)),
+            ("turnover", ["date", "turnover", "cost"], zip(res.rebalance_dates, res.turnover, res.costs)),
+            ("weights", ["date", "asset", "weight", "multiplier", "cap"], _weight_rows(res, name == "dmft")),
+        ):
+            _write_csv(out / f"{kind}_{name}.csv", header, rows)
     benchmark = results["ew_eligible"]
     for name in STRATEGIES:
         report = summarize(results[name], benchmark=benchmark, n_trials=cfg.n_trials, nw_lag=cfg.nw_lag)
         _write_csv(out / f"stats_{name}.csv", ["metric", "value"], report.rows())
-
-
-def _tilt_weight_detail(panel, schedule, config: BacktestConfig, universes, matrices, out: Path) -> None:
-    """Write the tilted strategy's weight file with multiplier and cap columns."""
-    from .weighting import _bounded_multipliers, build_weights, composite_score, liquidity_caps
-
-    rows = []
-    for t in schedule.dates:
-        uni = universes[t]
-        if not uni.members:
-            continue
-        matrix = matrices[t]
-        scores = composite_score(matrix, config.tilt)
-        mults = dict(zip(matrix.assets, _bounded_multipliers(scores, config.tilt)))
-        cap_map = {}
-        if config.caps is not None:
-            adv = {a: uni.screen_values[a].adv for a in uni.members}
-            cap_map = liquidity_caps(uni, adv, config.caps)
-        wv = build_weights(panel, uni, matrix, config.tilt, config.caps, t)
-        for a, x in zip(wv.assets, wv.w):
-            if x != 0.0:
-                rows.append((t, a, float(x), float(mults.get(a, 1.0)), cap_map.get(a, math.nan)))
-    _write_csv(out / "weights_dmft.csv", ["date", "asset", "weight", "multiplier", "cap"], rows)
 
 
 def cmd_backtest(cfg: RunConfig) -> int:
@@ -398,19 +373,17 @@ def cmd_backtest(cfg: RunConfig) -> int:
     out = cfg.out_dir
     out.mkdir(parents=True, exist_ok=True)
     notes = []
-    universes = _dump_eligibility(panel, schedule, cfg, out)
-    matrices = _dump_factors(panel, schedule, cfg, universes, out)
-
     config = cfg.backtest_config()
+    universes, matrices = _screens_and_factors(panel, schedule, config)
+    _write_screens(panel, universes, matrices, out)
     if cfg.apply_calibration:
         ics = build_ic_series(panel, schedule, matrices, cfg.calibration)
         if ics:
             alpha = ir_to_alpha(ics, cfg.calibration.m_min)
             config = replace(config, tilt=replace(config.tilt, alpha=alpha))
             notes.append(("calibrated_alpha", ",".join(f"{f}={alpha[f]!r}" for f in FACTORS)))
-    results = run_baselines(panel, schedule, config, end=cfg.end, threads=cfg.threads)
+    results = run_baselines(panel, schedule, config, end=cfg.end)
     _write_results(results, cfg, out)
-    _tilt_weight_detail(panel, schedule, config, universes, matrices, out)
     write_manifest(cfg, out / "manifest.txt", extra=notes or None)
     return 0
 
@@ -421,12 +394,7 @@ def cmd_diagnose(cfg: RunConfig) -> int:
     out = cfg.out_dir
     out.mkdir(parents=True, exist_ok=True)
 
-    universes = {t: compute_eligibility(panel, t, cfg.eligibility) for t in schedule.dates}
-    matrices = {
-        t: build_factor_matrix(panel, u, t, cfg.factors)
-        for t, u in universes.items()
-        if u.members
-    }
+    _, matrices = _screens_and_factors(panel, schedule, cfg.backtest_config())
     ics = build_ic_series(panel, schedule, matrices, cfg.calibration)
     with (out / "ic_ir.csv").open("w", newline="", encoding="utf-8") as fh:
         fh.write("# forward window starts at the rebalance date and overlaps the holding period\n")
@@ -441,12 +409,7 @@ def cmd_diagnose(cfg: RunConfig) -> int:
         if ics:
             alpha = ir_to_alpha(ics, cfg.calibration.m_min)
             for f in sorted(ics):
-                vals = ics[f].values
-                if len(vals) < cfg.calibration.m_min:
-                    ir = 0.0
-                else:
-                    sd = float(np.sqrt(np.mean((vals - vals.mean()) ** 2)))
-                    ir = 0.0 if sd == 0 else float(vals.mean()) / sd
+                ir = information_ratio(ics[f].values, cfg.calibration.m_min)
                 writer.writerow([f, _fmt(ir), _fmt(alpha[f])])
 
     removals = run_factor_removals(panel, schedule, cfg.backtest_config(), end=cfg.end)
@@ -519,7 +482,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="run config file (INI)")
         p.add_argument("--out", default=None, help="output directory (overrides config)")
-        p.add_argument("--threads", type=int, default=None, help="worker cap; results identical")
+        p.add_argument("--threads", type=int, default=None, help="accepted for compatibility; has no effect")
 
     p = sub.add_parser("synth", help="generate a synthetic market panel")
     p.add_argument("spec", help="scenario key-value file")
@@ -534,7 +497,7 @@ def main(argv=None) -> int:
     try:
         if args.command == "synth":
             return cmd_synth(args.spec, args.out, args.seed)
-        cfg = load_config(args.config, out_override=args.out, threads_override=args.threads)
+        cfg = load_config(args.config, out_override=args.out)
         if args.command == "validate":
             return cmd_validate(cfg)
         if args.command == "backtest":

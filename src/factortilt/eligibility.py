@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import NamedTuple
 
 from .errors import ConfigError
-from .market_data import MarketPanel, average_dollar_volume, history_length
+from .market_data import AsOf, MarketPanel
 
 
 @dataclass(frozen=True)
@@ -42,33 +43,35 @@ class EligibilitySet:
     members: tuple[str, ...]
     screen_values: dict[str, ScreenValues] = field(default_factory=dict)
     assets: tuple[str, ...] = ()
+    _member_set: frozenset[str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.assets and not set(self.members) <= set(self.assets):
+        object.__setattr__(self, "_member_set", frozenset(self.members))
+        if self.assets and not self._member_set <= set(self.assets):
             raise ConfigError("universe members not a subset of panel assets")
 
     def __len__(self) -> int:
         return len(self.members)
 
     def __contains__(self, asset: str) -> bool:
-        return asset in set(self.members)
+        return asset in self._member_set
+
+
+def screen(t: str, assets, history, adv, params: EligibilityParams) -> EligibilitySet:
+    """Members are assets with history >= h_min and ADV >= adv_min, given
+    the per-asset history and ADV rows (arrays) at t. Missing ADV never
+    passes."""
+    screen_values = {
+        a: ScreenValues(h, v if v == v else math.nan)  # one NaN object, so equal sets compare equal
+        for a, h, v in zip(assets, history.tolist(), adv.tolist())
+    }
+    members = tuple(compress(assets, ((history >= params.h_min) & (adv >= params.adv_min)).tolist()))
+    return EligibilitySet(t=t, members=members, screen_values=screen_values, assets=tuple(assets))
 
 
 def compute_eligibility(panel: MarketPanel, t: str, params: EligibilityParams) -> EligibilitySet:
     """Members are assets with history >= h_min and ADV >= adv_min, both
     measured strictly before t. Missing ADV never passes. An empty result is
     legitimate, not an error."""
-    members = []
-    screen_values = {}
-    for asset in panel.assets:
-        hist = history_length(panel, asset, t)
-        adv = average_dollar_volume(panel, asset, t, params.l_adv)
-        screen_values[asset] = ScreenValues(hist, adv)
-        if hist >= params.h_min and not math.isnan(adv) and adv >= params.adv_min:
-            members.append(asset)
-    return EligibilitySet(
-        t=t,
-        members=tuple(members),
-        screen_values=screen_values,
-        assets=tuple(panel.assets),
-    )
+    snap = AsOf(panel, t, l_adv=params.l_adv)
+    return screen(t, panel.assets, snap.history, snap.adv, params)

@@ -8,15 +8,13 @@ population (divide by N); missing raw signals map to neutral z = 0.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from datetime import date as _date
 
 import numpy as np
 
 from .eligibility import EligibilitySet
 from .errors import ConfigError
-from .market_data import FundamentalRecord, MarketPanel
+from .market_data import AsOf, MarketPanel
 
 FACTORS = ("MOM", "VAL", "QUAL")
 
@@ -60,34 +58,7 @@ class FactorMatrix:
 
 def momentum_signal(panel: MarketPanel, asset: str, t: str, l_mom: int, skip: int) -> float:
     """Trailing return P[t-skip] / P[t-l_mom-skip] - 1 in trading-day offsets."""
-    it = panel.calendar.position(t)
-    ai = panel.position(asset)
-    i1 = it - skip
-    i0 = it - l_mom - skip
-    if i0 < 0 or i1 < 0:
-        return math.nan
-    p1 = panel.price[i1, ai]
-    p0 = panel.price[i0, ai]
-    if not (np.isfinite(p0) and np.isfinite(p1)):
-        return math.nan
-    return float(p1 / p0 - 1.0)
-
-
-def _latest_record(panel: MarketPanel, asset: str, t: str, l_fund: int) -> FundamentalRecord | None:
-    """Most recent fundamental record dated strictly before t and no older
-    than l_fund calendar days at t."""
-    records = panel.fundamentals.get(asset)
-    if not records:
-        return None
-    t_date = _date.fromisoformat(t)
-    for rec in reversed(records):
-        if rec.report_date >= t:
-            continue
-        age = (t_date - _date.fromisoformat(rec.report_date)).days
-        if age > l_fund:
-            return None
-        return rec
-    return None
+    return float(AsOf(panel, t, l_mom=l_mom, skip=skip).momentum[panel.position(asset)])
 
 
 def value_signal(panel: MarketPanel, asset: str, t: str, l_fund: int) -> float:
@@ -96,16 +67,18 @@ def value_signal(panel: MarketPanel, asset: str, t: str, l_fund: int) -> float:
     Missing when there is no fresh report, book equity is absent or
     non-positive (a negative ratio is not rankable), or mktcap is missing.
     """
-    it = panel.calendar.position(t)
-    if it == 0:
-        return math.nan
-    rec = _latest_record(panel, asset, t, l_fund)
-    if rec is None or math.isnan(rec.book_equity) or rec.book_equity <= 0:
-        return math.nan
-    mc = panel.mktcap[it - 1, panel.position(asset)]
-    if not np.isfinite(mc):
-        return math.nan
-    return float(rec.book_equity / mc)
+    return float(AsOf(panel, t, l_fund=l_fund).value[panel.position(asset)])
+
+
+def _quality_composite(snap: AsOf, positions: np.ndarray, winsor_p: float | None) -> np.ndarray:
+    """z(ROE) + z(GrossMargin) + z(-DebtToAssets) over the snapshot columns
+    at `positions`; NaN where any component is missing."""
+    roe, margin, neg_dta = snap.roe[positions], snap.gross_margin[positions], -snap.debt_to_assets[positions]
+    have_all = np.isfinite(roe) & np.isfinite(margin) & np.isfinite(neg_dta)
+    if winsor_p is not None:
+        roe, margin, neg_dta = (winsorize(x, winsor_p) for x in (roe, margin, neg_dta))
+    composite = standardize(roe) + standardize(margin) + standardize(neg_dta)
+    return np.where(have_all, composite, np.nan)
 
 
 def quality_signal(
@@ -120,28 +93,9 @@ def quality_signal(
     Each component z-score is computed over the members where that component
     is available; the composite requires all three and is NaN otherwise.
     """
-    members = universe.members
-    n = len(members)
-    roe = np.full(n, np.nan)
-    gm = np.full(n, np.nan)
-    neg_dta = np.full(n, np.nan)
-    for i, asset in enumerate(members):
-        rec = _latest_record(panel, asset, t, l_fund)
-        if rec is None:
-            continue
-        roe[i] = rec.roe
-        gm[i] = rec.gross_margin
-        neg_dta[i] = -rec.debt_to_assets
-    have_all = np.isfinite(roe) & np.isfinite(gm) & np.isfinite(neg_dta)
-    if winsorize_components_p is not None:
-        roe = winsorize(roe, winsorize_components_p)
-        gm = winsorize(gm, winsorize_components_p)
-        neg_dta = winsorize(neg_dta, winsorize_components_p)
-    composite = standardize(roe) + standardize(gm) + standardize(neg_dta)
-    out = {}
-    for i, asset in enumerate(members):
-        out[asset] = float(composite[i]) if have_all[i] else math.nan
-    return out
+    positions = panel.positions(universe.members)
+    composite = _quality_composite(AsOf(panel, t, l_fund=l_fund), positions, winsorize_components_p)
+    return dict(zip(universe.members, composite.tolist()))
 
 
 def winsorize(values, p: float) -> np.ndarray:
@@ -178,29 +132,28 @@ def standardize(values) -> np.ndarray:
     return z
 
 
+def select_factor_matrix(
+    snapshot: AsOf, universe: EligibilitySet, positions: np.ndarray, params: FactorParams
+) -> FactorMatrix:
+    """build_factor_matrix from a snapshot's rows; `positions` are the
+    members' columns in the snapshot."""
+    if not universe.members:
+        raise ConfigError(f"cannot build factor matrix for empty universe at {snapshot.t}")
+    raw = np.full((len(positions), len(FACTORS)), np.nan)
+    raw[:, 0] = snapshot.momentum[positions]
+    raw[:, 1] = snapshot.value[positions]
+    components_p = params.winsor_p if params.winsorize_quality_components else None
+    raw[:, 2] = _quality_composite(snapshot, positions, components_p)
+    z = np.empty_like(raw)
+    for j in range(len(FACTORS)):
+        z[:, j] = standardize(winsorize(raw[:, j], params.winsor_p))
+    return FactorMatrix(t=snapshot.t, assets=universe.members, raw=raw, z=z)
+
+
 def build_factor_matrix(
     panel: MarketPanel, universe: EligibilitySet, t: str, params: FactorParams
 ) -> FactorMatrix:
     """Raw signals per factor over the universe, then winsorize and
     standardize each factor column independently."""
-    members = universe.members
-    if not members:
-        raise ConfigError(f"cannot build factor matrix for empty universe at {t}")
-    n = len(members)
-    raw = np.full((n, len(FACTORS)), np.nan)
-    for i, asset in enumerate(members):
-        raw[i, 0] = momentum_signal(panel, asset, t, params.l_mom, params.skip)
-        raw[i, 1] = value_signal(panel, asset, t, params.l_fund)
-    qual = quality_signal(
-        panel,
-        universe,
-        t,
-        params.l_fund,
-        winsorize_components_p=params.winsor_p if params.winsorize_quality_components else None,
-    )
-    for i, asset in enumerate(members):
-        raw[i, 2] = qual[asset]
-    z = np.empty_like(raw)
-    for j in range(len(FACTORS)):
-        z[:, j] = standardize(winsorize(raw[:, j], params.winsor_p))
-    return FactorMatrix(t=t, assets=members, raw=raw, z=z)
+    snap = AsOf(panel, t, l_mom=params.l_mom, skip=params.skip, l_fund=params.l_fund)
+    return select_factor_matrix(snap, universe, panel.positions(universe.members), params)

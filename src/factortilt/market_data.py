@@ -1,5 +1,6 @@
 """Market data panel: trading calendar, aligned price/volume/mktcap grids,
-as-of fundamental records, CSV ingest/serialization, and the rebalance schedule.
+as-of fundamental records, CSV ingest/serialization, the rebalance schedule,
+and the as-of snapshot every screen and signal reads.
 
 All dates are ISO-8601 strings; lexicographic order equals chronological order.
 Missing cells are NaN. Data observed at or after a date t never influences a
@@ -13,6 +14,9 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
 from datetime import date as _date
+from functools import partial
+from itertools import compress
+from operator import attrgetter, getitem
 from pathlib import Path
 
 import numpy as np
@@ -151,6 +155,13 @@ class MarketPanel:
             return self.asset_index[asset]
         except KeyError:
             raise DataError(f"unknown asset {asset!r}") from None
+
+    def positions(self, assets) -> np.ndarray:
+        """Column positions of the given asset ids, in their order."""
+        try:
+            return np.fromiter(map(self.asset_index.__getitem__, assets), dtype=np.intp, count=len(assets))
+        except KeyError as exc:
+            raise DataError(f"unknown asset {exc.args[0]!r}") from None
 
     def missing_counts(self) -> dict[str, int]:
         return {
@@ -356,31 +367,94 @@ def build_schedule(
     return RebalanceSchedule(dates=tuple(sorted(hits)), frequency=label)
 
 
+_REPORT_DATE = attrgetter("report_date")
+_REPORT_FIELDS = ("book_equity", "roe", "gross_margin", "debt_to_assets")
+
+
+def _average_dollar_volumes(panel: MarketPanel, it: int, lookback: int) -> np.ndarray:
+    if lookback < 1:
+        raise ConfigError(f"lookback must be >= 1, got {lookback}")
+    p = panel.price[max(0, it - lookback) : it].T
+    v = panel.volume[max(0, it - lookback) : it].T
+    valid = np.isfinite(p) & np.isfinite(v)
+    counts = valid.sum(axis=1)
+    # Left-pack each asset's valid dollar volumes in day order and sum the
+    # first k of them for every asset with k valid days: the same contiguous
+    # pairwise sum np.mean takes over the valid days alone, so every bit
+    # agrees with the per-asset mean.
+    packed = np.take_along_axis(p * v, np.argsort(~valid, axis=1, kind="stable"), axis=1)
+    out = np.full(panel.n_assets, np.nan)
+    for k in np.unique(counts[counts >= math.ceil(0.5 * lookback)]).tolist():
+        rows = counts == k
+        out[rows] = np.ascontiguousarray(packed[rows, :k]).sum(axis=1) / k
+    return out
+
+
+def _latest_reports(panel: MarketPanel, t: str, l_fund: int) -> np.ndarray:
+    """(4, n_assets): the _REPORT_FIELDS of each asset's latest report."""
+    out = np.full((len(_REPORT_FIELDS), panel.n_assets), np.nan)
+    lists = panel.fundamentals.values()
+    # each asset's records are sorted, so a bisection counts its reports before t
+    bisect_t = partial(bisect_left, x=t, key=_REPORT_DATE)
+    n_before = np.fromiter(map(bisect_t, lists), dtype=np.intp, count=len(lists))
+    reported = n_before > 0
+    latest = list(map(getitem, compress(lists, reported.tolist()), (n_before[reported] - 1).tolist()))
+    age = np.datetime64(t, "D") - np.array(list(map(_REPORT_DATE, latest)), dtype="datetime64[D]")
+    fresh = age.astype(np.int64) <= l_fund
+    owner = panel.positions(panel.fundamentals)[reported][fresh]
+    for row, name in enumerate(_REPORT_FIELDS):
+        out[row, owner] = np.fromiter(map(attrgetter(name), latest), dtype=float, count=len(latest))[fresh]
+    return out
+
+
+class AsOf:
+    """The as-of snapshot at rebalance date t: rows with one entry per panel
+    asset, computed from data strictly before t, that screens, signals and
+    baseline universes all select from.
+
+    Always present: history (non-missing prices before t), listed
+    (history > 0) and mktcap (at t-1). ADV averages price*volume over the
+    l_adv days ending at t-1 where both are present, NaN with fewer than
+    ceil(l_adv/2) such days, so gaps fail the screen rather than passing on
+    thin data. Momentum is P[t-skip] / P[t-l_mom-skip] - 1, NaN before the
+    calendar start or when either price is missing. Value (book to market)
+    and the quality components roe, gross_margin and debt_to_assets read
+    each asset's latest report dated strictly before t and no older than
+    l_fund calendar days at t; value is missing when book equity is absent
+    or non-positive (a negative ratio is not rankable) or mktcap is missing.
+    A row whose window is not given is None.
+    """
+
+    def __init__(self, panel: MarketPanel, t: str, l_adv: int | None = None, l_mom: int | None = None,
+                 skip: int = 0, l_fund: int | None = None):
+        it = panel.calendar.position(t)
+        self.t = t
+        self.history = np.isfinite(panel.price[:it]).sum(axis=0)
+        self.listed = self.history > 0
+        self.mktcap = panel.mktcap[it - 1] if it > 0 else np.full(panel.n_assets, np.nan)
+        self.adv = None if l_adv is None else _average_dollar_volumes(panel, it, l_adv)
+        self.momentum = self.value = self.roe = self.gross_margin = self.debt_to_assets = None
+        if l_mom is not None:
+            self.momentum = np.full(panel.n_assets, np.nan)
+            if it - l_mom - skip >= 0 and it - skip >= 0:
+                p0, p1 = panel.price[it - l_mom - skip], panel.price[it - skip]
+                with np.errstate(invalid="ignore", divide="ignore"):
+                    self.momentum = np.where(np.isfinite(p0) & np.isfinite(p1), p1 / p0 - 1.0, np.nan)
+        if l_fund is not None:
+            book, self.roe, self.gross_margin, self.debt_to_assets = _latest_reports(panel, t, l_fund)
+            with np.errstate(invalid="ignore", divide="ignore"):
+                self.value = np.where((book > 0) & np.isfinite(self.mktcap), book / self.mktcap, np.nan)
+
+
 def history_length(panel: MarketPanel, asset: str, t: str) -> int:
     """Number of non-missing prices strictly before t for the asset."""
-    it = panel.calendar.position(t)
-    col = panel.price[:it, panel.position(asset)]
-    return int(np.isfinite(col).sum())
+    return int(AsOf(panel, t).history[panel.position(asset)])
 
 
 def average_dollar_volume(panel: MarketPanel, asset: str, t: str, lookback: int) -> float:
-    """Mean price*volume over the `lookback` trading days ending at t-1.
-
-    Computed over days where both are present; NaN when fewer than
-    ceil(lookback/2) valid days (coverage rule), so gaps fail the screen
-    rather than passing on thin data.
-    """
-    if lookback < 1:
-        raise ConfigError(f"lookback must be >= 1, got {lookback}")
-    it = panel.calendar.position(t)
-    ai = panel.position(asset)
-    lo = max(0, it - lookback)
-    p = panel.price[lo:it, ai]
-    v = panel.volume[lo:it, ai]
-    valid = np.isfinite(p) & np.isfinite(v)
-    if int(valid.sum()) < math.ceil(0.5 * lookback):
-        return math.nan
-    return float(np.mean(p[valid] * v[valid]))
+    """Mean price*volume over the `lookback` trading days ending at t-1,
+    under the coverage rule of AsOf."""
+    return float(AsOf(panel, t, l_adv=lookback).adv[panel.position(asset)])
 
 
 def censor_panel(panel: MarketPanel, cutoff: str) -> MarketPanel:

@@ -257,10 +257,6 @@ class StatsReport:
     max_drawdown: float
     effective_n: float
     top5_concentration: float
-    # filled by the redundancy diagnostics when requested
-    factor_ids: tuple[str, ...] | None = None
-    factor_correlations: np.ndarray | None = None
-    marginal_sharpe: dict[str, float] | None = None
 
     def rows(self) -> list[tuple[str, float]]:
         return [

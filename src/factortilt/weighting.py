@@ -69,11 +69,17 @@ class CapParams:
 @dataclass
 class WeightVector:
     """Long-only weights over the full asset list, zero outside the universe.
-    Sums to 1 unless the universe was empty (then all zero)."""
+    Sums to 1 unless the universe was empty (then all zero).
+
+    A tilted vector also carries the bounded multiplier applied to each
+    asset (1 off the tilted universe) and, when capped, each asset's
+    liquidity cap (NaN off the universe); both are None otherwise."""
 
     t: str
     assets: tuple[str, ...]
     w: np.ndarray
+    multipliers: np.ndarray | None = None
+    caps: np.ndarray | None = None
 
     def __post_init__(self):
         self.w = np.asarray(self.w, dtype=float)
@@ -92,15 +98,17 @@ class WeightVector:
         return WeightVector(t=self.t, assets=self.assets, w=self.w.copy())
 
 
+def _positions(assets, names) -> np.ndarray:
+    index = {a: i for i, a in enumerate(assets)}
+    return np.fromiter(map(index.__getitem__, names), dtype=np.intp, count=len(names))
+
+
 def equal_weight_baseline(universe: EligibilitySet) -> WeightVector:
     """1/n for each member, zero otherwise; all-zero when the universe is empty."""
     assets = universe.assets or universe.members
     w = np.zeros(len(assets))
     if universe.members:
-        share = 1.0 / len(universe.members)
-        pos = {a: i for i, a in enumerate(assets)}
-        for m in universe.members:
-            w[pos[m]] = share
+        w[_positions(assets, universe.members)] = 1.0 / len(universe.members)
     return WeightVector(t=universe.t, assets=tuple(assets), w=w)
 
 
@@ -114,13 +122,11 @@ def composite_score(z: FactorMatrix, params: TiltParams) -> np.ndarray:
     return z.z @ alpha
 
 
-def bounded_multiplier(z_i: float, params: TiltParams) -> float:
-    """clip(1 + lambda * z, m_min, m_max)."""
-    return float(min(max(1.0 + params.lam * z_i, params.m_min), params.m_max))
-
-
-def _bounded_multipliers(scores: np.ndarray, params: TiltParams) -> np.ndarray:
-    return np.clip(1.0 + params.lam * scores, params.m_min, params.m_max)
+def bounded_multiplier(z, params: TiltParams):
+    """clip(1 + lambda * z, m_min, m_max): a float for a scalar z, an array
+    for an array of scores."""
+    m = np.clip(1.0 + params.lam * np.asarray(z, dtype=float), params.m_min, params.m_max)
+    return float(m) if m.ndim == 0 else m
 
 
 def tilt_and_normalize(baseline: WeightVector, multipliers: Mapping[str, float]) -> WeightVector:
@@ -135,9 +141,7 @@ def tilt_and_normalize(baseline: WeightVector, multipliers: Mapping[str, float])
     if not support.any():
         return baseline.copy()
     m = np.ones(len(w))
-    pos = {a: i for i, a in enumerate(baseline.assets)}
-    for asset, mult in multipliers.items():
-        m[pos[asset]] = mult
+    m[_positions(baseline.assets, multipliers)] = list(multipliers.values())
     m_support = m[support]
     if np.all(m_support == m_support[0]):
         return baseline.copy()
@@ -158,14 +162,14 @@ def liquidity_caps(
     """
     if not universe.members:
         raise ConfigError("cannot build caps for an empty universe")
-    advs = np.array([adv[a] for a in universe.members], dtype=float)
+    advs = np.fromiter(map(adv.__getitem__, universe.members), dtype=float, count=len(universe.members))
     if not np.all(np.isfinite(advs)):
         raise ConfigError("missing ADV for a universe member")
     med = float(np.median(advs))
     ratio = advs / med if med > 0 else np.ones_like(advs)
     caps = np.minimum(params.c_max, params.kappa * ratio**params.gamma)
     caps = np.minimum(caps, 1.0)
-    return {a: float(c) for a, c in zip(universe.members, caps)}
+    return dict(zip(universe.members, caps.tolist()))
 
 
 def cap_and_redistribute(
@@ -183,10 +187,9 @@ def cap_and_redistribute(
     Raises InfeasibleCapsError up front when sum(min(c_i, 1)) < 1 - epsilon,
     and ProjectionError if the loop fails to settle (unreachable for feasible
     caps with positive weights)."""
-    pos = {a: i for i, a in enumerate(raw.assets)}
-    idx = np.array([pos[a] for a in caps], dtype=int)
-    w = raw.w[idx].copy()
-    c = np.array([min(float(caps[a]), 1.0) for a in caps], dtype=float)
+    idx = _positions(raw.assets, caps)
+    w = raw.w[idx]
+    c = np.minimum(np.fromiter(caps.values(), dtype=float, count=len(caps)), 1.0)
     if np.any(c < 0):
         raise ConfigError("caps must be non-negative")
     total = float(w.sum())
@@ -238,11 +241,15 @@ def build_weights(
         return baseline
     if factor_matrix is None:
         raise ConfigError("factor matrix required for a non-empty universe")
-    scores = composite_score(factor_matrix, tilt)
-    mults = _bounded_multipliers(scores, tilt)
+    positions = _positions(baseline.assets, factor_matrix.assets)
+    mults = bounded_multiplier(composite_score(factor_matrix, tilt), tilt)
     weights = tilt_and_normalize(baseline, dict(zip(factor_matrix.assets, mults)))
     if caps is not None:
         adv = {a: universe.screen_values[a].adv for a in universe.members}
         cap_map = liquidity_caps(universe, adv, caps)
         weights = cap_and_redistribute(weights, cap_map, caps)
+        weights.caps = np.full(len(baseline.assets), np.nan)
+        weights.caps[positions] = [cap_map[a] for a in factor_matrix.assets]
+    weights.multipliers = np.ones(len(baseline.assets))
+    weights.multipliers[positions] = mults
     return weights

@@ -228,15 +228,6 @@ class TestBaselines:
             assert res.rebalance_dates == reference
             assert res.dates == results["dmft"].dates
 
-    def test_threaded_equals_serial(self):
-        panel, sched, cfg = self.small_run(lam=0.4)
-        serial = run_baselines(panel, sched, cfg, threads=1)
-        threaded = run_baselines(panel, sched, cfg, threads=4)
-        for name in serial:
-            np.testing.assert_array_equal(
-                serial[name].daily_returns, threaded[name].daily_returns
-            )
-
 
 class TestFactorRemovals:
     def test_keys_and_single_factor_degeneracy(self):
