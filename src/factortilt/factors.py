@@ -30,8 +30,8 @@ class FactorParams:
     def __post_init__(self):
         if self.l_mom < 1:
             raise ConfigError(f"l_mom must be >= 1, got {self.l_mom}")
-        if self.skip < 0:
-            raise ConfigError(f"skip must be >= 0, got {self.skip}")
+        if self.skip < 1:
+            raise ConfigError(f"skip must be >= 1, got {self.skip}: skip = 0 reads the price at t itself")
         if self.l_fund < 1:
             raise ConfigError(f"l_fund must be >= 1, got {self.l_fund}")
         if not 0 <= self.winsor_p < 0.5:

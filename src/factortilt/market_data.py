@@ -9,8 +9,8 @@ quantity computed "as of" t (history, dollar volume, signals downstream).
 
 from __future__ import annotations
 
-import csv
 import math
+import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
 from datetime import date as _date
@@ -18,6 +18,7 @@ from functools import partial
 from itertools import compress
 from operator import attrgetter, getitem
 from pathlib import Path
+from typing import NamedTuple, NoReturn
 
 import numpy as np
 
@@ -85,6 +86,11 @@ class FundamentalRecord:
     debt_to_assets: float = math.nan
 
 
+_REPORT_DATE = attrgetter("report_date")
+_REPORT_FIELDS = ("book_equity", "roe", "gross_margin", "debt_to_assets")
+_REPORT_VALUES = attrgetter(*_REPORT_FIELDS)
+
+
 @dataclass(frozen=True)
 class RebalanceSchedule:
     dates: tuple[str, ...]
@@ -105,8 +111,8 @@ class MarketPanel:
 
     Arrays are (n_days, n_assets) float64 with NaN for missing. Prices and
     market caps are strictly positive where present; volumes are >= 0.
-    The panel is immutable by convention after construction; reads are
-    thread-safe.
+    The grids are read-only once the panel is built (assigning into one
+    raises ValueError); reads are thread-safe.
     """
 
     assets: list[str]
@@ -141,6 +147,8 @@ class MarketPanel:
             if len(set(dates)) != len(dates):
                 raise DataError(f"duplicate fundamental report date for {asset}")
         self.asset_index = {a: i for i, a in enumerate(self.assets)}
+        for arr in (self.price, self.volume, self.mktcap):
+            arr.flags.writeable = False
 
     @property
     def n_days(self) -> int:
@@ -171,79 +179,222 @@ class MarketPanel:
         }
 
 
-def _read_cell_file(path, kind: str):
-    """Parse a long-format `date,asset,value` CSV into {(date, asset): value}.
+_CELL_HEADER = ("date", "asset", "value")
+_FUND_HEADER = ("report_date", "asset", *_REPORT_FIELDS)
+_BLANK_LINE = re.compile(r"^[^\S\n]*(?:\n|\Z)", re.MULTILINE)
+_UNWRITABLE_ID = re.compile(r'[,"\r\n]')
 
-    kind controls the cell validity rule: price and mktcap must be > 0,
-    volume >= 0. An empty value field is treated as an absent cell.
+
+def _read_text(path: Path) -> str:
+    """The file's text with CRLF and lone CR line ends turned into LF."""
+    text = path.read_bytes().decode("utf-8")
+    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
+
+
+def _line_count(body: str, width: int) -> int | None:
+    """Number of lines in body when each holds exactly width - 1 commas
+    (a last line without LF counts), else None."""
+    buf = np.frombuffer(body.encode("utf-8"), np.uint8)
+    ends = np.flatnonzero(buf == ord("\n"))
+    if body and not body.endswith("\n"):
+        ends = np.append(ends, buf.size)
+    commas = np.flatnonzero(buf == ord(","))
+    if commas.size != (width - 1) * ends.size:
+        return None
+    # positions are sorted, so line i holds exactly its share of the commas
+    # when the last of them precedes its end and line i+1's first follows it
+    by_line = commas.reshape(ends.size, width - 1)
+    return ends.size if (by_line[:, -1] < ends).all() and (by_line[1:, 0] > ends[:-1]).all() else None
+
+
+def _columns(path: Path, header: tuple[str, ...]) -> list[list[str]] | None:
+    """The raw fields of each column of an ingest CSV, split once from the
+    whole text, or None when the header or some line breaks the format.
+
+    The format: a header matching `header` case-insensitively, no quoting
+    (a '"' anywhere is an error), LF or CRLF line ends, blank lines skipped.
     """
-    path = Path(path)
-    cells: dict[tuple[str, str], float] = {}
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip().lower() for h in header] != ["date", "asset", "value"]:
-            raise DataError(f"{path}: expected header 'date,asset,value'")
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != 3:
-                raise DataError(f"{path}:{lineno}: expected 3 fields, got {len(row)}")
-            d, asset, raw = row[0].strip(), row[1].strip(), row[2].strip()
+    head, _, body = _read_text(path).partition("\n")
+    if '"' in head or '"' in body or [h.strip().lower() for h in head.split(",")] != list(header):
+        return None
+    width = len(header)
+    n = _line_count(body, width)
+    if n is None:
+        body = _BLANK_LINE.sub("", body)
+        n = _line_count(body, width)
+        if n is None:
+            return None
+    fields = body.replace("\n", ",").split(",")
+    return [fields[j : width * n : width] for j in range(width)]
+
+
+def _encode(column: list[str]) -> tuple[list[str], np.ndarray]:
+    """The column's distinct stripped values in first-seen order, and each
+    entry's integer code into them."""
+    raw = dict.fromkeys(column)
+    keys = dict.fromkeys(map(str.strip, raw))
+    code = dict(zip(keys, range(len(keys))))
+    raw_code = {r: code[r.strip()] for r in raw}
+    return list(keys), np.fromiter(map(raw_code.__getitem__, column), np.intp, len(column))
+
+
+def _drop_unused(keys: list[str], codes: np.ndarray) -> tuple[list[str], np.ndarray]:
+    used = np.zeros(len(keys), bool)
+    used[codes] = True
+    return list(compress(keys, used.tolist())), (np.cumsum(used) - 1)[codes]
+
+
+def _floats(column: list[str]) -> tuple[np.ndarray, np.ndarray | None]:
+    """float() of every field, NaN where the field is empty, and the mask of
+    non-empty fields (None when all are). Raises ValueError when a field
+    does not parse."""
+    try:
+        return np.fromiter(map(float, column), float, len(column)), None
+    except ValueError:
+        stripped = list(map(str.strip, column))
+        present = np.fromiter(map(bool, stripped), bool, len(stripped))
+        values = np.full(len(column), np.nan)
+        values[present] = np.fromiter(map(float, compress(stripped, present.tolist())), float,
+                                      np.count_nonzero(present))
+        return values, present
+
+
+def _valid_keys(dates: list[str], assets: list[str]) -> bool:
+    try:
+        for d in dates:
             _iso(d)
-            if not asset:
-                raise DataError(f"{path}:{lineno}: empty asset id")
+    except DataError:
+        return False
+    return "" not in assets
+
+
+def _checked_rows(path: Path, header: tuple[str, ...]):
+    """Row-wise rescan that locates a bad line once a column check has
+    failed: yields ("path:lineno", stripped fields) for each data line,
+    raising DataError at the first line that breaks the format, holds an
+    invalid date or has an empty asset id."""
+    for lineno, line in enumerate(_read_text(path).split("\n"), start=1):
+        where = f"{path}:{lineno}"
+        if '"' in line:
+            raise DataError(f"{where}: quoted fields are not supported")
+        row = [f.strip() for f in line.split(",")]
+        if lineno == 1:
+            if [h.lower() for h in row] != list(header):
+                raise DataError(f"{path}: expected header '{','.join(header)}'")
+            continue
+        if row == [""]:
+            continue
+        if len(row) != len(header):
+            raise DataError(f"{where}: expected {len(header)} fields, got {len(row)}")
+        try:
+            _iso(row[0])
+        except DataError as exc:
+            raise DataError(f"{where}: {exc}") from None
+        if not row[1]:
+            raise DataError(f"{where}: empty asset id")
+        yield where, row
+
+
+def _no_bad_line(path: Path) -> DataError:
+    return DataError(f"{path}: rejected by a column check, but no line fails it")
+
+
+def _raise_cell_error(path: Path, kind: str) -> NoReturn:
+    seen: set[tuple[str, str]] = set()
+    for where, (d, asset, raw) in _checked_rows(path, _CELL_HEADER):
+        if not raw:
+            continue
+        try:
+            value = float(raw)
+        except ValueError:
+            raise DataError(f"{where}: unparseable value {raw!r}") from None
+        if not math.isfinite(value):
+            raise DataError(f"{where}: non-finite value for ({d},{asset})")
+        if kind in ("price", "mktcap") and value <= 0:
+            raise DataError(f"{where}: non-positive {kind} for cell ({d},{asset})")
+        if kind == "volume" and value < 0:
+            raise DataError(f"{where}: negative volume for cell ({d},{asset})")
+        if (d, asset) in seen:
+            raise DataError(f"{where}: duplicate cell ({d},{asset})")
+        seen.add((d, asset))
+    raise _no_bad_line(path)
+
+
+def _raise_fundamentals_error(path: Path) -> NoReturn:
+    for where, row in _checked_rows(path, _FUND_HEADER):
+        for name, raw in zip(_REPORT_FIELDS, row[2:]):
             if not raw:
                 continue
             try:
                 value = float(raw)
             except ValueError:
-                raise DataError(f"{path}:{lineno}: unparseable value {raw!r}") from None
+                raise DataError(f"{where}: unparseable {name} {raw!r}") from None
             if not math.isfinite(value):
-                raise DataError(f"{path}:{lineno}: non-finite value for ({d},{asset})")
-            if kind in ("price", "mktcap") and value <= 0:
-                raise DataError(f"{path}:{lineno}: non-positive {kind} for cell ({d},{asset})")
-            if kind == "volume" and value < 0:
-                raise DataError(f"{path}:{lineno}: negative volume for cell ({d},{asset})")
-            if (d, asset) in cells:
-                raise DataError(f"{path}:{lineno}: duplicate cell ({d},{asset})")
-            cells[(d, asset)] = value
-    return cells
+                raise DataError(f"{where}: non-finite {name}")
+    raise _no_bad_line(path)
 
 
-def _read_fundamentals_file(path):
+class _Cells(NamedTuple):
+    """One ingest file as columns: row i holds values[i] for
+    (dates[date_code[i]], assets[asset_code[i]])."""
+
+    dates: list[str]
+    assets: list[str]
+    date_code: np.ndarray
+    asset_code: np.ndarray
+    values: np.ndarray
+
+
+def _read_cell_file(path, kind: str) -> _Cells:
+    """Parse a long-format `date,asset,value` CSV.
+
+    kind controls the cell validity rule: price and mktcap must be > 0,
+    volume >= 0. An empty value field is treated as an absent cell. Every
+    check runs on whole columns; when one fails, a row-wise rescan raises
+    DataError naming the first bad line.
+    """
     path = Path(path)
-    expected = ["report_date", "asset", "book_equity", "roe", "gross_margin", "debt_to_assets"]
-    rows: list[tuple[str, str, float, float, float, float]] = []
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip().lower() for h in header] != expected:
-            raise DataError(f"{path}: expected header '{','.join(expected)}'")
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != 6:
-                raise DataError(f"{path}:{lineno}: expected 6 fields, got {len(row)}")
-            d, asset = row[0].strip(), row[1].strip()
-            _iso(d)
-            if not asset:
-                raise DataError(f"{path}:{lineno}: empty asset id")
-            values = []
-            for col, raw in zip(expected[2:], row[2:]):
-                raw = raw.strip()
-                if not raw:
-                    values.append(math.nan)
-                    continue
-                try:
-                    v = float(raw)
-                except ValueError:
-                    raise DataError(f"{path}:{lineno}: unparseable {col} {raw!r}") from None
-                if not math.isfinite(v):
-                    raise DataError(f"{path}:{lineno}: non-finite {col}")
-                values.append(v)
-            rows.append((d, asset, *values))
-    return rows
+    columns = _columns(path, _CELL_HEADER)
+    if columns is None:
+        _raise_cell_error(path, kind)
+    dates, date_code = _encode(columns[0])
+    assets, asset_code = _encode(columns[1])
+    try:
+        values, present = _floats(columns[2])
+    except ValueError:
+        _raise_cell_error(path, kind)
+    del columns
+    if not _valid_keys(dates, assets):
+        _raise_cell_error(path, kind)
+    if present is not None:
+        values = values[present]
+        dates, date_code = _drop_unused(dates, date_code[present])
+        assets, asset_code = _drop_unused(assets, asset_code[present])
+    occupied = np.zeros(len(dates) * len(assets), bool)
+    occupied[date_code * len(assets) + asset_code] = True
+    in_range = values >= 0 if kind == "volume" else values > 0
+    if not (np.isfinite(values).all() and in_range.all()) or np.count_nonzero(occupied) != values.size:
+        _raise_cell_error(path, kind)
+    return _Cells(dates, assets, date_code, asset_code, values)
+
+
+def _read_fundamentals_file(path) -> _Cells:
+    """Parse the fundamentals CSV; its values are (n_rows, len(_REPORT_FIELDS)),
+    NaN where a metric is blank."""
+    path = Path(path)
+    columns = _columns(path, _FUND_HEADER)
+    if columns is None:
+        _raise_fundamentals_error(path)
+    dates, date_code = _encode(columns[0])
+    assets, asset_code = _encode(columns[1])
+    try:
+        parsed = [_floats(column) for column in columns[2:]]
+    except ValueError:
+        _raise_fundamentals_error(path)
+    finite = all(np.isfinite(v if present is None else v[present]).all() for v, present in parsed)
+    if not (finite and _valid_keys(dates, assets)):
+        _raise_fundamentals_error(path)
+    return _Cells(dates, assets, date_code, asset_code, np.column_stack([v for v, _ in parsed]))
 
 
 def load_panel(price_file, volume_file, fundamentals_file, mktcap_file) -> MarketPanel:
@@ -254,59 +405,67 @@ def load_panel(price_file, volume_file, fundamentals_file, mktcap_file) -> Marke
     calendar span are snapped to the nearest prior trading day; dates outside
     the span are kept verbatim.
     """
-    price_cells = _read_cell_file(price_file, "price")
-    volume_cells = _read_cell_file(volume_file, "volume")
-    mktcap_cells = _read_cell_file(mktcap_file, "mktcap")
-    fund_rows = _read_fundamentals_file(fundamentals_file)
+    cells = [_read_cell_file(price_file, "price"), _read_cell_file(volume_file, "volume"),
+             _read_cell_file(mktcap_file, "mktcap")]
+    reports = _read_fundamentals_file(fundamentals_file)
 
-    dates = sorted({d for d, _ in price_cells} | {d for d, _ in volume_cells} | {d for d, _ in mktcap_cells})
+    dates = sorted(set().union(*(c.dates for c in cells)))
     if not dates:
         raise DataError("no data cells found in price/volume/mktcap files")
-    assets = sorted(
-        {a for _, a in price_cells}
-        | {a for _, a in volume_cells}
-        | {a for _, a in mktcap_cells}
-        | {a for _, a, *_ in fund_rows}
-    )
+    assets = sorted(set().union(*(c.assets for c in cells), reports.assets))
     calendar = TradingCalendar(tuple(dates))
     aidx = {a: i for i, a in enumerate(assets)}
 
-    def grid(cells):
+    def grid(c: _Cells) -> np.ndarray:
         arr = np.full((len(dates), len(assets)), np.nan)
-        for (d, a), v in cells.items():
-            arr[calendar.index[d], aidx[a]] = v
+        rows = np.array([calendar.index[d] for d in c.dates], dtype=np.intp)
+        cols = np.array([aidx[a] for a in c.assets], dtype=np.intp)
+        arr[rows[c.date_code], cols[c.asset_code]] = c.values
         return arr
 
+    def snap(d: str) -> str:
+        in_span = calendar.days[0] <= d <= calendar.days[-1]
+        return d if (d in calendar or not in_span) else (calendar.last_before(d) or d)
+
+    # blank metrics become the math.nan singleton, so records compare equal
+    values = reports.values.astype(object)
+    values[np.isnan(reports.values)] = math.nan
+    snapped = list(map(snap, reports.dates))
     fundamentals: dict[str, list[FundamentalRecord]] = {}
     seen: set[tuple[str, str]] = set()
-    for d, asset, be, roe, gm, dta in fund_rows:
-        in_span = calendar.days[0] <= d <= calendar.days[-1]
-        snapped = d if (d in calendar or not in_span) else (calendar.last_before(d) or d)
-        if (asset, snapped) in seen:
-            raise DataError(f"duplicate fundamental report ({snapped},{asset})")
-        seen.add((asset, snapped))
-        fundamentals.setdefault(asset, []).append(
-            FundamentalRecord(snapped, book_equity=be, roe=roe, gross_margin=gm, debt_to_assets=dta)
-        )
+    for di, ai, row in zip(reports.date_code.tolist(), reports.asset_code.tolist(), values.tolist()):
+        d, asset = snapped[di], reports.assets[ai]
+        if (asset, d) in seen:
+            raise DataError(f"duplicate fundamental report ({d},{asset})")
+        seen.add((asset, d))
+        fundamentals.setdefault(asset, []).append(FundamentalRecord(d, *row))
     for asset in fundamentals:
-        fundamentals[asset].sort(key=lambda r: r.report_date)
+        fundamentals[asset].sort(key=_REPORT_DATE)
 
     return MarketPanel(
         assets=assets,
         calendar=calendar,
-        price=grid(price_cells),
-        volume=grid(volume_cells),
-        mktcap=grid(mktcap_cells),
+        price=grid(cells[0]),
+        volume=grid(cells[1]),
+        mktcap=grid(cells[2]),
         fundamentals=fundamentals,
     )
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
+def _metric_text(v: float) -> str:
+    return "" if math.isnan(v) else repr(float(v))
 
 
 def save_panel(panel: MarketPanel, out_dir) -> dict[str, Path]:
-    """Write the panel back to the four-file CSV format (non-missing cells only)."""
+    """Write the panel back to the four-file CSV format (non-missing cells
+    only), as csv.writer would: `repr(float)` values, CRLF line ends. Asset
+    ids the reader could not read back (empty, padded with whitespace, or
+    holding ',', '"', CR or LF) raise DataError before anything is written.
+    """
+    for a in panel.assets:
+        if not a or a != a.strip() or _UNWRITABLE_ID.search(a):
+            raise DataError(f"asset id {a!r} cannot be written to CSV: ids must be non-empty, "
+                            "unpadded and free of ',', '\"', CR and LF")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = {}
@@ -314,25 +473,20 @@ def save_panel(panel: MarketPanel, out_dir) -> dict[str, Path]:
     for name, arr in grids.items():
         path = out / f"{name}.csv"
         with path.open("w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["date", "asset", "value"])
-            for di, d in enumerate(panel.calendar.days):
-                row = arr[di]
-                for ai, a in enumerate(panel.assets):
-                    if np.isfinite(row[ai]):
-                        writer.writerow([d, a, _fmt(row[ai])])
+            fh.write(",".join(_CELL_HEADER) + "\r\n")
+            for d, row in zip(panel.calendar.days, np.asarray(arr, dtype=float)):
+                present = np.isfinite(row)
+                held = compress(panel.assets, present.tolist())
+                fh.write("".join([f"{d},{a},{v!r}\r\n" for a, v in zip(held, row[present].tolist())]))
         paths[name] = path
     path = out / "fundamentals.csv"
     with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["report_date", "asset", "book_equity", "roe", "gross_margin", "debt_to_assets"])
-        for asset in panel.assets:
-            for rec in panel.fundamentals.get(asset, []):
-                writer.writerow(
-                    [rec.report_date, asset]
-                    + ["" if math.isnan(v) else _fmt(v)
-                       for v in (rec.book_equity, rec.roe, rec.gross_margin, rec.debt_to_assets)]
-                )
+        fh.write(",".join(_FUND_HEADER) + "\r\n")
+        fh.write("".join([
+            ",".join([rec.report_date, asset, *map(_metric_text, _REPORT_VALUES(rec))]) + "\r\n"
+            for asset in panel.assets
+            for rec in panel.fundamentals.get(asset, [])
+        ]))
     paths["fundamentals"] = path
     return paths
 
@@ -365,10 +519,6 @@ def build_schedule(
         raise ConfigError("no rebalance dates in range")
     label = "semiannual" if set(anchors) == set(DEFAULT_ANCHORS) else f"anchors={len(anchors)}/yr"
     return RebalanceSchedule(dates=tuple(sorted(hits)), frequency=label)
-
-
-_REPORT_DATE = attrgetter("report_date")
-_REPORT_FIELDS = ("book_equity", "roe", "gross_margin", "debt_to_assets")
 
 
 def _average_dollar_volumes(panel: MarketPanel, it: int, lookback: int) -> np.ndarray:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from factortilt.eligibility import EligibilityParams, compute_eligibility
+from factortilt.errors import ConfigError
 from factortilt.factors import (
     FactorParams,
     build_factor_matrix,
@@ -57,6 +58,12 @@ class TestMomentum:
         full = momentum_signal(panel, "A", t, l_mom=5, skip=2)
         censored = momentum_signal(censor_panel(panel, panel.calendar.days[8]), "A", t, l_mom=5, skip=2)
         assert full == censored
+
+    def test_skip_zero_rejected(self):
+        # skip = 0 would read the price at t itself
+        with pytest.raises(ConfigError, match="skip must be >= 1"):
+            FactorParams(skip=0)
+        assert FactorParams(skip=1).skip == 1
 
 
 class TestValue:
