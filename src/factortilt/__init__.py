@@ -54,6 +54,7 @@ from .market_data import (
     censor_panel,
     history_length,
     load_panel,
+    parse_panel,
     save_panel,
     truncate_calendar,
 )

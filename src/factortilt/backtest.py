@@ -113,18 +113,33 @@ def target_weights(panel: MarketPanel, t: str, config: BacktestConfig) -> Weight
     return _date_targets(panel, snapshot(panel, t, config), {config.strategy: config})[config.strategy]
 
 
+def _windows(config: BacktestConfig) -> tuple:
+    f = config.factors
+    return config.eligibility.l_adv, f.l_mom, f.skip, f.l_fund
+
+
 def snapshot(panel: MarketPanel, t: str, config: BacktestConfig) -> AsOf:
     """The as-of snapshot at t with every row the config's strategies read."""
-    f = config.factors
-    return AsOf(panel, t, config.eligibility.l_adv, f.l_mom, f.skip, f.l_fund)
+    return AsOf(panel, t, *_windows(config))
+
+
+def _given_snapshot(snapshots: dict[str, AsOf], panel: MarketPanel, t: str, config: BacktestConfig) -> AsOf:
+    """snapshots[t], checked to be what snapshot(panel, t, config) builds."""
+    snap = snapshots.get(t)
+    if snap is None:
+        raise ConfigError(f"no snapshot given for rebalance date {t}")
+    if snap.panel is not panel or snap.t != t or snap.windows != _windows(config):
+        raise ConfigError(f"the snapshot given for {t} is not snapshot(panel, {t}, config) of this panel and config")
+    return snap
 
 
 def _run(
-    panel: MarketPanel, schedule: RebalanceSchedule, configs, end: str | None
+    panel: MarketPanel, schedule: RebalanceSchedule, configs, end: str | None, snapshots=None
 ) -> dict[str, BacktestResult]:
-    """Walk the rebalance dates once, building one snapshot per date that
-    every config's targets read, then evolve each config's book. The configs
-    share eligibility and factor parameters."""
+    """Walk the rebalance dates once, building one snapshot per date (or
+    taking it from `snapshots`, keyed by date) that every config's targets
+    read, then evolve each config's book. The configs share eligibility and
+    factor parameters."""
     cal = panel.calendar
     for t in schedule.dates:
         if t not in cal:
@@ -138,7 +153,12 @@ def _run(
         raise ConfigError("backtest end precedes the first rebalance date")
 
     first = next(iter(configs.values()))
-    per_date = [_date_targets(panel, snapshot(panel, t, first), configs) for t in schedule.dates if t <= end]
+    per_date = [
+        _date_targets(panel, snapshot(panel, t, first) if snapshots is None
+                      else _given_snapshot(snapshots, panel, t, first), configs)
+        for t in schedule.dates
+        if t <= end
+    ]
     # a missing asset return is zero
     asset_returns = np.zeros_like(panel.price)
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -220,16 +240,21 @@ def run_baselines(
     schedule: RebalanceSchedule,
     config: BacktestConfig,
     end: str | None = None,
+    *,
+    snapshots: dict[str, AsOf] | None = None,
 ) -> dict[str, BacktestResult]:
     """Run the tilted strategy and all counterfactual baselines under
     identical data, schedule, and cost assumptions. Liquidity caps apply only
     to the screened tilted strategy (the screens guarantee ADV for every
-    member; the unscreened pools do not)."""
+    member; the unscreened pools do not). `snapshots`, when given, maps each
+    rebalance date t to `snapshot(panel, t, config)`, which is then not
+    rebuilt; a missing date or a snapshot of another panel, date or set of
+    windows raises ConfigError."""
     configs = {
         s: replace(config, strategy=s, caps=config.caps if s == "dmft" else None)
         for s in STRATEGIES
     }
-    return _run(panel, schedule, configs, end)
+    return _run(panel, schedule, configs, end, snapshots)
 
 
 def turnover_series(result: BacktestResult) -> tuple[list[str], np.ndarray, float]:
@@ -265,10 +290,12 @@ def run_factor_removals(
     schedule: RebalanceSchedule,
     config: BacktestConfig,
     end: str | None = None,
+    *,
+    snapshots: dict[str, AsOf] | None = None,
 ) -> dict[str, BacktestResult]:
     """Full run plus one rerun per factor with that factor removed, for
-    marginal contribution diagnostics."""
+    marginal contribution diagnostics. `snapshots` is as in run_baselines."""
     configs = {"full": config}
     for f in config.tilt.alpha:
         configs[f"drop_{f}"] = removal_config(config, f)
-    return _run(panel, schedule, configs, end)
+    return _run(panel, schedule, configs, end, snapshots)

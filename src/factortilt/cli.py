@@ -31,7 +31,7 @@ from .calibration import CalibrationParams, build_ic_series, information_ratio, 
 from .eligibility import EligibilityParams, screen
 from .errors import ConfigError, DataError
 from .factors import FACTORS, FactorParams, select_factor_matrix
-from .market_data import build_schedule, load_panel, save_panel
+from .market_data import build_schedule, check_date, load_panel, parse_panel, save_panel
 from .stats import factor_redundancy, summarize
 from .synthetic import GENERATOR_NAME, generate, scenario_from_mapping
 from .weighting import CapParams, TiltParams
@@ -141,8 +141,8 @@ def load_config(path, out_override=None) -> RunConfig:
     for section in ("run",):
         if not cp.has_section(section):
             raise ConfigError(f"{path}: missing [{section}] section")
-    start = _get(cp, "run", "start", str, None)
-    end = _get(cp, "run", "end", str, None)
+    start = _get(cp, "run", "start", check_date, None)  # a DataError is a ValueError
+    end = _get(cp, "run", "end", check_date, None)
     if start is None or end is None:
         raise ConfigError(f"{path}: [run] start and end are required")
 
@@ -287,16 +287,19 @@ def write_manifest(cfg: RunConfig, path: Path, extra: list[tuple[str, str]] | No
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _load_inputs(cfg: RunConfig):
-    panel = load_panel(cfg.prices, cfg.volumes, cfg.fundamentals, cfg.mktcap)
+def _load_inputs(cfg: RunConfig, cached: bool = True):
+    load = load_panel if cached else parse_panel
+    panel = load(cfg.prices, cfg.volumes, cfg.fundamentals, cfg.mktcap)
     schedule = build_schedule(panel.calendar, cfg.start, cfg.end, cfg.anchors)
     return panel, schedule
 
 
 def cmd_validate(cfg: RunConfig) -> int:
-    """Load the panel, check every invariant, and print summary counts."""
+    """Parse the CSVs (never through the parsed-panel cache, which this
+    check neither reads nor writes), check every invariant, and print
+    summary counts."""
     try:
-        panel, schedule = _load_inputs(cfg)
+        panel, schedule = _load_inputs(cfg, cached=False)
     except (DataError, ConfigError) as exc:
         print(f"INVALID: {exc}")
         return 1
@@ -313,15 +316,15 @@ def cmd_validate(cfg: RunConfig) -> int:
 
 
 def _screens_and_factors(panel, schedule, config: BacktestConfig):
-    """Screened universe and factor matrix per rebalance date, both read
-    from one as-of snapshot of that date."""
-    universes, matrices = {}, {}
+    """Screened universe, factor matrix and the as-of snapshot both are
+    read from, per rebalance date."""
+    universes, matrices, snapshots = {}, {}, {}
     for t in schedule.dates:
-        snap = snapshot(panel, t, config)
+        snapshots[t] = snap = snapshot(panel, t, config)
         universes[t] = uni = screen(t, panel.assets, snap.history, snap.adv, config.eligibility)
         if uni.members:
             matrices[t] = select_factor_matrix(snap, uni, panel.positions(uni.members), config.factors)
-    return universes, matrices
+    return universes, matrices, snapshots
 
 
 def _write_screens(panel, universes, matrices, out: Path) -> None:
@@ -374,7 +377,7 @@ def cmd_backtest(cfg: RunConfig) -> int:
     out.mkdir(parents=True, exist_ok=True)
     notes = []
     config = cfg.backtest_config()
-    universes, matrices = _screens_and_factors(panel, schedule, config)
+    universes, matrices, snapshots = _screens_and_factors(panel, schedule, config)
     _write_screens(panel, universes, matrices, out)
     if cfg.apply_calibration:
         ics = build_ic_series(panel, schedule, matrices, cfg.calibration)
@@ -382,7 +385,8 @@ def cmd_backtest(cfg: RunConfig) -> int:
             alpha = ir_to_alpha(ics, cfg.calibration.m_min)
             config = replace(config, tilt=replace(config.tilt, alpha=alpha))
             notes.append(("calibrated_alpha", ",".join(f"{f}={alpha[f]!r}" for f in FACTORS)))
-    results = run_baselines(panel, schedule, config, end=cfg.end)
+    # calibration changes only the tilt, which no snapshot reads
+    results = run_baselines(panel, schedule, config, end=cfg.end, snapshots=snapshots)
     _write_results(results, cfg, out)
     write_manifest(cfg, out / "manifest.txt", extra=notes or None)
     return 0
@@ -394,7 +398,8 @@ def cmd_diagnose(cfg: RunConfig) -> int:
     out = cfg.out_dir
     out.mkdir(parents=True, exist_ok=True)
 
-    _, matrices = _screens_and_factors(panel, schedule, cfg.backtest_config())
+    config = cfg.backtest_config()
+    _, matrices, snapshots = _screens_and_factors(panel, schedule, config)
     ics = build_ic_series(panel, schedule, matrices, cfg.calibration)
     with (out / "ic_ir.csv").open("w", newline="", encoding="utf-8") as fh:
         fh.write("# forward window starts at the rebalance date and overlaps the holding period\n")
@@ -412,7 +417,7 @@ def cmd_diagnose(cfg: RunConfig) -> int:
                 ir = information_ratio(ics[f].values, cfg.calibration.m_min)
                 writer.writerow([f, _fmt(ir), _fmt(alpha[f])])
 
-    removals = run_factor_removals(panel, schedule, cfg.backtest_config(), end=cfg.end)
+    removals = run_factor_removals(panel, schedule, config, end=cfg.end, snapshots=snapshots)
     factors, corr, marginal = factor_redundancy(matrices.values(), removals)
     rows = []
     for i, fi in enumerate(factors):

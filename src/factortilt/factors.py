@@ -14,7 +14,7 @@ import numpy as np
 
 from .eligibility import EligibilitySet
 from .errors import ConfigError
-from .market_data import AsOf, MarketPanel
+from .market_data import AsOf, MarketPanel, check_skip
 
 FACTORS = ("MOM", "VAL", "QUAL")
 
@@ -30,8 +30,7 @@ class FactorParams:
     def __post_init__(self):
         if self.l_mom < 1:
             raise ConfigError(f"l_mom must be >= 1, got {self.l_mom}")
-        if self.skip < 1:
-            raise ConfigError(f"skip must be >= 1, got {self.skip}: skip = 0 reads the price at t itself")
+        check_skip(self.skip)
         if self.l_fund < 1:
             raise ConfigError(f"l_fund must be >= 1, got {self.l_fund}")
         if not 0 <= self.winsor_p < 0.5:
@@ -57,7 +56,8 @@ class FactorMatrix:
 
 
 def momentum_signal(panel: MarketPanel, asset: str, t: str, l_mom: int, skip: int) -> float:
-    """Trailing return P[t-skip] / P[t-l_mom-skip] - 1 in trading-day offsets."""
+    """Trailing return P[t-skip] / P[t-l_mom-skip] - 1 in trading-day offsets;
+    skip must be >= 1."""
     return float(AsOf(panel, t, l_mom=l_mom, skip=skip).momentum[panel.position(asset)])
 
 

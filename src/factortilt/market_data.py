@@ -1,20 +1,25 @@
 """Market data panel: trading calendar, aligned price/volume/mktcap grids,
-as-of fundamental records, CSV ingest/serialization, the rebalance schedule,
-and the as-of snapshot every screen and signal reads.
+as-of fundamental records, CSV ingest (with its parsed-panel cache) and
+serialization, the rebalance schedule, and the as-of snapshot every screen
+and signal reads.
 
-All dates are ISO-8601 strings; lexicographic order equals chronological order.
+All dates are `YYYY-MM-DD` strings; lexicographic order equals chronological order.
 Missing cells are NaN. Data observed at or after a date t never influences a
 quantity computed "as of" t (history, dollar volume, signals downstream).
 """
 
 from __future__ import annotations
 
+import hashlib
+import logging
 import math
+import os
 import re
 from bisect import bisect_left, bisect_right
+from contextlib import suppress
 from dataclasses import dataclass, field, replace
 from datetime import date as _date
-from functools import partial
+from functools import cache, partial
 from itertools import compress
 from operator import attrgetter, getitem
 from pathlib import Path
@@ -24,11 +29,26 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 
+log = logging.getLogger(__name__)
+
 DEFAULT_ANCHORS = ((1, 1), (7, 1))
+_ISO_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
+
+
+def check_date(d: str) -> str:
+    """d itself when it is a `YYYY-MM-DD` date, else DataError."""
+    _iso(d)
+    return d
 
 
 def _iso(d: str) -> _date:
+    """The date of a `YYYY-MM-DD` string. Any other form, even one
+    `date.fromisoformat` takes (such as `20200102`), raises DataError: every
+    date comparison here is a string comparison, and only this form sorts
+    in date order."""
     try:
+        if not _ISO_DATE.fullmatch(d):
+            raise ValueError("expected YYYY-MM-DD")
         return _date.fromisoformat(d)
     except ValueError as exc:
         raise DataError(f"invalid ISO date {d!r}") from exc
@@ -185,9 +205,14 @@ _BLANK_LINE = re.compile(r"^[^\S\n]*(?:\n|\Z)", re.MULTILINE)
 _UNWRITABLE_ID = re.compile(r'[,"\r\n]')
 
 
-def _read_text(path: Path) -> str:
-    """The file's text with CRLF and lone CR line ends turned into LF."""
-    text = path.read_bytes().decode("utf-8")
+def _read_text(path: Path, digests: list | None = None) -> str:
+    """The file's text with CRLF and lone CR line ends turned into LF; the
+    size and sha256 of its bytes are appended to `digests` when given."""
+    data = path.read_bytes()
+    if digests is not None:
+        digests.append((len(data), hashlib.sha256(data).digest()))
+    text = data.decode("utf-8")
+    del data
     return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
 
 
@@ -207,14 +232,14 @@ def _line_count(body: str, width: int) -> int | None:
     return ends.size if (by_line[:, -1] < ends).all() and (by_line[1:, 0] > ends[:-1]).all() else None
 
 
-def _columns(path: Path, header: tuple[str, ...]) -> list[list[str]] | None:
+def _columns(path: Path, header: tuple[str, ...], digests: list | None = None) -> list[list[str]] | None:
     """The raw fields of each column of an ingest CSV, split once from the
     whole text, or None when the header or some line breaks the format.
 
     The format: a header matching `header` case-insensitively, no quoting
     (a '"' anywhere is an error), LF or CRLF line ends, blank lines skipped.
     """
-    head, _, body = _read_text(path).partition("\n")
+    head, _, body = _read_text(path, digests).partition("\n")
     if '"' in head or '"' in body or [h.strip().lower() for h in head.split(",")] != list(header):
         return None
     width = len(header)
@@ -345,7 +370,7 @@ class _Cells(NamedTuple):
     values: np.ndarray
 
 
-def _read_cell_file(path, kind: str) -> _Cells:
+def _read_cell_file(path, kind: str, digests: list | None = None) -> _Cells:
     """Parse a long-format `date,asset,value` CSV.
 
     kind controls the cell validity rule: price and mktcap must be > 0,
@@ -354,7 +379,7 @@ def _read_cell_file(path, kind: str) -> _Cells:
     DataError naming the first bad line.
     """
     path = Path(path)
-    columns = _columns(path, _CELL_HEADER)
+    columns = _columns(path, _CELL_HEADER, digests)
     if columns is None:
         _raise_cell_error(path, kind)
     dates, date_code = _encode(columns[0])
@@ -378,11 +403,11 @@ def _read_cell_file(path, kind: str) -> _Cells:
     return _Cells(dates, assets, date_code, asset_code, values)
 
 
-def _read_fundamentals_file(path) -> _Cells:
+def _read_fundamentals_file(path, digests: list | None = None) -> _Cells:
     """Parse the fundamentals CSV; its values are (n_rows, len(_REPORT_FIELDS)),
     NaN where a metric is blank."""
     path = Path(path)
-    columns = _columns(path, _FUND_HEADER)
+    columns = _columns(path, _FUND_HEADER, digests)
     if columns is None:
         _raise_fundamentals_error(path)
     dates, date_code = _encode(columns[0])
@@ -397,17 +422,149 @@ def _read_fundamentals_file(path) -> _Cells:
     return _Cells(dates, assets, date_code, asset_code, np.column_stack([v for v, _ in parsed]))
 
 
+def cache_path(price_file, volume_file, fundamentals_file, mktcap_file) -> Path:
+    """The parsed-panel cache load_panel keeps for these four files, next to
+    the price CSV: `.<price file name>.<digest of the four resolved paths>.factortilt.npz`.
+    Configs that share a price file but not the other files keep one cache
+    each; an edit to a file replaces its cache rather than adding one."""
+    price_file = Path(price_file)
+    where = "\0".join(str(Path(f).resolve()) for f in (price_file, volume_file, fundamentals_file, mktcap_file))
+    return price_file.with_name(f".{price_file.name}.{hashlib.sha256(where.encode()).hexdigest()[:16]}.factortilt.npz")
+
+
+@cache
+def _source_sha256() -> bytes | None:
+    """sha256 of this module's source, read once per process (at its first
+    load_panel), or None when it cannot be read."""
+    try:
+        return hashlib.sha256(Path(__file__).read_bytes()).digest()
+    except OSError:
+        return None
+
+
+def _file_digest(path) -> tuple[int, bytes]:
+    """Size and sha256 of a file, read in 1 MiB chunks."""
+    digest, size = hashlib.sha256(), 0
+    with open(path, "rb") as fh:
+        for chunk in iter(partial(fh.read, 1 << 20), b""):
+            digest.update(chunk)
+            size += len(chunk)
+    return size, digest.digest()
+
+
+def _cache_key(digests) -> str:
+    """sha256 over the sha256 of this module's source and of each input
+    file, in the order the parse reads them (prices, volumes, mktcap,
+    fundamentals). Hashing each file on its own keeps the file boundaries
+    in the key."""
+    return hashlib.sha256(b"".join([_source_sha256(), *(d for _, d in digests)])).hexdigest()
+
+
+def _records(values: np.ndarray) -> list[list[float]]:
+    """Rows of a (n, len(_REPORT_FIELDS)) metric array as lists of floats,
+    blank metrics as the math.nan singleton, so records compare equal."""
+    rows = values.astype(object)
+    rows[np.isnan(values)] = math.nan
+    return rows.tolist()
+
+
+def _read_cache(path: Path, files) -> MarketPanel | None:
+    """The panel stored at `path` for the input `files` (in parse order), or
+    None: silently when there is no such file, with one INFO line when it
+    cannot serve them. The inputs are hashed only when their sizes match
+    the stored ones. A hit re-applies the parse's value rules, so the panel
+    it serves holds nothing a parse would reject."""
+    if not path.exists():
+        return None
+    try:
+        with np.load(path, allow_pickle=False) as z:
+            if z["sizes"].tolist() != [os.path.getsize(f) for f in files] or \
+                    z["key"].item() != _cache_key(map(_file_digest, files)):
+                raise ValueError("inputs or ingest code changed")
+            assets, values = z["assets"].tolist(), z["report_values"]
+            grids = {name: z[name] for name in ("price", "volume", "mktcap")}
+            if any(np.isinf(a).any() for a in (values, *grids.values())):
+                raise ValueError("non-finite value")
+            if any(not a or a != a.strip() or _UNWRITABLE_ID.search(a) for a in assets):
+                raise ValueError("asset id the CSV format cannot hold")
+            report_dates = z["report_date"].tolist()
+            for d in set(report_dates):
+                _iso(d)
+            fundamentals: dict[str, list[FundamentalRecord]] = {}
+            for ai, d, row in zip(z["report_asset"].tolist(), report_dates, _records(values)):
+                fundamentals.setdefault(assets[ai], []).append(FundamentalRecord(d, *row))
+            return MarketPanel(assets=assets, calendar=TradingCalendar(tuple(z["days"].tolist())),
+                               fundamentals=fundamentals, **grids)
+    except Exception as exc:  # any unusable cache is a miss
+        log.info("parsed-panel cache %s not used (%s: %s); parsing the CSVs", path, type(exc).__name__, exc)
+        return None
+
+
+def _write_cache(path: Path, digests, panel: MarketPanel) -> None:
+    """Store the panel at `path`, keyed by the parsed files' digests, through
+    a temporary file moved into place; skipped, with one INFO line, when an
+    asset id would not come back unchanged (numpy drops trailing NULs;
+    dates are plain YYYY-MM-DD) or the directory refuses it."""
+    assets = np.array(panel.assets, dtype=str)
+    if assets.tolist() != panel.assets:
+        log.info("parsed-panel cache %s not written: an asset id does not survive a numpy string array", path)
+        return
+    owners = [a for a, recs in panel.fundamentals.items() for _ in recs]
+    records = [r for recs in panel.fundamentals.values() for r in recs]
+    values = np.array(list(map(_REPORT_VALUES, records)), dtype=float).reshape(-1, len(_REPORT_FIELDS))
+    tmp = path.with_name(f"{path.name}.{os.urandom(6).hex()}.tmp")
+    try:
+        with open(tmp, "xb") as fh:
+            np.savez(fh, key=np.array(_cache_key(digests)), sizes=np.array([n for n, _ in digests]),
+                     assets=assets, days=np.array(panel.calendar.days, dtype=str),
+                     price=panel.price, volume=panel.volume, mktcap=panel.mktcap,
+                     report_asset=panel.positions(owners), report_values=values,
+                     report_date=np.array(list(map(_REPORT_DATE, records)), dtype=str))
+        os.replace(tmp, path)
+    except OSError as exc:
+        log.info("parsed-panel cache %s not written (%s)", path, exc)
+        with suppress(OSError):
+            tmp.unlink()
+
+
 def load_panel(price_file, volume_file, fundamentals_file, mktcap_file) -> MarketPanel:
-    """Load and validate the four input CSVs into an aligned MarketPanel.
+    """parse_panel through the parsed-panel cache.
+
+    The panel is kept in `cache_path(...)` of the four files, keyed by
+    their bytes and those of this module, and served from there while all
+    of them stay byte-identical; any unusable cache is a miss. The key of
+    a parsed panel hashes the very bytes it was parsed from, so a file
+    rewritten meanwhile is never stored under another file's key.
+    """
+    if _source_sha256() is None:  # no source to key by, so no cache
+        return parse_panel(price_file, volume_file, fundamentals_file, mktcap_file)
+    cache = cache_path(price_file, volume_file, fundamentals_file, mktcap_file)
+    panel = _read_cache(cache, (price_file, volume_file, mktcap_file, fundamentals_file))
+    if panel is None:
+        digests: list[tuple[int, bytes]] = []
+        panel = _parse_panel(price_file, volume_file, fundamentals_file, mktcap_file, digests)
+        _write_cache(cache, digests, panel)
+    return panel
+
+
+def parse_panel(price_file, volume_file, fundamentals_file, mktcap_file) -> MarketPanel:
+    """Load and validate the four input CSVs into an aligned MarketPanel,
+    with no cache involved.
 
     Dates and assets are unioned across files; cells absent in a file are
     missing. Fundamental report dates falling on non-trading days inside the
     calendar span are snapped to the nearest prior trading day; dates outside
     the span are kept verbatim.
     """
-    cells = [_read_cell_file(price_file, "price"), _read_cell_file(volume_file, "volume"),
-             _read_cell_file(mktcap_file, "mktcap")]
-    reports = _read_fundamentals_file(fundamentals_file)
+    return _parse_panel(price_file, volume_file, fundamentals_file, mktcap_file, None)
+
+
+def _parse_panel(price_file, volume_file, fundamentals_file, mktcap_file, digests: list | None) -> MarketPanel:
+    """parse_panel; the size and sha256 of each file's bytes are appended
+    to `digests`, when given, as the file is read."""
+    cells = [_read_cell_file(price_file, "price", digests), _read_cell_file(volume_file, "volume", digests),
+             _read_cell_file(mktcap_file, "mktcap", digests)]
+    reports = _read_fundamentals_file(fundamentals_file, digests)
 
     dates = sorted(set().union(*(c.dates for c in cells)))
     if not dates:
@@ -427,13 +584,10 @@ def load_panel(price_file, volume_file, fundamentals_file, mktcap_file) -> Marke
         in_span = calendar.days[0] <= d <= calendar.days[-1]
         return d if (d in calendar or not in_span) else (calendar.last_before(d) or d)
 
-    # blank metrics become the math.nan singleton, so records compare equal
-    values = reports.values.astype(object)
-    values[np.isnan(reports.values)] = math.nan
     snapped = list(map(snap, reports.dates))
     fundamentals: dict[str, list[FundamentalRecord]] = {}
     seen: set[tuple[str, str]] = set()
-    for di, ai, row in zip(reports.date_code.tolist(), reports.asset_code.tolist(), values.tolist()):
+    for di, ai, row in zip(reports.date_code.tolist(), reports.asset_code.tolist(), _records(reports.values)):
         d, asset = snapped[di], reports.assets[ai]
         if (asset, d) in seen:
             raise DataError(f"duplicate fundamental report ({d},{asset})")
@@ -572,13 +726,17 @@ class AsOf:
     each asset's latest report dated strictly before t and no older than
     l_fund calendar days at t; value is missing when book equity is absent
     or non-positive (a negative ratio is not rankable) or mktcap is missing.
-    A row whose window is not given is None.
+    A row whose window is not given is None. Momentum needs skip >= 1.
+    `panel`, `t` and `windows` (l_adv, l_mom, skip, l_fund) record what the
+    snapshot was built from.
     """
 
     def __init__(self, panel: MarketPanel, t: str, l_adv: int | None = None, l_mom: int | None = None,
-                 skip: int = 0, l_fund: int | None = None):
+                 skip: int = 1, l_fund: int | None = None):
+        if l_mom is not None:
+            check_skip(skip)
         it = panel.calendar.position(t)
-        self.t = t
+        self.panel, self.t, self.windows = panel, t, (l_adv, l_mom, skip, l_fund)
         self.history = np.isfinite(panel.price[:it]).sum(axis=0)
         self.listed = self.history > 0
         self.mktcap = panel.mktcap[it - 1] if it > 0 else np.full(panel.n_assets, np.nan)
@@ -594,6 +752,13 @@ class AsOf:
             book, self.roe, self.gross_margin, self.debt_to_assets = _latest_reports(panel, t, l_fund)
             with np.errstate(invalid="ignore", divide="ignore"):
                 self.value = np.where((book > 0) & np.isfinite(self.mktcap), book / self.mktcap, np.nan)
+
+
+def check_skip(skip: int) -> None:
+    """Momentum's skip must be at least one day: with skip = 0 it reads the
+    price at t itself, a look-ahead."""
+    if skip < 1:
+        raise ConfigError(f"skip must be >= 1, got {skip}: skip = 0 reads the price at t itself")
 
 
 def history_length(panel: MarketPanel, asset: str, t: str) -> int:

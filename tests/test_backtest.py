@@ -8,11 +8,12 @@ from factortilt.backtest import (
     run_backtest,
     run_baselines,
     run_factor_removals,
+    snapshot,
     target_weights,
     turnover_series,
 )
 from factortilt.eligibility import EligibilityParams
-from factortilt.errors import DataError
+from factortilt.errors import ConfigError, DataError
 from factortilt.factors import FactorParams
 from factortilt.market_data import RebalanceSchedule, censor_panel
 from factortilt.synthetic import ScenarioSpec, generate
@@ -227,6 +228,40 @@ class TestBaselines:
         for res in results.values():
             assert res.rebalance_dates == reference
             assert res.dates == results["dmft"].dates
+
+
+def test_given_snapshots_change_nothing():
+    panel = generate(ScenarioSpec(seed=9, n_assets=8, n_days=220, dispersion=0.8, vol=0.01,
+                                  liquidity_tiers=(1.0, 4.0)))
+    sched = schedule_at(panel, 60, 120, 180)
+    cfg = loose_config(eligibility=EligibilityParams(40, 0.0, 10), factors=FactorParams(l_mom=30, skip=3),
+                       tilt=TiltParams(lam=0.4), cost_rate=0.001)
+    snapshots = {t: snapshot(panel, t, cfg) for t in sched.dates}
+    for run in (run_baselines, run_factor_removals):
+        built, given = run(panel, sched, cfg), run(panel, sched, cfg, snapshots=snapshots)
+        assert built.keys() == given.keys()
+        for name, res in built.items():
+            assert res.daily_returns.tobytes() == given[name].daily_returns.tobytes(), name
+            for a, b in zip(res.weights, given[name].weights):
+                assert a.w.tobytes() == b.w.tobytes(), name
+
+
+def test_given_snapshots_must_match_panel_dates_and_windows():
+    panel = generate(ScenarioSpec(seed=9, n_assets=8, n_days=220, dispersion=0.8, vol=0.01,
+                                  liquidity_tiers=(1.0, 4.0)))
+    sched = schedule_at(panel, 60, 120, 180)
+    cfg = loose_config(eligibility=EligibilityParams(40, 0.0, 10), factors=FactorParams(l_mom=30, skip=3))
+    other_windows = loose_config(eligibility=EligibilityParams(40, 0.0, 10), factors=FactorParams(l_mom=30, skip=4))
+    other_panel = generate(ScenarioSpec(seed=9, n_assets=8, n_days=220, dispersion=0.8, vol=0.01,
+                                        liquidity_tiers=(1.0, 4.0)))
+    good = {t: snapshot(panel, t, cfg) for t in sched.dates}
+    t0, t1 = sched.dates[:2]
+    for run in (run_baselines, run_factor_removals):
+        with pytest.raises(ConfigError, match=f"no snapshot given for rebalance date {sched.dates[-1]}"):
+            run(panel, sched, cfg, snapshots={t: good[t] for t in sched.dates[:-1]})
+        for bad in (snapshot(panel, t0, other_windows), snapshot(other_panel, t0, cfg), good[t1]):
+            with pytest.raises(ConfigError, match=f"the snapshot given for {t0} is not"):
+                run(panel, sched, cfg, snapshots={**good, t0: bad})
 
 
 class TestFactorRemovals:

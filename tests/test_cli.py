@@ -1,9 +1,12 @@
 import csv
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+from factortilt import backtest, cli
 from factortilt.cli import cmd_synth, load_config, main
+from factortilt.errors import ConfigError
 
 CONFIG_TEMPLATE = """
 [data]
@@ -211,3 +214,34 @@ def test_load_config_defaults_materialize(tmp_path, synth_dir):
     assert cfg.tilt.alpha["MOM"] == pytest.approx(1 / 3)
     assert cfg.n_trials == 5
     assert cfg.calibration.horizon == 60
+
+
+@pytest.mark.parametrize("key", ["start", "end"])
+def test_config_dates_must_be_yyyy_mm_dd(tmp_path, synth_dir, capsys, key):
+    # 20200102 is an ISO 8601 form, but it does not sort in date order beside 2020-01-03
+    dates = {"start": "2020-06-01", "end": "2022-06-30", key: "20200102"}
+    cfg_path = write_config(tmp_path, synth_dir, **dates)
+    with pytest.raises(ConfigError, match=rf"\[run\] {key}: cannot parse '20200102'"):
+        load_config(cfg_path)
+    assert main(["validate", "--config", str(cfg_path)]) == 1
+    assert f"[run] {key}: cannot parse '20200102'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, calibrate", [("backtest", False), ("backtest", True), ("diagnose", False)])
+def test_one_snapshot_per_rebalance_date(tmp_path, synth_dir, monkeypatch, command, calibrate):
+    built = Counter()
+    real = backtest.snapshot
+
+    def counting(panel, t, config):
+        built[t] += 1
+        return real(panel, t, config)
+
+    monkeypatch.setattr(backtest, "snapshot", counting)
+    monkeypatch.setattr(cli, "snapshot", counting)
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(CONFIG_TEMPLATE.format(data=synth_dir, start="2020-06-01", end="2022-06-30", lam="0.3")
+                   + f"apply = {calibrate}\n")
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    _, schedule = cli._load_inputs(load_config(cfg))
+    assert len(schedule) >= 4
+    assert built == Counter(schedule.dates)

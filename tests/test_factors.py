@@ -14,7 +14,7 @@ from factortilt.factors import (
     value_signal,
     winsorize,
 )
-from factortilt.market_data import censor_panel
+from factortilt.market_data import AsOf, censor_panel
 
 from conftest import fundamental, make_panel
 
@@ -64,6 +64,24 @@ class TestMomentum:
         with pytest.raises(ConfigError, match="skip must be >= 1"):
             FactorParams(skip=0)
         assert FactorParams(skip=1).skip == 1
+
+    def test_skip_zero_rejected_wherever_momentum_is_read(self):
+        # on this ramp skip = 0 gave 109/106 - 1 from the price at t, and NaN once t is censored
+        panel = make_panel(10, ["A"], price={"A": [100.0 + i for i in range(10)]})
+        t = panel.calendar.days[9]
+        with pytest.raises(ConfigError) as params_error:
+            FactorParams(skip=0)
+        for read in (lambda: momentum_signal(panel, "A", t, l_mom=3, skip=0),
+                     lambda: AsOf(panel, t, l_mom=3, skip=0),
+                     lambda: AsOf(panel, t, l_adv=2, l_mom=3, skip=0, l_fund=400)):
+            with pytest.raises(ConfigError) as exc:
+                read()
+            assert str(exc.value) == str(params_error.value)
+        with pytest.raises(ConfigError, match="skip must be >= 1, got -1"):
+            momentum_signal(panel, "A", t, l_mom=3, skip=-1)
+        assert momentum_signal(panel, "A", t, l_mom=3, skip=1) == 108.0 / 105.0 - 1.0
+        assert AsOf(panel, t, l_mom=3).momentum[0] == 108.0 / 105.0 - 1.0  # skip defaults to 1
+        assert AsOf(panel, t, l_adv=2).momentum is None  # no momentum read, no skip needed
 
 
 class TestValue:

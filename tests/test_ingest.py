@@ -59,6 +59,9 @@ class TestRejectionsNameTheLine:
         ("volumes.csv", f"{DAYS[0]},AAA,7.0", rf"duplicate cell \({DAYS[0]},AAA\)"),
         ("mktcap.csv", f"{DAYS[1]}, ,1.0", "empty asset id"),
         ("prices.csv", "2020-13-01,CCC,1.0", "invalid ISO date '2020-13-01'"),
+        # a date form Python's fromisoformat takes, but which sorts out of date order
+        ("prices.csv", "20200102,CCC,1.0", "invalid ISO date '20200102'"),
+        ("fundamentals.csv", "20200102,BBB,1.0,,,", "invalid ISO date '20200102'"),
         ("prices.csv", f'{DAYS[1]},"CCC",1.0', "quoted fields are not supported"),
         ("fundamentals.csv", f"{DAYS[1]},BBB,1.0,x,,", "unparseable roe 'x'"),
         ("fundamentals.csv", f"{DAYS[1]},BBB,1.0,,inf,", "non-finite gross_margin"),
