@@ -29,6 +29,7 @@ from .eligibility import EligibilityParams, EligibilitySet, compute_eligibility
 from .errors import (
     ConfigError,
     DataError,
+    FactortiltError,
     InfeasibleCapsError,
     ProjectionError,
     StatsError,

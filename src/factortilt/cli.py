@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import csv
 import logging
-import math
 import sys
 from dataclasses import dataclass, field, replace
+from itertools import starmap
 from pathlib import Path
 
 import numpy as np
@@ -29,9 +28,9 @@ from .backtest import (
 )
 from .calibration import CalibrationParams, build_ic_series, information_ratio, ir_to_alpha
 from .eligibility import EligibilityParams, screen
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, FactortiltError
 from .factors import FACTORS, FactorParams, select_factor_matrix
-from .market_data import build_schedule, check_date, load_panel, parse_panel, save_panel
+from .market_data import build_schedule, check_asset_ids, check_date, load_panel, parse_panel, save_panel
 from .stats import factor_redundancy, summarize
 from .synthetic import GENERATOR_NAME, generate, scenario_from_mapping
 from .weighting import CapParams, TiltParams
@@ -101,6 +100,30 @@ def _parse_anchors(raw: str) -> tuple[tuple[int, int], ...]:
     return tuple(anchors)
 
 
+# every section and key load_config reads; anything else is rejected
+_KEYS = {
+    "data": ("prices", "volumes", "mktcap", "fundamentals"),
+    "run": ("start", "end", "anchors", "cost_rate", "weight_mode", "n_trials", "nw_lag", "out", "threads"),
+    "eligibility": ("h_min", "adv_min", "l_adv"),
+    "factors": ("l_mom", "skip", "l_fund", "winsor_p", "winsorize_quality_components"),
+    "tilt": ("alpha_mom", "alpha_val", "alpha_qual", "lambda", "m_min", "m_max"),
+    "caps": ("enabled", "c_max", "kappa", "gamma", "epsilon", "max_iterations"),
+    "calibration": ("horizon", "m_min", "min_universe", "apply"),
+}
+
+
+def _check_keys(cp, path: Path) -> None:
+    sections = (["DEFAULT"] if cp.defaults() else []) + cp.sections()
+    for section in sections:
+        if section not in _KEYS:
+            raise ConfigError(f"{path}: unknown section [{section}]; valid sections: "
+                              + ", ".join(f"[{s}]" for s in _KEYS))
+        unknown = [k for k in cp.options(section) if k not in _KEYS[section]]
+        if unknown:
+            raise ConfigError(f"{path}: unknown key {unknown[0]!r} in [{section}]; valid keys: "
+                              + ", ".join(_KEYS[section]))
+
+
 def _get(cp, section, key, conv, default):
     if cp.has_option(section, key):
         raw = cp.get(section, key).strip()
@@ -121,13 +144,20 @@ def _bool(raw: str) -> bool:
 
 
 def load_config(path, out_override=None) -> RunConfig:
-    """Parse an INI run config; missing keys take the documented defaults.
-    `[run] threads` is parsed for compatibility and has no effect."""
+    """Parse an INI run config; missing keys take the documented defaults
+    and unknown sections or keys are a ConfigError. `[run] threads` is
+    parsed for compatibility and has no effect."""
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file {path} does not exist")
     cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    cp.read(path, encoding="utf-8")
+    try:
+        cp.read_string(path.read_text(encoding="utf-8"), source=str(path))
+    except (OSError, UnicodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from None
+    except configparser.Error as exc:  # names the file and line
+        raise ConfigError(str(exc)) from None
+    _check_keys(cp, path)
     if not cp.has_section("data"):
         raise ConfigError(f"{path}: missing [data] section")
     base = path.parent
@@ -209,20 +239,38 @@ def load_config(path, out_override=None) -> RunConfig:
     )
 
 
-def _fmt(x) -> str:
-    if isinstance(x, float):  # covers numpy float scalars
-        if math.isnan(x):
-            return ""
-        return repr(float(x))
-    return str(x)
+def _fields(column) -> list:
+    """One column's fields: a float array as the shortest round-trip `repr`
+    of each value, NaN as an empty field; any other column (strings, ints)
+    as its values, which `str.format` writes as `str` does."""
+    if not isinstance(column, np.ndarray):
+        return column
+    if column.dtype.kind != "f":
+        return column.tolist()
+    text = list(map(repr, column.tolist()))
+    for i in np.flatnonzero(np.isnan(column)).tolist():
+        text[i] = ""
+    return text
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+def _table(header: list[str], columns) -> str:
+    """One CSV table: the header row, then one row per index of the equally
+    long columns, each line ended by CRLF."""
+    line = ",".join(["{}"] * len(header)) + "\r\n"
+    return ",".join(header) + "\r\n" + "".join(starmap(line.format, zip(*map(_fields, columns), strict=True)))
+
+
+def _write_csv(path: Path, *tables: tuple[list[str], list], note: str = "") -> None:
+    """Write an artifact in one go: `note` (a comment line, if any), then
+    the (header, columns) tables separated by a blank row.
+
+    The text is what Python's `csv.writer` would write: CRLF line ends and
+    floats as `repr`, NaN empty. Nothing is quoted, so no field may need
+    quoting (a ',', '"', CR or LF, or an empty lone field): dates are
+    YYYY-MM-DD calendar strings, metric and factor names are fixed, every
+    table has two or more columns, and asset ids pass `check_asset_ids`
+    once per panel when the inputs are loaded."""
+    path.write_text(note + "\r\n".join(starmap(_table, tables)), encoding="utf-8", newline="")
 
 
 def write_manifest(cfg: RunConfig, path: Path, extra: list[tuple[str, str]] | None = None) -> None:
@@ -290,6 +338,7 @@ def write_manifest(cfg: RunConfig, path: Path, extra: list[tuple[str, str]] | No
 def _load_inputs(cfg: RunConfig, cached: bool = True):
     load = load_panel if cached else parse_panel
     panel = load(cfg.prices, cfg.volumes, cfg.fundamentals, cfg.mktcap)
+    check_asset_ids(panel.assets)  # the artifact writer never quotes
     schedule = build_schedule(panel.calendar, cfg.start, cfg.end, cfg.anchors)
     return panel, schedule
 
@@ -327,47 +376,66 @@ def _screens_and_factors(panel, schedule, config: BacktestConfig):
     return universes, matrices, snapshots
 
 
-def _write_screens(panel, universes, matrices, out: Path) -> None:
-    rows = []
-    for t, uni in universes.items():
-        for a in panel.assets:
-            sv = uni.screen_values[a]
-            rows.append((t, a, sv.history, sv.adv, int(a in uni)))
-    _write_csv(out / "eligibility.csv", ["date", "asset", "history_days", "adv", "eligible"], rows)
-    rows = []
-    for t, m in matrices.items():
-        for i, a in enumerate(m.assets):
-            for j, f in enumerate(m.factors):
-                rows.append((t, a, f, float(m.raw[i, j]), float(m.z[i, j])))
-    _write_csv(out / "factors.csv", ["date", "asset", "factor", "raw", "z"], rows)
+def _concat(parts) -> np.ndarray:
+    return np.concatenate(parts) if parts else np.empty(0)
 
 
-def _weight_rows(result, report_multipliers: bool):
-    """Held assets per rebalance with weight, multiplier (1 when untilted)
-    and liquidity cap (empty when uncapped)."""
+def _write_screens(panel, universes, matrices, snapshots, out: Path) -> None:
+    """eligibility.csv (every panel asset at every rebalance date, with the
+    snapshot's history and ADV) and factors.csv (each member's raw and z
+    per factor)."""
+    eligible = np.zeros((len(universes), panel.n_assets), dtype=int)
+    for k, uni in enumerate(universes.values()):
+        eligible[k, panel.positions(uni.members)] = 1
+    _write_csv(out / "eligibility.csv", (["date", "asset", "history_days", "adv", "eligible"], [
+        [t for t in universes for _ in panel.assets],
+        panel.assets * len(universes),
+        _concat([snapshots[t].history for t in universes]),
+        _concat([snapshots[t].adv for t in universes]),
+        eligible.ravel(),
+    ]))
+    _write_csv(out / "factors.csv", (["date", "asset", "factor", "raw", "z"], [
+        [t for t, m in matrices.items() for _ in range(m.raw.size)],
+        [a for m in matrices.values() for a in m.assets for _ in m.factors],
+        [f for m in matrices.values() for _ in m.assets for f in m.factors],
+        _concat([m.raw.ravel() for m in matrices.values()]),
+        _concat([m.z.ravel() for m in matrices.values()]),
+    ]))
+
+
+def _weight_columns(result, report_multipliers: bool) -> list:
+    """Date, asset, weight, multiplier (1 when untilted) and liquidity cap
+    (empty when uncapped) of the held assets at each rebalance."""
+    dates, assets, weights, mults, caps = [], [], [], [], []
     for wv in result.weights:
         held = np.flatnonzero(wv.w)
+        dates += [wv.t] * len(held)
+        assets += map(wv.assets.__getitem__, held.tolist())
+        weights.append(wv.w[held])
         tilted = report_multipliers and wv.multipliers is not None
-        mults = wv.multipliers[held] if tilted else np.ones(len(held))
-        caps = wv.caps[held] if wv.caps is not None else np.full(len(held), np.nan)
-        for i, x, m, c in zip(held.tolist(), wv.w[held].tolist(), mults.tolist(), caps.tolist()):
-            yield wv.t, wv.assets[i], x, m, c
+        mults.append(wv.multipliers[held] if tilted else np.ones(len(held)))
+        caps.append(wv.caps[held] if wv.caps is not None else np.full(len(held), np.nan))
+    return [dates, assets, _concat(weights), _concat(mults), _concat(caps)]
 
 
 def _write_results(results, cfg: RunConfig, out: Path) -> None:
     for name in STRATEGIES:
         res = results[name]
         # weights_fixed_universe.csv has always reported untilted multipliers
-        for kind, header, rows in (
-            ("returns", ["date", "return", "equity"], zip(res.dates, res.daily_returns, res.equity_curve)),
-            ("turnover", ["date", "turnover", "cost"], zip(res.rebalance_dates, res.turnover, res.costs)),
-            ("weights", ["date", "asset", "weight", "multiplier", "cap"], _weight_rows(res, name == "dmft")),
+        for kind, header, columns in (
+            ("returns", ["date", "return", "equity"], [res.dates, res.daily_returns, res.equity_curve]),
+            ("turnover", ["date", "turnover", "cost"], [res.rebalance_dates, res.turnover, res.costs]),
+            ("weights", ["date", "asset", "weight", "multiplier", "cap"], _weight_columns(res, name == "dmft")),
         ):
-            _write_csv(out / f"{kind}_{name}.csv", header, rows)
+            _write_csv(out / f"{kind}_{name}.csv", (header, columns))
     benchmark = results["ew_eligible"]
     for name in STRATEGIES:
         report = summarize(results[name], benchmark=benchmark, n_trials=cfg.n_trials, nw_lag=cfg.nw_lag)
-        _write_csv(out / f"stats_{name}.csv", ["metric", "value"], report.rows())
+        metrics, values = zip(*report.rows())
+        # counts (nw_lag, n_trials) are written as integers
+        floats = _fields(np.array(values, dtype=float))
+        values = [f if isinstance(v, float) else v for v, f in zip(values, floats)]
+        _write_csv(out / f"stats_{name}.csv", (["metric", "value"], [metrics, values]))
 
 
 def cmd_backtest(cfg: RunConfig) -> int:
@@ -378,7 +446,7 @@ def cmd_backtest(cfg: RunConfig) -> int:
     notes = []
     config = cfg.backtest_config()
     universes, matrices, snapshots = _screens_and_factors(panel, schedule, config)
-    _write_screens(panel, universes, matrices, out)
+    _write_screens(panel, universes, matrices, snapshots, out)
     if cfg.apply_calibration:
         ics = build_ic_series(panel, schedule, matrices, cfg.calibration)
         if ics:
@@ -401,32 +469,32 @@ def cmd_diagnose(cfg: RunConfig) -> int:
     config = cfg.backtest_config()
     _, matrices, snapshots = _screens_and_factors(panel, schedule, config)
     ics = build_ic_series(panel, schedule, matrices, cfg.calibration)
-    with (out / "ic_ir.csv").open("w", newline="", encoding="utf-8") as fh:
-        fh.write("# forward window starts at the rebalance date and overlaps the holding period\n")
-        writer = csv.writer(fh)
-        writer.writerow(["factor", "date", "ic"])
-        for f in sorted(ics):
-            series = ics[f]
-            for d, v in zip(series.dates, series.values):
-                writer.writerow([f, d, _fmt(float(v))])
-        writer.writerow([])
-        writer.writerow(["factor", "ir", "alpha"])
-        if ics:
-            alpha = ir_to_alpha(ics, cfg.calibration.m_min)
-            for f in sorted(ics):
-                ir = information_ratio(ics[f].values, cfg.calibration.m_min)
-                writer.writerow([f, _fmt(ir), _fmt(alpha[f])])
+    names = sorted(ics)
+    alpha = ir_to_alpha(ics, cfg.calibration.m_min) if ics else {}
+    _write_csv(
+        out / "ic_ir.csv",
+        (["factor", "date", "ic"], [
+            [f for f in names for _ in ics[f].dates],
+            [d for f in names for d in ics[f].dates],
+            _concat([ics[f].values for f in names]),
+        ]),
+        (["factor", "ir", "alpha"], [
+            names,
+            np.array([information_ratio(ics[f].values, cfg.calibration.m_min) for f in names], dtype=float),
+            np.array([alpha[f] for f in names], dtype=float),
+        ]),
+        note="# forward window starts at the rebalance date and overlaps the holding period\n",
+    )
 
     removals = run_factor_removals(panel, schedule, config, end=cfg.end, snapshots=snapshots)
     factors, corr, marginal = factor_redundancy(matrices.values(), removals)
-    rows = []
-    for i, fi in enumerate(factors):
-        for j, fj in enumerate(factors):
-            if i < j:
-                rows.append(("correlation", fi, fj, float(corr[i, j])))
-    for f in factors:
-        rows.append(("marginal_sharpe", f, "", marginal[f]))
-    _write_csv(out / "factor_diagnostics.csv", ["metric", "factor_a", "factor_b", "value"], rows)
+    pairs = [(i, j) for i in range(len(factors)) for j in range(i + 1, len(factors))]
+    _write_csv(out / "factor_diagnostics.csv", (["metric", "factor_a", "factor_b", "value"], [
+        ["correlation"] * len(pairs) + ["marginal_sharpe"] * len(factors),
+        [factors[i] for i, _ in pairs] + list(factors),
+        [factors[j] for _, j in pairs] + [""] * len(factors),
+        np.array([corr[i, j] for i, j in pairs] + [marginal[f] for f in factors], dtype=float),
+    ]))
     return 0
 
 
@@ -508,7 +576,7 @@ def main(argv=None) -> int:
         if args.command == "backtest":
             return cmd_backtest(cfg)
         return cmd_diagnose(cfg)
-    except (ConfigError, DataError) as exc:
+    except FactortiltError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

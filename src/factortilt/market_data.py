@@ -205,13 +205,30 @@ _BLANK_LINE = re.compile(r"^[^\S\n]*(?:\n|\Z)", re.MULTILINE)
 _UNWRITABLE_ID = re.compile(r'[,"\r\n]')
 
 
+def check_asset_ids(assets) -> None:
+    """Raise DataError for the first asset id the CSV format cannot hold
+    unchanged: empty, padded with whitespace, or holding ',', '"', CR or LF.
+    Ingest never yields one, so a CSV writer needs no quoting for ids."""
+    for a in assets:
+        if not a or a != a.strip() or _UNWRITABLE_ID.search(a):
+            raise DataError(f"asset id {a!r} cannot be written to CSV: ids must be non-empty, "
+                            "unpadded and free of ',', '\"', CR and LF")
+
+
 def _read_text(path: Path, digests: list | None = None) -> str:
     """The file's text with CRLF and lone CR line ends turned into LF; the
-    size and sha256 of its bytes are appended to `digests` when given."""
-    data = path.read_bytes()
+    size and sha256 of its bytes are appended to `digests` when given. A
+    file that cannot be read, or is not UTF-8, is a DataError naming it."""
+    try:
+        data = path.read_bytes()
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc.strerror or exc}") from None
     if digests is not None:
         digests.append((len(data), hashlib.sha256(data).digest()))
-    text = data.decode("utf-8")
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text (byte {exc.start})") from None
     del data
     return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
 
@@ -485,8 +502,7 @@ def _read_cache(path: Path, files) -> MarketPanel | None:
             grids = {name: z[name] for name in ("price", "volume", "mktcap")}
             if any(np.isinf(a).any() for a in (values, *grids.values())):
                 raise ValueError("non-finite value")
-            if any(not a or a != a.strip() or _UNWRITABLE_ID.search(a) for a in assets):
-                raise ValueError("asset id the CSV format cannot hold")
+            check_asset_ids(assets)
             report_dates = z["report_date"].tolist()
             for d in set(report_dates):
                 _iso(d)
@@ -616,10 +632,7 @@ def save_panel(panel: MarketPanel, out_dir) -> dict[str, Path]:
     ids the reader could not read back (empty, padded with whitespace, or
     holding ',', '"', CR or LF) raise DataError before anything is written.
     """
-    for a in panel.assets:
-        if not a or a != a.strip() or _UNWRITABLE_ID.search(a):
-            raise DataError(f"asset id {a!r} cannot be written to CSV: ids must be non-empty, "
-                            "unpadded and free of ',', '\"', CR and LF")
+    check_asset_ids(panel.assets)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = {}

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from factortilt.cli import cmd_synth
 from factortilt.market_data import FundamentalRecord, MarketPanel
 from factortilt.synthetic import trading_days
 
@@ -90,3 +91,16 @@ def csv_dir(tmp_path):
         ],
     )
     return tmp_path
+
+
+@pytest.fixture(scope="module")
+def synth_dir(tmp_path_factory):
+    """Synthetic 10-asset x 700-day CSV input directory, built once per module."""
+    data = tmp_path_factory.mktemp("data")
+    scenario = data / "scenario.ini"
+    scenario.write_text(
+        "seed = 11\nn_assets = 10\nn_days = 700\nvol = 0.01\n"
+        "dispersion = 0.8\nic_target = 0.5\nliquidity_tiers = 1,4,16\n"
+    )
+    assert cmd_synth(scenario, data) == 0
+    return data

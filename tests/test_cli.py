@@ -1,11 +1,12 @@
 import csv
+import re
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from factortilt import backtest, cli
-from factortilt.cli import cmd_synth, load_config, main
+from factortilt import backtest, cli, errors
+from factortilt.cli import load_config, main
 from factortilt.errors import ConfigError
 
 CONFIG_TEMPLATE = """
@@ -42,18 +43,6 @@ m_max = 1.5
 horizon = 60
 m_min = 2
 """
-
-
-@pytest.fixture(scope="module")
-def synth_dir(tmp_path_factory):
-    data = tmp_path_factory.mktemp("data")
-    scenario = data / "scenario.ini"
-    scenario.write_text(
-        "seed = 11\nn_assets = 10\nn_days = 700\nvol = 0.01\n"
-        "dispersion = 0.8\nic_target = 0.5\nliquidity_tiers = 1,4,16\n"
-    )
-    assert cmd_synth(scenario, data) == 0
-    return data
 
 
 def write_config(path: Path, data: Path, lam="0.25", start="2020-06-01", end="2022-06-30") -> Path:
@@ -245,3 +234,97 @@ def test_one_snapshot_per_rebalance_date(tmp_path, synth_dir, monkeypatch, comma
     _, schedule = cli._load_inputs(load_config(cfg))
     assert len(schedule) >= 4
     assert built == Counter(schedule.dates)
+
+
+@pytest.mark.parametrize("command", ["validate", "backtest", "diagnose"])
+def test_missing_input_file_is_one_line(tmp_path, synth_dir, capsys, command):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(CONFIG_TEMPLATE.format(data=synth_dir, start="2020-06-01", end="2022-06-30", lam="0.3")
+                   .replace("volumes.csv", "no_such_volumes.csv"))
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    captured = capsys.readouterr()
+    text = captured.out if command == "validate" else captured.err
+    expected = "INVALID: " if command == "validate" else "error: "
+    assert text == f"{expected}cannot read {synth_dir / 'no_such_volumes.csv'}: No such file or directory\n"
+
+
+def test_input_that_is_not_utf8_is_one_line(tmp_path, synth_dir, capsys):
+    for name in ("prices", "volumes", "mktcap", "fundamentals"):
+        (tmp_path / f"{name}.csv").write_bytes((synth_dir / f"{name}.csv").read_bytes())
+    with (tmp_path / "mktcap.csv").open("ab") as fh:
+        fh.write(b"2020-01-06,\xff\xfe,1.0\r\n")
+    cfg = write_config(tmp_path, tmp_path)
+    assert main(["backtest", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {tmp_path / 'mktcap.csv'}: not UTF-8 text (byte ")
+
+
+def test_every_package_error_is_a_factortilt_error():
+    for cls, base in ((errors.DataError, ValueError), (errors.ConfigError, ValueError),
+                      (errors.InfeasibleCapsError, ValueError), (errors.StatsError, ValueError),
+                      (errors.ProjectionError, RuntimeError)):
+        assert issubclass(cls, errors.FactortiltError) and issubclass(cls, base)
+
+
+@pytest.mark.parametrize("command", ["backtest", "diagnose"])
+@pytest.mark.parametrize("extra, raised", [
+    ("\n[caps]\nenabled = true\nc_max = 0.001\n", errors.InfeasibleCapsError),
+    ("", errors.StatsError),
+], ids=["c_max-0.001", "adv_min-1e15"])
+def test_engine_errors_are_one_line(tmp_path, synth_dir, capsys, command, extra, raised):
+    text = CONFIG_TEMPLATE.format(data=synth_dir, start="2020-06-01", end="2022-06-30", lam="0.3") + extra
+    if raised is errors.StatsError:
+        text = text.replace("adv_min = 1000.0", "adv_min = 1e15")
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(text)
+    with pytest.raises(raised):  # the engine really raises it ...
+        getattr(cli, f"cmd_{command}")(load_config(cfg, out_override=tmp_path / "direct"))
+    capsys.readouterr()
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1  # ... main reports it
+    lines = [line for line in capsys.readouterr().err.splitlines() if not line.startswith(("INFO ", "WARNING "))]
+    assert len(lines) == 1 and lines[0].startswith("error: ")  # no traceback
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("[tilt]\n", "[tilt]\nlamda = 0.9\n",
+     "unknown key 'lamda' in [tilt]; valid keys: alpha_mom, alpha_val, alpha_qual, lambda, m_min, m_max"),
+    ("[tilt]\n", "[capz]\nenabled = true\n\n[tilt]\n",
+     "unknown section [capz]; valid sections: [data], [run], [eligibility], [factors], [tilt], [caps], "
+     "[calibration]"),
+    ("[run]\n", "[run]\nthread = 4\n", "unknown key 'thread' in [run]"),
+    ("[data]\n", "[DEFAULT]\nlambda = 0.9\n\n[data]\n", "unknown section [DEFAULT]"),
+], ids=["misspelled-key", "misspelled-section", "run-key", "default-section"])
+def test_unknown_config_sections_and_keys_rejected(tmp_path, synth_dir, capsys, old, new, message):
+    text = CONFIG_TEMPLATE.format(data=synth_dir, start="2020-06-01", end="2022-06-30", lam="0.3")
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(text.replace(old, new, 1))
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        load_config(cfg)
+    assert main(["validate", "--config", str(cfg)]) == 1
+    assert message in capsys.readouterr().err
+
+
+def test_malformed_config_is_a_config_error(tmp_path):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[data]\nprices = a.csv\nprices = b.csv\n")
+    with pytest.raises(ConfigError, match=re.escape(f"While reading from '{cfg}' [line  3]: option 'prices'")):
+        load_config(cfg)
+
+
+def test_compatibility_keys_still_load(tmp_path, synth_dir):
+    # [run] threads and out and [caps] max_iterations are accepted;
+    # perfbench's generated run.ini is loaded by the benchmark smoke test
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(CONFIG_TEMPLATE.format(data=synth_dir, start="2020-06-01", end="2022-06-30", lam="0.3")
+                   .replace("[run]\n", "[run]\nthreads = 4\nout = elsewhere\n")
+                   + "\n[caps]\nenabled = true\nmax_iterations = 50\nepsilon = 1e-12\n")
+    loaded = load_config(cfg)
+    assert loaded.out_dir == Path("elsewhere") and loaded.caps.max_iterations == 50
+
+
+def test_readme_config_example_loads(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    example = re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(example)
+    loaded = load_config(cfg)
+    assert loaded.tilt.lam == 0.25 and loaded.caps is None and loaded.calibration.horizon == 126
