@@ -12,15 +12,14 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field, replace
-from itertools import compress
 
 import numpy as np
 
-from .eligibility import EligibilityParams, EligibilitySet, screen
+from .eligibility import EligibilityParams, eligible
 from .errors import ConfigError, DataError
 from .factors import FactorParams, select_factor_matrix
 from .market_data import AsOf, MarketPanel, RebalanceSchedule
-from .weighting import CapParams, TiltParams, WeightVector, build_weights, equal_weight_baseline
+from .weighting import CapParams, TiltParams, WeightVector, tilted_weights
 
 log = logging.getLogger(__name__)
 
@@ -59,52 +58,52 @@ class BacktestResult:
     weights: list[WeightVector]
 
 
-def _pool(snap: AsOf, strategy: str) -> np.ndarray:
-    """Membership row of an unscreened baseline's pool: any computable raw
-    signal for fixed_universe (quality needs all three components), any
-    price before t for ew_all, a market cap at t-1 for cap_weighted."""
-    if strategy == "fixed_universe":
+def _pool(snap: AsOf, config: BacktestConfig) -> np.ndarray:
+    """Membership row of a strategy's pool: the screens for dmft and
+    ew_eligible, any computable raw signal for fixed_universe (quality needs
+    all three components), any price before t for ew_all, a market cap at
+    t-1 for cap_weighted."""
+    s = config.strategy
+    if s in ("dmft", "ew_eligible"):
+        return eligible(snap.history, snap.adv, config.eligibility)
+    if s == "fixed_universe":
         quality_ok = ~(np.isnan(snap.roe) | np.isnan(snap.gross_margin) | np.isnan(snap.debt_to_assets))
         return ~np.isnan(snap.momentum) | ~np.isnan(snap.value) | quality_ok
-    if strategy == "ew_all":
+    if s == "ew_all":
         return snap.listed
     return np.isfinite(snap.mktcap)
 
 
 def _date_targets(panel: MarketPanel, snap: AsOf, configs) -> dict[str, WeightVector]:
     """Every config's target weights at the snapshot's date. The configs
-    share eligibility and factor parameters, so each universe and factor
-    matrix is built once and read by every config that uses it."""
+    share eligibility and factor parameters, so each pool's member positions
+    and factor matrix are built once and read by every config that uses it.
+    An empty pool is logged once."""
     assets = tuple(panel.assets)
-    universes, matrices, out = {}, {}, {}
+    pools, matrices, out = {}, {}, {}
     for name, config in configs.items():
         s = config.strategy
         pool = "screened" if s in ("dmft", "ew_eligible") else s
-        if pool not in universes:
-            if pool == "screened":
-                universe = screen(snap.t, assets, snap.history, snap.adv, config.eligibility)
-                positions = panel.positions(universe.members)
-            else:
-                mask = _pool(snap, s)
-                positions = np.flatnonzero(mask)
-                members = tuple(compress(assets, mask.tolist()))
-                universe = EligibilitySet(t=snap.t, members=members, assets=assets)
-            universes[pool] = universe, positions
-        universe, positions = universes[pool]
-        if not universe.members:
-            log.warning("%s: empty universe at %s; holding cash until next rebalance", s, snap.t)
-            out[name] = WeightVector(t=snap.t, assets=assets, w=np.zeros(len(assets)))
+        if pool not in pools:
+            pools[pool] = np.flatnonzero(_pool(snap, config))
+            if not pools[pool].size:
+                log.warning("empty universe at %s in the %s pool; holding cash until next rebalance", snap.t, pool)
+        positions = pools[pool]
+        w = np.zeros(len(assets))
+        if not positions.size:
+            out[name] = WeightVector(t=snap.t, assets=assets, w=w)
         elif s in ("ew_eligible", "ew_all"):
-            out[name] = equal_weight_baseline(universe)
+            w[positions] = 1.0 / len(positions)
+            out[name] = WeightVector(t=snap.t, assets=assets, w=w)
         elif s == "cap_weighted":
-            w = np.zeros(len(assets))
             w[positions] = snap.mktcap[positions]
             out[name] = WeightVector(t=snap.t, assets=assets, w=w / w.sum())
         else:
             if pool not in matrices:
-                matrices[pool] = select_factor_matrix(snap, universe, positions, config.factors)
+                matrices[pool] = select_factor_matrix(snap, positions, config.factors)
             caps = config.caps if s == "dmft" else None
-            out[name] = build_weights(panel, universe, matrices[pool], config.tilt, caps, snap.t)
+            adv = None if caps is None else snap.adv[positions]
+            out[name] = tilted_weights(snap.t, assets, positions, matrices[pool], adv, config.tilt, caps)
     return out
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import logging
+import re
 import sys
 from dataclasses import dataclass, field, replace
 from itertools import starmap
@@ -372,7 +373,7 @@ def _screens_and_factors(panel, schedule, config: BacktestConfig):
         snapshots[t] = snap = snapshot(panel, t, config)
         universes[t] = uni = screen(t, panel.assets, snap.history, snap.adv, config.eligibility)
         if uni.members:
-            matrices[t] = select_factor_matrix(snap, uni, panel.positions(uni.members), config.factors)
+            matrices[t] = select_factor_matrix(snap, panel.positions(uni.members), config.factors)
     return universes, matrices, snapshots
 
 
@@ -504,12 +505,17 @@ def cmd_synth(spec_path, out_dir, seed_override=None) -> int:
     path = Path(spec_path)
     if not path.exists():
         raise ConfigError(f"scenario file {path} does not exist")
-    text = path.read_text(encoding="utf-8")
     cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    stripped = text.lstrip()
-    if stripped and not stripped.startswith("["):
-        text = "[scenario]\n" + text
-    cp.read_string(text)
+    try:
+        text = path.read_text(encoding="utf-8")
+        stripped = text.lstrip()
+        added = 1 if stripped and not stripped.startswith("[") else 0  # a [scenario] header line
+        cp.read_string("[scenario]\n" * added + text, source=str(path))
+    except (OSError, UnicodeError) as exc:
+        raise ConfigError(f"cannot read scenario file {path}: {exc}") from None
+    except configparser.Error as exc:  # names the file and the line, not counting the added header
+        message = re.sub(r"\[line\s+(\d+)\]", lambda m: f"[line {int(m[1]) - added:2d}]", str(exc))
+        raise ConfigError(re.sub(r"\s*\n\s*", " ", message)) from None
     section = "scenario" if cp.has_section("scenario") else cp.sections()[0] if cp.sections() else None
     if section is None:
         raise ConfigError(f"{path}: empty scenario file")

@@ -7,6 +7,8 @@ from dataclasses import dataclass, field
 from itertools import compress
 from typing import NamedTuple
 
+import numpy as np
+
 from .errors import ConfigError
 from .market_data import AsOf, MarketPanel
 
@@ -57,15 +59,21 @@ class EligibilitySet:
         return asset in self._member_set
 
 
+def eligible(history: np.ndarray, adv: np.ndarray, params: EligibilityParams) -> np.ndarray:
+    """Membership row of the screens: history >= h_min and ADV >= adv_min,
+    given the per-asset history and ADV rows (arrays) at t. Missing ADV
+    never passes."""
+    return (history >= params.h_min) & (adv >= params.adv_min)
+
+
 def screen(t: str, assets, history, adv, params: EligibilityParams) -> EligibilitySet:
-    """Members are assets with history >= h_min and ADV >= adv_min, given
-    the per-asset history and ADV rows (arrays) at t. Missing ADV never
-    passes."""
+    """The universe of the assets `eligible` admits, with every asset's
+    screen values."""
     screen_values = {
         a: ScreenValues(h, v if v == v else math.nan)  # one NaN object, so equal sets compare equal
         for a, h, v in zip(assets, history.tolist(), adv.tolist())
     }
-    members = tuple(compress(assets, ((history >= params.h_min) & (adv >= params.adv_min)).tolist()))
+    members = tuple(compress(assets, eligible(history, adv, params).tolist()))
     return EligibilitySet(t=t, members=members, screen_values=screen_values, assets=tuple(assets))
 
 

@@ -107,9 +107,9 @@ def winsorize(values, p: float) -> np.ndarray:
     finite = np.isfinite(arr)
     if p == 0 or not finite.any():
         return arr
-    lo = np.quantile(arr[finite], p)
-    hi = np.quantile(arr[finite], 1.0 - p)
-    arr[finite] = np.clip(arr[finite], lo, hi)
+    x = arr[finite]
+    lo, hi = np.quantile(x, [p, 1.0 - p])
+    arr[finite] = np.clip(x, lo, hi)
     return arr
 
 
@@ -132,12 +132,10 @@ def standardize(values) -> np.ndarray:
     return z
 
 
-def select_factor_matrix(
-    snapshot: AsOf, universe: EligibilitySet, positions: np.ndarray, params: FactorParams
-) -> FactorMatrix:
-    """build_factor_matrix from a snapshot's rows; `positions` are the
-    members' columns in the snapshot."""
-    if not universe.members:
+def select_factor_matrix(snapshot: AsOf, positions: np.ndarray, params: FactorParams) -> FactorMatrix:
+    """build_factor_matrix from a snapshot's rows over the universe whose
+    members are the panel assets at `positions`, in that order."""
+    if not len(positions):
         raise ConfigError(f"cannot build factor matrix for empty universe at {snapshot.t}")
     raw = np.full((len(positions), len(FACTORS)), np.nan)
     raw[:, 0] = snapshot.momentum[positions]
@@ -147,7 +145,8 @@ def select_factor_matrix(
     z = np.empty_like(raw)
     for j in range(len(FACTORS)):
         z[:, j] = standardize(winsorize(raw[:, j], params.winsor_p))
-    return FactorMatrix(t=snapshot.t, assets=universe.members, raw=raw, z=z)
+    members = tuple(map(snapshot.panel.assets.__getitem__, positions.tolist()))
+    return FactorMatrix(t=snapshot.t, assets=members, raw=raw, z=z)
 
 
 def build_factor_matrix(
@@ -156,4 +155,4 @@ def build_factor_matrix(
     """Raw signals per factor over the universe, then winsorize and
     standardize each factor column independently."""
     snap = AsOf(panel, t, l_mom=params.l_mom, skip=params.skip, l_fund=params.l_fund)
-    return select_factor_matrix(snap, universe, panel.positions(universe.members), params)
+    return select_factor_matrix(snap, panel.positions(universe.members), params)

@@ -19,7 +19,7 @@ from bisect import bisect_left, bisect_right
 from contextlib import suppress
 from dataclasses import dataclass, field, replace
 from datetime import date as _date
-from functools import cache, partial
+from functools import cache, cached_property, partial
 from itertools import compress
 from operator import attrgetter, getitem
 from pathlib import Path
@@ -190,6 +190,16 @@ class MarketPanel:
             return np.fromiter(map(self.asset_index.__getitem__, assets), dtype=np.intp, count=len(assets))
         except KeyError as exc:
             raise DataError(f"unknown asset {exc.args[0]!r}") from None
+
+    @cached_property
+    def history_counts(self) -> np.ndarray:
+        """Row k holds each asset's number of non-missing prices in the rows
+        before k: (n_days + 1) x n_assets int32, read-only. Built on first
+        use and held by the panel, so it lives as long as the panel does."""
+        counts = np.zeros((self.n_days + 1, self.n_assets), dtype=np.int32)
+        np.cumsum(np.isfinite(self.price), axis=0, dtype=np.int32, out=counts[1:])
+        counts.flags.writeable = False
+        return counts
 
     def missing_counts(self) -> dict[str, int]:
         return {
@@ -750,7 +760,7 @@ class AsOf:
             check_skip(skip)
         it = panel.calendar.position(t)
         self.panel, self.t, self.windows = panel, t, (l_adv, l_mom, skip, l_fund)
-        self.history = np.isfinite(panel.price[:it]).sum(axis=0)
+        self.history = panel.history_counts[it].astype(np.int64)
         self.listed = self.history > 0
         self.mktcap = panel.mktcap[it - 1] if it > 0 else np.full(panel.n_assets, np.nan)
         self.adv = None if l_adv is None else _average_dollar_volumes(panel, it, l_adv)

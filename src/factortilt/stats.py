@@ -197,11 +197,14 @@ def top_k_concentration(w, k: int = 5) -> float:
 
 def factor_correlations(matrices: Iterable[FactorMatrix]) -> tuple[tuple[str, ...], np.ndarray]:
     """Average over rebalance dates of the cross-sectional Pearson
-    correlations between factor z columns. Pairs degenerate (constant) on
-    every date come back NaN."""
+    correlations between factor z columns, given one factor matrix per date
+    with a non-empty universe. Pairs degenerate (constant) on every date
+    come back NaN."""
     matrices = list(matrices)
+    if not matrices:
+        raise StatsError("no rebalance date has a non-empty universe, so there are no factor correlations")
     if len(matrices) < 2:
-        raise StatsError("need at least 2 rebalance dates for factor correlations")
+        raise StatsError("factor correlations need at least 2 rebalance dates with a non-empty universe, got 1")
     factors = matrices[0].factors
     nf = len(factors)
     sums = np.zeros((nf, nf))

@@ -1,6 +1,11 @@
 """Portfolio weights: equal-weight baseline, bounded multiplicative factor
 tilts with renormalization, and liquidity-capped projection onto the simplex
-via iterative cap-and-redistribute."""
+via iterative cap-and-redistribute.
+
+Each stage is an array kernel over member positions (normalize_tilt,
+cap_values, project_onto_caps, composed by tilted_weights); the functions
+keyed by asset id (tilt_and_normalize, liquidity_caps, cap_and_redistribute,
+build_weights) adapt them to EligibilitySet and Mapping arguments."""
 
 from __future__ import annotations
 
@@ -129,67 +134,55 @@ def bounded_multiplier(z, params: TiltParams):
     return float(m) if m.ndim == 0 else m
 
 
-def tilt_and_normalize(baseline: WeightVector, multipliers: Mapping[str, float]) -> WeightVector:
-    """w_i = w_i^base * m_i / sum_j w_j^base * m_j over the baseline support.
+def normalize_tilt(w: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """w * m / sum(w * m) for baseline weights w and multipliers m.
 
-    When every multiplier on the support is identical the normalization
-    cancels algebraically, so the baseline is returned unchanged (this keeps
-    the zero-tilt degeneracy exact in floating point).
-    """
-    w = baseline.w
+    When every multiplier on the support of w is identical the normalization
+    cancels algebraically, so a copy of w is returned (this keeps the
+    zero-tilt degeneracy exact in floating point)."""
     support = w > 0
     if not support.any():
-        return baseline.copy()
-    m = np.ones(len(w))
-    m[_positions(baseline.assets, multipliers)] = list(multipliers.values())
+        return w.copy()
     m_support = m[support]
     if np.all(m_support == m_support[0]):
-        return baseline.copy()
+        return w.copy()
     raw = w * m
     denom = float(raw.sum())
     if denom <= 0:
         raise ProjectionError("tilted weights sum to a non-positive value")
-    return WeightVector(t=baseline.t, assets=baseline.assets, w=raw / denom)
+    return raw / denom
 
 
-def liquidity_caps(
-    universe: EligibilitySet, adv: Mapping[str, float], params: CapParams
-) -> dict[str, float]:
-    """Per-member cap min(c_max, kappa * (ADV_i / median ADV)^gamma), capped at 1.
+def cap_values(adv: np.ndarray, params: CapParams) -> np.ndarray:
+    """Per-member cap min(c_max, kappa * (ADV_i / median ADV)^gamma, 1) for
+    the members' ADV array.
 
-    The median over an even-sized universe is the mean of the two central
-    order statistics. A zero median (all-zero ADV) falls back to a ratio of 1.
+    The median over an even count is the mean of the two central order
+    statistics. A zero median (all-zero ADV) falls back to a ratio of 1.
     """
-    if not universe.members:
-        raise ConfigError("cannot build caps for an empty universe")
-    advs = np.fromiter(map(adv.__getitem__, universe.members), dtype=float, count=len(universe.members))
-    if not np.all(np.isfinite(advs)):
+    if not np.all(np.isfinite(adv)):
         raise ConfigError("missing ADV for a universe member")
-    med = float(np.median(advs))
-    ratio = advs / med if med > 0 else np.ones_like(advs)
+    med = float(np.median(adv))
+    ratio = adv / med if med > 0 else np.ones_like(adv)
     caps = np.minimum(params.c_max, params.kappa * ratio**params.gamma)
-    caps = np.minimum(caps, 1.0)
-    return dict(zip(universe.members, caps.tolist()))
+    return np.minimum(caps, 1.0)
 
 
-def cap_and_redistribute(
-    raw: WeightVector, caps: Mapping[str, float], params: CapParams
-) -> WeightVector:
-    """Iterative projection: cap the breaching set, redistribute the excess
-    proportionally over the free set, repeat until nothing new breaches or
-    the excess falls below epsilon.
+def project_onto_caps(w: np.ndarray, caps: np.ndarray, params: CapParams) -> np.ndarray:
+    """Iterative projection of the members' weights w onto their caps: cap
+    the breaching set, redistribute the excess proportionally over the free
+    set, repeat until nothing new breaches or the excess falls below epsilon.
 
-    Assets once capped stay capped for the rest of the call (the breaching
-    set is cumulative), so each pass retires at least one asset and the loop
-    terminates within universe-size passes. Relative proportions of
-    never-capped assets are preserved.
+    Members once capped stay capped for the rest of the call (the breaching
+    set is cumulative), so each pass retires at least one member and the
+    loop terminates within member-count passes. Relative proportions of
+    never-capped members are preserved. Caps above 1 count as 1.
 
     Raises InfeasibleCapsError up front when sum(min(c_i, 1)) < 1 - epsilon,
     and ProjectionError if the loop fails to settle (unreachable for feasible
     caps with positive weights)."""
-    idx = _positions(raw.assets, caps)
-    w = raw.w[idx]
-    c = np.minimum(np.fromiter(caps.values(), dtype=float, count=len(caps)), 1.0)
+    w = np.array(w, dtype=float)
+    c = np.minimum(caps, 1.0)
     if np.any(c < 0):
         raise ConfigError("caps must be non-negative")
     total = float(w.sum())
@@ -220,8 +213,68 @@ def cap_and_redistribute(
             break
     else:
         raise ProjectionError(f"projection did not settle within {max_iter} iterations")
+    return w
+
+
+def tilted_weights(
+    t: str,
+    assets: tuple[str, ...],
+    positions: np.ndarray,
+    factor_matrix: FactorMatrix,
+    adv: np.ndarray | None,
+    tilt: TiltParams,
+    caps: CapParams | None,
+) -> WeightVector:
+    """Weights at t over `assets` for the members at `positions`, whose
+    factor rows `factor_matrix` holds in the same order: the equal-weight
+    baseline times the bounded multipliers of the composite score,
+    normalized, then (when caps is given) projected onto the caps of the
+    members' ADV array `adv`. Carries the multipliers and, when capped, the
+    caps."""
+    n = len(assets)
+    baseline = np.zeros(n)
+    baseline[positions] = 1.0 / len(positions)
+    multipliers = np.ones(n)
+    multipliers[positions] = bounded_multiplier(composite_score(factor_matrix, tilt), tilt)
+    w = normalize_tilt(baseline, multipliers)
+    cap_row = None
+    if caps is not None:
+        c = cap_values(adv, caps)
+        projected = project_onto_caps(w[positions], c, caps)
+        w = np.zeros(n)
+        w[positions] = projected
+        cap_row = np.full(n, np.nan)
+        cap_row[positions] = c
+    return WeightVector(t=t, assets=assets, w=w, multipliers=multipliers, caps=cap_row)
+
+
+def tilt_and_normalize(baseline: WeightVector, multipliers: Mapping[str, float]) -> WeightVector:
+    """w_i = w_i^base * m_i / sum_j w_j^base * m_j over the baseline support,
+    with multipliers keyed by asset (1 for an asset not given); see
+    normalize_tilt."""
+    m = np.ones(len(baseline.w))
+    m[_positions(baseline.assets, multipliers)] = list(multipliers.values())
+    return WeightVector(t=baseline.t, assets=baseline.assets, w=normalize_tilt(baseline.w, m))
+
+
+def liquidity_caps(
+    universe: EligibilitySet, adv: Mapping[str, float], params: CapParams
+) -> dict[str, float]:
+    """cap_values for the universe's members, with ADV keyed by asset."""
+    if not universe.members:
+        raise ConfigError("cannot build caps for an empty universe")
+    advs = np.fromiter(map(adv.__getitem__, universe.members), dtype=float, count=len(universe.members))
+    return dict(zip(universe.members, cap_values(advs, params).tolist()))
+
+
+def cap_and_redistribute(
+    raw: WeightVector, caps: Mapping[str, float], params: CapParams
+) -> WeightVector:
+    """project_onto_caps for the assets given caps, keyed by asset; every
+    other asset ends at zero."""
+    idx = _positions(raw.assets, caps)
     out = np.zeros(len(raw.assets))
-    out[idx] = w
+    out[idx] = project_onto_caps(raw.w[idx], np.fromiter(caps.values(), dtype=float, count=len(caps)), params)
     return WeightVector(t=raw.t, assets=raw.assets, w=out)
 
 
@@ -233,23 +286,14 @@ def build_weights(
     caps: CapParams | None,
     t: str,
 ) -> WeightVector:
-    """Full weighting pipeline for one rebalance date: equal-weight baseline,
-    composite score, bounded multipliers, normalization, then the optional
-    liquidity-cap projection. Empty universes yield the all-zero vector."""
-    baseline = equal_weight_baseline(universe)
+    """tilted_weights for a universe, whose screen values give the ADV the
+    caps read; the factor matrix's rows are the universe's members. Empty
+    universes yield the all-zero vector. `panel` and `t` are not read: the
+    universe holds its assets and date."""
     if not universe.members:
-        return baseline
-    if factor_matrix is None:
-        raise ConfigError("factor matrix required for a non-empty universe")
-    positions = _positions(baseline.assets, factor_matrix.assets)
-    mults = bounded_multiplier(composite_score(factor_matrix, tilt), tilt)
-    weights = tilt_and_normalize(baseline, dict(zip(factor_matrix.assets, mults)))
-    if caps is not None:
-        adv = {a: universe.screen_values[a].adv for a in universe.members}
-        cap_map = liquidity_caps(universe, adv, caps)
-        weights = cap_and_redistribute(weights, cap_map, caps)
-        weights.caps = np.full(len(baseline.assets), np.nan)
-        weights.caps[positions] = [cap_map[a] for a in factor_matrix.assets]
-    weights.multipliers = np.ones(len(baseline.assets))
-    weights.multipliers[positions] = mults
-    return weights
+        return equal_weight_baseline(universe)
+    if factor_matrix is None or factor_matrix.assets != universe.members:
+        raise ConfigError("a non-empty universe needs a factor matrix over its members")
+    assets = tuple(universe.assets or universe.members)
+    adv = None if caps is None else np.array([universe.screen_values[a].adv for a in universe.members])
+    return tilted_weights(universe.t, assets, _positions(assets, universe.members), factor_matrix, adv, tilt, caps)

@@ -108,6 +108,19 @@ class TestRunBacktest:
         np.testing.assert_array_equal(res.daily_returns, np.zeros(5))
         np.testing.assert_array_equal(res.weights[0].w, [0.0])
 
+    def test_empty_universe_logged_once_per_date_and_pool(self, caplog):
+        # the screens admit no asset; every other pool holds both assets
+        panel = make_panel(12, ["A", "B"], price=100.0)
+        sched = schedule_at(panel, 7, 10)
+        cfg = loose_config(eligibility=EligibilityParams(100, 0.0, 5))
+        want = [f"empty universe at {t} in the screened pool; holding cash until next rebalance"
+                for t in sched.dates]
+        for run in (run_baselines, run_factor_removals):
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="factortilt.backtest"):
+                run(panel, sched, cfg)
+            assert [r.getMessage() for r in caplog.records] == want, run.__name__
+
     def test_schedule_outside_panel_errors(self):
         panel = make_panel(10, ["A"], price=100.0)
         sched = RebalanceSchedule(dates=("2030-01-02",))

@@ -195,6 +195,35 @@ class TestSynthCommand:
         assert "seed = 99" in (out_a / "manifest.txt").read_text()
 
 
+@pytest.mark.parametrize("content, message", [
+    (b"seed = 1\nn_assets = 4\nseed = 2\n",
+     "While reading from '{path}' [line  3]: option 'seed' in section 'scenario' already exists"),
+    (b"[scenario]\nseed = 1\nseed = 2\n",
+     "While reading from '{path}' [line  3]: option 'seed' in section 'scenario' already exists"),
+    (b"n_assets = 4\nn_days = \xff30\n",
+     "cannot read scenario file {path}: 'utf-8' codec can't decode byte 0xff in position 22"),
+], ids=["repeated-key", "repeated-key-with-header", "not-utf8"])
+def test_bad_scenario_file_is_one_line(tmp_path, capsys, content, message):
+    scenario = tmp_path / "s.ini"
+    scenario.write_bytes(content)
+    message = message.format(path=scenario)
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        cli.cmd_synth(scenario, tmp_path / "direct")
+    assert main(["synth", str(scenario), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_diagnose_with_every_universe_empty_names_the_cause(tmp_path, synth_dir, capsys):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(CONFIG_TEMPLATE.format(data=synth_dir, start="2020-06-01", end="2022-06-30", lam="0.3")
+                   .replace("adv_min = 1000.0", "adv_min = 1e15"))
+    assert main(["diagnose", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    lines = [line for line in capsys.readouterr().err.splitlines() if not line.startswith(("INFO ", "WARNING "))]
+    assert lines == ["error: no rebalance date has a non-empty universe, so there are no factor correlations"]
+
+
 def test_load_config_defaults_materialize(tmp_path, synth_dir):
     cfg_path = write_config(tmp_path, synth_dir)
     cfg = load_config(cfg_path)

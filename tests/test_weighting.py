@@ -281,6 +281,12 @@ class TestBuildWeights:
             w_eps = build_weights(None, uni, m, TiltParams(lam=lam), None, uni.t)
             assert np.max(np.abs(w_eps.w - w0.w)) < 1e-6
 
+    def test_factor_matrix_must_cover_the_members(self):
+        uni = universe(self.members(3))
+        for matrix in (None, matrix_for(self.members(2), np.zeros((2, 3)))):
+            with pytest.raises(ConfigError, match="factor matrix over its members"):
+                build_weights(None, uni, matrix, TiltParams(), None, uni.t)
+
     def test_empty_universe_all_zero(self):
         uni = universe([], assets=["A", "B"])
         out = build_weights(None, uni, None, TiltParams(), None, uni.t)
