@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .errors import ConfigError
 from .factors import FactorMatrix
@@ -74,6 +73,20 @@ def forward_return(panel: MarketPanel, asset: str, t: str, horizon: int) -> floa
     return float(forward_returns(panel, t, horizon)[panel.position(asset)])
 
 
+def average_ranks(x) -> np.ndarray:
+    """1-based ranks of a 1-D array, tied values sharing the mean of their
+    ranks: the values of scipy's `rankdata(x, method="average")`."""
+    x = np.asarray(x)
+    order = np.argsort(x, kind="stable")
+    inverse = np.empty(len(x), dtype=np.intp)
+    inverse[order] = np.arange(len(x))
+    ordered = x[order]
+    first = np.r_[True, ordered[1:] != ordered[:-1]]  # the first position of each run of ties
+    dense = np.cumsum(first)[inverse]
+    count = np.r_[np.flatnonzero(first), len(x)]
+    return 0.5 * (count[dense] + count[dense - 1] + 1)
+
+
 def spearman(x, y, min_pairs: int = 3) -> float:
     """Rank correlation with average ranks for ties. Pairs with a missing
     side are dropped; NaN when fewer than min_pairs remain or either rank
@@ -85,8 +98,8 @@ def spearman(x, y, min_pairs: int = 3) -> float:
     ok = np.isfinite(x) & np.isfinite(y)
     if int(ok.sum()) < max(min_pairs, 3):
         return math.nan
-    rx = rankdata(x[ok], method="average")
-    ry = rankdata(y[ok], method="average")
+    rx = average_ranks(x[ok])
+    ry = average_ranks(y[ok])
     if np.all(rx == rx[0]) or np.all(ry == ry[0]):
         return math.nan
     if np.array_equal(rx, ry):

@@ -11,8 +11,12 @@ from __future__ import annotations
 import argparse
 import configparser
 import logging
+import os
 import re
+import shutil
 import sys
+import tempfile
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from itertools import starmap
 from pathlib import Path
@@ -439,63 +443,81 @@ def _write_results(results, cfg: RunConfig, out: Path) -> None:
         _write_csv(out / f"stats_{name}.csv", (["metric", "value"], [metrics, values]))
 
 
+@contextmanager
+def _staged_out(out: Path):
+    """Yield a new hidden sibling directory of `out` to write the artifacts
+    into. When the block succeeds, each file is moved into `out` (created if
+    absent) with `os.replace`, the manifest last; when it raises, the
+    sibling is removed and `out` is left as it was. Files already in `out`
+    are never deleted, only overwritten by a new file of the same name."""
+    if out.exists() and not out.is_dir():
+        raise ConfigError(f"output path {out} exists and is not a directory")
+    parent = out.resolve().parent
+    parent.mkdir(parents=True, exist_ok=True)
+    stage = Path(tempfile.mkdtemp(dir=parent, prefix=f".{out.name}."))
+    try:
+        yield stage
+        out.mkdir(exist_ok=True)
+        for path in sorted(stage.iterdir(), key=lambda p: p.name == "manifest.txt"):
+            os.replace(path, out / path.name)
+    finally:
+        shutil.rmtree(stage, ignore_errors=True)
+
+
 def cmd_backtest(cfg: RunConfig) -> int:
     """Run the tilted strategy plus all baselines and write the artifact set."""
-    panel, schedule = _load_inputs(cfg)
-    out = cfg.out_dir
-    out.mkdir(parents=True, exist_ok=True)
-    notes = []
-    config = cfg.backtest_config()
-    universes, matrices, snapshots = _screens_and_factors(panel, schedule, config)
-    _write_screens(panel, universes, matrices, snapshots, out)
-    if cfg.apply_calibration:
-        ics = build_ic_series(panel, schedule, matrices, cfg.calibration)
-        if ics:
-            alpha = ir_to_alpha(ics, cfg.calibration.m_min)
-            config = replace(config, tilt=replace(config.tilt, alpha=alpha))
-            notes.append(("calibrated_alpha", ",".join(f"{f}={alpha[f]!r}" for f in FACTORS)))
-    # calibration changes only the tilt, which no snapshot reads
-    results = run_baselines(panel, schedule, config, end=cfg.end, snapshots=snapshots)
-    _write_results(results, cfg, out)
-    write_manifest(cfg, out / "manifest.txt", extra=notes or None)
+    with _staged_out(cfg.out_dir) as out:
+        panel, schedule = _load_inputs(cfg)
+        notes = []
+        config = cfg.backtest_config()
+        universes, matrices, snapshots = _screens_and_factors(panel, schedule, config)
+        _write_screens(panel, universes, matrices, snapshots, out)
+        if cfg.apply_calibration:
+            ics = build_ic_series(panel, schedule, matrices, cfg.calibration)
+            if ics:
+                alpha = ir_to_alpha(ics, cfg.calibration.m_min)
+                config = replace(config, tilt=replace(config.tilt, alpha=alpha))
+                notes.append(("calibrated_alpha", ",".join(f"{f}={alpha[f]!r}" for f in FACTORS)))
+        # calibration changes only the tilt, which no snapshot reads
+        results = run_baselines(panel, schedule, config, end=cfg.end, snapshots=snapshots)
+        _write_results(results, cfg, out)
+        write_manifest(cfg, out / "manifest.txt", extra=notes or None)
     return 0
 
 
 def cmd_diagnose(cfg: RunConfig) -> int:
     """Write IC/IR and factor-redundancy reports; backtest outputs untouched."""
-    panel, schedule = _load_inputs(cfg)
-    out = cfg.out_dir
-    out.mkdir(parents=True, exist_ok=True)
+    with _staged_out(cfg.out_dir) as out:
+        panel, schedule = _load_inputs(cfg)
+        config = cfg.backtest_config()
+        _, matrices, snapshots = _screens_and_factors(panel, schedule, config)
+        ics = build_ic_series(panel, schedule, matrices, cfg.calibration)
+        names = sorted(ics)
+        alpha = ir_to_alpha(ics, cfg.calibration.m_min) if ics else {}
+        _write_csv(
+            out / "ic_ir.csv",
+            (["factor", "date", "ic"], [
+                [f for f in names for _ in ics[f].dates],
+                [d for f in names for d in ics[f].dates],
+                _concat([ics[f].values for f in names]),
+            ]),
+            (["factor", "ir", "alpha"], [
+                names,
+                np.array([information_ratio(ics[f].values, cfg.calibration.m_min) for f in names], dtype=float),
+                np.array([alpha[f] for f in names], dtype=float),
+            ]),
+            note="# forward window starts at the rebalance date and overlaps the holding period\n",
+        )
 
-    config = cfg.backtest_config()
-    _, matrices, snapshots = _screens_and_factors(panel, schedule, config)
-    ics = build_ic_series(panel, schedule, matrices, cfg.calibration)
-    names = sorted(ics)
-    alpha = ir_to_alpha(ics, cfg.calibration.m_min) if ics else {}
-    _write_csv(
-        out / "ic_ir.csv",
-        (["factor", "date", "ic"], [
-            [f for f in names for _ in ics[f].dates],
-            [d for f in names for d in ics[f].dates],
-            _concat([ics[f].values for f in names]),
-        ]),
-        (["factor", "ir", "alpha"], [
-            names,
-            np.array([information_ratio(ics[f].values, cfg.calibration.m_min) for f in names], dtype=float),
-            np.array([alpha[f] for f in names], dtype=float),
-        ]),
-        note="# forward window starts at the rebalance date and overlaps the holding period\n",
-    )
-
-    removals = run_factor_removals(panel, schedule, config, end=cfg.end, snapshots=snapshots)
-    factors, corr, marginal = factor_redundancy(matrices.values(), removals)
-    pairs = [(i, j) for i in range(len(factors)) for j in range(i + 1, len(factors))]
-    _write_csv(out / "factor_diagnostics.csv", (["metric", "factor_a", "factor_b", "value"], [
-        ["correlation"] * len(pairs) + ["marginal_sharpe"] * len(factors),
-        [factors[i] for i, _ in pairs] + list(factors),
-        [factors[j] for _, j in pairs] + [""] * len(factors),
-        np.array([corr[i, j] for i, j in pairs] + [marginal[f] for f in factors], dtype=float),
-    ]))
+        removals = run_factor_removals(panel, schedule, config, end=cfg.end, snapshots=snapshots)
+        factors, corr, marginal = factor_redundancy(matrices.values(), removals)
+        pairs = [(i, j) for i in range(len(factors)) for j in range(i + 1, len(factors))]
+        _write_csv(out / "factor_diagnostics.csv", (["metric", "factor_a", "factor_b", "value"], [
+            ["correlation"] * len(pairs) + ["marginal_sharpe"] * len(factors),
+            [factors[i] for i, _ in pairs] + list(factors),
+            [factors[j] for _, j in pairs] + [""] * len(factors),
+            np.array([corr[i, j] for i, j in pairs] + [marginal[f] for f in factors], dtype=float),
+        ]))
     return 0
 
 

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 import numpy as np
-from scipy.stats import norm
 
 from .backtest import BacktestResult, turnover_series
 from .errors import StatsError
@@ -96,14 +95,17 @@ def newey_west_tstat(returns, lag: int | None = None) -> tuple[float, int]:
 def expected_max_sharpe(n_trials: int, t_obs: int) -> float:
     """Expected maximum per-period Sharpe over n_trials independent null
     strategies of length t_obs (Gaussian order-statistic approximation with
-    the Euler-Mascheroni correction)."""
+    the Euler-Mascheroni correction). Imports scipy.special on first use,
+    so a process that never asks for it never loads scipy."""
     if n_trials < 1:
         raise StatsError(f"n_trials must be >= 1, got {n_trials}")
     if n_trials == 1:
         return 0.0
+    from scipy.special import ndtri  # the standard normal quantile
+
     scale = 1.0 / math.sqrt(t_obs)
-    hi = norm.ppf(1.0 - 1.0 / n_trials)
-    lo = norm.ppf(1.0 - 1.0 / (n_trials * math.e))
+    hi = ndtri(1.0 - 1.0 / n_trials)
+    lo = ndtri(1.0 - 1.0 / (n_trials * math.e))
     return float(scale * ((1.0 - EULER_GAMMA) * hi + EULER_GAMMA * lo))
 
 
@@ -133,8 +135,10 @@ def deflated_sharpe(returns, n_trials: int, benchmark_sr: float | None = None) -
     denom_sq = 1.0 - g3 * sr + (g4 - 1.0) / 4.0 * sr**2
     if denom_sq <= 0:
         raise StatsError("moment condition violated")
+    from scipy.special import ndtr  # the standard normal CDF
+
     z = (sr - sr_star) * math.sqrt(t_obs - 1.0) / math.sqrt(denom_sq)
-    return float(norm.cdf(z))
+    return float(ndtr(z))
 
 
 def _overlap(a: BacktestResult, b: BacktestResult) -> list[str]:

@@ -152,26 +152,34 @@ def generate(spec: ScenarioSpec) -> MarketPanel:
     )
 
 
+def _tiers(raw) -> tuple[float, ...]:
+    return tuple(float(p) for p in (raw if isinstance(raw, (list, tuple)) else str(raw).split(",")))
+
+
+# every key scenario_from_mapping reads, in ScenarioSpec order, with its parser
+_SCENARIO_KEYS = {
+    "seed": int,
+    "n_assets": int,
+    "n_days": int,
+    "vol": float,
+    "dispersion": float,
+    "ic_target": float,
+    "liquidity_tiers": _tiers,
+    "missing_rate": float,
+}
+
+
 def scenario_from_mapping(values: dict) -> ScenarioSpec:
-    """Build a ScenarioSpec from string-valued key/value pairs (config files)."""
-    kwargs = {}
-    converters = {
-        "seed": int,
-        "n_assets": int,
-        "n_days": int,
-        "vol": float,
-        "dispersion": float,
-        "ic_target": float,
-        "missing_rate": float,
-    }
-    for key, conv in converters.items():
-        if key in values:
-            kwargs[key] = conv(values[key])
-    if "liquidity_tiers" in values:
-        raw = values["liquidity_tiers"]
-        parts = raw if isinstance(raw, (list, tuple)) else str(raw).split(",")
-        kwargs["liquidity_tiers"] = tuple(float(p) for p in parts)
-    unknown = set(values) - set(converters) - {"liquidity_tiers"}
+    """Build a ScenarioSpec from string-valued key/value pairs (config files).
+    An unknown key or a value that does not parse is a ConfigError."""
+    unknown = set(values) - set(_SCENARIO_KEYS)
     if unknown:
-        raise ConfigError(f"unknown scenario keys: {sorted(unknown)}")
+        raise ConfigError(f"unknown scenario keys: {sorted(unknown)}; valid keys: " + ", ".join(_SCENARIO_KEYS))
+    kwargs = {}
+    for key, conv in _SCENARIO_KEYS.items():
+        if key in values:
+            try:
+                kwargs[key] = conv(values[key])
+            except (ValueError, TypeError):
+                raise ConfigError(f"[scenario] {key}: cannot parse {values[key]!r}") from None
     return ScenarioSpec(**kwargs)

@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from scipy.stats import rankdata
 
 from factortilt.calibration import (
     CalibrationParams,
     ICSeries,
+    average_ranks,
     build_ic_series,
     forward_return,
     ir_to_alpha,
@@ -85,6 +88,21 @@ class TestSpearman:
         x = [1.0, 2.0, 2.0, 3.0]
         y = [4.0, 5.0, 6.0, 7.0]
         assert spearman(x, y) == pytest.approx(pearson(ranks_oracle(x), ranks_oracle(y)))
+
+
+# a small pool makes ties common; -0.0 ties with 0.0 and each infinity with itself
+RANK_POOL = [0.0, -0.0, 1.0, -1.0, 2.5, 1e-300, math.inf, -math.inf]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.sampled_from(RANK_POOL), st.floats(allow_nan=False)), min_size=1, max_size=200))
+@example([0.0, -0.0, math.inf, -math.inf, math.inf, -0.0, 1.0])
+@example([7.0])
+def test_average_ranks_equal_rankdata(values):
+    x = np.array(values)
+    expected = rankdata(x, method="average")  # the oracle
+    ranks = average_ranks(x)
+    assert ranks.dtype == expected.dtype and np.array_equal(ranks, expected)
 
 
 def monotone_scenario():

@@ -215,6 +215,69 @@ def test_bad_scenario_file_is_one_line(tmp_path, capsys, content, message):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("content, message", [
+    ("n_assets = abc\nn_days = 30\n", "[scenario] n_assets: cannot parse 'abc'"),
+    ("n_assets = 4\nliquidity_tiers = 1,x\n", "[scenario] liquidity_tiers: cannot parse '1,x'"),
+    ("n_assets = 4\nn_asset = 5\n",
+     "unknown scenario keys: ['n_asset']; valid keys: seed, n_assets, n_days, vol, dispersion, ic_target, "
+     "liquidity_tiers, missing_rate"),
+], ids=["not-an-int", "not-a-float-list", "unknown-key"])
+def test_bad_scenario_value_is_one_line(tmp_path, capsys, content, message):
+    scenario = tmp_path / "s.ini"
+    scenario.write_text(content)
+    assert main(["synth", str(scenario), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["s.ini"]  # nothing written
+
+
+def _tree(path: Path) -> dict:
+    return {p.name: p.read_bytes() for p in path.iterdir()} if path.exists() else None
+
+
+@pytest.mark.parametrize("command", ["backtest", "diagnose"])
+@pytest.mark.parametrize("existing", [False, True], ids=["new-out", "existing-out"])
+def test_failed_run_leaves_out_as_it_was(tmp_path, synth_dir, capsys, command, existing):
+    text = CONFIG_TEMPLATE.format(data=synth_dir, start="2020-06-01", end="2022-06-30", lam="0.3")
+    cfg = tmp_path / "run.ini"
+    out = tmp_path / "results" / "out"
+    if existing:  # a finished run's artifacts plus a file of the user's own
+        cfg.write_text(text)
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+        (out / "notes.txt").write_text("mine\n")
+    before = _tree(out)
+    cfg.write_text(text.replace("adv_min = 1000.0", "adv_min = 1e15"))  # fails after its first artifacts
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.count("error: ") == 1
+    assert _tree(out) == before
+    assert sorted(p.name for p in out.parent.iterdir()) == (["out"] if existing else [])  # no staging left
+
+
+@pytest.mark.parametrize("command", ["backtest", "diagnose"])
+def test_out_that_is_a_file_is_one_line(tmp_path, synth_dir, capsys, command):
+    cfg = write_config(tmp_path, synth_dir)
+    (tmp_path / "out").write_text("mine\n")
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: output path {tmp_path / 'out'} exists and is not a directory\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out", "run.ini"]
+
+
+@pytest.mark.parametrize("command", ["backtest", "diagnose"])
+def test_run_into_existing_out_keeps_other_files(tmp_path, synth_dir, command):
+    cfg = write_config(tmp_path, synth_dir)
+    fresh, reused = tmp_path / "fresh", tmp_path / "reused"
+    reused.mkdir()
+    (reused / "notes.txt").write_text("mine\n")
+    (reused / "manifest.txt").write_text("stale\n")
+    assert main([command, "--config", str(cfg), "--out", str(fresh)]) == 0
+    assert main([command, "--config", str(cfg), "--out", str(reused)]) == 0
+    expected = _tree(fresh)
+    expected["notes.txt"] = b"mine\n"
+    if command == "diagnose":  # diagnose writes no manifest
+        expected["manifest.txt"] = b"stale\n"
+    assert _tree(reused) == expected
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fresh", "reused", "run.ini"]
+
+
 def test_diagnose_with_every_universe_empty_names_the_cause(tmp_path, synth_dir, capsys):
     cfg = tmp_path / "run.ini"
     cfg.write_text(CONFIG_TEMPLATE.format(data=synth_dir, start="2020-06-01", end="2022-06-30", lam="0.3")

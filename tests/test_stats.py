@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import norm
 
 from factortilt.backtest import BacktestResult
 from factortilt.errors import StatsError
@@ -116,6 +117,43 @@ class TestDeflatedSharpe:
         vals = [expected_max_sharpe(n, 252) for n in (1, 2, 5, 20, 100)]
         assert vals[0] == 0.0
         assert all(a < b for a, b in zip(vals, vals[1:]))
+
+
+def expected_max_sharpe_oracle(n_trials, t_obs):
+    """expected_max_sharpe written with scipy.stats.norm."""
+    if n_trials == 1:
+        return 0.0
+    scale = 1.0 / math.sqrt(t_obs)
+    hi = norm.ppf(1.0 - 1.0 / n_trials)
+    lo = norm.ppf(1.0 - 1.0 / (n_trials * math.e))
+    return float(scale * ((1.0 - 0.5772156649015329) * hi + 0.5772156649015329 * lo))
+
+
+def deflated_sharpe_oracle(x, n_trials):
+    """deflated_sharpe written with scipy.stats.norm."""
+    xc = x - np.mean(x)
+    m2 = float(np.mean(xc**2))
+    sr = float(np.mean(x)) / math.sqrt(m2)
+    g3 = float(np.mean(xc**3)) / m2**1.5
+    g4 = float(np.mean(xc**4)) / m2**2
+    sr_star = 0.0 if n_trials == 1 else expected_max_sharpe_oracle(n_trials, len(x))
+    denom_sq = 1.0 - g3 * sr + (g4 - 1.0) / 4.0 * sr**2
+    z = (sr - sr_star) * math.sqrt(len(x) - 1.0) / math.sqrt(denom_sq)
+    return float(norm.cdf(z))
+
+
+@pytest.mark.parametrize("n_trials", [1, 2, 5, 10, 100, 1000])
+@pytest.mark.parametrize("t_obs", [8, 252, 2520])
+def test_expected_max_sharpe_equals_norm_ppf_formula(n_trials, t_obs):
+    assert expected_max_sharpe(n_trials, t_obs) == expected_max_sharpe_oracle(n_trials, t_obs)
+
+
+def test_deflated_sharpe_equals_norm_cdf_formula():
+    rng = np.random.default_rng(21)
+    for _ in range(300):
+        x = rng.standard_t(rng.uniform(3, 30), int(rng.integers(8, 600))) * 0.01 + rng.uniform(-0.002, 0.003)
+        for n_trials in (1, 2, 5, 100):
+            assert deflated_sharpe(x, n_trials) == deflated_sharpe_oracle(x, n_trials)
 
 
 class TestTurnoverAdjustedAlpha:
