@@ -9,7 +9,7 @@ import tempfile
 from pathlib import Path
 
 from factortilt import ScenarioSpec, generate, load_panel, save_panel
-from factortilt.market_data import average_dollar_volume, history_length
+from factortilt.market_data import AsOf
 
 spec = ScenarioSpec(
     seed=7,
@@ -28,9 +28,10 @@ print(f"missing cells: {panel.missing_counts()}")
 
 t = panel.calendar.days[-1]
 print(f"\nas-of quantities at {t} (data strictly before t only):")
+snap = AsOf(panel, t, l_adv=21)  # one row per asset: history, ADV over 21 days, ...
 for asset in panel.assets[:4]:
-    hist = history_length(panel, asset, t)
-    adv = average_dollar_volume(panel, asset, t, lookback=21)
+    i = panel.position(asset)
+    hist, adv = snap.history[i], snap.adv[i]
     print(f"  {asset}: history={hist:4d} days  ADV={adv:,.0f}/day")
 
 with tempfile.TemporaryDirectory() as tmp:

@@ -15,10 +15,10 @@ from factortilt import (
     TiltParams,
     build_factor_matrix,
     build_schedule,
-    build_weights,
     compute_eligibility,
     generate,
 )
+from factortilt.weighting import tilted_weights
 
 panel = generate(ScenarioSpec(seed=11, n_assets=12, n_days=600, vol=0.01,
                               dispersion=0.9, ic_target=0.4,
@@ -38,12 +38,13 @@ for asset in panel.assets:
 matrix = build_factor_matrix(panel, universe, t, FactorParams())
 tilt = TiltParams(alpha={"MOM": 0.5, "VAL": 0.25, "QUAL": 0.25}, lam=0.5,
                   m_min=0.5, m_max=1.5)
-weights = build_weights(panel, universe, matrix, tilt, None, t)
+positions = panel.positions(universe.members)  # the matrix rows, in order
+weights = tilted_weights(t, tuple(panel.assets), positions, matrix, None, tilt, None)
 
 print("\nasset   z(MOM)  z(VAL) z(QUAL)   weight  vs 1/N")
 ew = 1.0 / len(universe)
 for i, asset in enumerate(matrix.assets):
-    w = weights.as_dict()[asset]
+    w = weights.w[positions[i]]
     zs = "  ".join(f"{matrix.z[i, j]:+.2f}" for j in range(3))
     print(f"  {asset}  {zs}   {w:.4f}  {w / ew:+.2f}x")
 
@@ -51,5 +52,5 @@ print(f"\nsum of weights: {weights.w.sum():.12f}")
 print(f"max weight bound (m_max/m_min)/N = {(1.5 / 0.5) / len(universe):.4f}, "
       f"realized max = {weights.w.max():.4f}")
 print("with lam = 0 the tilt disappears and the baseline comes back exactly:")
-flat = build_weights(panel, universe, matrix, TiltParams(lam=0.0), None, t)
+flat = tilted_weights(t, tuple(panel.assets), positions, matrix, None, TiltParams(lam=0.0), None)
 print(f"  all weights equal 1/N: {np.all(flat.w[flat.w > 0] == ew)}")

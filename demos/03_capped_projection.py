@@ -8,39 +8,32 @@ repeating until every cap holds.
 
 import numpy as np
 
-from factortilt import CapParams, InfeasibleCapsError, WeightVector, cap_and_redistribute
-from factortilt.eligibility import EligibilitySet, ScreenValues
-from factortilt.weighting import liquidity_caps
+from factortilt import CapParams, InfeasibleCapsError
+from factortilt.weighting import cap_values, project_onto_caps
 
 assets = ("thin", "small", "mid", "large", "mega")
-advs = {"thin": 0.2e6, "small": 0.8e6, "mid": 2e6, "large": 8e6, "mega": 40e6}
-universe = EligibilitySet(
-    t="2021-07-01",
-    members=assets,
-    screen_values={a: ScreenValues(500, advs[a]) for a in assets},
-    assets=assets,
-)
+advs = np.array([0.2e6, 0.8e6, 2e6, 8e6, 40e6])
 
 params = CapParams(c_max=0.35, kappa=0.25, gamma=0.5)
-caps = liquidity_caps(universe, advs, params)
+caps = cap_values(advs, params)
 print("cap_i = min(c_max, kappa * (ADV_i / median ADV)^gamma):")
-for a in assets:
-    print(f"  {a:>6}: ADV={advs[a] / 1e6:5.1f}M  cap={caps[a]:.3f}")
+for a, adv, cap in zip(assets, advs, caps):
+    print(f"  {a:>6}: ADV={adv / 1e6:5.1f}M  cap={cap:.3f}")
 
-raw = WeightVector(t="2021-07-01", assets=assets, w=np.array([0.30, 0.25, 0.20, 0.15, 0.10]))
-print(f"\nraw tilted weights:      {np.round(raw.w, 4)}")
-projected = cap_and_redistribute(raw, caps, params)
-print(f"after cap/redistribute:  {np.round(projected.w, 4)}")
-print(f"caps respected: {bool(np.all(projected.w <= [caps[a] + params.epsilon for a in assets]))}")
-print(f"still fully invested: sum = {projected.w.sum():.12f}")
+raw = np.array([0.30, 0.25, 0.20, 0.15, 0.10])
+print(f"\nraw tilted weights:      {np.round(raw, 4)}")
+projected = project_onto_caps(raw, caps, params)
+print(f"after cap/redistribute:  {np.round(projected, 4)}")
+print(f"caps respected: {bool(np.all(projected <= caps + params.epsilon))}")
+print(f"still fully invested: sum = {projected.sum():.12f}")
 
-ratio_before = raw.w[3] / raw.w[4]
-ratio_after = projected.w[3] / projected.w[4]
+ratio_before = raw[3] / raw[4]
+ratio_after = projected[3] / projected[4]
 print(f"never-capped assets keep proportions: {ratio_before:.4f} -> {ratio_after:.4f}")
 
 print("\ncaps that cannot hold a full allocation are rejected up front:")
-tight = {a: 0.15 for a in assets}  # sums to 0.75 < 1
+tight = np.full(len(assets), 0.15)  # sums to 0.75 < 1
 try:
-    cap_and_redistribute(raw, tight, params)
+    project_onto_caps(raw, tight, params)
 except InfeasibleCapsError as exc:
     print(f"  InfeasibleCapsError: {exc}")

@@ -21,7 +21,6 @@ from .calibration import (
     CalibrationParams,
     ICSeries,
     build_ic_series,
-    forward_return,
     ir_to_alpha,
     spearman,
 )
@@ -39,10 +38,7 @@ from .factors import (
     FactorMatrix,
     FactorParams,
     build_factor_matrix,
-    momentum_signal,
-    quality_signal,
     standardize,
-    value_signal,
     winsorize,
 )
 from .market_data import (
@@ -50,10 +46,8 @@ from .market_data import (
     MarketPanel,
     RebalanceSchedule,
     TradingCalendar,
-    average_dollar_volume,
     build_schedule,
     censor_panel,
-    history_length,
     load_panel,
     parse_panel,
     save_panel,
@@ -81,10 +75,5 @@ from .weighting import (
     TiltParams,
     WeightVector,
     bounded_multiplier,
-    build_weights,
-    cap_and_redistribute,
     composite_score,
-    equal_weight_baseline,
-    liquidity_caps,
-    tilt_and_normalize,
 )

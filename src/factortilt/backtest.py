@@ -16,14 +16,15 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .eligibility import EligibilityParams, eligible
-from .errors import ConfigError, DataError
-from .factors import FactorParams, select_factor_matrix
+from .errors import ConfigError, DataError, check_finite
+from .factors import FactorMatrix, FactorParams, select_factor_matrix
 from .market_data import AsOf, MarketPanel, RebalanceSchedule
 from .weighting import CapParams, TiltParams, WeightVector, tilted_weights
 
 log = logging.getLogger(__name__)
 
 STRATEGIES = ("dmft", "fixed_universe", "ew_eligible", "ew_all", "cap_weighted")
+_POOLS = {"dmft": "screened", "ew_eligible": "screened"}  # every other strategy holds a pool of its own
 WEIGHT_MODES = ("constant_mix", "drift")
 
 
@@ -40,6 +41,7 @@ class BacktestConfig:
     def __post_init__(self):
         if self.strategy not in STRATEGIES:
             raise ConfigError(f"unknown strategy {self.strategy!r}, expected one of {STRATEGIES}")
+        check_finite(cost_rate=self.cost_rate)
         if self.cost_rate < 0:
             raise ConfigError(f"cost_rate must be >= 0, got {self.cost_rate}")
         if self.weight_mode not in WEIGHT_MODES:
@@ -58,37 +60,47 @@ class BacktestResult:
     weights: list[WeightVector]
 
 
-def _pool(snap: AsOf, config: BacktestConfig) -> np.ndarray:
-    """Membership row of a strategy's pool: the screens for dmft and
-    ew_eligible, any computable raw signal for fixed_universe (quality needs
-    all three components), any price before t for ew_all, a market cap at
-    t-1 for cap_weighted."""
-    s = config.strategy
-    if s in ("dmft", "ew_eligible"):
-        return eligible(snap.history, snap.adv, config.eligibility)
-    if s == "fixed_universe":
-        quality_ok = ~(np.isnan(snap.roe) | np.isnan(snap.gross_margin) | np.isnan(snap.debt_to_assets))
-        return ~np.isnan(snap.momentum) | ~np.isnan(snap.value) | quality_ok
-    if s == "ew_all":
-        return snap.listed
-    return np.isfinite(snap.mktcap)
+def pool_positions(snap: AsOf, config: BacktestConfig) -> np.ndarray:
+    """Positions of the members of the config's pool at the snapshot's date:
+    the screens for dmft and ew_eligible, any computable raw signal for
+    fixed_universe (quality needs all three components), any price before t
+    for ew_all, a market cap at t-1 for cap_weighted. Built once per pool and
+    eligibility parameters, kept on the snapshot, and logged when empty."""
+    pool = _POOLS.get(config.strategy, config.strategy)
+    key = (pool, config.eligibility)
+    if key not in snap.pools:
+        if pool == "screened":
+            row = eligible(snap.history, snap.adv, config.eligibility)
+        elif pool == "fixed_universe":
+            quality_ok = ~(np.isnan(snap.roe) | np.isnan(snap.gross_margin) | np.isnan(snap.debt_to_assets))
+            row = ~np.isnan(snap.momentum) | ~np.isnan(snap.value) | quality_ok
+        else:
+            row = snap.listed if pool == "ew_all" else np.isfinite(snap.mktcap)
+        snap.pools[key] = np.flatnonzero(row)
+        if not snap.pools[key].size:
+            log.warning("empty universe at %s in the %s pool; holding cash until next rebalance", snap.t, pool)
+    return snap.pools[key]
 
 
-def _date_targets(panel: MarketPanel, snap: AsOf, configs) -> dict[str, WeightVector]:
-    """Every config's target weights at the snapshot's date. The configs
-    share eligibility and factor parameters, so each pool's member positions
-    and factor matrix are built once and read by every config that uses it.
-    An empty pool is logged once."""
-    assets = tuple(panel.assets)
-    pools, matrices, out = {}, {}, {}
+def pool_matrix(snap: AsOf, config: BacktestConfig) -> FactorMatrix:
+    """The factor matrix of the config's non-empty pool at the snapshot's
+    date: built once per pool, eligibility and factor parameters and kept on
+    the snapshot."""
+    key = (_POOLS.get(config.strategy, config.strategy), config.eligibility, config.factors)
+    if key not in snap.matrices:
+        snap.matrices[key] = select_factor_matrix(snap, pool_positions(snap, config), config.factors)
+    return snap.matrices[key]
+
+
+def _date_targets(snap: AsOf, configs) -> dict[str, WeightVector]:
+    """Every config's target weights at the snapshot's date, from the pool
+    positions and factor matrices the snapshot keeps, so configs that share
+    a pool and its parameters read one of each."""
+    assets = tuple(snap.panel.assets)
+    out = {}
     for name, config in configs.items():
         s = config.strategy
-        pool = "screened" if s in ("dmft", "ew_eligible") else s
-        if pool not in pools:
-            pools[pool] = np.flatnonzero(_pool(snap, config))
-            if not pools[pool].size:
-                log.warning("empty universe at %s in the %s pool; holding cash until next rebalance", snap.t, pool)
-        positions = pools[pool]
+        positions = pool_positions(snap, config)
         w = np.zeros(len(assets))
         if not positions.size:
             out[name] = WeightVector(t=snap.t, assets=assets, w=w)
@@ -99,17 +111,15 @@ def _date_targets(panel: MarketPanel, snap: AsOf, configs) -> dict[str, WeightVe
             w[positions] = snap.mktcap[positions]
             out[name] = WeightVector(t=snap.t, assets=assets, w=w / w.sum())
         else:
-            if pool not in matrices:
-                matrices[pool] = select_factor_matrix(snap, positions, config.factors)
             caps = config.caps if s == "dmft" else None
             adv = None if caps is None else snap.adv[positions]
-            out[name] = tilted_weights(snap.t, assets, positions, matrices[pool], adv, config.tilt, caps)
+            out[name] = tilted_weights(snap.t, assets, positions, pool_matrix(snap, config), adv, config.tilt, caps)
     return out
 
 
 def target_weights(panel: MarketPanel, t: str, config: BacktestConfig) -> WeightVector:
     """Target weight vector for one strategy at one rebalance date."""
-    return _date_targets(panel, snapshot(panel, t, config), {config.strategy: config})[config.strategy]
+    return _date_targets(snapshot(panel, t, config), {config.strategy: config})[config.strategy]
 
 
 def _windows(config: BacktestConfig) -> tuple:
@@ -137,8 +147,8 @@ def _run(
 ) -> dict[str, BacktestResult]:
     """Walk the rebalance dates once, building one snapshot per date (or
     taking it from `snapshots`, keyed by date) that every config's targets
-    read, then evolve each config's book. The configs share eligibility and
-    factor parameters."""
+    read, then evolve each config's book. The configs share the snapshot
+    windows (l_adv, l_mom, skip, l_fund)."""
     cal = panel.calendar
     for t in schedule.dates:
         if t not in cal:
@@ -153,7 +163,7 @@ def _run(
 
     first = next(iter(configs.values()))
     per_date = [
-        _date_targets(panel, snapshot(panel, t, first) if snapshots is None
+        _date_targets(snapshot(panel, t, first) if snapshots is None
                       else _given_snapshot(snapshots, panel, t, first), configs)
         for t in schedule.dates
         if t <= end
@@ -247,8 +257,9 @@ def run_baselines(
     to the screened tilted strategy (the screens guarantee ADV for every
     member; the unscreened pools do not). `snapshots`, when given, maps each
     rebalance date t to `snapshot(panel, t, config)`, which is then not
-    rebuilt; a missing date or a snapshot of another panel, date or set of
-    windows raises ConfigError."""
+    rebuilt, nor are the pools and factor matrices it already keeps; a
+    missing date or a snapshot of another panel, date or set of windows
+    raises ConfigError."""
     configs = {
         s: replace(config, strategy=s, caps=config.caps if s == "dmft" else None)
         for s in STRATEGIES

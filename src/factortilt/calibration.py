@@ -68,11 +68,6 @@ def forward_returns(panel: MarketPanel, t: str, horizon: int) -> np.ndarray:
         return np.where(np.isfinite(p0) & np.isfinite(p1), p1 / p0 - 1.0, np.nan)
 
 
-def forward_return(panel: MarketPanel, asset: str, t: str, horizon: int) -> float:
-    """One asset's entry of forward_returns."""
-    return float(forward_returns(panel, t, horizon)[panel.position(asset)])
-
-
 def average_ranks(x) -> np.ndarray:
     """1-based ranks of a 1-D array, tied values sharing the mean of their
     ranks: the values of scipy's `rankdata(x, method="average")`."""

@@ -16,7 +16,7 @@ import re
 import shutil
 import sys
 import tempfile
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field, replace
 from itertools import starmap
 from pathlib import Path
@@ -27,14 +27,16 @@ from . import __version__
 from .backtest import (
     STRATEGIES,
     BacktestConfig,
+    pool_matrix,
+    pool_positions,
     run_baselines,
     run_factor_removals,
     snapshot,
 )
 from .calibration import CalibrationParams, build_ic_series, information_ratio, ir_to_alpha
-from .eligibility import EligibilityParams, screen
+from .eligibility import EligibilityParams
 from .errors import ConfigError, DataError, FactortiltError
-from .factors import FACTORS, FactorParams, select_factor_matrix
+from .factors import FACTORS, FactorParams
 from .market_data import build_schedule, check_asset_ids, check_date, load_panel, parse_panel, save_panel
 from .stats import factor_redundancy, summarize
 from .synthetic import GENERATOR_NAME, generate, scenario_from_mapping
@@ -370,33 +372,31 @@ def cmd_validate(cfg: RunConfig) -> int:
 
 
 def _screens_and_factors(panel, schedule, config: BacktestConfig):
-    """Screened universe, factor matrix and the as-of snapshot both are
-    read from, per rebalance date."""
-    universes, matrices, snapshots = {}, {}, {}
-    for t in schedule.dates:
-        snapshots[t] = snap = snapshot(panel, t, config)
-        universes[t] = uni = screen(t, panel.assets, snap.history, snap.adv, config.eligibility)
-        if uni.members:
-            matrices[t] = select_factor_matrix(snap, panel.positions(uni.members), config.factors)
-    return universes, matrices, snapshots
+    """Per rebalance date, the as-of snapshot, the screened members'
+    positions and their factor matrix (where there are members), which the
+    snapshot keeps for the walk."""
+    snapshots = {t: snapshot(panel, t, config) for t in schedule.dates}
+    members = {t: pool_positions(snap, config) for t, snap in snapshots.items()}
+    matrices = {t: pool_matrix(snap, config) for t, snap in snapshots.items() if members[t].size}
+    return snapshots, members, matrices
 
 
 def _concat(parts) -> np.ndarray:
     return np.concatenate(parts) if parts else np.empty(0)
 
 
-def _write_screens(panel, universes, matrices, snapshots, out: Path) -> None:
+def _write_screens(panel, snapshots, members, matrices, out: Path) -> None:
     """eligibility.csv (every panel asset at every rebalance date, with the
     snapshot's history and ADV) and factors.csv (each member's raw and z
     per factor)."""
-    eligible = np.zeros((len(universes), panel.n_assets), dtype=int)
-    for k, uni in enumerate(universes.values()):
-        eligible[k, panel.positions(uni.members)] = 1
+    eligible = np.zeros((len(snapshots), panel.n_assets), dtype=int)
+    for k, positions in enumerate(members.values()):
+        eligible[k, positions] = 1
     _write_csv(out / "eligibility.csv", (["date", "asset", "history_days", "adv", "eligible"], [
-        [t for t in universes for _ in panel.assets],
-        panel.assets * len(universes),
-        _concat([snapshots[t].history for t in universes]),
-        _concat([snapshots[t].adv for t in universes]),
+        [t for t in snapshots for _ in panel.assets],
+        panel.assets * len(snapshots),
+        _concat([snap.history for snap in snapshots.values()]),
+        _concat([snap.adv for snap in snapshots.values()]),
         eligible.ravel(),
     ]))
     _write_csv(out / "factors.csv", (["date", "asset", "factor", "raw", "z"], [
@@ -448,11 +448,13 @@ def _staged_out(out: Path):
     """Yield a new hidden sibling directory of `out` to write the artifacts
     into. When the block succeeds, each file is moved into `out` (created if
     absent) with `os.replace`, the manifest last; when it raises, the
-    sibling is removed and `out` is left as it was. Files already in `out`
-    are never deleted, only overwritten by a new file of the same name."""
+    sibling and the parent directories made for it are removed, and `out`
+    is left as it was. Files already in `out` are never deleted, only
+    overwritten by a new file of the same name."""
     if out.exists() and not out.is_dir():
         raise ConfigError(f"output path {out} exists and is not a directory")
     parent = out.resolve().parent
+    created = [d for d in (parent, *parent.parents) if not d.exists()]  # deepest first
     parent.mkdir(parents=True, exist_ok=True)
     stage = Path(tempfile.mkdtemp(dir=parent, prefix=f".{out.name}."))
     try:
@@ -462,6 +464,10 @@ def _staged_out(out: Path):
             os.replace(path, out / path.name)
     finally:
         shutil.rmtree(stage, ignore_errors=True)
+        if not out.exists():  # the block raised
+            for directory in created:
+                with suppress(OSError):  # kept if something else wrote into it meanwhile
+                    directory.rmdir()
 
 
 def cmd_backtest(cfg: RunConfig) -> int:
@@ -470,15 +476,15 @@ def cmd_backtest(cfg: RunConfig) -> int:
         panel, schedule = _load_inputs(cfg)
         notes = []
         config = cfg.backtest_config()
-        universes, matrices, snapshots = _screens_and_factors(panel, schedule, config)
-        _write_screens(panel, universes, matrices, snapshots, out)
+        snapshots, members, matrices = _screens_and_factors(panel, schedule, config)
+        _write_screens(panel, snapshots, members, matrices, out)
         if cfg.apply_calibration:
             ics = build_ic_series(panel, schedule, matrices, cfg.calibration)
             if ics:
                 alpha = ir_to_alpha(ics, cfg.calibration.m_min)
                 config = replace(config, tilt=replace(config.tilt, alpha=alpha))
                 notes.append(("calibrated_alpha", ",".join(f"{f}={alpha[f]!r}" for f in FACTORS)))
-        # calibration changes only the tilt, which no snapshot reads
+        # calibration changes only the tilt, which no snapshot, pool or factor matrix reads
         results = run_baselines(panel, schedule, config, end=cfg.end, snapshots=snapshots)
         _write_results(results, cfg, out)
         write_manifest(cfg, out / "manifest.txt", extra=notes or None)
@@ -490,7 +496,7 @@ def cmd_diagnose(cfg: RunConfig) -> int:
     with _staged_out(cfg.out_dir) as out:
         panel, schedule = _load_inputs(cfg)
         config = cfg.backtest_config()
-        _, matrices, snapshots = _screens_and_factors(panel, schedule, config)
+        snapshots, _, matrices = _screens_and_factors(panel, schedule, config)
         ics = build_ic_series(panel, schedule, matrices, cfg.calibration)
         names = sorted(ics)
         alpha = ir_to_alpha(ics, cfg.calibration.m_min) if ics else {}

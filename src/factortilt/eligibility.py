@@ -9,7 +9,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, check_finite
 from .market_data import AsOf, MarketPanel
 
 
@@ -23,6 +23,7 @@ class EligibilityParams:
     l_adv: int = 63
 
     def __post_init__(self):
+        check_finite(adv_min=self.adv_min)
         if self.h_min < 0:
             raise ConfigError(f"h_min must be >= 0, got {self.h_min}")
         if self.adv_min < 0:
@@ -66,20 +67,14 @@ def eligible(history: np.ndarray, adv: np.ndarray, params: EligibilityParams) ->
     return (history >= params.h_min) & (adv >= params.adv_min)
 
 
-def screen(t: str, assets, history, adv, params: EligibilityParams) -> EligibilitySet:
-    """The universe of the assets `eligible` admits, with every asset's
-    screen values."""
-    screen_values = {
-        a: ScreenValues(h, v if v == v else math.nan)  # one NaN object, so equal sets compare equal
-        for a, h, v in zip(assets, history.tolist(), adv.tolist())
-    }
-    members = tuple(compress(assets, eligible(history, adv, params).tolist()))
-    return EligibilitySet(t=t, members=members, screen_values=screen_values, assets=tuple(assets))
-
-
 def compute_eligibility(panel: MarketPanel, t: str, params: EligibilityParams) -> EligibilitySet:
-    """Members are assets with history >= h_min and ADV >= adv_min, both
-    measured strictly before t. Missing ADV never passes. An empty result is
+    """The universe `eligible` admits at t, with every asset's screen values
+    (history and ADV, both measured strictly before t). An empty result is
     legitimate, not an error."""
     snap = AsOf(panel, t, l_adv=params.l_adv)
-    return screen(t, panel.assets, snap.history, snap.adv, params)
+    screen_values = {
+        a: ScreenValues(h, v if v == v else math.nan)  # one NaN object, so equal sets compare equal
+        for a, h, v in zip(panel.assets, snap.history.tolist(), snap.adv.tolist())
+    }
+    members = tuple(compress(panel.assets, eligible(snap.history, snap.adv, params).tolist()))
+    return EligibilitySet(t=t, members=members, screen_values=screen_values, assets=tuple(panel.assets))

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the finite-value check."""
+
+import numpy as np
 
 
 class FactortiltError(Exception):
@@ -24,3 +26,11 @@ class ProjectionError(RuntimeError, FactortiltError):
 
 class StatsError(ValueError, FactortiltError):
     """A statistic is undefined on the given input series."""
+
+
+def check_finite(**params) -> None:
+    """Raise a ConfigError naming the first keyword parameter that is NaN or
+    infinite, or a tuple holding such a value."""
+    for name, value in params.items():
+        if not np.isfinite(value).all():
+            raise ConfigError(f"{name} must be finite, got {value!r}")

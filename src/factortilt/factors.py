@@ -55,21 +55,6 @@ class FactorMatrix:
         return (self.z if standardized else self.raw)[:, j]
 
 
-def momentum_signal(panel: MarketPanel, asset: str, t: str, l_mom: int, skip: int) -> float:
-    """Trailing return P[t-skip] / P[t-l_mom-skip] - 1 in trading-day offsets;
-    skip must be >= 1."""
-    return float(AsOf(panel, t, l_mom=l_mom, skip=skip).momentum[panel.position(asset)])
-
-
-def value_signal(panel: MarketPanel, asset: str, t: str, l_fund: int) -> float:
-    """Book-to-market: latest qualifying book equity over mktcap at t-1.
-
-    Missing when there is no fresh report, book equity is absent or
-    non-positive (a negative ratio is not rankable), or mktcap is missing.
-    """
-    return float(AsOf(panel, t, l_fund=l_fund).value[panel.position(asset)])
-
-
 def _quality_composite(snap: AsOf, positions: np.ndarray, winsor_p: float | None) -> np.ndarray:
     """z(ROE) + z(GrossMargin) + z(-DebtToAssets) over the snapshot columns
     at `positions`; NaN where any component is missing."""
@@ -79,23 +64,6 @@ def _quality_composite(snap: AsOf, positions: np.ndarray, winsor_p: float | None
         roe, margin, neg_dta = (winsorize(x, winsor_p) for x in (roe, margin, neg_dta))
     composite = standardize(roe) + standardize(margin) + standardize(neg_dta)
     return np.where(have_all, composite, np.nan)
-
-
-def quality_signal(
-    panel: MarketPanel,
-    universe: EligibilitySet,
-    t: str,
-    l_fund: int,
-    winsorize_components_p: float | None = None,
-) -> dict[str, float]:
-    """Composite z(ROE) + z(GrossMargin) + z(-DebtToAssets) within the universe.
-
-    Each component z-score is computed over the members where that component
-    is available; the composite requires all three and is NaN otherwise.
-    """
-    positions = panel.positions(universe.members)
-    composite = _quality_composite(AsOf(panel, t, l_fund=l_fund), positions, winsorize_components_p)
-    return dict(zip(universe.members, composite.tolist()))
 
 
 def winsorize(values, p: float) -> np.ndarray:

@@ -504,7 +504,8 @@ def _read_cache(path: Path, files) -> MarketPanel | None:
     if not path.exists():
         return None
     try:
-        with np.load(path, allow_pickle=False) as z:
+        # np.load leaves a handle it opened unclosed when the archive is unreadable
+        with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as z:
             if z["sizes"].tolist() != [os.path.getsize(f) for f in files] or \
                     z["key"].item() != _cache_key(map(_file_digest, files)):
                 raise ValueError("inputs or ingest code changed")
@@ -751,7 +752,8 @@ class AsOf:
     or non-positive (a negative ratio is not rankable) or mktcap is missing.
     A row whose window is not given is None. Momentum needs skip >= 1.
     `panel`, `t` and `windows` (l_adv, l_mom, skip, l_fund) record what the
-    snapshot was built from.
+    snapshot was built from; `pools` and `matrices` keep what
+    backtest.pool_positions and pool_matrix select from its rows.
     """
 
     def __init__(self, panel: MarketPanel, t: str, l_adv: int | None = None, l_mom: int | None = None,
@@ -760,6 +762,7 @@ class AsOf:
             check_skip(skip)
         it = panel.calendar.position(t)
         self.panel, self.t, self.windows = panel, t, (l_adv, l_mom, skip, l_fund)
+        self.pools, self.matrices = {}, {}
         self.history = panel.history_counts[it].astype(np.int64)
         self.listed = self.history > 0
         self.mktcap = panel.mktcap[it - 1] if it > 0 else np.full(panel.n_assets, np.nan)
@@ -782,17 +785,6 @@ def check_skip(skip: int) -> None:
     price at t itself, a look-ahead."""
     if skip < 1:
         raise ConfigError(f"skip must be >= 1, got {skip}: skip = 0 reads the price at t itself")
-
-
-def history_length(panel: MarketPanel, asset: str, t: str) -> int:
-    """Number of non-missing prices strictly before t for the asset."""
-    return int(AsOf(panel, t).history[panel.position(asset)])
-
-
-def average_dollar_volume(panel: MarketPanel, asset: str, t: str, lookback: int) -> float:
-    """Mean price*volume over the `lookback` trading days ending at t-1,
-    under the coverage rule of AsOf."""
-    return float(AsOf(panel, t, l_adv=lookback).adv[panel.position(asset)])
 
 
 def censor_panel(panel: MarketPanel, cutoff: str) -> MarketPanel:

@@ -21,7 +21,7 @@ from datetime import date as _date, timedelta
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, check_finite
 from .market_data import FundamentalRecord, MarketPanel, TradingCalendar
 
 GENERATOR_NAME = "numpy.random.default_rng (PCG64)"
@@ -48,6 +48,8 @@ class ScenarioSpec:
     missing_rate: float = 0.0
 
     def __post_init__(self):
+        check_finite(vol=self.vol, dispersion=self.dispersion, ic_target=self.ic_target,
+                     liquidity_tiers=self.liquidity_tiers)
         if self.n_assets < 1 or self.n_days < 1:
             raise ConfigError("n_assets and n_days must be >= 1")
         if self.vol < 0 or self.dispersion < 0:

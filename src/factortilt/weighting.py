@@ -3,9 +3,7 @@ tilts with renormalization, and liquidity-capped projection onto the simplex
 via iterative cap-and-redistribute.
 
 Each stage is an array kernel over member positions (normalize_tilt,
-cap_values, project_onto_caps, composed by tilted_weights); the functions
-keyed by asset id (tilt_and_normalize, liquidity_caps, cap_and_redistribute,
-build_weights) adapt them to EligibilitySet and Mapping arguments."""
+cap_values, project_onto_caps), and tilted_weights composes them."""
 
 from __future__ import annotations
 
@@ -14,10 +12,8 @@ from typing import Mapping
 
 import numpy as np
 
-from .eligibility import EligibilitySet
-from .errors import ConfigError, InfeasibleCapsError, ProjectionError
+from .errors import ConfigError, InfeasibleCapsError, ProjectionError, check_finite
 from .factors import FACTORS, FactorMatrix
-from .market_data import MarketPanel
 
 WEIGHT_SUM_TOL = 1e-9
 
@@ -36,6 +32,7 @@ class TiltParams:
     m_max: float = 1.5
 
     def __post_init__(self):
+        check_finite(**{f"alpha[{f}]": a for f, a in self.alpha.items()}, lam=self.lam)
         if any(a < 0 for a in self.alpha.values()):
             raise ConfigError("mixture weights must be non-negative")
         total = sum(self.alpha.values())
@@ -59,6 +56,7 @@ class CapParams:
     max_iterations: int | None = None
 
     def __post_init__(self):
+        check_finite(kappa=self.kappa, epsilon=self.epsilon)
         if not 0 < self.c_max <= 1:
             raise ConfigError(f"c_max must be in (0, 1], got {self.c_max}")
         if self.kappa <= 0:
@@ -73,8 +71,8 @@ class CapParams:
 
 @dataclass
 class WeightVector:
-    """Long-only weights over the full asset list, zero outside the universe.
-    Sums to 1 unless the universe was empty (then all zero).
+    """Long-only, finite weights over the full asset list, zero outside the
+    universe. Sums to 1 unless the universe was empty (then all zero).
 
     A tilted vector also carries the bounded multiplier applied to each
     asset (1 off the tilted universe) and, when capped, each asset's
@@ -90,31 +88,13 @@ class WeightVector:
         self.w = np.asarray(self.w, dtype=float)
         if self.w.shape != (len(self.assets),):
             raise ConfigError("weight vector length does not match asset list")
+        if not np.isfinite(self.w).all():
+            raise ConfigError("weights must be finite")
         if np.any(self.w < 0):
             raise ConfigError("weights must be non-negative")
         total = float(self.w.sum())
         if total != 0.0 and abs(total - 1.0) > WEIGHT_SUM_TOL:
             raise ConfigError(f"weights must sum to 1 (or all zero), got {total!r}")
-
-    def as_dict(self, include_zero: bool = False) -> dict[str, float]:
-        return {a: float(x) for a, x in zip(self.assets, self.w) if include_zero or x != 0.0}
-
-    def copy(self) -> "WeightVector":
-        return WeightVector(t=self.t, assets=self.assets, w=self.w.copy())
-
-
-def _positions(assets, names) -> np.ndarray:
-    index = {a: i for i, a in enumerate(assets)}
-    return np.fromiter(map(index.__getitem__, names), dtype=np.intp, count=len(names))
-
-
-def equal_weight_baseline(universe: EligibilitySet) -> WeightVector:
-    """1/n for each member, zero otherwise; all-zero when the universe is empty."""
-    assets = universe.assets or universe.members
-    w = np.zeros(len(assets))
-    if universe.members:
-        w[_positions(assets, universe.members)] = 1.0 / len(universe.members)
-    return WeightVector(t=universe.t, assets=tuple(assets), w=w)
 
 
 def composite_score(z: FactorMatrix, params: TiltParams) -> np.ndarray:
@@ -231,6 +211,8 @@ def tilted_weights(
     normalized, then (when caps is given) projected onto the caps of the
     members' ADV array `adv`. Carries the multipliers and, when capped, the
     caps."""
+    if factor_matrix is None or factor_matrix.assets != tuple(map(assets.__getitem__, positions.tolist())):
+        raise ConfigError("a non-empty universe needs a factor matrix over its members")
     n = len(assets)
     baseline = np.zeros(n)
     baseline[positions] = 1.0 / len(positions)
@@ -246,54 +228,3 @@ def tilted_weights(
         cap_row = np.full(n, np.nan)
         cap_row[positions] = c
     return WeightVector(t=t, assets=assets, w=w, multipliers=multipliers, caps=cap_row)
-
-
-def tilt_and_normalize(baseline: WeightVector, multipliers: Mapping[str, float]) -> WeightVector:
-    """w_i = w_i^base * m_i / sum_j w_j^base * m_j over the baseline support,
-    with multipliers keyed by asset (1 for an asset not given); see
-    normalize_tilt."""
-    m = np.ones(len(baseline.w))
-    m[_positions(baseline.assets, multipliers)] = list(multipliers.values())
-    return WeightVector(t=baseline.t, assets=baseline.assets, w=normalize_tilt(baseline.w, m))
-
-
-def liquidity_caps(
-    universe: EligibilitySet, adv: Mapping[str, float], params: CapParams
-) -> dict[str, float]:
-    """cap_values for the universe's members, with ADV keyed by asset."""
-    if not universe.members:
-        raise ConfigError("cannot build caps for an empty universe")
-    advs = np.fromiter(map(adv.__getitem__, universe.members), dtype=float, count=len(universe.members))
-    return dict(zip(universe.members, cap_values(advs, params).tolist()))
-
-
-def cap_and_redistribute(
-    raw: WeightVector, caps: Mapping[str, float], params: CapParams
-) -> WeightVector:
-    """project_onto_caps for the assets given caps, keyed by asset; every
-    other asset ends at zero."""
-    idx = _positions(raw.assets, caps)
-    out = np.zeros(len(raw.assets))
-    out[idx] = project_onto_caps(raw.w[idx], np.fromiter(caps.values(), dtype=float, count=len(caps)), params)
-    return WeightVector(t=raw.t, assets=raw.assets, w=out)
-
-
-def build_weights(
-    panel: MarketPanel,
-    universe: EligibilitySet,
-    factor_matrix: FactorMatrix | None,
-    tilt: TiltParams,
-    caps: CapParams | None,
-    t: str,
-) -> WeightVector:
-    """tilted_weights for a universe, whose screen values give the ADV the
-    caps read; the factor matrix's rows are the universe's members. Empty
-    universes yield the all-zero vector. `panel` and `t` are not read: the
-    universe holds its assets and date."""
-    if not universe.members:
-        return equal_weight_baseline(universe)
-    if factor_matrix is None or factor_matrix.assets != universe.members:
-        raise ConfigError("a non-empty universe needs a factor matrix over its members")
-    assets = tuple(universe.assets or universe.members)
-    adv = None if caps is None else np.array([universe.screen_values[a].adv for a in universe.members])
-    return tilted_weights(universe.t, assets, _positions(assets, universe.members), factor_matrix, adv, tilt, caps)

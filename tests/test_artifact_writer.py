@@ -22,7 +22,8 @@ from hypothesis import given, settings, strategies as st
 from factortilt import cli
 from factortilt.backtest import STRATEGIES, run_baselines, run_factor_removals
 from factortilt.calibration import build_ic_series, information_ratio, ir_to_alpha
-from factortilt.factors import FACTORS
+from factortilt.eligibility import compute_eligibility
+from factortilt.factors import FACTORS, build_factor_matrix
 from factortilt.stats import factor_redundancy, summarize
 
 IC_NOTE = "# forward window starts at the rebalance date and overlaps the holding period\n"
@@ -237,7 +238,8 @@ def test_cli_artifacts_equal_the_row_writer(synth_dir, tmp_path, command, varian
     cfg = cli.load_config(tmp_path / "run.ini")
     panel, schedule = cli._load_inputs(cfg)
     config = cfg.backtest_config()
-    universes, matrices, _ = cli._screens_and_factors(panel, schedule, config)
+    universes = {t: compute_eligibility(panel, t, config.eligibility) for t in schedule.dates}
+    matrices = {t: build_factor_matrix(panel, u, t, config.factors) for t, u in universes.items() if u.members}
     if command == "backtest":
         if cfg.apply_calibration:
             alpha = ir_to_alpha(build_ic_series(panel, schedule, matrices, cfg.calibration), cfg.calibration.m_min)

@@ -1,4 +1,5 @@
 import logging
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -257,6 +258,29 @@ def test_given_snapshots_change_nothing():
             assert res.daily_returns.tobytes() == given[name].daily_returns.tobytes(), name
             for a, b in zip(res.weights, given[name].weights):
                 assert a.w.tobytes() == b.w.tobytes(), name
+
+
+def test_snapshots_shared_by_configs_with_other_screens_change_nothing():
+    # adv_min and winsor_p are not snapshot windows, so one snapshot serves
+    # every config here; the pools and factor matrices it keeps must not
+    panel = generate(ScenarioSpec(seed=9, n_assets=8, n_days=220, dispersion=0.8, vol=0.01,
+                                  liquidity_tiers=(1.0, 4.0)))
+    sched = schedule_at(panel, 60, 120, 180)
+    base = loose_config(eligibility=EligibilityParams(40, 0.0, 10), factors=FactorParams(l_mom=30, skip=3),
+                        tilt=TiltParams(lam=0.4), cost_rate=0.001)
+    configs = [base, replace(base, eligibility=EligibilityParams(40, 1e7, 10)),
+               replace(base, factors=FactorParams(l_mom=30, skip=3, winsor_p=0.2))]
+    shared = {t: snapshot(panel, t, base) for t in sched.dates}
+    for run in (run_baselines, run_factor_removals):
+        alone = [run(panel, sched, cfg) for cfg in configs]
+        together = [run(panel, sched, cfg, snapshots=shared) for cfg in configs]
+        for built, given in zip(alone, together):
+            for name, res in built.items():
+                assert res.daily_returns.tobytes() == given[name].daily_returns.tobytes(), name
+                for a, b in zip(res.weights, given[name].weights):
+                    assert a.w.tobytes() == b.w.tobytes(), name
+        tilted = [next(iter(results.values())).daily_returns for results in alone]
+        assert not np.array_equal(tilted[0], tilted[1]) and not np.array_equal(tilted[0], tilted[2])
 
 
 def test_given_snapshots_must_match_panel_dates_and_windows():

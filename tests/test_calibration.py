@@ -10,7 +10,7 @@ from factortilt.calibration import (
     ICSeries,
     average_ranks,
     build_ic_series,
-    forward_return,
+    forward_returns,
     ir_to_alpha,
     spearman,
 )
@@ -48,15 +48,15 @@ def ranks_oracle(values):
 class TestForwardReturn:
     def test_ten_percent(self):
         panel = make_panel(6, ["A"], price={"A": [100, 101, 102, 103, 104, 110]})
-        assert forward_return(panel, "A", panel.calendar.days[0], 5) == pytest.approx(0.10)
+        assert forward_returns(panel, panel.calendar.days[0], 5)[0] == pytest.approx(0.10)
 
     def test_beyond_calendar_is_missing(self):
         panel = make_panel(5, ["A"], price=100.0)
-        assert math.isnan(forward_return(panel, "A", panel.calendar.days[3], 5))
+        assert math.isnan(forward_returns(panel, panel.calendar.days[3], 5)[0])
 
     def test_flat_prices(self):
         panel = make_panel(5, ["A"], price=100.0)
-        assert forward_return(panel, "A", panel.calendar.days[0], 4) == 0.0
+        assert forward_returns(panel, panel.calendar.days[0], 4)[0] == 0.0
 
 
 class TestSpearman:

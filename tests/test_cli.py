@@ -1,4 +1,5 @@
 import csv
+import math
 import re
 from collections import Counter
 from pathlib import Path
@@ -6,8 +7,12 @@ from pathlib import Path
 import pytest
 
 from factortilt import backtest, cli, errors
+from factortilt.backtest import BacktestConfig
 from factortilt.cli import load_config, main
+from factortilt.eligibility import EligibilityParams
 from factortilt.errors import ConfigError
+from factortilt.synthetic import ScenarioSpec
+from factortilt.weighting import CapParams, TiltParams, WeightVector
 
 CONFIG_TEMPLATE = """
 [data]
@@ -221,7 +226,9 @@ def test_bad_scenario_file_is_one_line(tmp_path, capsys, content, message):
     ("n_assets = 4\nn_asset = 5\n",
      "unknown scenario keys: ['n_asset']; valid keys: seed, n_assets, n_days, vol, dispersion, ic_target, "
      "liquidity_tiers, missing_rate"),
-], ids=["not-an-int", "not-a-float-list", "unknown-key"])
+    ("n_assets = 4\nic_target = nan\n", "ic_target must be finite, got nan"),
+    ("n_assets = 4\nliquidity_tiers = 1,inf\n", "liquidity_tiers must be finite, got (1.0, inf)"),
+], ids=["not-an-int", "not-a-float-list", "unknown-key", "nan-ic-target", "inf-tier"])
 def test_bad_scenario_value_is_one_line(tmp_path, capsys, content, message):
     scenario = tmp_path / "s.ini"
     scenario.write_text(content)
@@ -239,7 +246,7 @@ def _tree(path: Path) -> dict:
 def test_failed_run_leaves_out_as_it_was(tmp_path, synth_dir, capsys, command, existing):
     text = CONFIG_TEMPLATE.format(data=synth_dir, start="2020-06-01", end="2022-06-30", lam="0.3")
     cfg = tmp_path / "run.ini"
-    out = tmp_path / "results" / "out"
+    out = tmp_path / "results" / "deep" / "out"
     if existing:  # a finished run's artifacts plus a file of the user's own
         cfg.write_text(text)
         assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
@@ -249,7 +256,10 @@ def test_failed_run_leaves_out_as_it_was(tmp_path, synth_dir, capsys, command, e
     assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
     assert capsys.readouterr().err.count("error: ") == 1
     assert _tree(out) == before
-    assert sorted(p.name for p in out.parent.iterdir()) == (["out"] if existing else [])  # no staging left
+    if existing:
+        assert sorted(p.name for p in out.parent.iterdir()) == ["out"]  # no staging left
+    else:  # nor the parent directories made for the run
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.ini"]
 
 
 @pytest.mark.parametrize("command", ["backtest", "diagnose"])
@@ -319,6 +329,15 @@ def test_one_snapshot_per_rebalance_date(tmp_path, synth_dir, monkeypatch, comma
 
     monkeypatch.setattr(backtest, "snapshot", counting)
     monkeypatch.setattr(cli, "snapshot", counting)
+    matrices = Counter()
+    real_select = backtest.select_factor_matrix
+
+    def counting_select(snap, positions, params):
+        matrices[snap.t] += 1
+        return real_select(snap, positions, params)
+
+    for module in (backtest, cli):  # each binding a command could call it through
+        monkeypatch.setattr(module, "select_factor_matrix", counting_select, raising=False)
     cfg = tmp_path / "run.ini"
     cfg.write_text(CONFIG_TEMPLATE.format(data=synth_dir, start="2020-06-01", end="2022-06-30", lam="0.3")
                    + f"apply = {calibrate}\n")
@@ -326,6 +345,49 @@ def test_one_snapshot_per_rebalance_date(tmp_path, synth_dir, monkeypatch, comma
     _, schedule = cli._load_inputs(load_config(cfg))
     assert len(schedule) >= 4
     assert built == Counter(schedule.dates)
+    # one factor matrix per date and pool: the screened pool, plus fixed_universe in backtest
+    assert matrices == Counter({t: 2 if command == "backtest" else 1 for t in schedule.dates})
+
+
+@pytest.mark.parametrize("make, name", [
+    (lambda v: TiltParams(lam=v), "lam"),
+    (lambda v: TiltParams(alpha={"MOM": v, "VAL": 0.5, "QUAL": 0.5}), "alpha[MOM]"),
+    (lambda v: BacktestConfig(cost_rate=v), "cost_rate"),
+    (lambda v: EligibilityParams(adv_min=v), "adv_min"),
+    (lambda v: CapParams(kappa=v), "kappa"),
+    (lambda v: CapParams(epsilon=v), "epsilon"),
+    (lambda v: ScenarioSpec(vol=v), "vol"),
+    (lambda v: ScenarioSpec(dispersion=v), "dispersion"),
+    (lambda v: ScenarioSpec(ic_target=v), "ic_target"),
+    (lambda v: ScenarioSpec(liquidity_tiers=(1.0, v)), "liquidity_tiers"),
+], ids=["lam", "alpha", "cost_rate", "adv_min", "kappa", "epsilon", "vol", "dispersion", "ic_target", "tiers"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_non_finite_parameters_are_rejected(make, name, value):
+    with pytest.raises(ConfigError, match=re.escape(f"{name} must be finite, got ")):
+        make(value)
+
+
+def test_non_finite_weights_are_rejected():
+    # NaN weights sum to NaN, which the sum check alone lets through
+    for w in ([math.nan, math.nan], [0.5, math.inf]):
+        with pytest.raises(ConfigError, match="weights must be finite"):
+            WeightVector(t="2020-01-06", assets=("A", "B"), w=w)
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("lambda = 0.3", "lambda = nan", "lam must be finite, got nan"),
+    ("cost_rate = 0.0005", "cost_rate = nan", "cost_rate must be finite, got nan"),
+    ("[tilt]\n", "[tilt]\nalpha_mom = nan\nalpha_val = 0.5\nalpha_qual = 0.5\n", "alpha[MOM] must be finite, got nan"),
+    ("adv_min = 1000.0", "adv_min = inf", "adv_min must be finite, got inf"),
+], ids=["lambda", "cost_rate", "alpha_mom", "adv_min"])
+@pytest.mark.parametrize("command", ["backtest", "diagnose"])
+def test_non_finite_config_values_are_one_line(tmp_path, synth_dir, capsys, command, old, new, message):
+    text = CONFIG_TEMPLATE.format(data=synth_dir, start="2020-06-01", end="2022-06-30", lam="0.3")
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(text.replace(old, new, 1))
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.ini"]  # nothing written
 
 
 @pytest.mark.parametrize("command", ["validate", "backtest", "diagnose"])

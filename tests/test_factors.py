@@ -5,15 +5,7 @@ import pytest
 
 from factortilt.eligibility import EligibilityParams, compute_eligibility
 from factortilt.errors import ConfigError
-from factortilt.factors import (
-    FactorParams,
-    build_factor_matrix,
-    momentum_signal,
-    quality_signal,
-    standardize,
-    value_signal,
-    winsorize,
-)
+from factortilt.factors import FactorParams, build_factor_matrix, standardize, winsorize
 from factortilt.market_data import AsOf, censor_panel
 
 from conftest import fundamental, make_panel
@@ -37,26 +29,26 @@ class TestMomentum:
     def test_price_doubles(self):
         panel = make_panel(4, ["A"], price={"A": [100, 150, 200, 999]})
         t = panel.calendar.days[3]
-        assert momentum_signal(panel, "A", t, l_mom=2, skip=1) == 1.0
+        assert AsOf(panel, t, l_mom=2, skip=1).momentum[0] == 1.0
 
     def test_flat_prices(self):
         panel = make_panel(6, ["A"], price=100.0)
-        assert momentum_signal(panel, "A", panel.calendar.days[5], l_mom=3, skip=1) == 0.0
+        assert AsOf(panel, panel.calendar.days[5], l_mom=3, skip=1).momentum[0] == 0.0
 
     def test_missing_anchor(self):
         panel = make_panel(4, ["A"], price={"A": [None, 150, 200, 999]})
         t = panel.calendar.days[3]
-        assert math.isnan(momentum_signal(panel, "A", t, l_mom=2, skip=1))
+        assert math.isnan(AsOf(panel, t, l_mom=2, skip=1).momentum[0])
 
     def test_insufficient_history(self):
         panel = make_panel(4, ["A"], price=100.0)
-        assert math.isnan(momentum_signal(panel, "A", panel.calendar.days[3], l_mom=10, skip=1))
+        assert math.isnan(AsOf(panel, panel.calendar.days[3], l_mom=10, skip=1).momentum[0])
 
     def test_uses_only_prices_up_to_t_minus_skip(self):
         panel = make_panel(10, ["A"], price={"A": [100.0 + i for i in range(10)]})
         t = panel.calendar.days[9]
-        full = momentum_signal(panel, "A", t, l_mom=5, skip=2)
-        censored = momentum_signal(censor_panel(panel, panel.calendar.days[8]), "A", t, l_mom=5, skip=2)
+        full = AsOf(panel, t, l_mom=5, skip=2).momentum[0]
+        censored = AsOf(censor_panel(panel, panel.calendar.days[8]), t, l_mom=5, skip=2).momentum[0]
         assert full == censored
 
     def test_skip_zero_rejected(self):
@@ -71,15 +63,14 @@ class TestMomentum:
         t = panel.calendar.days[9]
         with pytest.raises(ConfigError) as params_error:
             FactorParams(skip=0)
-        for read in (lambda: momentum_signal(panel, "A", t, l_mom=3, skip=0),
-                     lambda: AsOf(panel, t, l_mom=3, skip=0),
+        for read in (lambda: AsOf(panel, t, l_mom=3, skip=0),
                      lambda: AsOf(panel, t, l_adv=2, l_mom=3, skip=0, l_fund=400)):
             with pytest.raises(ConfigError) as exc:
                 read()
             assert str(exc.value) == str(params_error.value)
         with pytest.raises(ConfigError, match="skip must be >= 1, got -1"):
-            momentum_signal(panel, "A", t, l_mom=3, skip=-1)
-        assert momentum_signal(panel, "A", t, l_mom=3, skip=1) == 108.0 / 105.0 - 1.0
+            AsOf(panel, t, l_mom=3, skip=-1)
+        assert AsOf(panel, t, l_mom=3, skip=1).momentum[0] == 108.0 / 105.0 - 1.0
         assert AsOf(panel, t, l_mom=3).momentum[0] == 108.0 / 105.0 - 1.0  # skip defaults to 1
         assert AsOf(panel, t, l_adv=2).momentum is None  # no momentum read, no skip needed
 
@@ -88,23 +79,30 @@ class TestValue:
     def test_book_to_market(self):
         fr = {"A": [fundamental("2020-01-06", book=50.0)]}
         panel = make_panel(5, ["A"], price=10.0, mktcap=200.0, fundamentals=fr)
-        assert value_signal(panel, "A", panel.calendar.days[3], l_fund=400) == 0.25
+        assert AsOf(panel, panel.calendar.days[3], l_fund=400).value[0] == 0.25
 
     def test_stale_record_is_missing(self):
         fr = {"A": [fundamental("2020-01-06", book=50.0)]}
         panel = make_panel(40, ["A"], price=10.0, mktcap=200.0, fundamentals=fr)
-        assert math.isnan(value_signal(panel, "A", panel.calendar.days[35], l_fund=20))
+        assert math.isnan(AsOf(panel, panel.calendar.days[35], l_fund=20).value[0])
 
     def test_negative_book_is_missing(self):
         fr = {"A": [fundamental("2020-01-06", book=-5.0)]}
         panel = make_panel(5, ["A"], price=10.0, mktcap=200.0, fundamentals=fr)
-        assert math.isnan(value_signal(panel, "A", panel.calendar.days[3], l_fund=400))
+        assert math.isnan(AsOf(panel, panel.calendar.days[3], l_fund=400).value[0])
 
     def test_report_on_t_is_not_used(self):
         t_day = "2020-01-09"
         fr = {"A": [fundamental(t_day, book=50.0)]}
         panel = make_panel(5, ["A"], price=10.0, mktcap=200.0, fundamentals=fr)
-        assert math.isnan(value_signal(panel, "A", t_day, l_fund=400))
+        assert math.isnan(AsOf(panel, t_day, l_fund=400).value[0])
+
+
+def raw_quality(panel, universe, t):
+    """The raw quality composite of each member: the QUAL column of its
+    factor matrix, whose l_fund is 400 calendar days."""
+    m = build_factor_matrix(panel, universe, t, FactorParams(l_fund=400))
+    return dict(zip(m.assets, m.column("QUAL", standardized=False).tolist()))
 
 
 def quality_panel(roes, margins, leverages):
@@ -120,14 +118,14 @@ class TestQuality:
     def test_identical_fundamentals_neutral(self):
         panel = quality_panel([0.2, 0.2], [0.5, 0.5], [0.3, 0.3])
         uni = compute_eligibility(panel, panel.calendar.days[5], EligibilityParams(0, 0.0, 5))
-        comp = quality_signal(panel, uni, panel.calendar.days[5], l_fund=400)
+        comp = raw_quality(panel, uni, panel.calendar.days[5])
         assert comp == {"A0": 0.0, "A1": 0.0}
 
     def test_single_spread_component(self):
         roes = [0.1, 0.2, 0.3]
         panel = quality_panel(roes, [0.5] * 3, [0.3] * 3)
         uni = compute_eligibility(panel, panel.calendar.days[5], EligibilityParams(0, 0.0, 5))
-        comp = quality_signal(panel, uni, panel.calendar.days[5], l_fund=400)
+        comp = raw_quality(panel, uni, panel.calendar.days[5])
         expected = [(r - np.mean(roes)) / pop_std(roes) for r in roes]
         assert comp["A0"] == pytest.approx(expected[0])
         assert comp["A1"] == pytest.approx(0.0)
@@ -137,7 +135,7 @@ class TestQuality:
     def test_missing_component_blocks_composite(self):
         panel = quality_panel([0.1, 0.2, 0.3], [0.5] * 3, [0.3, 0.3, math.nan])
         uni = compute_eligibility(panel, panel.calendar.days[5], EligibilityParams(0, 0.0, 5))
-        comp = quality_signal(panel, uni, panel.calendar.days[5], l_fund=400)
+        comp = raw_quality(panel, uni, panel.calendar.days[5])
         assert math.isnan(comp["A2"])
         assert not math.isnan(comp["A0"])
 

@@ -4,14 +4,7 @@ import numpy as np
 import pytest
 
 from factortilt.errors import ConfigError, DataError
-from factortilt.market_data import (
-    average_dollar_volume,
-    build_schedule,
-    censor_panel,
-    history_length,
-    load_panel,
-    save_panel,
-)
+from factortilt.market_data import AsOf, build_schedule, censor_panel, load_panel, save_panel
 from factortilt.synthetic import ScenarioSpec, generate, trading_days
 
 from conftest import make_panel, write_cell_csv, write_fundamentals_csv
@@ -132,28 +125,28 @@ class TestSchedule:
 class TestHistoryLength:
     def test_full_history(self):
         panel = make_panel(11, ["A"], price=100.0)
-        assert history_length(panel, "A", panel.calendar.days[10]) == 10
+        assert AsOf(panel, panel.calendar.days[10]).history[panel.position("A")] == 10
 
     def test_listed_today_has_zero(self):
         panel = make_panel(5, ["A"], price={"A": [None, None, None, None, 100]})
-        assert history_length(panel, "A", panel.calendar.days[4]) == 0
+        assert AsOf(panel, panel.calendar.days[4]).history[panel.position("A")] == 0
 
     def test_gaps_counted_by_hand(self):
         # 7 present, 3 missing in the 10 days before t
         col = [100, None, 101, 102, None, 103, 104, None, 105, 106, 999]
         panel = make_panel(11, ["A"], price={"A": col})
-        assert history_length(panel, "A", panel.calendar.days[10]) == 7
+        assert AsOf(panel, panel.calendar.days[10]).history[panel.position("A")] == 7
 
     def test_unknown_asset_errors(self):
         panel = make_panel(3, ["A"], price=100.0)
         with pytest.raises(DataError, match="unknown asset"):
-            history_length(panel, "Z", panel.calendar.days[2])
+            AsOf(panel, panel.calendar.days[2]).history[panel.position("Z")]
 
 
 class TestAverageDollarVolume:
     def test_constant_product(self):
         panel = make_panel(6, ["A"], price=10.0, volume=100.0)
-        assert average_dollar_volume(panel, "A", panel.calendar.days[5], 5) == 1000.0
+        assert AsOf(panel, panel.calendar.days[5], l_adv=5).adv[panel.position("A")] == 1000.0
 
     def test_two_term_mean(self):
         panel = make_panel(
@@ -161,7 +154,7 @@ class TestAverageDollarVolume:
             price={"A": [10, 20, 999]},
             volume={"A": [100, 50, 999]},
         )
-        adv = average_dollar_volume(panel, "A", panel.calendar.days[2], 2)
+        adv = AsOf(panel, panel.calendar.days[2], l_adv=2).adv[panel.position("A")]
         assert adv == pytest.approx((10 * 100 + 20 * 50) / 2)
 
     def test_coverage_rule(self):
@@ -171,12 +164,12 @@ class TestAverageDollarVolume:
             volume={"A": [100, None, None, None, None, 999]},
         )
         # only day 0 has both legs in the 5-day window
-        assert math.isnan(average_dollar_volume(panel, "A", panel.calendar.days[5], 5))
+        assert math.isnan(AsOf(panel, panel.calendar.days[5], l_adv=5).adv[panel.position("A")])
 
     def test_lookback_validation(self):
         panel = make_panel(3, ["A"], price=10.0)
         with pytest.raises(ConfigError):
-            average_dollar_volume(panel, "A", panel.calendar.days[2], 0)
+            AsOf(panel, panel.calendar.days[2], l_adv=0)
 
 
 def test_truncate_calendar_slices_everything():
@@ -200,7 +193,7 @@ def test_asof_quantities_ignore_cells_from_t_onward():
     t = panel.calendar.days[20]
     censored = censor_panel(panel, t)
     for a in ("A", "B"):
-        assert history_length(panel, a, t) == history_length(censored, a, t)
-        lhs = average_dollar_volume(panel, a, t, 10)
-        rhs = average_dollar_volume(censored, a, t, 10)
+        assert AsOf(panel, t).history[panel.position(a)] == AsOf(censored, t).history[censored.position(a)]
+        lhs = AsOf(panel, t, l_adv=10).adv[panel.position(a)]
+        rhs = AsOf(censored, t, l_adv=10).adv[censored.position(a)]
         assert (math.isnan(lhs) and math.isnan(rhs)) or lhs == rhs

@@ -6,7 +6,7 @@ from factortilt.calibration import CalibrationParams, build_ic_series
 from factortilt.eligibility import EligibilityParams, compute_eligibility
 from factortilt.errors import ConfigError
 from factortilt.factors import FactorParams, build_factor_matrix
-from factortilt.market_data import average_dollar_volume, build_schedule
+from factortilt.market_data import AsOf, build_schedule
 from factortilt.synthetic import ScenarioSpec, generate, scenario_from_mapping
 
 
@@ -46,7 +46,7 @@ def test_panel_passes_validation_and_positivity():
 def test_liquidity_tiers_order_adv():
     panel = generate(ScenarioSpec(seed=5, n_assets=6, n_days=60, liquidity_tiers=(1.0, 10.0, 100.0)))
     t = panel.calendar.days[-1]
-    advs = [average_dollar_volume(panel, a, t, 20) for a in panel.assets]
+    advs = AsOf(panel, t, l_adv=20).adv.tolist()
     # assets cycle through tiers: 0,3 low; 1,4 mid; 2,5 high
     assert advs[1] > 5 * advs[0] and advs[2] > 5 * advs[1]
 

@@ -26,7 +26,7 @@ from factortilt.backtest import (
     run_factor_removals,
     snapshot,
 )
-from factortilt.eligibility import EligibilitySet, screen
+from factortilt.eligibility import EligibilitySet, compute_eligibility
 from factortilt.errors import ConfigError, InfeasibleCapsError, ProjectionError
 from factortilt.factors import build_factor_matrix, winsorize
 from factortilt.market_data import AsOf, RebalanceSchedule
@@ -62,12 +62,12 @@ def oracle_tilt(baseline: WeightVector, multipliers: dict) -> WeightVector:
     w = baseline.w
     support = w > 0
     if not support.any():
-        return baseline.copy()
+        return WeightVector(t=baseline.t, assets=baseline.assets, w=baseline.w.copy())
     m = np.ones(len(w))
     m[oracle_positions(baseline.assets, multipliers)] = list(multipliers.values())
     m_support = m[support]
     if np.all(m_support == m_support[0]):
-        return baseline.copy()
+        return WeightVector(t=baseline.t, assets=baseline.assets, w=baseline.w.copy())
     raw = w * m
     denom = float(raw.sum())
     if denom <= 0:
@@ -153,7 +153,7 @@ def oracle_targets(panel, snap: AsOf, configs) -> dict[str, WeightVector]:
         pool = "screened" if s in ("dmft", "ew_eligible") else s
         if pool not in universes:
             if pool == "screened":
-                universes[pool] = screen(snap.t, assets, snap.history, snap.adv, config.eligibility)
+                universes[pool] = compute_eligibility(panel, snap.t, config.eligibility)
             else:
                 members = tuple(compress(assets, oracle_pool(snap, s).tolist()))
                 universes[pool] = EligibilitySet(t=snap.t, members=members, assets=assets)

@@ -1,38 +1,44 @@
 import numpy as np
 import pytest
 
-from factortilt.eligibility import EligibilitySet, ScreenValues
+from factortilt.backtest import BacktestConfig, target_weights
+from factortilt.eligibility import EligibilityParams
 from factortilt.errors import ConfigError, InfeasibleCapsError
 from factortilt.factors import FactorMatrix
 from factortilt.weighting import (
     CapParams,
     TiltParams,
-    WeightVector,
     bounded_multiplier,
-    build_weights,
-    cap_and_redistribute,
+    cap_values,
     composite_score,
-    equal_weight_baseline,
-    liquidity_caps,
-    tilt_and_normalize,
+    normalize_tilt,
+    project_onto_caps,
+    tilted_weights,
 )
 
+from conftest import make_panel
 
-def universe(members, assets=None, adv=None):
-    assets = tuple(assets or members)
-    screen = {a: ScreenValues(100, float(adv[a]) if adv else 1000.0) for a in assets}
-    return EligibilitySet(t="2020-01-06", members=tuple(members), screen_values=screen, assets=assets)
+T = "2020-01-06"
 
 
 def matrix_for(members, z):
     z = np.asarray(z, dtype=float)
-    return FactorMatrix(t="2020-01-06", assets=tuple(members), raw=z.copy(), z=z)
+    return FactorMatrix(t=T, assets=tuple(members), raw=z.copy(), z=z)
 
 
-def wv(weights, assets=None):
-    weights = np.asarray(weights, dtype=float)
-    assets = tuple(assets or [f"A{i}" for i in range(len(weights))])
-    return WeightVector(t="2020-01-06", assets=assets, w=weights)
+def weights(members, z, tilt, caps=None, adv=None, assets=None):
+    """tilted_weights over `assets` (the members by default) for the members
+    with factor rows z and, when capped, ADV array adv."""
+    assets = tuple(assets or members)
+    positions = np.array([assets.index(a) for a in members], dtype=np.intp)
+    return tilted_weights(T, assets, positions, matrix_for(members, z), adv, tilt, caps)
+
+
+def empty_universe_weights(strategy):
+    """The targets at a date where no asset of ("A", "B") passes the screens."""
+    panel = make_panel(3, ["A", "B"], price=10.0)
+    config = BacktestConfig(strategy=strategy, eligibility=EligibilityParams(h_min=1000))
+    return target_weights(panel, panel.calendar.days[2], config)
 
 
 def project_oracle(w, caps, eps=1e-12, max_iter=100000):
@@ -59,16 +65,17 @@ def project_oracle(w, caps, eps=1e-12, max_iter=100000):
 
 
 class TestEqualWeight:
+    # lambda = 0 gives every member multiplier 1, so the weights are the baseline's
     def test_four_members(self):
-        out = equal_weight_baseline(universe(["A", "B", "C", "D"]))
+        out = weights(["A", "B", "C", "D"], np.zeros((4, 3)), TiltParams(lam=0.0))
         np.testing.assert_array_equal(out.w, np.full(4, 0.25))
 
     def test_singleton(self):
-        out = equal_weight_baseline(universe(["A"], assets=["A", "B"]))
+        out = weights(["A"], np.zeros((1, 3)), TiltParams(lam=0.0), assets=["A", "B"])
         np.testing.assert_array_equal(out.w, [1.0, 0.0])
 
     def test_empty_universe(self):
-        out = equal_weight_baseline(universe([], assets=["A", "B"]))
+        out = empty_universe_weights("ew_eligible")
         np.testing.assert_array_equal(out.w, [0.0, 0.0])
 
 
@@ -109,96 +116,90 @@ class TestBoundedMultiplier:
 
 
 class TestTiltAndNormalize:
+    """normalize_tilt, the tilt stage."""
+
     def test_equal_multipliers_return_baseline_bitwise(self):
-        base = equal_weight_baseline(universe(["A", "B", "C"]))
-        out = tilt_and_normalize(base, {"A": 1.3, "B": 1.3, "C": 1.3})
-        np.testing.assert_array_equal(out.w, base.w)
+        base = np.full(3, 1.0 / 3)
+        out = normalize_tilt(base, np.array([1.3, 1.3, 1.3]))
+        np.testing.assert_array_equal(out, base)
 
     def test_two_asset_hand_case(self):
-        base = equal_weight_baseline(universe(["A", "B"]))
-        out = tilt_and_normalize(base, {"A": 1.5, "B": 0.5})
-        np.testing.assert_allclose(out.w, [0.75, 0.25], atol=1e-15)
+        out = normalize_tilt(np.full(2, 0.5), np.array([1.5, 0.5]))
+        np.testing.assert_allclose(out, [0.75, 0.25], atol=1e-15)
 
     def test_bound_ratio_identity(self):
-        members = [f"A{i}" for i in range(6)]
-        base = equal_weight_baseline(universe(members))
-        mults = {m: (1.5 if i < 3 else 0.5) for i, m in enumerate(members)}
-        out = tilt_and_normalize(base, mults)
-        assert out.w[0] / out.w[5] == pytest.approx(1.5 / 0.5, rel=1e-12)
+        mults = np.array([1.5 if i < 3 else 0.5 for i in range(6)])
+        out = normalize_tilt(np.full(6, 1.0 / 6), mults)
+        assert out[0] / out[5] == pytest.approx(1.5 / 0.5, rel=1e-12)
 
     def test_order_preserved(self):
         rng = np.random.default_rng(0)
-        members = [f"A{i}" for i in range(10)]
-        base = equal_weight_baseline(universe(members))
         z = rng.normal(size=10)
         params = TiltParams(lam=0.4)
-        mults = {m: bounded_multiplier(zi, params) for m, zi in zip(members, z)}
-        out = tilt_and_normalize(base, mults)
+        mults = np.array([bounded_multiplier(zi, params) for zi in z])
+        out = normalize_tilt(np.full(10, 1.0 / 10), mults)
         for i in range(10):
             for j in range(10):
                 if z[i] > z[j]:
-                    assert out.w[i] >= out.w[j]
+                    assert out[i] >= out[j]
 
 
 class TestLiquidityCaps:
+    """cap_values, the liquidity caps."""
+
     def test_gamma_zero(self):
-        adv = {"A": 10.0, "B": 99999.0}
-        caps = liquidity_caps(universe(["A", "B"], adv=adv), adv, CapParams(c_max=0.3, kappa=0.2, gamma=0.0))
-        assert caps == {"A": 0.2, "B": 0.2}
+        caps = cap_values(np.array([10.0, 99999.0]), CapParams(c_max=0.3, kappa=0.2, gamma=0.0))
+        assert caps.tolist() == [0.2, 0.2]
 
     def test_hand_formula(self):
-        adv = {"A": 100.0, "B": 200.0, "C": 400.0}
-        caps = liquidity_caps(
-            universe(["A", "B", "C"], adv=adv), adv, CapParams(c_max=0.3, kappa=0.1, gamma=1.0)
-        )
-        assert caps["C"] == pytest.approx(0.2)  # ADV twice the median of 200
+        caps = cap_values(np.array([100.0, 200.0, 400.0]), CapParams(c_max=0.3, kappa=0.1, gamma=1.0))
+        assert caps[2] == pytest.approx(0.2)  # ADV twice the median of 200
 
     def test_huge_kappa_saturates(self):
-        adv = {"A": 100.0, "B": 300.0}
-        caps = liquidity_caps(universe(["A", "B"], adv=adv), adv, CapParams(c_max=0.25, kappa=1e9, gamma=0.5))
-        assert set(caps.values()) == {0.25}
+        caps = cap_values(np.array([100.0, 300.0]), CapParams(c_max=0.25, kappa=1e9, gamma=0.5))
+        assert set(caps.tolist()) == {0.25}
 
     def test_even_median_is_midpoint(self):
-        adv = {"A": 100.0, "B": 300.0}
-        caps = liquidity_caps(universe(["A", "B"], adv=adv), adv, CapParams(c_max=1.0, kappa=1.0, gamma=1.0))
-        assert caps["A"] == pytest.approx(0.5)  # 100/200
+        caps = cap_values(np.array([100.0, 300.0]), CapParams(c_max=1.0, kappa=1.0, gamma=1.0))
+        assert caps[0] == pytest.approx(0.5)  # 100/200
 
 
 class TestCapAndRedistribute:
+    """project_onto_caps, the cap-and-redistribute stage."""
+
     def test_one_pass_hand_case(self):
-        out = cap_and_redistribute(wv([0.6, 0.3, 0.1]), {"A0": 0.4, "A1": 1.0, "A2": 1.0}, CapParams())
-        np.testing.assert_allclose(out.w, [0.4, 0.45, 0.15], atol=1e-12)
+        out = project_onto_caps(np.array([0.6, 0.3, 0.1]), np.array([0.4, 1.0, 1.0]), CapParams())
+        np.testing.assert_allclose(out, [0.4, 0.45, 0.15], atol=1e-12)
 
     def test_no_breach_is_fixed_point(self):
-        start = wv([0.5, 0.3, 0.2])
-        out = cap_and_redistribute(start, {"A0": 0.6, "A1": 0.6, "A2": 0.6}, CapParams())
-        np.testing.assert_array_equal(out.w, start.w)
+        start = np.array([0.5, 0.3, 0.2])
+        out = project_onto_caps(start, np.array([0.6, 0.6, 0.6]), CapParams())
+        np.testing.assert_array_equal(out, start)
 
     def test_two_cap_hand_case(self):
-        out = cap_and_redistribute(wv([0.5, 0.45, 0.05]), {"A0": 0.4, "A1": 0.4, "A2": 1.0}, CapParams())
-        np.testing.assert_allclose(out.w, [0.4, 0.4, 0.2], atol=1e-12)
+        out = project_onto_caps(np.array([0.5, 0.45, 0.05]), np.array([0.4, 0.4, 1.0]), CapParams())
+        np.testing.assert_allclose(out, [0.4, 0.4, 0.2], atol=1e-12)
 
     def test_infeasible_caps_error(self):
         with pytest.raises(InfeasibleCapsError):
-            cap_and_redistribute(wv([0.6, 0.4]), {"A0": 0.5, "A1": 0.3}, CapParams())
+            project_onto_caps(np.array([0.6, 0.4]), np.array([0.5, 0.3]), CapParams())
 
     def test_idempotent(self):
         rng = np.random.default_rng(1)
         for _ in range(25):
             n = int(rng.integers(2, 8))
             raw = rng.dirichlet(np.ones(n))
-            caps = {f"A{i}": float(c) for i, c in enumerate(rng.uniform(0.3, 1.0, n))}
-            if sum(caps.values()) < 1:
+            caps = rng.uniform(0.3, 1.0, n)
+            if caps.sum() < 1:
                 continue
-            once = cap_and_redistribute(wv(raw), caps, CapParams())
-            twice = cap_and_redistribute(once, caps, CapParams())
-            np.testing.assert_array_equal(once.w, twice.w)
+            once = project_onto_caps(raw, caps, CapParams())
+            twice = project_onto_caps(once, caps, CapParams())
+            np.testing.assert_array_equal(once, twice)
 
     def test_never_capped_keep_relative_proportions(self):
-        raw = wv([0.40, 0.30, 0.18, 0.12])
-        caps = {"A0": 0.25, "A1": 0.25, "A2": 1.0, "A3": 1.0}
-        out = cap_and_redistribute(raw, caps, CapParams())
-        assert out.w[2] / out.w[3] == pytest.approx(0.18 / 0.12, rel=1e-12)
+        raw = np.array([0.40, 0.30, 0.18, 0.12])
+        out = project_onto_caps(raw, np.array([0.25, 0.25, 1.0, 1.0]), CapParams())
+        assert out[2] / out[3] == pytest.approx(0.18 / 0.12, rel=1e-12)
 
     def test_matches_oracle_on_random_instances(self):
         rng = np.random.default_rng(2)
@@ -207,48 +208,41 @@ class TestCapAndRedistribute:
             n = int(rng.integers(2, 9))
             raw = rng.dirichlet(np.full(n, 0.7))
             caps_arr = rng.uniform(0.05, 1.0, n)
-            caps = {f"A{i}": float(c) for i, c in enumerate(caps_arr)}
             feasible = caps_arr.sum() >= 1 - params.epsilon
             if feasible:
-                mine = cap_and_redistribute(wv(raw), caps, params)
+                mine = project_onto_caps(raw, caps_arr, params)
                 ref = project_oracle(raw, caps_arr, params.epsilon)
-                np.testing.assert_allclose(mine.w, ref, atol=1e-9)
-                assert np.all(mine.w <= caps_arr + params.epsilon)
-                assert mine.w.sum() == pytest.approx(1.0, abs=1e-9)
+                np.testing.assert_allclose(mine, ref, atol=1e-9)
+                assert np.all(mine <= caps_arr + params.epsilon)
+                assert mine.sum() == pytest.approx(1.0, abs=1e-9)
             else:
                 with pytest.raises(InfeasibleCapsError):
-                    cap_and_redistribute(wv(raw), caps, params)
+                    project_onto_caps(raw, caps_arr, params)
                 with pytest.raises(InfeasibleCapsError):
                     project_oracle(raw, caps_arr, params.epsilon)
 
 
 class TestBuildWeights:
+    """tilted_weights, every stage composed."""
+
     def members(self, n):
         return [f"A{i}" for i in range(n)]
 
     def test_lambda_zero_degenerates_to_equal_weight(self):
         members = self.members(5)
-        uni = universe(members)
-        m = matrix_for(members, np.random.default_rng(3).normal(size=(5, 3)))
-        out = build_weights(None, uni, m, TiltParams(lam=0.0), None, uni.t)
-        np.testing.assert_array_equal(out.w, equal_weight_baseline(uni).w)
+        out = weights(members, np.random.default_rng(3).normal(size=(5, 3)), TiltParams(lam=0.0))
+        np.testing.assert_array_equal(out.w, np.full(5, 1.0 / 5))
 
     def test_zero_dispersion_degenerates_to_equal_weight(self):
-        members = self.members(4)
-        uni = universe(members)
-        m = matrix_for(members, np.zeros((4, 3)))
-        out = build_weights(None, uni, m, TiltParams(lam=0.8), None, uni.t)
-        np.testing.assert_array_equal(out.w, equal_weight_baseline(uni).w)
+        out = weights(self.members(4), np.zeros((4, 3)), TiltParams(lam=0.8))
+        np.testing.assert_array_equal(out.w, np.full(4, 1.0 / 4))
 
     def test_with_caps_matches_manual_composition(self):
         members = self.members(3)
-        adv = {"A0": 400.0, "A1": 200.0, "A2": 100.0}
-        uni = universe(members, adv=adv)
         z = np.array([[2.0, 2.0, 2.0], [0.0, 0.0, 0.0], [-2.0, -2.0, -2.0]])
-        m = matrix_for(members, z)
         tilt = TiltParams(lam=0.5, m_min=0.2, m_max=2.0)
         cap_params = CapParams(c_max=0.45, kappa=0.4, gamma=1.0)
-        out = build_weights(None, uni, m, tilt, cap_params, uni.t)
+        out = weights(members, z, tilt, cap_params, adv=np.array([400.0, 200.0, 100.0]))
         mults = np.clip(1 + 0.5 * z[:, 0], 0.2, 2.0)
         raw = mults / mults.sum()
         caps = np.minimum(0.45, 0.4 * np.array([400, 200, 100]) / 200.0)
@@ -260,34 +254,29 @@ class TestBuildWeights:
         rng = np.random.default_rng(4)
         for _ in range(100):
             n = int(rng.integers(1, 20))
-            members = self.members(n)
-            uni = universe(members)
-            m = matrix_for(members, rng.normal(scale=2.0, size=(n, 3)))
+            z = rng.normal(scale=2.0, size=(n, 3))
             m_min = float(rng.uniform(0.1, 1.0))
             m_max = float(rng.uniform(1.0, 3.0))
             tilt = TiltParams(lam=float(rng.uniform(0, 2)), m_min=m_min, m_max=m_max)
-            out = build_weights(None, uni, m, tilt, None, uni.t)
+            out = weights(self.members(n), z, tilt)
             assert out.w.max() <= (m_max / m_min) / n + 1e-9
             assert abs(out.w.sum() - 1.0) <= 1e-9
             assert out.w.min() >= 0.0
 
     def test_continuity_at_lambda_zero(self):
         members = self.members(6)
-        uni = universe(members)
         z = np.random.default_rng(5).normal(size=(6, 3))
-        m = matrix_for(members, z)
-        w0 = build_weights(None, uni, m, TiltParams(lam=0.0), None, uni.t)
+        w0 = weights(members, z, TiltParams(lam=0.0))
         for lam in (1e-8, 1e-10):
-            w_eps = build_weights(None, uni, m, TiltParams(lam=lam), None, uni.t)
+            w_eps = weights(members, z, TiltParams(lam=lam))
             assert np.max(np.abs(w_eps.w - w0.w)) < 1e-6
 
     def test_factor_matrix_must_cover_the_members(self):
-        uni = universe(self.members(3))
+        assets = tuple(self.members(3))
         for matrix in (None, matrix_for(self.members(2), np.zeros((2, 3)))):
             with pytest.raises(ConfigError, match="factor matrix over its members"):
-                build_weights(None, uni, matrix, TiltParams(), None, uni.t)
+                tilted_weights(T, assets, np.arange(3), matrix, None, TiltParams(), None)
 
     def test_empty_universe_all_zero(self):
-        uni = universe([], assets=["A", "B"])
-        out = build_weights(None, uni, None, TiltParams(), None, uni.t)
+        out = empty_universe_weights("dmft")
         np.testing.assert_array_equal(out.w, [0.0, 0.0])
