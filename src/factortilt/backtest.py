@@ -147,8 +147,11 @@ def _run(
 ) -> dict[str, BacktestResult]:
     """Walk the rebalance dates once, building one snapshot per date (or
     taking it from `snapshots`, keyed by date) that every config's targets
-    read, then evolve each config's book. The configs share the snapshot
-    windows (l_adv, l_mom, skip, l_fund)."""
+    read, then evolve every config's book in one day loop. The configs
+    share the snapshot windows (l_adv, l_mom, skip, l_fund) and the weight
+    mode."""
+    if len({config.weight_mode for config in configs.values()}) > 1:
+        raise ConfigError("the configs of one walk must share a weight mode")
     cal = panel.calendar
     for t in schedule.dates:
         if t not in cal:
@@ -162,68 +165,58 @@ def _run(
         raise ConfigError("backtest end precedes the first rebalance date")
 
     first = next(iter(configs.values()))
+    reb_dates = [t for t in schedule.dates if t <= end]
     per_date = [
         _date_targets(snapshot(panel, t, first) if snapshots is None
                       else _given_snapshot(snapshots, panel, t, first), configs)
-        for t in schedule.dates
-        if t <= end
+        for t in reb_dates
     ]
     # a missing asset return is zero
     asset_returns = np.zeros_like(panel.price)
     with np.errstate(invalid="ignore", divide="ignore"):
         asset_returns[1:] = panel.price[1:] / panel.price[:-1] - 1.0
     np.nan_to_num(asset_returns, copy=False)
-    dates = cal.days[i_start : i_end + 1]
     span = asset_returns[i_start : i_end + 1]
+    trades = {cal.position(t) - i_start: np.stack([targets[name].w for name in configs])
+              for t, targets in zip(reb_dates, per_date)}
+    daily, turnover = _evolve_books(span, trades, first.weight_mode == "drift")
+    costs = np.array([config.cost_rate for config in configs.values()])[:, None] * turnover
+    daily[:, sorted(trades)] -= costs
+    equity = np.cumprod(1.0 + daily, axis=1)
+    dates = cal.days[i_start : i_end + 1]
     return {
-        name: _evolve(list(dates), span, [targets[name] for targets in per_date], config)
-        for name, config in configs.items()
+        name: BacktestResult(strategy=config.strategy, dates=list(dates), daily_returns=daily[j],
+                             equity_curve=equity[j], rebalance_dates=list(reb_dates), turnover=turnover[j],
+                             costs=costs[j], weights=[targets[name] for targets in per_date])
+        for j, (name, config) in enumerate(configs.items())
     }
 
 
-def _evolve(dates: list[str], returns: np.ndarray, targets: list[WeightVector], config) -> BacktestResult:
-    """The daily evolution of run_backtest over `dates`, whose asset returns
-    are the rows of `returns`, trading to each target on its date."""
-    by_date = {wv.t: wv.w for wv in targets}
-    daily = np.zeros(len(dates))
-    reb_dates: list[str] = []
-    turnover: list[float] = []
-    costs: list[float] = []
-
-    w = np.zeros(returns.shape[1])
-    drift = config.weight_mode == "drift"
-    for k, (d, r) in enumerate(zip(dates, returns)):
-        gross = float(w @ r)
-        if drift and w.sum() > 0:
-            grown = w * (1.0 + r)
-            total = float(grown.sum())
-            w_eod = grown / total if total > 0 else w
-        else:
-            w_eod = w
-        if d in by_date:
-            tgt = by_date[d]
-            to = float(np.abs(tgt - w_eod).sum())
-            cost = config.cost_rate * to
-            reb_dates.append(d)
-            turnover.append(to)
-            costs.append(cost)
-            daily[k] = gross - cost
-            w = tgt.copy()
-        else:
-            daily[k] = gross
-            w = w_eod
-
-    equity = np.cumprod(1.0 + daily)
-    return BacktestResult(
-        strategy=config.strategy,
-        dates=dates,
-        daily_returns=daily,
-        equity_curve=equity,
-        rebalance_dates=reb_dates,
-        turnover=np.array(turnover),
-        costs=np.array(costs),
-        weights=targets,
-    )
+def _evolve_books(returns: np.ndarray, trades: dict, drift: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Gross daily returns (books x days) and one-way turnover (books x
+    trades) of books that start in cash, earn the rows of `returns` on the
+    weights held coming into each day, and on day k trade to the rows of
+    trades[k]. Under drift the weights between trades grow with the
+    returns and are renormalised; turnover is measured against them."""
+    books = np.zeros_like(trades[0])  # every walk trades on its first day
+    rows = list(books)
+    gross = np.empty((len(books), len(returns)))
+    turnover = []
+    for k, r in enumerate(returns):
+        # one dot product per book: a matrix-vector product rounds differently
+        gross[:, k] = [float(w @ r) for w in rows]
+        if drift:
+            grown = books * (1.0 + r)
+            total = grown.sum(axis=1)
+            # divides only where the book holds something and grew to a
+            # positive total, so no row divides by zero
+            moves = (books.sum(axis=1) > 0) & (total > 0)
+            np.divide(grown, total[:, None], out=books, where=moves[:, None])
+        target = trades.get(k)
+        if target is not None:
+            turnover.append(np.abs(target - books).sum(axis=1))
+            books[:] = target
+    return gross, np.array(turnover).T.copy()
 
 
 def run_backtest(

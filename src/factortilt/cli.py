@@ -443,6 +443,17 @@ def _write_results(results, cfg: RunConfig, out: Path) -> None:
         _write_csv(out / f"stats_{name}.csv", (["metric", "value"], [metrics, values]))
 
 
+def _check_out_dir(out: Path) -> None:
+    """ConfigError unless `out` is a directory or can be made one: neither
+    it nor the nearest of its ancestors that exists may be anything else."""
+    existing = next(d for d in (out, *out.parents) if d.exists())
+    if existing.is_dir():
+        return
+    if existing == out:
+        raise ConfigError(f"output path {out} exists and is not a directory")
+    raise ConfigError(f"output path {out} cannot be made: {existing} is not a directory")
+
+
 @contextmanager
 def _staged_out(out: Path):
     """Yield a new hidden sibling directory of `out` to write the artifacts
@@ -451,8 +462,7 @@ def _staged_out(out: Path):
     sibling and the parent directories made for it are removed, and `out`
     is left as it was. Files already in `out` are never deleted, only
     overwritten by a new file of the same name."""
-    if out.exists() and not out.is_dir():
-        raise ConfigError(f"output path {out} exists and is not a directory")
+    _check_out_dir(out)
     parent = out.resolve().parent
     created = [d for d in (parent, *parent.parents) if not d.exists()]  # deepest first
     parent.mkdir(parents=True, exist_ok=True)
@@ -551,8 +561,9 @@ def cmd_synth(spec_path, out_dir, seed_override=None) -> int:
     if seed_override is not None:
         values["seed"] = str(seed_override)
     spec = scenario_from_mapping(values)
-    panel = generate(spec)
     out = Path(out_dir)
+    _check_out_dir(out)
+    panel = generate(spec)
     save_panel(panel, out)
     lines = [
         f"factortilt {__version__}",

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 from datetime import date as _date
 from functools import cache, cached_property, partial
 from itertools import compress
-from operator import attrgetter, getitem
+from operator import attrgetter
 from pathlib import Path
 from typing import NamedTuple, NoReturn
 
@@ -200,6 +200,24 @@ class MarketPanel:
         np.cumsum(np.isfinite(self.price), axis=0, dtype=np.int32, out=counts[1:])
         counts.flags.writeable = False
         return counts
+
+    @cached_property
+    def report_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every asset's fundamental reports as two read-only arrays: report
+        day numbers (days since 1970-01-01), n_assets x max_reports int64 in
+        date order and padded with the int64 maximum, and the
+        _REPORT_FIELDS values, 4 x n_assets x max_reports float64 (NaN
+        padding). Built from `fundamentals` on first use and held by the
+        panel, like history_counts."""
+        width = max(map(len, self.fundamentals.values()), default=0)
+        days = np.full((self.n_assets, width), np.iinfo(np.int64).max)
+        values = np.full((len(_REPORT_FIELDS), self.n_assets, width), np.nan)
+        for asset, records in self.fundamentals.items():
+            i, n = self.asset_index[asset], len(records)
+            days[i, :n] = np.array(list(map(_REPORT_DATE, records)), dtype="datetime64[D]").astype(np.int64)
+            values[:, i, :n] = np.array(list(map(_REPORT_VALUES, records)), dtype=float).reshape(n, -1).T
+        days.flags.writeable = values.flags.writeable = False
+        return days, values
 
     def missing_counts(self) -> dict[str, int]:
         return {
@@ -702,36 +720,33 @@ def build_schedule(
 def _average_dollar_volumes(panel: MarketPanel, it: int, lookback: int) -> np.ndarray:
     if lookback < 1:
         raise ConfigError(f"lookback must be >= 1, got {lookback}")
-    p = panel.price[max(0, it - lookback) : it].T
-    v = panel.volume[max(0, it - lookback) : it].T
-    valid = np.isfinite(p) & np.isfinite(v)
+    p = panel.price[max(0, it - lookback) : it]
+    v = panel.volume[max(0, it - lookback) : it]
+    valid = (np.isfinite(p) & np.isfinite(v)).T
+    dollars = np.ascontiguousarray((p * v).T)
     counts = valid.sum(axis=1)
-    # Left-pack each asset's valid dollar volumes in day order and sum the
-    # first k of them for every asset with k valid days: the same contiguous
-    # pairwise sum np.mean takes over the valid days alone, so every bit
-    # agrees with the per-asset mean.
-    packed = np.take_along_axis(p * v, np.argsort(~valid, axis=1, kind="stable"), axis=1)
+    # Left-pack the valid dollar volumes of the assets with k valid days in
+    # day order, one row each, and sum the rows: the same contiguous
+    # pairwise sum np.mean takes over an asset's valid days alone, so every
+    # bit agrees with the per-asset mean.
     out = np.full(panel.n_assets, np.nan)
     for k in np.unique(counts[counts >= math.ceil(0.5 * lookback)]).tolist():
         rows = counts == k
-        out[rows] = np.ascontiguousarray(packed[rows, :k]).sum(axis=1) / k
+        out[rows] = dollars[rows][valid[rows]].reshape(-1, k).sum(axis=1) / k
     return out
 
 
 def _latest_reports(panel: MarketPanel, t: str, l_fund: int) -> np.ndarray:
     """(4, n_assets): the _REPORT_FIELDS of each asset's latest report."""
+    days, values = panel.report_table
+    t_day = np.datetime64(t, "D").astype(np.int64)
+    n_before = (days < t_day).sum(axis=1)  # each asset's reports are sorted
+    owner = np.flatnonzero(n_before)
+    latest = n_before[owner] - 1
+    fresh = t_day - days[owner, latest] <= l_fund
+    owner, latest = owner[fresh], latest[fresh]
     out = np.full((len(_REPORT_FIELDS), panel.n_assets), np.nan)
-    lists = panel.fundamentals.values()
-    # each asset's records are sorted, so a bisection counts its reports before t
-    bisect_t = partial(bisect_left, x=t, key=_REPORT_DATE)
-    n_before = np.fromiter(map(bisect_t, lists), dtype=np.intp, count=len(lists))
-    reported = n_before > 0
-    latest = list(map(getitem, compress(lists, reported.tolist()), (n_before[reported] - 1).tolist()))
-    age = np.datetime64(t, "D") - np.array(list(map(_REPORT_DATE, latest)), dtype="datetime64[D]")
-    fresh = age.astype(np.int64) <= l_fund
-    owner = panel.positions(panel.fundamentals)[reported][fresh]
-    for row, name in enumerate(_REPORT_FIELDS):
-        out[row, owner] = np.fromiter(map(attrgetter(name), latest), dtype=float, count=len(latest))[fresh]
+    out[:, owner] = values[:, owner, latest]
     return out
 
 

@@ -271,6 +271,34 @@ def test_out_that_is_a_file_is_one_line(tmp_path, synth_dir, capsys, command):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["out", "run.ini"]
 
 
+@pytest.mark.parametrize("command, out", [
+    ("backtest", "afile/out"),
+    ("diagnose", "afile/x/out"),
+    ("synth", "afile/syn"),
+])
+def test_out_below_a_file_is_one_line(tmp_path, synth_dir, capsys, command, out):
+    cfg = write_config(tmp_path, synth_dir)
+    scenario = tmp_path / "s.ini"
+    scenario.write_text("n_assets = 4\nn_days = 40\n")
+    (tmp_path / "afile").write_text("mine\n")
+    before = sorted(p.name for p in tmp_path.iterdir())
+    source = [str(scenario)] if command == "synth" else ["--config", str(cfg)]
+    assert main([command, *source, "--out", str(tmp_path / out)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: output path {tmp_path / out} cannot be made: {tmp_path / 'afile'} is not a directory\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+    assert (tmp_path / "afile").read_text() == "mine\n"
+
+
+def test_synth_into_a_file_is_one_line(tmp_path, capsys):
+    scenario = tmp_path / "s.ini"
+    scenario.write_text("n_assets = 4\nn_days = 40\n")
+    (tmp_path / "out").write_text("mine\n")
+    assert main(["synth", str(scenario), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: output path {tmp_path / 'out'} exists and is not a directory\n"
+    assert (tmp_path / "out").read_text() == "mine\n"
+
+
 @pytest.mark.parametrize("command", ["backtest", "diagnose"])
 def test_run_into_existing_out_keeps_other_files(tmp_path, synth_dir, command):
     cfg = write_config(tmp_path, synth_dir)

@@ -2,10 +2,12 @@
 
 Every config's targets from the walk are compared bit for bit with the
 pipeline it replaced, kept here as the oracle: screens into an
-EligibilitySet, then weights built from mappings keyed by asset id. Also
-compared with plain oracles: AsOf.history with a direct count of prices
-before t, and winsorize with two quantile calls. Last, the accounting
-identities of every strategy's backtest. All on random panels with gaps.
+EligibilitySet, then weights built from mappings keyed by asset id. The
+walk's one day loop over every book is compared bit for bit with the
+per-config evolution it replaced, kept here too. Also compared with plain
+oracles: AsOf.history with a direct count of prices before t, and winsorize
+with two quantile calls. Last, the accounting identities of every
+strategy's backtest. All on random panels with gaps.
 """
 
 from __future__ import annotations
@@ -18,9 +20,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from factortilt import backtest
 from factortilt.backtest import (
     STRATEGIES,
     WEIGHT_MODES,
+    BacktestResult,
     removal_config,
     run_baselines,
     run_factor_removals,
@@ -175,6 +179,57 @@ def oracle_targets(panel, snap: AsOf, configs) -> dict[str, WeightVector]:
     return out
 
 
+def oracle_evolve(dates: list[str], returns: np.ndarray, targets: list[WeightVector], config) -> BacktestResult:
+    """One config's daily evolution over `dates`, whose asset returns are
+    the rows of `returns`, trading to each target on its date."""
+    by_date = {wv.t: wv.w for wv in targets}
+    daily = np.zeros(len(dates))
+    reb_dates: list[str] = []
+    turnover: list[float] = []
+    costs: list[float] = []
+
+    w = np.zeros(returns.shape[1])
+    drift = config.weight_mode == "drift"
+    for k, (d, r) in enumerate(zip(dates, returns)):
+        gross = float(w @ r)
+        if drift and w.sum() > 0:
+            grown = w * (1.0 + r)
+            total = float(grown.sum())
+            w_eod = grown / total if total > 0 else w
+        else:
+            w_eod = w
+        if d in by_date:
+            tgt = by_date[d]
+            to = float(np.abs(tgt - w_eod).sum())
+            cost = config.cost_rate * to
+            reb_dates.append(d)
+            turnover.append(to)
+            costs.append(cost)
+            daily[k] = gross - cost
+            w = tgt.copy()
+        else:
+            daily[k] = gross
+            w = w_eod
+
+    return BacktestResult(
+        strategy=config.strategy,
+        dates=dates,
+        daily_returns=daily,
+        equity_curve=np.cumprod(1.0 + daily),
+        rebalance_dates=reb_dates,
+        turnover=np.array(turnover),
+        costs=np.array(costs),
+        weights=targets,
+    )
+
+
+def oracle_asset_returns(panel) -> np.ndarray:
+    returns = np.zeros_like(panel.price)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        returns[1:] = panel.price[1:] / panel.price[:-1] - 1.0
+    return np.nan_to_num(returns)
+
+
 # --- properties ----------------------------------------------------------------
 
 days = st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4)
@@ -192,6 +247,7 @@ short_windows = st.fixed_dictionaries({
     "winsor_p": st.sampled_from([0.0, 0.1, 0.3]),
     "components": st.booleans(),
 })
+FIXED_WINDOWS = {"h_min": 5, "l_adv": 5, "l_mom": 5, "skip": 1, "l_fund": 60, "winsor_p": 0.1, "components": False}
 # (c_max, kappa, gamma) from loose to tight: the first is always feasible, the
 # middle ones often bind, the last is often infeasible
 cap_settings = st.sampled_from([None, (1.0, 1.0, 0.5), (0.4, 0.3, 1.0), (0.3, 0.15, 0.5), (0.05, 0.05, 0.5)])
@@ -235,6 +291,43 @@ def test_walk_equals_mapping_oracle(panel, p, fractions, lam, caps, weight_mode,
             assert (got.t, got.assets) == (want.t, want.assets)
             for attr in ("w", "multipliers", "caps"):
                 same_bits(getattr(got, attr), getattr(want, attr), f"{name} {t} {attr}")
+
+
+@settings(SETTINGS, max_examples=60)
+@given(panel=wide_panels, p=short_windows, fractions=days, weight_mode=st.sampled_from(WEIGHT_MODES),
+       cost_rate=st.floats(0.0, 0.05), removals=st.booleans(), end_at=st.one_of(st.none(), st.floats(0.0, 1.0)))
+@example(panel=random_panel(5, 6, 30, 0.1), p={**FIXED_WINDOWS, "h_min": 15}, fractions=[0.0, 0.5, 0.9],
+         weight_mode="drift", cost_rate=0.01, removals=False, end_at=0.6)  # empty pools, end before a date
+def test_day_loop_equals_per_config_evolution(panel, p, fractions, weight_mode, cost_rate, removals, end_at):
+    config = config_for(p, cost_rate=cost_rate, weight_mode=weight_mode, caps=CapParams(c_max=1.0, kappa=1.0))
+    schedule = schedule_of(panel, fractions)
+    cal = panel.calendar
+    i_start = cal.position(schedule.dates[0])
+    i_end = len(cal) - 1 if end_at is None else i_start + int(end_at * (len(cal) - 1 - i_start))
+    end = None if end_at is None else cal.days[i_end]
+    if removals:
+        results = run_factor_removals(panel, schedule, config, end)
+        configs = {"full": config, **{f"drop_{f}": removal_config(config, f) for f in config.tilt.alpha}}
+    else:
+        results = run_baselines(panel, schedule, config, end)
+        configs = {s: replace(config, strategy=s, caps=config.caps if s == "dmft" else None) for s in STRATEGIES}
+    assert list(results) == list(configs)
+    dates = list(cal.days[i_start : i_end + 1])
+    span = oracle_asset_returns(panel)[i_start : i_end + 1]
+    for name, cfg in configs.items():
+        got = results[name]
+        want = oracle_evolve(dates, span, got.weights, cfg)
+        assert (got.strategy, got.dates, got.rebalance_dates) == (want.strategy, want.dates, want.rebalance_dates)
+        for attr in ("daily_returns", "equity_curve", "turnover", "costs"):
+            same_bits(getattr(got, attr), getattr(want, attr), f"{name} {attr}")
+
+
+def test_walk_rejects_mixed_weight_modes():
+    panel = random_panel(1, 5, 30, 0.0)
+    config = config_for(FIXED_WINDOWS)
+    configs = {"a": config, "b": replace(config, weight_mode="drift")}
+    with pytest.raises(ConfigError, match="weight mode"):
+        backtest._run(panel, schedule_of(panel, [0.5]), configs, None)
 
 
 @SETTINGS
