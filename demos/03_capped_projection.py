@@ -1,9 +1,10 @@
-"""Liquidity-weighted caps and the cap-and-redistribute projection.
+"""Liquidity-weighted caps and the capped projection.
 
 Small-cap universes need per-asset weight ceilings tied to tradable volume.
 Caps scale with each asset's dollar volume relative to the universe median;
-breaching weight is clipped and handed proportionally to the uncapped rest,
-repeating until every cap holds.
+each weight becomes min(cap, s * w), with s the one scale at which the
+weights sum to 1 -- where clipping breaching weight and handing it
+proportionally to the uncapped rest, until every cap holds, ends.
 """
 
 import numpy as np
@@ -23,7 +24,7 @@ for a, adv, cap in zip(assets, advs, caps):
 raw = np.array([0.30, 0.25, 0.20, 0.15, 0.10])
 print(f"\nraw tilted weights:      {np.round(raw, 4)}")
 projected = project_onto_caps(raw, caps, params)
-print(f"after cap/redistribute:  {np.round(projected, 4)}")
+print(f"after the projection:    {np.round(projected, 4)}")
 print(f"caps respected: {bool(np.all(projected <= caps + params.epsilon))}")
 print(f"still fully invested: sum = {projected.sum():.12f}")
 

@@ -30,7 +30,6 @@ from .errors import (
     DataError,
     FactortiltError,
     InfeasibleCapsError,
-    ProjectionError,
     StatsError,
 )
 from .factors import (

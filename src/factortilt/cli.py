@@ -114,7 +114,7 @@ _KEYS = {
     "eligibility": ("h_min", "adv_min", "l_adv"),
     "factors": ("l_mom", "skip", "l_fund", "winsor_p", "winsorize_quality_components"),
     "tilt": ("alpha_mom", "alpha_val", "alpha_qual", "lambda", "m_min", "m_max"),
-    "caps": ("enabled", "c_max", "kappa", "gamma", "epsilon", "max_iterations"),
+    "caps": ("enabled", "c_max", "kappa", "gamma", "epsilon"),
     "calibration": ("horizon", "m_min", "min_universe", "apply"),
 }
 
@@ -197,13 +197,11 @@ def load_config(path, out_override=None) -> RunConfig:
     )
     caps = None
     if _get(cp, "caps", "enabled", _bool, False):
-        max_iter = _get(cp, "caps", "max_iterations", int, 0)
         caps = CapParams(
             c_max=_get(cp, "caps", "c_max", float, 0.10),
             kappa=_get(cp, "caps", "kappa", float, 0.05),
             gamma=_get(cp, "caps", "gamma", float, 0.5),
             epsilon=_get(cp, "caps", "epsilon", float, 1e-12),
-            max_iterations=max_iter if max_iter > 0 else None,
         )
     nw_lag = _get(cp, "run", "nw_lag", int, -1)
     out_dir = out_override if out_override is not None else _get(cp, "run", "out", str, "out")
@@ -323,7 +321,6 @@ def write_manifest(cfg: RunConfig, path: Path, extra: list[tuple[str, str]] | No
         lines.append(f"kappa = {cfg.caps.kappa!r}")
         lines.append(f"gamma = {cfg.caps.gamma!r}")
         lines.append(f"epsilon = {cfg.caps.epsilon!r}")
-        lines.append(f"max_iterations = {cfg.caps.max_iterations or 'auto (10x universe)'}")
     lines.append("")
     lines.append("[calibration]")
     lines.append(f"horizon = {cfg.calibration.horizon}")
@@ -408,7 +405,7 @@ def _write_screens(panel, snapshots, members, matrices, out: Path) -> None:
     ]))
 
 
-def _weight_columns(result, report_multipliers: bool) -> list:
+def _weight_columns(result) -> list:
     """Date, asset, weight, multiplier (1 when untilted) and liquidity cap
     (empty when uncapped) of the held assets at each rebalance."""
     dates, assets, weights, mults, caps = [], [], [], [], []
@@ -417,8 +414,7 @@ def _weight_columns(result, report_multipliers: bool) -> list:
         dates += [wv.t] * len(held)
         assets += map(wv.assets.__getitem__, held.tolist())
         weights.append(wv.w[held])
-        tilted = report_multipliers and wv.multipliers is not None
-        mults.append(wv.multipliers[held] if tilted else np.ones(len(held)))
+        mults.append(wv.multipliers[held] if wv.multipliers is not None else np.ones(len(held)))
         caps.append(wv.caps[held] if wv.caps is not None else np.full(len(held), np.nan))
     return [dates, assets, _concat(weights), _concat(mults), _concat(caps)]
 
@@ -426,11 +422,10 @@ def _weight_columns(result, report_multipliers: bool) -> list:
 def _write_results(results, cfg: RunConfig, out: Path) -> None:
     for name in STRATEGIES:
         res = results[name]
-        # weights_fixed_universe.csv has always reported untilted multipliers
         for kind, header, columns in (
             ("returns", ["date", "return", "equity"], [res.dates, res.daily_returns, res.equity_curve]),
             ("turnover", ["date", "turnover", "cost"], [res.rebalance_dates, res.turnover, res.costs]),
-            ("weights", ["date", "asset", "weight", "multiplier", "cap"], _weight_columns(res, name == "dmft")),
+            ("weights", ["date", "asset", "weight", "multiplier", "cap"], _weight_columns(res)),
         ):
             _write_csv(out / f"{kind}_{name}.csv", (header, columns))
     benchmark = results["ew_eligible"]

@@ -17,11 +17,8 @@ class ConfigError(ValueError, FactortiltError):
 
 
 class InfeasibleCapsError(ValueError, FactortiltError):
-    """Weight caps sum to less than one; no capped allocation exists."""
-
-
-class ProjectionError(RuntimeError, FactortiltError):
-    """Cap-and-redistribute projection failed to terminate cleanly."""
+    """The caps of the members that hold weight sum to less than one; no
+    capped allocation exists."""
 
 
 class StatsError(ValueError, FactortiltError):

@@ -114,7 +114,6 @@ _REPORT_VALUES = attrgetter(*_REPORT_FIELDS)
 @dataclass(frozen=True)
 class RebalanceSchedule:
     dates: tuple[str, ...]
-    frequency: str = "semiannual"
 
     def __post_init__(self):
         for a, b in zip(self.dates, self.dates[1:]):
@@ -713,8 +712,7 @@ def build_schedule(
                 hits.add(snapped)
     if not hits:
         raise ConfigError("no rebalance dates in range")
-    label = "semiannual" if set(anchors) == set(DEFAULT_ANCHORS) else f"anchors={len(anchors)}/yr"
-    return RebalanceSchedule(dates=tuple(sorted(hits)), frequency=label)
+    return RebalanceSchedule(dates=tuple(sorted(hits)))
 
 
 def _average_dollar_volumes(panel: MarketPanel, it: int, lookback: int) -> np.ndarray:

@@ -1,6 +1,6 @@
 """Portfolio weights: equal-weight baseline, bounded multiplicative factor
 tilts with renormalization, and liquidity-capped projection onto the simplex
-via iterative cap-and-redistribute.
+in closed form (one sort).
 
 Each stage is an array kernel over member positions (normalize_tilt,
 cap_values, project_onto_caps), and tilted_weights composes them."""
@@ -12,7 +12,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import ConfigError, InfeasibleCapsError, ProjectionError, check_finite
+from .errors import ConfigError, InfeasibleCapsError, check_finite
 from .factors import FACTORS, FactorMatrix
 
 WEIGHT_SUM_TOL = 1e-9
@@ -46,14 +46,12 @@ class TiltParams:
 
 @dataclass(frozen=True)
 class CapParams:
-    """Liquidity-weighted cap parameters. max_iterations None means
-    10 * universe size."""
+    """Liquidity-weighted cap parameters."""
 
     c_max: float = 0.10
     kappa: float = 0.05
     gamma: float = 0.5
     epsilon: float = 1e-12
-    max_iterations: int | None = None
 
     def __post_init__(self):
         check_finite(kappa=self.kappa, epsilon=self.epsilon)
@@ -65,8 +63,6 @@ class CapParams:
             raise ConfigError(f"gamma must be in [0, 1], got {self.gamma}")
         if self.epsilon <= 0:
             raise ConfigError(f"epsilon must be > 0, got {self.epsilon}")
-        if self.max_iterations is not None and self.max_iterations < 1:
-            raise ConfigError("max_iterations must be >= 1 when given")
 
 
 @dataclass
@@ -129,7 +125,7 @@ def normalize_tilt(w: np.ndarray, m: np.ndarray) -> np.ndarray:
     raw = w * m
     denom = float(raw.sum())
     if denom <= 0:
-        raise ProjectionError("tilted weights sum to a non-positive value")
+        raise ConfigError("tilted weights sum to a non-positive value")
     return raw / denom
 
 
@@ -149,18 +145,18 @@ def cap_values(adv: np.ndarray, params: CapParams) -> np.ndarray:
 
 
 def project_onto_caps(w: np.ndarray, caps: np.ndarray, params: CapParams) -> np.ndarray:
-    """Iterative projection of the members' weights w onto their caps: cap
-    the breaching set, redistribute the excess proportionally over the free
-    set, repeat until nothing new breaches or the excess falls below epsilon.
+    """The members' weights w projected onto their caps c (caps above 1
+    count as 1): min(c_i, s * w_i), with s the one scale at which the
+    result sums to 1, so members that never bind keep their proportions.
 
-    Members once capped stay capped for the rest of the call (the breaching
-    set is cumulative), so each pass retires at least one member and the
-    loop terminates within member-count passes. Relative proportions of
-    never-capped members are preserved. Caps above 1 count as 1.
+    The members that bind are those with the smallest c_i / w_i, a prefix
+    of that order. The first member k with s_k * w_k <= c_k, where
+    s_k = (1 - sum(c[:k])) / sum(w[k:]), ends the prefix: capped members
+    get exactly c_i and the rest s_k * w_i. When nothing breaches, w is
+    returned unchanged (as a copy).
 
-    Raises InfeasibleCapsError up front when sum(min(c_i, 1)) < 1 - epsilon,
-    and ProjectionError if the loop fails to settle (unreachable for feasible
-    caps with positive weights)."""
+    Raises InfeasibleCapsError when the caps of the members that hold
+    weight sum to less than 1 - epsilon."""
     w = np.array(w, dtype=float)
     c = np.minimum(caps, 1.0)
     if np.any(c < 0):
@@ -168,31 +164,25 @@ def project_onto_caps(w: np.ndarray, caps: np.ndarray, params: CapParams) -> np.
     total = float(w.sum())
     if abs(total - 1.0) > WEIGHT_SUM_TOL:
         raise ConfigError(f"projection input must sum to 1, got {total!r}")
-    if float(c.sum()) < 1.0 - params.epsilon:
+    held = np.flatnonzero(w > 0)
+    room = float(c[held].sum())
+    if room < 1.0 - params.epsilon:
         raise InfeasibleCapsError(
-            f"caps sum to {float(c.sum())!r} < 1; no feasible capped allocation"
+            f"caps of the members that hold weight sum to {room!r} < 1; no feasible capped allocation"
         )
-    max_iter = params.max_iterations if params.max_iterations is not None else max(10 * len(w), 10)
-    capped = np.zeros(len(w), dtype=bool)
-    for _ in range(max_iter):
-        breach = ~capped & (w > c)
-        if not breach.any():
-            break
-        excess = float((w[breach] - c[breach]).sum())
-        w[breach] = c[breach]
-        capped |= breach
-        free = ~capped
-        free_mass = float(w[free].sum())
-        if free_mass <= 0:
-            # feasibility guarantees the residual excess is below tolerance
-            if excess <= params.epsilon:
-                break
-            raise ProjectionError("no free mass to absorb the excess weight")
-        w[free] += excess * w[free] / free_mass
-        if excess < params.epsilon:
-            break
-    else:
-        raise ProjectionError(f"projection did not settle within {max_iter} iterations")
+    if not (w > c).any():
+        return w
+    order = held[(c[held] / w[held]).argsort(kind="stable")]
+    wo, co = w[order], c[order]
+    capped_mass = np.zeros(len(order))
+    co[:-1].cumsum(out=capped_mass[1:])  # sum(c[:k])
+    s = (1.0 - capped_mass) / wo[::-1].cumsum()[::-1]
+    fits = s * wo <= co
+    # none fits when the caps sum to 1 within epsilon: every member binds
+    k = int(fits.argmax()) if fits.any() else len(order)
+    w[order[:k]] = co[:k]
+    if k < len(order):
+        w[order[k:]] = s[k] * wo[k:]
     return w
 
 

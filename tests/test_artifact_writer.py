@@ -129,11 +129,10 @@ def oracle_screens(panel, universes, matrices):
     yield "factors.csv", ["date", "asset", "factor", "raw", "z"], rows
 
 
-def oracle_weight_rows(result, report_multipliers: bool):
+def oracle_weight_rows(result):
     for wv in result.weights:
         held = np.flatnonzero(wv.w)
-        tilted = report_multipliers and wv.multipliers is not None
-        mults = wv.multipliers[held] if tilted else np.ones(len(held))
+        mults = wv.multipliers[held] if wv.multipliers is not None else np.ones(len(held))
         caps = wv.caps[held] if wv.caps is not None else np.full(len(held), np.nan)
         for i, x, m, c in zip(held.tolist(), wv.w[held].tolist(), mults.tolist(), caps.tolist()):
             yield wv.t, wv.assets[i], x, m, c
@@ -145,7 +144,7 @@ def oracle_results(results, cfg):
         yield f"returns_{name}.csv", ["date", "return", "equity"], zip(res.dates, res.daily_returns, res.equity_curve)
         yield f"turnover_{name}.csv", ["date", "turnover", "cost"], zip(res.rebalance_dates, res.turnover, res.costs)
         yield (f"weights_{name}.csv", ["date", "asset", "weight", "multiplier", "cap"],
-               oracle_weight_rows(res, name == "dmft"))
+               oracle_weight_rows(res))
     benchmark = results["ew_eligible"]
     for name in STRATEGIES:
         report = summarize(results[name], benchmark=benchmark, n_trials=cfg.n_trials, nw_lag=cfg.nw_lag)

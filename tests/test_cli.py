@@ -442,8 +442,7 @@ def test_input_that_is_not_utf8_is_one_line(tmp_path, synth_dir, capsys):
 
 def test_every_package_error_is_a_factortilt_error():
     for cls, base in ((errors.DataError, ValueError), (errors.ConfigError, ValueError),
-                      (errors.InfeasibleCapsError, ValueError), (errors.StatsError, ValueError),
-                      (errors.ProjectionError, RuntimeError)):
+                      (errors.InfeasibleCapsError, ValueError), (errors.StatsError, ValueError)):
         assert issubclass(cls, errors.FactortiltError) and issubclass(cls, base)
 
 
@@ -492,15 +491,23 @@ def test_malformed_config_is_a_config_error(tmp_path):
         load_config(cfg)
 
 
-def test_compatibility_keys_still_load(tmp_path, synth_dir):
-    # [run] threads and out and [caps] max_iterations are accepted;
-    # perfbench's generated run.ini is loaded by the benchmark smoke test
+def test_compatibility_keys_still_load(tmp_path, synth_dir, capsys):
+    # [run] threads and out are accepted; perfbench's generated run.ini is
+    # loaded by the benchmark smoke test. [caps] max_iterations, the bound of
+    # the iterative projection the closed form replaced, is rejected
     cfg = tmp_path / "run.ini"
-    cfg.write_text(CONFIG_TEMPLATE.format(data=synth_dir, start="2020-06-01", end="2022-06-30", lam="0.3")
-                   .replace("[run]\n", "[run]\nthreads = 4\nout = elsewhere\n")
-                   + "\n[caps]\nenabled = true\nmax_iterations = 50\nepsilon = 1e-12\n")
+    text = (CONFIG_TEMPLATE.format(data=synth_dir, start="2020-06-01", end="2022-06-30", lam="0.3")
+            .replace("[run]\n", "[run]\nthreads = 4\nout = elsewhere\n")
+            + "\n[caps]\nenabled = true\nepsilon = 1e-12\n")
+    cfg.write_text(text)
     loaded = load_config(cfg)
-    assert loaded.out_dir == Path("elsewhere") and loaded.caps.max_iterations == 50
+    assert loaded.out_dir == Path("elsewhere") and loaded.caps.epsilon == 1e-12
+    cfg.write_text(text + "max_iterations = 50\n")
+    message = "unknown key 'max_iterations' in [caps]; valid keys: enabled, c_max, kappa, gamma, epsilon"
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        load_config(cfg)
+    assert main(["validate", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == f"error: {cfg}: {message}\n"
 
 
 def test_readme_config_example_loads(tmp_path):

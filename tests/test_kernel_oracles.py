@@ -95,11 +95,19 @@ def same_bits(got, want, what):
 # depends on where numpy's partition puts them, which a sort, or two
 # separate np.quantile calls, do not always reproduce
 signed_zeros = st.lists(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, -3.0, math.nan]), max_size=80)
+# ties, NaN and inf among ordinary values
+mixed = st.lists(st.one_of(st.floats(-1e9, 1e9), st.sampled_from([math.nan, math.inf, 0.0, 1.5, -2.0])),
+                 max_size=50)
 
 
 @SETTINGS
-@given(values=st.one_of(signed_zeros, st.lists(st.floats(-1e300, 1e300), max_size=300)),
-       p=st.one_of(st.sampled_from([0.01, 0.25, 0.4999, 1e-20]), st.floats(0.0, 0.4999)))
+@given(values=st.one_of(signed_zeros, mixed, st.lists(st.floats(-1e300, 1e300), max_size=300)),
+       p=st.one_of(st.sampled_from([0.0, 0.01, 0.25, 0.4999, 1e-20]), st.floats(0.0, 0.4999)))
+@example(values=[1.0, 5.0, -3.0], p=0.0)
+@example(values=[math.nan, math.nan], p=0.1)
+@example(values=[], p=0.1)
+@example(values=[math.nan, 7.0, math.nan], p=0.3)
+@example(values=[2.0, 2.0, 2.0, 1.0, 2.0, 9.0, 9.0], p=0.2)
 @example(values=[-0.0], p=0.1)
 @example(values=[0.0, -0.0, 0.0, -0.0, -1.0, 1.0], p=0.2)
 @example(values=[-0.0, -0.0, 1.0], p=1e-20)  # (n-1)(1-p) rounds up to n-1

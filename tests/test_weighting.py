@@ -165,7 +165,8 @@ class TestLiquidityCaps:
 
 
 class TestCapAndRedistribute:
-    """project_onto_caps, the cap-and-redistribute stage."""
+    """project_onto_caps, the capped projection: the closed form gives what
+    cap-and-redistribute converges to."""
 
     def test_one_pass_hand_case(self):
         out = project_onto_caps(np.array([0.6, 0.3, 0.1]), np.array([0.4, 1.0, 1.0]), CapParams())
@@ -183,6 +184,24 @@ class TestCapAndRedistribute:
     def test_infeasible_caps_error(self):
         with pytest.raises(InfeasibleCapsError):
             project_onto_caps(np.array([0.6, 0.4]), np.array([0.5, 0.3]), CapParams())
+
+    def test_room_is_measured_on_members_that_hold_weight(self):
+        # the caps sum to 1.8, but the zero-weight member cannot take any of
+        # the 0.2 the other two must shed
+        with pytest.raises(InfeasibleCapsError, match="sum to 0.8 < 1"):
+            project_onto_caps(np.array([0.6, 0.4, 0.0]), np.array([0.5, 0.3, 1.0]), CapParams())
+
+    def test_zero_weight_member_stays_at_zero(self):
+        out = project_onto_caps(np.array([0.6, 0.0, 0.4]), np.array([0.5, 1.0, 1.0]), CapParams())
+        np.testing.assert_allclose(out, [0.5, 0.0, 0.5], atol=1e-15)
+        assert out[1] == 0.0
+
+    def test_every_member_capped(self):
+        # caps summing to exactly 1, and to 1 less a shortfall below epsilon,
+        # where no scale fits and every member gets its cap
+        for w, caps in (([0.7, 0.2, 0.1], [0.5, 0.25, 0.25]), ([0.6, 0.4], [0.5, 0.5 - 1e-13])):
+            out = project_onto_caps(np.array(w), np.array(caps), CapParams())
+            np.testing.assert_array_equal(out, caps)
 
     def test_idempotent(self):
         rng = np.random.default_rng(1)
