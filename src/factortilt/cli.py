@@ -1,7 +1,9 @@
 """Command-line front end: validate, backtest, diagnose, synth.
 
-Config files are INI-style (configparser) with one section per module. Every
-default is materialized into the run manifest so no setting is silent.
+Config files are INI-style (configparser) with one section per module. The
+parameter classes are the schema of their sections: each field is a key,
+parsed by the type of its default, and an omitted key keeps that default.
+Every default is materialized into the run manifest so no setting is silent.
 Outputs are plain CSV and contain nothing non-deterministic, so identical
 configs produce byte-identical artifact directories.
 """
@@ -17,7 +19,7 @@ import shutil
 import sys
 import tempfile
 from contextlib import contextmanager, suppress
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from itertools import starmap
 from pathlib import Path
 
@@ -37,12 +39,18 @@ from .calibration import CalibrationParams, build_ic_series, information_ratio, 
 from .eligibility import EligibilityParams
 from .errors import ConfigError, DataError, FactortiltError
 from .factors import FACTORS, FactorParams
-from .market_data import build_schedule, check_asset_ids, check_date, load_panel, parse_panel, save_panel
+from .market_data import (
+    DEFAULT_ANCHORS,
+    build_schedule,
+    check_asset_ids,
+    check_date,
+    load_panel,
+    parse_panel,
+    save_panel,
+)
 from .stats import factor_redundancy, summarize
 from .synthetic import GENERATOR_NAME, generate, scenario_from_mapping
 from .weighting import CapParams, TiltParams
-
-log = logging.getLogger(__name__)
 
 _CONVENTIONS = (
     ("turnover", "one-way sum|dw| per rebalance, range [0,2]"),
@@ -60,35 +68,29 @@ _CONVENTIONS = (
 
 @dataclass
 class RunConfig:
+    """A run config: the input paths and schedule, the statistics' settings,
+    the tilted strategy's BacktestConfig, and the calibration. Every value
+    is checked when the config is built."""
+
     prices: Path
     volumes: Path
     mktcap: Path
     fundamentals: Path
     start: str
     end: str
-    anchors: tuple[tuple[int, int], ...] = ((1, 1), (7, 1))
-    cost_rate: float = 0.0
-    weight_mode: str = "constant_mix"
+    anchors: tuple[tuple[int, int], ...] = DEFAULT_ANCHORS
     n_trials: int = len(STRATEGIES)
-    nw_lag: int | None = None
+    nw_lag: int | None = None  # None is the automatic lag
     out_dir: Path = Path("out")
-    eligibility: EligibilityParams = field(default_factory=EligibilityParams)
-    factors: FactorParams = field(default_factory=FactorParams)
-    tilt: TiltParams = field(default_factory=TiltParams)
-    caps: CapParams | None = None
+    backtest: BacktestConfig = field(default_factory=BacktestConfig)
     calibration: CalibrationParams = field(default_factory=CalibrationParams)
     apply_calibration: bool = False
 
-    def backtest_config(self) -> BacktestConfig:
-        return BacktestConfig(
-            strategy="dmft",
-            cost_rate=self.cost_rate,
-            weight_mode=self.weight_mode,
-            eligibility=self.eligibility,
-            factors=self.factors,
-            tilt=self.tilt,
-            caps=self.caps,
-        )
+    def __post_init__(self):
+        if self.n_trials < 1:
+            raise ConfigError(f"n_trials must be >= 1, got {self.n_trials}")
+        if self.nw_lag is not None and self.nw_lag < 0:
+            raise ConfigError(f"nw_lag must be >= 0 or auto, got {self.nw_lag}")
 
 
 def _parse_anchors(raw: str) -> tuple[tuple[int, int], ...]:
@@ -107,16 +109,35 @@ def _parse_anchors(raw: str) -> tuple[tuple[int, int], ...]:
     return tuple(anchors)
 
 
-# every section and key load_config reads; anything else is rejected
+# the parameter class each of these sections is read into
+_PARAMS = {"eligibility": EligibilityParams, "factors": FactorParams, "tilt": TiltParams, "caps": CapParams,
+           "calibration": CalibrationParams}
+
+
+def _items(params) -> list[tuple[str, str, object]]:
+    """(field, key, value) of each setting of a dataclass instance, in field
+    order. The key is the field name, except `lambda` for lam and one
+    alpha_<factor> per factor for the alpha mapping."""
+    items = []
+    for f in fields(params):
+        value = getattr(params, f.name)
+        if f.name == "alpha":
+            items += [(f.name, f"alpha_{factor.lower()}", value[factor]) for factor in FACTORS]
+        else:
+            items.append((f.name, "lambda" if f.name == "lam" else f.name, value))
+    return items
+
+
+# every section and key load_config reads; anything else is rejected.
+# `[caps] enabled` and `[calibration] apply` are the two keys of a
+# parameter section that its class does not hold
 _KEYS = {
     "data": ("prices", "volumes", "mktcap", "fundamentals"),
     "run": ("start", "end", "anchors", "cost_rate", "weight_mode", "n_trials", "nw_lag", "out", "threads"),
-    "eligibility": ("h_min", "adv_min", "l_adv"),
-    "factors": ("l_mom", "skip", "l_fund", "winsor_p", "winsorize_quality_components"),
-    "tilt": ("alpha_mom", "alpha_val", "alpha_qual", "lambda", "m_min", "m_max"),
-    "caps": ("enabled", "c_max", "kappa", "gamma", "epsilon"),
-    "calibration": ("horizon", "m_min", "min_universe", "apply"),
+    **{section: tuple(key for _, key, _ in _items(cls())) for section, cls in _PARAMS.items()},
 }
+_KEYS["caps"] = ("enabled", *_KEYS["caps"])
+_KEYS["calibration"] += ("apply",)
 
 
 def _check_keys(cp, path: Path) -> None:
@@ -131,16 +152,6 @@ def _check_keys(cp, path: Path) -> None:
                               + ", ".join(_KEYS[section]))
 
 
-def _get(cp, section, key, conv, default):
-    if cp.has_option(section, key):
-        raw = cp.get(section, key).strip()
-        try:
-            return conv(raw)
-        except (ValueError, TypeError):
-            raise ConfigError(f"[{section}] {key}: cannot parse {raw!r}") from None
-    return default
-
-
 def _bool(raw: str) -> bool:
     lowered = raw.strip().lower()
     if lowered in ("1", "true", "yes", "on"):
@@ -150,97 +161,91 @@ def _bool(raw: str) -> bool:
     raise ValueError(raw)
 
 
-def load_config(path, out_override=None) -> RunConfig:
-    """Parse an INI run config; missing keys take the documented defaults
-    and unknown sections or keys are a ConfigError. `[run] threads` is
-    parsed for compatibility and has no effect."""
-    path = Path(path)
+def _get(cp, section, key, default, parse=None):
+    """The value of `key` in [section], or `default` when it is omitted.
+    The parser is `parse`, else the type of the default (`_bool` for a
+    bool)."""
+    if not cp.has_option(section, key):
+        return default
+    parse = parse or (_bool if isinstance(default, bool) else type(default))
+    raw = cp.get(section, key).strip()
+    try:
+        return parse(raw)
+    except (ValueError, TypeError):
+        raise ConfigError(f"[{section}] {key}: cannot parse {raw!r}") from None
+
+
+def _params(cp, section):
+    """[section] read into its parameter class; an omitted key keeps the
+    class default."""
+    cls = _PARAMS[section]
+    kwargs = {}
+    for name, key, default in _items(cls()):
+        value = _get(cp, section, key, default)
+        if name == "alpha":
+            kwargs.setdefault(name, {})[key.removeprefix("alpha_").upper()] = value
+        else:
+            kwargs[name] = value
+    return cls(**kwargs)
+
+
+def _read_ini(path: Path, kind: str, section: str | None = None):
+    """The INI file at `path`, named a `kind` file in errors; text before its first header is in [section]."""
     if not path.exists():
-        raise ConfigError(f"config file {path} does not exist")
+        raise ConfigError(f"{kind} file {path} does not exist")
     cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
-        cp.read_string(path.read_text(encoding="utf-8"), source=str(path))
+        text = path.read_text(encoding="utf-8")
+        stripped = text.lstrip()
+        added = 1 if section and stripped and not stripped.startswith("[") else 0  # a header line
+        cp.read_string(f"[{section}]\n" * added + text, source=str(path))
     except (OSError, UnicodeError) as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from None
-    except configparser.Error as exc:  # names the file and line
-        raise ConfigError(str(exc)) from None
+        raise ConfigError(f"cannot read {kind} file {path}: {exc}") from None
+    except configparser.Error as exc:  # names the file and the line, not counting an added header
+        message = re.sub(r"\[line\s+(\d+)\]", lambda m: f"[line {int(m[1]) - added:2d}]", str(exc))
+        raise ConfigError(re.sub(r"\s*\n\s*", " ", message)) from None
+    return cp
+
+
+def load_config(path, out_override=None) -> RunConfig:
+    """Parse an INI run config; missing keys take the defaults of the
+    classes they configure, and unknown sections or keys are a ConfigError.
+    `[run] threads` is parsed for compatibility and has no effect."""
+    path = Path(path)
+    cp = _read_ini(path, "config")
     _check_keys(cp, path)
-    if not cp.has_section("data"):
-        raise ConfigError(f"{path}: missing [data] section")
-    base = path.parent
+    for section in ("data", "run"):
+        if not cp.has_section(section):
+            raise ConfigError(f"{path}: missing [{section}] section")
 
     def data_path(key):
         if not cp.has_option("data", key):
             raise ConfigError(f"{path}: missing [data] {key}")
         p = Path(cp.get("data", key).strip())
-        return p if p.is_absolute() else base / p
+        return p if p.is_absolute() else path.parent / p
 
-    for section in ("run",):
-        if not cp.has_section(section):
-            raise ConfigError(f"{path}: missing [{section}] section")
-    start = _get(cp, "run", "start", check_date, None)  # a DataError is a ValueError
-    end = _get(cp, "run", "end", check_date, None)
+    start = _get(cp, "run", "start", None, check_date)  # a DataError is a ValueError
+    end = _get(cp, "run", "end", None, check_date)
     if start is None or end is None:
         raise ConfigError(f"{path}: [run] start and end are required")
-
-    default_alpha = {f: 1.0 / len(FACTORS) for f in FACTORS}
-    alpha = {
-        "MOM": _get(cp, "tilt", "alpha_mom", float, default_alpha["MOM"]),
-        "VAL": _get(cp, "tilt", "alpha_val", float, default_alpha["VAL"]),
-        "QUAL": _get(cp, "tilt", "alpha_qual", float, default_alpha["QUAL"]),
-    }
-    tilt = TiltParams(
-        alpha=alpha,
-        lam=_get(cp, "tilt", "lambda", float, 0.25),
-        m_min=_get(cp, "tilt", "m_min", float, 0.5),
-        m_max=_get(cp, "tilt", "m_max", float, 1.5),
-    )
-    caps = None
-    if _get(cp, "caps", "enabled", _bool, False):
-        caps = CapParams(
-            c_max=_get(cp, "caps", "c_max", float, 0.10),
-            kappa=_get(cp, "caps", "kappa", float, 0.05),
-            gamma=_get(cp, "caps", "gamma", float, 0.5),
-            epsilon=_get(cp, "caps", "epsilon", float, 1e-12),
-        )
-    nw_lag = _get(cp, "run", "nw_lag", int, -1)
-    out_dir = out_override if out_override is not None else _get(cp, "run", "out", str, "out")
-    _get(cp, "run", "threads", int, 1)
+    _get(cp, "run", "threads", None, int)
     return RunConfig(
-        prices=data_path("prices"),
-        volumes=data_path("volumes"),
-        mktcap=data_path("mktcap"),
-        fundamentals=data_path("fundamentals"),
-        start=start,
-        end=end,
-        anchors=_parse_anchors(_get(cp, "run", "anchors", str, "01-01,07-01")),
-        cost_rate=_get(cp, "run", "cost_rate", float, 0.0),
-        weight_mode=_get(cp, "run", "weight_mode", str, "constant_mix"),
-        n_trials=_get(cp, "run", "n_trials", int, len(STRATEGIES)),
-        nw_lag=None if nw_lag < 0 else nw_lag,
-        out_dir=Path(out_dir),
-        eligibility=EligibilityParams(
-            h_min=_get(cp, "eligibility", "h_min", int, EligibilityParams().h_min),
-            adv_min=_get(cp, "eligibility", "adv_min", float, EligibilityParams().adv_min),
-            l_adv=_get(cp, "eligibility", "l_adv", int, EligibilityParams().l_adv),
+        *map(data_path, _KEYS["data"]),
+        start=start, end=end,
+        anchors=_get(cp, "run", "anchors", RunConfig.anchors, _parse_anchors),
+        n_trials=_get(cp, "run", "n_trials", RunConfig.n_trials),
+        nw_lag=_get(cp, "run", "nw_lag", RunConfig.nw_lag, lambda raw: None if raw == "auto" else int(raw)),
+        out_dir=Path(out_override) if out_override is not None else _get(cp, "run", "out", RunConfig.out_dir),
+        backtest=BacktestConfig(
+            cost_rate=_get(cp, "run", "cost_rate", BacktestConfig.cost_rate),
+            weight_mode=_get(cp, "run", "weight_mode", BacktestConfig.weight_mode),
+            eligibility=_params(cp, "eligibility"),
+            factors=_params(cp, "factors"),
+            tilt=_params(cp, "tilt"),
+            caps=_params(cp, "caps") if _get(cp, "caps", "enabled", False) else None,
         ),
-        factors=FactorParams(
-            l_mom=_get(cp, "factors", "l_mom", int, FactorParams().l_mom),
-            skip=_get(cp, "factors", "skip", int, FactorParams().skip),
-            l_fund=_get(cp, "factors", "l_fund", int, FactorParams().l_fund),
-            winsor_p=_get(cp, "factors", "winsor_p", float, FactorParams().winsor_p),
-            winsorize_quality_components=_get(
-                cp, "factors", "winsorize_quality_components", _bool, False
-            ),
-        ),
-        tilt=tilt,
-        caps=caps,
-        calibration=CalibrationParams(
-            horizon=_get(cp, "calibration", "horizon", int, CalibrationParams().horizon),
-            m_min=_get(cp, "calibration", "m_min", int, CalibrationParams().m_min),
-            min_universe=_get(cp, "calibration", "min_universe", int, CalibrationParams().min_universe),
-        ),
-        apply_calibration=_get(cp, "calibration", "apply", _bool, False),
+        calibration=_params(cp, "calibration"),
+        apply_calibration=_get(cp, "calibration", "apply", RunConfig.apply_calibration),
     )
 
 
@@ -278,65 +283,43 @@ def _write_csv(path: Path, *tables: tuple[list[str], list], note: str = "") -> N
     path.write_text(note + "\r\n".join(starmap(_table, tables)), encoding="utf-8", newline="")
 
 
+def _echo(value) -> str:
+    """A setting as a manifest writes it: a string or path as it is, a
+    tuple as the repr of each item joined with ',', anything else as its
+    repr."""
+    if isinstance(value, tuple):
+        return ",".join(map(repr, value))
+    return str(value) if isinstance(value, (str, Path)) else repr(value)
+
+
+def _manifest(head: list[str], sections: dict) -> str:
+    """The head lines, then each section's `key = value` lines (values
+    echoed), each block after a blank line."""
+    blocks = [head] + [[f"[{name}]"] + [f"{key} = {_echo(value)}" for key, value in items]
+                       for name, items in sections.items()]
+    return "\n\n".join("\n".join(block) for block in blocks) + "\n"
+
+
 def write_manifest(cfg: RunConfig, path: Path, extra: list[tuple[str, str]] | None = None) -> None:
     """Echo every effective setting, defaults included, plus the fixed
     conventions in force. Deliberately timestamp-free."""
-    lines = [f"factortilt {__version__}", ""]
-    lines.append("[data]")
-    for key in ("prices", "volumes", "mktcap", "fundamentals"):
-        lines.append(f"{key} = {getattr(cfg, key)}")
-    lines.append("")
-    lines.append("[run]")
-    lines.append(f"start = {cfg.start}")
-    lines.append(f"end = {cfg.end}")
-    lines.append(f"anchors = {','.join(f'{m:02d}-{d:02d}' for m, d in cfg.anchors)}")
-    lines.append(f"cost_rate = {cfg.cost_rate!r}")
-    lines.append(f"weight_mode = {cfg.weight_mode}")
-    lines.append(f"n_trials = {cfg.n_trials}")
-    lines.append(f"nw_lag = {'auto' if cfg.nw_lag is None else cfg.nw_lag}")
-    lines.append("")
-    lines.append("[eligibility]")
-    lines.append(f"h_min = {cfg.eligibility.h_min}")
-    lines.append(f"adv_min = {cfg.eligibility.adv_min!r}")
-    lines.append(f"l_adv = {cfg.eligibility.l_adv}")
-    lines.append("")
-    lines.append("[factors]")
-    lines.append(f"l_mom = {cfg.factors.l_mom}")
-    lines.append(f"skip = {cfg.factors.skip}")
-    lines.append(f"l_fund = {cfg.factors.l_fund}")
-    lines.append(f"winsor_p = {cfg.factors.winsor_p!r}")
-    lines.append(f"winsorize_quality_components = {cfg.factors.winsorize_quality_components}")
-    lines.append("")
-    lines.append("[tilt]")
-    for f in FACTORS:
-        lines.append(f"alpha_{f.lower()} = {cfg.tilt.alpha[f]!r}")
-    lines.append(f"lambda = {cfg.tilt.lam!r}")
-    lines.append(f"m_min = {cfg.tilt.m_min!r}")
-    lines.append(f"m_max = {cfg.tilt.m_max!r}")
-    lines.append("")
-    lines.append("[caps]")
-    lines.append(f"enabled = {cfg.caps is not None}")
-    if cfg.caps is not None:
-        lines.append(f"c_max = {cfg.caps.c_max!r}")
-        lines.append(f"kappa = {cfg.caps.kappa!r}")
-        lines.append(f"gamma = {cfg.caps.gamma!r}")
-        lines.append(f"epsilon = {cfg.caps.epsilon!r}")
-    lines.append("")
-    lines.append("[calibration]")
-    lines.append(f"horizon = {cfg.calibration.horizon}")
-    lines.append(f"m_min = {cfg.calibration.m_min}")
-    lines.append(f"min_universe = {cfg.calibration.min_universe}")
-    lines.append(f"apply = {cfg.apply_calibration}")
-    lines.append("")
-    lines.append("[conventions]")
-    for key, value in _CONVENTIONS:
-        lines.append(f"{key} = {value}")
+    bt = cfg.backtest
+    sections = {
+        "data": [(key, getattr(cfg, key)) for key in _KEYS["data"]],
+        "run": [("start", cfg.start), ("end", cfg.end),
+                ("anchors", ",".join(f"{m:02d}-{d:02d}" for m, d in cfg.anchors)), ("cost_rate", bt.cost_rate),
+                ("weight_mode", bt.weight_mode), ("n_trials", cfg.n_trials),
+                ("nw_lag", "auto" if cfg.nw_lag is None else cfg.nw_lag)],
+    }
+    for section in _PARAMS:
+        params = cfg.calibration if section == "calibration" else getattr(bt, section)
+        sections[section] = [] if params is None else [(key, value) for _, key, value in _items(params)]
+    sections["caps"].insert(0, ("enabled", bt.caps is not None))
+    sections["calibration"].append(("apply", cfg.apply_calibration))
+    sections["conventions"] = _CONVENTIONS
     if extra:
-        lines.append("")
-        lines.append("[notes]")
-        for key, value in extra:
-            lines.append(f"{key} = {value}")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        sections["notes"] = extra
+    path.write_text(_manifest([f"factortilt {__version__}"], sections), encoding="utf-8")
 
 
 def _load_inputs(cfg: RunConfig, cached: bool = True):
@@ -480,7 +463,7 @@ def cmd_backtest(cfg: RunConfig) -> int:
     with _staged_out(cfg.out_dir) as out:
         panel, schedule = _load_inputs(cfg)
         notes = []
-        config = cfg.backtest_config()
+        config = cfg.backtest
         snapshots, members, matrices = _screens_and_factors(panel, schedule, config)
         _write_screens(panel, snapshots, members, matrices, out)
         if cfg.apply_calibration:
@@ -500,7 +483,7 @@ def cmd_diagnose(cfg: RunConfig) -> int:
     """Write IC/IR and factor-redundancy reports; backtest outputs untouched."""
     with _staged_out(cfg.out_dir) as out:
         panel, schedule = _load_inputs(cfg)
-        config = cfg.backtest_config()
+        config = cfg.backtest
         snapshots, _, matrices = _screens_and_factors(panel, schedule, config)
         ics = build_ic_series(panel, schedule, matrices, cfg.calibration)
         names = sorted(ics)
@@ -536,19 +519,7 @@ def cmd_synth(spec_path, out_dir, seed_override=None) -> int:
     """Generate a synthetic panel from a scenario file and write the four
     market-data CSVs plus a manifest."""
     path = Path(spec_path)
-    if not path.exists():
-        raise ConfigError(f"scenario file {path} does not exist")
-    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    try:
-        text = path.read_text(encoding="utf-8")
-        stripped = text.lstrip()
-        added = 1 if stripped and not stripped.startswith("[") else 0  # a [scenario] header line
-        cp.read_string("[scenario]\n" * added + text, source=str(path))
-    except (OSError, UnicodeError) as exc:
-        raise ConfigError(f"cannot read scenario file {path}: {exc}") from None
-    except configparser.Error as exc:  # names the file and the line, not counting the added header
-        message = re.sub(r"\[line\s+(\d+)\]", lambda m: f"[line {int(m[1]) - added:2d}]", str(exc))
-        raise ConfigError(re.sub(r"\s*\n\s*", " ", message)) from None
+    cp = _read_ini(path, "scenario", section="scenario")
     section = "scenario" if cp.has_section("scenario") else cp.sections()[0] if cp.sections() else None
     if section is None:
         raise ConfigError(f"{path}: empty scenario file")
@@ -560,22 +531,9 @@ def cmd_synth(spec_path, out_dir, seed_override=None) -> int:
     _check_out_dir(out)
     panel = generate(spec)
     save_panel(panel, out)
-    lines = [
-        f"factortilt {__version__}",
-        f"generator = {GENERATOR_NAME}",
-        f"numpy = {np.__version__}",
-        "",
-        "[scenario]",
-        f"seed = {spec.seed}",
-        f"n_assets = {spec.n_assets}",
-        f"n_days = {spec.n_days}",
-        f"vol = {spec.vol!r}",
-        f"dispersion = {spec.dispersion!r}",
-        f"ic_target = {spec.ic_target!r}",
-        f"liquidity_tiers = {','.join(repr(t) for t in spec.liquidity_tiers)}",
-        f"missing_rate = {spec.missing_rate!r}",
-    ]
-    (out / "manifest.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    head = [f"factortilt {__version__}", f"generator = {GENERATOR_NAME}", f"numpy = {np.__version__}"]
+    text = _manifest(head, {"scenario": [(key, value) for _, key, value in _items(spec)]})
+    (out / "manifest.txt").write_text(text, encoding="utf-8")
     print(f"wrote synthetic panel ({spec.n_assets} assets x {spec.n_days} days) to {out}")
     return 0
 

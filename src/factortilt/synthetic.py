@@ -16,7 +16,7 @@ bit-for-bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from datetime import date as _date, timedelta
 
 import numpy as np
@@ -158,30 +158,20 @@ def _tiers(raw) -> tuple[float, ...]:
     return tuple(float(p) for p in (raw if isinstance(raw, (list, tuple)) else str(raw).split(",")))
 
 
-# every key scenario_from_mapping reads, in ScenarioSpec order, with its parser
-_SCENARIO_KEYS = {
-    "seed": int,
-    "n_assets": int,
-    "n_days": int,
-    "vol": float,
-    "dispersion": float,
-    "ic_target": float,
-    "liquidity_tiers": _tiers,
-    "missing_rate": float,
-}
-
-
 def scenario_from_mapping(values: dict) -> ScenarioSpec:
-    """Build a ScenarioSpec from string-valued key/value pairs (config files).
-    An unknown key or a value that does not parse is a ConfigError."""
-    unknown = set(values) - set(_SCENARIO_KEYS)
+    """Build a ScenarioSpec from string-valued key/value pairs (config files):
+    each key is a field, parsed by the type of its default (a tuple as
+    comma-separated floats). An unknown key or a value that does not parse
+    is a ConfigError."""
+    keys = [f.name for f in fields(ScenarioSpec)]
+    unknown = set(values) - set(keys)
     if unknown:
-        raise ConfigError(f"unknown scenario keys: {sorted(unknown)}; valid keys: " + ", ".join(_SCENARIO_KEYS))
+        raise ConfigError(f"unknown scenario keys: {sorted(unknown)}; valid keys: " + ", ".join(keys))
     kwargs = {}
-    for key, conv in _SCENARIO_KEYS.items():
-        if key in values:
-            try:
-                kwargs[key] = conv(values[key])
-            except (ValueError, TypeError):
-                raise ConfigError(f"[scenario] {key}: cannot parse {values[key]!r}") from None
+    for key in [k for k in keys if k in values]:
+        default = getattr(ScenarioSpec, key)
+        try:
+            kwargs[key] = (_tiers if isinstance(default, tuple) else type(default))(values[key])
+        except (ValueError, TypeError):
+            raise ConfigError(f"[scenario] {key}: cannot parse {values[key]!r}") from None
     return ScenarioSpec(**kwargs)

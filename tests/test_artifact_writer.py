@@ -236,7 +236,7 @@ def test_cli_artifacts_equal_the_row_writer(synth_dir, tmp_path, command, varian
 
     cfg = cli.load_config(tmp_path / "run.ini")
     panel, schedule = cli._load_inputs(cfg)
-    config = cfg.backtest_config()
+    config = cfg.backtest
     universes = {t: compute_eligibility(panel, t, config.eligibility) for t in schedule.dates}
     matrices = {t: build_factor_matrix(panel, u, t, config.factors) for t, u in universes.items() if u.members}
     if command == "backtest":

@@ -328,9 +328,9 @@ def test_diagnose_with_every_universe_empty_names_the_cause(tmp_path, synth_dir,
 def test_load_config_defaults_materialize(tmp_path, synth_dir):
     cfg_path = write_config(tmp_path, synth_dir)
     cfg = load_config(cfg_path)
-    assert cfg.factors.l_fund == 400
-    assert cfg.caps is None
-    assert cfg.tilt.alpha["MOM"] == pytest.approx(1 / 3)
+    assert cfg.backtest.factors.l_fund == 400
+    assert cfg.backtest.caps is None
+    assert cfg.backtest.tilt.alpha["MOM"] == pytest.approx(1 / 3)
     assert cfg.n_trials == 5
     assert cfg.calibration.horizon == 60
 
@@ -501,7 +501,7 @@ def test_compatibility_keys_still_load(tmp_path, synth_dir, capsys):
             + "\n[caps]\nenabled = true\nepsilon = 1e-12\n")
     cfg.write_text(text)
     loaded = load_config(cfg)
-    assert loaded.out_dir == Path("elsewhere") and loaded.caps.epsilon == 1e-12
+    assert loaded.out_dir == Path("elsewhere") and loaded.backtest.caps.epsilon == 1e-12
     cfg.write_text(text + "max_iterations = 50\n")
     message = "unknown key 'max_iterations' in [caps]; valid keys: enabled, c_max, kappa, gamma, epsilon"
     with pytest.raises(ConfigError, match=re.escape(message)):
@@ -516,4 +516,4 @@ def test_readme_config_example_loads(tmp_path):
     cfg = tmp_path / "run.ini"
     cfg.write_text(example)
     loaded = load_config(cfg)
-    assert loaded.tilt.lam == 0.25 and loaded.caps is None and loaded.calibration.horizon == 126
+    assert loaded.backtest.tilt.lam == 0.25 and loaded.backtest.caps is None and loaded.calibration.horizon == 126
