@@ -23,9 +23,9 @@ for a, adv, cap in zip(assets, advs, caps):
 
 raw = np.array([0.30, 0.25, 0.20, 0.15, 0.10])
 print(f"\nraw tilted weights:      {np.round(raw, 4)}")
-projected = project_onto_caps(raw, caps, params)
+projected = project_onto_caps(raw, caps)
 print(f"after the projection:    {np.round(projected, 4)}")
-print(f"caps respected: {bool(np.all(projected <= caps + params.epsilon))}")
+print(f"caps respected: {bool(np.all(projected <= caps + 1e-12))}")
 print(f"still fully invested: sum = {projected.sum():.12f}")
 
 ratio_before = raw[3] / raw[4]
@@ -35,6 +35,6 @@ print(f"never-capped assets keep proportions: {ratio_before:.4f} -> {ratio_after
 print("\ncaps that cannot hold a full allocation are rejected up front:")
 tight = np.full(len(assets), 0.15)  # sums to 0.75 < 1
 try:
-    project_onto_caps(raw, tight, params)
+    project_onto_caps(raw, tight)
 except InfeasibleCapsError as exc:
     print(f"  InfeasibleCapsError: {exc}")

@@ -51,18 +51,15 @@ class CapParams:
     c_max: float = 0.10
     kappa: float = 0.05
     gamma: float = 0.5
-    epsilon: float = 1e-12
 
     def __post_init__(self):
-        check_finite(kappa=self.kappa, epsilon=self.epsilon)
+        check_finite(kappa=self.kappa)
         if not 0 < self.c_max <= 1:
             raise ConfigError(f"c_max must be in (0, 1], got {self.c_max}")
         if self.kappa <= 0:
             raise ConfigError(f"kappa must be > 0, got {self.kappa}")
         if not 0 <= self.gamma <= 1:
             raise ConfigError(f"gamma must be in [0, 1], got {self.gamma}")
-        if self.epsilon <= 0:
-            raise ConfigError(f"epsilon must be > 0, got {self.epsilon}")
 
 
 @dataclass
@@ -144,7 +141,7 @@ def cap_values(adv: np.ndarray, params: CapParams) -> np.ndarray:
     return np.minimum(caps, 1.0)
 
 
-def project_onto_caps(w: np.ndarray, caps: np.ndarray, params: CapParams) -> np.ndarray:
+def project_onto_caps(w: np.ndarray, caps: np.ndarray) -> np.ndarray:
     """The members' weights w projected onto their caps c (caps above 1
     count as 1): min(c_i, s * w_i), with s the one scale at which the
     result sums to 1, so members that never bind keep their proportions.
@@ -156,7 +153,8 @@ def project_onto_caps(w: np.ndarray, caps: np.ndarray, params: CapParams) -> np.
     returned unchanged (as a copy).
 
     Raises InfeasibleCapsError when the caps of the members that hold
-    weight sum to less than 1 - epsilon."""
+    weight sum to less than 1 - WEIGHT_SUM_TOL, the tolerance of a
+    WeightVector's sum."""
     w = np.array(w, dtype=float)
     c = np.minimum(caps, 1.0)
     if np.any(c < 0):
@@ -166,7 +164,7 @@ def project_onto_caps(w: np.ndarray, caps: np.ndarray, params: CapParams) -> np.
         raise ConfigError(f"projection input must sum to 1, got {total!r}")
     held = np.flatnonzero(w > 0)
     room = float(c[held].sum())
-    if room < 1.0 - params.epsilon:
+    if room < 1.0 - WEIGHT_SUM_TOL:
         raise InfeasibleCapsError(
             f"caps of the members that hold weight sum to {room!r} < 1; no feasible capped allocation"
         )
@@ -178,7 +176,7 @@ def project_onto_caps(w: np.ndarray, caps: np.ndarray, params: CapParams) -> np.
     co[:-1].cumsum(out=capped_mass[1:])  # sum(c[:k])
     s = (1.0 - capped_mass) / wo[::-1].cumsum()[::-1]
     fits = s * wo <= co
-    # none fits when the caps sum to 1 within epsilon: every member binds
+    # none fits when the caps sum to 1 within WEIGHT_SUM_TOL: every member binds
     k = int(fits.argmax()) if fits.any() else len(order)
     w[order[:k]] = co[:k]
     if k < len(order):
@@ -212,7 +210,7 @@ def tilted_weights(
     cap_row = None
     if caps is not None:
         c = cap_values(adv, caps)
-        projected = project_onto_caps(w[positions], c, caps)
+        projected = project_onto_caps(w[positions], c)
         w = np.zeros(n)
         w[positions] = projected
         cap_row = np.full(n, np.nan)

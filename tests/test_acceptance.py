@@ -28,7 +28,7 @@ from factortilt.stats import (
     top_k_concentration,
 )
 from factortilt.synthetic import ScenarioSpec, generate
-from factortilt.weighting import CapParams, TiltParams, project_onto_caps, tilted_weights
+from factortilt.weighting import WEIGHT_SUM_TOL, CapParams, TiltParams, project_onto_caps, tilted_weights
 
 from test_weighting import project_oracle
 
@@ -147,30 +147,28 @@ def test_criterion_3_bound_containment():
             assert w.max() <= (m_max / m_min) / n + 1e-9
             assert abs(w.sum() - 1.0) <= 1e-9
             caps = rng.uniform(1.0 / n, 1.0, size=n)  # sum >= 1 by construction
-            params = CapParams()
-            capped = project_onto_caps(w, caps, params)
-            assert np.all(capped <= caps + params.epsilon)
+            capped = project_onto_caps(w, caps)
+            assert np.all(capped <= caps + 1e-12)
 
 
 def test_criterion_4_projection_oracle_equivalence():
     with criterion(4, "cap-and-redistribute matches the naive oracle on 10,000 instances (<= 1e-9)"):
         rng = np.random.default_rng(104)
-        params = CapParams()
         feasible = infeasible = 0
         for _ in range(10000):
             n = int(rng.integers(1, 9))
             raw = rng.dirichlet(np.full(n, 0.7))
             caps = rng.uniform(0.04, 1.0, size=n)
-            if caps.sum() < 1.0 - params.epsilon:
+            if caps.sum() < 1.0 - WEIGHT_SUM_TOL:
                 infeasible += 1
                 with pytest.raises(InfeasibleCapsError):
-                    project_onto_caps(raw, caps, params)
+                    project_onto_caps(raw, caps)
                 with pytest.raises(InfeasibleCapsError):
-                    project_oracle(raw, caps, params.epsilon)
+                    project_oracle(raw, caps)
                 continue
             feasible += 1
-            mine = project_onto_caps(raw, caps, params)
-            ref = project_oracle(raw, caps, params.epsilon)
+            mine = project_onto_caps(raw, caps)
+            ref = project_oracle(raw, caps)
             assert np.max(np.abs(mine - np.asarray(ref))) <= 1e-9
         assert feasible >= 5000 and infeasible >= 500
 

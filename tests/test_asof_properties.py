@@ -232,6 +232,6 @@ def test_dmft_multipliers_bounded_and_caps_hold(panel, p, day, lam, m_min, m_max
         return
     assert np.all((wv.multipliers >= m_min) & (wv.multipliers <= m_max))
     capped = np.isfinite(wv.caps)
-    assert np.all(wv.w[capped] <= wv.caps[capped] + caps.epsilon)
+    assert np.all(wv.w[capped] <= wv.caps[capped] + 1e-12)
     assert not wv.w[~capped].any()
     assert abs(wv.w.sum() - 1.0) <= 1e-9

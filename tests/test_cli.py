@@ -383,12 +383,11 @@ def test_one_snapshot_per_rebalance_date(tmp_path, synth_dir, monkeypatch, comma
     (lambda v: BacktestConfig(cost_rate=v), "cost_rate"),
     (lambda v: EligibilityParams(adv_min=v), "adv_min"),
     (lambda v: CapParams(kappa=v), "kappa"),
-    (lambda v: CapParams(epsilon=v), "epsilon"),
     (lambda v: ScenarioSpec(vol=v), "vol"),
     (lambda v: ScenarioSpec(dispersion=v), "dispersion"),
     (lambda v: ScenarioSpec(ic_target=v), "ic_target"),
     (lambda v: ScenarioSpec(liquidity_tiers=(1.0, v)), "liquidity_tiers"),
-], ids=["lam", "alpha", "cost_rate", "adv_min", "kappa", "epsilon", "vol", "dispersion", "ic_target", "tiers"])
+], ids=["lam", "alpha", "cost_rate", "adv_min", "kappa", "vol", "dispersion", "ic_target", "tiers"])
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
 def test_non_finite_parameters_are_rejected(make, name, value):
     with pytest.raises(ConfigError, match=re.escape(f"{name} must be finite, got ")):
@@ -494,20 +493,22 @@ def test_malformed_config_is_a_config_error(tmp_path):
 def test_compatibility_keys_still_load(tmp_path, synth_dir, capsys):
     # [run] threads and out are accepted; perfbench's generated run.ini is
     # loaded by the benchmark smoke test. [caps] max_iterations, the bound of
-    # the iterative projection the closed form replaced, is rejected
+    # the iterative projection the closed form replaced, and epsilon, the
+    # feasibility tolerance the weight-sum tolerance replaced, are rejected
     cfg = tmp_path / "run.ini"
     text = (CONFIG_TEMPLATE.format(data=synth_dir, start="2020-06-01", end="2022-06-30", lam="0.3")
             .replace("[run]\n", "[run]\nthreads = 4\nout = elsewhere\n")
-            + "\n[caps]\nenabled = true\nepsilon = 1e-12\n")
+            + "\n[caps]\nenabled = true\n")
     cfg.write_text(text)
     loaded = load_config(cfg)
-    assert loaded.out_dir == Path("elsewhere") and loaded.backtest.caps.epsilon == 1e-12
-    cfg.write_text(text + "max_iterations = 50\n")
-    message = "unknown key 'max_iterations' in [caps]; valid keys: enabled, c_max, kappa, gamma, epsilon"
-    with pytest.raises(ConfigError, match=re.escape(message)):
-        load_config(cfg)
-    assert main(["validate", "--config", str(cfg)]) == 1
-    assert capsys.readouterr().err == f"error: {cfg}: {message}\n"
+    assert loaded.out_dir == Path("elsewhere") and loaded.backtest.caps == CapParams()
+    for key, value in (("max_iterations", "50"), ("epsilon", "1e-12")):
+        cfg.write_text(text + f"{key} = {value}\n")
+        message = f"unknown key '{key}' in [caps]; valid keys: enabled, c_max, kappa, gamma"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            load_config(cfg)
+        assert main(["validate", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == f"error: {cfg}: {message}\n"
 
 
 def test_readme_config_example_loads(tmp_path):

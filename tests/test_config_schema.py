@@ -113,7 +113,6 @@ NON_DEFAULT = {
     ("caps", "c_max"): "0.2",
     ("caps", "kappa"): "0.1",
     ("caps", "gamma"): "0.7",
-    ("caps", "epsilon"): "1e-10",
     ("calibration", "horizon"): "30",
     ("calibration", "m_min"): "3",
     ("calibration", "min_universe"): "7",
@@ -212,7 +211,6 @@ enabled = True
 c_max = 0.12
 kappa = 0.08
 gamma = 0.6
-epsilon = 1e-12
 
 [calibration]
 horizon = 80

@@ -93,7 +93,7 @@ def oracle_caps(universe: EligibilitySet, adv: dict, params: CapParams) -> dict:
     return dict(zip(universe.members, caps.tolist()))
 
 
-def oracle_project(raw: WeightVector, caps: dict, params: CapParams) -> WeightVector:
+def oracle_project(raw: WeightVector, caps: dict) -> WeightVector:
     """Cap-and-redistribute: cap the breaching members, hand their excess
     proportionally to the members never capped, repeat."""
     idx = oracle_positions(raw.assets, caps)
@@ -102,7 +102,7 @@ def oracle_project(raw: WeightVector, caps: dict, params: CapParams) -> WeightVe
     total = float(w.sum())
     if abs(total - 1.0) > WEIGHT_SUM_TOL:
         raise ConfigError(f"projection input must sum to 1, got {total!r}")
-    if float(c.sum()) < 1.0 - params.epsilon:
+    if float(c.sum()) < 1.0 - WEIGHT_SUM_TOL:
         raise InfeasibleCapsError(f"caps sum to {float(c.sum())!r} < 1")
     capped = np.zeros(len(w), dtype=bool)
     for _ in range(len(w) + 1):  # each pass but the last caps a member for good
@@ -115,11 +115,11 @@ def oracle_project(raw: WeightVector, caps: dict, params: CapParams) -> WeightVe
         free = ~capped
         free_mass = float(w[free].sum())
         if free_mass <= 0:
-            if excess <= params.epsilon:
+            if excess <= 1e-12:
                 break
             raise InfeasibleCapsError("no free mass to absorb the excess weight")
         w[free] += excess * w[free] / free_mass
-        if excess < params.epsilon:
+        if excess < 1e-12:
             break
     else:
         raise AssertionError("cap-and-redistribute did not settle")
@@ -140,7 +140,7 @@ def oracle_build(universe, factor_matrix, tilt: TiltParams, caps: CapParams | No
         cap_map = oracle_caps(universe, adv, caps)
         cap_row = np.array([cap_map[a] for a in factor_matrix.assets])
         binds = bool(np.any(weights.w[positions] > cap_row))
-        weights = oracle_project(weights, cap_map, caps)
+        weights = oracle_project(weights, cap_map)
         weights.caps = np.full(len(baseline.assets), np.nan)
         weights.caps[positions] = cap_row
     weights.multipliers = np.ones(len(baseline.assets))

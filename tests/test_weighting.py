@@ -6,6 +6,7 @@ from factortilt.eligibility import EligibilityParams
 from factortilt.errors import ConfigError, InfeasibleCapsError
 from factortilt.factors import FactorMatrix
 from factortilt.weighting import (
+    WEIGHT_SUM_TOL,
     CapParams,
     TiltParams,
     bounded_multiplier,
@@ -43,10 +44,10 @@ def empty_universe_weights(strategy):
 
 def project_oracle(w, caps, eps=1e-12, max_iter=100000):
     """Naive pure-python cap-and-redistribute, kept independent of the
-    vectorized implementation."""
+    vectorized implementation; it stops once less than eps is moved."""
     w = [float(x) for x in w]
     c = [min(float(x), 1.0) for x in caps]
-    if sum(c) < 1.0 - eps:
+    if sum(c) < 1.0 - WEIGHT_SUM_TOL:
         raise InfeasibleCapsError("caps sum below 1")
     for _ in range(max_iter):
         breaching = [i for i in range(len(w)) if w[i] > c[i]]
@@ -169,38 +170,38 @@ class TestCapAndRedistribute:
     cap-and-redistribute converges to."""
 
     def test_one_pass_hand_case(self):
-        out = project_onto_caps(np.array([0.6, 0.3, 0.1]), np.array([0.4, 1.0, 1.0]), CapParams())
+        out = project_onto_caps(np.array([0.6, 0.3, 0.1]), np.array([0.4, 1.0, 1.0]))
         np.testing.assert_allclose(out, [0.4, 0.45, 0.15], atol=1e-12)
 
     def test_no_breach_is_fixed_point(self):
         start = np.array([0.5, 0.3, 0.2])
-        out = project_onto_caps(start, np.array([0.6, 0.6, 0.6]), CapParams())
+        out = project_onto_caps(start, np.array([0.6, 0.6, 0.6]))
         np.testing.assert_array_equal(out, start)
 
     def test_two_cap_hand_case(self):
-        out = project_onto_caps(np.array([0.5, 0.45, 0.05]), np.array([0.4, 0.4, 1.0]), CapParams())
+        out = project_onto_caps(np.array([0.5, 0.45, 0.05]), np.array([0.4, 0.4, 1.0]))
         np.testing.assert_allclose(out, [0.4, 0.4, 0.2], atol=1e-12)
 
     def test_infeasible_caps_error(self):
         with pytest.raises(InfeasibleCapsError):
-            project_onto_caps(np.array([0.6, 0.4]), np.array([0.5, 0.3]), CapParams())
+            project_onto_caps(np.array([0.6, 0.4]), np.array([0.5, 0.3]))
 
     def test_room_is_measured_on_members_that_hold_weight(self):
         # the caps sum to 1.8, but the zero-weight member cannot take any of
         # the 0.2 the other two must shed
         with pytest.raises(InfeasibleCapsError, match="sum to 0.8 < 1"):
-            project_onto_caps(np.array([0.6, 0.4, 0.0]), np.array([0.5, 0.3, 1.0]), CapParams())
+            project_onto_caps(np.array([0.6, 0.4, 0.0]), np.array([0.5, 0.3, 1.0]))
 
     def test_zero_weight_member_stays_at_zero(self):
-        out = project_onto_caps(np.array([0.6, 0.0, 0.4]), np.array([0.5, 1.0, 1.0]), CapParams())
+        out = project_onto_caps(np.array([0.6, 0.0, 0.4]), np.array([0.5, 1.0, 1.0]))
         np.testing.assert_allclose(out, [0.5, 0.0, 0.5], atol=1e-15)
         assert out[1] == 0.0
 
     def test_every_member_capped(self):
-        # caps summing to exactly 1, and to 1 less a shortfall below epsilon,
-        # where no scale fits and every member gets its cap
+        # caps summing to exactly 1, and to 1 less a shortfall within the
+        # weight-sum tolerance, where no scale fits and every member gets its cap
         for w, caps in (([0.7, 0.2, 0.1], [0.5, 0.25, 0.25]), ([0.6, 0.4], [0.5, 0.5 - 1e-13])):
-            out = project_onto_caps(np.array(w), np.array(caps), CapParams())
+            out = project_onto_caps(np.array(w), np.array(caps))
             np.testing.assert_array_equal(out, caps)
 
     def test_idempotent(self):
@@ -211,34 +212,33 @@ class TestCapAndRedistribute:
             caps = rng.uniform(0.3, 1.0, n)
             if caps.sum() < 1:
                 continue
-            once = project_onto_caps(raw, caps, CapParams())
-            twice = project_onto_caps(once, caps, CapParams())
+            once = project_onto_caps(raw, caps)
+            twice = project_onto_caps(once, caps)
             np.testing.assert_array_equal(once, twice)
 
     def test_never_capped_keep_relative_proportions(self):
         raw = np.array([0.40, 0.30, 0.18, 0.12])
-        out = project_onto_caps(raw, np.array([0.25, 0.25, 1.0, 1.0]), CapParams())
+        out = project_onto_caps(raw, np.array([0.25, 0.25, 1.0, 1.0]))
         assert out[2] / out[3] == pytest.approx(0.18 / 0.12, rel=1e-12)
 
     def test_matches_oracle_on_random_instances(self):
         rng = np.random.default_rng(2)
-        params = CapParams()
         for _ in range(300):
             n = int(rng.integers(2, 9))
             raw = rng.dirichlet(np.full(n, 0.7))
             caps_arr = rng.uniform(0.05, 1.0, n)
-            feasible = caps_arr.sum() >= 1 - params.epsilon
+            feasible = caps_arr.sum() >= 1 - WEIGHT_SUM_TOL
             if feasible:
-                mine = project_onto_caps(raw, caps_arr, params)
-                ref = project_oracle(raw, caps_arr, params.epsilon)
+                mine = project_onto_caps(raw, caps_arr)
+                ref = project_oracle(raw, caps_arr)
                 np.testing.assert_allclose(mine, ref, atol=1e-9)
-                assert np.all(mine <= caps_arr + params.epsilon)
+                assert np.all(mine <= caps_arr + 1e-12)
                 assert mine.sum() == pytest.approx(1.0, abs=1e-9)
             else:
                 with pytest.raises(InfeasibleCapsError):
-                    project_onto_caps(raw, caps_arr, params)
+                    project_onto_caps(raw, caps_arr)
                 with pytest.raises(InfeasibleCapsError):
-                    project_oracle(raw, caps_arr, params.epsilon)
+                    project_oracle(raw, caps_arr)
 
 
 class TestBuildWeights:
@@ -267,7 +267,19 @@ class TestBuildWeights:
         caps = np.minimum(0.45, 0.4 * np.array([400, 200, 100]) / 200.0)
         ref = project_oracle(raw, caps)
         np.testing.assert_allclose(out.w, ref, atol=1e-9)
-        assert np.all(out.w <= caps + cap_params.epsilon)
+        assert np.all(out.w <= caps + 1e-12)
+
+    def test_caps_short_of_one_within_the_weight_sum_tolerance(self):
+        # equal ADV gives every member the cap c_max; these sum to 1 - 5e-10
+        c_max = (1.0 - 5e-10) / 3
+        out = weights(self.members(3), np.zeros((3, 3)), TiltParams(), CapParams(c_max=c_max, kappa=1.0),
+                      adv=np.ones(3))
+        np.testing.assert_array_equal(out.w, np.full(3, c_max))
+
+    def test_caps_short_of_one_beyond_the_tolerance_are_infeasible(self):
+        # an InfeasibleCapsError, not a WeightVector whose weights sum to 0.99
+        with pytest.raises(InfeasibleCapsError, match="sum to 0.99"):
+            weights(self.members(3), np.zeros((3, 3)), TiltParams(), CapParams(c_max=0.33, kappa=1.0), adv=np.ones(3))
 
     def test_max_weight_closed_form_bound(self):
         rng = np.random.default_rng(4)
