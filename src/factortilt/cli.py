@@ -153,7 +153,7 @@ def _check_keys(cp, path: Path) -> None:
 
 
 def _bool(raw: str) -> bool:
-    lowered = raw.strip().lower()
+    lowered = raw.lower()
     if lowered in ("1", "true", "yes", "on"):
         return True
     if lowered in ("0", "false", "no", "off"):

@@ -1,3 +1,4 @@
+import configparser
 import csv
 import math
 import re
@@ -518,3 +519,16 @@ def test_readme_config_example_loads(tmp_path):
     cfg.write_text(example)
     loaded = load_config(cfg)
     assert loaded.backtest.tilt.lam == 0.25 and loaded.backtest.caps is None and loaded.calibration.horizon == 126
+    # the example documents every key but [run] threads, in the schema's order
+    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    cp.read_string(example)
+    assert {s: cp.options(s) for s in cp.sections()} == {
+        s: [k for k in keys if (s, k) != ("run", "threads")] for s, keys in cli._KEYS.items()}
+
+
+def test_config_without_a_section_header_is_one_line(tmp_path, capsys):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("prices = a.csv\n")
+    assert main(["validate", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: File contains no section headers. file: '{cfg}', line: 1 ") and err.count("\n") == 1

@@ -223,7 +223,7 @@ apply = True
 
 
 def test_manifest_text(tmp_path):
-    # the text the hand-written manifest lines produced, key for key
+    # every line of the manifest before its conventions, byte for byte
     cfg = RunConfig(
         *(Path("data") / f"{key}.csv" for key in cli._KEYS["data"]),
         start="2020-09-01", end="2024-10-31", anchors=((2, 1), (8, 1)), n_trials=7, nw_lag=3,

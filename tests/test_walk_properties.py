@@ -7,15 +7,13 @@ by the iterative cap-and-redistribute loop. They agree bit for bit, except
 that weights on a date where a cap binds agree within 1e-12 (the closed-form
 projection rounds differently from the loop). The walk's one day loop over
 every book is compared bit for bit with the per-config evolution it
-replaced, kept here too. Also compared with plain oracles: AsOf.history
-with a direct count of prices before t, and winsorize with two quantile
-calls. Last, the accounting identities of every strategy's backtest. All
-on random panels with gaps.
+replaced, kept here too. Also compared with a plain oracle: AsOf.history
+with a direct count of prices before t. Last, the accounting identities of
+every strategy's backtest. All on random panels with gaps.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import replace
 from itertools import compress
 
@@ -35,7 +33,7 @@ from factortilt.backtest import (
 )
 from factortilt.eligibility import EligibilitySet, compute_eligibility
 from factortilt.errors import ConfigError, InfeasibleCapsError
-from factortilt.factors import build_factor_matrix, winsorize
+from factortilt.factors import build_factor_matrix
 from factortilt.market_data import AsOf, RebalanceSchedule
 from factortilt.synthetic import ScenarioSpec, generate
 from factortilt.weighting import (
@@ -362,32 +360,6 @@ def test_generated_panel_has_no_history_counts_until_a_snapshot():
     assert "history_counts" not in vars(panel)
     AsOf(panel, panel.calendar.days[5])
     assert panel.history_counts.shape == (41, 4) and panel.history_counts.dtype == np.int32
-
-
-def winsorize_oracle(values, p):
-    arr = np.asarray(values, dtype=float).copy()
-    finite = np.isfinite(arr)
-    if p == 0 or not finite.any():
-        return arr
-    lo = np.quantile(arr[finite], p)
-    hi = np.quantile(arr[finite], 1.0 - p)
-    arr[finite] = np.clip(arr[finite], lo, hi)
-    return arr
-
-
-values = st.lists(st.one_of(st.floats(-1e9, 1e9), st.sampled_from([math.nan, math.inf, 0.0, 1.5, -2.0])),
-                  max_size=50)
-
-
-@SETTINGS
-@given(values=values, p=st.one_of(st.sampled_from([0.0, 0.01, 0.25, 0.4999]), st.floats(0.0, 0.4999)))
-@example(values=[1.0, 5.0, -3.0], p=0.0)
-@example(values=[math.nan, math.nan], p=0.1)
-@example(values=[], p=0.1)
-@example(values=[math.nan, 7.0, math.nan], p=0.3)
-@example(values=[2.0, 2.0, 2.0, 1.0, 2.0, 9.0, 9.0], p=0.2)
-def test_winsorize_equals_two_quantile_calls(values, p):
-    same_bits(winsorize(values, p), winsorize_oracle(values, p), (values, p))
 
 
 @SETTINGS
