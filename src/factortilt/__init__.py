@@ -11,11 +11,8 @@ from .backtest import (
     STRATEGIES,
     BacktestConfig,
     BacktestResult,
-    run_backtest,
     run_baselines,
     run_factor_removals,
-    target_weights,
-    turnover_series,
 )
 from .calibration import (
     CalibrationParams,
@@ -50,7 +47,6 @@ from .market_data import (
     load_panel,
     parse_panel,
     save_panel,
-    truncate_calendar,
 )
 from .stats import (
     StatsReport,

@@ -30,7 +30,6 @@ WEIGHT_MODES = ("constant_mix", "drift")
 
 @dataclass(frozen=True)
 class BacktestConfig:
-    strategy: str = "dmft"
     cost_rate: float = 0.0
     weight_mode: str = "constant_mix"
     eligibility: EligibilityParams = field(default_factory=EligibilityParams)
@@ -39,8 +38,6 @@ class BacktestConfig:
     caps: CapParams | None = None
 
     def __post_init__(self):
-        if self.strategy not in STRATEGIES:
-            raise ConfigError(f"unknown strategy {self.strategy!r}, expected one of {STRATEGIES}")
         check_finite(cost_rate=self.cost_rate)
         if self.cost_rate < 0:
             raise ConfigError(f"cost_rate must be >= 0, got {self.cost_rate}")
@@ -60,13 +57,13 @@ class BacktestResult:
     weights: list[WeightVector]
 
 
-def pool_positions(snap: AsOf, config: BacktestConfig) -> np.ndarray:
-    """Positions of the members of the config's pool at the snapshot's date:
+def pool_positions(snap: AsOf, strategy: str, config: BacktestConfig) -> np.ndarray:
+    """Positions of the members of the strategy's pool at the snapshot's date:
     the screens for dmft and ew_eligible, any computable raw signal for
     fixed_universe (quality needs all three components), any price before t
     for ew_all, a market cap at t-1 for cap_weighted. Built once per pool and
     eligibility parameters, kept on the snapshot, and logged when empty."""
-    pool = _POOLS.get(config.strategy, config.strategy)
+    pool = _POOLS.get(strategy, strategy)
     key = (pool, config.eligibility)
     if key not in snap.pools:
         if pool == "screened":
@@ -82,25 +79,24 @@ def pool_positions(snap: AsOf, config: BacktestConfig) -> np.ndarray:
     return snap.pools[key]
 
 
-def pool_matrix(snap: AsOf, config: BacktestConfig) -> FactorMatrix:
-    """The factor matrix of the config's non-empty pool at the snapshot's
+def pool_matrix(snap: AsOf, strategy: str, config: BacktestConfig) -> FactorMatrix:
+    """The factor matrix of the strategy's non-empty pool at the snapshot's
     date: built once per pool, eligibility and factor parameters and kept on
     the snapshot."""
-    key = (_POOLS.get(config.strategy, config.strategy), config.eligibility, config.factors)
+    key = (_POOLS.get(strategy, strategy), config.eligibility, config.factors)
     if key not in snap.matrices:
-        snap.matrices[key] = select_factor_matrix(snap, pool_positions(snap, config), config.factors)
+        snap.matrices[key] = select_factor_matrix(snap, pool_positions(snap, strategy, config), config.factors)
     return snap.matrices[key]
 
 
-def _date_targets(snap: AsOf, configs) -> dict[str, WeightVector]:
-    """Every config's target weights at the snapshot's date, from the pool
-    positions and factor matrices the snapshot keeps, so configs that share
-    a pool and its parameters read one of each."""
+def _date_targets(snap: AsOf, config: BacktestConfig, books) -> dict[str, WeightVector]:
+    """Every book's target weights at the snapshot's date, each book a
+    (strategy, tilt) pair, from the pool positions and factor matrices the
+    snapshot keeps, so books that share a pool read one of each."""
     assets = tuple(snap.panel.assets)
     out = {}
-    for name, config in configs.items():
-        s = config.strategy
-        positions = pool_positions(snap, config)
+    for name, (s, tilt) in books.items():
+        positions = pool_positions(snap, s, config)
         w = np.zeros(len(assets))
         if not positions.size:
             out[name] = WeightVector(t=snap.t, assets=assets, w=w)
@@ -113,13 +109,8 @@ def _date_targets(snap: AsOf, configs) -> dict[str, WeightVector]:
         else:
             caps = config.caps if s == "dmft" else None
             adv = None if caps is None else snap.adv[positions]
-            out[name] = tilted_weights(snap.t, assets, positions, pool_matrix(snap, config), adv, config.tilt, caps)
+            out[name] = tilted_weights(snap.t, assets, positions, pool_matrix(snap, s, config), adv, tilt, caps)
     return out
-
-
-def target_weights(panel: MarketPanel, t: str, config: BacktestConfig) -> WeightVector:
-    """Target weight vector for one strategy at one rebalance date."""
-    return _date_targets(snapshot(panel, t, config), {config.strategy: config})[config.strategy]
 
 
 def _windows(config: BacktestConfig) -> tuple:
@@ -143,15 +134,19 @@ def _given_snapshot(snapshots: dict[str, AsOf], panel: MarketPanel, t: str, conf
 
 
 def _run(
-    panel: MarketPanel, schedule: RebalanceSchedule, configs, end: str | None, snapshots=None
+    panel: MarketPanel, schedule: RebalanceSchedule, config: BacktestConfig, books, end: str | None, snapshots=None
 ) -> dict[str, BacktestResult]:
-    """Walk the rebalance dates once, building one snapshot per date (or
-    taking it from `snapshots`, keyed by date) that every config's targets
-    read, then evolve every config's book in one day loop. The configs
-    share the snapshot windows (l_adv, l_mom, skip, l_fund) and the weight
-    mode."""
-    if len({config.weight_mode for config in configs.values()}) > 1:
-        raise ConfigError("the configs of one walk must share a weight mode")
+    """Walk the rebalance dates once under one config, building one snapshot
+    per date (or taking it from `snapshots`, keyed by date) that every
+    named (strategy, tilt) book's targets read, then evolve every book from
+    the first rebalance date through `end` (panel end by default) in one
+    day loop.
+
+    Daily return on day d uses the weights held coming into d; on a rebalance
+    date the book is then traded to the new targets and the turnover cost is
+    deducted from that day's return. Between rebalances, constant_mix holds
+    the targets fixed while drift lets weights evolve with relative returns
+    (turnover is then measured against the drifted weights)."""
     cal = panel.calendar
     for t in schedule.dates:
         if t not in cal:
@@ -164,11 +159,10 @@ def _run(
     if i_end < i_start:
         raise ConfigError("backtest end precedes the first rebalance date")
 
-    first = next(iter(configs.values()))
     reb_dates = [t for t in schedule.dates if t <= end]
     per_date = [
-        _date_targets(snapshot(panel, t, first) if snapshots is None
-                      else _given_snapshot(snapshots, panel, t, first), configs)
+        _date_targets(snapshot(panel, t, config) if snapshots is None
+                      else _given_snapshot(snapshots, panel, t, config), config, books)
         for t in reb_dates
     ]
     # a missing asset return is zero
@@ -177,18 +171,18 @@ def _run(
         asset_returns[1:] = panel.price[1:] / panel.price[:-1] - 1.0
     np.nan_to_num(asset_returns, copy=False)
     span = asset_returns[i_start : i_end + 1]
-    trades = {cal.position(t) - i_start: np.stack([targets[name].w for name in configs])
+    trades = {cal.position(t) - i_start: np.stack([targets[name].w for name in books])
               for t, targets in zip(reb_dates, per_date)}
-    daily, turnover = _evolve_books(span, trades, first.weight_mode == "drift")
-    costs = np.array([config.cost_rate for config in configs.values()])[:, None] * turnover
+    daily, turnover = _evolve_books(span, trades, config.weight_mode == "drift")
+    costs = config.cost_rate * turnover
     daily[:, sorted(trades)] -= costs
     equity = np.cumprod(1.0 + daily, axis=1)
     dates = cal.days[i_start : i_end + 1]
     return {
-        name: BacktestResult(strategy=config.strategy, dates=list(dates), daily_returns=daily[j],
+        name: BacktestResult(strategy=s, dates=list(dates), daily_returns=daily[j],
                              equity_curve=equity[j], rebalance_dates=list(reb_dates), turnover=turnover[j],
                              costs=costs[j], weights=[targets[name] for targets in per_date])
-        for j, (name, config) in enumerate(configs.items())
+        for j, (name, (s, _)) in enumerate(books.items())
     }
 
 
@@ -219,24 +213,6 @@ def _evolve_books(returns: np.ndarray, trades: dict, drift: bool) -> tuple[np.nd
     return gross, np.array(turnover).T.copy()
 
 
-def run_backtest(
-    panel: MarketPanel,
-    schedule: RebalanceSchedule,
-    config: BacktestConfig,
-    end: str | None = None,
-) -> BacktestResult:
-    """Evolve the configured strategy from the first rebalance date through
-    `end` (panel end by default).
-
-    Daily return on day d uses the weights held coming into d; on a rebalance
-    date the book is then traded to the new targets and the turnover cost is
-    deducted from that day's return. Between rebalances, constant_mix holds
-    the targets fixed while drift lets weights evolve with relative returns
-    (turnover is then measured against the drifted weights).
-    """
-    return _run(panel, schedule, {config.strategy: config}, end)[config.strategy]
-
-
 def run_baselines(
     panel: MarketPanel,
     schedule: RebalanceSchedule,
@@ -253,39 +229,26 @@ def run_baselines(
     rebuilt, nor are the pools and factor matrices it already keeps; a
     missing date or a snapshot of another panel, date or set of windows
     raises ConfigError."""
-    configs = {
-        s: replace(config, strategy=s, caps=config.caps if s == "dmft" else None)
-        for s in STRATEGIES
-    }
-    return _run(panel, schedule, configs, end, snapshots)
+    return _run(panel, schedule, config, {s: (s, config.tilt) for s in STRATEGIES}, end, snapshots)
 
 
-def turnover_series(result: BacktestResult) -> tuple[list[str], np.ndarray, float]:
-    """Per-rebalance one-way turnover plus the annualized aggregate
-    sum(turnover) * 252 / days covered."""
-    n_days = len(result.dates)
-    if n_days == 0:
-        raise ConfigError("empty backtest result")
-    annualized = float(result.turnover.sum()) * 252.0 / n_days
-    return list(result.rebalance_dates), result.turnover.copy(), annualized
-
-
-def removal_config(config: BacktestConfig, factor: str) -> BacktestConfig:
-    """Config with one factor removed from the mixture: remaining weights are
-    renormalized proportionally, shared uniformly if they carried no weight,
-    and removal of the last factor degenerates to the untilted baseline."""
-    alpha = dict(config.tilt.alpha)
+def removal_tilt(tilt: TiltParams, factor: str) -> TiltParams:
+    """The tilt with one factor removed from the mixture: remaining weights
+    are renormalized proportionally, shared uniformly if they carried no
+    weight, and removal of the last factor degenerates to the untilted
+    baseline."""
+    alpha = dict(tilt.alpha)
     if factor not in alpha:
         raise ConfigError(f"factor {factor!r} not in mixture")
     rest = [f for f in alpha if f != factor]
     if not rest:
-        return replace(config, tilt=replace(config.tilt, lam=0.0))
+        return replace(tilt, lam=0.0)
     rest_total = sum(alpha[f] for f in rest)
     if rest_total > 0:
         new_alpha = {f: (alpha[f] / rest_total if f in rest else 0.0) for f in alpha}
     else:
         new_alpha = {f: (1.0 / len(rest) if f in rest else 0.0) for f in alpha}
-    return replace(config, tilt=replace(config.tilt, alpha=new_alpha))
+    return replace(tilt, alpha=new_alpha)
 
 
 def run_factor_removals(
@@ -296,9 +259,10 @@ def run_factor_removals(
     *,
     snapshots: dict[str, AsOf] | None = None,
 ) -> dict[str, BacktestResult]:
-    """Full run plus one rerun per factor with that factor removed, for
-    marginal contribution diagnostics. `snapshots` is as in run_baselines."""
-    configs = {"full": config}
+    """The dmft book under the full tilt plus one per factor with that
+    factor removed, for marginal contribution diagnostics, in one walk.
+    `snapshots` is as in run_baselines."""
+    books = {"full": ("dmft", config.tilt)}
     for f in config.tilt.alpha:
-        configs[f"drop_{f}"] = removal_config(config, f)
-    return _run(panel, schedule, configs, end, snapshots)
+        books[f"drop_{f}"] = ("dmft", removal_tilt(config.tilt, f))
+    return _run(panel, schedule, config, books, end, snapshots)

@@ -196,8 +196,8 @@ def _read_ini(path: Path, kind: str, section: str | None = None):
     cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
         text = path.read_text(encoding="utf-8")
-        stripped = text.lstrip()
-        added = 1 if section and stripped and not stripped.startswith("[") else 0  # a header line
+        first = next((line for line in map(str.strip, text.splitlines()) if line and line[0] not in "#;"), "")
+        added = 1 if section and first and not first.startswith("[") else 0  # a header line
         cp.read_string(f"[{section}]\n" * added + text, source=str(path))
     except (OSError, UnicodeError) as exc:
         raise ConfigError(f"cannot read {kind} file {path}: {exc}") from None
@@ -229,6 +229,7 @@ def load_config(path, out_override=None) -> RunConfig:
     if start is None or end is None:
         raise ConfigError(f"{path}: [run] start and end are required")
     _get(cp, "run", "threads", None, int)
+    caps = _params(cp, "caps")  # parsed and checked even when caps are off
     return RunConfig(
         *map(data_path, _KEYS["data"]),
         start=start, end=end,
@@ -242,7 +243,7 @@ def load_config(path, out_override=None) -> RunConfig:
             eligibility=_params(cp, "eligibility"),
             factors=_params(cp, "factors"),
             tilt=_params(cp, "tilt"),
-            caps=_params(cp, "caps") if _get(cp, "caps", "enabled", False) else None,
+            caps=caps if _get(cp, "caps", "enabled", False) else None,
         ),
         calibration=_params(cp, "calibration"),
         apply_calibration=_get(cp, "calibration", "apply", RunConfig.apply_calibration),
@@ -356,8 +357,8 @@ def _screens_and_factors(panel, schedule, config: BacktestConfig):
     positions and their factor matrix (where there are members), which the
     snapshot keeps for the walk."""
     snapshots = {t: snapshot(panel, t, config) for t in schedule.dates}
-    members = {t: pool_positions(snap, config) for t, snap in snapshots.items()}
-    matrices = {t: pool_matrix(snap, config) for t, snap in snapshots.items() if members[t].size}
+    members = {t: pool_positions(snap, "dmft", config) for t, snap in snapshots.items()}
+    matrices = {t: pool_matrix(snap, "dmft", config) for t, snap in snapshots.items() if members[t].size}
     return snapshots, members, matrices
 
 
@@ -520,10 +521,12 @@ def cmd_synth(spec_path, out_dir, seed_override=None) -> int:
     market-data CSVs plus a manifest."""
     path = Path(spec_path)
     cp = _read_ini(path, "scenario", section="scenario")
-    section = "scenario" if cp.has_section("scenario") else cp.sections()[0] if cp.sections() else None
-    if section is None:
+    for section in (["DEFAULT"] if cp.defaults() else []) + cp.sections():
+        if section != "scenario":
+            raise ConfigError(f"{path}: unknown section [{section}]; a scenario file has only [scenario]")
+    if not cp.has_section("scenario"):
         raise ConfigError(f"{path}: empty scenario file")
-    values = dict(cp.items(section))
+    values = dict(cp.items("scenario"))
     if seed_override is not None:
         values["seed"] = str(seed_override)
     spec = scenario_from_mapping(values)

@@ -17,7 +17,7 @@ import os
 import re
 from bisect import bisect_left, bisect_right
 from contextlib import suppress
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from datetime import date as _date
 from functools import cache, cached_property, partial
 from itertools import compress
@@ -822,24 +822,5 @@ def censor_panel(panel: MarketPanel, cutoff: str) -> MarketPanel:
         price=blanked(panel.price),
         volume=blanked(panel.volume),
         mktcap=blanked(panel.mktcap),
-        fundamentals=fundamentals,
-    )
-
-
-def truncate_calendar(panel: MarketPanel, last_day: str) -> MarketPanel:
-    """Copy of the panel restricted to trading days <= last_day."""
-    it = panel.calendar.position(last_day)
-    cal = TradingCalendar(panel.calendar.days[: it + 1])
-    fundamentals = {
-        a: [replace(r) for r in recs if r.report_date <= last_day]
-        for a, recs in panel.fundamentals.items()
-    }
-    fundamentals = {a: recs for a, recs in fundamentals.items() if recs}
-    return MarketPanel(
-        assets=list(panel.assets),
-        calendar=cal,
-        price=panel.price[: it + 1].copy(),
-        volume=panel.volume[: it + 1].copy(),
-        mktcap=panel.mktcap[: it + 1].copy(),
         fundamentals=fundamentals,
     )

@@ -14,7 +14,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .backtest import BacktestResult, turnover_series
+from .backtest import BacktestResult
 from .errors import StatsError
 from .factors import FactorMatrix
 from .weighting import WeightVector
@@ -296,7 +296,6 @@ def summarize(
     eff = float(np.mean([effective_n(w) for w in live])) if live else math.nan
     top5 = float(np.mean([top_k_concentration(w, 5) for w in live])) if live else math.nan
     taa = turnover_adjusted_alpha(result, benchmark) if benchmark is not None else math.nan
-    _, _, ann_to = turnover_series(result)
     return StatsReport(
         strategy=result.strategy,
         ann_return=annualized_return(r),
@@ -307,7 +306,7 @@ def summarize(
         deflated_sharpe=deflated_sharpe(r, n_trials),
         n_trials=n_trials,
         turnover_adjusted_alpha=taa,
-        ann_turnover=ann_to,
+        ann_turnover=float(result.turnover.sum()) * TRADING_DAYS / len(result.dates),
         max_drawdown=max_drawdown(result.equity_curve),
         effective_n=eff,
         top5_concentration=top5,

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from factortilt.backtest import _date_targets, snapshot
 from factortilt.cli import cmd_synth
 from factortilt.market_data import FundamentalRecord, MarketPanel
 from factortilt.synthetic import trading_days
@@ -44,6 +45,12 @@ def make_panel(n_days, assets, price, volume=1000.0, mktcap=1e6, fundamentals=No
         mktcap=grid_from(days.days, assets, mktcap),
         fundamentals=fundamentals or {},
     )
+
+
+def targets_at(panel, t, config, strategy):
+    """One strategy's target weights at rebalance date t, built as the walk
+    builds them."""
+    return _date_targets(snapshot(panel, t, config), config, {strategy: (strategy, config.tilt)})[strategy]
 
 
 def fundamental(report_date, book=math.nan, roe=math.nan, margin=math.nan, leverage=math.nan):

@@ -14,7 +14,7 @@ from datetime import date, timedelta
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from factortilt.backtest import STRATEGIES, BacktestConfig, snapshot, target_weights
+from factortilt.backtest import STRATEGIES, BacktestConfig, snapshot
 from factortilt.calibration import forward_returns
 from factortilt.eligibility import EligibilityParams, compute_eligibility
 from factortilt.errors import InfeasibleCapsError
@@ -22,6 +22,8 @@ from factortilt.factors import FactorParams, build_factor_matrix, standardize, w
 from factortilt.market_data import FundamentalRecord, MarketPanel, censor_panel
 from factortilt.synthetic import trading_days
 from factortilt.weighting import CapParams, TiltParams
+
+from conftest import targets_at
 
 SETTINGS = settings(derandomize=True, max_examples=40, deadline=None)
 
@@ -207,12 +209,12 @@ def test_targets_ignore_data_from_t_on(panel, p, day):
     t = panel.calendar.days[int(day * (panel.n_days - 1))]
     censored = censor_panel(panel, t)
     for s in STRATEGIES:
-        config = config_for(p, strategy=s, caps=CapParams(c_max=1.0, kappa=1.0) if s == "dmft" else None)
+        config = config_for(p, caps=CapParams(c_max=1.0, kappa=1.0))
         try:
-            full = target_weights(panel, t, config)
+            full = targets_at(panel, t, config, s)
         except InfeasibleCapsError:
             continue
-        cut = target_weights(censored, t, config)
+        cut = targets_at(censored, t, config, s)
         np.testing.assert_array_equal(full.w, cut.w, err_msg=s)
 
 
@@ -225,7 +227,7 @@ def test_dmft_multipliers_bounded_and_caps_hold(panel, p, day, lam, m_min, m_max
     caps = CapParams(c_max=c_max, kappa=kappa, gamma=gamma)
     config = config_for(p, tilt=TiltParams(lam=lam, m_min=m_min, m_max=m_max), caps=caps)
     try:
-        wv = target_weights(panel, t, config)
+        wv = targets_at(panel, t, config, "dmft")
     except InfeasibleCapsError:
         return
     if not wv.w.any():

@@ -6,21 +6,19 @@ import pytest
 
 from factortilt.backtest import (
     BacktestConfig,
-    run_backtest,
+    removal_tilt,
     run_baselines,
     run_factor_removals,
     snapshot,
-    target_weights,
-    turnover_series,
 )
 from factortilt.eligibility import EligibilityParams
 from factortilt.errors import ConfigError, DataError
 from factortilt.factors import FactorParams
 from factortilt.market_data import RebalanceSchedule, censor_panel
 from factortilt.synthetic import ScenarioSpec, generate
-from factortilt.weighting import TiltParams
+from factortilt.weighting import CapParams, TiltParams
 
-from conftest import make_panel
+from conftest import make_panel, targets_at
 
 
 def loose_config(**kw):
@@ -41,7 +39,7 @@ class TestRunBacktest:
         prices = [100.0 * (1.02**i) for i in range(20)]
         panel = make_panel(20, ["A"], price={"A": prices})
         sched = schedule_at(panel, 8)
-        res = run_backtest(panel, sched, loose_config(strategy="ew_eligible"))
+        res = run_baselines(panel, sched, loose_config())["ew_eligible"]
         expected = np.array(prices[9:]) / np.array(prices[8:-1]) - 1.0
         np.testing.assert_allclose(res.daily_returns[1:], expected, atol=1e-15)
         assert res.daily_returns[0] == 0.0  # cash into the market, costless by default
@@ -51,14 +49,13 @@ class TestRunBacktest:
         b = [100.0, 100, 100, 100, 90.0]
         panel = make_panel(5, ["A", "B"], price={"A": a, "B": b})
         sched = schedule_at(panel, 3)
-        res = run_backtest(panel, sched, loose_config(strategy="ew_eligible",
-                                                      eligibility=EligibilityParams(3, 0.0, 3)))
+        res = run_baselines(panel, sched, loose_config(eligibility=EligibilityParams(3, 0.0, 3)))["ew_eligible"]
         assert res.daily_returns[-1] == pytest.approx(0.0, abs=1e-15)
 
     def test_initial_rebalance_turnover_and_cost(self):
         panel = make_panel(10, ["A", "B"], price=100.0)
         sched = schedule_at(panel, 6)
-        res = run_backtest(panel, sched, loose_config(strategy="ew_eligible", cost_rate=0.002))
+        res = run_baselines(panel, sched, loose_config(cost_rate=0.002))["ew_eligible"]
         assert res.turnover[0] == 1.0
         assert res.costs[0] == pytest.approx(0.002)
         assert res.daily_returns[0] == pytest.approx(-0.002)
@@ -66,10 +63,9 @@ class TestRunBacktest:
     def test_accounting_identity(self):
         panel = generate(ScenarioSpec(seed=4, n_assets=8, n_days=160, dispersion=0.8, vol=0.015))
         sched = schedule_at(panel, 40, 100)
-        res = run_backtest(panel, sched, loose_config(strategy="dmft",
-                                                      eligibility=EligibilityParams(30, 0.0, 10),
-                                                      factors=FactorParams(l_mom=20, skip=2),
-                                                      cost_rate=0.001))
+        res = run_baselines(panel, sched, loose_config(eligibility=EligibilityParams(30, 0.0, 10),
+                                                       factors=FactorParams(l_mom=20, skip=2),
+                                                       cost_rate=0.001))["dmft"]
         eq = 1.0
         for r, e in zip(res.daily_returns, res.equity_curve):
             eq *= 1.0 + r
@@ -79,13 +75,12 @@ class TestRunBacktest:
         panel = generate(ScenarioSpec(seed=5, n_assets=6, n_days=140, dispersion=0.9, vol=0.01))
         sched = schedule_at(panel, 40, 90)
         kwargs = dict(
-            strategy="dmft",
             eligibility=EligibilityParams(30, 0.0, 10),
             factors=FactorParams(l_mom=20, skip=2),
         )
         curves = []
         for rate in (0.0, 0.001, 0.01):
-            res = run_backtest(panel, sched, loose_config(cost_rate=rate, **kwargs))
+            res = run_baselines(panel, sched, loose_config(cost_rate=rate, **kwargs))["dmft"]
             curves.append(res.equity_curve)
         assert np.all(curves[1] <= curves[0] + 1e-15)
         assert np.all(curves[2] <= curves[1] + 1e-15)
@@ -94,17 +89,16 @@ class TestRunBacktest:
         a = [100.0, 100, 100, None, 120.0]
         panel = make_panel(5, ["A"], price={"A": a})
         sched = schedule_at(panel, 2)
-        res = run_backtest(panel, sched, loose_config(strategy="ew_eligible",
-                                                      eligibility=EligibilityParams(2, 0.0, 2)))
+        res = run_baselines(panel, sched, loose_config(eligibility=EligibilityParams(2, 0.0, 2)))["ew_eligible"]
         # day 3 has no price, day 4 has no prior price: both zero
         np.testing.assert_array_equal(res.daily_returns, [0.0, 0.0, 0.0])
 
     def test_empty_universe_holds_cash(self, caplog):
         panel = make_panel(10, ["A"], price=100.0)
         sched = schedule_at(panel, 5)
-        cfg = loose_config(strategy="ew_eligible", eligibility=EligibilityParams(100, 0.0, 5))
+        cfg = loose_config(eligibility=EligibilityParams(100, 0.0, 5))
         with caplog.at_level(logging.WARNING):
-            res = run_backtest(panel, sched, cfg)
+            res = run_baselines(panel, sched, cfg)["ew_eligible"]
         assert "empty universe" in caplog.text
         np.testing.assert_array_equal(res.daily_returns, np.zeros(5))
         np.testing.assert_array_equal(res.weights[0].w, [0.0])
@@ -126,19 +120,17 @@ class TestRunBacktest:
         panel = make_panel(10, ["A"], price=100.0)
         sched = RebalanceSchedule(dates=("2030-01-02",))
         with pytest.raises(DataError, match="outside the panel"):
-            run_backtest(panel, sched, loose_config())
+            run_baselines(panel, sched, loose_config())
 
     def test_no_lookahead_through_rebalance(self):
         panel = generate(ScenarioSpec(seed=6, n_assets=10, n_days=200, dispersion=0.7, vol=0.012))
         sched = schedule_at(panel, 60, 120)
-        cfg = loose_config(strategy="dmft",
-                           eligibility=EligibilityParams(40, 0.0, 10),
-                           factors=FactorParams(l_mom=30, skip=3))
-        full = run_backtest(panel, sched, cfg)
+        cfg = loose_config(eligibility=EligibilityParams(40, 0.0, 10), factors=FactorParams(l_mom=30, skip=3))
+        full = run_baselines(panel, sched, cfg)["dmft"]
         t = sched.dates[1]
         it = panel.calendar.position(t)
         censored = censor_panel(panel, panel.calendar.days[it + 1])
-        cut = run_backtest(censored, sched, cfg, end=t)
+        cut = run_baselines(censored, sched, cfg, end=t)["dmft"]
         k = full.dates.index(t)
         np.testing.assert_array_equal(full.daily_returns[: k + 1], cut.daily_returns)
         for w_full, w_cut in zip(full.weights, cut.weights):
@@ -149,15 +141,14 @@ class TestRunBacktest:
         b = [100.0, 100, 80.0, 80]
         panel = make_panel(4, ["A", "B"], price={"A": a, "B": b})
         sched = schedule_at(panel, 1, 3)
-        cfg = loose_config(strategy="ew_eligible", weight_mode="drift",
+        cfg = loose_config(weight_mode="drift",
                            eligibility=EligibilityParams(1, 0.0, 1))
-        res = run_backtest(panel, sched, cfg)
+        res = run_baselines(panel, sched, cfg)["ew_eligible"]
         # after day 2 the book drifts to (0.6, 0.4); day 3 returns are flat
         # so the trade back to (0.5, 0.5) costs |0.1| + |0.1| one-way
         assert res.turnover[1] == pytest.approx(0.2)
         # constant-mix trades nothing at the second rebalance
-        res_cm = run_backtest(panel, sched, loose_config(strategy="ew_eligible",
-                                                         eligibility=EligibilityParams(1, 0.0, 1)))
+        res_cm = run_baselines(panel, sched, loose_config(eligibility=EligibilityParams(1, 0.0, 1)))["ew_eligible"]
         assert res_cm.turnover[1] == pytest.approx(0.0)
 
 
@@ -165,10 +156,8 @@ class TestTurnoverSeries:
     def test_unchanged_weights_zero_turnover(self):
         panel = make_panel(12, ["A", "B"], price=100.0)
         sched = schedule_at(panel, 6, 9)
-        res = run_backtest(panel, sched, loose_config(strategy="ew_eligible"))
-        _, series, annualized = turnover_series(res)
-        assert series[1] == 0.0
-        assert annualized == pytest.approx((1.0 + 0.0) * 252 / len(res.dates))
+        res = run_baselines(panel, sched, loose_config())["ew_eligible"]
+        np.testing.assert_array_equal(res.turnover, [1.0, 0.0])
 
     def test_full_replacement_is_two(self):
         # A delists in spirit: loses eligibility as B becomes the only member
@@ -176,8 +165,8 @@ class TestTurnoverSeries:
         b = [None] * 4 + [100.0] * 8
         panel = make_panel(12, ["A", "B"], price={"A": a, "B": b})
         sched = schedule_at(panel, 5, 10)
-        cfg = loose_config(strategy="ew_eligible", eligibility=EligibilityParams(3, 0.0, 3))
-        res = run_backtest(panel, sched, cfg)
+        cfg = loose_config(eligibility=EligibilityParams(3, 0.0, 3))
+        res = run_baselines(panel, sched, cfg)["ew_eligible"]
         np.testing.assert_array_equal(res.weights[0].w, [1.0, 0.0])
         np.testing.assert_array_equal(res.weights[1].w, [0.0, 1.0])
         assert res.turnover[1] == 2.0
@@ -186,7 +175,7 @@ class TestTurnoverSeries:
         # engineered (0.6, 0.4) -> (0.5, 0.5) via cap-weight then equal-weight? keep direct:
         panel = make_panel(8, ["A", "B"], price=100.0, mktcap={"A": 60e6, "B": 40e6})
         sched = schedule_at(panel, 4, 6)
-        res_cw = run_backtest(panel, sched, loose_config(strategy="cap_weighted"))
+        res_cw = run_baselines(panel, sched, loose_config())["cap_weighted"]
         np.testing.assert_allclose(res_cw.weights[0].w, [0.6, 0.4], atol=1e-12)
         # switch: compare cap-weight book against the equal-weight targets by hand
         assert abs(res_cw.weights[0].w - np.array([0.5, 0.5])).sum() == pytest.approx(0.2)
@@ -198,7 +187,6 @@ class TestBaselines:
                                       liquidity_tiers=(1.0, 4.0)))
         sched = schedule_at(panel, 60, 120, 180)
         cfg = loose_config(
-            strategy="dmft",
             eligibility=EligibilityParams(40, 0.0, 10),
             factors=FactorParams(l_mom=30, skip=3),
             tilt=TiltParams(lam=lam),
@@ -231,8 +219,7 @@ class TestBaselines:
         panel = make_panel(10, ["A", "B", "C"], price=100.0,
                            mktcap={"A": 60e6, "B": 30e6, "C": 10e6})
         t = panel.calendar.days[5]
-        cfg = loose_config(strategy="cap_weighted")
-        wv = target_weights(panel, t, cfg)
+        wv = targets_at(panel, t, loose_config(), "cap_weighted")
         np.testing.assert_allclose(wv.w, [0.6, 0.3, 0.1], atol=1e-15)
 
     def test_identical_rebalance_dates_across_strategies(self):
@@ -306,7 +293,6 @@ class TestFactorRemovals:
         panel = generate(ScenarioSpec(seed=8, n_assets=6, n_days=160, dispersion=0.8, vol=0.01))
         sched = schedule_at(panel, 50, 100)
         cfg = loose_config(
-            strategy="dmft",
             eligibility=EligibilityParams(30, 0.0, 10),
             factors=FactorParams(l_mom=20, skip=2),
             tilt=TiltParams(alpha={"MOM": 1.0, "VAL": 0.0, "QUAL": 0.0}, lam=0.5),
@@ -319,3 +305,45 @@ class TestFactorRemovals:
         np.testing.assert_allclose(
             runs["drop_VAL"].daily_returns, runs["full"].daily_returns, atol=1e-15
         )
+
+    def test_full_book_is_the_dmft_baseline(self):
+        # one config per walk: the removals' full book is run_baselines' dmft
+        # book, caps included, and every removal book is a dmft book
+        panel = generate(ScenarioSpec(seed=7, n_assets=12, n_days=220, dispersion=0.8, vol=0.01,
+                                      liquidity_tiers=(1.0, 4.0, 16.0)))
+        sched = schedule_at(panel, 60, 120, 180)
+        cfg = loose_config(eligibility=EligibilityParams(40, 0.0, 10), factors=FactorParams(l_mom=30, skip=3),
+                           tilt=TiltParams(lam=1.0), caps=CapParams(c_max=0.15, kappa=0.1), cost_rate=0.001,
+                           weight_mode="drift")
+        full = run_factor_removals(panel, sched, cfg)
+        dmft = run_baselines(panel, sched, cfg)["dmft"]
+        assert {res.strategy for res in full.values()} == {"dmft"}
+        full = full["full"]
+        for attr in ("daily_returns", "equity_curve", "turnover", "costs"):
+            assert getattr(full, attr).tobytes() == getattr(dmft, attr).tobytes(), attr
+        assert (full.dates, full.rebalance_dates) == (dmft.dates, dmft.rebalance_dates)
+        binding = 0
+        for a, b in zip(full.weights, dmft.weights, strict=True):
+            for attr in ("w", "multipliers", "caps"):
+                assert getattr(a, attr).tobytes() == getattr(b, attr).tobytes(), (a.t, attr)
+            binding += int(np.sum(np.isclose(a.w, a.caps, rtol=0, atol=1e-15)))
+        assert binding  # a cap binds somewhere, so the caps reach both walks
+
+
+class TestRemovalTilt:
+    def test_rest_renormalized(self):
+        tilt = removal_tilt(TiltParams(alpha={"MOM": 0.5, "VAL": 0.3, "QUAL": 0.2}, lam=0.4), "VAL")
+        assert tilt.alpha == {"MOM": 0.5 / 0.7, "VAL": 0.0, "QUAL": 0.2 / 0.7}
+        assert (tilt.lam, tilt.m_min, tilt.m_max) == (0.4, 0.5, 1.5)
+
+    def test_rest_without_weight_shared_uniformly(self):
+        tilt = removal_tilt(TiltParams(alpha={"MOM": 1.0, "VAL": 0.0, "QUAL": 0.0}), "MOM")
+        assert tilt.alpha == {"MOM": 0.0, "VAL": 0.5, "QUAL": 0.5}
+
+    def test_last_factor_removed_is_untilted(self):
+        tilt = TiltParams(alpha={"MOM": 1.0}, lam=0.7)
+        assert removal_tilt(tilt, "MOM") == replace(tilt, lam=0.0)
+
+    def test_unknown_factor(self):
+        with pytest.raises(ConfigError, match="factor 'SIZE' not in mixture"):
+            removal_tilt(TiltParams(), "SIZE")

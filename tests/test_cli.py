@@ -200,6 +200,14 @@ class TestSynthCommand:
         assert (out_a / "prices.csv").read_bytes() == (out_b / "prices.csv").read_bytes()
         assert "seed = 99" in (out_a / "manifest.txt").read_text()
 
+    @pytest.mark.parametrize("text", ["# four assets\n[scenario]\n", "# four assets\n\n", "[scenario]\n"],
+                             ids=["comment-then-header", "comment-then-headerless", "header"])
+    def test_headerless_or_one_scenario_section(self, tmp_path, text):
+        scenario = tmp_path / "s.ini"
+        scenario.write_text(text + "n_assets = 4\nn_days = 30\n")
+        assert main(["synth", str(scenario), "--out", str(tmp_path / "out")]) == 0
+        assert "n_assets = 4\n" in (tmp_path / "out" / "manifest.txt").read_text()
+
 
 @pytest.mark.parametrize("content, message", [
     (b"seed = 1\nn_assets = 4\nseed = 2\n",
@@ -208,7 +216,16 @@ class TestSynthCommand:
      "While reading from '{path}' [line  3]: option 'seed' in section 'scenario' already exists"),
     (b"n_assets = 4\nn_days = \xff30\n",
      "cannot read scenario file {path}: 'utf-8' codec can't decode byte 0xff in position 22"),
-], ids=["repeated-key", "repeated-key-with-header", "not-utf8"])
+    (b"[scenario]\nn_assets = 4\n[extra]\nn_assets = 500\n",
+     "{path}: unknown section [extra]; a scenario file has only [scenario]"),
+    (b"n_assets = 4\n[extra]\nn_assets = 500\n",
+     "{path}: unknown section [extra]; a scenario file has only [scenario]"),
+    (b"[whatever]\nn_assets = 4\nn_days = 30\n",
+     "{path}: unknown section [whatever]; a scenario file has only [scenario]"),
+    (b"[DEFAULT]\nn_assets = 500\n[scenario]\nn_assets = 4\n",
+     "{path}: unknown section [DEFAULT]; a scenario file has only [scenario]"),
+], ids=["repeated-key", "repeated-key-with-header", "not-utf8", "extra-section", "headerless-then-extra",
+        "other-section", "default-section"])
 def test_bad_scenario_file_is_one_line(tmp_path, capsys, content, message):
     scenario = tmp_path / "s.ini"
     scenario.write_bytes(content)

@@ -171,6 +171,19 @@ def test_bad_run_values_fail_at_load(tmp_path, synth_dir, capsys, line, message)
     assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("line, message", [
+    ("c_max = abc", "[caps] c_max: cannot parse 'abc'"),
+    ("gamma = 7", "gamma must be in [0, 1], got 7.0"),
+], ids=["c_max", "gamma"])
+def test_disabled_caps_are_still_checked(tmp_path, synth_dir, capsys, line, message):
+    # every key is used or rejected: with caps off the cap keys still parse
+    text = CONFIG_TEMPLATE.format(data=synth_dir, start="2020-06-01", end="2022-06-30", lam="0.3")
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(text + f"\n[caps]\nenabled = false\n{line}\n")
+    assert main(["validate", "--config", str(cfg)]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 EVERY_KEY_MANIFEST = """[data]
 prices = data/prices.csv
 volumes = data/volumes.csv

@@ -172,17 +172,6 @@ class TestAverageDollarVolume:
             AsOf(panel, panel.calendar.days[2], l_adv=0)
 
 
-def test_truncate_calendar_slices_everything():
-    from factortilt.market_data import truncate_calendar
-
-    panel = generate(ScenarioSpec(seed=9, n_assets=4, n_days=80, dispersion=0.5))
-    cut = panel.calendar.days[49]
-    short = truncate_calendar(panel, cut)
-    assert short.calendar.days == panel.calendar.days[:50]
-    np.testing.assert_array_equal(short.price, panel.price[:50])
-    assert all(r.report_date <= cut for recs in short.fundamentals.values() for r in recs)
-
-
 def test_asof_quantities_ignore_cells_from_t_onward():
     rng = np.random.default_rng(11)
     cols = {

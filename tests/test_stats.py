@@ -18,6 +18,7 @@ from factortilt.stats import (
     max_drawdown,
     newey_west_tstat,
     sharpe_ratio,
+    summarize,
     top_k_concentration,
     turnover_adjusted_alpha,
 )
@@ -184,6 +185,13 @@ class TestTurnoverAdjustedAlpha:
         b = result_from(np.full(20, 0.001), start_idx=50, n_total=100)
         with pytest.raises(StatsError, match="disjoint"):
             turnover_adjusted_alpha(a, b)
+
+
+def test_summarize_annualizes_turnover_over_the_days_covered():
+    r = np.random.default_rng(19).normal(0.0005, 0.01, 126)
+    report = summarize(result_from(r, turnover=[1.0, 0.25, 0.5]))
+    assert report.ann_turnover == 1.75 * 252 / 126 == 3.5
+    assert dict(report.rows())["ann_turnover_oneway"] == 3.5
 
 
 class TestMaxDrawdown:

@@ -1,12 +1,12 @@
 """Property tests for the array-native rebalance walk and what it reads.
 
-Every config's targets from the walk are compared with the pipeline it
-replaced, kept here as the oracle: screens into an EligibilitySet, then
-weights built from mappings keyed by asset id and projected onto their caps
-by the iterative cap-and-redistribute loop. They agree bit for bit, except
+Every (strategy, config) book's targets from the walk are compared with
+the pipeline it replaced, kept here as the oracle: screens into an
+EligibilitySet, then weights built from mappings keyed by asset id and
+projected onto their caps by the iterative cap-and-redistribute loop. They agree bit for bit, except
 that weights on a date where a cap binds agree within 1e-12 (the closed-form
 projection rounds differently from the loop). The walk's one day loop over
-every book is compared bit for bit with the per-config evolution it
+every book is compared bit for bit with the per-book evolution it
 replaced, kept here too. Also compared with a plain oracle: AsOf.history
 with a direct count of prices before t. Last, the accounting identities of
 every strategy's backtest. All on random panels with gaps.
@@ -21,12 +21,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from factortilt import backtest
 from factortilt.backtest import (
     STRATEGIES,
     WEIGHT_MODES,
     BacktestResult,
-    removal_config,
+    removal_tilt,
     run_baselines,
     run_factor_removals,
     snapshot,
@@ -155,12 +154,12 @@ def oracle_pool(snap: AsOf, strategy: str) -> np.ndarray:
     return np.isfinite(snap.mktcap)
 
 
-def oracle_targets(panel, snap: AsOf, configs) -> tuple[dict[str, WeightVector], set[str]]:
-    """Each config's targets at snap.t, and the configs on which a cap binds."""
+def oracle_targets(panel, snap: AsOf, books) -> tuple[dict[str, WeightVector], set[str]]:
+    """Each (strategy, config) book's targets at snap.t, and the books on
+    which a cap binds."""
     assets = tuple(panel.assets)
     universes, matrices, out, bound = {}, {}, {}, set()
-    for name, config in configs.items():
-        s = config.strategy
+    for name, (s, config) in books.items():
         pool = "screened" if s in ("dmft", "ew_eligible") else s
         if pool not in universes:
             if pool == "screened":
@@ -188,9 +187,11 @@ def oracle_targets(panel, snap: AsOf, configs) -> tuple[dict[str, WeightVector],
     return out, bound
 
 
-def oracle_evolve(dates: list[str], returns: np.ndarray, targets: list[WeightVector], config) -> BacktestResult:
-    """One config's daily evolution over `dates`, whose asset returns are
-    the rows of `returns`, trading to each target on its date."""
+def oracle_evolve(dates: list[str], returns: np.ndarray, targets: list[WeightVector], strategy: str,
+                  config) -> BacktestResult:
+    """One (strategy, config) book's daily evolution over `dates`, whose
+    asset returns are the rows of `returns`, trading to each target on its
+    date."""
     by_date = {wv.t: wv.w for wv in targets}
     daily = np.zeros(len(dates))
     reb_dates: list[str] = []
@@ -221,7 +222,7 @@ def oracle_evolve(dates: list[str], returns: np.ndarray, targets: list[WeightVec
             w = w_eod
 
     return BacktestResult(
-        strategy=config.strategy,
+        strategy=strategy,
         dates=dates,
         daily_returns=daily,
         equity_curve=np.cumprod(1.0 + daily),
@@ -262,6 +263,14 @@ FIXED_WINDOWS = {"h_min": 5, "l_adv": 5, "l_mom": 5, "skip": 1, "l_fund": 60, "w
 cap_settings = st.sampled_from([None, (1.0, 1.0, 0.5), (0.4, 0.3, 1.0), (0.3, 0.15, 0.5), (0.05, 0.05, 0.5)])
 
 
+def oracle_books(config, removals: bool) -> dict:
+    """The (strategy, config) books of run_factor_removals or run_baselines."""
+    if removals:
+        return {"full": ("dmft", config),
+                **{f"drop_{f}": ("dmft", replace(config, tilt=removal_tilt(config.tilt, f))) for f in config.tilt.alpha}}
+    return {s: (s, config) for s in STRATEGIES}
+
+
 def schedule_of(panel, fractions) -> RebalanceSchedule:
     picks = {panel.calendar.days[int(f * (panel.n_days - 1))] for f in fractions}
     return RebalanceSchedule(dates=tuple(sorted(picks)))
@@ -281,21 +290,17 @@ def test_walk_equals_mapping_oracle(panel, p, fractions, lam, caps, weight_mode,
     config = config_for(p, tilt=TiltParams(lam=lam, m_min=0.5, m_max=1.5), caps=cap_params,
                         weight_mode=weight_mode)
     schedule = schedule_of(panel, fractions)
-    if removals:
-        run = run_factor_removals
-        configs = {"full": config, **{f"drop_{f}": removal_config(config, f) for f in config.tilt.alpha}}
-    else:
-        run = run_baselines
-        configs = {s: replace(config, strategy=s, caps=cap_params if s == "dmft" else None) for s in STRATEGIES}
+    run = run_factor_removals if removals else run_baselines
+    books = oracle_books(config, removals)
     try:
         results = run(panel, schedule, config)
     except InfeasibleCapsError:
         with pytest.raises(InfeasibleCapsError):
             for t in schedule.dates:
-                oracle_targets(panel, snapshot(panel, t, config), configs)
+                oracle_targets(panel, snapshot(panel, t, config), books)
         return
     for k, t in enumerate(schedule.dates):
-        targets, bound = oracle_targets(panel, snapshot(panel, t, config), configs)
+        targets, bound = oracle_targets(panel, snapshot(panel, t, config), books)
         for name, want in targets.items():
             got = results[name].weights[k]
             assert (got.t, got.assets) == (want.t, want.assets)
@@ -319,29 +324,17 @@ def test_day_loop_equals_per_config_evolution(panel, p, fractions, weight_mode, 
     i_start = cal.position(schedule.dates[0])
     i_end = len(cal) - 1 if end_at is None else i_start + int(end_at * (len(cal) - 1 - i_start))
     end = None if end_at is None else cal.days[i_end]
-    if removals:
-        results = run_factor_removals(panel, schedule, config, end)
-        configs = {"full": config, **{f"drop_{f}": removal_config(config, f) for f in config.tilt.alpha}}
-    else:
-        results = run_baselines(panel, schedule, config, end)
-        configs = {s: replace(config, strategy=s, caps=config.caps if s == "dmft" else None) for s in STRATEGIES}
-    assert list(results) == list(configs)
+    results = (run_factor_removals if removals else run_baselines)(panel, schedule, config, end)
+    books = oracle_books(config, removals)
+    assert list(results) == list(books)
     dates = list(cal.days[i_start : i_end + 1])
     span = oracle_asset_returns(panel)[i_start : i_end + 1]
-    for name, cfg in configs.items():
+    for name, (s, cfg) in books.items():
         got = results[name]
-        want = oracle_evolve(dates, span, got.weights, cfg)
+        want = oracle_evolve(dates, span, got.weights, s, cfg)
         assert (got.strategy, got.dates, got.rebalance_dates) == (want.strategy, want.dates, want.rebalance_dates)
         for attr in ("daily_returns", "equity_curve", "turnover", "costs"):
             same_bits(getattr(got, attr), getattr(want, attr), f"{name} {attr}")
-
-
-def test_walk_rejects_mixed_weight_modes():
-    panel = random_panel(1, 5, 30, 0.0)
-    config = config_for(FIXED_WINDOWS)
-    configs = {"a": config, "b": replace(config, weight_mode="drift")}
-    with pytest.raises(ConfigError, match="weight mode"):
-        backtest._run(panel, schedule_of(panel, [0.5]), configs, None)
 
 
 @SETTINGS

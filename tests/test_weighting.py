@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from factortilt.backtest import BacktestConfig, target_weights
+from factortilt.backtest import BacktestConfig
 from factortilt.eligibility import EligibilityParams
 from factortilt.errors import ConfigError, InfeasibleCapsError
 from factortilt.factors import FactorMatrix
@@ -17,7 +17,7 @@ from factortilt.weighting import (
     tilted_weights,
 )
 
-from conftest import make_panel
+from conftest import make_panel, targets_at
 
 T = "2020-01-06"
 
@@ -38,8 +38,8 @@ def weights(members, z, tilt, caps=None, adv=None, assets=None):
 def empty_universe_weights(strategy):
     """The targets at a date where no asset of ("A", "B") passes the screens."""
     panel = make_panel(3, ["A", "B"], price=10.0)
-    config = BacktestConfig(strategy=strategy, eligibility=EligibilityParams(h_min=1000))
-    return target_weights(panel, panel.calendar.days[2], config)
+    config = BacktestConfig(eligibility=EligibilityParams(h_min=1000))
+    return targets_at(panel, panel.calendar.days[2], config, strategy)
 
 
 def project_oracle(w, caps, eps=1e-12, max_iter=100000):
