@@ -39,7 +39,7 @@ matrix = build_factor_matrix(panel, universe, t, FactorParams())
 tilt = TiltParams(alpha={"MOM": 0.5, "VAL": 0.25, "QUAL": 0.25}, lam=0.5,
                   m_min=0.5, m_max=1.5)
 positions = panel.positions(universe.members)  # the matrix rows, in order
-weights = tilted_weights(t, tuple(panel.assets), positions, matrix, None, tilt, None)
+weights = tilted_weights(t, tuple(panel.assets), positions, matrix, tilt)
 
 print("\nasset   z(MOM)  z(VAL) z(QUAL)   weight  vs 1/N")
 ew = 1.0 / len(universe)
@@ -52,5 +52,5 @@ print(f"\nsum of weights: {weights.w.sum():.12f}")
 print(f"max weight bound (m_max/m_min)/N = {(1.5 / 0.5) / len(universe):.4f}, "
       f"realized max = {weights.w.max():.4f}")
 print("with lam = 0 the tilt disappears and the baseline comes back exactly:")
-flat = tilted_weights(t, tuple(panel.assets), positions, matrix, None, TiltParams(lam=0.0), None)
+flat = tilted_weights(t, tuple(panel.assets), positions, matrix, TiltParams(lam=0.0))
 print(f"  all weights equal 1/N: {np.all(flat.w[flat.w > 0] == ew)}")

@@ -19,7 +19,7 @@ from .eligibility import EligibilityParams, eligible
 from .errors import ConfigError, DataError, check_finite
 from .factors import FactorMatrix, FactorParams, select_factor_matrix
 from .market_data import AsOf, MarketPanel, RebalanceSchedule
-from .weighting import CapParams, TiltParams, WeightVector, tilted_weights
+from .weighting import CapParams, TiltParams, WeightVector, cap_values, tilted_weights
 
 log = logging.getLogger(__name__)
 
@@ -89,10 +89,20 @@ def pool_matrix(snap: AsOf, strategy: str, config: BacktestConfig) -> FactorMatr
     return snap.matrices[key]
 
 
+def pool_caps(snap: AsOf, strategy: str, config: BacktestConfig) -> np.ndarray:
+    """The liquidity caps of the members of the strategy's non-empty pool
+    at the snapshot's date, from their ADV and config.caps: built once per
+    pool, eligibility and cap parameters and kept on the snapshot."""
+    key = (_POOLS.get(strategy, strategy), config.eligibility, config.caps)
+    if key not in snap.caps:
+        snap.caps[key] = cap_values(snap.adv[pool_positions(snap, strategy, config)], config.caps)
+    return snap.caps[key]
+
+
 def _date_targets(snap: AsOf, config: BacktestConfig, books) -> dict[str, WeightVector]:
     """Every book's target weights at the snapshot's date, each book a
-    (strategy, tilt) pair, from the pool positions and factor matrices the
-    snapshot keeps, so books that share a pool read one of each."""
+    (strategy, tilt) pair, from the pool positions, factor matrices and caps
+    the snapshot keeps, so books that share a pool read one of each."""
     assets = tuple(snap.panel.assets)
     out = {}
     for name, (s, tilt) in books.items():
@@ -107,9 +117,8 @@ def _date_targets(snap: AsOf, config: BacktestConfig, books) -> dict[str, Weight
             w[positions] = snap.mktcap[positions]
             out[name] = WeightVector(t=snap.t, assets=assets, w=w / w.sum())
         else:
-            caps = config.caps if s == "dmft" else None
-            adv = None if caps is None else snap.adv[positions]
-            out[name] = tilted_weights(snap.t, assets, positions, pool_matrix(snap, s, config), adv, tilt, caps)
+            caps = pool_caps(snap, s, config) if s == "dmft" and config.caps is not None else None
+            out[name] = tilted_weights(snap.t, assets, positions, pool_matrix(snap, s, config), tilt, caps)
     return out
 
 

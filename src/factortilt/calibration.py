@@ -82,6 +82,20 @@ def average_ranks(x) -> np.ndarray:
     return 0.5 * (count[dense] + count[dense - 1] + 1)
 
 
+def _rank_correlation(rx: np.ndarray, ry: np.ndarray) -> float:
+    """Pearson correlation of two rank vectors, clipped to [-1, 1] and exact
+    at +-1 when one ranking equals the other or its reverse; NaN when
+    either is constant."""
+    if np.all(rx == rx[0]) or np.all(ry == ry[0]):
+        return math.nan
+    if np.array_equal(rx, ry):
+        return 1.0
+    if np.array_equal(rx, len(rx) + 1.0 - ry):
+        return -1.0
+    r = float(np.corrcoef(rx, ry)[0, 1])
+    return float(np.clip(r, -1.0, 1.0))
+
+
 def spearman(x, y, min_pairs: int = 3) -> float:
     """Rank correlation with average ranks for ties. Pairs with a missing
     side are dropped; NaN when fewer than min_pairs remain or either rank
@@ -93,16 +107,7 @@ def spearman(x, y, min_pairs: int = 3) -> float:
     ok = np.isfinite(x) & np.isfinite(y)
     if int(ok.sum()) < max(min_pairs, 3):
         return math.nan
-    rx = average_ranks(x[ok])
-    ry = average_ranks(y[ok])
-    if np.all(rx == rx[0]) or np.all(ry == ry[0]):
-        return math.nan
-    if np.array_equal(rx, ry):
-        return 1.0
-    if np.array_equal(rx, len(rx) + 1.0 - ry):
-        return -1.0
-    r = float(np.corrcoef(rx, ry)[0, 1])
-    return float(np.clip(r, -1.0, 1.0))
+    return _rank_correlation(average_ranks(x[ok]), average_ranks(y[ok]))
 
 
 def build_ic_series(
@@ -112,7 +117,10 @@ def build_ic_series(
     params: CalibrationParams,
 ) -> dict[str, ICSeries]:
     """Per-factor IC time series over the rebalance dates with enough valid
-    (z, forward return) pairs; invalid dates are skipped."""
+    (z, forward return) pairs; invalid dates are skipped. Each factor's IC
+    is spearman(z column, forward returns): z is complete, so every factor
+    pairs on the members with a forward return, whose ranks are taken once
+    per date."""
     factors = None
     per_factor: dict[str, tuple[list[str], list[float]]] = {}
     for t in schedule.dates:
@@ -123,8 +131,13 @@ def build_ic_series(
             factors = matrix.factors
             per_factor = {f: ([], []) for f in factors}
         fwd = forward_returns(panel, t, params.horizon)[panel.positions(matrix.assets)]
-        for f in matrix.factors:
-            ic = spearman(matrix.column(f), fwd, min_pairs=params.min_universe)
+        ok = np.isfinite(fwd)
+        if int(ok.sum()) < max(params.min_universe, 3):
+            continue
+        fwd_ranks = average_ranks(fwd[ok])
+        z = matrix.z[ok]
+        for j, f in enumerate(matrix.factors):
+            ic = _rank_correlation(average_ranks(z[:, j]), fwd_ranks)
             if not math.isnan(ic):
                 per_factor[f][0].append(t)
                 per_factor[f][1].append(ic)

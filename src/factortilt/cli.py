@@ -403,7 +403,11 @@ def _weight_columns(result) -> list:
     return [dates, assets, _concat(weights), _concat(mults), _concat(caps)]
 
 
-def _write_results(results, cfg: RunConfig, out: Path) -> None:
+def _write_results(results, cfg: RunConfig, out: Path) -> list[tuple[str, str]]:
+    """Every book's returns, turnover, weights and stats files; returns one
+    manifest note per statistic left blank, naming the book, the statistic
+    and why it is undefined."""
+    notes = []
     for name in STRATEGIES:
         res = results[name]
         for kind, header, columns in (
@@ -420,6 +424,8 @@ def _write_results(results, cfg: RunConfig, out: Path) -> None:
         floats = _fields(np.array(values, dtype=float))
         values = [f if isinstance(v, float) else v for v, f in zip(values, floats)]
         _write_csv(out / f"stats_{name}.csv", (["metric", "value"], [metrics, values]))
+        notes += [(f"stats_{name}.{metric}", f"blank: {reason}") for metric, reason in report.undefined.items()]
+    return notes
 
 
 def _check_out_dir(out: Path) -> None:
@@ -475,7 +481,7 @@ def cmd_backtest(cfg: RunConfig) -> int:
                 notes.append(("calibrated_alpha", ",".join(f"{f}={alpha[f]!r}" for f in FACTORS)))
         # calibration changes only the tilt, which no snapshot, pool or factor matrix reads
         results = run_baselines(panel, schedule, config, end=cfg.end, snapshots=snapshots)
-        _write_results(results, cfg, out)
+        notes += _write_results(results, cfg, out)
         write_manifest(cfg, out / "manifest.txt", extra=notes or None)
     return 0
 

@@ -228,6 +228,11 @@ class MarketPanel:
 
 _CELL_HEADER = ("date", "asset", "value")
 _FUND_HEADER = ("report_date", "asset", *_REPORT_FIELDS)
+# Ingest reads each input file this many bytes at a time and parses it block
+# by block, each block cut after its last line end: a parse holds one
+# block's text and fields, plus the int32 codes and float64 values of the
+# blocks read so far.
+BLOCK_BYTES = 1 << 18
 _BLANK_LINE = re.compile(r"^[^\S\n]*(?:\n|\Z)", re.MULTILINE)
 _UNWRITABLE_ID = re.compile(r'[,"\r\n]')
 
@@ -242,22 +247,54 @@ def check_asset_ids(assets) -> None:
                             "unpadded and free of ',', '\"', CR and LF")
 
 
-def _read_text(path: Path, digests: list | None = None) -> str:
-    """The file's text with CRLF and lone CR line ends turned into LF; the
-    size and sha256 of its bytes are appended to `digests` when given. A
-    file that cannot be read, or is not UTF-8, is a DataError naming it."""
+def _reads(path: Path):
+    """The file's bytes in reads of BLOCK_BYTES; a file that cannot be read
+    is a DataError naming it."""
     try:
-        data = path.read_bytes()
+        with open(path, "rb") as fh:
+            yield from iter(partial(fh.read, BLOCK_BYTES), b"")
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc.strerror or exc}") from None
-    if digests is not None:
-        digests.append((len(data), hashlib.sha256(data).digest()))
+
+
+def _decoded(path: Path, data: bytes, offset: int) -> str:
+    """The text of the file's bytes `data`, which start at `offset`, with
+    CRLF and lone CR line ends turned into LF."""
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: not UTF-8 text (byte {exc.start})") from None
-    del data
+        raise DataError(f"{path}: not UTF-8 text (byte {offset + exc.start})") from None
     return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
+
+
+def _blocks(path: Path, digests: list | None = None):
+    """The file's text block by block, line ends turned into LF: each read
+    is cut after its last line end and the rest carried into the next
+    block, so a block holds whole lines (a line longer than a read spans
+    reads) and only the last may lack a final LF. An empty file is one
+    empty block. The size and sha256 of the bytes read are appended to
+    `digests`, when given, after the last block. A file that cannot be
+    read, or is not UTF-8, is a DataError naming it, the bad byte's offset
+    counted from the start of the file."""
+    digest, size, offset, rest = hashlib.sha256(), 0, 0, b""
+    for chunk in _reads(path):
+        digest.update(chunk)
+        size += len(chunk)
+        data = rest + chunk
+        # a CR that ends the read may be the first half of a CRLF: it waits for the next read
+        cut = max(data.rfind(b"\n"), data.rfind(b"\r", 0, len(data) - 1)) + 1
+        if cut:
+            yield _decoded(path, data[:cut], offset)
+            offset += cut
+        rest = data[cut:]
+    if rest or not offset:
+        yield _decoded(path, rest, offset)
+    if digests is not None:
+        digests.append((size, digest.digest()))
+
+
+class _Rejected(Exception):
+    """A column check failed; the row-wise rescan names the first bad line."""
 
 
 def _line_count(body: str, width: int) -> int | None:
@@ -276,56 +313,36 @@ def _line_count(body: str, width: int) -> int | None:
     return ends.size if (by_line[:, -1] < ends).all() and (by_line[1:, 0] > ends[:-1]).all() else None
 
 
-def _columns(path: Path, header: tuple[str, ...], digests: list | None = None) -> list[list[str]] | None:
-    """The raw fields of each column of an ingest CSV, split once from the
-    whole text, or None when the header or some line breaks the format.
+class _Keys:
+    """The distinct stripped values of a key column in first-seen order,
+    carried across a file's blocks, and the code of each raw field seen."""
 
-    The format: a header matching `header` case-insensitively, no quoting
-    (a '"' anywhere is an error), LF or CRLF line ends, blank lines skipped.
-    """
-    head, _, body = _read_text(path, digests).partition("\n")
-    if '"' in head or '"' in body or [h.strip().lower() for h in head.split(",")] != list(header):
-        return None
-    width = len(header)
-    n = _line_count(body, width)
-    if n is None:
-        body = _BLANK_LINE.sub("", body)
-        n = _line_count(body, width)
-        if n is None:
-            return None
-    fields = body.replace("\n", ",").split(",")
-    return [fields[j : width * n : width] for j in range(width)]
+    def __init__(self):
+        self.code: dict[str, int] = {}
+        self.raw_code: dict[str, int] = {}
 
+    def encode(self, column: list[str]) -> tuple[list[str], np.ndarray]:
+        """The stripped values first seen in `column`, and the int32 code of
+        each of its fields."""
+        new = []
+        for raw in dict.fromkeys(column):
+            if raw not in self.raw_code:
+                key = raw.strip()
+                if key not in self.code:
+                    self.code[key] = len(self.code)
+                    new.append(key)
+                self.raw_code[raw] = self.code[key]
+        return new, np.fromiter(map(self.raw_code.__getitem__, column), np.int32, len(column))
 
-def _encode(column: list[str]) -> tuple[list[str], np.ndarray]:
-    """The column's distinct stripped values in first-seen order, and each
-    entry's integer code into them."""
-    raw = dict.fromkeys(column)
-    keys = dict.fromkeys(map(str.strip, raw))
-    code = dict(zip(keys, range(len(keys))))
-    raw_code = {r: code[r.strip()] for r in raw}
-    return list(keys), np.fromiter(map(raw_code.__getitem__, column), np.intp, len(column))
-
-
-def _drop_unused(keys: list[str], codes: np.ndarray) -> tuple[list[str], np.ndarray]:
-    used = np.zeros(len(keys), bool)
-    used[codes] = True
-    return list(compress(keys, used.tolist())), (np.cumsum(used) - 1)[codes]
-
-
-def _floats(column: list[str]) -> tuple[np.ndarray, np.ndarray | None]:
-    """float() of every field, NaN where the field is empty, and the mask of
-    non-empty fields (None when all are). Raises ValueError when a field
-    does not parse."""
-    try:
-        return np.fromiter(map(float, column), float, len(column)), None
-    except ValueError:
-        stripped = list(map(str.strip, column))
-        present = np.fromiter(map(bool, stripped), bool, len(stripped))
-        values = np.full(len(column), np.nan)
-        values[present] = np.fromiter(map(float, compress(stripped, present.tolist())), float,
-                                      np.count_nonzero(present))
-        return values, present
+    def used(self, codes) -> tuple[list[str], np.ndarray]:
+        """The values some array of `codes` refers to, sorted, and the
+        position among them of every code (-1 for the others)."""
+        used = np.zeros(len(self.code), bool)
+        for c in codes:
+            used[c] = True
+        kept = sorted(compress(self.code, used.tolist()))
+        position = dict(zip(kept, range(len(kept))))
+        return kept, np.array([position.get(key, -1) for key in self.code], dtype=np.intp)
 
 
 def _valid_keys(dates: list[str], assets: list[str]) -> bool:
@@ -337,31 +354,93 @@ def _valid_keys(dates: list[str], assets: list[str]) -> bool:
     return "" not in assets
 
 
+def _coded_blocks(path: Path, header: tuple[str, ...], dates: _Keys, assets: _Keys, digests: list | None):
+    """Per block of the file's data lines (see _blocks), the int32 codes of
+    its dates and asset ids in `dates` and `assets` and the raw fields of
+    its other columns. Raises _Rejected at the first block where the header
+    or a line breaks the format, a date is not YYYY-MM-DD or an asset id is
+    empty.
+
+    The format: a header matching `header` case-insensitively, no quoting
+    (a '"' anywhere is an error), blank lines skipped.
+    """
+    width = len(header)
+    for k, body in enumerate(_blocks(path, digests)):
+        if k == 0:
+            head, _, body = body.partition("\n")
+            if '"' in head or [h.strip().lower() for h in head.split(",")] != list(header):
+                raise _Rejected
+        if '"' in body:
+            raise _Rejected
+        n = _line_count(body, width)
+        if n is None:
+            body = _BLANK_LINE.sub("", body)
+            n = _line_count(body, width)
+            if n is None:
+                raise _Rejected
+        fields = body.replace("\n", ",").split(",")
+        columns = [fields[j : width * n : width] for j in range(width)]
+        new_dates, date_code = dates.encode(columns[0])
+        new_assets, asset_code = assets.encode(columns[1])
+        if not _valid_keys(new_dates, new_assets):
+            raise _Rejected
+        del columns[:2]  # their fields are coded
+        yield date_code, asset_code, columns
+
+
+def _floats(column: list[str]) -> tuple[np.ndarray, np.ndarray | None]:
+    """float() of every field, NaN where the field is empty, and the mask of
+    non-empty fields (None when all are). Raises _Rejected when a field
+    does not parse."""
+    try:
+        return np.fromiter(map(float, column), float, len(column)), None
+    except ValueError:
+        stripped = list(map(str.strip, column))
+        present = np.fromiter(map(bool, stripped), bool, len(stripped))
+        values = np.full(len(column), np.nan)
+        try:
+            values[present] = np.fromiter(map(float, compress(stripped, present.tolist())), float,
+                                          np.count_nonzero(present))
+        except ValueError:
+            raise _Rejected from None
+        return values, present
+
+
 def _checked_rows(path: Path, header: tuple[str, ...]):
     """Row-wise rescan that locates a bad line once a column check has
     failed: yields ("path:lineno", stripped fields) for each data line,
     raising DataError at the first line that breaks the format, holds an
-    invalid date or has an empty asset id."""
-    for lineno, line in enumerate(_read_text(path).split("\n"), start=1):
-        where = f"{path}:{lineno}"
-        if '"' in line:
-            raise DataError(f"{where}: quoted fields are not supported")
-        row = [f.strip() for f in line.split(",")]
-        if lineno == 1:
-            if [h.lower() for h in row] != list(header):
-                raise DataError(f"{path}: expected header '{','.join(header)}'")
-            continue
-        if row == [""]:
-            continue
-        if len(row) != len(header):
-            raise DataError(f"{where}: expected {len(header)} fields, got {len(row)}")
-        try:
-            _iso(row[0])
-        except DataError as exc:
-            raise DataError(f"{where}: {exc}") from None
-        if not row[1]:
-            raise DataError(f"{where}: empty asset id")
-        yield where, row
+    invalid date or has an empty asset id. The whole file is decoded
+    first, so one that is not UTF-8 raises that error whichever line is
+    bad."""
+    for _ in _blocks(path):
+        pass
+    lineno = 0
+    for text in _blocks(path):
+        lines = text.split("\n")
+        if text.endswith("\n"):
+            lines.pop()
+        for line in lines:
+            lineno += 1
+            where = f"{path}:{lineno}"
+            if '"' in line:
+                raise DataError(f"{where}: quoted fields are not supported")
+            row = [f.strip() for f in line.split(",")]
+            if lineno == 1:
+                if [h.lower() for h in row] != list(header):
+                    raise DataError(f"{path}: expected header '{','.join(header)}'")
+                continue
+            if row == [""]:
+                continue
+            if len(row) != len(header):
+                raise DataError(f"{where}: expected {len(header)} fields, got {len(row)}")
+            try:
+                _iso(row[0])
+            except DataError as exc:
+                raise DataError(f"{where}: {exc}") from None
+            if not row[1]:
+                raise DataError(f"{where}: empty asset id")
+            yield where, row
 
 
 def _no_bad_line(path: Path) -> DataError:
@@ -369,7 +448,8 @@ def _no_bad_line(path: Path) -> DataError:
 
 
 def _raise_cell_error(path: Path, kind: str) -> NoReturn:
-    seen: set[tuple[str, str]] = set()
+    seen: dict[str, set[str]] = {}  # assets per date, each id held once
+    ids: dict[str, str] = {}
     for where, (d, asset, raw) in _checked_rows(path, _CELL_HEADER):
         if not raw:
             continue
@@ -383,9 +463,10 @@ def _raise_cell_error(path: Path, kind: str) -> NoReturn:
             raise DataError(f"{where}: non-positive {kind} for cell ({d},{asset})")
         if kind == "volume" and value < 0:
             raise DataError(f"{where}: negative volume for cell ({d},{asset})")
-        if (d, asset) in seen:
+        held = seen.setdefault(d, set())
+        if asset in held:
             raise DataError(f"{where}: duplicate cell ({d},{asset})")
-        seen.add((d, asset))
+        held.add(ids.setdefault(asset, asset))
     raise _no_bad_line(path)
 
 
@@ -403,8 +484,18 @@ def _raise_fundamentals_error(path: Path) -> NoReturn:
     raise _no_bad_line(path)
 
 
+class _Grid(NamedTuple):
+    """One cell file as a grid: values[i, j] is the cell (dates[i],
+    assets[j]), NaN where the file has none. Dates and assets are sorted
+    and each holds some cell."""
+
+    dates: list[str]
+    assets: list[str]
+    values: np.ndarray
+
+
 class _Cells(NamedTuple):
-    """One ingest file as columns: row i holds values[i] for
+    """The fundamentals file as columns: row i holds values[i] for
     (dates[date_code[i]], assets[asset_code[i]])."""
 
     dates: list[str]
@@ -414,56 +505,59 @@ class _Cells(NamedTuple):
     values: np.ndarray
 
 
-def _read_cell_file(path, kind: str, digests: list | None = None) -> _Cells:
+def _read_cell_file(path, kind: str, digests: list | None = None) -> _Grid:
     """Parse a long-format `date,asset,value` CSV.
 
     kind controls the cell validity rule: price and mktcap must be > 0,
     volume >= 0. An empty value field is treated as an absent cell. Every
-    check runs on whole columns; when one fails, a row-wise rescan raises
-    DataError naming the first bad line.
+    check runs on whole columns of a block; when one fails, a row-wise
+    rescan raises DataError naming the first bad line. Only each block's
+    int32 codes and float64 values outlive it, until they fill the grid.
     """
     path = Path(path)
-    columns = _columns(path, _CELL_HEADER, digests)
-    if columns is None:
-        _raise_cell_error(path, kind)
-    dates, date_code = _encode(columns[0])
-    assets, asset_code = _encode(columns[1])
     try:
-        values, present = _floats(columns[2])
-    except ValueError:
+        return _cell_grid(path, kind, digests)
+    except _Rejected:
         _raise_cell_error(path, kind)
-    del columns
-    if not _valid_keys(dates, assets):
-        _raise_cell_error(path, kind)
-    if present is not None:
-        values = values[present]
-        dates, date_code = _drop_unused(dates, date_code[present])
-        assets, asset_code = _drop_unused(assets, asset_code[present])
-    occupied = np.zeros(len(dates) * len(assets), bool)
-    occupied[date_code * len(assets) + asset_code] = True
-    in_range = values >= 0 if kind == "volume" else values > 0
-    if not (np.isfinite(values).all() and in_range.all()) or np.count_nonzero(occupied) != values.size:
-        _raise_cell_error(path, kind)
-    return _Cells(dates, assets, date_code, asset_code, values)
+
+
+def _cell_grid(path: Path, kind: str, digests: list | None) -> _Grid:
+    dates, assets, blocks = _Keys(), _Keys(), []
+    for date_code, asset_code, (column,) in _coded_blocks(path, _CELL_HEADER, dates, assets, digests):
+        values, present = _floats(column)
+        if present is not None:
+            values, date_code, asset_code = values[present], date_code[present], asset_code[present]
+        in_range = values >= 0 if kind == "volume" else values > 0
+        if not (np.isfinite(values).all() and in_range.all()):
+            raise _Rejected
+        blocks.append((date_code, asset_code, values))
+    date_names, row = dates.used(b[0] for b in blocks)
+    asset_names, col = assets.used(b[1] for b in blocks)
+    grid = np.full((len(date_names), len(asset_names)), np.nan)
+    cells = 0
+    while blocks:  # each block is released once it is in the grid
+        date_code, asset_code, values = blocks.pop()
+        grid.ravel()[row[date_code] * len(asset_names) + col[asset_code]] = values
+        cells += values.size
+    if grid.size - np.count_nonzero(np.isnan(grid)) != cells:  # a cell given twice
+        raise _Rejected
+    return _Grid(date_names, asset_names, grid)
 
 
 def _read_fundamentals_file(path, digests: list | None = None) -> _Cells:
     """Parse the fundamentals CSV; its values are (n_rows, len(_REPORT_FIELDS)),
     NaN where a metric is blank."""
     path = Path(path)
-    columns = _columns(path, _FUND_HEADER, digests)
-    if columns is None:
-        _raise_fundamentals_error(path)
-    dates, date_code = _encode(columns[0])
-    assets, asset_code = _encode(columns[1])
+    dates, assets, blocks = _Keys(), _Keys(), []
     try:
-        parsed = [_floats(column) for column in columns[2:]]
-    except ValueError:
+        for date_code, asset_code, columns in _coded_blocks(path, _FUND_HEADER, dates, assets, digests):
+            parsed = [_floats(column) for column in columns]
+            if not all(np.isfinite(v if present is None else v[present]).all() for v, present in parsed):
+                raise _Rejected
+            blocks.append((date_code, asset_code, np.column_stack([v for v, _ in parsed])))
+    except _Rejected:
         _raise_fundamentals_error(path)
-    finite = all(np.isfinite(v if present is None else v[present]).all() for v, present in parsed)
-    if not (finite and _valid_keys(dates, assets)):
-        _raise_fundamentals_error(path)
-    return _Cells(dates, assets, date_code, asset_code, np.column_stack([v for v, _ in parsed]))
+    return _Cells(list(dates.code), list(assets.code), *map(np.concatenate, zip(*blocks)))
 
 
 def cache_path(price_file, volume_file, fundamentals_file, mktcap_file) -> Path:
@@ -617,11 +711,13 @@ def _parse_panel(price_file, volume_file, fundamentals_file, mktcap_file, digest
     calendar = TradingCalendar(tuple(dates))
     aidx = {a: i for i, a in enumerate(assets)}
 
-    def grid(c: _Cells) -> np.ndarray:
+    def grid(g: _Grid) -> np.ndarray:
+        if g.dates == dates and g.assets == assets:  # the file's grid is the panel's
+            return g.values
         arr = np.full((len(dates), len(assets)), np.nan)
-        rows = np.array([calendar.index[d] for d in c.dates], dtype=np.intp)
-        cols = np.array([aidx[a] for a in c.assets], dtype=np.intp)
-        arr[rows[c.date_code], cols[c.asset_code]] = c.values
+        rows = np.array([calendar.index[d] for d in g.dates], dtype=np.intp)
+        cols = np.array([aidx[a] for a in g.assets], dtype=np.intp)
+        arr[np.ix_(rows, cols)] = g.values
         return arr
 
     def snap(d: str) -> str:
@@ -765,8 +861,8 @@ class AsOf:
     or non-positive (a negative ratio is not rankable) or mktcap is missing.
     A row whose window is not given is None. Momentum needs skip >= 1.
     `panel`, `t` and `windows` (l_adv, l_mom, skip, l_fund) record what the
-    snapshot was built from; `pools` and `matrices` keep what
-    backtest.pool_positions and pool_matrix select from its rows.
+    snapshot was built from; `pools`, `matrices` and `caps` keep what
+    backtest.pool_positions, pool_matrix and pool_caps build from its rows.
     """
 
     def __init__(self, panel: MarketPanel, t: str, l_adv: int | None = None, l_mom: int | None = None,
@@ -775,7 +871,7 @@ class AsOf:
             check_skip(skip)
         it = panel.calendar.position(t)
         self.panel, self.t, self.windows = panel, t, (l_adv, l_mom, skip, l_fund)
-        self.pools, self.matrices = {}, {}
+        self.pools, self.matrices, self.caps = {}, {}, {}
         self.history = panel.history_counts[it].astype(np.int64)
         self.listed = self.history > 0
         self.mktcap = panel.mktcap[it - 1] if it > 0 else np.full(panel.n_assets, np.nan)

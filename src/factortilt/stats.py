@@ -9,7 +9,7 @@ are population (divide by N) throughout.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -78,10 +78,7 @@ def newey_west_tstat(returns, lag: int | None = None) -> tuple[float, int]:
     gamma0 = float(np.mean(xc * xc))
     if gamma0 <= 0:
         raise StatsError("zero variance; t-statistic undefined")
-    lag_used = int(math.floor(4.0 * (t_obs / 100.0) ** (2.0 / 9.0))) if lag is None else int(lag)
-    if lag_used < 0:
-        raise StatsError(f"lag must be >= 0, got {lag_used}")
-    lag_used = min(lag_used, t_obs - 1)
+    lag_used = _nw_lag(t_obs, lag)
     lrv = gamma0
     for k in range(1, lag_used + 1):
         gamma_k = float(np.sum(xc[k:] * xc[:-k])) / t_obs
@@ -90,6 +87,15 @@ def newey_west_tstat(returns, lag: int | None = None) -> tuple[float, int]:
         raise StatsError("non-positive long-run variance")
     t_stat = float(np.mean(x)) / math.sqrt(lrv / t_obs)
     return t_stat, lag_used
+
+
+def _nw_lag(t_obs: int, lag: int | None) -> int:
+    """The lag newey_west_tstat uses for t_obs observations: `lag`, or
+    floor(4 * (T/100)^(2/9)) when None, at most T - 1."""
+    lag_used = int(math.floor(4.0 * (t_obs / 100.0) ** (2.0 / 9.0))) if lag is None else int(lag)
+    if lag_used < 0:
+        raise StatsError(f"lag must be >= 0, got {lag_used}")
+    return min(lag_used, t_obs - 1)
 
 
 def expected_max_sharpe(n_trials: int, t_obs: int) -> float:
@@ -251,6 +257,9 @@ def factor_redundancy(
 
 @dataclass
 class StatsReport:
+    """One book's statistics, each NaN where it is undefined; `undefined`
+    maps the row name of each such statistic to the reason."""
+
     strategy: str
     ann_return: float
     ann_vol: float
@@ -264,6 +273,7 @@ class StatsReport:
     max_drawdown: float
     effective_n: float
     top5_concentration: float
+    undefined: dict[str, str] = field(default_factory=dict)
 
     def rows(self) -> list[tuple[str, float]]:
         return [
@@ -282,6 +292,14 @@ class StatsReport:
         ]
 
 
+def _held_mean(stat, weights) -> float:
+    """Mean of stat over the weight vectors that hold something."""
+    held = [w for w in weights if w.w.sum() > 0]
+    if not held:
+        raise StatsError("no rebalance date holds any weight")
+    return float(np.mean([stat(w) for w in held]))
+
+
 def summarize(
     result: BacktestResult,
     benchmark: BacktestResult | None = None,
@@ -289,25 +307,35 @@ def summarize(
     nw_lag: int | None = None,
 ) -> StatsReport:
     """Assemble the scalar diagnostics for one backtest. Concentration
-    measures are averaged over the rebalance dates with a non-empty universe."""
+    measures are averaged over the rebalance dates with a non-empty
+    universe. A statistic that raises StatsError for this book (such as a
+    Sharpe ratio of returns with zero variance, or a t-statistic of fewer
+    than MIN_OBS days) is NaN, with the reason in the report's `undefined`;
+    the turnover-adjusted alpha is NaN without a benchmark."""
     r = result.daily_returns
-    t_stat, lag_used = newey_west_tstat(r, nw_lag)
-    live = [w for w in result.weights if w.w.sum() > 0]
-    eff = float(np.mean([effective_n(w) for w in live])) if live else math.nan
-    top5 = float(np.mean([top_k_concentration(w, 5) for w in live])) if live else math.nan
-    taa = turnover_adjusted_alpha(result, benchmark) if benchmark is not None else math.nan
+    undefined: dict[str, str] = {}
+
+    def value(metric: str, compute, *args):
+        try:
+            return compute(*args)
+        except StatsError as exc:
+            undefined[metric] = str(exc)
+            return math.nan
+
     return StatsReport(
         strategy=result.strategy,
-        ann_return=annualized_return(r),
-        ann_vol=annualized_vol(r),
-        sharpe=sharpe_ratio(r),
-        nw_tstat=t_stat,
-        nw_lag=lag_used,
-        deflated_sharpe=deflated_sharpe(r, n_trials),
+        ann_return=value("ann_return", annualized_return, r),
+        ann_vol=value("ann_vol", annualized_vol, r),
+        sharpe=value("sharpe", sharpe_ratio, r),
+        nw_tstat=value("nw_tstat", lambda: newey_west_tstat(r, nw_lag)[0]),
+        nw_lag=value("nw_lag", _nw_lag, len(r), nw_lag),
+        deflated_sharpe=value("deflated_sharpe", deflated_sharpe, r, n_trials),
         n_trials=n_trials,
-        turnover_adjusted_alpha=taa,
+        turnover_adjusted_alpha=math.nan if benchmark is None else
+        value("turnover_adjusted_alpha_oneway", turnover_adjusted_alpha, result, benchmark),
         ann_turnover=float(result.turnover.sum()) * TRADING_DAYS / len(result.dates),
-        max_drawdown=max_drawdown(result.equity_curve),
-        effective_n=eff,
-        top5_concentration=top5,
+        max_drawdown=value("max_drawdown", max_drawdown, result.equity_curve),
+        effective_n=value("effective_n_mean", _held_mean, effective_n, result.weights),
+        top5_concentration=value("top5_concentration_mean", _held_mean, top_k_concentration, result.weights),
+        undefined=undefined,
     )

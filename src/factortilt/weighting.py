@@ -3,7 +3,8 @@ tilts with renormalization, and liquidity-capped projection onto the simplex
 in closed form (one sort).
 
 Each stage is an array kernel over member positions (normalize_tilt,
-cap_values, project_onto_caps), and tilted_weights composes them."""
+cap_values, project_onto_caps), and tilted_weights composes them from the
+members' factor matrix and caps."""
 
 from __future__ import annotations
 
@@ -189,16 +190,15 @@ def tilted_weights(
     assets: tuple[str, ...],
     positions: np.ndarray,
     factor_matrix: FactorMatrix,
-    adv: np.ndarray | None,
     tilt: TiltParams,
-    caps: CapParams | None,
+    caps: np.ndarray | None = None,
 ) -> WeightVector:
     """Weights at t over `assets` for the members at `positions`, whose
     factor rows `factor_matrix` holds in the same order: the equal-weight
     baseline times the bounded multipliers of the composite score,
-    normalized, then (when caps is given) projected onto the caps of the
-    members' ADV array `adv`. Carries the multipliers and, when capped, the
-    caps."""
+    normalized, then (when given) projected onto the members' caps `caps`,
+    in the same order (see cap_values). Carries the multipliers and, when
+    capped, the caps."""
     if factor_matrix is None or factor_matrix.assets != tuple(map(assets.__getitem__, positions.tolist())):
         raise ConfigError("a non-empty universe needs a factor matrix over its members")
     n = len(assets)
@@ -209,10 +209,9 @@ def tilted_weights(
     w = normalize_tilt(baseline, multipliers)
     cap_row = None
     if caps is not None:
-        c = cap_values(adv, caps)
-        projected = project_onto_caps(w[positions], c)
+        projected = project_onto_caps(w[positions], caps)
         w = np.zeros(n)
         w[positions] = projected
         cap_row = np.full(n, np.nan)
-        cap_row[positions] = c
+        cap_row[positions] = caps
     return WeightVector(t=t, assets=assets, w=w, multipliers=multipliers, caps=cap_row)

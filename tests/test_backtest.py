@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from factortilt import backtest
 from factortilt.backtest import (
     BacktestConfig,
     removal_tilt,
@@ -16,7 +17,7 @@ from factortilt.errors import ConfigError, DataError
 from factortilt.factors import FactorParams
 from factortilt.market_data import RebalanceSchedule, censor_panel
 from factortilt.synthetic import ScenarioSpec, generate
-from factortilt.weighting import CapParams, TiltParams
+from factortilt.weighting import CapParams, TiltParams, cap_values
 
 from conftest import make_panel, targets_at
 
@@ -328,6 +329,24 @@ class TestFactorRemovals:
                 assert getattr(a, attr).tobytes() == getattr(b, attr).tobytes(), (a.t, attr)
             binding += int(np.sum(np.isclose(a.w, a.caps, rtol=0, atol=1e-15)))
         assert binding  # a cap binds somewhere, so the caps reach both walks
+
+
+    def test_caps_are_computed_once_per_date(self, monkeypatch):
+        # the four dmft books share one pool, so they share its cap row
+        panel = generate(ScenarioSpec(seed=7, n_assets=12, n_days=220, liquidity_tiers=(1.0, 4.0, 16.0)))
+        sched = schedule_at(panel, 60, 120, 180)
+        cfg = loose_config(eligibility=EligibilityParams(40, 0.0, 10), factors=FactorParams(l_mom=30, skip=3),
+                           caps=CapParams(c_max=0.15, kappa=0.1))
+        calls = []
+
+        def counting(adv, params):
+            calls.append(adv.size)
+            return cap_values(adv, params)
+
+        monkeypatch.setattr(backtest, "cap_values", counting)
+        runs = run_factor_removals(panel, sched, cfg)
+        assert len(calls) == len(sched) and all(calls)
+        assert all(np.isfinite(w.caps).sum() == n for res in runs.values() for w, n in zip(res.weights, calls))
 
 
 class TestRemovalTilt:

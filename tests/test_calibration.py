@@ -166,6 +166,32 @@ class TestBuildICSeries:
         assert abs(float(series["MOM"].values.mean())) < 0.1
 
 
+    def test_each_ic_is_spearman_of_its_column(self):
+        """The series ranks each date's forward returns once for all factors:
+        every IC is still spearman(z column, forward returns) bit for bit,
+        with gaps in the prices and ties in the z-scores."""
+        panel = generate(ScenarioSpec(seed=4, n_assets=30, n_days=700, missing_rate=0.2))
+        cal = panel.calendar
+        schedule = build_schedule(cal, cal.days[300], cal.days[-1], anchors=tuple((m, 1) for m in range(1, 13)))
+        universes = {t: compute_eligibility(panel, t, EligibilityParams(h_min=120, adv_min=0.0, l_adv=10))
+                     for t in schedule.dates}
+        matrices = matrices_for(panel, schedule, universes, FactorParams(l_mom=120, skip=5))
+        params = CalibrationParams(horizon=21, m_min=2, min_universe=8)
+        expected = {f: ([], []) for f in next(iter(matrices.values())).factors}
+        for t, m in matrices.items():
+            fwd = forward_returns(panel, t, params.horizon)[panel.positions(m.assets)]
+            for f in m.factors:
+                ic = spearman(m.column(f), fwd, min_pairs=params.min_universe)
+                if not math.isnan(ic):
+                    expected[f][0].append(t)
+                    expected[f][1].append(ic)
+        series = build_ic_series(panel, schedule, matrices, params)
+        assert any(len(dates) < len(matrices) for dates, _ in expected.values())  # some dates are skipped
+        for f, (dates, values) in expected.items():
+            assert series[f].dates == tuple(dates)
+            assert series[f].values.tobytes() == np.array(values).tobytes()
+
+
 class TestIrToAlpha:
     def series(self, factor, values):
         dates = [f"2020-01-{i + 1:02d}" for i in range(len(values))]

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from factortilt import backtest, cli, errors
-from factortilt.backtest import BacktestConfig
+from factortilt.backtest import STRATEGIES, BacktestConfig
 from factortilt.cli import load_config, main
 from factortilt.eligibility import EligibilityParams
 from factortilt.errors import ConfigError
@@ -49,6 +49,9 @@ m_max = 1.5
 horizon = 60
 m_min = 2
 """
+
+
+INFEASIBLE_CAPS = "\n[caps]\nenabled = true\nc_max = 0.001\n"
 
 
 def write_config(path: Path, data: Path, lam="0.25", start="2020-06-01", end="2022-06-30") -> Path:
@@ -270,7 +273,7 @@ def test_failed_run_leaves_out_as_it_was(tmp_path, synth_dir, capsys, command, e
         assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
         (out / "notes.txt").write_text("mine\n")
     before = _tree(out)
-    cfg.write_text(text.replace("adv_min = 1000.0", "adv_min = 1e15"))  # fails after its first artifacts
+    cfg.write_text(text + INFEASIBLE_CAPS)  # fails after its first artifacts
     assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
     assert capsys.readouterr().err.count("error: ") == 1
     assert _tree(out) == before
@@ -463,11 +466,12 @@ def test_every_package_error_is_a_factortilt_error():
         assert issubclass(cls, errors.FactortiltError) and issubclass(cls, base)
 
 
-@pytest.mark.parametrize("command", ["backtest", "diagnose"])
-@pytest.mark.parametrize("extra, raised", [
-    ("\n[caps]\nenabled = true\nc_max = 0.001\n", errors.InfeasibleCapsError),
-    ("", errors.StatsError),
-], ids=["c_max-0.001", "adv_min-1e15"])
+# backtest on an empty universe throughout writes blank statistics instead (see below)
+@pytest.mark.parametrize("command, extra, raised", [
+    ("backtest", INFEASIBLE_CAPS, errors.InfeasibleCapsError),
+    ("diagnose", INFEASIBLE_CAPS, errors.InfeasibleCapsError),
+    ("diagnose", "", errors.StatsError),
+], ids=["c_max-0.001-backtest", "c_max-0.001-diagnose", "adv_min-1e15-diagnose"])
 def test_engine_errors_are_one_line(tmp_path, synth_dir, capsys, command, extra, raised):
     text = CONFIG_TEMPLATE.format(data=synth_dir, start="2020-06-01", end="2022-06-30", lam="0.3") + extra
     if raised is errors.StatsError:
@@ -480,6 +484,33 @@ def test_engine_errors_are_one_line(tmp_path, synth_dir, capsys, command, extra,
     assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1  # ... main reports it
     lines = [line for line in capsys.readouterr().err.splitlines() if not line.startswith(("INFO ", "WARNING "))]
     assert len(lines) == 1 and lines[0].startswith("error: ")  # no traceback
+
+
+def test_empty_universe_throughout_leaves_statistics_blank(tmp_path, synth_dir):
+    """A book that holds cash at every rebalance has no Sharpe ratio or
+    t-statistic: backtest still writes every file, leaves those fields
+    blank and says why in the manifest."""
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(CONFIG_TEMPLATE.format(data=synth_dir, start="2020-06-01", end="2022-06-30", lam="0.3")
+                   .replace("adv_min = 1000.0", "adv_min = 1e30"))
+    out = tmp_path / "out"
+    assert main(["backtest", "--config", str(cfg), "--out", str(out)]) == 0
+    expected = {"eligibility.csv", "factors.csv", "manifest.txt"} | {
+        f"{kind}_{s}.csv" for kind in ("returns", "turnover", "weights", "stats") for s in STRATEGIES}
+    assert {p.name for p in out.iterdir()} == expected
+    manifest = (out / "manifest.txt").read_text()
+    notes = manifest[manifest.index("[notes]\n"):].splitlines()[1:]
+    for book in ("dmft", "ew_eligible"):
+        stats = dict(read_rows(out / f"stats_{book}.csv")[1:])
+        assert stats["sharpe"] == stats["nw_tstat"] == stats["deflated_sharpe"] == ""
+        assert stats["ann_return"] == "0.0" and stats["nw_lag"] != ""
+        assert f"stats_{book}.sharpe = blank: zero return variance; Sharpe undefined" in notes
+        assert f"stats_{book}.nw_tstat = blank: zero variance; t-statistic undefined" in notes
+        assert f"stats_{book}.deflated_sharpe = blank: zero variance; Sharpe undefined" in notes
+    blank = sum(value == "" for s in STRATEGIES for _, value in read_rows(out / f"stats_{s}.csv")[1:])
+    assert len(notes) == blank  # one note per blank field
+    assert all(value != "" for _, value in read_rows(out / "stats_ew_all.csv")[1:])
+
 
 
 @pytest.mark.parametrize("old, new, message", [

@@ -5,7 +5,8 @@ cells, an asset with no prices at all, zero and negative-zero volumes,
 floats whose shortest repr is long or extreme, and fundamentals with blank
 metrics and report dates outside the calendar. The columnar cell reader
 accepts, rejects and locates errors exactly as the row-by-row csv.reader
-loop it replaced, kept here as the oracle, on messy unquoted files.
+loop it replaced, kept here as the oracle, on messy unquoted files. The
+block size ingest reads files in changes nothing a parse returns.
 """
 
 from __future__ import annotations
@@ -17,10 +18,14 @@ from pathlib import Path
 from tempfile import TemporaryDirectory
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from factortilt import market_data
 from factortilt.errors import DataError
-from factortilt.market_data import FundamentalRecord, MarketPanel, _read_cell_file, load_panel, save_panel
+from factortilt.market_data import (
+    _REPORT_VALUES, FundamentalRecord, MarketPanel, _parse_panel, _read_cell_file, load_panel, save_panel,
+)
 from factortilt.synthetic import trading_days
 
 SETTINGS = settings(derandomize=True, max_examples=40, deadline=None)
@@ -135,8 +140,9 @@ def outcome(read, path, kind):
         return str(exc)
     if isinstance(cells, dict):
         return {k: v.hex() for k, v in cells.items()}
-    return {(cells.dates[i], cells.assets[j]): v.hex()
-            for i, j, v in zip(cells.date_code.tolist(), cells.asset_code.tolist(), cells.values.tolist())}
+    i, j = np.nonzero(~np.isnan(cells.values))
+    return {(cells.dates[r], cells.assets[c]): v.hex()
+            for r, c, v in zip(i.tolist(), j.tolist(), cells.values[i, j].tolist())}
 
 
 GOOD_VALUES = st.one_of(st.floats(1e-300, 1e300).map(repr), st.sampled_from(["1", "2.50", "1e3", "1_0", ""]))
@@ -184,3 +190,53 @@ def test_columnar_ingest_matches_row_reader(text, kind):
         path = Path(tmp) / f"{kind}.csv"
         path.write_bytes(text.encode("utf-8"))
         assert outcome(_read_cell_file, path, kind) == outcome(reference_cells, path, kind)
+
+
+# --- block boundaries ----------------------------------------------------------
+
+MULTIBYTE_IDS = ("A", "\u00c4pfel", "\u682a\u5f0f", "\U0001f642x", "Z\u00e9")  # 1- to 4-byte UTF-8
+
+
+def parse_outcome(paths):
+    """Everything a parse of the four files returns, bit for bit, with the
+    size and sha256 of each file's bytes; or the error text."""
+    digests = []
+    try:
+        panel = _parse_panel(paths["prices"], paths["volumes"], paths["fundamentals"], paths["mktcap"], digests)
+    except DataError as exc:
+        return str(exc)
+    reports = [(a, r.report_date, *map(float.hex, _REPORT_VALUES(r)))
+               for a, records in panel.fundamentals.items() for r in records]
+    return (panel.assets, panel.calendar.days, [g.tobytes() for g in (panel.price, panel.volume, panel.mktcap)],
+            reports, digests)
+
+
+@settings(SETTINGS, max_examples=30)
+@given(seed=st.integers(0, 2**32 - 1), n_assets=st.integers(1, len(MULTIBYTE_IDS)), n_days=st.integers(1, 12),
+       gap=st.sampled_from([0.0, 0.3]), data=st.data())
+def test_block_size_changes_nothing(seed, n_assets, n_days, gap, data):
+    panel = random_panel(seed, n_assets, n_days, gap)
+    ids = dict(zip(panel.assets, MULTIBYTE_IDS))
+    panel = MarketPanel([ids[a] for a in panel.assets], panel.calendar, panel.price, panel.volume, panel.mktcap,
+                        {ids[a]: records for a, records in panel.fundamentals.items()})
+    defective = data.draw(st.sampled_from([None, "prices", "fundamentals"]))
+    with TemporaryDirectory() as tmp:
+        paths = save_panel(panel, Path(tmp))
+        for name, path in paths.items():
+            lines = path.read_bytes().decode("utf-8").split("\r\n")[:-1]
+            if name == defective:  # a short line, so the outcome is an error naming its line number
+                lines.insert(data.draw(st.integers(1, len(lines))), f"{panel.calendar.days[0]},{MULTIBYTE_IDS[1]}")
+            text = ""
+            for line in lines:
+                text += line + data.draw(st.sampled_from(["\n", "\r\n", "\r"]))
+                if data.draw(st.integers(0, 3)) == 0:  # a blank line
+                    text += data.draw(st.sampled_from(["", " ", "\t "])) + data.draw(st.sampled_from(["\n", "\r\n"]))
+            if data.draw(st.booleans()):  # no line end after the last line
+                text = text.rstrip("\r\n")
+            path.write_bytes(text.encode("utf-8"))
+        whole = parse_outcome(paths)
+        assert isinstance(whole, str) == (defective is not None), whole
+        for size in (1, 7, 64):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(market_data, "BLOCK_BYTES", size)
+                assert parse_outcome(paths) == whole, size

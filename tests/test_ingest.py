@@ -1,16 +1,19 @@
-"""What CSV ingest and export keep: the format rules README states, and a
-`path:lineno` on every rejection."""
+"""What CSV ingest and export keep: the format rules README states, a
+`path:lineno` on every rejection at any block size, and a parse whose peak
+memory follows its grids rather than its text."""
 
 from __future__ import annotations
 
 import csv
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from factortilt import market_data
 from factortilt.errors import DataError
-from factortilt.market_data import load_panel, save_panel
+from factortilt.market_data import load_panel, parse_panel, save_panel
 from factortilt.synthetic import ScenarioSpec, generate, trading_days
 
 from conftest import make_panel
@@ -101,6 +104,38 @@ class TestRejectionsNameTheLine:
         (tmp_path / "prices.csv").write_text("")
         with pytest.raises(DataError, match="expected header"):
             load_dir(tmp_path)
+
+    def test_header_only_files_hold_no_cells(self, tmp_path):
+        write_inputs(tmp_path)
+        for name in ("prices.csv", "volumes.csv", "mktcap.csv"):
+            (tmp_path / name).write_text(HEADER)
+        with pytest.raises(DataError, match="no data cells found"):
+            load_dir(tmp_path)
+
+    def test_line_numbers_count_crlf_and_lone_cr_once(self, tmp_path):
+        write_inputs(tmp_path)
+        text = f"{HEADER}\r\n{DAYS[0]},AAA,1.0\r\r\n{DAYS[1]},AAA,2.0\r{DAYS[2]},AAA\r\n"
+        (tmp_path / "prices.csv").write_bytes(text.encode())
+        with pytest.raises(DataError, match=r"prices.csv:5: expected 3 fields"):
+            load_dir(tmp_path)
+
+    def test_not_utf8_names_the_byte_offset_in_the_file(self, tmp_path):
+        write_inputs(tmp_path)
+        lines = (tmp_path / "volumes.csv").read_bytes().split(b"\n")
+        lines.insert(2, f"{DAYS[1]},CCC".encode())  # a bad line before the bad byte: the encoding is named first
+        head = b"\n".join(lines) + f"{DAYS[2]},\u00c9".encode()
+        (tmp_path / "volumes.csv").write_bytes(head + b"\xff,1.0\n")
+        with pytest.raises(DataError, match=rf"volumes.csv: not UTF-8 text \(byte {len(head)}\)$"):
+            load_dir(tmp_path)
+
+
+class TestRejectionsAtBlockSizeOne(TestRejectionsNameTheLine):
+    """Every rejection above with files read one byte at a time, so that
+    each block holds one line."""
+
+    @pytest.fixture(autouse=True)
+    def one_byte_blocks(self, monkeypatch):
+        monkeypatch.setattr(market_data, "BLOCK_BYTES", 1)
 
 
 class TestFormatRules:
@@ -202,3 +237,24 @@ class TestReadOnlyGrids:
         for grid in (panel.price, panel.volume, panel.mktcap):
             with pytest.raises(ValueError):
                 grid[:] = 1.0
+
+
+def test_parse_peak_follows_the_grids_not_the_text(tmp_path):
+    """A cold parse holds the three float64 grids, the int32 codes and
+    float64 values of one file's blocks and a few blocks of text and
+    fields, never a file's text or fields whole. A parse that read each
+    file whole peaked at about 13 times its grids here."""
+    panel = generate(ScenarioSpec(seed=1, n_assets=200, n_days=1500))
+    paths = save_panel(panel, tmp_path)
+    grids = 3 * panel.price.nbytes
+    text = sum(path.stat().st_size for path in paths.values())
+    bound = 2 * grids + 16 * market_data.BLOCK_BYTES
+    assert bound < text / 1.5  # the gate is well under the text
+    del panel
+    tracemalloc.start()
+    try:
+        parse_panel(paths["prices"], paths["volumes"], paths["fundamentals"], paths["mktcap"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound, f"peak {peak / 2**20:.1f} MiB, bound {bound / 2**20:.1f} MiB"

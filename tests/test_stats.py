@@ -194,6 +194,19 @@ def test_summarize_annualizes_turnover_over_the_days_covered():
     assert dict(report.rows())["ann_turnover_oneway"] == 3.5
 
 
+def test_summarize_blanks_what_is_undefined():
+    # five days: too few for the t-statistic and the deflated Sharpe ratio
+    r = np.array([0.01, -0.02, 0.005, 0.0, 0.01])
+    report = summarize(result_from(r, turnover=[1.0]), n_trials=3)
+    assert math.isnan(report.nw_tstat) and math.isnan(report.deflated_sharpe)
+    assert report.undefined == {"nw_tstat": "need at least 8 observations, got 5",
+                                "deflated_sharpe": "need at least 8 observations, got 5",
+                                "effective_n_mean": "no rebalance date holds any weight",
+                                "top5_concentration_mean": "no rebalance date holds any weight"}
+    assert report.sharpe == sharpe_ratio(r) and report.nw_lag == 2  # floor(4 * 0.05^(2/9))
+    assert math.isnan(report.turnover_adjusted_alpha)  # no benchmark given, so nothing to explain
+
+
 class TestMaxDrawdown:
     def test_monotone_increasing(self):
         assert max_drawdown([1.0, 1.1, 1.2, 1.3]) == 0.0

@@ -32,7 +32,8 @@ def weights(members, z, tilt, caps=None, adv=None, assets=None):
     with factor rows z and, when capped, ADV array adv."""
     assets = tuple(assets or members)
     positions = np.array([assets.index(a) for a in members], dtype=np.intp)
-    return tilted_weights(T, assets, positions, matrix_for(members, z), adv, tilt, caps)
+    return tilted_weights(T, assets, positions, matrix_for(members, z), tilt,
+                          None if caps is None else cap_values(adv, caps))
 
 
 def empty_universe_weights(strategy):
@@ -306,7 +307,7 @@ class TestBuildWeights:
         assets = tuple(self.members(3))
         for matrix in (None, matrix_for(self.members(2), np.zeros((2, 3)))):
             with pytest.raises(ConfigError, match="factor matrix over its members"):
-                tilted_weights(T, assets, np.arange(3), matrix, None, TiltParams(), None)
+                tilted_weights(T, assets, np.arange(3), matrix, TiltParams())
 
     def test_empty_universe_all_zero(self):
         out = empty_universe_weights("dmft")
