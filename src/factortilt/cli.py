@@ -42,7 +42,6 @@ from .factors import FACTORS, FactorParams
 from .market_data import (
     DEFAULT_ANCHORS,
     build_schedule,
-    check_asset_ids,
     check_date,
     load_panel,
     parse_panel,
@@ -326,7 +325,6 @@ def write_manifest(cfg: RunConfig, path: Path, extra: list[tuple[str, str]] | No
 def _load_inputs(cfg: RunConfig, cached: bool = True):
     load = load_panel if cached else parse_panel
     panel = load(cfg.prices, cfg.volumes, cfg.fundamentals, cfg.mktcap)
-    check_asset_ids(panel.assets)  # the artifact writer never quotes
     schedule = build_schedule(panel.calendar, cfg.start, cfg.end, cfg.anchors)
     return panel, schedule
 

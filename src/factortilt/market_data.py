@@ -106,7 +106,6 @@ class FundamentalRecord:
     debt_to_assets: float = math.nan
 
 
-_REPORT_DATE = attrgetter("report_date")
 _REPORT_FIELDS = ("book_equity", "roe", "gross_margin", "debt_to_assets")
 _REPORT_VALUES = attrgetter(*_REPORT_FIELDS)
 
@@ -161,10 +160,11 @@ class MarketPanel:
             if asset not in self.assets:
                 raise DataError(f"fundamentals for unknown asset {asset!r}")
             dates = [r.report_date for r in records]
-            if dates != sorted(dates):
-                raise DataError(f"fundamental records for {asset} not sorted")
-            if len(set(dates)) != len(dates):
-                raise DataError(f"duplicate fundamental report date for {asset}")
+            for a, b in zip(dates, dates[1:]):
+                if a == b:
+                    raise DataError(f"duplicate fundamental report ({a},{asset})")
+                if a > b:
+                    raise DataError(f"fundamental records for {asset} not sorted")
         self.asset_index = {a: i for i, a in enumerate(self.assets)}
         for arr in (self.price, self.volume, self.mktcap):
             arr.flags.writeable = False
@@ -213,7 +213,7 @@ class MarketPanel:
         values = np.full((len(_REPORT_FIELDS), self.n_assets, width), np.nan)
         for asset, records in self.fundamentals.items():
             i, n = self.asset_index[asset], len(records)
-            days[i, :n] = np.array(list(map(_REPORT_DATE, records)), dtype="datetime64[D]").astype(np.int64)
+            days[i, :n] = np.array([r.report_date for r in records], dtype="datetime64[D]").astype(np.int64)
             values[:, i, :n] = np.array(list(map(_REPORT_VALUES, records)), dtype=float).reshape(n, -1).T
         days.flags.writeable = values.flags.writeable = False
         return days, values
@@ -406,15 +406,20 @@ def _floats(column: list[str]) -> tuple[np.ndarray, np.ndarray | None]:
         return values, present
 
 
-def _checked_rows(path: Path, header: tuple[str, ...]):
-    """Row-wise rescan that locates a bad line once a column check has
-    failed: yields ("path:lineno", stripped fields) for each data line,
-    raising DataError at the first line that breaks the format, holds an
-    invalid date or has an empty asset id. The whole file is decoded
-    first, so one that is not UTF-8 raises that error whichever line is
-    bad."""
+def _raise_line_error(path: Path, header: tuple[str, ...], kind: str | None = None) -> NoReturn:
+    """Row-wise rescan that names the first bad line once a column check
+    has failed: raises DataError "path:lineno: ..." at the first line that
+    breaks the format, holds an invalid date, an empty asset id, or a
+    value that does not parse or is not finite. `kind` is a cell file's
+    value rule (price and mktcap > 0, volume >= 0; a cell given twice is
+    an error too); None reads the fundamentals file. The whole file is
+    decoded first, so one that is not UTF-8 raises that error whichever
+    line is bad."""
     for _ in _blocks(path):
         pass
+    names = ("value",) if kind else _REPORT_FIELDS
+    seen: dict[str, set[str]] = {}  # assets per date, each id held once
+    ids: dict[str, str] = {}
     lineno = 0
     for text in _blocks(path):
         lines = text.split("\n")
@@ -434,54 +439,32 @@ def _checked_rows(path: Path, header: tuple[str, ...]):
                 continue
             if len(row) != len(header):
                 raise DataError(f"{where}: expected {len(header)} fields, got {len(row)}")
+            d, asset = row[:2]
             try:
-                _iso(row[0])
+                _iso(d)
             except DataError as exc:
                 raise DataError(f"{where}: {exc}") from None
-            if not row[1]:
+            if not asset:
                 raise DataError(f"{where}: empty asset id")
-            yield where, row
-
-
-def _no_bad_line(path: Path) -> DataError:
-    return DataError(f"{path}: rejected by a column check, but no line fails it")
-
-
-def _raise_cell_error(path: Path, kind: str) -> NoReturn:
-    seen: dict[str, set[str]] = {}  # assets per date, each id held once
-    ids: dict[str, str] = {}
-    for where, (d, asset, raw) in _checked_rows(path, _CELL_HEADER):
-        if not raw:
-            continue
-        try:
-            value = float(raw)
-        except ValueError:
-            raise DataError(f"{where}: unparseable value {raw!r}") from None
-        if not math.isfinite(value):
-            raise DataError(f"{where}: non-finite value for ({d},{asset})")
-        if kind in ("price", "mktcap") and value <= 0:
-            raise DataError(f"{where}: non-positive {kind} for cell ({d},{asset})")
-        if kind == "volume" and value < 0:
-            raise DataError(f"{where}: negative volume for cell ({d},{asset})")
-        held = seen.setdefault(d, set())
-        if asset in held:
-            raise DataError(f"{where}: duplicate cell ({d},{asset})")
-        held.add(ids.setdefault(asset, asset))
-    raise _no_bad_line(path)
-
-
-def _raise_fundamentals_error(path: Path) -> NoReturn:
-    for where, row in _checked_rows(path, _FUND_HEADER):
-        for name, raw in zip(_REPORT_FIELDS, row[2:]):
-            if not raw:
-                continue
-            try:
-                value = float(raw)
-            except ValueError:
-                raise DataError(f"{where}: unparseable {name} {raw!r}") from None
-            if not math.isfinite(value):
-                raise DataError(f"{where}: non-finite {name}")
-    raise _no_bad_line(path)
+            for name, raw in zip(names, row[2:]):
+                if not raw:
+                    continue
+                try:
+                    value = float(raw)
+                except ValueError:
+                    raise DataError(f"{where}: unparseable {name} {raw!r}") from None
+                if not math.isfinite(value):
+                    raise DataError(f"{where}: non-finite {name} for ({d},{asset})")
+                if kind in ("price", "mktcap") and value <= 0:
+                    raise DataError(f"{where}: non-positive {kind} for cell ({d},{asset})")
+                if kind == "volume" and value < 0:
+                    raise DataError(f"{where}: negative volume for cell ({d},{asset})")
+                if kind:
+                    held = seen.setdefault(d, set())
+                    if asset in held:
+                        raise DataError(f"{where}: duplicate cell ({d},{asset})")
+                    held.add(ids.setdefault(asset, asset))
+    raise DataError(f"{path}: rejected by a column check, but no line fails it")
 
 
 class _Grid(NamedTuple):
@@ -518,7 +501,7 @@ def _read_cell_file(path, kind: str, digests: list | None = None) -> _Grid:
     try:
         return _cell_grid(path, kind, digests)
     except _Rejected:
-        _raise_cell_error(path, kind)
+        _raise_line_error(path, _CELL_HEADER, kind)
 
 
 def _cell_grid(path: Path, kind: str, digests: list | None) -> _Grid:
@@ -556,7 +539,7 @@ def _read_fundamentals_file(path, digests: list | None = None) -> _Cells:
                 raise _Rejected
             blocks.append((date_code, asset_code, np.column_stack([v for v, _ in parsed])))
     except _Rejected:
-        _raise_fundamentals_error(path)
+        _raise_line_error(path, _FUND_HEADER)
     return _Cells(list(dates.code), list(assets.code), *map(np.concatenate, zip(*blocks)))
 
 
@@ -581,12 +564,11 @@ def _source_sha256() -> bytes | None:
 
 
 def _file_digest(path) -> tuple[int, bytes]:
-    """Size and sha256 of a file, read in 1 MiB chunks."""
+    """Size and sha256 of a file, read as _blocks reads it."""
     digest, size = hashlib.sha256(), 0
-    with open(path, "rb") as fh:
-        for chunk in iter(partial(fh.read, 1 << 20), b""):
-            digest.update(chunk)
-            size += len(chunk)
+    for chunk in _reads(path):
+        digest.update(chunk)
+        size += len(chunk)
     return size, digest.digest()
 
 
@@ -598,20 +580,43 @@ def _cache_key(digests) -> str:
     return hashlib.sha256(b"".join([_source_sha256(), *(d for _, d in digests)])).hexdigest()
 
 
-def _records(values: np.ndarray) -> list[list[float]]:
-    """Rows of a (n, len(_REPORT_FIELDS)) metric array as lists of floats,
-    blank metrics as the math.nan singleton, so records compare equal."""
-    rows = values.astype(object)
-    rows[np.isnan(values)] = math.nan
-    return rows.tolist()
+# The arrays every loaded panel is assembled from, in _assemble's order and
+# under the names the cache stores them by. Those in _TEXT are lists of str
+# in a parse and numpy string arrays in the cache.
+_ARRAYS = ("assets", "days", "price", "volume", "mktcap", "report_asset", "report_date", "report_values")
+_TEXT = ("assets", "days", "report_date")
+
+
+def _assemble(assets, days, price, volume, mktcap, report_asset, report_date, report_values) -> MarketPanel:
+    """The panel of a parse's arrays or of a cache's. `assets` and `days`
+    are sorted, each grid is (len(days), len(assets)), and report i is the
+    asset at position report_asset[i] reporting report_values[i] (the
+    _REPORT_FIELDS, NaN where blank) on report_date[i]. Reports come grouped
+    by asset, in date order within each; the fundamentals dict keeps the
+    order in which the assets first appear. Besides MarketPanel's rules this
+    holds what a parse of the CSVs guarantees, so every loaded panel keeps
+    it: no +-inf, asset ids the CSV format can hold, YYYY-MM-DD report
+    dates; else DataError."""
+    if any(np.isinf(a).any() for a in (price, volume, mktcap, report_values)):
+        raise DataError("non-finite value in a grid or a report")
+    check_asset_ids(assets)
+    for d in set(report_date):
+        _iso(d)
+    values = report_values.astype(object)
+    values[np.isnan(report_values)] = math.nan  # the singleton, so that records compare equal
+    fundamentals: dict[str, list[FundamentalRecord]] = {}
+    for ai, d, row in zip(report_asset.tolist(), report_date, values.tolist()):
+        fundamentals.setdefault(assets[ai], []).append(FundamentalRecord(d, *row))
+    return MarketPanel(assets=assets, calendar=TradingCalendar(tuple(days)), price=price, volume=volume,
+                       mktcap=mktcap, fundamentals=fundamentals)
 
 
 def _read_cache(path: Path, files) -> MarketPanel | None:
     """The panel stored at `path` for the input `files` (in parse order), or
     None: silently when there is no such file, with one INFO line when it
     cannot serve them. The inputs are hashed only when their sizes match
-    the stored ones. A hit re-applies the parse's value rules, so the panel
-    it serves holds nothing a parse would reject."""
+    the stored ones. The stored arrays are assembled as a parse's are, so
+    the panel holds nothing a parse would reject."""
     if not path.exists():
         return None
     try:
@@ -620,44 +625,25 @@ def _read_cache(path: Path, files) -> MarketPanel | None:
             if z["sizes"].tolist() != [os.path.getsize(f) for f in files] or \
                     z["key"].item() != _cache_key(map(_file_digest, files)):
                 raise ValueError("inputs or ingest code changed")
-            assets, values = z["assets"].tolist(), z["report_values"]
-            grids = {name: z[name] for name in ("price", "volume", "mktcap")}
-            if any(np.isinf(a).any() for a in (values, *grids.values())):
-                raise ValueError("non-finite value")
-            check_asset_ids(assets)
-            report_dates = z["report_date"].tolist()
-            for d in set(report_dates):
-                _iso(d)
-            fundamentals: dict[str, list[FundamentalRecord]] = {}
-            for ai, d, row in zip(z["report_asset"].tolist(), report_dates, _records(values)):
-                fundamentals.setdefault(assets[ai], []).append(FundamentalRecord(d, *row))
-            return MarketPanel(assets=assets, calendar=TradingCalendar(tuple(z["days"].tolist())),
-                               fundamentals=fundamentals, **grids)
+            return _assemble(*(z[name].tolist() if name in _TEXT else z[name] for name in _ARRAYS))
     except Exception as exc:  # any unusable cache is a miss
         log.info("parsed-panel cache %s not used (%s: %s); parsing the CSVs", path, type(exc).__name__, exc)
         return None
 
 
-def _write_cache(path: Path, digests, panel: MarketPanel) -> None:
-    """Store the panel at `path`, keyed by the parsed files' digests, through
-    a temporary file moved into place; skipped, with one INFO line, when an
-    asset id would not come back unchanged (numpy drops trailing NULs;
-    dates are plain YYYY-MM-DD) or the directory refuses it."""
-    assets = np.array(panel.assets, dtype=str)
-    if assets.tolist() != panel.assets:
+def _write_cache(path: Path, digests, arrays: tuple) -> None:
+    """Store a parse's _ARRAYS at `path`, keyed by the parsed files'
+    digests, through a temporary file moved into place; skipped, with one
+    INFO line, when an asset id would not come back unchanged (numpy drops
+    trailing NULs; dates are plain YYYY-MM-DD) or the directory refuses it."""
+    stored = {name: np.array(a, dtype=str) if name in _TEXT else a for name, a in zip(_ARRAYS, arrays)}
+    if stored["assets"].tolist() != arrays[0]:
         log.info("parsed-panel cache %s not written: an asset id does not survive a numpy string array", path)
         return
-    owners = [a for a, recs in panel.fundamentals.items() for _ in recs]
-    records = [r for recs in panel.fundamentals.values() for r in recs]
-    values = np.array(list(map(_REPORT_VALUES, records)), dtype=float).reshape(-1, len(_REPORT_FIELDS))
     tmp = path.with_name(f"{path.name}.{os.urandom(6).hex()}.tmp")
     try:
         with open(tmp, "xb") as fh:
-            np.savez(fh, key=np.array(_cache_key(digests)), sizes=np.array([n for n, _ in digests]),
-                     assets=assets, days=np.array(panel.calendar.days, dtype=str),
-                     price=panel.price, volume=panel.volume, mktcap=panel.mktcap,
-                     report_asset=panel.positions(owners), report_values=values,
-                     report_date=np.array(list(map(_REPORT_DATE, records)), dtype=str))
+            np.savez(fh, key=np.array(_cache_key(digests)), sizes=np.array([n for n, _ in digests]), **stored)
         os.replace(tmp, path)
     except OSError as exc:
         log.info("parsed-panel cache %s not written (%s)", path, exc)
@@ -680,8 +666,9 @@ def load_panel(price_file, volume_file, fundamentals_file, mktcap_file) -> Marke
     panel = _read_cache(cache, (price_file, volume_file, mktcap_file, fundamentals_file))
     if panel is None:
         digests: list[tuple[int, bytes]] = []
-        panel = _parse_panel(price_file, volume_file, fundamentals_file, mktcap_file, digests)
-        _write_cache(cache, digests, panel)
+        arrays = _parse_panel(price_file, volume_file, fundamentals_file, mktcap_file, digests)
+        panel = _assemble(*arrays)
+        _write_cache(cache, digests, arrays)
     return panel
 
 
@@ -692,14 +679,16 @@ def parse_panel(price_file, volume_file, fundamentals_file, mktcap_file) -> Mark
     Dates and assets are unioned across files; cells absent in a file are
     missing. Fundamental report dates falling on non-trading days inside the
     calendar span are snapped to the nearest prior trading day; dates outside
-    the span are kept verbatim.
+    the span are kept verbatim. Two reports of one asset on one date, after
+    snapping, are a DataError naming the date and the asset.
     """
-    return _parse_panel(price_file, volume_file, fundamentals_file, mktcap_file, None)
+    return _assemble(*_parse_panel(price_file, volume_file, fundamentals_file, mktcap_file, None))
 
 
-def _parse_panel(price_file, volume_file, fundamentals_file, mktcap_file, digests: list | None) -> MarketPanel:
-    """parse_panel; the size and sha256 of each file's bytes are appended
-    to `digests`, when given, as the file is read."""
+def _parse_panel(price_file, volume_file, fundamentals_file, mktcap_file, digests: list | None) -> tuple:
+    """The _ARRAYS parse_panel assembles its panel from; the size and sha256
+    of each file's bytes are appended to `digests`, when given, as the file
+    is read."""
     cells = [_read_cell_file(price_file, "price", digests), _read_cell_file(volume_file, "volume", digests),
              _read_cell_file(mktcap_file, "mktcap", digests)]
     reports = _read_fundamentals_file(fundamentals_file, digests)
@@ -725,25 +714,12 @@ def _parse_panel(price_file, volume_file, fundamentals_file, mktcap_file, digest
         return d if (d in calendar or not in_span) else (calendar.last_before(d) or d)
 
     snapped = list(map(snap, reports.dates))
-    fundamentals: dict[str, list[FundamentalRecord]] = {}
-    seen: set[tuple[str, str]] = set()
-    for di, ai, row in zip(reports.date_code.tolist(), reports.asset_code.tolist(), _records(reports.values)):
-        d, asset = snapped[di], reports.assets[ai]
-        if (asset, d) in seen:
-            raise DataError(f"duplicate fundamental report ({d},{asset})")
-        seen.add((asset, d))
-        fundamentals.setdefault(asset, []).append(FundamentalRecord(d, *row))
-    for asset in fundamentals:
-        fundamentals[asset].sort(key=_REPORT_DATE)
-
-    return MarketPanel(
-        assets=assets,
-        calendar=calendar,
-        price=grid(cells[0]),
-        volume=grid(cells[1]),
-        mktcap=grid(cells[2]),
-        fundamentals=fundamentals,
-    )
+    rank = np.unique(snapped, return_inverse=True)[1]
+    # each asset's reports in date order, the assets in the order the file first names them
+    order = np.lexsort((rank[reports.date_code], reports.asset_code))
+    report_asset = np.array([aidx[a] for a in reports.assets], dtype=np.intp)[reports.asset_code[order]]
+    report_date = [snapped[i] for i in reports.date_code[order].tolist()]
+    return assets, dates, *map(grid, cells), report_asset, report_date, reports.values[order]
 
 
 def _metric_text(v: float) -> str:

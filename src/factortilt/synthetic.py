@@ -50,6 +50,8 @@ class ScenarioSpec:
     def __post_init__(self):
         check_finite(vol=self.vol, dispersion=self.dispersion, ic_target=self.ic_target,
                      liquidity_tiers=self.liquidity_tiers)
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.n_assets < 1 or self.n_days < 1:
             raise ConfigError("n_assets and n_days must be >= 1")
         if self.vol < 0 or self.dispersion < 0:

@@ -241,19 +241,22 @@ def test_bad_scenario_file_is_one_line(tmp_path, capsys, content, message):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("content, message", [
-    ("n_assets = abc\nn_days = 30\n", "[scenario] n_assets: cannot parse 'abc'"),
-    ("n_assets = 4\nliquidity_tiers = 1,x\n", "[scenario] liquidity_tiers: cannot parse '1,x'"),
+@pytest.mark.parametrize("content, message, args", [
+    ("n_assets = abc\nn_days = 30\n", "[scenario] n_assets: cannot parse 'abc'", []),
+    ("n_assets = 4\nliquidity_tiers = 1,x\n", "[scenario] liquidity_tiers: cannot parse '1,x'", []),
     ("n_assets = 4\nn_asset = 5\n",
      "unknown scenario keys: ['n_asset']; valid keys: seed, n_assets, n_days, vol, dispersion, ic_target, "
-     "liquidity_tiers, missing_rate"),
-    ("n_assets = 4\nic_target = nan\n", "ic_target must be finite, got nan"),
-    ("n_assets = 4\nliquidity_tiers = 1,inf\n", "liquidity_tiers must be finite, got (1.0, inf)"),
-], ids=["not-an-int", "not-a-float-list", "unknown-key", "nan-ic-target", "inf-tier"])
-def test_bad_scenario_value_is_one_line(tmp_path, capsys, content, message):
+     "liquidity_tiers, missing_rate", []),
+    ("n_assets = 4\nic_target = nan\n", "ic_target must be finite, got nan", []),
+    ("n_assets = 4\nliquidity_tiers = 1,inf\n", "liquidity_tiers must be finite, got (1.0, inf)", []),
+    ("seed = -5\nn_assets = 4\n", "seed must be >= 0, got -5", []),
+    ("n_assets = 4\n", "seed must be >= 0, got -1", ["--seed", "-1"]),
+], ids=["not-an-int", "not-a-float-list", "unknown-key", "nan-ic-target", "inf-tier", "negative-seed",
+        "negative-seed-flag"])
+def test_bad_scenario_value_is_one_line(tmp_path, capsys, content, message, args):
     scenario = tmp_path / "s.ini"
     scenario.write_text(content)
-    assert main(["synth", str(scenario), "--out", str(tmp_path / "out")]) == 1
+    assert main(["synth", str(scenario), "--out", str(tmp_path / "out"), *args]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["s.ini"]  # nothing written
 

@@ -24,7 +24,8 @@ from hypothesis import given, settings, strategies as st
 from factortilt import market_data
 from factortilt.errors import DataError
 from factortilt.market_data import (
-    _REPORT_VALUES, FundamentalRecord, MarketPanel, _parse_panel, _read_cell_file, load_panel, save_panel,
+    _REPORT_VALUES, FundamentalRecord, MarketPanel, _assemble, _parse_panel, _read_cell_file, load_panel,
+    save_panel,
 )
 from factortilt.synthetic import trading_days
 
@@ -202,7 +203,8 @@ def parse_outcome(paths):
     size and sha256 of each file's bytes; or the error text."""
     digests = []
     try:
-        panel = _parse_panel(paths["prices"], paths["volumes"], paths["fundamentals"], paths["mktcap"], digests)
+        panel = _assemble(*_parse_panel(paths["prices"], paths["volumes"], paths["fundamentals"], paths["mktcap"],
+                                        digests))
     except DataError as exc:
         return str(exc)
     reports = [(a, r.report_date, *map(float.hex, _REPORT_VALUES(r)))

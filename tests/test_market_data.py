@@ -64,6 +64,17 @@ class TestLoadPanel:
         with pytest.raises(DataError, match="duplicate fundamental"):
             load_dir(csv_dir)
 
+    def test_report_duplicated_by_snapping(self, tmp_path):
+        # the Saturday report snaps back to the Friday the asset already reports on
+        days = trading_days(5, "2020-01-01").days
+        write_cell_csv(tmp_path / "prices.csv", [[d, "AAA", 10.0] for d in days])
+        write_cell_csv(tmp_path / "volumes.csv", [[d, "AAA", 5.0] for d in days])
+        write_cell_csv(tmp_path / "mktcap.csv", [[d, "AAA", 1e6] for d in days])
+        write_fundamentals_csv(tmp_path / "fundamentals.csv", [["2020-01-03", "AAA", 50.0, "", "", ""],
+                                                               ["2020-01-04", "AAA", 51.0, "", "", ""]])
+        with pytest.raises(DataError, match=r"^duplicate fundamental report \(2020-01-03,AAA\)$"):
+            load_dir(tmp_path)
+
     def test_report_date_snaps_to_prior_trading_day(self, tmp_path):
         # calendar spans the Jan 4/5 weekend; Saturday report snaps back to Friday
         days = trading_days(5, "2020-01-01").days

@@ -246,6 +246,8 @@ class TestUnusableCache:
         (dict(report_values=lambda a: np.where(np.isnan(a), -np.inf, a)), "non-finite value"),
         (dict(assets=lambda a: np.array([" AAA", *a[1:].tolist()])), "asset id"),
         (dict(report_date=lambda a: np.array(["20200102", *a[1:].tolist()])), "invalid ISO date"),
+        (dict.fromkeys(["report_asset", "report_date", "report_values"], lambda a: np.concatenate([a, a])),
+         "duplicate fundamental report"),
     ])
     def test_hit_rejects_what_a_parse_rejects(self, tmp_path, monkeypatch, caplog, changes, reason):
         write_inputs(tmp_path, fundamentals=[FUND_HEADER, f"{DAYS[0]},AAA,1.0,,0.2,0.3"],
