@@ -1,7 +1,7 @@
 """Build a synthetic market panel, save it to CSV, and load it back.
 
 The panel is the engine's only data structure: aligned date x asset grids of
-total-return prices, volumes and market caps, plus as-of fundamental records.
+total-return prices, volumes and market caps, plus as-of fundamental reports.
 Everything downstream (screens, signals, weights, backtests) reads from it.
 """
 

@@ -343,8 +343,7 @@ def cmd_validate(cfg: RunConfig) -> int:
     print(f"trading days: {panel.n_days} ({panel.calendar.days[0]} .. {panel.calendar.days[-1]})")
     for grid, count in missing.items():
         print(f"missing {grid} cells: {count}")
-    n_fund = sum(len(v) for v in panel.fundamentals.values())
-    print(f"fundamental records: {n_fund}")
+    print(f"fundamental records: {len(panel.report_asset)}")
     print(f"rebalance dates: {len(schedule)} ({schedule.dates[0]} .. {schedule.dates[-1]})")
     print("OK")
     return 0
@@ -439,11 +438,12 @@ def _check_out_dir(out: Path) -> None:
 
 @contextmanager
 def _staged_out(out: Path):
-    """Yield a new hidden sibling directory of `out` to write the artifacts
-    into. When the block succeeds, each file is moved into `out` (created if
-    absent) with `os.replace`, the manifest last; when it raises, the
-    sibling and the parent directories made for it are removed, and `out`
-    is left as it was. Files already in `out` are never deleted, only
+    """Yield a new hidden sibling directory of `out` to write the files
+    into. When the block succeeds and no file's name is a directory in
+    `out`, each file is moved into `out` (created if absent) with
+    `os.replace`, the manifest last; else the sibling and the parent
+    directories made for it are removed, `out` is left as it was, and an
+    OSError is a ConfigError. Files in `out` are never deleted, only
     overwritten by a new file of the same name."""
     _check_out_dir(out)
     parent = out.resolve().parent
@@ -452,9 +452,15 @@ def _staged_out(out: Path):
     stage = Path(tempfile.mkdtemp(dir=parent, prefix=f".{out.name}."))
     try:
         yield stage
+        staged = sorted(stage.iterdir(), key=lambda p: p.name == "manifest.txt")
+        for path in staged:
+            if (out / path.name).is_dir():
+                raise ConfigError(f"cannot write {out / path.name}: it is a directory")
         out.mkdir(exist_ok=True)
-        for path in sorted(stage.iterdir(), key=lambda p: p.name == "manifest.txt"):
+        for path in staged:
             os.replace(path, out / path.name)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {out}: {exc.strerror or exc}") from None
     finally:
         shutil.rmtree(stage, ignore_errors=True)
         if not out.exists():  # the block raised
@@ -522,7 +528,7 @@ def cmd_diagnose(cfg: RunConfig) -> int:
 
 def cmd_synth(spec_path, out_dir, seed_override=None) -> int:
     """Generate a synthetic panel from a scenario file and write the four
-    market-data CSVs plus a manifest."""
+    market-data CSVs plus a manifest, staged as backtest's artifacts are."""
     path = Path(spec_path)
     cp = _read_ini(path, "scenario", section="scenario")
     for section in (["DEFAULT"] if cp.defaults() else []) + cp.sections():
@@ -535,12 +541,11 @@ def cmd_synth(spec_path, out_dir, seed_override=None) -> int:
         values["seed"] = str(seed_override)
     spec = scenario_from_mapping(values)
     out = Path(out_dir)
-    _check_out_dir(out)
-    panel = generate(spec)
-    save_panel(panel, out)
-    head = [f"factortilt {__version__}", f"generator = {GENERATOR_NAME}", f"numpy = {np.__version__}"]
-    text = _manifest(head, {"scenario": [(key, value) for _, key, value in _items(spec)]})
-    (out / "manifest.txt").write_text(text, encoding="utf-8")
+    with _staged_out(out) as stage:
+        save_panel(generate(spec), stage)
+        head = [f"factortilt {__version__}", f"generator = {GENERATOR_NAME}", f"numpy = {np.__version__}"]
+        text = _manifest(head, {"scenario": [(key, value) for _, key, value in _items(spec)]})
+        (stage / "manifest.txt").write_text(text, encoding="utf-8")
     print(f"wrote synthetic panel ({spec.n_assets} assets x {spec.n_days} days) to {out}")
     return 0
 

@@ -1,5 +1,5 @@
 """Market data panel: trading calendar, aligned price/volume/mktcap grids,
-as-of fundamental records, CSV ingest (with its parsed-panel cache) and
+as-of fundamental reports, CSV ingest (with its parsed-panel cache) and
 serialization, the rebalance schedule, and the as-of snapshot every screen
 and signal reads.
 
@@ -123,51 +123,73 @@ class RebalanceSchedule:
         return len(self.dates)
 
 
-@dataclass
 class MarketPanel:
-    """Aligned date x asset grids plus per-asset fundamental histories.
+    """Aligned date x asset grids plus every asset's fundamental reports.
 
-    Arrays are (n_days, n_assets) float64 with NaN for missing. Prices and
-    market caps are strictly positive where present; volumes are >= 0.
-    The grids are read-only once the panel is built (assigning into one
-    raises ValueError); reads are thread-safe.
+    Grids are (n_days, n_assets) float64, NaN for missing, never +-inf;
+    prices and market caps are > 0 where present, volumes >= 0. Report i is
+    the asset at position report_asset[i] reporting report_values[i] (the
+    _REPORT_FIELDS, NaN where blank) on report_date[i]; each asset's reports
+    are adjacent, in strictly increasing date order. A hand-built panel may
+    give `fundamentals` records instead, turned into those arrays once.
+    Grids and report arrays are read-only (assigning into one raises
+    ValueError); reads are thread-safe.
     """
 
-    assets: list[str]
-    calendar: TradingCalendar
-    price: np.ndarray
-    volume: np.ndarray
-    mktcap: np.ndarray
-    fundamentals: dict[str, list[FundamentalRecord]]
-    asset_index: dict[str, int] = field(init=False, repr=False)
-
-    def __post_init__(self):
-        shape = (len(self.calendar), len(self.assets))
-        for name in ("price", "volume", "mktcap"):
-            arr = getattr(self, name)
+    def __init__(self, assets: list[str], calendar: TradingCalendar, price: np.ndarray, volume: np.ndarray,
+                 mktcap: np.ndarray, fundamentals: dict[str, list[FundamentalRecord]] | None = None, *,
+                 report_asset=(), report_date=(), report_values=()):
+        self.assets, self.calendar, self.price, self.volume, self.mktcap = assets, calendar, price, volume, mktcap
+        self.asset_index = {a: i for i, a in enumerate(assets)}
+        if fundamentals is not None:  # a hand-built panel's records, turned into report arrays
+            if len(report_asset):
+                raise TypeError("give the fundamentals as records or as report arrays, not both")
+            unknown = [a for a in fundamentals if a not in self.asset_index]
+            if unknown:
+                raise DataError(f"fundamentals for unknown asset {unknown[0]!r}")
+            reports = [(self.asset_index[a], r) for a, records in fundamentals.items() for r in records]
+            report_asset, report_date = [i for i, _ in reports], [r.report_date for _, r in reports]
+            report_values = [_REPORT_VALUES(r) for _, r in reports]
+        self.report_asset = np.asarray(report_asset, dtype=np.intp)
+        self.report_date = np.asarray(report_date, dtype=str)
+        self.report_values = np.asarray(report_values, dtype=float).reshape(-1, len(_REPORT_FIELDS))
+        shape = (len(calendar), len(assets))
+        for name, arr in (("price", price), ("volume", volume), ("mktcap", mktcap)):
             if arr.shape != shape:
                 raise DataError(f"{name} grid has shape {arr.shape}, expected {shape}")
-        if len(set(self.assets)) != len(self.assets):
+        if len(set(assets)) != len(assets):
             raise DataError("duplicate asset ids")
-        with np.errstate(invalid="ignore"):
-            if np.any(self.price[np.isfinite(self.price)] <= 0):
-                raise DataError("non-positive price cell")
-            if np.any(self.volume[np.isfinite(self.volume)] < 0):
-                raise DataError("negative volume cell")
-            if np.any(self.mktcap[np.isfinite(self.mktcap)] <= 0):
-                raise DataError("non-positive market cap cell")
-        for asset, records in self.fundamentals.items():
-            if asset not in self.assets:
-                raise DataError(f"fundamentals for unknown asset {asset!r}")
-            dates = [r.report_date for r in records]
-            for a, b in zip(dates, dates[1:]):
-                if a == b:
-                    raise DataError(f"duplicate fundamental report ({a},{asset})")
-                if a > b:
-                    raise DataError(f"fundamental records for {asset} not sorted")
-        self.asset_index = {a: i for i, a in enumerate(self.assets)}
-        for arr in (self.price, self.volume, self.mktcap):
+        if any(np.isinf(a).any() for a in (price, volume, mktcap, self.report_values)):
+            raise DataError("non-finite value in a grid or a report")
+        # NaN compares false, so a missing cell passes each sign check
+        if (price <= 0).any():
+            raise DataError("non-positive price cell")
+        if (volume < 0).any():
+            raise DataError("negative volume cell")
+        if (mktcap <= 0).any():
+            raise DataError("non-positive market cap cell")
+        self._check_reports()
+        for arr in (price, volume, mktcap, self.report_asset, self.report_date, self.report_values):
             arr.flags.writeable = False
+
+    def _check_reports(self) -> None:
+        """DataError unless the report arrays agree in length, name the panel's
+        assets and hold each asset's reports together, dates strictly rising."""
+        asset, dates = self.report_asset, self.report_date
+        if dates.shape != asset.shape or len(self.report_values) != len(asset):
+            raise DataError("report asset, date and value arrays differ in length")
+        if asset.size and not 0 <= asset.min() <= asset.max() < self.n_assets:
+            raise DataError(f"fundamentals for unknown asset positions {asset.min()}..{asset.max()} of {self.n_assets}")
+        first = np.diff(asset, prepend=-1) != 0  # starts a run of one asset's reports
+        apart = np.bincount(asset[first], minlength=self.n_assets) > 1
+        if apart.any():
+            raise DataError(f"fundamental records for {self.assets[np.argmax(apart)]} not sorted")
+        out_of_order = ~first[1:] & (dates[1:] <= dates[:-1])
+        if out_of_order.any():
+            i = int(np.argmax(out_of_order))
+            if dates[i] == dates[i + 1]:
+                raise DataError(f"duplicate fundamental report ({dates[i]},{self.assets[asset[i]]})")
+            raise DataError(f"fundamental records for {self.assets[asset[i]]} not sorted")
 
     @property
     def n_days(self) -> int:
@@ -206,17 +228,29 @@ class MarketPanel:
         day numbers (days since 1970-01-01), n_assets x max_reports int64 in
         date order and padded with the int64 maximum, and the
         _REPORT_FIELDS values, 4 x n_assets x max_reports float64 (NaN
-        padding). Built from `fundamentals` on first use and held by the
-        panel, like history_counts."""
-        width = max(map(len, self.fundamentals.values()), default=0)
+        padding). Built from the report arrays on first use, each distinct
+        date converted once, and held by the panel, like history_counts."""
+        first = np.diff(self.report_asset, prepend=-1) != 0
+        rank = np.arange(first.size) - np.flatnonzero(first)[np.cumsum(first) - 1]  # place in its asset's run
+        width = int(rank.max(initial=-1)) + 1
+        distinct, which = np.unique(self.report_date, return_inverse=True)
         days = np.full((self.n_assets, width), np.iinfo(np.int64).max)
+        days[self.report_asset, rank] = distinct.astype("datetime64[D]").astype(np.int64)[which]
         values = np.full((len(_REPORT_FIELDS), self.n_assets, width), np.nan)
-        for asset, records in self.fundamentals.items():
-            i, n = self.asset_index[asset], len(records)
-            days[i, :n] = np.array([r.report_date for r in records], dtype="datetime64[D]").astype(np.int64)
-            values[:, i, :n] = np.array(list(map(_REPORT_VALUES, records)), dtype=float).reshape(n, -1).T
+        values[:, self.report_asset, rank] = self.report_values.T
         days.flags.writeable = values.flags.writeable = False
         return days, values
+
+    @property
+    def fundamentals(self) -> dict[str, list[FundamentalRecord]]:
+        """A new dict of the reports as records, asset by asset in array order, so editing it
+        leaves the panel as it is. Metrics are Python floats, NaN the math.nan singleton."""
+        values = self.report_values.astype(object)
+        values[np.isnan(self.report_values)] = math.nan
+        records: dict[str, list[FundamentalRecord]] = {}
+        for i, d, row in zip(self.report_asset.tolist(), self.report_date.tolist(), values.tolist()):
+            records.setdefault(self.assets[i], []).append(FundamentalRecord(d, *row))
+        return records
 
     def missing_counts(self) -> dict[str, int]:
         return {
@@ -584,31 +618,20 @@ def _cache_key(digests) -> str:
 # under the names the cache stores them by. Those in _TEXT are lists of str
 # in a parse and numpy string arrays in the cache.
 _ARRAYS = ("assets", "days", "price", "volume", "mktcap", "report_asset", "report_date", "report_values")
-_TEXT = ("assets", "days", "report_date")
+_TEXT = ("assets", "days")
 
 
 def _assemble(assets, days, price, volume, mktcap, report_asset, report_date, report_values) -> MarketPanel:
-    """The panel of a parse's arrays or of a cache's. `assets` and `days`
-    are sorted, each grid is (len(days), len(assets)), and report i is the
-    asset at position report_asset[i] reporting report_values[i] (the
-    _REPORT_FIELDS, NaN where blank) on report_date[i]. Reports come grouped
-    by asset, in date order within each; the fundamentals dict keeps the
-    order in which the assets first appear. Besides MarketPanel's rules this
-    holds what a parse of the CSVs guarantees, so every loaded panel keeps
-    it: no +-inf, asset ids the CSV format can hold, YYYY-MM-DD report
-    dates; else DataError."""
-    if any(np.isinf(a).any() for a in (price, volume, mktcap, report_values)):
-        raise DataError("non-finite value in a grid or a report")
+    """The panel of a parse's arrays or of a cache's: sorted `assets` and
+    `days`, grids of (len(days), len(assets)) and MarketPanel's report
+    arrays. Besides MarketPanel's rules this holds what a parse of the CSVs
+    guarantees, so every loaded panel keeps it: asset ids the CSV format
+    can hold, YYYY-MM-DD report dates; else DataError."""
     check_asset_ids(assets)
-    for d in set(report_date):
+    for d in set(report_date.tolist()):
         _iso(d)
-    values = report_values.astype(object)
-    values[np.isnan(report_values)] = math.nan  # the singleton, so that records compare equal
-    fundamentals: dict[str, list[FundamentalRecord]] = {}
-    for ai, d, row in zip(report_asset.tolist(), report_date, values.tolist()):
-        fundamentals.setdefault(assets[ai], []).append(FundamentalRecord(d, *row))
-    return MarketPanel(assets=assets, calendar=TradingCalendar(tuple(days)), price=price, volume=volume,
-                       mktcap=mktcap, fundamentals=fundamentals)
+    return MarketPanel(assets, TradingCalendar(tuple(days)), price, volume, mktcap, report_asset=report_asset,
+                       report_date=report_date, report_values=report_values)
 
 
 def _read_cache(path: Path, files) -> MarketPanel | None:
@@ -718,7 +741,7 @@ def _parse_panel(price_file, volume_file, fundamentals_file, mktcap_file, digest
     # each asset's reports in date order, the assets in the order the file first names them
     order = np.lexsort((rank[reports.date_code], reports.asset_code))
     report_asset = np.array([aidx[a] for a in reports.assets], dtype=np.intp)[reports.asset_code[order]]
-    report_date = [snapped[i] for i in reports.date_code[order].tolist()]
+    report_date = np.array(snapped, dtype=str)[reports.date_code[order]]
     return assets, dates, *map(grid, cells), report_asset, report_date, reports.values[order]
 
 
@@ -746,15 +769,13 @@ def save_panel(panel: MarketPanel, out_dir) -> dict[str, Path]:
                 held = compress(panel.assets, present.tolist())
                 fh.write("".join([f"{d},{a},{v!r}\r\n" for a, v in zip(held, row[present].tolist())]))
         paths[name] = path
-    path = out / "fundamentals.csv"
-    with path.open("w", newline="", encoding="utf-8") as fh:
+    rows = np.argsort(panel.report_asset, kind="stable")  # asset order, each asset's reports in date order
+    reports = zip(panel.report_asset[rows].tolist(), panel.report_date[rows].tolist(),
+                  panel.report_values[rows].tolist())
+    paths["fundamentals"] = out / "fundamentals.csv"
+    with paths["fundamentals"].open("w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(_FUND_HEADER) + "\r\n")
-        fh.write("".join([
-            ",".join([rec.report_date, asset, *map(_metric_text, _REPORT_VALUES(rec))]) + "\r\n"
-            for asset in panel.assets
-            for rec in panel.fundamentals.get(asset, [])
-        ]))
-    paths["fundamentals"] = path
+        fh.writelines(",".join([d, panel.assets[i], *map(_metric_text, values)]) + "\r\n" for i, d, values in reports)
     return paths
 
 
@@ -874,7 +895,7 @@ def check_skip(skip: int) -> None:
 
 def censor_panel(panel: MarketPanel, cutoff: str) -> MarketPanel:
     """Copy of the panel with every cell dated on or after `cutoff` missing and
-    fundamental records dated on or after `cutoff` dropped. The calendar is
+    fundamental reports dated on or after `cutoff` dropped. The calendar is
     unchanged. Used by look-ahead checks: any quantity computed as of t must be
     identical on panel and censor_panel(panel, t)."""
     ic = panel.calendar.position(cutoff)
@@ -884,15 +905,7 @@ def censor_panel(panel: MarketPanel, cutoff: str) -> MarketPanel:
         out[ic:, :] = np.nan
         return out
 
-    fundamentals = {
-        a: [r for r in recs if r.report_date < cutoff] for a, recs in panel.fundamentals.items()
-    }
-    fundamentals = {a: recs for a, recs in fundamentals.items() if recs}
-    return MarketPanel(
-        assets=list(panel.assets),
-        calendar=panel.calendar,
-        price=blanked(panel.price),
-        volume=blanked(panel.volume),
-        mktcap=blanked(panel.mktcap),
-        fundamentals=fundamentals,
-    )
+    kept = panel.report_date < cutoff
+    return MarketPanel(list(panel.assets), panel.calendar, blanked(panel.price), blanked(panel.volume),
+                       blanked(panel.mktcap), report_asset=panel.report_asset[kept],
+                       report_date=panel.report_date[kept], report_values=panel.report_values[kept])

@@ -22,7 +22,7 @@ from datetime import date as _date, timedelta
 import numpy as np
 
 from .errors import ConfigError, check_finite
-from .market_data import FundamentalRecord, MarketPanel, TradingCalendar
+from .market_data import MarketPanel, TradingCalendar
 
 GENERATOR_NAME = "numpy.random.default_rng (PCG64)"
 
@@ -119,26 +119,13 @@ def generate(spec: ScenarioSpec) -> MarketPanel:
     mktcap = price * shares[None, :]
 
     quarter_starts = list(range(0, d, _QUARTER_DAYS))
-    common = rng.standard_normal((len(quarter_starts), 4))
-    fundamentals: dict[str, list[FundamentalRecord]] = {}
-    assets = [f"A{i:03d}" for i in range(n)]
-    for qi, di in enumerate(quarter_starts):
-        g_book, g_roe, g_margin, g_lever = common[qi]
-        bps = 18.0 * (1.0 + 0.25 * spec.dispersion * s_value + 0.02 * g_book)
-        roe = 0.15 + 0.10 * spec.dispersion * s_roe + 0.01 * g_roe
-        margin = np.clip(0.40 + 0.20 * spec.dispersion * s_margin + 0.01 * g_margin, 0.01, 0.99)
-        lever = np.clip(0.35 + 0.20 * spec.dispersion * s_lever + 0.01 * g_lever, 0.0, 0.95)
-        rd = calendar.days[di]
-        for i, a in enumerate(assets):
-            fundamentals.setdefault(a, []).append(
-                FundamentalRecord(
-                    report_date=rd,
-                    book_equity=float(max(bps[i], 0.5) * shares[i]),
-                    roe=float(roe[i]),
-                    gross_margin=float(margin[i]),
-                    debt_to_assets=float(lever[i]),
-                )
-            )
+    # one column per quarter: asset i's reports are row i, in date order
+    g_book, g_roe, g_margin, g_lever = rng.standard_normal((len(quarter_starts), 4)).T
+    bps = 18.0 * (1.0 + 0.25 * spec.dispersion * s_value[:, None] + 0.02 * g_book)
+    roe = 0.15 + 0.10 * spec.dispersion * s_roe[:, None] + 0.01 * g_roe
+    margin = np.clip(0.40 + 0.20 * spec.dispersion * s_margin[:, None] + 0.01 * g_margin, 0.01, 0.99)
+    lever = np.clip(0.35 + 0.20 * spec.dispersion * s_lever[:, None] + 0.01 * g_lever, 0.0, 0.95)
+    report_values = np.stack([np.maximum(bps, 0.5) * shares[:, None], roe, margin, lever], axis=-1).reshape(-1, 4)
 
     # masks drawn unconditionally so other draws do not depend on the rate
     gaps = rng.random((d, n, 3))
@@ -146,14 +133,9 @@ def generate(spec: ScenarioSpec) -> MarketPanel:
     volume = np.where(gaps[:, :, 1] < spec.missing_rate, np.nan, volume)
     mktcap = np.where(gaps[:, :, 2] < spec.missing_rate, np.nan, mktcap)
 
-    return MarketPanel(
-        assets=assets,
-        calendar=calendar,
-        price=price,
-        volume=volume,
-        mktcap=mktcap,
-        fundamentals=fundamentals,
-    )
+    return MarketPanel([f"A{i:03d}" for i in range(n)], calendar, price, volume, mktcap,
+                       report_asset=np.repeat(np.arange(n), len(quarter_starts)),
+                       report_date=np.tile(np.array(calendar.days)[quarter_starts], n), report_values=report_values)
 
 
 def _tiers(raw) -> tuple[float, ...]:

@@ -323,6 +323,38 @@ def test_synth_into_a_file_is_one_line(tmp_path, capsys):
     assert (tmp_path / "out").read_text() == "mine\n"
 
 
+@pytest.mark.parametrize("command, blocked", [
+    ("synth", "fundamentals.csv"),
+    ("backtest", "eligibility.csv"),
+    ("diagnose", "ic_ir.csv"),
+])
+def test_artifact_name_held_by_a_directory_is_one_line(tmp_path, synth_dir, capsys, command, blocked):
+    cfg = write_config(tmp_path, synth_dir)
+    scenario = tmp_path / "s.ini"
+    scenario.write_text("n_assets = 4\nn_days = 40\n")
+    out = tmp_path / "d"
+    (out / blocked).mkdir(parents=True)
+    before = sorted(p.name for p in tmp_path.iterdir())
+    source = [str(scenario)] if command == "synth" else ["--config", str(cfg)]
+    assert main([command, *source, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: cannot write {out / blocked}: it is a directory\n"
+    assert [p.name for p in out.iterdir()] == [blocked]  # no new file
+    assert sorted(p.name for p in tmp_path.iterdir()) == before  # no staging left
+
+
+def test_synth_write_failure_is_one_line(tmp_path, capsys, monkeypatch):
+    def full_disk(panel, out_dir):
+        (Path(out_dir) / "prices.csv").write_text("date,asset,value\n")
+        raise OSError(28, "No space left on device")
+
+    scenario = tmp_path / "s.ini"
+    scenario.write_text("n_assets = 4\nn_days = 40\n")
+    monkeypatch.setattr(cli, "save_panel", full_disk)
+    assert main(["synth", str(scenario), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: cannot write {tmp_path / 'out'}: No space left on device\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["s.ini"]
+
+
 @pytest.mark.parametrize("command", ["backtest", "diagnose"])
 def test_run_into_existing_out_keeps_other_files(tmp_path, synth_dir, command):
     cfg = write_config(tmp_path, synth_dir)

@@ -7,7 +7,7 @@ from factortilt.errors import ConfigError, DataError
 from factortilt.market_data import AsOf, build_schedule, censor_panel, load_panel, save_panel
 from factortilt.synthetic import ScenarioSpec, generate, trading_days
 
-from conftest import make_panel, write_cell_csv, write_fundamentals_csv
+from conftest import fundamental, make_panel, write_cell_csv, write_fundamentals_csv
 
 
 def load_dir(d):
@@ -102,6 +102,17 @@ class TestLoadPanel:
         for name in ("price", "volume", "mktcap"):
             np.testing.assert_array_equal(getattr(again, name), getattr(panel, name))
         assert again.fundamentals == panel.fundamentals
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf])
+@pytest.mark.parametrize("where", ["price", "volume", "mktcap", "report"])
+def test_hand_built_panel_rejects_infinite_values(where, value):
+    grids = {"price": 10.0, "volume": 1000.0, "mktcap": 1e6}
+    fundamentals = {"A": [fundamental("2020-01-06", book=value if where == "report" else 1.0)]}
+    if where != "report":
+        grids[where] = {"A": [grids[where], value, grids[where]]}
+    with pytest.raises(DataError, match="^non-finite value in a grid or a report$"):
+        make_panel(3, ["A"], **grids, fundamentals=fundamentals)
 
 
 class TestSchedule:

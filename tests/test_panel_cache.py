@@ -248,6 +248,11 @@ class TestUnusableCache:
         (dict(report_date=lambda a: np.array(["20200102", *a[1:].tolist()])), "invalid ISO date"),
         (dict.fromkeys(["report_asset", "report_date", "report_values"], lambda a: np.concatenate([a, a])),
          "duplicate fundamental report"),
+        (dict(report_asset=lambda a: np.array([0, 1, 0]), report_date=lambda a: np.array([DAYS[0], DAYS[0], DAYS[1]]),
+              report_values=lambda a: np.concatenate([a, a, a])), "fundamental records for AAA not sorted"),
+        (dict(report_asset=lambda a: np.concatenate([a, a]), report_date=lambda a: np.array([DAYS[1], DAYS[0]]),
+              report_values=lambda a: np.concatenate([a, a])), "fundamental records for AAA not sorted"),
+        (dict(report_asset=lambda a: a + 2), "fundamentals for unknown asset"),
     ])
     def test_hit_rejects_what_a_parse_rejects(self, tmp_path, monkeypatch, caplog, changes, reason):
         write_inputs(tmp_path, fundamentals=[FUND_HEADER, f"{DAYS[0]},AAA,1.0,,0.2,0.3"],

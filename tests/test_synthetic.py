@@ -6,7 +6,7 @@ from factortilt.calibration import CalibrationParams, build_ic_series
 from factortilt.eligibility import EligibilityParams, compute_eligibility
 from factortilt.errors import ConfigError
 from factortilt.factors import FactorParams, build_factor_matrix
-from factortilt.market_data import AsOf, build_schedule
+from factortilt.market_data import AsOf, FundamentalRecord, build_schedule
 from factortilt.synthetic import ScenarioSpec, generate, scenario_from_mapping
 
 
@@ -18,6 +18,48 @@ def test_same_seed_is_bit_identical():
     for name in ("price", "volume", "mktcap"):
         np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
     assert a.fundamentals == b.fundamentals
+
+
+def reports_oracle(spec: ScenarioSpec) -> dict[str, list[FundamentalRecord]]:
+    """generate's reports built record by record, one per asset and
+    quarter, from the same draws in the same order: the loop its array
+    expressions must match bit for bit."""
+    rng = np.random.default_rng(spec.seed)
+    n, d = spec.n_assets, spec.n_days
+    spread = np.linspace(-1.0, 1.0, n) if n > 1 else np.zeros(1)
+    _, s_value, s_roe, s_margin, s_lever = (rng.permutation(spread) for _ in range(5))
+    for _ in range(d // 63 + 1):  # the transient drift spreads
+        rng.permutation(spread)
+    rng.standard_normal(d)
+    rng.standard_normal((d, n))
+    tiers = np.array([spec.liquidity_tiers[i % len(spec.liquidity_tiers)] for i in range(n)])
+    shares = 1.0e6 * (tiers if spec.dispersion > 0 else np.ones(n))
+    days = generate(spec).calendar.days
+    quarter_starts = range(0, d, 63)
+    common = rng.standard_normal((len(quarter_starts), 4))
+    reports: dict[str, list[FundamentalRecord]] = {}
+    for (g_book, g_roe, g_margin, g_lever), di in zip(common, quarter_starts):
+        bps = 18.0 * (1.0 + 0.25 * spec.dispersion * s_value + 0.02 * g_book)
+        roe = 0.15 + 0.10 * spec.dispersion * s_roe + 0.01 * g_roe
+        margin = np.clip(0.40 + 0.20 * spec.dispersion * s_margin + 0.01 * g_margin, 0.01, 0.99)
+        lever = np.clip(0.35 + 0.20 * spec.dispersion * s_lever + 0.01 * g_lever, 0.0, 0.95)
+        for i in range(n):
+            reports.setdefault(f"A{i:03d}", []).append(FundamentalRecord(
+                days[di], float(max(bps[i], 0.5) * shares[i]), float(roe[i]), float(margin[i]), float(lever[i])))
+    return reports
+
+
+@pytest.mark.parametrize("spec", [
+    ScenarioSpec(seed=7, n_assets=30, n_days=400, dispersion=0.8, liquidity_tiers=(1.0, 50.0, 300.0)),
+    ScenarioSpec(seed=1, n_assets=1, n_days=63, dispersion=0.0),
+    ScenarioSpec(seed=2, n_assets=5, n_days=64, dispersion=3.0, missing_rate=0.5),
+], ids=["scenario-m-like", "one-asset-one-quarter", "wide-dispersion"])
+def test_reports_equal_the_record_by_record_oracle(spec):
+    def bits(reports):
+        return [(a, r.report_date, *(float.hex(v) for v in vars(r).values() if isinstance(v, float)))
+                for a, records in reports.items() for r in records]
+
+    assert bits(generate(spec).fundamentals) == bits(reports_oracle(spec))
 
 
 def test_different_seeds_differ():
