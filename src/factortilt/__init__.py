@@ -11,6 +11,7 @@ from .backtest import (
     STRATEGIES,
     BacktestConfig,
     BacktestResult,
+    evolve,
     run_baselines,
     run_factor_removals,
 )

@@ -1,16 +1,19 @@
 """Portfolio evolution through time: piecewise-constant target weights,
-daily returns, one-way turnover, linear transaction costs, and the
-counterfactual baseline strategies run on identical data and schedule.
+built per rebalance date by a walk or given to `evolve`, daily returns,
+one-way turnover, linear transaction costs, and the counterfactual
+baseline strategies run on identical data and schedule.
 
-Conventions: turnover is one-way sum |dw| in [0, 2]; the cost
+Conventions: every book starts in cash. Turnover is one-way sum |dw| in
+[0, 2], under drift measured against the drifted weights; the cost
 cost_rate * turnover is deducted from the rebalance day's return. A missing
-asset return contributes zero and the position is carried. An empty universe
-holds cash at exactly zero return until the next rebalance.
+asset return contributes zero and the position is carried. An empty
+universe holds cash at exactly zero return until the next rebalance.
 """
 
 from __future__ import annotations
 
 import logging
+from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -145,81 +148,80 @@ def _given_snapshot(snapshots: dict[str, AsOf], panel: MarketPanel, t: str, conf
 def _run(
     panel: MarketPanel, schedule: RebalanceSchedule, config: BacktestConfig, books, end: str | None, snapshots=None
 ) -> dict[str, BacktestResult]:
-    """Walk the rebalance dates once under one config, building one snapshot
-    per date (or taking it from `snapshots`, keyed by date) that every
-    named (strategy, tilt) book's targets read, then evolve every book from
-    the first rebalance date through `end` (panel end by default) in one
-    day loop.
-
-    Daily return on day d uses the weights held coming into d; on a rebalance
-    date the book is then traded to the new targets and the turnover cost is
-    deducted from that day's return. Between rebalances, constant_mix holds
-    the targets fixed while drift lets weights evolve with relative returns
-    (turnover is then measured against the drifted weights)."""
-    cal = panel.calendar
+    """Walk the rebalance dates through `end` once under one config,
+    building one snapshot per date (or taking it from `snapshots`, keyed by
+    date) that every named (strategy, tilt) book's targets read, then
+    evolve every book."""
     for t in schedule.dates:
-        if t not in cal:
+        if t not in panel.calendar:
             raise DataError(f"rebalance date {t} outside the panel calendar")
-    end = cal.last_on_or_before(end) if end is not None else cal.days[-1]
-    if end is None:
-        raise DataError("backtest end precedes the panel calendar")
-    i_end = cal.position(end)
-    i_start = cal.position(schedule.dates[0])
-    if i_end < i_start:
-        raise ConfigError("backtest end precedes the first rebalance date")
-
-    reb_dates = [t for t in schedule.dates if t <= end]
     per_date = [
         _date_targets(snapshot(panel, t, config) if snapshots is None
                       else _given_snapshot(snapshots, panel, t, config), config, books)
-        for t in reb_dates
+        for t in schedule.dates if end is None or t <= end
     ]
-    # a missing asset return is zero
-    asset_returns = np.zeros_like(panel.price)
+    return evolve(panel, {name: (s, [targets[name] for targets in per_date]) for name, (s, _) in books.items()},
+                  config, end)
+
+
+def evolve(
+    panel: MarketPanel, books: dict[str, tuple[str, list[WeightVector]]], config: BacktestConfig, end: str | None = None
+) -> dict[str, BacktestResult]:
+    """One BacktestResult per named (strategy label, target WeightVectors)
+    book, all books dated alike in rising order, evolved from the first date
+    through `end` (panel end by default) under config's cost_rate and
+    weight_mode; targets dated after `end` are not traded. Every book starts
+    in cash, earns day d on the weights it held coming into d, and on a
+    rebalance date trades to its target, the turnover cost deducted from
+    that day's return. Between rebalances constant_mix holds the targets;
+    drift lets them grow with returns, and turnover is measured against them."""
+    cal, assets = panel.calendar, tuple(panel.assets)
+    vectors = [v for _, v in books.values()]
+    dates = [wv.t for wv in vectors[0]] if vectors else []
+    if any([wv.t for wv in v] != dates for v in vectors):
+        raise ConfigError("books rebalance on different dates")
+    if any(wv.assets != assets for v in vectors for wv in v):
+        raise ConfigError("a target weight vector is not over the panel's assets")
+    RebalanceSchedule(tuple(dates))  # strictly increasing
+    end = cal.last_on_or_before(end) if end is not None else cal.days[-1]
+    if end is None:
+        raise DataError("backtest end precedes the panel calendar")
+    n_reb = bisect_right(dates, end)
+    if not n_reb:
+        raise ConfigError(f"no target weights dated on or before the backtest end {end}")
+    i_start, i_end = cal.position(dates[0]), cal.position(end)
+    trades = {cal.position(t) - i_start: np.stack([v[k].w for v in vectors]) for k, t in enumerate(dates[:n_reb])}
+    returns = np.zeros_like(panel.price)  # a missing asset return is zero
     with np.errstate(invalid="ignore", divide="ignore"):
-        asset_returns[1:] = panel.price[1:] / panel.price[:-1] - 1.0
-    np.nan_to_num(asset_returns, copy=False)
-    span = asset_returns[i_start : i_end + 1]
-    trades = {cal.position(t) - i_start: np.stack([targets[name].w for name in books])
-              for t, targets in zip(reb_dates, per_date)}
-    daily, turnover = _evolve_books(span, trades, config.weight_mode == "drift")
+        returns[1:] = panel.price[1:] / panel.price[:-1] - 1.0
+    np.nan_to_num(returns, copy=False)
+    held = np.zeros((len(books), panel.n_assets))
+    rows = list(held)
+    daily = np.empty((len(books), i_end + 1 - i_start))
+    turnover = []
+    for k, r in enumerate(returns[i_start : i_end + 1]):
+        # one dot product per book: a matrix-vector product rounds differently
+        daily[:, k] = [float(w @ r) for w in rows]
+        if config.weight_mode == "drift":
+            grown = held * (1.0 + r)
+            total = grown.sum(axis=1)
+            # divides only rows that hold something and grew to a positive total
+            moves = (held.sum(axis=1) > 0) & (total > 0)
+            np.divide(grown, total[:, None], out=held, where=moves[:, None])
+        target = trades.get(k)
+        if target is not None:
+            turnover.append(np.abs(target - held).sum(axis=1))
+            held[:] = target
+    turnover = np.array(turnover).T.copy()
     costs = config.cost_rate * turnover
     daily[:, sorted(trades)] -= costs
     equity = np.cumprod(1.0 + daily, axis=1)
-    dates = cal.days[i_start : i_end + 1]
     return {
-        name: BacktestResult(strategy=s, dates=list(dates), daily_returns=daily[j],
-                             equity_curve=equity[j], rebalance_dates=list(reb_dates), turnover=turnover[j],
-                             costs=costs[j], weights=[targets[name] for targets in per_date])
-        for j, (name, (s, _)) in enumerate(books.items())
+        name: BacktestResult(strategy=s, dates=list(cal.days[i_start : i_end + 1]), daily_returns=daily[j],
+                             equity_curve=equity[j], rebalance_dates=dates[:n_reb], turnover=turnover[j],
+                             costs=costs[j], weights=v[:n_reb])
+        for j, (name, (s, v)) in enumerate(books.items())
     }
-
-
-def _evolve_books(returns: np.ndarray, trades: dict, drift: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Gross daily returns (books x days) and one-way turnover (books x
-    trades) of books that start in cash, earn the rows of `returns` on the
-    weights held coming into each day, and on day k trade to the rows of
-    trades[k]. Under drift the weights between trades grow with the
-    returns and are renormalised; turnover is measured against them."""
-    books = np.zeros_like(trades[0])  # every walk trades on its first day
-    rows = list(books)
-    gross = np.empty((len(books), len(returns)))
-    turnover = []
-    for k, r in enumerate(returns):
-        # one dot product per book: a matrix-vector product rounds differently
-        gross[:, k] = [float(w @ r) for w in rows]
-        if drift:
-            grown = books * (1.0 + r)
-            total = grown.sum(axis=1)
-            # divides only where the book holds something and grew to a
-            # positive total, so no row divides by zero
-            moves = (books.sum(axis=1) > 0) & (total > 0)
-            np.divide(grown, total[:, None], out=books, where=moves[:, None])
-        target = trades.get(k)
-        if target is not None:
-            turnover.append(np.abs(target - books).sum(axis=1))
-            books[:] = target
-    return gross, np.array(turnover).T.copy()
 
 
 def run_baselines(
@@ -253,11 +255,8 @@ def removal_tilt(tilt: TiltParams, factor: str) -> TiltParams:
     if not rest:
         return replace(tilt, lam=0.0)
     rest_total = sum(alpha[f] for f in rest)
-    if rest_total > 0:
-        new_alpha = {f: (alpha[f] / rest_total if f in rest else 0.0) for f in alpha}
-    else:
-        new_alpha = {f: (1.0 / len(rest) if f in rest else 0.0) for f in alpha}
-    return replace(tilt, alpha=new_alpha)
+    share = {f: alpha[f] / rest_total for f in rest} if rest_total > 0 else dict.fromkeys(rest, 1.0 / len(rest))
+    return replace(tilt, alpha={f: share.get(f, 0.0) for f in alpha})
 
 
 def run_factor_removals(

@@ -3,7 +3,10 @@ forward returns, information-ratio aggregation, and mapping to convex factor
 mixture weights.
 
 This path is diagnostic only; headline backtests never consume forward
-returns unless the calibrated mixture is explicitly applied. Note the forward
+returns unless the calibrated mixture is explicitly applied. The applied
+mixture (`[calibration] apply = true`) is one alpha from the ICs of the
+full sample, so it is in-sample: the weights at a rebalance read returns
+from after it, until a walk-forward alpha replaces it. Note the forward
 window starts at the rebalance date itself and therefore overlaps the holding
 period.
 """

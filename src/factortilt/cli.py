@@ -565,7 +565,6 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="run config file (INI)")
         p.add_argument("--out", default=None, help="output directory (overrides config)")
-        p.add_argument("--threads", type=int, default=None, help="accepted for compatibility; has no effect")
 
     p = sub.add_parser("synth", help="generate a synthetic market panel")
     p.add_argument("spec", help="scenario key-value file")

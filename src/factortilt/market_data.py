@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from datetime import date as _date
 from functools import cache, cached_property, partial
 from itertools import compress
-from operator import attrgetter
 from pathlib import Path
 from typing import NamedTuple, NoReturn
 
@@ -107,7 +106,6 @@ class FundamentalRecord:
 
 
 _REPORT_FIELDS = ("book_equity", "roe", "gross_margin", "debt_to_assets")
-_REPORT_VALUES = attrgetter(*_REPORT_FIELDS)
 
 
 @dataclass(frozen=True)
@@ -129,27 +127,16 @@ class MarketPanel:
     Grids are (n_days, n_assets) float64, NaN for missing, never +-inf;
     prices and market caps are > 0 where present, volumes >= 0. Report i is
     the asset at position report_asset[i] reporting report_values[i] (the
-    _REPORT_FIELDS, NaN where blank) on report_date[i]; each asset's reports
-    are adjacent, in strictly increasing date order. A hand-built panel may
-    give `fundamentals` records instead, turned into those arrays once.
+    _REPORT_FIELDS, NaN where blank) on report_date[i], a YYYY-MM-DD date;
+    each asset's reports are adjacent, in strictly increasing date order.
     Grids and report arrays are read-only (assigning into one raises
     ValueError); reads are thread-safe.
     """
 
     def __init__(self, assets: list[str], calendar: TradingCalendar, price: np.ndarray, volume: np.ndarray,
-                 mktcap: np.ndarray, fundamentals: dict[str, list[FundamentalRecord]] | None = None, *,
-                 report_asset=(), report_date=(), report_values=()):
+                 mktcap: np.ndarray, *, report_asset=(), report_date=(), report_values=()):
         self.assets, self.calendar, self.price, self.volume, self.mktcap = assets, calendar, price, volume, mktcap
         self.asset_index = {a: i for i, a in enumerate(assets)}
-        if fundamentals is not None:  # a hand-built panel's records, turned into report arrays
-            if len(report_asset):
-                raise TypeError("give the fundamentals as records or as report arrays, not both")
-            unknown = [a for a in fundamentals if a not in self.asset_index]
-            if unknown:
-                raise DataError(f"fundamentals for unknown asset {unknown[0]!r}")
-            reports = [(self.asset_index[a], r) for a, records in fundamentals.items() for r in records]
-            report_asset, report_date = [i for i, _ in reports], [r.report_date for _, r in reports]
-            report_values = [_REPORT_VALUES(r) for _, r in reports]
         self.report_asset = np.asarray(report_asset, dtype=np.intp)
         self.report_date = np.asarray(report_date, dtype=str)
         self.report_values = np.asarray(report_values, dtype=float).reshape(-1, len(_REPORT_FIELDS))
@@ -174,10 +161,13 @@ class MarketPanel:
 
     def _check_reports(self) -> None:
         """DataError unless the report arrays agree in length, name the panel's
-        assets and hold each asset's reports together, dates strictly rising."""
+        assets and hold each asset's reports together, YYYY-MM-DD dates
+        strictly rising."""
         asset, dates = self.report_asset, self.report_date
         if dates.shape != asset.shape or len(self.report_values) != len(asset):
             raise DataError("report asset, date and value arrays differ in length")
+        for d in set(dates.tolist()):
+            _iso(d)
         if asset.size and not 0 <= asset.min() <= asset.max() < self.n_assets:
             raise DataError(f"fundamentals for unknown asset positions {asset.min()}..{asset.max()} of {self.n_assets}")
         first = np.diff(asset, prepend=-1) != 0  # starts a run of one asset's reports
@@ -626,10 +616,8 @@ def _assemble(assets, days, price, volume, mktcap, report_asset, report_date, re
     `days`, grids of (len(days), len(assets)) and MarketPanel's report
     arrays. Besides MarketPanel's rules this holds what a parse of the CSVs
     guarantees, so every loaded panel keeps it: asset ids the CSV format
-    can hold, YYYY-MM-DD report dates; else DataError."""
+    can hold; else DataError."""
     check_asset_ids(assets)
-    for d in set(report_date.tolist()):
-        _iso(d)
     return MarketPanel(assets, TradingCalendar(tuple(days)), price, volume, mktcap, report_asset=report_asset,
                        report_date=report_date, report_values=report_values)
 

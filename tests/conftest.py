@@ -11,7 +11,7 @@ import pytest
 
 from factortilt.backtest import _date_targets, snapshot
 from factortilt.cli import cmd_synth
-from factortilt.market_data import FundamentalRecord, MarketPanel
+from factortilt.market_data import _REPORT_FIELDS, FundamentalRecord, MarketPanel
 from factortilt.synthetic import trading_days
 
 
@@ -34,6 +34,18 @@ def grid_from(days, assets, values) -> np.ndarray:
     return arr
 
 
+def report_arrays(assets, fundamentals) -> dict[str, np.ndarray]:
+    """MarketPanel's report arrays, as keyword arguments, of the records
+    {asset: [FundamentalRecord, ...]}, asset by asset in mapping order."""
+    reports = [(list(assets).index(a), r) for a, records in fundamentals.items() for r in records]
+    return {
+        "report_asset": np.array([i for i, _ in reports], dtype=np.intp),
+        "report_date": np.array([r.report_date for _, r in reports], dtype=str),
+        "report_values": np.array([[getattr(r, f) for f in _REPORT_FIELDS] for _, r in reports],
+                                  dtype=float).reshape(-1, len(_REPORT_FIELDS)),
+    }
+
+
 def make_panel(n_days, assets, price, volume=1000.0, mktcap=1e6, fundamentals=None, start="2020-01-06"):
     days = trading_days(n_days, start)
     assets = list(assets)
@@ -43,7 +55,7 @@ def make_panel(n_days, assets, price, volume=1000.0, mktcap=1e6, fundamentals=No
         price=grid_from(days.days, assets, price),
         volume=grid_from(days.days, assets, volume),
         mktcap=grid_from(days.days, assets, mktcap),
-        fundamentals=fundamentals or {},
+        **report_arrays(assets, fundamentals or {}),
     )
 
 

@@ -23,7 +23,7 @@ from factortilt.market_data import FundamentalRecord, MarketPanel, censor_panel
 from factortilt.synthetic import trading_days
 from factortilt.weighting import CapParams, TiltParams
 
-from conftest import targets_at
+from conftest import report_arrays, targets_at
 
 SETTINGS = settings(derandomize=True, max_examples=40, deadline=None)
 
@@ -53,7 +53,7 @@ def random_panel(seed: int, n_assets: int, n_days: int, gap: float) -> MarketPan
             records.append(FundamentalRecord((first + timedelta(days=off)).isoformat(), *fields.tolist()))
         if records:
             fundamentals[a] = records
-    return MarketPanel(assets, cal, price, volume, mktcap, fundamentals)
+    return MarketPanel(assets, cal, price, volume, mktcap, **report_arrays(assets, fundamentals))
 
 
 panels = st.builds(

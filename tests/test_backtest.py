@@ -7,6 +7,7 @@ import pytest
 from factortilt import backtest
 from factortilt.backtest import (
     BacktestConfig,
+    evolve,
     removal_tilt,
     run_baselines,
     run_factor_removals,
@@ -17,7 +18,7 @@ from factortilt.errors import ConfigError, DataError
 from factortilt.factors import FactorParams
 from factortilt.market_data import RebalanceSchedule, censor_panel
 from factortilt.synthetic import ScenarioSpec, generate
-from factortilt.weighting import CapParams, TiltParams, cap_values
+from factortilt.weighting import CapParams, TiltParams, WeightVector, cap_values
 
 from conftest import make_panel, targets_at
 
@@ -287,6 +288,28 @@ def test_given_snapshots_must_match_panel_dates_and_windows():
         for bad in (snapshot(panel, t0, other_windows), snapshot(other_panel, t0, cfg), good[t1]):
             with pytest.raises(ConfigError, match=f"the snapshot given for {t0} is not"):
                 run(panel, sched, cfg, snapshots={**good, t0: bad})
+
+
+def test_evolve_rejects_books_it_cannot_trade():
+    panel = make_panel(10, ["A", "B"], price=100.0)
+    d = panel.calendar.days
+
+    def book(*dates, assets=("A", "B")):
+        return "ew_all", [WeightVector(t=t, assets=assets, w=[0.5, 0.5]) for t in dates]
+
+    cases = [
+        ({"x": book(d[2], d[5]), "y": book(d[2], d[6])}, ConfigError, "books rebalance on different dates"),
+        ({"x": book(d[2], assets=("B", "A"))}, ConfigError, "not over the panel's assets"),
+        ({"x": book(d[5], d[2])}, DataError, "rebalance dates not strictly increasing"),
+        ({"x": book(d[2], "2020-01-11")}, DataError, "2020-01-11 is not a trading day"),  # a Saturday
+        ({"x": book(d[7])}, ConfigError, f"no target weights dated on or before the backtest end {d[6]}"),
+        ({}, ConfigError, "no target weights dated"),
+    ]
+    for books, error, message in cases:
+        with pytest.raises(error, match=message):
+            evolve(panel, books, BacktestConfig(), end=d[6])
+    with pytest.raises(DataError, match="backtest end precedes the panel calendar"):
+        evolve(panel, {"x": book(d[2])}, BacktestConfig(), end="2019-12-31")
 
 
 class TestFactorRemovals:

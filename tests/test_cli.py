@@ -125,11 +125,11 @@ class TestBacktestCommand:
         cfg = write_config(tmp_path, synth_dir)
         out1 = self.run(cfg, tmp_path / "o1")
         out2 = self.run(cfg, tmp_path / "o2")
-        assert main(["backtest", "--config", str(cfg), "--out", str(tmp_path / "o3"),
-                     "--threads", "4"]) == 0
+        cfg.write_text(cfg.read_text().replace("[run]\n", "[run]\nthreads = 4\n"))
+        out3 = self.run(cfg, tmp_path / "o3")
         for p in sorted(out1.iterdir()):
             assert (out2 / p.name).read_bytes() == p.read_bytes(), p.name
-            assert (tmp_path / "o3" / p.name).read_bytes() == p.read_bytes(), p.name
+            assert (out3 / p.name).read_bytes() == p.read_bytes(), p.name
 
     def test_lambda_zero_dmft_equals_ew_files(self, synth_dir, tmp_path):
         cfg = write_config(tmp_path, synth_dir, lam="0.0")

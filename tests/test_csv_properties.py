@@ -24,10 +24,12 @@ from hypothesis import given, settings, strategies as st
 from factortilt import market_data
 from factortilt.errors import DataError
 from factortilt.market_data import (
-    _REPORT_VALUES, FundamentalRecord, MarketPanel, _assemble, _parse_panel, _read_cell_file, load_panel,
+    _REPORT_FIELDS, FundamentalRecord, MarketPanel, _assemble, _parse_panel, _read_cell_file, load_panel,
     save_panel,
 )
 from factortilt.synthetic import trading_days
+
+from conftest import report_arrays
 
 SETTINGS = settings(derandomize=True, max_examples=40, deadline=None)
 
@@ -71,7 +73,7 @@ def random_panel(seed: int, n_assets: int, n_days: int, gap: float) -> MarketPan
             records.append(FundamentalRecord(d, *(math.nan if rng.random() < 0.3 else v for v in fields)))
         if records:
             fundamentals[a] = records
-    return MarketPanel(assets, cal, price, volume, mktcap, fundamentals)
+    return MarketPanel(assets, cal, price, volume, mktcap, **report_arrays(assets, fundamentals))
 
 
 @SETTINGS
@@ -207,7 +209,7 @@ def parse_outcome(paths):
                                         digests))
     except DataError as exc:
         return str(exc)
-    reports = [(a, r.report_date, *map(float.hex, _REPORT_VALUES(r)))
+    reports = [(a, r.report_date, *(float.hex(getattr(r, f)) for f in _REPORT_FIELDS))
                for a, records in panel.fundamentals.items() for r in records]
     return (panel.assets, panel.calendar.days, [g.tobytes() for g in (panel.price, panel.volume, panel.mktcap)],
             reports, digests)
@@ -220,7 +222,8 @@ def test_block_size_changes_nothing(seed, n_assets, n_days, gap, data):
     panel = random_panel(seed, n_assets, n_days, gap)
     ids = dict(zip(panel.assets, MULTIBYTE_IDS))
     panel = MarketPanel([ids[a] for a in panel.assets], panel.calendar, panel.price, panel.volume, panel.mktcap,
-                        {ids[a]: records for a, records in panel.fundamentals.items()})
+                        report_asset=panel.report_asset, report_date=panel.report_date,
+                        report_values=panel.report_values)
     defective = data.draw(st.sampled_from([None, "prices", "fundamentals"]))
     with TemporaryDirectory() as tmp:
         paths = save_panel(panel, Path(tmp))

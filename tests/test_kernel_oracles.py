@@ -155,7 +155,7 @@ def test_latest_reports_equal_bisection(panel, l_fund):
 
 def test_latest_reports_without_fundamentals():
     panel = random_panel(3, 4, 20, 0.1)
-    bare = MarketPanel(list(panel.assets), panel.calendar, panel.price, panel.volume, panel.mktcap, {})
+    bare = MarketPanel(list(panel.assets), panel.calendar, panel.price, panel.volume, panel.mktcap)
     assert [a.shape for a in bare.report_table] == [(4, 0), (4, 4, 0)]
     for t in bare.calendar.days:
         got = _latest_reports(bare, t, 400)
@@ -201,7 +201,7 @@ def test_average_dollar_volume_keeps_an_overflowed_product():
     volume = np.full((6, 3), 100.0)
     price[2, 0], volume[2, 0] = 1e200, 1e200  # p * v overflows to inf, yet both are present
     volume[3, 1] = math.nan
-    panel = MarketPanel(["A", "B", "C"], cal, price, volume, np.full((6, 3), 1e6), {})
+    panel = MarketPanel(["A", "B", "C"], cal, price, volume, np.full((6, 3), 1e6))
     with np.errstate(over="ignore"):
         got = _average_dollar_volumes(panel, 5, 4)
         want = average_dollar_volumes_oracle(panel, 5, 4)

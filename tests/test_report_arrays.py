@@ -1,13 +1,13 @@
 """The panel's fundamentals are three report arrays (asset positions, dates,
 values), whatever built the panel.
 
-A panel built from a random mapping of records (gaps, NaN metrics, assets
-that never report, the mapping in any asset order) equals one built from
-the arrays directly: the same report table, the same `fundamentals` view,
-the same censored panels at every cutoff and the same fundamentals.csv
-bytes, each checked against a record-based form kept here as the oracle.
-Report arrays that break the panel's rules fail with the messages records
-did, and no generate, save, load or censor path builds a record.
+A panel of the report arrays of a random mapping of records (gaps, NaN
+metrics, assets that never report, the mapping in any asset order) has the
+report table, the `fundamentals` view, the censored panels at every cutoff
+and the fundamentals.csv bytes of a record-based form kept here as the
+oracle. Report arrays that break the panel's rules fail with the messages
+records did, a report date not in YYYY-MM-DD form fails however the panel
+is built, and no generate, save, load or censor path builds a record.
 """
 
 from __future__ import annotations
@@ -28,6 +28,8 @@ from factortilt.market_data import (
     save_panel,
 )
 from factortilt.synthetic import ScenarioSpec, generate, trading_days
+
+from conftest import fundamental, make_panel, report_arrays
 
 SETTINGS = settings(derandomize=True, max_examples=40, deadline=None)
 
@@ -59,13 +61,8 @@ def grids(n_days: int, n_assets: int) -> tuple[np.ndarray, np.ndarray, np.ndarra
 
 
 def array_panel(assets, cal, fundamentals) -> MarketPanel:
-    """The panel of the same records, given as report arrays."""
-    rows = [(assets.index(a), r.report_date, [getattr(r, f) for f in _REPORT_FIELDS])
-            for a, records in fundamentals.items() for r in records]
-    return MarketPanel(assets, cal, *grids(len(cal), len(assets)),
-                       report_asset=np.array([p for p, _, _ in rows], dtype=np.intp),
-                       report_date=np.array([d for _, d, _ in rows], dtype=str),
-                       report_values=np.array([v for _, _, v in rows], dtype=float).reshape(-1, 4))
+    """The panel of the records' report arrays."""
+    return MarketPanel(assets, cal, *grids(len(cal), len(assets)), **report_arrays(assets, fundamentals))
 
 
 def table_oracle(panel: MarketPanel, fundamentals) -> tuple[np.ndarray, np.ndarray]:
@@ -105,30 +102,27 @@ def assert_same_records(got: dict, want: dict) -> None:
 
 @SETTINGS
 @given(seed=st.integers(0, 2**32 - 1), n_assets=st.integers(1, 6), n_days=st.integers(1, 40))
-def test_records_and_arrays_build_the_same_panel(seed, n_assets, n_days):
+def test_report_arrays_match_the_record_oracle(seed, n_assets, n_days):
     assets, cal, fundamentals = random_records(seed, n_assets, n_days)
-    from_records = MarketPanel(assets, cal, *grids(n_days, n_assets), fundamentals)
-    from_arrays = array_panel(assets, cal, fundamentals)
-    want_table = table_oracle(from_records, fundamentals)
-    for panel in (from_records, from_arrays):
-        assert_same_records(panel.fundamentals, fundamentals)
-        for got, want in zip(panel.report_table, want_table):
-            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-        with TemporaryDirectory() as tmp:
-            written = save_panel(panel, Path(tmp))["fundamentals"].read_bytes()
-        assert written == fundamentals_csv_oracle(panel, fundamentals)
-        for cutoff in cal.days:
-            kept = {a: [r for r in records if r.report_date < cutoff] for a, records in fundamentals.items()}
-            kept = {a: records for a, records in kept.items() if records}
-            censored = censor_panel(panel, cutoff)
-            assert_same_records(censored.fundamentals, kept)
-            for got, want in zip(censored.report_table, table_oracle(censored, kept)):
-                assert got.tobytes() == want.tobytes()
+    panel = array_panel(assets, cal, fundamentals)
+    assert_same_records(panel.fundamentals, fundamentals)
+    for got, want in zip(panel.report_table, table_oracle(panel, fundamentals)):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    with TemporaryDirectory() as tmp:
+        written = save_panel(panel, Path(tmp))["fundamentals"].read_bytes()
+    assert written == fundamentals_csv_oracle(panel, fundamentals)
+    for cutoff in cal.days:
+        kept = {a: [r for r in records if r.report_date < cutoff] for a, records in fundamentals.items()}
+        kept = {a: records for a, records in kept.items() if records}
+        censored = censor_panel(panel, cutoff)
+        assert_same_records(censored.fundamentals, kept)
+        for got, want in zip(censored.report_table, table_oracle(censored, kept)):
+            assert got.tobytes() == want.tobytes()
 
 
 def test_fundamentals_view_is_a_copy():
     assets, cal, fundamentals = random_records(3, 4, 30)
-    panel = MarketPanel(assets, cal, *grids(30, 4), fundamentals)
+    panel = array_panel(assets, cal, fundamentals)
     view = panel.fundamentals
     view.clear()
     assert panel.fundamentals == fundamentals
@@ -158,21 +152,11 @@ def test_broken_report_arrays_are_rejected(positions, dates, message):
                     report_date=np.array(dates), report_values=np.ones((len(dates), 4)))
 
 
-@pytest.mark.parametrize("records, message", [
-    ({"A": [FundamentalRecord(DAYS[1]), FundamentalRecord(DAYS[0])]}, "fundamental records for A not sorted"),
-    ({"B": [FundamentalRecord(DAYS[1]), FundamentalRecord(DAYS[1])]},
-     rf"duplicate fundamental report \({DAYS[1]},B\)"),
-    ({"Z": [FundamentalRecord(DAYS[0])]}, "fundamentals for unknown asset 'Z'"),
-])
-def test_broken_records_are_rejected(records, message):
-    with pytest.raises(DataError, match=message):
-        MarketPanel(["A", "B"], trading_days(4), *grids(4, 2), records)
-
-
-def test_records_and_arrays_together_are_refused():
-    with pytest.raises(TypeError, match="not both"):
-        MarketPanel(["A"], trading_days(4), *grids(4, 1), {"A": [FundamentalRecord(DAYS[0])]},
-                    report_asset=np.array([0]), report_date=np.array([DAYS[0]]), report_values=np.ones((1, 4)))
+@pytest.mark.parametrize("report_date", ["20200102", "2020-1-2"])
+def test_report_dates_not_in_iso_form_are_rejected(report_date):
+    # read as a date, the first is the year 20,200,102 and the second a form numpy refuses
+    with pytest.raises(DataError, match=f"invalid ISO date '{report_date}'"):
+        make_panel(4, ["A"], price=10.0, fundamentals={"A": [fundamental(report_date, book=1.0)]})
 
 
 # --- no records on the generate, save, load and censor paths -----------------------

@@ -7,9 +7,11 @@ projected onto their caps by the iterative cap-and-redistribute loop. They agree
 that weights on a date where a cap binds agree within 1e-12 (the closed-form
 projection rounds differently from the loop). The walk's one day loop over
 every book is compared bit for bit with the per-book evolution it
-replaced, kept here too. Also compared with a plain oracle: AsOf.history
-with a direct count of prices before t. Last, the accounting identities of
-every strategy's backtest. All on random panels with gaps.
+replaced, kept here too, both through the walks and through `evolve` on
+arbitrary target rows; `evolve` on the targets a walk built returns that
+walk's results. Also compared with a plain oracle: AsOf.history with a
+direct count of prices before t. Last, the accounting identities of every
+strategy's backtest. All on random panels with gaps.
 """
 
 from __future__ import annotations
@@ -24,7 +26,9 @@ from hypothesis import example, given, settings, strategies as st
 from factortilt.backtest import (
     STRATEGIES,
     WEIGHT_MODES,
+    BacktestConfig,
     BacktestResult,
+    evolve,
     removal_tilt,
     run_baselines,
     run_factor_removals,
@@ -282,6 +286,41 @@ def same_bits(got, want, what):
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), what
 
 
+def end_of(panel, first: str, end_at) -> str | None:
+    """None, or the day at fraction end_at of the way from `first` to the panel's last day."""
+    if end_at is None:
+        return None
+    i_start = panel.calendar.position(first)
+    return panel.calendar.days[i_start + int(end_at * (panel.n_days - 1 - i_start))]
+
+
+def assert_same_result(got: BacktestResult, want: BacktestResult, what):
+    assert (got.strategy, got.dates, got.rebalance_dates) == (want.strategy, want.dates, want.rebalance_dates), what
+    assert all(g is w for g, w in zip(got.weights, want.weights, strict=True)), what
+    for attr in ("daily_returns", "equity_curve", "turnover", "costs"):
+        same_bits(getattr(got, attr), getattr(want, attr), f"{what} {attr}")
+
+
+@st.composite
+def target_books(draw, panel):
+    """1-3 named books on 1-4 shared dates of the panel, each row over the
+    panel's assets all zero or arbitrary non-negative values scaled to sum to 1."""
+    picks = draw(st.lists(st.integers(0, panel.n_days - 1), min_size=1, max_size=4, unique=True))
+    dates = [panel.calendar.days[i] for i in sorted(picks)]
+    cell = st.one_of(st.just(0.0), st.floats(0.0, 1e6))
+    books = {}
+    for b in range(draw(st.integers(1, 3))):
+        vectors = []
+        for t in dates:
+            w = np.zeros(panel.n_assets)
+            if draw(st.booleans()):
+                w = np.array(draw(st.lists(cell, min_size=panel.n_assets, max_size=panel.n_assets)))
+                w = w / w.sum() if w.sum() > 0 else w
+            vectors.append(WeightVector(t=t, assets=tuple(panel.assets), w=w))
+        books[f"book{b}"] = (draw(st.sampled_from(STRATEGIES)), vectors)
+    return books
+
+
 @settings(SETTINGS, max_examples=80)
 @given(panel=wide_panels, p=short_windows, fractions=days, lam=st.sampled_from([0.0, 0.3, 2.5]), caps=cap_settings,
        weight_mode=st.sampled_from(WEIGHT_MODES), removals=st.booleans())
@@ -335,6 +374,39 @@ def test_day_loop_equals_per_config_evolution(panel, p, fractions, weight_mode, 
         assert (got.strategy, got.dates, got.rebalance_dates) == (want.strategy, want.dates, want.rebalance_dates)
         for attr in ("daily_returns", "equity_curve", "turnover", "costs"):
             same_bits(getattr(got, attr), getattr(want, attr), f"{name} {attr}")
+
+
+@settings(SETTINGS, max_examples=80)
+@given(data=st.data(), panel=wide_panels, weight_mode=st.sampled_from(WEIGHT_MODES), cost_rate=st.floats(0.0, 1.0),
+       end_at=st.one_of(st.none(), st.floats(0.0, 1.0)))
+def test_evolve_equals_per_book_evolution_on_arbitrary_targets(data, panel, weight_mode, cost_rate, end_at):
+    books = data.draw(target_books(panel))
+    first = next(iter(books.values()))[1][0].t
+    config = BacktestConfig(cost_rate=cost_rate, weight_mode=weight_mode)
+    end = end_of(panel, first, end_at)
+    results = evolve(panel, books, config, end)
+    assert list(results) == list(books)
+    cal = panel.calendar
+    i_start, i_end = cal.position(first), cal.position(end or cal.days[-1])
+    dates = list(cal.days[i_start : i_end + 1])
+    span = oracle_asset_returns(panel)[i_start : i_end + 1]
+    for name, (s, vectors) in books.items():
+        kept = [wv for wv in vectors if wv.t <= dates[-1]]
+        assert_same_result(results[name], oracle_evolve(dates, span, kept, s, config), name)
+
+
+@settings(SETTINGS, max_examples=40)
+@given(panel=wide_panels, p=short_windows, fractions=days, weight_mode=st.sampled_from(WEIGHT_MODES),
+       cost_rate=st.floats(0.0, 0.05), removals=st.booleans(), end_at=st.one_of(st.none(), st.floats(0.0, 1.0)))
+def test_evolve_on_a_walks_targets_returns_its_results(panel, p, fractions, weight_mode, cost_rate, removals, end_at):
+    config = config_for(p, cost_rate=cost_rate, weight_mode=weight_mode, caps=CapParams(c_max=1.0, kappa=1.0))
+    schedule = schedule_of(panel, fractions)
+    end = end_of(panel, schedule.dates[0], end_at)
+    results = (run_factor_removals if removals else run_baselines)(panel, schedule, config, end)
+    again = evolve(panel, {name: (res.strategy, res.weights) for name, res in results.items()}, config, end)
+    assert list(again) == list(results)
+    for name, res in results.items():
+        assert_same_result(again[name], res, name)
 
 
 @SETTINGS
