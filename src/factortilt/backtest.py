@@ -191,15 +191,18 @@ def evolve(
         raise ConfigError(f"no target weights dated on or before the backtest end {end}")
     i_start, i_end = cal.position(dates[0]), cal.position(end)
     trades = {cal.position(t) - i_start: np.stack([v[k].w for v in vectors]) for k, t in enumerate(dates[:n_reb])}
-    returns = np.zeros_like(panel.price)  # a missing asset return is zero
+    # the walked rows' asset returns; day 0's and a missing one are zero
+    returns = np.zeros((i_end + 1 - i_start, panel.n_assets))
+    lo = max(i_start, 1)
     with np.errstate(invalid="ignore", divide="ignore"):
-        returns[1:] = panel.price[1:] / panel.price[:-1] - 1.0
+        np.divide(panel.price[lo : i_end + 1], panel.price[lo - 1 : i_end], out=returns[lo - i_start :])
+    returns[lo - i_start :] -= 1.0
     np.nan_to_num(returns, copy=False)
     held = np.zeros((len(books), panel.n_assets))
     rows = list(held)
     daily = np.empty((len(books), i_end + 1 - i_start))
     turnover = []
-    for k, r in enumerate(returns[i_start : i_end + 1]):
+    for k, r in enumerate(returns):
         # one dot product per book: a matrix-vector product rounds differently
         daily[:, k] = [float(w @ r) for w in rows]
         if config.weight_mode == "drift":

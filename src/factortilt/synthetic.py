@@ -34,6 +34,7 @@ _FLIP_DAYS = 126
 _BASE_PRICE = 50.0
 _BASE_VOLUME = 1.0e5
 _BASE_SHARES = 1.0e6
+_GAP_ROWS = 128  # rows of the gap mask drawn at a time
 
 
 @dataclass(frozen=True)
@@ -76,7 +77,19 @@ def trading_days(n_days: int, start: str = "2020-01-01") -> TradingCalendar:
 
 
 def generate(spec: ScenarioSpec) -> MarketPanel:
-    """Build a fully validated MarketPanel from the scenario description."""
+    """Build a fully validated MarketPanel from the scenario description.
+
+    The generator is drawn in a fixed order: the five asset spreads, the
+    quarterly transient spreads, the market and idiosyncratic shocks, the
+    fundamental report noise, then the gap masks in blocks of _GAP_ROWS
+    rows. A new draw must come after the gaps, or from a SeedSequence
+    child, so that every existing seed keeps its panel.
+
+    The working set is the panel's own three grids, one grid of drift and
+    one gap block. Each in-place step keeps the operations and operand
+    grouping of the expressions in the comments (re-associating them would
+    round differently), so a seed's panel is bit-identical to theirs.
+    """
     rng = np.random.default_rng(spec.seed)
     n, d = spec.n_assets, spec.n_days
     calendar = trading_days(d)
@@ -92,25 +105,28 @@ def generate(spec: ScenarioSpec) -> MarketPanel:
     transient = np.stack([rng.permutation(spread) for _ in range(n_blocks)])
 
     eps_market = rng.standard_normal(d)
-    eps_idio = rng.standard_normal((d, n))
+    price = rng.standard_normal((d, n))  # the idiosyncratic shocks, turned into prices in place
 
     persist = abs(spec.ic_target)
     day_idx = np.arange(d)
     sign = np.ones(d) if spec.ic_target >= 0 else np.where((day_idx // _FLIP_DAYS) % 2 == 0, 1.0, -1.0)
     block = np.minimum(day_idx // _QUARTER_DAYS, n_blocks - 1)
-    drift = _DRIFT_SCALE * spec.dispersion * (
-        persist * sign[:, None] * s_drift[None, :]
-        + (1.0 - persist) * transient[block]
-    )
-    idio_scale = min(spec.dispersion, 1.0)
-    returns = (
-        _BASE_DRIFT
-        + drift
-        + spec.vol * (_MARKET_BETA * eps_market[:, None] + idio_scale * eps_idio)
-    )
-    returns = np.maximum(returns, -0.9)
-
-    price = _BASE_PRICE * np.cumprod(1.0 + returns, axis=0)
+    # drift = (_DRIFT_SCALE * dispersion) * (persist * sign * s_drift + (1 - persist) * transient)
+    drift = transient[block]
+    drift *= 1.0 - persist
+    drift += persist * sign[:, None] * s_drift[None, :]
+    drift *= _DRIFT_SCALE * spec.dispersion
+    # returns = _BASE_DRIFT + drift + vol * (_MARKET_BETA * eps_market + min(dispersion, 1) * eps_idio)
+    drift += _BASE_DRIFT
+    price *= min(spec.dispersion, 1.0)
+    price += _MARKET_BETA * eps_market[:, None]
+    price *= spec.vol
+    price += drift
+    del drift
+    np.maximum(price, -0.9, out=price)
+    np.add(1.0, price, out=price)
+    np.cumprod(price, axis=0, out=price)
+    np.multiply(_BASE_PRICE, price, out=price)
 
     tiers = np.array([spec.liquidity_tiers[i % len(spec.liquidity_tiers)] for i in range(n)])
     volume = np.tile(_BASE_VOLUME * tiers, (d, 1))
@@ -127,11 +143,12 @@ def generate(spec: ScenarioSpec) -> MarketPanel:
     lever = np.clip(0.35 + 0.20 * spec.dispersion * s_lever[:, None] + 0.01 * g_lever, 0.0, 0.95)
     report_values = np.stack([np.maximum(bps, 0.5) * shares[:, None], roe, margin, lever], axis=-1).reshape(-1, 4)
 
-    # masks drawn unconditionally so other draws do not depend on the rate
-    gaps = rng.random((d, n, 3))
-    price = np.where(gaps[:, :, 0] < spec.missing_rate, np.nan, price)
-    volume = np.where(gaps[:, :, 1] < spec.missing_rate, np.nan, volume)
-    mktcap = np.where(gaps[:, :, 2] < spec.missing_rate, np.nan, mktcap)
+    # masks drawn unconditionally so other draws do not depend on the rate;
+    # one (rows, n, 3) block at a time gives the same stream as one draw
+    for lo in range(0, d, _GAP_ROWS):
+        gaps = rng.random((min(_GAP_ROWS, d - lo), n, 3))
+        for grid, k in ((price, 0), (volume, 1), (mktcap, 2)):
+            grid[lo : lo + len(gaps)][gaps[:, :, k] < spec.missing_rate] = np.nan
 
     return MarketPanel([f"A{i:03d}" for i in range(n)], calendar, price, volume, mktcap,
                        report_asset=np.repeat(np.arange(n), len(quarter_starts)),

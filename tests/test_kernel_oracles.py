@@ -2,7 +2,9 @@
 as oracles and compared bit for bit: winsorize with one np.quantile call,
 standardize with np.mean, the latest fundamental report with one bisection
 per asset, and the average dollar volume with a stable argsort that
-left-packs each asset's valid days.
+left-packs each asset's valid days. Also the synthetic generator against its
+expression form, which held about ten grid-sized temporaries at once and drew
+the gap mask whole.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from operator import attrgetter, getitem
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from factortilt.factors import standardize, winsorize
 from factortilt.market_data import (
@@ -25,7 +27,20 @@ from factortilt.market_data import (
     _average_dollar_volumes,
     _latest_reports,
 )
-from factortilt.synthetic import trading_days
+from factortilt.synthetic import (
+    _BASE_DRIFT,
+    _BASE_PRICE,
+    _BASE_SHARES,
+    _BASE_VOLUME,
+    _DRIFT_SCALE,
+    _FLIP_DAYS,
+    _GAP_ROWS,
+    _MARKET_BETA,
+    _QUARTER_DAYS,
+    ScenarioSpec,
+    generate,
+    trading_days,
+)
 
 from test_asof_properties import SETTINGS, panels, random_panel
 
@@ -82,6 +97,68 @@ def average_dollar_volumes_oracle(panel: MarketPanel, it: int, lookback: int) ->
         rows = counts == k
         out[rows] = np.ascontiguousarray(packed[rows, :k]).sum(axis=1) / k
     return out
+
+
+def generate_oracle(spec: ScenarioSpec) -> MarketPanel:
+    rng = np.random.default_rng(spec.seed)
+    n, d = spec.n_assets, spec.n_days
+    calendar = trading_days(d)
+
+    spread = np.linspace(-1.0, 1.0, n) if n > 1 else np.zeros(1)
+    s_drift = rng.permutation(spread)
+    s_value = rng.permutation(spread)
+    s_roe = rng.permutation(spread)
+    s_margin = rng.permutation(spread)
+    s_lever = rng.permutation(spread)
+
+    n_blocks = d // _QUARTER_DAYS + 1
+    transient = np.stack([rng.permutation(spread) for _ in range(n_blocks)])
+
+    eps_market = rng.standard_normal(d)
+    eps_idio = rng.standard_normal((d, n))
+
+    persist = abs(spec.ic_target)
+    day_idx = np.arange(d)
+    sign = np.ones(d) if spec.ic_target >= 0 else np.where((day_idx // _FLIP_DAYS) % 2 == 0, 1.0, -1.0)
+    block = np.minimum(day_idx // _QUARTER_DAYS, n_blocks - 1)
+    drift = _DRIFT_SCALE * spec.dispersion * (
+        persist * sign[:, None] * s_drift[None, :]
+        + (1.0 - persist) * transient[block]
+    )
+    idio_scale = min(spec.dispersion, 1.0)
+    returns = (
+        _BASE_DRIFT
+        + drift
+        + spec.vol * (_MARKET_BETA * eps_market[:, None] + idio_scale * eps_idio)
+    )
+    returns = np.maximum(returns, -0.9)
+
+    price = _BASE_PRICE * np.cumprod(1.0 + returns, axis=0)
+
+    tiers = np.array([spec.liquidity_tiers[i % len(spec.liquidity_tiers)] for i in range(n)])
+    volume = np.tile(_BASE_VOLUME * tiers, (d, 1))
+    # at dispersion 0 every z input must be bit-identical, so shares ignore tiers
+    shares = _BASE_SHARES * (tiers if spec.dispersion > 0 else np.ones(n))
+    mktcap = price * shares[None, :]
+
+    quarter_starts = list(range(0, d, _QUARTER_DAYS))
+    # one column per quarter: asset i's reports are row i, in date order
+    g_book, g_roe, g_margin, g_lever = rng.standard_normal((len(quarter_starts), 4)).T
+    bps = 18.0 * (1.0 + 0.25 * spec.dispersion * s_value[:, None] + 0.02 * g_book)
+    roe = 0.15 + 0.10 * spec.dispersion * s_roe[:, None] + 0.01 * g_roe
+    margin = np.clip(0.40 + 0.20 * spec.dispersion * s_margin[:, None] + 0.01 * g_margin, 0.01, 0.99)
+    lever = np.clip(0.35 + 0.20 * spec.dispersion * s_lever[:, None] + 0.01 * g_lever, 0.0, 0.95)
+    report_values = np.stack([np.maximum(bps, 0.5) * shares[:, None], roe, margin, lever], axis=-1).reshape(-1, 4)
+
+    # masks drawn unconditionally so other draws do not depend on the rate
+    gaps = rng.random((d, n, 3))
+    price = np.where(gaps[:, :, 0] < spec.missing_rate, np.nan, price)
+    volume = np.where(gaps[:, :, 1] < spec.missing_rate, np.nan, volume)
+    mktcap = np.where(gaps[:, :, 2] < spec.missing_rate, np.nan, mktcap)
+
+    return MarketPanel([f"A{i:03d}" for i in range(n)], calendar, price, volume, mktcap,
+                       report_asset=np.repeat(np.arange(n), len(quarter_starts)),
+                       report_date=np.tile(np.array(calendar.days)[quarter_starts], n), report_values=report_values)
 
 
 def same_bits(got, want, what):
@@ -207,3 +284,38 @@ def test_average_dollar_volume_keeps_an_overflowed_product():
         want = average_dollar_volumes_oracle(panel, 5, 4)
     same_bits(got, want, "overflow")
     assert got.tolist() == [math.inf, 1000.0, 1000.0]
+
+
+# --- synthetic generator -------------------------------------------------------------
+
+specs = st.builds(
+    ScenarioSpec,
+    seed=st.integers(0, 2**32 - 1),
+    n_assets=st.integers(1, 40),
+    n_days=st.integers(1, 400),  # from below one gap block to past several
+    vol=st.floats(0.0, 0.05),
+    dispersion=st.one_of(st.just(0.0), st.floats(0.0, 3.0)),
+    ic_target=st.one_of(st.sampled_from([-1.0, 0.0, 1.0]), st.floats(-1.0, 1.0)),
+    liquidity_tiers=st.lists(st.floats(0.01, 10.0), min_size=1, max_size=4).map(tuple),
+    missing_rate=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+)
+
+
+@settings(SETTINGS, max_examples=80)
+@given(spec=specs)
+@example(spec=ScenarioSpec(seed=1, n_assets=1, n_days=1, missing_rate=1.0))
+@example(spec=ScenarioSpec(seed=2, n_assets=7, n_days=_GAP_ROWS - 1, dispersion=0.0, ic_target=-0.4,
+                           missing_rate=0.1))  # below one gap block
+@example(spec=ScenarioSpec(seed=3, n_assets=40, n_days=_GAP_ROWS, dispersion=1.7, ic_target=0.6,
+                           liquidity_tiers=(1.0, 0.2, 0.05), missing_rate=0.3))  # exactly one block
+@example(spec=ScenarioSpec(seed=4, n_assets=13, n_days=3 * _GAP_ROWS + 17, dispersion=2.5, ic_target=-1.0,
+                           missing_rate=0.05))  # past several blocks, not a multiple of one
+def test_generate_equals_expression_form(spec):
+    got, want = generate(spec), generate_oracle(spec)
+    assert (got.assets, got.calendar.days) == (want.assets, want.calendar.days)
+    for name in ("price", "volume", "mktcap", "report_values"):
+        g, w = getattr(got, name), getattr(want, name)
+        assert np.array_equal(g, w, equal_nan=True), (name, spec)
+        same_bits(g, w, (name, spec))
+    for name in ("report_asset", "report_date"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), (name, spec)
