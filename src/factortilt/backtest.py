@@ -8,6 +8,16 @@ Conventions: every book starts in cash. Turnover is one-way sum |dw| in
 cost_rate * turnover is deducted from the rebalance day's return. A missing
 asset return contributes zero and the position is carried. An empty
 universe holds cash at exactly zero return until the next rebalance.
+
+`evolve` works one holding period (segment) at a time: the days after a
+trade through the next trade or the end. Over a segment a constant_mix
+book's daily returns are the row sums of r * w, and a drift book's value is
+the row sums of cumprod(1 + r) * w, its daily return value_k / value_k-1 - 1
+from value = sum(w) at the trade. Each book is summed on its own, row by
+row, never through a matrix product: BLAS rounds a row of r @ w or
+r @ W.T differently with the number of rows or books in the call, and the
+row sums keep a run truncated at any end a bitwise prefix of the full run
+and give equal targets equal bits whatever books sit beside them.
 """
 
 from __future__ import annotations
@@ -174,7 +184,9 @@ def evolve(
     in cash, earns day d on the weights it held coming into d, and on a
     rebalance date trades to its target, the turnover cost deducted from
     that day's return. Between rebalances constant_mix holds the targets;
-    drift lets them grow with returns, and turnover is measured against them."""
+    drift lets them grow with returns, and turnover is measured against them.
+    Each holding period is one array expression per book over the period's
+    asset returns (see the module docstring); an empty book earns exactly 0."""
     cal, assets = panel.calendar, tuple(panel.assets)
     vectors = [v for _, v in books.values()]
     dates = [wv.t for wv in vectors[0]] if vectors else []
@@ -190,34 +202,39 @@ def evolve(
     if not n_reb:
         raise ConfigError(f"no target weights dated on or before the backtest end {end}")
     i_start, i_end = cal.position(dates[0]), cal.position(end)
-    trades = {cal.position(t) - i_start: np.stack([v[k].w for v in vectors]) for k, t in enumerate(dates[:n_reb])}
-    # the walked rows' asset returns; day 0's and a missing one are zero
-    returns = np.zeros((i_end + 1 - i_start, panel.n_assets))
-    lo = max(i_start, 1)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        np.divide(panel.price[lo : i_end + 1], panel.price[lo - 1 : i_end], out=returns[lo - i_start :])
-    returns[lo - i_start :] -= 1.0
-    np.nan_to_num(returns, copy=False)
+    trades = [cal.position(t) - i_start for t in dates[:n_reb]]
+    drift = config.weight_mode == "drift"
+    targets = np.array([[wv.w for wv in v[:n_reb]] for v in vectors])  # books x trades x assets
+    active = targets.any(axis=2)
     held = np.zeros((len(books), panel.n_assets))
-    rows = list(held)
-    daily = np.empty((len(books), i_end + 1 - i_start))
-    turnover = []
-    for k, r in enumerate(returns):
-        # one dot product per book: a matrix-vector product rounds differently
-        daily[:, k] = [float(w @ r) for w in rows]
-        if config.weight_mode == "drift":
-            grown = held * (1.0 + r)
-            total = grown.sum(axis=1)
-            # divides only rows that hold something and grew to a positive total
-            moves = (held.sum(axis=1) > 0) & (total > 0)
-            np.divide(grown, total[:, None], out=held, where=moves[:, None])
-        target = trades.get(k)
-        if target is not None:
-            turnover.append(np.abs(target - held).sum(axis=1))
-            held[:] = target
-    turnover = np.array(turnover).T.copy()
+    daily = np.zeros((len(books), i_end + 1 - i_start))
+    turnover = np.empty((len(books), n_reb))
+    # segment j: the rows after trade j, through the next trade or `end`
+    for j, (a, b) in enumerate(zip(trades, trades[1:] + [i_end - i_start])):
+        np.add.reduce(np.abs(targets[:, j] - held), axis=1, out=turnover[:, j])
+        held = targets[:, j].copy()
+        if a == b:
+            continue
+        r = _segment_returns(panel.price, i_start + a + 1, i_start + b)
+        if drift:
+            # each asset's growth since trade j, from a first row of ones
+            growth = np.empty((len(r) + 1, r.shape[1]))
+            growth[0] = 1.0
+            np.add(r, 1.0, out=growth[1:])
+            r = np.multiply.accumulate(growth, axis=0, out=growth)
+        part = np.empty_like(r)
+        for i in np.flatnonzero(active[:, j]):  # an empty book holds cash at exactly zero
+            w, out = held[i], daily[i, a + 1 : b + 1]
+            np.multiply(r, w, out=part)
+            if drift:
+                value = np.add.reduce(part, axis=1)  # from sum(w) at trade j
+                np.divide(value[1:], value[:-1], out=out)
+                out -= 1.0
+                np.divide(part[-1], value[-1], out=w)
+            else:
+                np.add.reduce(part, axis=1, out=out)
     costs = config.cost_rate * turnover
-    daily[:, sorted(trades)] -= costs
+    daily[:, trades] -= costs
     equity = np.cumprod(1.0 + daily, axis=1)
     return {
         name: BacktestResult(strategy=s, dates=list(cal.days[i_start : i_end + 1]), daily_returns=daily[j],
@@ -225,6 +242,14 @@ def evolve(
                              costs=costs[j], weights=v[:n_reb])
         for j, (name, (s, v)) in enumerate(books.items())
     }
+
+
+def _segment_returns(price: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """The asset returns of calendar rows lo..hi (lo >= 1), a missing one zero."""
+    r = price[lo : hi + 1] / price[lo - 1 : hi]
+    r -= 1.0
+    r[np.isnan(r)] = 0.0
+    return r
 
 
 def run_baselines(

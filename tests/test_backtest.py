@@ -314,21 +314,26 @@ def test_evolve_rejects_books_it_cannot_trade():
 
 
 def test_evolve_peak_follows_the_walked_rows():
-    """evolve builds asset returns only over the rows it walks, in place:
-    here 1,201 of 1,500 days, plus nan_to_num's masks of them. A grid over
-    the whole calendar and a quotient temporary came to about 2.05 grids."""
+    """evolve builds asset returns one holding period at a time: with a
+    trade every 21 days over 1,201 of 1,500 days its transient is a few of
+    those periods' grids (0.09-0.11 of the panel's price grid). The day loop
+    over a returns grid of all walked rows peaked at 1.35 (1.68 walking to
+    the last day). A single holding period over every day holds its returns
+    and one product of them, about two grids (the day loop: 1.63)."""
     panel = generate(ScenarioSpec(seed=1, n_assets=200, n_days=1500, missing_rate=0.02))
     days, assets = panel.calendar.days, tuple(panel.assets)
     w = np.full(panel.n_assets, 1.0 / panel.n_assets)
-    books = {"ew": ("ew_all", [WeightVector(t=t, assets=assets, w=w) for t in days[::21]])}
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        evolve(panel, books, BacktestConfig(), end=days[1200])
-        peak = tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
-    assert peak < 1.6 * panel.price.nbytes, f"peak {peak / panel.price.nbytes:.2f} grids"
+    for mode in ("constant_mix", "drift"):
+        for every, end, gate in ((21, days[1200], 0.25), (len(days), None, 2.5)):
+            books = {"ew": ("ew_all", [WeightVector(t=t, assets=assets, w=w) for t in days[::every]])}
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                evolve(panel, books, BacktestConfig(weight_mode=mode), end=end)
+                peak = tracemalloc.get_traced_memory()[1] - before
+            finally:
+                tracemalloc.stop()
+            assert peak < gate * panel.price.nbytes, f"{mode} every {every}: peak {peak / panel.price.nbytes:.2f} grids"
 
 
 class TestFactorRemovals:

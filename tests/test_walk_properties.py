@@ -5,15 +5,21 @@ the pipeline it replaced, kept here as the oracle: screens into an
 EligibilitySet, then weights built from mappings keyed by asset id and
 projected onto their caps by the iterative cap-and-redistribute loop. They agree bit for bit, except
 that weights on a date where a cap binds agree within 1e-12 (the closed-form
-projection rounds differently from the loop). The walk's one day loop over
-every book is compared bit for bit with the per-book evolution it
-replaced, kept here too, both through the walks and through `evolve` on
-arbitrary target rows; `evolve` on the targets a walk built returns that
-walk's results. Also compared with a plain oracle: AsOf.history with a
-direct count of prices before t. Last, the accounting identities of every
+projection rounds differently from the loop). `evolve`, which works one
+holding period at a time, is compared with the per-book day loop it
+replaced, kept here too, both through the walks and on arbitrary target
+rows: dates, weights, the rows a book holds cash and constant_mix
+turnover and costs agree bit for bit; daily returns, equity, and drift
+turnover and costs agree within 1e-12, since a segment's row sums and
+cumulative growth round differently from one dot product and one
+renormalisation per day (ROADMAP item 5's artifact break). `evolve`'s own
+rounding is pinned bit for bit instead: a run truncated at any end is a
+prefix of the full run, and a book evolves alike alone or beside others
+in any position. `evolve` on the targets a walk built returns that walk's
+results. Also compared with a plain oracle: AsOf.history with a direct
+count of prices before t. Last, the accounting identities of every
 strategy's backtest. All on random panels with gaps.
 """
-
 from __future__ import annotations
 
 from dataclasses import replace
@@ -301,6 +307,39 @@ def assert_same_result(got: BacktestResult, want: BacktestResult, what):
         same_bits(getattr(got, attr), getattr(want, attr), f"{what} {attr}")
 
 
+# how far evolve's segment arithmetic may round from the per-day oracle
+ORACLE_TOL = 1e-12
+
+
+def cash_rows(dates: list[str], targets: list[WeightVector]) -> np.ndarray:
+    """The days a book earns on no holdings: before its first trade and
+    after a trade to an all-zero target, through the next trade."""
+    by_date = {wv.t: wv.w for wv in targets}
+    cash, holding = np.ones(len(dates), dtype=bool), False
+    for k, d in enumerate(dates):
+        cash[k] = not holding
+        if d in by_date:
+            holding = bool(by_date[d].any())
+    return cash
+
+
+def assert_close_to_oracle(got: BacktestResult, want: BacktestResult, drift: bool, what):
+    """got agrees with the per-day oracle: exactly in its dates, weights,
+    cash rows and constant_mix turnover and costs, within ORACLE_TOL
+    elsewhere."""
+    assert (got.strategy, got.dates, got.rebalance_dates) == (want.strategy, want.dates, want.rebalance_dates), what
+    assert all(g is w for g, w in zip(got.weights, want.weights, strict=True)), what
+    close = ["daily_returns", "equity_curve"] + (["turnover", "costs"] if drift else [])
+    for attr in ("daily_returns", "equity_curve", "turnover", "costs"):
+        g, w = getattr(got, attr), getattr(want, attr)
+        if attr in close:
+            np.testing.assert_allclose(g, w, rtol=ORACLE_TOL, atol=ORACLE_TOL, err_msg=f"{what} {attr}")
+        else:
+            same_bits(g, w, f"{what} {attr}")
+    cash = cash_rows(want.dates, want.weights)
+    same_bits(got.daily_returns[cash], want.daily_returns[cash], f"{what} cash rows")
+
+
 @st.composite
 def target_books(draw, panel):
     """1-3 named books on 1-4 shared dates of the panel, in about half the
@@ -374,10 +413,7 @@ def test_day_loop_equals_per_config_evolution(panel, p, fractions, weight_mode, 
     span = oracle_asset_returns(panel)[i_start : i_end + 1]
     for name, (s, cfg) in books.items():
         got = results[name]
-        want = oracle_evolve(dates, span, got.weights, s, cfg)
-        assert (got.strategy, got.dates, got.rebalance_dates) == (want.strategy, want.dates, want.rebalance_dates)
-        for attr in ("daily_returns", "equity_curve", "turnover", "costs"):
-            same_bits(getattr(got, attr), getattr(want, attr), f"{name} {attr}")
+        assert_close_to_oracle(got, oracle_evolve(dates, span, got.weights, s, cfg), weight_mode == "drift", name)
 
 
 @settings(SETTINGS, max_examples=80)
@@ -396,7 +432,54 @@ def test_evolve_equals_per_book_evolution_on_arbitrary_targets(data, panel, weig
     span = oracle_asset_returns(panel)[i_start : i_end + 1]
     for name, (s, vectors) in books.items():
         kept = [wv for wv in vectors if wv.t <= dates[-1]]
-        assert_same_result(results[name], oracle_evolve(dates, span, kept, s, config), name)
+        assert_close_to_oracle(results[name], oracle_evolve(dates, span, kept, s, config), weight_mode == "drift", name)
+
+
+def with_cash_book(books: dict) -> dict:
+    """books plus one whose every target is all zero, dated as theirs."""
+    vectors = next(iter(books.values()))[1]
+    return {**books, "cash": ("ew_all", [WeightVector(t=wv.t, assets=wv.assets, w=np.zeros(len(wv.w)))
+                                         for wv in vectors])}
+
+
+@settings(SETTINGS, max_examples=40)
+@given(data=st.data(), panel=wide_panels, weight_mode=st.sampled_from(WEIGHT_MODES), cost_rate=st.floats(0.0, 1.0),
+       cash_book=st.booleans())
+def test_evolve_truncated_at_any_end_is_a_prefix_of_the_full_run(data, panel, weight_mode, cost_rate, cash_book):
+    books = data.draw(target_books(panel))
+    books = with_cash_book(books) if cash_book else books
+    config = BacktestConfig(cost_rate=cost_rate, weight_mode=weight_mode)
+    full = evolve(panel, books, config)
+    first = next(iter(books.values()))[1][0].t
+    for end in panel.calendar.days[panel.calendar.position(first):]:
+        for name, cut in evolve(panel, books, config, end).items():
+            whole, m, n = full[name], len(cut.dates), len(cut.rebalance_dates)
+            assert (cut.dates, cut.rebalance_dates) == (whole.dates[:m], whole.rebalance_dates[:n]), (name, end)
+            assert cut.dates[-1] == end and all(a is b for a, b in zip(cut.weights, whole.weights[:n], strict=True))
+            for attr, k in (("daily_returns", m), ("equity_curve", m), ("turnover", n), ("costs", n)):
+                same_bits(getattr(cut, attr), getattr(whole, attr)[:k], f"{name} {attr} to {end}")
+
+
+@settings(SETTINGS, max_examples=40)
+@given(data=st.data(), panel=wide_panels, weight_mode=st.sampled_from(WEIGHT_MODES), cost_rate=st.floats(0.0, 1.0),
+       end_at=st.one_of(st.none(), st.floats(0.0, 1.0)), cash_book=st.booleans())
+def test_a_book_evolves_alike_alone_and_beside_others_in_any_position(data, panel, weight_mode, cost_rate, end_at,
+                                                                       cash_book):
+    books = data.draw(target_books(panel))
+    books = with_cash_book(books) if cash_book else books
+    name0 = next(iter(books))
+    books["twin"] = books[name0]  # equal targets give equal bits
+    order = data.draw(st.permutations(list(books)))
+    config = BacktestConfig(cost_rate=cost_rate, weight_mode=weight_mode)
+    end = end_of(panel, books[name0][1][0].t, end_at)
+    together = evolve(panel, books, config, end)
+    shuffled = evolve(panel, {name: books[name] for name in order}, config, end)
+    assert list(shuffled) == order
+    for name in books:
+        alone = evolve(panel, {name: books[name]}, config, end)[name]
+        assert_same_result(together[name], alone, f"{name} beside others")
+        assert_same_result(shuffled[name], alone, f"{name} in position {order.index(name)}")
+    assert_same_result(together["twin"], together[name0], "twin")
 
 
 @settings(SETTINGS, max_examples=40)
