@@ -5,9 +5,12 @@ baseline strategies run on identical data and schedule.
 
 Conventions: every book starts in cash. Turnover is one-way sum |dw| in
 [0, 2], under drift measured against the drifted weights; the cost
-cost_rate * turnover is deducted from the rebalance day's return. A missing
-asset return contributes zero and the position is carried. An empty
-universe holds cash at exactly zero return until the next rebalance.
+cost_rate * turnover is deducted from the rebalance day's return. An asset's
+return is measured from its last valid price, so a day without a price
+earns zero, the position is carried, and the return across the gap is
+credited on the day the price comes back; an asset with no earlier price
+earns zero. An empty universe holds cash at exactly zero return until the
+next rebalance.
 
 `evolve` works one holding period (segment) at a time: the days after a
 trade through the next trade or the end. Over a segment a constant_mix
@@ -207,6 +210,7 @@ def evolve(
     targets = np.array([[wv.w for wv in v[:n_reb]] for v in vectors])  # books x trades x assets
     active = targets.any(axis=2)
     held = np.zeros((len(books), panel.n_assets))
+    last = _last_prices(panel.price, i_start)
     daily = np.zeros((len(books), i_end + 1 - i_start))
     turnover = np.empty((len(books), n_reb))
     # segment j: the rows after trade j, through the next trade or `end`
@@ -215,7 +219,7 @@ def evolve(
         held = targets[:, j].copy()
         if a == b:
             continue
-        r = _segment_returns(panel.price, i_start + a + 1, i_start + b)
+        r = _segment_returns(panel.price, last, i_start + a + 1, i_start + b)
         if drift:
             # each asset's growth since trade j, from a first row of ones
             growth = np.empty((len(r) + 1, r.shape[1]))
@@ -244,9 +248,40 @@ def evolve(
     }
 
 
-def _segment_returns(price: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """The asset returns of calendar rows lo..hi (lo >= 1), a missing one zero."""
-    r = price[lo : hi + 1] / price[lo - 1 : hi]
+def _last_prices(price: np.ndarray, i: int) -> np.ndarray:
+    """Each asset's last valid price at or before calendar row i, NaN if none."""
+    last = price[i].copy()
+    gaps = np.flatnonzero(np.isnan(last))
+    if gaps.size and i:
+        seen = ~np.isnan(price[:i, gaps])
+        found = seen.any(axis=0)
+        rows = i - 1 - np.argmax(seen[::-1], axis=0)
+        last[gaps[found]] = price[rows[found], gaps[found]]
+    return last
+
+
+def _fill_gaps(rows: np.ndarray) -> None:
+    """Forward-fill each column's NaNs in place from the cell above them."""
+    gaps = np.isnan(rows)
+    if gaps.any():
+        # each cell's last valid row at or before it, row 0 when there is none
+        seen = np.where(gaps, 0, np.arange(len(rows), dtype=np.int32)[:, None])
+        np.maximum.accumulate(seen, axis=0, out=seen)
+        at, col = np.nonzero(gaps)
+        rows[at, col] = rows[seen[at, col], col]
+
+
+def _segment_returns(price: np.ndarray, last: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """The asset returns of calendar rows lo..hi, each from the asset's last
+    valid price before it, so the return across a gap is credited on the day
+    the price comes back; a day without a price, or without an earlier one,
+    earns zero. `last` holds the last valid prices at or before row lo - 1
+    and is moved on to row hi."""
+    rows = price[lo - 1 : hi + 1].copy()
+    rows[0] = last
+    _fill_gaps(rows)
+    last[:] = rows[-1]
+    r = rows[1:] / rows[:-1]
     r -= 1.0
     r[np.isnan(r)] = 0.0
     return r

@@ -54,7 +54,7 @@ from .weighting import CapParams, TiltParams
 _CONVENTIONS = (
     ("turnover", "one-way sum|dw| per rebalance, range [0,2]"),
     ("costs", "cost_rate * one-way turnover, deducted from the rebalance day's return"),
-    ("missing_return", "zero contribution for the day; position carried"),
+    ("missing_return", "measured from the last valid price; zero on a day without a price; position carried"),
     ("empty_universe", "all-cash at exactly zero return until the next rebalance"),
     ("annualization_days", "252"),
     ("std_convention", "population (divide by N)"),

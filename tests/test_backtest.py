@@ -88,13 +88,33 @@ class TestRunBacktest:
         assert np.all(curves[1] <= curves[0] + 1e-15)
         assert np.all(curves[2] <= curves[1] + 1e-15)
 
-    def test_missing_returns_contribute_zero(self):
+    def test_return_across_a_gap_is_credited_when_the_price_returns(self):
         a = [100.0, 100, 100, None, 120.0]
         panel = make_panel(5, ["A"], price={"A": a})
         sched = schedule_at(panel, 2)
         res = run_baselines(panel, sched, loose_config(eligibility=EligibilityParams(2, 0.0, 2)))["ew_eligible"]
-        # day 3 has no price, day 4 has no prior price: both zero
-        np.testing.assert_array_equal(res.daily_returns, [0.0, 0.0, 0.0])
+        # day 3 has no price and earns zero; day 4 earns 120 / 100 - 1 from day 2's price
+        np.testing.assert_array_equal(res.daily_returns, [0.0, 0.0, 120.0 / 100.0 - 1.0])
+        np.testing.assert_allclose(res.daily_returns, [0.0, 0.0, 0.2], rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("weight_mode", ["constant_mix", "drift"])
+    def test_held_asset_equity_is_its_price_ratio_across_a_gap(self, weight_mode):
+        panel = make_panel(4, ["A"], price={"A": [100.0, 100, None, 121.0]})
+        res = run_baselines(panel, schedule_at(panel, 1), loose_config(weight_mode=weight_mode))["ew_all"]
+        np.testing.assert_array_equal(res.daily_returns[:2], [0.0, 0.0])
+        assert abs(res.equity_curve[-1] - 1.21) <= 1e-15
+
+    def test_returns_before_a_first_price_and_across_the_walks_start(self):
+        # B has no price before day 3, so it earns nothing until day 4; A's
+        # gap spans the first trade, so day 4 is measured from day 1's price
+        a = [100.0, 110.0, None, None, 121.0, 121.0]
+        b = [None, None, None, 50.0, 55.0, 55.0]
+        panel = make_panel(6, ["A", "B"], price={"A": a, "B": b})
+        w = WeightVector(t=panel.calendar.days[2], assets=("A", "B"), w=[0.5, 0.5])
+        for mode in ("constant_mix", "drift"):
+            res = evolve(panel, {"x": ("ew_all", [w])}, BacktestConfig(weight_mode=mode))["x"]
+            want = [0.0, 0.0, 0.5 * (121.0 / 110.0 - 1.0) + 0.5 * (55.0 / 50.0 - 1.0), 0.0]
+            np.testing.assert_allclose(res.daily_returns, want, rtol=0, atol=1e-15, err_msg=mode)
 
     def test_empty_universe_holds_cash(self, caplog):
         panel = make_panel(10, ["A"], price=100.0)

@@ -7,7 +7,8 @@ projected onto their caps by the iterative cap-and-redistribute loop. They agree
 that weights on a date where a cap binds agree within 1e-12 (the closed-form
 projection rounds differently from the loop). `evolve`, which works one
 holding period at a time, is compared with the per-book day loop it
-replaced, kept here too, both through the walks and on arbitrary target
+replaced, kept here too over asset returns taken cell by cell from each
+asset's last valid price, both through the walks and on arbitrary target
 rows: dates, weights, the rows a book holds cash and constant_mix
 turnover and costs agree bit for bit; daily returns, equity, and drift
 turnover and costs agree within 1e-12, since a segment's row sums and
@@ -244,10 +245,17 @@ def oracle_evolve(dates: list[str], returns: np.ndarray, targets: list[WeightVec
 
 
 def oracle_asset_returns(panel) -> np.ndarray:
+    """Each asset's daily return from its last valid price, zero on a day
+    without a price or without an earlier one, one cell at a time."""
     returns = np.zeros_like(panel.price)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        returns[1:] = panel.price[1:] / panel.price[:-1] - 1.0
-    return np.nan_to_num(returns)
+    for col in range(panel.n_assets):
+        last = np.nan
+        for k, p in enumerate(panel.price[:, col]):
+            if not np.isnan(p):
+                if not np.isnan(last):
+                    returns[k, col] = p / last - 1.0
+                last = p
+    return returns
 
 
 # --- properties ----------------------------------------------------------------
