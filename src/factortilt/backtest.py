@@ -221,7 +221,7 @@ def evolve(
             continue
         r = _segment_returns(panel.price, last, i_start + a + 1, i_start + b)
         if drift:
-            # each asset's growth since trade j, from a first row of ones
+            # r becomes each asset's growth since trade j, from a first row of ones
             growth = np.empty((len(r) + 1, r.shape[1]))
             growth[0] = 1.0
             np.add(r, 1.0, out=growth[1:])
@@ -252,23 +252,26 @@ def _last_prices(price: np.ndarray, i: int) -> np.ndarray:
     """Each asset's last valid price at or before calendar row i, NaN if none."""
     last = price[i].copy()
     gaps = np.flatnonzero(np.isnan(last))
-    if gaps.size and i:
-        seen = ~np.isnan(price[:i, gaps])
-        found = seen.any(axis=0)
-        rows = i - 1 - np.argmax(seen[::-1], axis=0)
-        last[gaps[found]] = price[rows[found], gaps[found]]
+    past = price[: i + 1, gaps]  # a copy: only the assets without a price at i
+    _fill_gaps(past)
+    last[gaps] = past[-1]
     return last
 
 
 def _fill_gaps(rows: np.ndarray) -> None:
-    """Forward-fill each column's NaNs in place from the cell above them."""
+    """Forward-fill each column's NaNs below row 0 in place from the last
+    valid cell above them (row 0's, NaN or not, when there is none)."""
     gaps = np.isnan(rows)
-    if gaps.any():
-        # each cell's last valid row at or before it, row 0 when there is none
-        seen = np.where(gaps, 0, np.arange(len(rows), dtype=np.int32)[:, None])
-        np.maximum.accumulate(seen, axis=0, out=seen)
-        at, col = np.nonzero(gaps)
-        rows[at, col] = rows[seen[at, col], col]
+    gaps[0] = False
+    # numbered column by column, a run of gaps is a run of consecutive numbers;
+    # row 0 is never a gap, so no run reaches into the next column
+    cells = np.flatnonzero(gaps.T)
+    if cells.size:
+        col, at = np.divmod(cells, len(rows))
+        run = np.empty(cells.size, dtype=bool)  # the first cell of each run
+        run[0] = True
+        np.not_equal(np.diff(cells), 1, out=run[1:])
+        rows[at, col] = rows[at[run] - 1, col[run]][np.cumsum(run) - 1]
 
 
 def _segment_returns(price: np.ndarray, last: np.ndarray, lo: int, hi: int) -> np.ndarray:

@@ -79,9 +79,7 @@ def average_ranks(x) -> np.ndarray:
     inverse = np.empty(len(x), dtype=np.intp)
     inverse[order] = np.arange(len(x))
     ordered = x[order]
-    first = np.empty(len(x), dtype=bool)  # the first position of each run of ties
-    first[:1] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    first = np.concatenate(([True], ordered[1:] != ordered[:-1]))  # the first position of each run of ties
     dense = np.cumsum(first)[inverse]
     count = np.append(np.flatnonzero(first), len(x))
     return 0.5 * (count[dense] + count[dense - 1] + 1)

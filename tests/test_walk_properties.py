@@ -21,6 +21,7 @@ results. Also compared with a plain oracle: AsOf.history with a direct
 count of prices before t. Last, the accounting identities of every
 strategy's backtest. All on random panels with gaps.
 """
+
 from __future__ import annotations
 
 from dataclasses import replace
