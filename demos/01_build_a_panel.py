@@ -29,8 +29,7 @@ print(f"missing cells: {panel.missing_counts()}")
 t = panel.calendar.days[-1]
 print(f"\nas-of quantities at {t} (data strictly before t only):")
 snap = AsOf(panel, t, l_adv=21)  # one row per asset: history, ADV over 21 days, ...
-for asset in panel.assets[:4]:
-    i = panel.position(asset)
+for i, asset in enumerate(panel.assets[:4]):
     hist, adv = snap.history[i], snap.adv[i]
     print(f"  {asset}: history={hist:4d} days  ADV={adv:,.0f}/day")
 

@@ -43,8 +43,8 @@ print(f"\n{'strategy':<16}{'ann ret':>9}{'ann vol':>9}{'sharpe':>8}{'maxDD':>8}"
 for name, result in results.items():
     s = summarize(result, benchmark=benchmark, n_trials=len(results))
     print(f"{name:<16}{s.ann_return:>9.2%}{s.ann_vol:>9.2%}{s.sharpe:>8.2f}"
-          f"{s.max_drawdown:>8.1%}{s.ann_turnover:>9.3f}{s.effective_n:>7.1f}"
-          f"{s.top5_concentration:>7.1%}")
+          f"{s.max_drawdown:>8.1%}{s.ann_turnover_oneway:>9.3f}{s.effective_n_mean:>7.1f}"
+          f"{s.top5_concentration_mean:>7.1%}")
 
 print("\nthe tilted portfolio stays close to equal weight in breadth (effN)")
 print("while the cap-weighted benchmark concentrates in its top names (top5).")

@@ -66,9 +66,7 @@ def forward_returns(panel: MarketPanel, t: str, horizon: int) -> np.ndarray:
     it = panel.calendar.position(t)
     if it + horizon >= panel.n_days:
         return np.full(panel.n_assets, np.nan)
-    p0, p1 = panel.price[it], panel.price[it + horizon]
-    with np.errstate(invalid="ignore", divide="ignore"):
-        return np.where(np.isfinite(p0) & np.isfinite(p1), p1 / p0 - 1.0, np.nan)
+    return panel.price[it + horizon] / panel.price[it] - 1.0  # prices are > 0 or NaN
 
 
 def average_ranks(x) -> np.ndarray:

@@ -20,6 +20,7 @@ import sys
 import tempfile
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field, fields, replace
+from datetime import date
 from itertools import starmap
 from pathlib import Path
 
@@ -48,7 +49,7 @@ from .market_data import (
     save_panel,
 )
 from .stats import factor_redundancy, summarize
-from .synthetic import GENERATOR_NAME, generate, scenario_from_mapping
+from .synthetic import GENERATOR_NAME, ScenarioSpec, generate
 from .weighting import CapParams, TiltParams
 
 _CONVENTIONS = (
@@ -93,19 +94,14 @@ class RunConfig:
 
 
 def _parse_anchors(raw: str) -> tuple[tuple[int, int], ...]:
-    anchors = []
-    for part in raw.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        try:
-            month, day = part.split("-")
-            anchors.append((int(month), int(day)))
-        except ValueError:
-            raise ConfigError(f"bad anchor {part!r}, expected MM-DD") from None
+    """Comma-separated MM-DD anchors; a ValueError unless there is one or
+    more and each is a day of every year (02-29 is not)."""
+    anchors = tuple(tuple(map(int, part.split("-"))) for part in raw.split(",") if part.strip())
+    for month, day in anchors:
+        date(2001, month, day)  # a year that is not a leap year
     if not anchors:
-        raise ConfigError("anchor list is empty")
-    return tuple(anchors)
+        raise ValueError(raw)
+    return anchors
 
 
 # the parameter class each of these sections is read into
@@ -139,16 +135,18 @@ _KEYS["caps"] = ("enabled", *_KEYS["caps"])
 _KEYS["calibration"] += ("apply",)
 
 
-def _check_keys(cp, path: Path) -> None:
+def _check_keys(cp, path: Path, keys: dict) -> None:
+    """ConfigError unless every section of the file is in `keys` and every
+    key of a section is one of its keys."""
     sections = (["DEFAULT"] if cp.defaults() else []) + cp.sections()
     for section in sections:
-        if section not in _KEYS:
+        if section not in keys:
             raise ConfigError(f"{path}: unknown section [{section}]; valid sections: "
-                              + ", ".join(f"[{s}]" for s in _KEYS))
-        unknown = [k for k in cp.options(section) if k not in _KEYS[section]]
+                              + ", ".join(f"[{s}]" for s in keys))
+        unknown = [k for k in cp.options(section) if k not in keys[section]]
         if unknown:
             raise ConfigError(f"{path}: unknown key {unknown[0]!r} in [{section}]; valid keys: "
-                              + ", ".join(_KEYS[section]))
+                              + ", ".join(keys[section]))
 
 
 def _bool(raw: str) -> bool:
@@ -160,13 +158,17 @@ def _bool(raw: str) -> bool:
     raise ValueError(raw)
 
 
+def _floats(raw: str) -> tuple[float, ...]:
+    return tuple(map(float, raw.split(",")))
+
+
 def _get(cp, section, key, default, parse=None):
     """The value of `key` in [section], or `default` when it is omitted.
     The parser is `parse`, else the type of the default (`_bool` for a
-    bool)."""
+    bool, comma-separated floats for a tuple)."""
     if not cp.has_option(section, key):
         return default
-    parse = parse or (_bool if isinstance(default, bool) else type(default))
+    parse = parse or (_bool if isinstance(default, bool) else _floats if isinstance(default, tuple) else type(default))
     raw = cp.get(section, key).strip()
     try:
         return parse(raw)
@@ -174,10 +176,9 @@ def _get(cp, section, key, default, parse=None):
         raise ConfigError(f"[{section}] {key}: cannot parse {raw!r}") from None
 
 
-def _params(cp, section):
-    """[section] read into its parameter class; an omitted key keeps the
-    class default."""
-    cls = _PARAMS[section]
+def _params(cp, section, cls):
+    """[section] read into the parameter class `cls`; an omitted key keeps
+    the class default."""
     kwargs = {}
     for name, key, default in _items(cls()):
         value = _get(cp, section, key, default)
@@ -192,7 +193,7 @@ def _read_ini(path: Path, kind: str, section: str | None = None):
     """The INI file at `path`, named a `kind` file in errors; text before its first header is in [section]."""
     if not path.exists():
         raise ConfigError(f"{kind} file {path} does not exist")
-    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)  # '%' is text
     try:
         text = path.read_text(encoding="utf-8")
         first = next((line for line in map(str.strip, text.splitlines()) if line and line[0] not in "#;"), "")
@@ -212,7 +213,7 @@ def load_config(path, out_override=None) -> RunConfig:
     `[run] threads` is parsed for compatibility and has no effect."""
     path = Path(path)
     cp = _read_ini(path, "config")
-    _check_keys(cp, path)
+    _check_keys(cp, path, _KEYS)
     for section in ("data", "run"):
         if not cp.has_section(section):
             raise ConfigError(f"{path}: missing [{section}] section")
@@ -228,7 +229,7 @@ def load_config(path, out_override=None) -> RunConfig:
     if start is None or end is None:
         raise ConfigError(f"{path}: [run] start and end are required")
     _get(cp, "run", "threads", None, int)
-    caps = _params(cp, "caps")  # parsed and checked even when caps are off
+    caps = _params(cp, "caps", CapParams)  # parsed and checked even when caps are off
     return RunConfig(
         *map(data_path, _KEYS["data"]),
         start=start, end=end,
@@ -239,12 +240,12 @@ def load_config(path, out_override=None) -> RunConfig:
         backtest=BacktestConfig(
             cost_rate=_get(cp, "run", "cost_rate", BacktestConfig.cost_rate),
             weight_mode=_get(cp, "run", "weight_mode", BacktestConfig.weight_mode),
-            eligibility=_params(cp, "eligibility"),
-            factors=_params(cp, "factors"),
-            tilt=_params(cp, "tilt"),
+            eligibility=_params(cp, "eligibility", EligibilityParams),
+            factors=_params(cp, "factors", FactorParams),
+            tilt=_params(cp, "tilt", TiltParams),
             caps=caps if _get(cp, "caps", "enabled", False) else None,
         ),
-        calibration=_params(cp, "calibration"),
+        calibration=_params(cp, "calibration", CalibrationParams),
         apply_calibration=_get(cp, "calibration", "apply", RunConfig.apply_calibration),
     )
 
@@ -531,15 +532,12 @@ def cmd_synth(spec_path, out_dir, seed_override=None) -> int:
     market-data CSVs plus a manifest, staged as backtest's artifacts are."""
     path = Path(spec_path)
     cp = _read_ini(path, "scenario", section="scenario")
-    for section in (["DEFAULT"] if cp.defaults() else []) + cp.sections():
-        if section != "scenario":
-            raise ConfigError(f"{path}: unknown section [{section}]; a scenario file has only [scenario]")
+    _check_keys(cp, path, {"scenario": [key for _, key, _ in _items(ScenarioSpec())]})
     if not cp.has_section("scenario"):
         raise ConfigError(f"{path}: empty scenario file")
-    values = dict(cp.items("scenario"))
-    if seed_override is not None:
-        values["seed"] = str(seed_override)
-    spec = scenario_from_mapping(values)
+    if seed_override is not None:  # replaces the file's seed before anything is parsed
+        cp.set("scenario", "seed", str(seed_override))
+    spec = _params(cp, "scenario", ScenarioSpec)
     out = Path(out_dir)
     with _staged_out(out) as stage:
         save_panel(generate(spec), stage)

@@ -189,12 +189,6 @@ class MarketPanel:
     def n_assets(self) -> int:
         return len(self.assets)
 
-    def position(self, asset: str) -> int:
-        try:
-            return self.asset_index[asset]
-        except KeyError:
-            raise DataError(f"unknown asset {asset!r}") from None
-
     def positions(self, assets) -> np.ndarray:
         """Column positions of the given asset ids, in their order."""
         try:
@@ -865,13 +859,11 @@ class AsOf:
         if l_mom is not None:
             self.momentum = np.full(panel.n_assets, np.nan)
             if it - l_mom - skip >= 0 and it - skip >= 0:
-                p0, p1 = panel.price[it - l_mom - skip], panel.price[it - skip]
-                with np.errstate(invalid="ignore", divide="ignore"):
-                    self.momentum = np.where(np.isfinite(p0) & np.isfinite(p1), p1 / p0 - 1.0, np.nan)
+                # prices are > 0 or NaN, so the ratio is NaN exactly where either is missing
+                self.momentum = panel.price[it - skip] / panel.price[it - l_mom - skip] - 1.0
         if l_fund is not None:
             book, self.roe, self.gross_margin, self.debt_to_assets = _latest_reports(panel, t, l_fund)
-            with np.errstate(invalid="ignore", divide="ignore"):
-                self.value = np.where((book > 0) & np.isfinite(self.mktcap), book / self.mktcap, np.nan)
+            self.value = np.where(book > 0, book / self.mktcap, np.nan)  # mktcap is > 0 or NaN
 
 
 def check_skip(skip: int) -> None:

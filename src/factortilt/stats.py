@@ -9,7 +9,7 @@ are population (divide by N) throughout.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -258,7 +258,8 @@ def factor_redundancy(
 @dataclass
 class StatsReport:
     """One book's statistics, each NaN where it is undefined; `undefined`
-    maps the row name of each such statistic to the reason."""
+    maps the name of each such statistic to the reason. Each statistic's
+    field name is its row name in the stats file."""
 
     strategy: str
     ann_return: float
@@ -268,28 +269,16 @@ class StatsReport:
     nw_lag: int
     deflated_sharpe: float
     n_trials: int
-    turnover_adjusted_alpha: float
-    ann_turnover: float
+    turnover_adjusted_alpha_oneway: float
+    ann_turnover_oneway: float
     max_drawdown: float
-    effective_n: float
-    top5_concentration: float
+    effective_n_mean: float
+    top5_concentration_mean: float
     undefined: dict[str, str] = field(default_factory=dict)
 
     def rows(self) -> list[tuple[str, float]]:
-        return [
-            ("ann_return", self.ann_return),
-            ("ann_vol", self.ann_vol),
-            ("sharpe", self.sharpe),
-            ("nw_tstat", self.nw_tstat),
-            ("nw_lag", self.nw_lag),
-            ("deflated_sharpe", self.deflated_sharpe),
-            ("n_trials", self.n_trials),
-            ("turnover_adjusted_alpha_oneway", self.turnover_adjusted_alpha),
-            ("ann_turnover_oneway", self.ann_turnover),
-            ("max_drawdown", self.max_drawdown),
-            ("effective_n_mean", self.effective_n),
-            ("top5_concentration_mean", self.top5_concentration),
-        ]
+        """(name, value) of each statistic, in field order."""
+        return [(f.name, getattr(self, f.name)) for f in fields(self) if f.name not in ("strategy", "undefined")]
 
 
 def _held_mean(stat, weights) -> float:
@@ -313,29 +302,27 @@ def summarize(
     than MIN_OBS days) is NaN, with the reason in the report's `undefined`;
     the turnover-adjusted alpha is NaN without a benchmark."""
     r = result.daily_returns
+    stats: dict[str, float] = {}
     undefined: dict[str, str] = {}
 
     def value(metric: str, compute, *args):
         try:
-            return compute(*args)
+            stats[metric] = compute(*args)
         except StatsError as exc:
-            undefined[metric] = str(exc)
-            return math.nan
+            stats[metric], undefined[metric] = math.nan, str(exc)
 
-    return StatsReport(
-        strategy=result.strategy,
-        ann_return=value("ann_return", annualized_return, r),
-        ann_vol=value("ann_vol", annualized_vol, r),
-        sharpe=value("sharpe", sharpe_ratio, r),
-        nw_tstat=value("nw_tstat", lambda: newey_west_tstat(r, nw_lag)[0]),
-        nw_lag=value("nw_lag", _nw_lag, len(r), nw_lag),
-        deflated_sharpe=value("deflated_sharpe", deflated_sharpe, r, n_trials),
-        n_trials=n_trials,
-        turnover_adjusted_alpha=math.nan if benchmark is None else
-        value("turnover_adjusted_alpha_oneway", turnover_adjusted_alpha, result, benchmark),
-        ann_turnover=float(result.turnover.sum()) * TRADING_DAYS / len(result.dates),
-        max_drawdown=value("max_drawdown", max_drawdown, result.equity_curve),
-        effective_n=value("effective_n_mean", _held_mean, effective_n, result.weights),
-        top5_concentration=value("top5_concentration_mean", _held_mean, top_k_concentration, result.weights),
-        undefined=undefined,
-    )
+    value("ann_return", annualized_return, r)
+    value("ann_vol", annualized_vol, r)
+    value("sharpe", sharpe_ratio, r)
+    value("nw_tstat", lambda: newey_west_tstat(r, nw_lag)[0])
+    value("nw_lag", _nw_lag, len(r), nw_lag)
+    value("deflated_sharpe", deflated_sharpe, r, n_trials)
+    stats["n_trials"] = n_trials
+    stats["turnover_adjusted_alpha_oneway"] = math.nan
+    if benchmark is not None:
+        value("turnover_adjusted_alpha_oneway", turnover_adjusted_alpha, result, benchmark)
+    stats["ann_turnover_oneway"] = float(result.turnover.sum()) * TRADING_DAYS / len(result.dates)
+    value("max_drawdown", max_drawdown, result.equity_curve)
+    value("effective_n_mean", _held_mean, effective_n, result.weights)
+    value("top5_concentration_mean", _held_mean, top_k_concentration, result.weights)
+    return StatsReport(result.strategy, **stats, undefined=undefined)

@@ -16,7 +16,7 @@ bit-for-bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from datetime import date as _date, timedelta
 
 import numpy as np
@@ -154,25 +154,3 @@ def generate(spec: ScenarioSpec) -> MarketPanel:
                        report_asset=np.repeat(np.arange(n), len(quarter_starts)),
                        report_date=np.tile(np.array(calendar.days)[quarter_starts], n), report_values=report_values)
 
-
-def _tiers(raw) -> tuple[float, ...]:
-    return tuple(float(p) for p in (raw if isinstance(raw, (list, tuple)) else str(raw).split(",")))
-
-
-def scenario_from_mapping(values: dict) -> ScenarioSpec:
-    """Build a ScenarioSpec from string-valued key/value pairs (config files):
-    each key is a field, parsed by the type of its default (a tuple as
-    comma-separated floats). An unknown key or a value that does not parse
-    is a ConfigError."""
-    keys = [f.name for f in fields(ScenarioSpec)]
-    unknown = set(values) - set(keys)
-    if unknown:
-        raise ConfigError(f"unknown scenario keys: {sorted(unknown)}; valid keys: " + ", ".join(keys))
-    kwargs = {}
-    for key in [k for k in keys if k in values]:
-        default = getattr(ScenarioSpec, key)
-        try:
-            kwargs[key] = (_tiers if isinstance(default, tuple) else type(default))(values[key])
-        except (ValueError, TypeError):
-            raise ConfigError(f"[scenario] {key}: cannot parse {values[key]!r}") from None
-    return ScenarioSpec(**kwargs)

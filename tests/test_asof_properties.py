@@ -143,7 +143,7 @@ def oracle_matrix(panel, members, t, fp):
     it = panel.calendar.position(t)
     raw = np.full((len(members), 3), np.nan)
     for i, a in enumerate(members):
-        ai = panel.position(a)
+        ai = panel.positions([a])[0]
         raw[i, 0] = oracle_momentum(panel, ai, it, fp.l_mom, fp.skip)
         raw[i, 1] = oracle_value(panel, a, ai, it, t, fp.l_fund)
     raw[:, 2] = oracle_quality(panel, members, t, fp.l_fund,

@@ -3,6 +3,7 @@ import csv
 import math
 import re
 from collections import Counter
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -220,13 +221,13 @@ class TestSynthCommand:
     (b"n_assets = 4\nn_days = \xff30\n",
      "cannot read scenario file {path}: 'utf-8' codec can't decode byte 0xff in position 22"),
     (b"[scenario]\nn_assets = 4\n[extra]\nn_assets = 500\n",
-     "{path}: unknown section [extra]; a scenario file has only [scenario]"),
+     "{path}: unknown section [extra]; valid sections: [scenario]"),
     (b"n_assets = 4\n[extra]\nn_assets = 500\n",
-     "{path}: unknown section [extra]; a scenario file has only [scenario]"),
+     "{path}: unknown section [extra]; valid sections: [scenario]"),
     (b"[whatever]\nn_assets = 4\nn_days = 30\n",
-     "{path}: unknown section [whatever]; a scenario file has only [scenario]"),
+     "{path}: unknown section [whatever]; valid sections: [scenario]"),
     (b"[DEFAULT]\nn_assets = 500\n[scenario]\nn_assets = 4\n",
-     "{path}: unknown section [DEFAULT]; a scenario file has only [scenario]"),
+     "{path}: unknown section [DEFAULT]; valid sections: [scenario]"),
 ], ids=["repeated-key", "repeated-key-with-header", "not-utf8", "extra-section", "headerless-then-extra",
         "other-section", "default-section"])
 def test_bad_scenario_file_is_one_line(tmp_path, capsys, content, message):
@@ -244,20 +245,21 @@ def test_bad_scenario_file_is_one_line(tmp_path, capsys, content, message):
 @pytest.mark.parametrize("content, message, args", [
     ("n_assets = abc\nn_days = 30\n", "[scenario] n_assets: cannot parse 'abc'", []),
     ("n_assets = 4\nliquidity_tiers = 1,x\n", "[scenario] liquidity_tiers: cannot parse '1,x'", []),
+    ("n_assets = 4\nvol = 5%\n", "[scenario] vol: cannot parse '5%'", []),
     ("n_assets = 4\nn_asset = 5\n",
-     "unknown scenario keys: ['n_asset']; valid keys: seed, n_assets, n_days, vol, dispersion, ic_target, "
-     "liquidity_tiers, missing_rate", []),
+     "{path}: unknown key 'n_asset' in [scenario]; valid keys: seed, n_assets, n_days, vol, dispersion, "
+     "ic_target, liquidity_tiers, missing_rate", []),
     ("n_assets = 4\nic_target = nan\n", "ic_target must be finite, got nan", []),
     ("n_assets = 4\nliquidity_tiers = 1,inf\n", "liquidity_tiers must be finite, got (1.0, inf)", []),
     ("seed = -5\nn_assets = 4\n", "seed must be >= 0, got -5", []),
     ("n_assets = 4\n", "seed must be >= 0, got -1", ["--seed", "-1"]),
-], ids=["not-an-int", "not-a-float-list", "unknown-key", "nan-ic-target", "inf-tier", "negative-seed",
+], ids=["not-an-int", "not-a-float-list", "percent-sign", "unknown-key", "nan-ic-target", "inf-tier", "negative-seed",
         "negative-seed-flag"])
 def test_bad_scenario_value_is_one_line(tmp_path, capsys, content, message, args):
     scenario = tmp_path / "s.ini"
     scenario.write_text(content)
     assert main(["synth", str(scenario), "--out", str(tmp_path / "out"), *args]) == 1
-    assert capsys.readouterr().err == f"error: {message}\n"
+    assert capsys.readouterr().err == f"error: {message.format(path=scenario)}\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["s.ini"]  # nothing written
 
 
@@ -607,6 +609,12 @@ def test_readme_config_example_loads(tmp_path):
     cp.read_string(example)
     assert {s: cp.options(s) for s in cp.sections()} == {
         s: [k for k in keys if (s, k) != ("run", "threads")] for s, keys in cli._KEYS.items()}
+
+
+def test_readme_scenario_keys_are_the_schema():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    listed = re.search(r"`scenario.ini` is a flat key-value file \((.*?)\)", readme, re.S).group(1)
+    assert re.findall(r"`(\w+)`", listed) == [f.name for f in fields(ScenarioSpec)]
 
 
 def test_config_without_a_section_header_is_one_line(tmp_path, capsys):

@@ -7,9 +7,10 @@ from __future__ import annotations
 import configparser
 import re
 import tempfile
-from dataclasses import replace
+from dataclasses import fields, replace
 from datetime import date
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from factortilt.calibration import CalibrationParams
 from factortilt.cli import RunConfig, load_config, main, write_manifest
 from factortilt.eligibility import EligibilityParams
 from factortilt.factors import FactorParams
+from factortilt.synthetic import ScenarioSpec
 from factortilt.weighting import CapParams, TiltParams
 
 from test_cli import CONFIG_TEMPLATE
@@ -159,11 +161,20 @@ def test_nw_lag_auto_is_the_default(tmp_path):
 @pytest.mark.parametrize("line, message", [
     ("weight_mode = bogus", "unknown weight_mode 'bogus'"),
     ("cost_rate = -1", "cost_rate must be >= 0, got -1.0"),
+    ("cost_rate = 0.1%", "[run] cost_rate: cannot parse '0.1%'"),
     ("n_trials = 0", "n_trials must be >= 1, got 0"),
     ("nw_lag = -5", "nw_lag must be >= 0 or auto, got -5"),
-], ids=["weight_mode", "cost_rate", "n_trials", "nw_lag"])
-def test_bad_run_values_fail_at_load(tmp_path, synth_dir, capsys, line, message):
-    text = CONFIG_TEMPLATE.format(data=synth_dir, start="2020-06-01", end="2022-06-30", lam="0.3")
+    ("anchors = 13-01", "[run] anchors: cannot parse '13-01'"),
+    ("anchors = 00-10", "[run] anchors: cannot parse '00-10'"),
+    ("anchors = 01-01,02-30", "[run] anchors: cannot parse '01-01,02-30'"),
+    ("anchors = 02-29", "[run] anchors: cannot parse '02-29'"),  # not a day of every year
+    ("anchors = 01-01-01", "[run] anchors: cannot parse '01-01-01'"),
+    ("anchors = ,", "[run] anchors: cannot parse ','"),
+], ids=["weight_mode", "cost_rate", "cost_rate-percent", "n_trials", "nw_lag", "anchor-month", "anchor-month-zero",
+        "anchor-day", "anchor-leap-day", "anchor-not-mm-dd", "anchor-list-empty"])
+def test_bad_run_values_fail_at_load(tmp_path, capsys, line, message):
+    # the input files do not exist: each value is checked before any is read
+    text = CONFIG_TEMPLATE.format(data=tmp_path / "absent", start="2020-06-01", end="2022-06-30", lam="0.3")
     key = line.split(" = ")[0]
     cfg = tmp_path / "run.ini"
     cfg.write_text(re.sub(rf"(?m)^{key} = .*\n", "", text).replace("[run]\n", f"[run]\n{line}\n"))
@@ -266,3 +277,37 @@ def test_scenario_manifest_text(tmp_path):
         f"factortilt {__version__}\ngenerator = numpy.random.default_rng (PCG64)\nnumpy = {np.__version__}\n\n"
         "[scenario]\nseed = 7\nn_assets = 3\nn_days = 5\nvol = 0.02\ndispersion = 0.5\nic_target = -0.25\n"
         "liquidity_tiers = 0.5,2.0\nmissing_rate = 0.1\n")
+
+
+scenario_specs = st.builds(
+    ScenarioSpec,
+    seed=st.integers(0, 2**63),
+    n_assets=st.integers(1, 6),
+    n_days=st.integers(1, 80),
+    vol=st.floats(0.0, 0.05),
+    dispersion=st.floats(0.0, 3.0),
+    ic_target=st.floats(-1.0, 1.0),
+    liquidity_tiers=st.lists(st.floats(0.01, 1e6), min_size=1, max_size=4).map(tuple),
+    missing_rate=st.floats(0.0, 1.0),
+)
+
+
+@SETTINGS
+@given(spec=scenario_specs)
+def test_scenario_file_round_trips_through_synth(spec):
+    # a scenario file holding synth's manifest block is read back as the same spec and block
+    block = "[scenario]\n" + "".join(f"{f.name} = {cli._echo(getattr(spec, f.name))}\n" for f in fields(spec))
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(cli, "generate", wraps=cli.generate) as generate:
+        tmp = Path(tmp)
+        (tmp / "s.ini").write_text(block, encoding="utf-8")
+        assert main(["synth", str(tmp / "s.ini"), "--out", str(tmp / "out")]) == 0
+        assert generate.call_args.args == (spec,)
+        assert (tmp / "out" / "manifest.txt").read_text(encoding="utf-8").split("\n\n")[1] == block
+
+
+@pytest.mark.parametrize("seed", ["-5", "abc"])
+def test_seed_flag_replaces_the_file_seed_before_it_is_parsed(tmp_path, seed):
+    scenario = tmp_path / "s.ini"
+    scenario.write_text(f"seed = {seed}\nn_assets = 4\nn_days = 30\n")
+    assert main(["synth", str(scenario), "--out", str(tmp_path / "out"), "--seed", "3"]) == 0
+    assert "\n[scenario]\nseed = 3\n" in (tmp_path / "out" / "manifest.txt").read_text(encoding="utf-8")

@@ -147,28 +147,28 @@ class TestSchedule:
 class TestHistoryLength:
     def test_full_history(self):
         panel = make_panel(11, ["A"], price=100.0)
-        assert AsOf(panel, panel.calendar.days[10]).history[panel.position("A")] == 10
+        assert AsOf(panel, panel.calendar.days[10]).history[panel.positions(["A"])[0]] == 10
 
     def test_listed_today_has_zero(self):
         panel = make_panel(5, ["A"], price={"A": [None, None, None, None, 100]})
-        assert AsOf(panel, panel.calendar.days[4]).history[panel.position("A")] == 0
+        assert AsOf(panel, panel.calendar.days[4]).history[panel.positions(["A"])[0]] == 0
 
     def test_gaps_counted_by_hand(self):
         # 7 present, 3 missing in the 10 days before t
         col = [100, None, 101, 102, None, 103, 104, None, 105, 106, 999]
         panel = make_panel(11, ["A"], price={"A": col})
-        assert AsOf(panel, panel.calendar.days[10]).history[panel.position("A")] == 7
+        assert AsOf(panel, panel.calendar.days[10]).history[panel.positions(["A"])[0]] == 7
 
     def test_unknown_asset_errors(self):
         panel = make_panel(3, ["A"], price=100.0)
         with pytest.raises(DataError, match="unknown asset"):
-            AsOf(panel, panel.calendar.days[2]).history[panel.position("Z")]
+            AsOf(panel, panel.calendar.days[2]).history[panel.positions(["Z"])[0]]
 
 
 class TestAverageDollarVolume:
     def test_constant_product(self):
         panel = make_panel(6, ["A"], price=10.0, volume=100.0)
-        assert AsOf(panel, panel.calendar.days[5], l_adv=5).adv[panel.position("A")] == 1000.0
+        assert AsOf(panel, panel.calendar.days[5], l_adv=5).adv[panel.positions(["A"])[0]] == 1000.0
 
     def test_two_term_mean(self):
         panel = make_panel(
@@ -176,7 +176,7 @@ class TestAverageDollarVolume:
             price={"A": [10, 20, 999]},
             volume={"A": [100, 50, 999]},
         )
-        adv = AsOf(panel, panel.calendar.days[2], l_adv=2).adv[panel.position("A")]
+        adv = AsOf(panel, panel.calendar.days[2], l_adv=2).adv[panel.positions(["A"])[0]]
         assert adv == pytest.approx((10 * 100 + 20 * 50) / 2)
 
     def test_coverage_rule(self):
@@ -186,7 +186,7 @@ class TestAverageDollarVolume:
             volume={"A": [100, None, None, None, None, 999]},
         )
         # only day 0 has both legs in the 5-day window
-        assert math.isnan(AsOf(panel, panel.calendar.days[5], l_adv=5).adv[panel.position("A")])
+        assert math.isnan(AsOf(panel, panel.calendar.days[5], l_adv=5).adv[panel.positions(["A"])[0]])
 
     def test_lookback_validation(self):
         panel = make_panel(3, ["A"], price=10.0)
@@ -204,7 +204,8 @@ def test_asof_quantities_ignore_cells_from_t_onward():
     t = panel.calendar.days[20]
     censored = censor_panel(panel, t)
     for a in ("A", "B"):
-        assert AsOf(panel, t).history[panel.position(a)] == AsOf(censored, t).history[censored.position(a)]
-        lhs = AsOf(panel, t, l_adv=10).adv[panel.position(a)]
-        rhs = AsOf(censored, t, l_adv=10).adv[censored.position(a)]
+        i, j = panel.positions([a])[0], censored.positions([a])[0]
+        assert AsOf(panel, t).history[i] == AsOf(censored, t).history[j]
+        lhs = AsOf(panel, t, l_adv=10).adv[i]
+        rhs = AsOf(censored, t, l_adv=10).adv[j]
         assert (math.isnan(lhs) and math.isnan(rhs)) or lhs == rhs

@@ -71,7 +71,7 @@ def table_oracle(panel: MarketPanel, fundamentals) -> tuple[np.ndarray, np.ndarr
     days = np.full((panel.n_assets, width), np.iinfo(np.int64).max)
     values = np.full((len(_REPORT_FIELDS), panel.n_assets, width), np.nan)
     for asset, records in fundamentals.items():
-        i = panel.position(asset)
+        i = panel.positions([asset])[0]
         for k, r in enumerate(records):
             days[i, k] = np.datetime64(r.report_date, "D").astype(np.int64)
             values[:, i, k] = [getattr(r, f) for f in _REPORT_FIELDS]

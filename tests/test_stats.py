@@ -190,7 +190,7 @@ class TestTurnoverAdjustedAlpha:
 def test_summarize_annualizes_turnover_over_the_days_covered():
     r = np.random.default_rng(19).normal(0.0005, 0.01, 126)
     report = summarize(result_from(r, turnover=[1.0, 0.25, 0.5]))
-    assert report.ann_turnover == 1.75 * 252 / 126 == 3.5
+    assert report.ann_turnover_oneway == 1.75 * 252 / 126 == 3.5
     assert dict(report.rows())["ann_turnover_oneway"] == 3.5
 
 
@@ -204,7 +204,7 @@ def test_summarize_blanks_what_is_undefined():
                                 "effective_n_mean": "no rebalance date holds any weight",
                                 "top5_concentration_mean": "no rebalance date holds any weight"}
     assert report.sharpe == sharpe_ratio(r) and report.nw_lag == 2  # floor(4 * 0.05^(2/9))
-    assert math.isnan(report.turnover_adjusted_alpha)  # no benchmark given, so nothing to explain
+    assert math.isnan(report.turnover_adjusted_alpha_oneway)  # no benchmark given, so nothing to explain
 
 
 class TestMaxDrawdown:

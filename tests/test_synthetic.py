@@ -9,7 +9,7 @@ from factortilt.eligibility import EligibilityParams, compute_eligibility
 from factortilt.errors import ConfigError
 from factortilt.factors import FactorParams, build_factor_matrix
 from factortilt.market_data import AsOf, FundamentalRecord, build_schedule
-from factortilt.synthetic import ScenarioSpec, generate, scenario_from_mapping
+from factortilt.synthetic import ScenarioSpec, generate
 
 
 def test_same_seed_is_bit_identical():
@@ -160,12 +160,3 @@ def test_spec_validation():
     with pytest.raises(ConfigError):
         ScenarioSpec(ic_target=2.0)
 
-
-def test_scenario_from_mapping():
-    spec = scenario_from_mapping(
-        {"seed": "9", "n_assets": "5", "n_days": "30", "liquidity_tiers": "1,2.5,10", "vol": "0.02"}
-    )
-    assert spec.seed == 9 and spec.n_assets == 5
-    assert spec.liquidity_tiers == (1.0, 2.5, 10.0)
-    with pytest.raises(ConfigError, match="unknown scenario keys"):
-        scenario_from_mapping({"seed": "1", "bogus": "2"})
