@@ -12,6 +12,14 @@ credited on the day the price comes back; an asset with no earlier price
 earns zero. An empty universe holds cash at exactly zero return until the
 next rebalance.
 
+A walk takes the rebalance dates in blocks of _BLOCK (16). For each
+block it builds the dates' snapshots, fills the factor matrices of every
+pool its books tilt (the screened pool, fixed_universe) with one
+`select_factor_matrices` call per pool, builds every book's targets, and
+lets the block's snapshots go before the next block: a matrix has the
+bits of its date alone (see `factors`), and the walk holds one block of
+snapshots, not one per date.
+
 `evolve` works one holding period (segment) at a time: the days after a
 trade through the next trade or the end. Over a segment a constant_mix
 book's daily returns are the row sums of r * w, and a drift book's value is
@@ -33,7 +41,7 @@ import numpy as np
 
 from .eligibility import EligibilityParams, eligible
 from .errors import ConfigError, DataError, check_finite
-from .factors import FactorMatrix, FactorParams, select_factor_matrix
+from .factors import FactorMatrix, FactorParams, select_factor_matrices
 from .market_data import AsOf, MarketPanel, RebalanceSchedule
 from .weighting import CapParams, TiltParams, WeightVector, cap_values, tilted_weights
 
@@ -41,6 +49,8 @@ log = logging.getLogger(__name__)
 
 STRATEGIES = ("dmft", "fixed_universe", "ew_eligible", "ew_all", "cap_weighted")
 _POOLS = {"dmft": "screened", "ew_eligible": "screened"}  # every other strategy holds a pool of its own
+_TILTED = ("dmft", "fixed_universe")  # the strategies whose targets read a factor matrix
+_BLOCK = 16  # rebalance dates whose snapshots a walk holds at once
 WEIGHT_MODES = ("constant_mix", "drift")
 
 
@@ -95,14 +105,22 @@ def pool_positions(snap: AsOf, strategy: str, config: BacktestConfig) -> np.ndar
     return snap.pools[key]
 
 
-def pool_matrix(snap: AsOf, strategy: str, config: BacktestConfig) -> FactorMatrix:
-    """The factor matrix of the strategy's non-empty pool at the snapshot's
-    date: built once per pool, eligibility and factor parameters and kept on
-    the snapshot."""
+def pool_matrices(snaps: list[AsOf], strategy: str, config: BacktestConfig) -> list[FactorMatrix]:
+    """The factor matrices of the strategy's non-empty pools at the
+    snapshots' dates: built once per pool, eligibility and factor parameters
+    and kept on each snapshot, those not yet kept in one
+    select_factor_matrices call."""
     key = (_POOLS.get(strategy, strategy), config.eligibility, config.factors)
-    if key not in snap.matrices:
-        snap.matrices[key] = select_factor_matrix(snap, pool_positions(snap, strategy, config), config.factors)
-    return snap.matrices[key]
+    todo = [snap for snap in snaps if key not in snap.matrices]
+    built = select_factor_matrices(todo, [pool_positions(snap, strategy, config) for snap in todo], config.factors)
+    for snap, matrix in zip(todo, built):
+        snap.matrices[key] = matrix
+    return [snap.matrices[key] for snap in snaps]
+
+
+def pool_matrix(snap: AsOf, strategy: str, config: BacktestConfig) -> FactorMatrix:
+    """pool_matrices at one snapshot."""
+    return pool_matrices([snap], strategy, config)[0]
 
 
 def pool_caps(snap: AsOf, strategy: str, config: BacktestConfig) -> np.ndarray:
@@ -161,20 +179,30 @@ def _given_snapshot(snapshots: dict[str, AsOf], panel: MarketPanel, t: str, conf
 def _run(
     panel: MarketPanel, schedule: RebalanceSchedule, config: BacktestConfig, books, end: str | None, snapshots=None
 ) -> dict[str, BacktestResult]:
-    """Walk the rebalance dates through `end` once under one config,
-    building one snapshot per date (or taking it from `snapshots`, keyed by
-    date) that every named (strategy, tilt) book's targets read, then
-    evolve every book."""
+    """Walk the rebalance dates through `end` once under one config, _BLOCK
+    dates at a time (see the module docstring), then evolve every book."""
     for t in schedule.dates:
         if t not in panel.calendar:
             raise DataError(f"rebalance date {t} outside the panel calendar")
-    per_date = [
-        _date_targets(snapshot(panel, t, config) if snapshots is None
-                      else _given_snapshot(snapshots, panel, t, config), config, books)
-        for t in schedule.dates if end is None or t <= end
-    ]
+    dates = [t for t in schedule.dates if end is None or t <= end]
+    tilted = sorted({s for s, _ in books.values()} & set(_TILTED))
+    per_date = []
+    for i in range(0, len(dates), _BLOCK):
+        per_date += _block_targets(panel, dates[i : i + _BLOCK], config, books, tilted, snapshots)
     return evolve(panel, {name: (s, [targets[name] for targets in per_date]) for name, (s, _) in books.items()},
                   config, end)
+
+
+def _block_targets(panel: MarketPanel, dates: list[str], config: BacktestConfig, books, tilted, snapshots):
+    """Every book's targets at each of the dates, from one snapshot per date
+    (built, or taken from `snapshots` keyed by date) whose factor matrices
+    are built in one kernel call per pool the `tilted` strategies read.
+    The snapshots go when this returns."""
+    block = [snapshot(panel, t, config) if snapshots is None else _given_snapshot(snapshots, panel, t, config)
+             for t in dates]
+    for s in tilted:
+        pool_matrices([snap for snap in block if pool_positions(snap, s, config).size], s, config)
+    return [_date_targets(snap, config, books) for snap in block]
 
 
 def evolve(
@@ -207,16 +235,15 @@ def evolve(
     i_start, i_end = cal.position(dates[0]), cal.position(end)
     trades = [cal.position(t) - i_start for t in dates[:n_reb]]
     drift = config.weight_mode == "drift"
-    targets = np.array([[wv.w for wv in v[:n_reb]] for v in vectors])  # books x trades x assets
-    active = targets.any(axis=2)
     held = np.zeros((len(books), panel.n_assets))
     last = _last_prices(panel.price, i_start)
     daily = np.zeros((len(books), i_end + 1 - i_start))
     turnover = np.empty((len(books), n_reb))
     # segment j: the rows after trade j, through the next trade or `end`
     for j, (a, b) in enumerate(zip(trades, trades[1:] + [i_end - i_start])):
-        np.add.reduce(np.abs(targets[:, j] - held), axis=1, out=turnover[:, j])
-        held = targets[:, j].copy()
+        target = np.array([v[j].w for v in vectors])  # books x assets
+        np.add.reduce(np.abs(target - held), axis=1, out=turnover[:, j])
+        held = target
         if a == b:
             continue
         r = _segment_returns(panel.price, last, i_start + a + 1, i_start + b)
@@ -227,7 +254,7 @@ def evolve(
             np.add(r, 1.0, out=growth[1:])
             r = np.multiply.accumulate(growth, axis=0, out=growth)
         part = np.empty_like(r)
-        for i in np.flatnonzero(active[:, j]):  # an empty book holds cash at exactly zero
+        for i in np.flatnonzero(held.any(axis=1)):  # an empty book holds cash at exactly zero
             w, out = held[i], daily[i, a + 1 : b + 1]
             np.multiply(r, w, out=part)
             if drift:

@@ -30,7 +30,7 @@ from . import __version__
 from .backtest import (
     STRATEGIES,
     BacktestConfig,
-    pool_matrix,
+    pool_matrices,
     pool_positions,
     run_baselines,
     run_factor_removals,
@@ -356,7 +356,8 @@ def _screens_and_factors(panel, schedule, config: BacktestConfig):
     snapshot keeps for the walk."""
     snapshots = {t: snapshot(panel, t, config) for t in schedule.dates}
     members = {t: pool_positions(snap, "dmft", config) for t, snap in snapshots.items()}
-    matrices = {t: pool_matrix(snap, "dmft", config) for t, snap in snapshots.items() if members[t].size}
+    dated = [t for t in snapshots if members[t].size]
+    matrices = dict(zip(dated, pool_matrices([snapshots[t] for t in dated], "dmft", config)))
     return snapshots, members, matrices
 
 

@@ -4,12 +4,24 @@ z-score standardization.
 
 Conventions: signal offsets are in trading days; standard deviations are
 population (divide by N); missing raw signals map to neutral z = 0.
+
+`select_factor_matrices` builds the matrices of many dates at once. Each
+(column, date) pair is one segment of a flat array, and the segments with
+the same number n of finite entries form one (r, n) C-contiguous block:
+the winsor bounds come from one row-wise partition of it, the mean and sd
+from its row sums. numpy reduces each row of such a block exactly as it
+reduces that row alone (the rule `market_data._average_dollar_volumes`
+relies on too), so every row gets the bits of the one-dimensional call,
+and a date's matrix does not depend on the dates beside it. `winsorize`
+and `standardize` are the one-segment case.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
+from typing import Sequence
 
 import numpy as np
 
@@ -56,52 +68,14 @@ class FactorMatrix:
         return (self.z if standardized else self.raw)[:, j]
 
 
-def _quality_composite(snap: AsOf, positions: np.ndarray, winsor_p: float | None) -> np.ndarray:
-    """z(ROE) + z(GrossMargin) + z(-DebtToAssets) over the snapshot columns
-    at `positions`; NaN where any component is missing."""
-    roe, margin, neg_dta = snap.roe[positions], snap.gross_margin[positions], -snap.debt_to_assets[positions]
-    have_all = np.isfinite(roe) & np.isfinite(margin) & np.isfinite(neg_dta)
-    if winsor_p is not None:
-        roe, margin, neg_dta = (winsorize(x, winsor_p) for x in (roe, margin, neg_dta))
-    composite = standardize(roe) + standardize(margin) + standardize(neg_dta)
-    return np.where(have_all, composite, np.nan)
-
-
 def winsorize(values, p: float) -> np.ndarray:
     """Clamp non-missing values to the [p, 1-p] empirical quantiles
     (linear-interpolation definition). Missing entries are untouched."""
     if not 0 <= p < 0.5:
         raise ConfigError(f"winsorization quantile must be in [0, 0.5), got {p}")
-    arr = np.asarray(values, dtype=float).copy()
-    finite = np.isfinite(arr)
-    if p == 0 or not finite.any():
-        return arr
-    x = arr[finite]
-    lo, hi = _linear_quantiles(x, p)
-    arr[finite] = np.minimum(hi, np.maximum(lo, x))  # keeps x where it ties a bound, as np.clip does
-    return arr
-
-
-def _linear_quantiles(x: np.ndarray, p: float) -> tuple[float, float]:
-    """np.quantile(x, [p, 1 - p]) bit for bit, without its per-call cost:
-    numpy's linear rule (virtual index (n-1)*q, the top value interpolated
-    with itself from n-1 on, the two-sided interpolation) read from the
-    partition numpy makes, whose placement of tied 0.0 and -0.0 a full
-    sort would not reproduce."""
-    n = len(x)
-    picks = []
-    for q in (p, 1.0 - p):
-        v = (n - 1) * q
-        i = math.floor(v)
-        picks.append((-1, -1, v + 1.0) if v >= n - 1 else (i, i + 1, v - i))
-    parted = x.copy()
-    parted.partition(sorted({0, -1, *(k for below, above, _ in picks for k in (below, above))}))
-    bounds = []
-    for below, above, g in picks:
-        a, b = float(parted[below]), float(parted[above])
-        d = b - a
-        bounds.append(b - d * (1.0 - g) if g >= 0.5 else a + d * g)
-    return bounds[0], bounds[1]
+    arr = np.asarray(values, dtype=float)
+    flat = arr.reshape(-1)
+    return _winsorized(flat, _finite_groups(flat, [flat.size]), p).reshape(arr.shape) if p else arr.copy()
 
 
 def standardize(values) -> np.ndarray:
@@ -109,37 +83,138 @@ def standardize(values) -> np.ndarray:
     entries; zeros everywhere when the spread is zero, and zero for missing
     entries (neutral exposure)."""
     arr = np.asarray(values, dtype=float)
-    z = np.zeros(arr.shape, dtype=float)
-    finite = np.isfinite(arr)
-    if not finite.any():
-        return z
-    x = arr[finite]
-    if (x == x[0]).all():  # exact constant cross-section, not just sigma ~ 0
-        return z
-    # sum / n is np.mean's own pairwise sum and division
-    mu = float(x.sum() / len(x))
-    dev = x - mu
-    sigma = math.sqrt(float((dev**2).sum() / len(x)))
-    if sigma > 0:
-        z[finite] = dev / sigma
-    return z
+    flat = arr.reshape(-1)
+    return _standardized(flat, _finite_groups(flat, [flat.size])).reshape(arr.shape)
 
 
-def select_factor_matrix(snapshot: AsOf, positions: np.ndarray, params: FactorParams) -> FactorMatrix:
-    """build_factor_matrix from a snapshot's rows over the universe whose
-    members are the panel assets at `positions`, in that order."""
-    if not len(positions):
-        raise ConfigError(f"cannot build factor matrix for empty universe at {snapshot.t}")
-    raw = np.full((len(positions), len(FACTORS)), np.nan)
-    raw[:, 0] = snapshot.momentum[positions]
-    raw[:, 1] = snapshot.value[positions]
-    components_p = params.winsor_p if params.winsorize_quality_components else None
-    raw[:, 2] = _quality_composite(snapshot, positions, components_p)
-    z = np.empty_like(raw)
-    for j in range(len(FACTORS)):
-        z[:, j] = standardize(winsorize(raw[:, j], params.winsor_p))
-    members = tuple(map(snapshot.panel.assets.__getitem__, positions.tolist()))
-    return FactorMatrix(t=snapshot.t, assets=members, raw=raw, z=z)
+def _zscores(values: np.ndarray, lengths: list[int], p: float) -> np.ndarray:
+    """standardize(winsorize(segment, p)) of each segment of `values`, the
+    consecutive runs of `lengths`."""
+    groups = _finite_groups(values, lengths)
+    # the winsorized segments keep their groups: a bound that overflows
+    # clamps nothing (a lower -inf, an upper +inf) or sets its whole row to
+    # one value, and a row of one value standardizes to zeros, finite (a
+    # constant row) or not (as a row with no finite entry does)
+    return _standardized(_winsorized(values, groups, p) if p else values, groups)
+
+
+def _winsorized(values: np.ndarray, groups, p: float) -> np.ndarray:
+    """winsorize of each segment, from the segments' _finite_groups."""
+    out = values.copy()
+    for r, n, at in groups:
+        out[at] = _winsorized_rows(values[at].reshape(r, n), p).reshape(-1)
+    return out
+
+
+def _standardized(values: np.ndarray, groups) -> np.ndarray:
+    """standardize of each segment, from the segments' _finite_groups."""
+    out = np.zeros(len(values))
+    for r, n, at in groups:
+        out[at] = _standardized_rows(values[at].reshape(r, n)).reshape(-1)
+    return out
+
+
+def _finite_groups(values: np.ndarray, lengths: list[int]) -> list[tuple[int, int, slice | np.ndarray]]:
+    """The finite entries of the segments of `values` (consecutive runs of
+    `lengths`) grouped by their count per segment: (r, n, at) for each
+    count n > 0, n ascending, where values[at] is the r segments with n
+    finite entries, n entries per segment, the segments in order. A group
+    of segments side by side is read from a slice."""
+    finite = np.isfinite(values)
+    if finite.all():
+        counts, where = lengths, None
+    else:
+        counts, where = np.add.reduceat(finite, [0, *accumulate(lengths)][:-1]).tolist(), np.flatnonzero(finite)
+    ends = [0, *accumulate(counts)]  # of each segment's finite entries among all
+    segments = {}
+    for i, n in enumerate(counts):
+        if n:
+            segments.setdefault(n, []).append(i)
+    groups, moved, done = [], None, 0
+    for n, segs in sorted(segments.items()):
+        if segs[-1] - segs[0] + 1 == len(segs):
+            at = slice(ends[segs[0]], ends[segs[-1] + 1])
+            at = at if where is None else where[at]
+        else:
+            if moved is None:  # every finite entry's position, the segments taken in (count, position) order
+                order = np.argsort(counts, kind="stable")
+                lens = np.take(lengths, order)
+                moved = np.arange(len(values)) + np.repeat(
+                    np.take([0, *accumulate(lengths)], order) - (np.cumsum(lens) - lens), lens)
+                moved = moved[finite[moved]]
+            at = moved[done : done + len(segs) * n]
+        groups.append((len(segs), n, at))
+        done += len(segs) * n
+    return groups
+
+
+def _winsorized_rows(x: np.ndarray, p: float) -> np.ndarray:
+    """Each row of x clamped to np.quantile(row, [p, 1 - p]), bit for bit,
+    without its per-call cost: numpy's linear rule (virtual index (n-1)*q,
+    the top value interpolated with itself from n-1 on, the two-sided
+    interpolation) read from the partition numpy makes, whose placement of
+    tied 0.0 and -0.0 a full sort would not reproduce."""
+    n = x.shape[1]
+    picks = []
+    for q in (p, 1.0 - p):
+        v = (n - 1) * q
+        i = math.floor(v)
+        picks.append((-1, -1, v + 1.0) if v >= n - 1 else (i, i + 1, v - i))
+    parted = np.partition(x, sorted({0, -1, *(k for below, above, _ in picks for k in (below, above))}), axis=1)
+    bounds = []
+    for below, above, g in picks:
+        a, b = parted[:, below], parted[:, above]
+        d = b - a
+        bounds.append((b - d * (1.0 - g) if g >= 0.5 else a + d * g)[:, None])
+    lo, hi = bounds
+    return np.minimum(hi, np.maximum(lo, x))  # keeps x where it ties a bound, as np.clip does
+
+
+def _standardized_rows(x: np.ndarray) -> np.ndarray:
+    """Each row's z-scores with population moments, zeros for an exactly
+    constant row (not just sigma ~ 0) or a zero spread. The moments are row
+    sums / n, np.mean's own pairwise sum and division."""
+    n = x.shape[1]
+    dev = x - (np.add.reduce(x, axis=1) / n)[:, None]
+    sigma = np.sqrt(np.add.reduce(dev**2, axis=1) / n)[:, None]
+    varied = (sigma > 0) & ~(x == x[:, :1]).all(axis=1, keepdims=True)
+    if varied.all():
+        return np.divide(dev, sigma, out=dev)
+    return np.divide(dev, sigma, out=np.zeros(x.shape), where=varied)
+
+
+def select_factor_matrices(
+    snapshots: Sequence[AsOf], positions: Sequence[np.ndarray], params: FactorParams
+) -> list[FactorMatrix]:
+    """build_factor_matrix at each snapshot's date, over the universe whose
+    members are the panel assets at the matching `positions`, in that
+    order: every date's columns are segments of two kernel calls, one for
+    the quality components and one for the raw columns."""
+    for snap, pos in zip(snapshots, positions, strict=True):
+        if not len(pos):
+            raise ConfigError(f"cannot build factor matrix for empty universe at {snap.t}")
+    if not snapshots:
+        return []
+    lengths = [len(pos) for pos in positions] * 3  # one segment per (column, date)
+    # momentum, value and the quality components, one column per member, the dates side by side
+    rows = [np.array((s.momentum, s.value, s.roe, s.gross_margin, s.debt_to_assets))[:, pos]
+            for s, pos in zip(snapshots, positions)]
+    rows = rows[0] if len(rows) == 1 else np.concatenate(rows, axis=1)
+    components = rows[2:]
+    np.negative(components[2], out=components[2])
+    components_p = params.winsor_p if params.winsorize_quality_components else 0.0
+    z_parts = _zscores(components.reshape(-1), lengths, components_p).reshape(3, -1)
+    have_all = np.isfinite(components[0]) & np.isfinite(components[1]) & np.isfinite(components[2])
+    rows[2] = np.where(have_all, z_parts[0] + z_parts[1] + z_parts[2], np.nan)
+    raw = rows[:3]
+    z = _zscores(raw.reshape(-1), lengths, params.winsor_p).reshape(3, -1)
+    out, at = [], 0
+    for snap, pos in zip(snapshots, positions):
+        cols = slice(at, at + len(pos))
+        at += len(pos)
+        members = tuple(map(snap.panel.assets.__getitem__, pos.tolist()))
+        out.append(FactorMatrix(t=snap.t, assets=members, raw=raw[:, cols].T.copy(), z=z[:, cols].T.copy()))
+    return out
 
 
 def build_factor_matrix(
@@ -148,4 +223,4 @@ def build_factor_matrix(
     """Raw signals per factor over the universe, then winsorize and
     standardize each factor column independently."""
     snap = AsOf(panel, t, l_mom=params.l_mom, skip=params.skip, l_fund=params.l_fund)
-    return select_factor_matrix(snap, panel.positions(universe.members), params)
+    return select_factor_matrices([snap], [panel.positions(universe.members)], params)[0]

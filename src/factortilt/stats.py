@@ -4,6 +4,12 @@ diagnostics, and factor-redundancy measures.
 
 Annualization uses 252 trading days; standard deviations and higher moments
 are population (divide by N) throughout.
+
+`summarize` computes a book's concentration statistics from its stacked
+weights (one row per rebalance date): row sums of w * w and the top k of
+a row-wise sort. numpy reduces each row of a C-contiguous block exactly
+as it reduces that row alone, so each row has the bits of `effective_n`
+and `top_k_concentration`, which are the one-row case.
 """
 
 from __future__ import annotations
@@ -147,24 +153,16 @@ def deflated_sharpe(returns, n_trials: int, benchmark_sr: float | None = None) -
     return float(ndtr(z))
 
 
-def _overlap(a: BacktestResult, b: BacktestResult) -> list[str]:
-    common = sorted(set(a.dates) & set(b.dates))
-    if not common:
-        raise StatsError("backtest results cover disjoint date ranges")
-    return common
-
-
 def turnover_adjusted_alpha(result: BacktestResult, benchmark: BacktestResult) -> float:
     """Annualized excess return over the benchmark per unit of annualized
     one-way turnover, computed on the overlapping date range. Zero-turnover
     strategies map to a signed infinity (or 0 when the excess is also 0)."""
-    common = _overlap(result, benchmark)
-    pos_r = {d: i for i, d in enumerate(result.dates)}
-    pos_b = {d: i for i, d in enumerate(benchmark.dates)}
-    r_s = result.daily_returns[[pos_r[d] for d in common]]
-    r_b = benchmark.daily_returns[[pos_b[d] for d in common]]
-    excess = annualized_return(r_s) - annualized_return(r_b)
-    in_window = [i for i, d in enumerate(result.rebalance_dates) if common[0] <= d <= common[-1]]
+    common, at_r, at_b = np.intersect1d(result.dates, benchmark.dates, assume_unique=True, return_indices=True)
+    if not common.size:
+        raise StatsError("backtest results cover disjoint date ranges")
+    excess = annualized_return(result.daily_returns[at_r]) - annualized_return(benchmark.daily_returns[at_b])
+    first, last = str(common[0]), str(common[-1])
+    in_window = [i for i, d in enumerate(result.rebalance_dates) if first <= d <= last]
     ann_turnover = float(result.turnover[in_window].sum()) * TRADING_DAYS / len(common)
     if ann_turnover == 0:
         return 0.0 if excess == 0 else math.copysign(math.inf, excess)
@@ -180,29 +178,42 @@ def max_drawdown(equity) -> float:
     return float(np.min(eq / running_max - 1.0))
 
 
-def _weight_array(w) -> np.ndarray:
-    arr = w.w if isinstance(w, WeightVector) else np.asarray(w, dtype=float)
-    if np.any(arr < 0):
-        raise StatsError("weights must be non-negative")
-    return arr
+def _weight_row(w) -> np.ndarray:
+    """The weights as a (1, n_assets) block of rows."""
+    return (w.w if isinstance(w, WeightVector) else np.asarray(w, dtype=float))[None]
 
 
 def effective_n(w) -> float:
     """Inverse Herfindahl index 1 / sum(w^2)."""
-    arr = _weight_array(w)
-    denom = float(np.sum(arr * arr))
-    if denom == 0:
-        raise StatsError("effective N undefined for an all-zero weight vector")
-    return 1.0 / denom
+    return float(_effective_ns(_weight_row(w))[0])
 
 
 def top_k_concentration(w, k: int = 5) -> float:
     """Sum of the k largest weights (all weights when fewer than k)."""
-    arr = _weight_array(w)
+    return float(_top_k_sums(_weight_row(w), k)[0])
+
+
+def _check_rows(rows: np.ndarray) -> None:
+    if np.any(rows < 0):
+        raise StatsError("weights must be non-negative")
+
+
+def _effective_ns(rows: np.ndarray) -> np.ndarray:
+    """effective_n of each row of a block of weight rows."""
+    _check_rows(rows)
+    denom = (rows * rows).sum(axis=1)
+    if np.any(denom == 0):
+        raise StatsError("effective N undefined for an all-zero weight vector")
+    return 1.0 / denom
+
+
+def _top_k_sums(rows: np.ndarray, k: int) -> np.ndarray:
+    """top_k_concentration of each row of a block of weight rows, each row's
+    largest first, as the one-row sum adds them."""
+    _check_rows(rows)
     if k < 1:
         raise StatsError(f"k must be >= 1, got {k}")
-    top = np.sort(arr)[::-1][:k]
-    return float(top.sum())
+    return np.sort(rows, axis=1)[:, ::-1][:, :k].sum(axis=1)
 
 
 def factor_correlations(matrices: Iterable[FactorMatrix]) -> tuple[tuple[str, ...], np.ndarray]:
@@ -281,12 +292,12 @@ class StatsReport:
         return [(f.name, getattr(self, f.name)) for f in fields(self) if f.name not in ("strategy", "undefined")]
 
 
-def _held_mean(stat, weights) -> float:
-    """Mean of stat over the weight vectors that hold something."""
-    held = [w for w in weights if w.w.sum() > 0]
-    if not held:
+def _held_mean(row_stat, rows: np.ndarray) -> float:
+    """Mean of a row statistic over the weight rows that hold something."""
+    held = rows[rows.sum(axis=1) > 0]
+    if not len(held):
         raise StatsError("no rebalance date holds any weight")
-    return float(np.mean([stat(w) for w in held]))
+    return float(np.mean(row_stat(held)))
 
 
 def summarize(
@@ -323,6 +334,7 @@ def summarize(
         value("turnover_adjusted_alpha_oneway", turnover_adjusted_alpha, result, benchmark)
     stats["ann_turnover_oneway"] = float(result.turnover.sum()) * TRADING_DAYS / len(result.dates)
     value("max_drawdown", max_drawdown, result.equity_curve)
-    value("effective_n_mean", _held_mean, effective_n, result.weights)
-    value("top5_concentration_mean", _held_mean, top_k_concentration, result.weights)
+    rows = np.array([w.w for w in result.weights], ndmin=2)  # n_reb x n_assets
+    value("effective_n_mean", _held_mean, _effective_ns, rows)
+    value("top5_concentration_mean", _held_mean, lambda held: _top_k_sums(held, 5), rows)
     return StatsReport(result.strategy, **stats, undefined=undefined)

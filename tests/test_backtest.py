@@ -356,6 +356,33 @@ def test_evolve_peak_follows_the_walked_rows():
             assert peak < gate * panel.price.nbytes, f"{mode} every {every}: peak {peak / panel.price.nbytes:.2f} grids"
 
 
+def test_walk_peak_does_not_grow_with_the_rebalance_dates():
+    """A walk holds one block of snapshots at a time, and evolve one
+    holding period's targets, so its transient (its traced peak less what
+    it returns) stays about 0.3 of the panel's price grid from 16 to 128
+    rebalance dates (200 assets). Holding every date's snapshot until the
+    last target is built, the transient grew with the dates, to 2.5 grids
+    at 128."""
+    panel = generate(ScenarioSpec(seed=1, n_assets=200, n_days=1500, dispersion=0.8,
+                                  liquidity_tiers=(1.0, 50.0, 300.0), missing_rate=0.02))
+    days = panel.calendar.days
+    config = BacktestConfig(cost_rate=0.001, caps=CapParams())
+    run_baselines(panel, schedule_at(panel, 400), config)  # the panel's tables, built on first use and kept
+    transient = {}
+    for n in (16, 128):
+        sched = RebalanceSchedule(dates=tuple(days[300 :: 1200 // n][:n]))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            results = run_baselines(panel, sched, config)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(results["dmft"].weights) == n and kept > before
+        transient[n] = (peak - kept) / panel.price.nbytes
+    assert transient[128] < 1.25 * transient[16], f"{transient} grids"
+
+
 class TestFactorRemovals:
     def test_keys_and_single_factor_degeneracy(self):
         panel = generate(ScenarioSpec(seed=8, n_assets=6, n_days=160, dispersion=0.8, vol=0.01))

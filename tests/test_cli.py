@@ -416,14 +416,14 @@ def test_one_snapshot_per_rebalance_date(tmp_path, synth_dir, monkeypatch, comma
     monkeypatch.setattr(backtest, "snapshot", counting)
     monkeypatch.setattr(cli, "snapshot", counting)
     matrices = Counter()
-    real_select = backtest.select_factor_matrix
+    real_select = backtest.select_factor_matrices
 
-    def counting_select(snap, positions, params):
-        matrices[snap.t] += 1
-        return real_select(snap, positions, params)
+    def counting_select(snapshots, positions, params):
+        matrices.update(snap.t for snap in snapshots)
+        return real_select(snapshots, positions, params)
 
     for module in (backtest, cli):  # each binding a command could call it through
-        monkeypatch.setattr(module, "select_factor_matrix", counting_select, raising=False)
+        monkeypatch.setattr(module, "select_factor_matrices", counting_select, raising=False)
     cfg = tmp_path / "run.ini"
     cfg.write_text(CONFIG_TEMPLATE.format(data=synth_dir, start="2020-06-01", end="2022-06-30", lam="0.3")
                    + f"apply = {calibrate}\n")

@@ -1,10 +1,11 @@
 """The per-date kernels against the implementations they replaced, kept here
 as oracles and compared bit for bit: winsorize with one np.quantile call,
-standardize with np.mean, the latest fundamental report with one bisection
-per asset, and the average dollar volume with a stable argsort that
-left-packs each asset's valid days. Also the synthetic generator against its
-expression form, which held about ten grid-sized temporaries at once and drew
-the gap mask whole.
+standardize with np.mean, the factor matrices of many dates against one
+date's build over those two, the latest fundamental report with one
+bisection per asset, and the average dollar volume with a stable argsort
+that left-packs each asset's valid days. Also the synthetic generator
+against its expression form, which held about ten grid-sized temporaries at
+once and drew the gap mask whole.
 """
 
 from __future__ import annotations
@@ -14,12 +15,15 @@ from bisect import bisect_left
 from functools import partial
 from itertools import compress
 from operator import attrgetter, getitem
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from factortilt.factors import standardize, winsorize
+from factortilt.backtest import pool_positions, snapshot
+from factortilt.errors import ConfigError
+from factortilt.factors import FACTORS, FactorMatrix, FactorParams, select_factor_matrices, standardize, winsorize
 from factortilt.market_data import (
     _REPORT_FIELDS,
     AsOf,
@@ -42,7 +46,7 @@ from factortilt.synthetic import (
     trading_days,
 )
 
-from test_asof_properties import SETTINGS, panels, random_panel
+from test_asof_properties import SETTINGS, config_for, panels, params, random_panel
 
 
 def winsorize_oracle(values, p) -> np.ndarray:
@@ -69,6 +73,25 @@ def standardize_oracle(values) -> np.ndarray:
     if sigma > 0:
         z[finite] = (x - mu) / sigma
     return z
+
+
+def select_factor_matrix_oracle(snapshot, positions: np.ndarray, params: FactorParams) -> FactorMatrix:
+    """One date's factor matrix, each column winsorized and standardized on
+    its own."""
+    raw = np.full((len(positions), len(FACTORS)), np.nan)
+    raw[:, 0] = snapshot.momentum[positions]
+    raw[:, 1] = snapshot.value[positions]
+    roe, margin, neg_dta = snapshot.roe[positions], snapshot.gross_margin[positions], -snapshot.debt_to_assets[positions]
+    have_all = np.isfinite(roe) & np.isfinite(margin) & np.isfinite(neg_dta)
+    if params.winsorize_quality_components:
+        roe, margin, neg_dta = (winsorize_oracle(x, params.winsor_p) for x in (roe, margin, neg_dta))
+    composite = standardize_oracle(roe) + standardize_oracle(margin) + standardize_oracle(neg_dta)
+    raw[:, 2] = np.where(have_all, composite, np.nan)
+    z = np.empty_like(raw)
+    for j in range(len(FACTORS)):
+        z[:, j] = standardize_oracle(winsorize_oracle(raw[:, j], params.winsor_p))
+    members = tuple(map(snapshot.panel.assets.__getitem__, positions.tolist()))
+    return FactorMatrix(t=snapshot.t, assets=members, raw=raw, z=z)
 
 
 def latest_reports_oracle(panel: MarketPanel, t: str, l_fund: int) -> np.ndarray:
@@ -216,6 +239,95 @@ cross_sections = st.one_of(
 def test_standardize_equals_mean_formula(values):
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
         same_bits(standardize(values), standardize_oracle(values), values)
+
+
+# --- factor matrices of many dates -----------------------------------------------------
+
+SIGNAL_ROWS = ("momentum", "value", "roe", "gross_margin", "debt_to_assets")
+# ties with signed zeros, missing signals, and values whose sums round
+signal_values = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, math.nan, math.nan]), st.floats(-1e6, 1e6))
+factor_params = st.builds(FactorParams, winsor_p=st.sampled_from([0.0, 0.01, 0.1, 0.3, 0.4999]),
+                          winsorize_quality_components=st.booleans())
+
+
+@st.composite
+def signal_dates(draw):
+    """1-40 dates of snapshot signal rows over 1-12 assets, each date with
+    a non-empty pool of members in any order; a row is arbitrary, one
+    constant repeated, or all missing."""
+    n_assets = draw(st.integers(1, 12))
+    panel = SimpleNamespace(assets=[f"A{i}" for i in range(n_assets)])
+    row = st.one_of(st.lists(signal_values, min_size=n_assets, max_size=n_assets),
+                    st.builds(lambda v: [v] * n_assets, signal_values))
+    snapshots, positions = [], []
+    for k in range(draw(st.integers(1, 40))):
+        rows = {name: np.array(draw(row), dtype=float) for name in SIGNAL_ROWS}
+        snapshots.append(SimpleNamespace(t=f"day{k}", panel=panel, **rows))
+        members = draw(st.permutations(range(n_assets)))[: draw(st.integers(1, n_assets))]
+        positions.append(np.array(members, dtype=np.intp))
+    return snapshots, positions
+
+
+def assert_matrices_equal_oracle(snapshots, positions, params):
+    got = select_factor_matrices(snapshots, positions, params)
+    assert len(got) == len(snapshots)
+    for m, snap, pos in zip(got, snapshots, positions):
+        want = select_factor_matrix_oracle(snap, pos, params)
+        assert (m.t, m.assets, m.factors) == (want.t, want.assets, want.factors)
+        same_bits(m.raw, want.raw, (snap.t, "raw"))
+        same_bits(m.z, want.z, (snap.t, "z"))
+        assert m.raw.flags.c_contiguous and m.z.flags.c_contiguous
+
+
+@settings(SETTINGS, max_examples=150)
+@given(dates=signal_dates(), params=factor_params)
+@example(dates=([SimpleNamespace(t="d", panel=SimpleNamespace(assets=["A"]), **dict.fromkeys(SIGNAL_ROWS, np.array([-0.0])))],
+                [np.array([0])]), params=FactorParams(winsor_p=0.1, winsorize_quality_components=True))
+def test_factor_matrices_of_many_dates_equal_one_date_builds(dates, params):
+    snapshots, positions = dates
+    assert_matrices_equal_oracle(snapshots, positions, params)
+
+
+@SETTINGS
+@given(panel=panels, p=params, data=st.data())
+def test_factor_matrices_of_gappy_panels_equal_one_date_builds(panel, p, data):
+    config = config_for(p)
+    days = data.draw(st.lists(st.sampled_from(panel.calendar.days), min_size=1, max_size=20, unique=True))
+    snaps = [snapshot(panel, t, config) for t in sorted(days)]
+    for strategy in ("dmft", "fixed_universe"):
+        kept = [(snap, pool_positions(snap, strategy, config)) for snap in snaps]
+        kept = [(snap, pos) for snap, pos in kept if pos.size]
+        assert_matrices_equal_oracle([snap for snap, _ in kept], [pos for _, pos in kept], config.factors)
+
+
+@pytest.mark.parametrize("p, big", [
+    # the lower bound interpolates -1.7e308 and 1.7e308 with weight 0: inf * 0 is NaN
+    (0.25, [-1.7e308, -1.7e308, 1.7e308, 1.7e308, 1.7e308]),
+    # the lower bound is -1.7e308 + inf * 0.2, +inf, so every value clamps to the upper, 1.7e308
+    (0.3, [-1.7e308, -1.7e308, 1.7e308, 1.7e308, 1.7e308]),
+    # the upper bound is 1.7e308 - inf * 0.2, -inf
+    (0.3, [-1.7e308, -1.7e308, -1.7e308, 1.7e308, 1.7e308]),
+], ids=["nan", "inf", "-inf"])
+def test_a_winsor_bound_that_overflows_leaves_its_column_neutral(p, big):
+    # every clamped momentum of that date is one value and standardizes
+    # to 0, in a block as on its own
+    panel = SimpleNamespace(assets=[f"A{i}" for i in range(6)])
+    ordinary = np.linspace(0.1, 0.6, 6)
+    snaps = [SimpleNamespace(t=t, panel=panel, **{**dict.fromkeys(SIGNAL_ROWS, ordinary), **over})
+             for t, over in (("d0", {}), ("d1", {"momentum": np.array([*big, 1.0])}), ("d2", {}))]
+    positions = [np.arange(6), np.arange(5), np.arange(5)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert_matrices_equal_oracle(snaps, positions, FactorParams(winsor_p=p))
+        m = select_factor_matrices(snaps, positions, FactorParams(winsor_p=p))[1]
+        assert np.unique(winsorize(big, p)).size == 1
+    assert np.isfinite(m.raw[:, 0]).all() and not m.z[:, 0].any()
+
+
+def test_factor_matrices_reject_an_empty_pool():
+    snap = SimpleNamespace(t="d", panel=SimpleNamespace(assets=["A"]), **dict.fromkeys(SIGNAL_ROWS, np.ones(1)))
+    with pytest.raises(ConfigError, match="cannot build factor matrix for empty universe at d"):
+        select_factor_matrices([snap, snap], [np.array([0]), np.array([], dtype=np.intp)], FactorParams())
+    assert select_factor_matrices([], [], FactorParams()) == []
 
 
 # --- latest fundamental report -----------------------------------------------------

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.stats import norm
 
 from factortilt.backtest import BacktestResult
@@ -23,6 +24,7 @@ from factortilt.stats import (
     turnover_adjusted_alpha,
 )
 from factortilt.synthetic import trading_days
+from factortilt.weighting import WeightVector
 
 
 def result_from(returns, turnover=(), strategy="x", start_idx=0, n_total=None):
@@ -180,6 +182,18 @@ class TestTurnoverAdjustedAlpha:
         bench = result_from(r_b)
         assert turnover_adjusted_alpha(strat, bench) == math.inf
 
+    def test_partly_overlapping_ranges(self):
+        # the strategy covers days 0-79 and trades on days 0, 20, 40, 60;
+        # the benchmark covers days 30-119, so only days 30-79 and the
+        # trades on days 40 and 60 count
+        rng = np.random.default_rng(23)
+        strat = result_from(rng.normal(0.001, 0.01, 80), turnover=[0.5, 0.1, 0.2, 0.4], n_total=120)
+        strat.rebalance_dates = strat.dates[0:80:20]
+        bench = result_from(rng.normal(0.0005, 0.01, 90), start_idx=30, n_total=120)
+        excess = annualized_return(strat.daily_returns[30:]) - annualized_return(bench.daily_returns[:50])
+        assert turnover_adjusted_alpha(strat, bench) == excess / ((0.2 + 0.4) * 252 / 50)
+        assert turnover_adjusted_alpha(bench, strat) == math.copysign(math.inf, -excess)  # no turnover
+
     def test_disjoint_ranges_error(self):
         a = result_from(np.full(20, 0.001), n_total=100)
         b = result_from(np.full(20, 0.001), start_idx=50, n_total=100)
@@ -244,6 +258,44 @@ class TestConcentration:
         assert top_k_concentration(np.full(10, 0.1), 5) == pytest.approx(0.5)
         assert top_k_concentration([0.6, 0.3, 0.1], 5) == pytest.approx(1.0)
         assert top_k_concentration([0.4, 0.3, 0.2, 0.05, 0.03, 0.02], 5) == pytest.approx(0.98)
+
+
+def effective_n_oracle(w) -> float:
+    return 1.0 / float(np.sum(w * w))
+
+
+def top_k_oracle(w, k) -> float:
+    return float(np.sort(w)[::-1][:k].sum())
+
+
+weight_rows = st.integers(1, 12).flatmap(lambda n: st.lists(
+    st.one_of(st.just([0.0] * n), st.lists(st.one_of(st.just(0.0), st.floats(1e-6, 1e6)), min_size=n, max_size=n)),
+    min_size=1, max_size=30))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(rows=weight_rows)
+def test_summarize_concentration_equals_the_mean_over_held_vectors(rows):
+    # each held row (sum > 0) scaled to sum to 1, as a book's targets are
+    rows = [np.asarray(r) / sum(r) if sum(r) > 0 else np.asarray(r) for r in rows]
+    result = result_from(np.zeros(len(rows)), turnover=np.zeros(len(rows)))
+    result.weights = [WeightVector(t=t, assets=tuple(f"A{i}" for i in range(len(r))), w=r)
+                      for t, r in zip(result.dates, rows)]
+    report = summarize(result)
+    held = [r for r in rows if r.sum() > 0]
+    if not held:
+        assert math.isnan(report.effective_n_mean) and math.isnan(report.top5_concentration_mean)
+        return
+    assert report.effective_n_mean == float(np.mean([effective_n_oracle(r) for r in held]))
+    assert report.top5_concentration_mean == float(np.mean([top_k_oracle(r, 5) for r in held]))
+    for r in held:
+        assert effective_n(r) == effective_n_oracle(r) and top_k_concentration(r, 3) == top_k_oracle(r, 3)
+
+
+def test_concentration_rejects_negative_weights():
+    for stat in (effective_n, top_k_concentration):
+        with pytest.raises(StatsError, match="weights must be non-negative"):
+            stat([1.5, -0.5])
 
 
 def matrix(t, z):

@@ -469,6 +469,36 @@ def test_evolve_truncated_at_any_end_is_a_prefix_of_the_full_run(data, panel, we
                 same_bits(getattr(cut, attr), getattr(whole, attr)[:k], f"{name} {attr} to {end}")
 
 
+@pytest.mark.parametrize("n_dates", [1, 15, 16, 17, 33])  # about the walk's blocks of 16 dates
+@settings(SETTINGS, max_examples=12)
+@given(data=st.data(), seed=st.integers(0, 2**32 - 1), n_assets=st.integers(2, 12), gap=st.sampled_from([0.0, 0.1]),
+       p=short_windows, weight_mode=st.sampled_from(WEIGHT_MODES), removals=st.booleans())
+def test_walk_truncated_at_any_end_is_a_prefix_of_the_full_run(n_dates, data, seed, n_assets, gap, p, weight_mode,
+                                                               removals):
+    # a truncated walk cuts its last block short, so a date's targets are
+    # built beside other dates than in the full walk, yet get the same bits
+    panel = random_panel(seed, n_assets, n_dates + data.draw(st.integers(0, 30)), gap)
+    days = panel.calendar.days
+    schedule = RebalanceSchedule(dates=tuple(sorted(data.draw(st.lists(st.sampled_from(days), min_size=n_dates,
+                                                                       max_size=n_dates, unique=True)))))
+    config = config_for(p, cost_rate=0.001, weight_mode=weight_mode, caps=CapParams(c_max=1.0, kappa=1.0))
+    run = run_factor_removals if removals else run_baselines
+    full = run(panel, schedule, config)
+    first = days.index(schedule.dates[0])
+    ends = {schedule.dates[k] for k in (0, 14, 15, 16, n_dates - 2) if 0 <= k < n_dates}
+    ends |= set(data.draw(st.lists(st.sampled_from(days[first:]), max_size=2)))
+    for end in sorted(ends):
+        for name, cut in run(panel, schedule, config, end).items():
+            whole, m, n = full[name], len(cut.dates), len(cut.rebalance_dates)
+            assert (cut.dates, cut.rebalance_dates) == (whole.dates[:m], whole.rebalance_dates[:n]), (name, end)
+            assert cut.dates[-1] == end
+            for got, want in zip(cut.weights, whole.weights[:n], strict=True):
+                for attr in ("w", "multipliers", "caps"):
+                    same_bits(getattr(got, attr), getattr(want, attr), f"{name} {got.t} {attr} to {end}")
+            for attr, k in (("daily_returns", m), ("equity_curve", m), ("turnover", n), ("costs", n)):
+                same_bits(getattr(cut, attr), getattr(whole, attr)[:k], f"{name} {attr} to {end}")
+
+
 @settings(SETTINGS, max_examples=40)
 @given(data=st.data(), panel=wide_panels, weight_mode=st.sampled_from(WEIGHT_MODES), cost_rate=st.floats(0.0, 1.0),
        end_at=st.one_of(st.none(), st.floats(0.0, 1.0)), cash_book=st.booleans())
