@@ -9,6 +9,19 @@ full sample, so it is in-sample: the weights at a rebalance read returns
 from after it, until a walk-forward alpha replaces it. Note the forward
 window starts at the rebalance date itself and therefore overlaps the holding
 period.
+
+Every correlation goes through one kernel, `pearson` on the rows of
+`centered_rows`, which gives np.corrcoef(x, y)[0, 1] bit for bit. Each row
+is centered by its row sum / n over a C-contiguous block: numpy reduces
+each row of such a block exactly as it reduces that row alone, while an
+F-ordered block is summed column by column and rounds differently. Each
+pair then takes its own 2 x n product np.dot(X, X.T), as np.cov does (a
+product over more rows is a wider BLAS call and rounds differently),
+scaled by 1 / (n - 1), divided by the square roots of its two diagonal
+entries in turn, and clipped to [-1, 1]. The IC series ranks a date's z
+columns and forward returns in one stacked call, whose average ranks are
+exact half-integers and so have the bits of one column at a time, and
+centers them once.
 """
 
 from __future__ import annotations
@@ -72,29 +85,61 @@ def forward_returns(panel: MarketPanel, t: str, horizon: int) -> np.ndarray:
 def average_ranks(x) -> np.ndarray:
     """1-based ranks of a 1-D array, tied values sharing the mean of their
     ranks: the values of scipy's `rankdata(x, method="average")`."""
-    x = np.asarray(x)
-    order = np.argsort(x, kind="stable")
-    inverse = np.empty(len(x), dtype=np.intp)
-    inverse[order] = np.arange(len(x))
-    ordered = x[order]
-    first = np.concatenate(([True], ordered[1:] != ordered[:-1]))  # the first position of each run of ties
-    dense = np.cumsum(first)[inverse]
-    count = np.append(np.flatnonzero(first), len(x))
-    return 0.5 * (count[dense] + count[dense - 1] + 1)
+    return average_ranks_rows(np.asarray(x)[None, :])[0]
 
 
-def _rank_correlation(rx: np.ndarray, ry: np.ndarray) -> float:
-    """Pearson correlation of two rank vectors, clipped to [-1, 1] and exact
-    at +-1 when one ranking equals the other or its reverse; NaN when
-    either is constant."""
-    if np.all(rx == rx[0]) or np.all(ry == ry[0]):
-        return math.nan
-    if np.array_equal(rx, ry):
-        return 1.0
-    if np.array_equal(rx, len(rx) + 1.0 - ry):
-        return -1.0
-    r = float(np.corrcoef(rx, ry)[0, 1])
-    return float(np.clip(r, -1.0, 1.0))
+def average_ranks_rows(x: np.ndarray) -> np.ndarray:
+    """average_ranks of each row of a 2-D array, from one row-wise sort: a
+    run of c tied values from sorted position s ranks s + (c + 1) / 2. The
+    ranks are exact half-integers, so any correct tie rule gives them the
+    same bits."""
+    k, n = x.shape
+    at = np.argsort(x, axis=1, kind="stable")
+    at += np.arange(k)[:, None] * n  # positions in the flat stack
+    ordered = x.ravel()[at]
+    first = np.ones((k, n), dtype=bool)  # where a run of ties starts; each row starts one
+    np.not_equal(ordered[:, 1:], ordered[:, :-1], out=first[:, 1:])
+    starts = np.flatnonzero(first)
+    counts = np.append(starts[1:], k * n) - starts
+    out = np.empty(k * n)
+    out[at.ravel()] = np.repeat(starts % n + 0.5 * (counts + 1), counts)
+    return out.reshape(k, n)
+
+
+def centered_rows(x) -> np.ndarray:
+    """Each row of the 2-D x less its mean, as np.cov centers it: row sums
+    / n of a C-contiguous block, which numpy reduces row by row exactly as
+    it reduces each row alone. An F-ordered block would be summed column by
+    column and round differently, so x is made C-contiguous first."""
+    x = np.ascontiguousarray(x, dtype=float)
+    return x - (np.add.reduce(x, axis=1) / x.shape[1])[:, None]
+
+
+def pearson(centered: np.ndarray, i: int, j: int) -> float:
+    """np.corrcoef(x[i], x[j])[0, 1] bit for bit, for rows i and j of
+    centered = centered_rows(x) (n >= 2 columns): the 2 x n product
+    np.dot(X, X.T) of the two rows that np.cov makes, scaled by
+    1 / (n - 1), the off-diagonal divided by the square root of the first
+    diagonal and then of the second, and clipped to [-1, 1]. One product
+    per pair: a wider BLAS call over more rows rounds differently."""
+    pair = centered[[i, j]]
+    (xx, xy), (_, yy) = (np.dot(pair, pair.T) * (1 / (centered.shape[1] - 1))).tolist()
+    r = np.float64(xy) / math.sqrt(xx) / math.sqrt(yy)  # numpy's division: x / 0 is inf or NaN
+    return min(max(float(r), -1.0), 1.0)
+
+
+def _rank_correlations(rows: np.ndarray, pairs: list[tuple[int, int]]) -> list[float]:
+    """Pearson correlation of the average ranks of rows i and j of a 2-D
+    array, for each (i, j) in pairs: NaN when either ranking is constant,
+    and exactly +-1 when ranking i equals ranking j or its reverse."""
+    ranks = average_ranks_rows(rows)
+    constant = (ranks == ranks[:, :1]).all(axis=1).tolist()
+    i, j = np.array(pairs).T
+    same = (ranks[i] == ranks[j]).all(axis=1).tolist()
+    reverse = (ranks[i] == ranks.shape[1] + 1.0 - ranks[j]).all(axis=1).tolist()
+    centered = centered_rows(ranks)
+    return [math.nan if constant[a] or constant[b] else 1.0 if s else -1.0 if r else pearson(centered, a, b)
+            for (a, b), s, r in zip(pairs, same, reverse)]
 
 
 def spearman(x, y, min_pairs: int = 3) -> float:
@@ -108,7 +153,7 @@ def spearman(x, y, min_pairs: int = 3) -> float:
     ok = np.isfinite(x) & np.isfinite(y)
     if int(ok.sum()) < max(min_pairs, 3):
         return math.nan
-    return _rank_correlation(average_ranks(x[ok]), average_ranks(y[ok]))
+    return _rank_correlations(np.stack((x[ok], y[ok])), [(0, 1)])[0]
 
 
 def build_ic_series(
@@ -120,8 +165,8 @@ def build_ic_series(
     """Per-factor IC time series over the rebalance dates with enough valid
     (z, forward return) pairs; invalid dates are skipped. Each factor's IC
     is spearman(z column, forward returns): z is complete, so every factor
-    pairs on the members with a forward return, whose ranks are taken once
-    per date."""
+    pairs on the members with a forward return, and a date's z columns and
+    forward returns are ranked in one call and centered once."""
     factors = None
     per_factor: dict[str, tuple[list[str], list[float]]] = {}
     for t in schedule.dates:
@@ -131,14 +176,13 @@ def build_ic_series(
         if factors is None:
             factors = matrix.factors
             per_factor = {f: ([], []) for f in factors}
-        fwd = forward_returns(panel, t, params.horizon)[panel.positions(matrix.assets)]
+        fwd = forward_returns(panel, t, params.horizon)[matrix.positions]
         ok = np.isfinite(fwd)
         if int(ok.sum()) < max(params.min_universe, 3):
             continue
-        fwd_ranks = average_ranks(fwd[ok])
-        z = matrix.z[ok]
-        for j, f in enumerate(matrix.factors):
-            ic = _rank_correlation(average_ranks(z[:, j]), fwd_ranks)
+        rows = np.vstack((matrix.z[ok].T, fwd[ok]))  # each factor's z, then the forward returns
+        last = len(rows) - 1
+        for f, ic in zip(matrix.factors, _rank_correlations(rows, [(j, last) for j in range(last)])):
             if not math.isnan(ic):
                 per_factor[f][0].append(t)
                 per_factor[f][1].append(ic)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import compress
+from itertools import compress, repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -72,9 +72,9 @@ def compute_eligibility(panel: MarketPanel, t: str, params: EligibilityParams) -
     (history and ADV, both measured strictly before t). An empty result is
     legitimate, not an error."""
     snap = AsOf(panel, t, l_adv=params.l_adv)
-    screen_values = {
-        a: ScreenValues(h, v if v == v else math.nan)  # one NaN object, so equal sets compare equal
-        for a, h, v in zip(panel.assets, snap.history.tolist(), snap.adv.tolist())
-    }
+    adv = snap.adv.tolist()
+    for i in np.flatnonzero(np.isnan(snap.adv)).tolist():
+        adv[i] = math.nan  # one NaN object, so equal sets compare equal
+    screen_values = dict(zip(panel.assets, map(tuple.__new__, repeat(ScreenValues), zip(snap.history.tolist(), adv))))
     members = tuple(compress(panel.assets, eligible(snap.history, snap.adv, params).tolist()))
     return EligibilitySet(t=t, members=members, screen_values=screen_values, assets=tuple(panel.assets))

@@ -19,7 +19,8 @@ and `standardize` are the one-segment case.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import accumulate
 from typing import Sequence
 
@@ -54,14 +55,21 @@ class FactorParams:
 class FactorMatrix:
     """Per-rebalance raw and standardized signals over the eligible universe.
 
-    raw is (n_members, n_factors) with NaN for missing; z has the same shape
-    and is complete (neutral zeros where raw is missing)."""
+    Row i is the member at panel position positions[i], whose name is
+    panel_assets[positions[i]]; the member names, `assets`, are built when
+    first read. raw is (n_members, n_factors) with NaN for missing; z has
+    the same shape and is complete (neutral zeros where raw is missing)."""
 
     t: str
-    assets: tuple[str, ...]
+    positions: np.ndarray
+    panel_assets: Sequence[str] = field(repr=False)
     raw: np.ndarray
     z: np.ndarray
     factors: tuple[str, ...] = FACTORS
+
+    @cached_property
+    def assets(self) -> tuple[str, ...]:
+        return tuple(map(self.panel_assets.__getitem__, self.positions.tolist()))
 
     def column(self, factor: str, standardized: bool = True) -> np.ndarray:
         j = self.factors.index(factor)
@@ -74,8 +82,10 @@ def winsorize(values, p: float) -> np.ndarray:
     if not 0 <= p < 0.5:
         raise ConfigError(f"winsorization quantile must be in [0, 0.5), got {p}")
     arr = np.asarray(values, dtype=float)
+    if not p:
+        return arr.copy()
     flat = arr.reshape(-1)
-    return _winsorized(flat, _finite_groups(flat, [flat.size]), p).reshape(arr.shape) if p else arr.copy()
+    return _by_group(flat, [flat.size], lambda x: _winsorized_rows(x, p), flat.copy()).reshape(arr.shape)
 
 
 def standardize(values) -> np.ndarray:
@@ -84,33 +94,26 @@ def standardize(values) -> np.ndarray:
     entries (neutral exposure)."""
     arr = np.asarray(values, dtype=float)
     flat = arr.reshape(-1)
-    return _standardized(flat, _finite_groups(flat, [flat.size])).reshape(arr.shape)
+    return _by_group(flat, [flat.size], _standardized_rows, np.zeros(flat.size)).reshape(arr.shape)
 
 
 def _zscores(values: np.ndarray, lengths: list[int], p: float) -> np.ndarray:
     """standardize(winsorize(segment, p)) of each segment of `values`, the
     consecutive runs of `lengths`."""
-    groups = _finite_groups(values, lengths)
-    # the winsorized segments keep their groups: a bound that overflows
+    # a winsorized row is standardized as it stands: a bound that overflows
     # clamps nothing (a lower -inf, an upper +inf) or sets its whole row to
     # one value, and a row of one value standardizes to zeros, finite (a
     # constant row) or not (as a row with no finite entry does)
-    return _standardized(_winsorized(values, groups, p) if p else values, groups)
+    kernel = (lambda x: _standardized_rows(_winsorized_rows(x, p))) if p else _standardized_rows
+    return _by_group(values, lengths, kernel, np.zeros(len(values)))
 
 
-def _winsorized(values: np.ndarray, groups, p: float) -> np.ndarray:
-    """winsorize of each segment, from the segments' _finite_groups."""
-    out = values.copy()
-    for r, n, at in groups:
-        out[at] = _winsorized_rows(values[at].reshape(r, n), p).reshape(-1)
-    return out
-
-
-def _standardized(values: np.ndarray, groups) -> np.ndarray:
-    """standardize of each segment, from the segments' _finite_groups."""
-    out = np.zeros(len(values))
-    for r, n, at in groups:
-        out[at] = _standardized_rows(values[at].reshape(r, n)).reshape(-1)
+def _by_group(values: np.ndarray, lengths: list[int], kernel, out: np.ndarray) -> np.ndarray:
+    """`out` with the finite entries of each segment of `values` (the
+    consecutive runs of `lengths`) replaced by the row kernel's result on
+    them, one (r, n) block per _finite_groups group."""
+    for r, n, at in _finite_groups(values, lengths):
+        out[at] = kernel(values[at].reshape(r, n)).reshape(-1)
     return out
 
 
@@ -119,32 +122,26 @@ def _finite_groups(values: np.ndarray, lengths: list[int]) -> list[tuple[int, in
     `lengths`) grouped by their count per segment: (r, n, at) for each
     count n > 0, n ascending, where values[at] is the r segments with n
     finite entries, n entries per segment, the segments in order. A group
-    of segments side by side is read from a slice."""
+    of segments side by side is read from a slice, any other from its
+    segments' positions joined."""
     finite = np.isfinite(values)
-    if finite.all():
-        counts, where = lengths, None
-    else:
-        counts, where = np.add.reduceat(finite, [0, *accumulate(lengths)][:-1]).tolist(), np.flatnonzero(finite)
-    ends = [0, *accumulate(counts)]  # of each segment's finite entries among all
+    where = None if finite.all() else np.flatnonzero(finite)
+    ends = [0, *accumulate(lengths)]
+    if where is not None:
+        ends = np.searchsorted(where, ends).tolist()  # of each segment's finite entries among all
     segments = {}
-    for i, n in enumerate(counts):
-        if n:
-            segments.setdefault(n, []).append(i)
-    groups, moved, done = [], None, 0
+    for i, (a, b) in enumerate(zip(ends, ends[1:])):
+        if b > a:
+            segments.setdefault(b - a, []).append(i)
+    groups = []
     for n, segs in sorted(segments.items()):
         if segs[-1] - segs[0] + 1 == len(segs):
             at = slice(ends[segs[0]], ends[segs[-1] + 1])
             at = at if where is None else where[at]
         else:
-            if moved is None:  # every finite entry's position, the segments taken in (count, position) order
-                order = np.argsort(counts, kind="stable")
-                lens = np.take(lengths, order)
-                moved = np.arange(len(values)) + np.repeat(
-                    np.take([0, *accumulate(lengths)], order) - (np.cumsum(lens) - lens), lens)
-                moved = moved[finite[moved]]
-            at = moved[done : done + len(segs) * n]
+            every = np.arange(len(values)) if where is None else where
+            at = np.concatenate([every[ends[i] : ends[i + 1]] for i in segs])
         groups.append((len(segs), n, at))
-        done += len(segs) * n
     return groups
 
 
@@ -212,8 +209,8 @@ def select_factor_matrices(
     for snap, pos in zip(snapshots, positions):
         cols = slice(at, at + len(pos))
         at += len(pos)
-        members = tuple(map(snap.panel.assets.__getitem__, pos.tolist()))
-        out.append(FactorMatrix(t=snap.t, assets=members, raw=raw[:, cols].T.copy(), z=z[:, cols].T.copy()))
+        out.append(FactorMatrix(t=snap.t, positions=pos, panel_assets=snap.panel.assets,
+                                raw=raw[:, cols].T.copy(), z=z[:, cols].T.copy()))
     return out
 
 

@@ -10,6 +10,11 @@ weights (one row per rebalance date): row sums of w * w and the top k of
 a row-wise sort. numpy reduces each row of a C-contiguous block exactly
 as it reduces that row alone, so each row has the bits of `effective_n`
 and `top_k_concentration`, which are the one-row case.
+
+`factor_correlations` centers each date's z.T once, as a C-contiguous
+block (an F-ordered one rounds its row sums differently), and correlates
+each pair of factors through `calibration.pearson`, which gives
+np.corrcoef's bits (see `calibration`).
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .backtest import BacktestResult
+from .calibration import centered_rows, pearson
 from .errors import StatsError
 from .factors import FactorMatrix
 from .weighting import WeightVector
@@ -231,13 +237,12 @@ def factor_correlations(matrices: Iterable[FactorMatrix]) -> tuple[tuple[str, ..
     sums = np.zeros((nf, nf))
     counts = np.zeros((nf, nf), dtype=int)
     for m in matrices:
-        z = m.z
-        stds = z.std(axis=0)
+        varied = (m.z.std(axis=0) > 0).tolist()
+        centered = centered_rows(m.z.T)  # one C-contiguous row per factor
         for i in range(nf):
             for j in range(i + 1, nf):
-                if stds[i] > 0 and stds[j] > 0:
-                    c = float(np.corrcoef(z[:, i], z[:, j])[0, 1])
-                    sums[i, j] += c
+                if varied[i] and varied[j]:
+                    sums[i, j] += pearson(centered, i, j)
                     counts[i, j] += 1
     corr = np.eye(nf)
     for i in range(nf):

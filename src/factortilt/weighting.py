@@ -92,7 +92,7 @@ class WeightVector:
 
 
 def composite_score(z: FactorMatrix, params: TiltParams) -> np.ndarray:
-    """Convex combination of factor z-scores, ordered like z.assets."""
+    """Convex combination of factor z-scores, one per row of z."""
     if set(params.alpha) != set(z.factors):
         raise ConfigError(
             f"mixture factors {sorted(params.alpha)} do not match matrix factors {sorted(z.factors)}"
@@ -199,7 +199,7 @@ def tilted_weights(
     normalized, then (when given) projected onto the members' caps `caps`,
     in the same order (see cap_values). Carries the multipliers and, when
     capped, the caps."""
-    if factor_matrix is None or factor_matrix.assets != tuple(map(assets.__getitem__, positions.tolist())):
+    if factor_matrix is None or not np.array_equal(factor_matrix.positions, positions):
         raise ConfigError("a non-empty universe needs a factor matrix over its members")
     n = len(assets)
     baseline = np.zeros(n)

@@ -17,6 +17,7 @@ from factortilt.calibration import (
 from factortilt.eligibility import EligibilityParams, compute_eligibility
 from factortilt.factors import FactorParams, build_factor_matrix
 from factortilt.market_data import build_schedule
+from factortilt.stats import factor_correlations
 from factortilt.synthetic import ScenarioSpec, generate
 
 from conftest import make_panel
@@ -190,6 +191,27 @@ class TestBuildICSeries:
         for f, (dates, values) in expected.items():
             assert series[f].dates == tuple(dates)
             assert series[f].values.tobytes() == np.array(values).tobytes()
+
+
+def test_diagnostics_never_call_corrcoef(monkeypatch):
+    """spearman, the IC series and the factor correlations all correlate
+    through the one Pearson kernel."""
+    panel = generate(ScenarioSpec(seed=4, n_assets=30, n_days=700, missing_rate=0.2))
+    cal = panel.calendar
+    schedule = build_schedule(cal, cal.days[300], cal.days[-1], anchors=tuple((m, 1) for m in range(1, 13)))
+    universes = {t: compute_eligibility(panel, t, EligibilityParams(h_min=120, adv_min=0.0, l_adv=10))
+                 for t in schedule.dates}
+    matrices = matrices_for(panel, schedule, universes, FactorParams(l_mom=120, skip=5))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.corrcoef called")
+
+    monkeypatch.setattr(np, "corrcoef", refuse)
+    assert spearman([1.0, 2.0, 3.0, 4.0], [1.0, 3.0, 2.0, 4.0]) == pytest.approx(0.8)
+    series = build_ic_series(panel, schedule, matrices, CalibrationParams(horizon=21, m_min=2))
+    assert all(len(s) for s in series.values())
+    _, corr = factor_correlations(matrices.values())
+    assert np.isfinite(corr).all()
 
 
 class TestIrToAlpha:

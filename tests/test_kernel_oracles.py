@@ -1,8 +1,9 @@
 """The per-date kernels against the implementations they replaced, kept here
 as oracles and compared bit for bit: winsorize with one np.quantile call,
 standardize with np.mean, the factor matrices of many dates against one
-date's build over those two, the latest fundamental report with one
-bisection per asset, and the average dollar volume with a stable argsort
+date's build over those two, the Pearson kernel with np.corrcoef, stacked
+average ranks with one argsort per row, the latest fundamental report with
+one bisection per asset, and the average dollar volume with a stable argsort
 that left-packs each asset's valid days. Also the synthetic generator
 against its expression form, which held about ten grid-sized temporaries at
 once and drew the gap mask whole.
@@ -22,6 +23,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from factortilt.backtest import pool_positions, snapshot
+from factortilt.calibration import average_ranks, average_ranks_rows, centered_rows, pearson
 from factortilt.errors import ConfigError
 from factortilt.factors import FACTORS, FactorMatrix, FactorParams, select_factor_matrices, standardize, winsorize
 from factortilt.market_data import (
@@ -90,8 +92,7 @@ def select_factor_matrix_oracle(snapshot, positions: np.ndarray, params: FactorP
     z = np.empty_like(raw)
     for j in range(len(FACTORS)):
         z[:, j] = standardize_oracle(winsorize_oracle(raw[:, j], params.winsor_p))
-    members = tuple(map(snapshot.panel.assets.__getitem__, positions.tolist()))
-    return FactorMatrix(t=snapshot.t, assets=members, raw=raw, z=z)
+    return FactorMatrix(t=snapshot.t, positions=positions, panel_assets=snapshot.panel.assets, raw=raw, z=z)
 
 
 def latest_reports_oracle(panel: MarketPanel, t: str, l_fund: int) -> np.ndarray:
@@ -273,7 +274,8 @@ def assert_matrices_equal_oracle(snapshots, positions, params):
     assert len(got) == len(snapshots)
     for m, snap, pos in zip(got, snapshots, positions):
         want = select_factor_matrix_oracle(snap, pos, params)
-        assert (m.t, m.assets, m.factors) == (want.t, want.assets, want.factors)
+        assert (m.t, m.factors) == (want.t, want.factors) and m.positions.tolist() == pos.tolist()
+        assert m.assets == tuple(snap.panel.assets[i] for i in pos)
         same_bits(m.raw, want.raw, (snap.t, "raw"))
         same_bits(m.z, want.z, (snap.t, "z"))
         assert m.raw.flags.c_contiguous and m.z.flags.c_contiguous
@@ -328,6 +330,91 @@ def test_factor_matrices_reject_an_empty_pool():
     with pytest.raises(ConfigError, match="cannot build factor matrix for empty universe at d"):
         select_factor_matrices([snap, snap], [np.array([0]), np.array([], dtype=np.intp)], FactorParams())
     assert select_factor_matrices([], [], FactorParams()) == []
+
+
+# --- Pearson correlation and average ranks ---------------------------------------------
+
+def average_ranks_oracle(x) -> np.ndarray:
+    """One row's average ranks from its own stable argsort, NaN last and
+    each NaN its own run."""
+    x = np.asarray(x)
+    order = np.argsort(x, kind="stable")
+    inverse = np.empty(len(x), dtype=np.intp)
+    inverse[order] = np.arange(len(x))
+    ordered = x[order]
+    first = np.concatenate(([True], ordered[1:] != ordered[:-1]))
+    dense = np.cumsum(first)[inverse]
+    count = np.append(np.flatnonzero(first), len(x))
+    return 0.5 * (count[dense] + count[dense - 1] + 1)
+
+
+def correlation_row(kind: str, n: int, rng, other: np.ndarray) -> np.ndarray:
+    if kind == "same":
+        return other.copy()
+    if kind == "reversed ranks":
+        return n + 1.0 - other
+    if kind == "ranks":  # half-integers, with ties
+        return average_ranks_oracle(rng.integers(0, n // 3 + 2, size=n))
+    if kind == "constant":  # a value whose mean is not exact
+        return np.full(n, 0.1 * rng.integers(1, 9))
+    if kind == "signed zeros":
+        return rng.choice([0.0, -0.0, 0.0, 1.0, -1.0], size=n)
+    scale = {"normal": 1.0, "large": 1e153, "tiny": 1e-160}[kind]  # the squares overflow or underflow
+    return rng.normal(size=n) * scale
+
+
+ROW_KINDS = ("normal", "ranks", "constant", "signed zeros", "large", "tiny")
+
+
+@settings(SETTINGS, max_examples=300)
+@given(n=st.integers(3, 600), seed=st.integers(0, 2**32 - 1), x_kind=st.sampled_from(ROW_KINDS),
+       y_kind=st.sampled_from((*ROW_KINDS, "same", "reversed ranks")),
+       layout=st.sampled_from(("pair", "F-ordered pair", "rows of a stack", "columns of a matrix")))
+@example(n=3, seed=0, x_kind="constant", y_kind="normal", layout="pair")
+@example(n=600, seed=1, x_kind="ranks", y_kind="reversed ranks", layout="columns of a matrix")
+@example(n=4, seed=2, x_kind="signed zeros", y_kind="signed zeros", layout="F-ordered pair")
+@example(n=57, seed=3, x_kind="large", y_kind="tiny", layout="rows of a stack")
+def test_pearson_equals_corrcoef(n, seed, x_kind, y_kind, layout):
+    """pearson on rows of centered_rows equals np.corrcoef(x, y)[0, 1] bit
+    for bit, whatever the layout of the block it is given."""
+    rng = np.random.default_rng(seed)
+    x = correlation_row(x_kind, n, rng, np.zeros(n))
+    y = correlation_row(y_kind, n, rng, x)
+    i, j = 0, 1
+    if layout == "pair":
+        block = np.stack((x, y))
+    elif layout == "F-ordered pair":
+        block = np.asfortranarray(np.stack((x, y)))
+    else:
+        block = rng.normal(size=(5, n))
+        i, j = rng.choice(5, size=2, replace=False).tolist()
+        block[i], block[j] = x, y
+        if layout == "columns of a matrix":  # as a factor matrix's z.T
+            block = np.ascontiguousarray(block.T).T
+    with np.errstate(all="ignore"):
+        want = np.corrcoef(x, y)[0, 1]
+        got = pearson(centered_rows(block), i, j)
+    assert type(got) is float
+    assert np.float64(got).tobytes() == want.tobytes() or (math.isnan(got) and math.isnan(want))
+
+
+rank_values = st.sampled_from([0.0, -0.0, 1.0, 2.5, -1.0, math.nan, math.inf, -math.inf])
+
+
+@SETTINGS
+@given(rows=st.lists(st.lists(st.one_of(rank_values, st.floats(-1e9, 1e9)), min_size=6, max_size=6),
+                     min_size=1, max_size=40),
+       fortran=st.booleans())
+@example(rows=[[0.0, -0.0, 0.0, -0.0, 1.0, 1.0]], fortran=False)
+@example(rows=[[math.nan] * 6, [2.0] * 6], fortran=True)
+def test_stacked_ranks_equal_one_column_at_a_time(rows, fortran):
+    """average_ranks_rows of a matrix's columns, stacked (z.T), equals each
+    column ranked alone, by the oracle and by average_ranks."""
+    z = np.array(rows)  # n members x 6 columns
+    stacked = average_ranks_rows(np.asfortranarray(z.T) if fortran else np.ascontiguousarray(z.T))
+    for j in range(z.shape[1]):
+        same_bits(stacked[j], average_ranks_oracle(z[:, j]), j)
+        same_bits(stacked[j], average_ranks(z[:, j]), j)
 
 
 # --- latest fundamental report -----------------------------------------------------

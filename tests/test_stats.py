@@ -300,9 +300,8 @@ def test_concentration_rejects_negative_weights():
 
 def matrix(t, z):
     z = np.asarray(z, dtype=float)
-    return FactorMatrix(
-        t=t, assets=tuple(f"A{i}" for i in range(z.shape[0])), raw=z.copy(), z=z
-    )
+    n = z.shape[0]
+    return FactorMatrix(t=t, positions=np.arange(n), panel_assets=[f"A{i}" for i in range(n)], raw=z.copy(), z=z)
 
 
 class TestFactorRedundancy:
@@ -333,6 +332,29 @@ class TestFactorRedundancy:
         factors, corr = factor_correlations(mats)
         i, j = factors.index("MOM"), factors.index("VAL")
         assert math.isnan(corr[i, j])
+
+    def test_average_of_corrcoef_bit_for_bit(self):
+        """Each date's correlations are np.corrcoef's bits, ties, a column
+        constant on some dates and a column of one value mean included."""
+        rng = np.random.default_rng(21)
+        mats, sums, counts = [], np.zeros((3, 3)), np.zeros((3, 3))
+        for k in range(12):
+            n = int(rng.integers(3, 80))
+            z = rng.normal(size=(n, 3))
+            z[:, 1] = np.round(z[:, 1])  # ties
+            if k % 4 == 0:
+                z[:, 2] = 0.1  # constant, its mean not exactly 0.1
+            mats.append(matrix(f"2020-{k + 1:02d}-01", z))
+            stds = z.std(axis=0)
+            for i in range(3):
+                for j in range(i + 1, 3):
+                    if stds[i] > 0 and stds[j] > 0:  # the oracle: one np.corrcoef per date and pair
+                        sums[i, j] += float(np.corrcoef(z[:, i], z[:, j])[0, 1])
+                        counts[i, j] += 1
+        _, corr = factor_correlations(mats)
+        for i in range(3):
+            for j in range(i + 1, 3):
+                assert counts[i, j] and corr[i, j] == corr[j, i] == sums[i, j] / counts[i, j]
 
     def test_marginal_sharpe_from_results(self):
         rng = np.random.default_rng(20)

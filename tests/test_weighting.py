@@ -22,17 +22,20 @@ from conftest import make_panel, targets_at
 T = "2020-01-06"
 
 
-def matrix_for(members, z):
+def matrix_for(members, z, assets=None):
+    """The factor matrix with rows z of the members, positioned in `assets`
+    (the members by default)."""
+    assets = tuple(assets or members)
     z = np.asarray(z, dtype=float)
-    return FactorMatrix(t=T, assets=tuple(members), raw=z.copy(), z=z)
+    positions = np.array([assets.index(a) for a in members], dtype=np.intp)
+    return FactorMatrix(t=T, positions=positions, panel_assets=assets, raw=z.copy(), z=z)
 
 
 def weights(members, z, tilt, caps=None, adv=None, assets=None):
     """tilted_weights over `assets` (the members by default) for the members
     with factor rows z and, when capped, ADV array adv."""
-    assets = tuple(assets or members)
-    positions = np.array([assets.index(a) for a in members], dtype=np.intp)
-    return tilted_weights(T, assets, positions, matrix_for(members, z), tilt,
+    matrix = matrix_for(members, z, assets)
+    return tilted_weights(T, matrix.panel_assets, matrix.positions, matrix, tilt,
                           None if caps is None else cap_values(adv, caps))
 
 
