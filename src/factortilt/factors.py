@@ -157,7 +157,8 @@ def _winsorized_rows(x: np.ndarray, p: float) -> np.ndarray:
         v = (n - 1) * q
         i = math.floor(v)
         picks.append((-1, -1, v + 1.0) if v >= n - 1 else (i, i + 1, v - i))
-    parted = np.partition(x, sorted({0, -1, *(k for below, above, _ in picks for k in (below, above))}), axis=1)
+    parted = x.copy()
+    parted.partition(sorted({0, -1, *(k for below, above, _ in picks for k in (below, above))}), axis=1)
     bounds = []
     for below, above, g in picks:
         a, b = parted[:, below], parted[:, above]
@@ -174,8 +175,8 @@ def _standardized_rows(x: np.ndarray) -> np.ndarray:
     n = x.shape[1]
     dev = x - (np.add.reduce(x, axis=1) / n)[:, None]
     sigma = np.sqrt(np.add.reduce(dev**2, axis=1) / n)[:, None]
-    varied = (sigma > 0) & ~(x == x[:, :1]).all(axis=1, keepdims=True)
-    if varied.all():
+    varied = (sigma > 0) & ~np.logical_and.reduce(x == x[:, :1], axis=1, keepdims=True)
+    if np.logical_and.reduce(varied, axis=None):
         return np.divide(dev, sigma, out=dev)
     return np.divide(dev, sigma, out=np.zeros(x.shape), where=varied)
 
