@@ -118,11 +118,6 @@ def pool_matrices(snaps: list[AsOf], strategy: str, config: BacktestConfig) -> l
     return [snap.matrices[key] for snap in snaps]
 
 
-def pool_matrix(snap: AsOf, strategy: str, config: BacktestConfig) -> FactorMatrix:
-    """pool_matrices at one snapshot."""
-    return pool_matrices([snap], strategy, config)[0]
-
-
 def pool_caps(snap: AsOf, strategy: str, config: BacktestConfig) -> np.ndarray:
     """The liquidity caps of the members of the strategy's non-empty pool
     at the snapshot's date, from their ADV and config.caps: built once per
@@ -152,7 +147,7 @@ def _date_targets(snap: AsOf, config: BacktestConfig, books) -> dict[str, Weight
             out[name] = WeightVector(t=snap.t, assets=assets, w=w / w.sum())
         else:
             caps = pool_caps(snap, s, config) if s == "dmft" and config.caps is not None else None
-            out[name] = tilted_weights(snap.t, assets, positions, pool_matrix(snap, s, config), tilt, caps)
+            out[name] = tilted_weights(pool_matrices([snap], s, config)[0], tilt, caps)
     return out
 
 

@@ -200,9 +200,8 @@ def information_ratio(values, m_min: int) -> float:
     vals = np.asarray(values, dtype=float)
     if len(vals) < m_min:
         return 0.0
-    mu = float(np.mean(vals))
-    sd = float(np.sqrt(np.mean((vals - mu) ** 2)))
-    return 0.0 if sd == 0 else mu / sd
+    sd = float(np.std(vals))
+    return 0.0 if sd == 0 else float(np.mean(vals)) / sd
 
 
 def ir_to_alpha(series: Mapping[str, ICSeries], m_min: int) -> dict[str, float]:

@@ -149,30 +149,22 @@ def _check_keys(cp, path: Path, keys: dict) -> None:
                               + ", ".join(keys[section]))
 
 
-def _bool(raw: str) -> bool:
-    lowered = raw.lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(raw)
-
-
 def _floats(raw: str) -> tuple[float, ...]:
     return tuple(map(float, raw.split(",")))
 
 
 def _get(cp, section, key, default, parse=None):
     """The value of `key` in [section], or `default` when it is omitted.
-    The parser is `parse`, else the type of the default (`_bool` for a
-    bool, comma-separated floats for a tuple)."""
+    The parser is `parse`, else the type of the default (configparser's
+    BOOLEAN_STATES, case-insensitive, for a bool; comma-separated floats
+    for a tuple)."""
     if not cp.has_option(section, key):
         return default
-    parse = parse or (_bool if isinstance(default, bool) else _floats if isinstance(default, tuple) else type(default))
+    parse = parse or (_floats if isinstance(default, tuple) else type(default))
     raw = cp.get(section, key).strip()
     try:
-        return parse(raw)
-    except (ValueError, TypeError):
+        return cp.BOOLEAN_STATES[raw.lower()] if parse is bool else parse(raw)
+    except (ValueError, TypeError, KeyError):
         raise ConfigError(f"[{section}] {key}: cannot parse {raw!r}") from None
 
 

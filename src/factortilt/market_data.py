@@ -290,14 +290,13 @@ def _blocks(path: Path, digests: list | None = None):
     is cut after its last line end and the rest carried into the next
     block, so a block holds whole lines (a line longer than a read spans
     reads) and only the last may lack a final LF. An empty file is one
-    empty block. The size and sha256 of the bytes read are appended to
-    `digests`, when given, after the last block. A file that cannot be
+    empty block. The sha256 of the bytes read is appended to `digests`,
+    when given, after the last block. A file that cannot be
     read, or is not UTF-8, is a DataError naming it, the bad byte's offset
     counted from the start of the file."""
-    digest, size, offset, rest = hashlib.sha256(), 0, 0, b""
+    digest, offset, rest = hashlib.sha256(), 0, b""
     for chunk in _reads(path):
         digest.update(chunk)
-        size += len(chunk)
         data = rest + chunk
         # a CR that ends the read may be the first half of a CRLF: it waits for the next read
         cut = max(data.rfind(b"\n"), data.rfind(b"\r", 0, len(data) - 1)) + 1
@@ -308,7 +307,7 @@ def _blocks(path: Path, digests: list | None = None):
     if rest or not offset:
         yield _decoded(path, rest, offset)
     if digests is not None:
-        digests.append((size, digest.digest()))
+        digests.append(digest.digest())
 
 
 class _Rejected(Exception):
@@ -581,13 +580,12 @@ def _source_sha256() -> bytes | None:
         return None
 
 
-def _file_digest(path) -> tuple[int, bytes]:
-    """Size and sha256 of a file, read as _blocks reads it."""
-    digest, size = hashlib.sha256(), 0
+def _file_digest(path) -> bytes:
+    """sha256 of a file, read as _blocks reads it."""
+    digest = hashlib.sha256()
     for chunk in _reads(path):
         digest.update(chunk)
-        size += len(chunk)
-    return size, digest.digest()
+    return digest.digest()
 
 
 def _cache_key(digests) -> str:
@@ -595,7 +593,7 @@ def _cache_key(digests) -> str:
     file, in the order the parse reads them (prices, volumes, mktcap,
     fundamentals). Hashing each file on its own keeps the file boundaries
     in the key."""
-    return hashlib.sha256(b"".join([_source_sha256(), *(d for _, d in digests)])).hexdigest()
+    return hashlib.sha256(b"".join([_source_sha256(), *digests])).hexdigest()
 
 
 # The arrays every loaded panel is assembled from, in _assemble's order and
@@ -619,16 +617,14 @@ def _assemble(assets, days, price, volume, mktcap, report_asset, report_date, re
 def _read_cache(path: Path, files) -> MarketPanel | None:
     """The panel stored at `path` for the input `files` (in parse order), or
     None: silently when there is no such file, with one INFO line when it
-    cannot serve them. The inputs are hashed only when their sizes match
-    the stored ones. The stored arrays are assembled as a parse's are, so
-    the panel holds nothing a parse would reject."""
+    cannot serve them. The stored arrays are assembled as a parse's are,
+    so the panel holds nothing a parse would reject."""
     if not path.exists():
         return None
     try:
         # np.load leaves a handle it opened unclosed when the archive is unreadable
         with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as z:
-            if z["sizes"].tolist() != [os.path.getsize(f) for f in files] or \
-                    z["key"].item() != _cache_key(map(_file_digest, files)):
+            if z["key"].item() != _cache_key(map(_file_digest, files)):
                 raise ValueError("inputs or ingest code changed")
             return _assemble(*(z[name].tolist() if name in _TEXT else z[name] for name in _ARRAYS))
     except Exception as exc:  # any unusable cache is a miss
@@ -648,7 +644,7 @@ def _write_cache(path: Path, digests, arrays: tuple) -> None:
     tmp = path.with_name(f"{path.name}.{os.urandom(6).hex()}.tmp")
     try:
         with open(tmp, "xb") as fh:
-            np.savez(fh, key=np.array(_cache_key(digests)), sizes=np.array([n for n, _ in digests]), **stored)
+            np.savez(fh, key=np.array(_cache_key(digests)), **stored)
         os.replace(tmp, path)
     except OSError as exc:
         log.info("parsed-panel cache %s not written (%s)", path, exc)
@@ -670,7 +666,7 @@ def load_panel(price_file, volume_file, fundamentals_file, mktcap_file) -> Marke
     cache = cache_path(price_file, volume_file, fundamentals_file, mktcap_file)
     panel = _read_cache(cache, (price_file, volume_file, mktcap_file, fundamentals_file))
     if panel is None:
-        digests: list[tuple[int, bytes]] = []
+        digests: list[bytes] = []
         arrays = _parse_panel(price_file, volume_file, fundamentals_file, mktcap_file, digests)
         panel = _assemble(*arrays)
         _write_cache(cache, digests, arrays)
@@ -691,9 +687,9 @@ def parse_panel(price_file, volume_file, fundamentals_file, mktcap_file) -> Mark
 
 
 def _parse_panel(price_file, volume_file, fundamentals_file, mktcap_file, digests: list | None) -> tuple:
-    """The _ARRAYS parse_panel assembles its panel from; the size and sha256
-    of each file's bytes are appended to `digests`, when given, as the file
-    is read."""
+    """The _ARRAYS parse_panel assembles its panel from; the sha256 of each
+    file's bytes is appended to `digests`, when given, as the file is
+    read."""
     cells = [_read_cell_file(price_file, "price", digests), _read_cell_file(volume_file, "volume", digests),
              _read_cell_file(mktcap_file, "mktcap", digests)]
     reports = _read_fundamentals_file(fundamentals_file, digests)
@@ -841,7 +837,7 @@ class AsOf:
     A row whose window is not given is None. Momentum needs skip >= 1.
     `panel`, `t` and `windows` (l_adv, l_mom, skip, l_fund) record what the
     snapshot was built from; `pools`, `matrices` and `caps` keep what
-    backtest.pool_positions, pool_matrix and pool_caps build from its rows.
+    backtest.pool_positions, pool_matrices and pool_caps build from its rows.
     """
 
     def __init__(self, panel: MarketPanel, t: str, l_adv: int | None = None, l_mom: int | None = None,

@@ -43,10 +43,6 @@ def _series(x) -> np.ndarray:
     return arr
 
 
-def _pop_std(x: np.ndarray) -> float:
-    return float(np.sqrt(np.mean((x - np.mean(x)) ** 2)))
-
-
 def annualized_return(returns) -> float:
     """Geometric compounding scaled to a 252-day year."""
     r = _series(returns)
@@ -62,13 +58,13 @@ def annualized_vol(returns) -> float:
     r = _series(returns)
     if len(r) == 0:
         raise StatsError("empty return series")
-    return _pop_std(r) * math.sqrt(TRADING_DAYS)
+    return float(np.std(r)) * math.sqrt(TRADING_DAYS)
 
 
 def sharpe_ratio(returns) -> float:
     """Annualized mean/vol ratio at zero reference rate."""
     r = _series(returns)
-    sd = _pop_std(r)
+    sd = float(np.std(r))
     if sd == 0:
         raise StatsError("zero return variance; Sharpe undefined")
     return float(np.mean(r)) / sd * math.sqrt(TRADING_DAYS)

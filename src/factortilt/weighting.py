@@ -102,10 +102,9 @@ def composite_score(z: FactorMatrix, params: TiltParams) -> np.ndarray:
 
 
 def bounded_multiplier(z, params: TiltParams):
-    """clip(1 + lambda * z, m_min, m_max): a float for a scalar z, an array
-    for an array of scores."""
-    m = np.clip(1.0 + params.lam * np.asarray(z, dtype=float), params.m_min, params.m_max)
-    return float(m) if m.ndim == 0 else m
+    """clip(1 + lambda * z, m_min, m_max): a float (np.float64) for a scalar
+    z, an array for an array of scores."""
+    return np.clip(1.0 + params.lam * np.asarray(z, dtype=float), params.m_min, params.m_max)
 
 
 def normalize_tilt(w: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -185,23 +184,14 @@ def project_onto_caps(w: np.ndarray, caps: np.ndarray) -> np.ndarray:
     return w
 
 
-def tilted_weights(
-    t: str,
-    assets: tuple[str, ...],
-    positions: np.ndarray,
-    factor_matrix: FactorMatrix,
-    tilt: TiltParams,
-    caps: np.ndarray | None = None,
-) -> WeightVector:
-    """Weights at t over `assets` for the members at `positions`, whose
-    factor rows `factor_matrix` holds in the same order: the equal-weight
-    baseline times the bounded multipliers of the composite score,
-    normalized, then (when given) projected onto the members' caps `caps`,
-    in the same order (see cap_values). Carries the multipliers and, when
-    capped, the caps."""
-    if factor_matrix is None or not np.array_equal(factor_matrix.positions, positions):
-        raise ConfigError("a non-empty universe needs a factor matrix over its members")
-    n = len(assets)
+def tilted_weights(factor_matrix: FactorMatrix, tilt: TiltParams, caps: np.ndarray | None = None) -> WeightVector:
+    """Weights at the matrix's date over its panel's assets: the equal-weight
+    baseline on the members at its positions, times the bounded multipliers
+    of their composite score, normalized, then (when given) projected onto
+    the members' caps `caps`, in row order (see cap_values). Carries the
+    multipliers and, when capped, the caps."""
+    positions = factor_matrix.positions
+    n = len(factor_matrix.panel_assets)
     baseline = np.zeros(n)
     baseline[positions] = 1.0 / len(positions)
     multipliers = np.ones(n)
@@ -214,4 +204,5 @@ def tilted_weights(
         w[positions] = projected
         cap_row = np.full(n, np.nan)
         cap_row[positions] = caps
-    return WeightVector(t=t, assets=assets, w=w, multipliers=multipliers, caps=cap_row)
+    return WeightVector(t=factor_matrix.t, assets=tuple(factor_matrix.panel_assets), w=w, multipliers=multipliers,
+                        caps=cap_row)

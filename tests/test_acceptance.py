@@ -126,10 +126,8 @@ def test_criterion_2_lookahead_invariance():
             assert _same_with_nans(m_f.raw, m_c.raw)
             assert np.array_equal(m_f.z, m_c.z)
             adv_f, adv_c = (np.array([u.screen_values[a].adv for a in u.members]) for u in (uni_f, uni_c))
-            w_f = tilted_weights(t, tuple(panel.assets), panel.positions(uni_f.members), m_f, tilt,
-                                 cap_values(adv_f, caps))
-            w_c = tilted_weights(t, tuple(censored.assets), censored.positions(uni_c.members), m_c, tilt,
-                                 cap_values(adv_c, caps))
+            w_f = tilted_weights(m_f, tilt, cap_values(adv_f, caps))
+            w_c = tilted_weights(m_c, tilt, cap_values(adv_c, caps))
             assert np.array_equal(w_f.w, w_c.w)
 
 

@@ -202,7 +202,7 @@ MULTIBYTE_IDS = ("A", "\u00c4pfel", "\u682a\u5f0f", "\U0001f642x", "Z\u00e9")  #
 
 def parse_outcome(paths):
     """Everything a parse of the four files returns, bit for bit, with the
-    size and sha256 of each file's bytes; or the error text."""
+    sha256 of each file's bytes; or the error text."""
     digests = []
     try:
         panel = _assemble(*_parse_panel(paths["prices"], paths["volumes"], paths["fundamentals"], paths["mktcap"],

@@ -56,8 +56,8 @@ def caches(d: Path) -> list[str]:
 
 
 def plant(d: Path, **changes) -> None:
-    """Rewrite the cache of d's CSVs with some arrays changed, its key and
-    sizes kept, as a cache file planted beside them would be."""
+    """Rewrite the cache of d's CSVs with some arrays changed, its key
+    kept, as a cache file planted beside them would be."""
     with np.load(cache_of(d), allow_pickle=False) as z:
         arrays = dict(z)
     for name, change in changes.items():
@@ -194,21 +194,6 @@ class TestInvalidation:
         assert_identical(after, fresh_parse(tmp_path))
         with pytest.raises(AssertionError):
             assert_identical(after, before)
-
-    def test_inputs_are_hashed_only_when_their_sizes_match(self, tmp_path, monkeypatch):
-        write_inputs(tmp_path)
-        load_dir(tmp_path)
-        hashed = []
-        digest = market_data._file_digest
-        monkeypatch.setattr(market_data, "_file_digest", lambda f: hashed.append(Path(f).name) or digest(f))
-        with (tmp_path / "volumes.csv").open("a") as fh:
-            fh.write(f"{DAYS[1]},CCC,5.0\n")
-        after = load_dir(tmp_path)
-        assert hashed == []
-        assert_identical(after, fresh_parse(tmp_path))
-        edit_last_digit(tmp_path / "volumes.csv")  # same size
-        load_dir(tmp_path)
-        assert hashed == ["prices.csv", "volumes.csv", "mktcap.csv", "fundamentals.csv"]
 
     def test_an_edit_replaces_the_cache(self, tmp_path):
         write_inputs(tmp_path)

@@ -35,8 +35,7 @@ def weights(members, z, tilt, caps=None, adv=None, assets=None):
     """tilted_weights over `assets` (the members by default) for the members
     with factor rows z and, when capped, ADV array adv."""
     matrix = matrix_for(members, z, assets)
-    return tilted_weights(T, matrix.panel_assets, matrix.positions, matrix, tilt,
-                          None if caps is None else cap_values(adv, caps))
+    return tilted_weights(matrix, tilt, None if caps is None else cap_values(adv, caps))
 
 
 def empty_universe_weights(strategy):
@@ -305,12 +304,6 @@ class TestBuildWeights:
         for lam in (1e-8, 1e-10):
             w_eps = weights(members, z, TiltParams(lam=lam))
             assert np.max(np.abs(w_eps.w - w0.w)) < 1e-6
-
-    def test_factor_matrix_must_cover_the_members(self):
-        assets = tuple(self.members(3))
-        for matrix in (None, matrix_for(self.members(2), np.zeros((2, 3)))):
-            with pytest.raises(ConfigError, match="factor matrix over its members"):
-                tilted_weights(T, assets, np.arange(3), matrix, TiltParams())
 
     def test_empty_universe_all_zero(self):
         out = empty_universe_weights("dmft")
