@@ -8,20 +8,18 @@ applied; it is a lens, not a knob. Note the forward window starts at the
 rebalance date, so it overlaps the holding period.
 """
 
-import numpy as np
-
 from factortilt import (
+    BacktestConfig,
     CalibrationParams,
     EligibilityParams,
-    FactorParams,
     ScenarioSpec,
-    build_factor_matrix,
     build_ic_series,
     build_schedule,
-    compute_eligibility,
     generate,
     ir_to_alpha,
 )
+from factortilt.backtest import pool_matrices, pool_positions, snapshot
+from factortilt.calibration import information_ratio
 
 # momentum is constructed to predict forward returns; value/quality are noise
 panel = generate(ScenarioSpec(seed=11, n_assets=25, n_days=1100, vol=0.01,
@@ -29,20 +27,18 @@ panel = generate(ScenarioSpec(seed=11, n_assets=25, n_days=1100, vol=0.01,
 cal = panel.calendar
 schedule = build_schedule(cal, cal.days[280], cal.days[-1],
                           anchors=((1, 1), (4, 1), (7, 1), (10, 1)))
-screens = EligibilityParams(h_min=252, adv_min=0.0, l_adv=63)
-universes = {t: compute_eligibility(panel, t, screens) for t in schedule.dates}
-matrices = {t: build_factor_matrix(panel, u, t, FactorParams())
-            for t, u in universes.items() if u.members}
+config = BacktestConfig(eligibility=EligibilityParams(h_min=252, adv_min=0.0, l_adv=63))
+snaps = [snapshot(panel, t, config) for t in schedule.dates]
+snaps = [snap for snap in snaps if pool_positions(snap, "dmft", config).size]  # dates with members
+matrices = {snap.t: m for snap, m in zip(snaps, pool_matrices(snaps, "dmft", config))}
 
 params = CalibrationParams(horizon=63, m_min=3, min_universe=5)
 series = build_ic_series(panel, schedule, matrices, params)
 
 print("factor  #ICs   mean IC   IR")
 for factor, s in sorted(series.items()):
-    vals = s.values
-    sd = float(np.sqrt(np.mean((vals - vals.mean()) ** 2)))
-    ir = vals.mean() / sd if sd > 0 else 0.0
-    print(f"{factor:<7}{len(s):>5}{vals.mean():>10.3f}{ir:>7.2f}")
+    ir = information_ratio(s.values, params.m_min)  # mean / population std
+    print(f"{factor:<7}{len(s):>5}{s.values.mean():>10.3f}{ir:>7.2f}")
 
 alpha = ir_to_alpha(series, params.m_min)
 print("\nIR-implied mixture weights (negative IRs clip to zero):")

@@ -195,6 +195,27 @@ def test_disabled_caps_are_still_checked(tmp_path, synth_dir, capsys, line, mess
     assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("section, line, message", [
+    ("caps", "enabled = maybe", "[caps] enabled: cannot parse 'maybe'"),
+    ("calibration", "apply = 2", "[calibration] apply: cannot parse '2'"),
+], ids=["caps-enabled", "calibration-apply"])
+def test_bad_booleans_fail_at_load(tmp_path, capsys, section, line, message):
+    text = CONFIG_TEMPLATE.format(data=tmp_path / "absent", start="2020-06-01", end="2022-06-30", lam="0.3")
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(text + f"\n[{section}]\n{line}\n" if f"[{section}]\n" not in text
+                   else text.replace(f"[{section}]\n", f"[{section}]\n{line}\n"))
+    assert main(["validate", "--config", str(cfg)]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("raw, value", [
+    ("yes", True), ("on", True), ("1", True), ("TRUE", True), ("off", False), ("0", False),
+])
+def test_boolean_spellings_load(tmp_path, raw, value):
+    loaded = load_sections(tmp_path / "run.ini", {**BASE, "caps": {"enabled": raw}, "calibration": {"apply": raw}})
+    assert (loaded.backtest.caps is not None, loaded.apply_calibration) == (value, value)
+
+
 EVERY_KEY_MANIFEST = """[data]
 prices = data/prices.csv
 volumes = data/volumes.csv
