@@ -255,17 +255,27 @@ factor_params = st.builds(FactorParams, winsor_p=st.sampled_from([0.0, 0.01, 0.1
 def signal_dates(draw):
     """1-40 dates of snapshot signal rows over 1-12 assets, each date with
     a non-empty pool of members in any order; a row is arbitrary, one
-    constant repeated, or all missing."""
+    constant repeated, or all missing. The values are drawn once, as a
+    list of up to 24 signal values, and one byte string places them: per
+    date a byte per row for its kind, a byte per cell for its value, a byte
+    for the member count and one per asset whose stable argsort orders the
+    members. Drawing each cell on its own cost most of this test's time."""
     n_assets = draw(st.integers(1, 12))
+    n_dates = draw(st.integers(1, 40))
+    values = np.array(draw(st.lists(signal_values, min_size=1, max_size=24)), dtype=float)
+    width = len(SIGNAL_ROWS) * (1 + n_assets) + 1 + n_assets
+    placing = np.frombuffer(draw(st.binary(min_size=n_dates * width, max_size=n_dates * width)), dtype=np.uint8)
     panel = SimpleNamespace(assets=[f"A{i}" for i in range(n_assets)])
-    row = st.one_of(st.lists(signal_values, min_size=n_assets, max_size=n_assets),
-                    st.builds(lambda v: [v] * n_assets, signal_values))
     snapshots, positions = [], []
-    for k in range(draw(st.integers(1, 40))):
-        rows = {name: np.array(draw(row), dtype=float) for name in SIGNAL_ROWS}
+    for k, b in enumerate(placing.reshape(n_dates, width)):
+        kinds = b[: len(SIGNAL_ROWS)] % 8  # half arbitrary, 3/8 one constant, 1/8 all missing
+        cells = values[b[len(SIGNAL_ROWS): -1 - n_assets] % len(values)].reshape(len(SIGNAL_ROWS), n_assets)
+        rows = {}
+        for name, kind, row in zip(SIGNAL_ROWS, kinds, cells):
+            rows[name] = row if kind < 4 else np.full(n_assets, row[0] if kind < 7 else math.nan)
         snapshots.append(SimpleNamespace(t=f"day{k}", panel=panel, **rows))
-        members = draw(st.permutations(range(n_assets)))[: draw(st.integers(1, n_assets))]
-        positions.append(np.array(members, dtype=np.intp))
+        order = b[-n_assets:].argsort(kind="stable")
+        positions.append(order[: 1 + b[-1 - n_assets] % n_assets].astype(np.intp))
     return snapshots, positions
 
 

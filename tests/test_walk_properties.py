@@ -13,7 +13,8 @@ rows: dates, weights, the rows a book holds cash and constant_mix
 turnover and costs agree bit for bit; daily returns, equity, and drift
 turnover and costs agree within 1e-12, since a segment's row sums and
 cumulative growth round differently from one dot product and one
-renormalisation per day (ROADMAP item 5's artifact break). `evolve`'s own
+renormalisation per day (the artifact break that segment-wise evolution
+made on purpose). `evolve`'s own
 rounding is pinned bit for bit instead: a run truncated at any end is a
 prefix of the full run, and a book evolves alike alone or beside others
 in any position. `evolve` on the targets a walk built returns that walk's
