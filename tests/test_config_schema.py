@@ -170,14 +170,20 @@ def test_nw_lag_auto_is_the_default(tmp_path):
     ("anchors = 02-29", "[run] anchors: cannot parse '02-29'"),  # not a day of every year
     ("anchors = 01-01-01", "[run] anchors: cannot parse '01-01-01'"),
     ("anchors = ,", "[run] anchors: cannot parse ','"),
+    ("[caps] enabled = maybe", "[caps] enabled: cannot parse 'maybe'"),
+    ("[calibration] apply = 2", "[calibration] apply: cannot parse '2'"),
 ], ids=["weight_mode", "cost_rate", "cost_rate-percent", "n_trials", "nw_lag", "anchor-month", "anchor-month-zero",
-        "anchor-day", "anchor-leap-day", "anchor-not-mm-dd", "anchor-list-empty"])
+        "anchor-day", "anchor-leap-day", "anchor-not-mm-dd", "anchor-list-empty", "caps-enabled", "calibration-apply"])
 def test_bad_run_values_fail_at_load(tmp_path, capsys, line, message):
     # the input files do not exist: each value is checked before any is read
     text = CONFIG_TEMPLATE.format(data=tmp_path / "absent", start="2020-06-01", end="2022-06-30", lam="0.3")
+    named = re.fullmatch(r"\[(\w+)\] (.*)", line)  # a line of a section other than [run] names it
+    section, line = named.groups() if named else ("run", line)
+    if f"[{section}]\n" not in text:
+        text += f"\n[{section}]\n"
     key = line.split(" = ")[0]
     cfg = tmp_path / "run.ini"
-    cfg.write_text(re.sub(rf"(?m)^{key} = .*\n", "", text).replace("[run]\n", f"[run]\n{line}\n"))
+    cfg.write_text(re.sub(rf"(?m)^{key} = .*\n", "", text).replace(f"[{section}]\n", f"[{section}]\n{line}\n"))
     assert main(["validate", "--config", str(cfg)]) == 1
     assert capsys.readouterr() == ("", f"error: {message}\n")
 
@@ -191,19 +197,6 @@ def test_disabled_caps_are_still_checked(tmp_path, synth_dir, capsys, line, mess
     text = CONFIG_TEMPLATE.format(data=synth_dir, start="2020-06-01", end="2022-06-30", lam="0.3")
     cfg = tmp_path / "run.ini"
     cfg.write_text(text + f"\n[caps]\nenabled = false\n{line}\n")
-    assert main(["validate", "--config", str(cfg)]) == 1
-    assert capsys.readouterr() == ("", f"error: {message}\n")
-
-
-@pytest.mark.parametrize("section, line, message", [
-    ("caps", "enabled = maybe", "[caps] enabled: cannot parse 'maybe'"),
-    ("calibration", "apply = 2", "[calibration] apply: cannot parse '2'"),
-], ids=["caps-enabled", "calibration-apply"])
-def test_bad_booleans_fail_at_load(tmp_path, capsys, section, line, message):
-    text = CONFIG_TEMPLATE.format(data=tmp_path / "absent", start="2020-06-01", end="2022-06-30", lam="0.3")
-    cfg = tmp_path / "run.ini"
-    cfg.write_text(text + f"\n[{section}]\n{line}\n" if f"[{section}]\n" not in text
-                   else text.replace(f"[{section}]\n", f"[{section}]\n{line}\n"))
     assert main(["validate", "--config", str(cfg)]) == 1
     assert capsys.readouterr() == ("", f"error: {message}\n")
 
