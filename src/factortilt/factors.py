@@ -206,11 +206,13 @@ def select_factor_matrices(
     rows[2] = np.where(have_all, z_parts[0] + z_parts[1] + z_parts[2], np.nan)
     raw = rows[:3]
     z = _zscores(raw.reshape(-1), lengths, params.winsor_p).reshape(3, -1)
+    # one tuple of each panel's asset names, shared by its matrices and the weight vectors built from them
+    names = {id(s.panel): tuple(s.panel.assets) for s in snapshots}
     out, at = [], 0
     for snap, pos in zip(snapshots, positions):
         cols = slice(at, at + len(pos))
         at += len(pos)
-        out.append(FactorMatrix(t=snap.t, positions=pos, panel_assets=snap.panel.assets,
+        out.append(FactorMatrix(t=snap.t, positions=pos, panel_assets=names[id(snap.panel)],
                                 raw=raw[:, cols].T.copy(), z=z[:, cols].T.copy()))
     return out
 
