@@ -291,9 +291,9 @@ def _blocks(path: Path, digests: list | None = None):
     block, so a block holds whole lines (a line longer than a read spans
     reads) and only the last may lack a final LF. An empty file is one
     empty block. The sha256 of the bytes read is appended to `digests`,
-    when given, after the last block. A file that cannot be
-    read, or is not UTF-8, is a DataError naming it, the bad byte's offset
-    counted from the start of the file."""
+    when given, after the last block. A file that cannot be read, or is
+    not UTF-8, is a DataError naming it, the bad byte's offset counted
+    from the start of the file."""
     digest, offset, rest = hashlib.sha256(), 0, b""
     for chunk in _reads(path):
         digest.update(chunk)

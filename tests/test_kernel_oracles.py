@@ -259,7 +259,8 @@ def signal_dates(draw):
     list of up to 24 signal values, and one byte string places them: per
     date a byte per row for its kind, a byte per cell for its value, a byte
     for the member count and one per asset whose stable argsort orders the
-    members. Drawing each cell on its own cost most of this test's time."""
+    members. A draw per cell would cost far more than the kernels under
+    test."""
     n_assets = draw(st.integers(1, 12))
     n_dates = draw(st.integers(1, 40))
     values = np.array(draw(st.lists(signal_values, min_size=1, max_size=24)), dtype=float)
