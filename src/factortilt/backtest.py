@@ -13,12 +13,13 @@ earns zero. An empty universe holds cash at exactly zero return until the
 next rebalance.
 
 A walk takes the rebalance dates in blocks of _BLOCK (16). For each
-block it builds the dates' snapshots, fills the factor matrices of every
-pool its books tilt (the screened pool, fixed_universe) with one
-`select_factor_matrices` call per pool, builds every book's targets, and
-lets the block's snapshots go before the next block: a matrix has the
-bits of its date alone (see `factors`), and the walk holds one block of
-snapshots, not one per date.
+block it builds the dates' snapshots, then for every pool its books tilt
+(the screened pool, fixed_universe) one `select_factor_matrices` call and
+one `tilted_block` call over every book on it (4 removal books, or dmft
+and fixed_universe one each; `tilted_weights` once per date and book made
+872 calls at 218 removal dates), and lets the snapshots go before the
+next block: matrices and weights have the bits of their date alone (see
+`factors`, `weighting`), and the walk holds one block of snapshots.
 
 `evolve` works one holding period (segment) at a time: the days after a
 trade through the next trade or the end. Over a segment a constant_mix
@@ -43,7 +44,7 @@ from .eligibility import EligibilityParams, eligible
 from .errors import ConfigError, DataError, check_finite
 from .factors import FactorMatrix, FactorParams, select_factor_matrices
 from .market_data import AsOf, MarketPanel, RebalanceSchedule
-from .weighting import CapParams, TiltParams, WeightVector, cap_values, tilted_weights
+from .weighting import CapParams, TiltParams, WeightVector, cap_values, tilted_block
 
 log = logging.getLogger(__name__)
 
@@ -128,26 +129,25 @@ def pool_caps(snap: AsOf, strategy: str, config: BacktestConfig) -> np.ndarray:
     return snap.caps[key]
 
 
-def _date_targets(snap: AsOf, config: BacktestConfig, books) -> dict[str, WeightVector]:
+def _date_targets(snap: AsOf, config: BacktestConfig, books, tilted) -> dict[str, WeightVector]:
     """Every book's target weights at the snapshot's date, each book a
-    (strategy, tilt) pair, from the pool positions, factor matrices and caps
-    the snapshot keeps, so books that share a pool read one of each."""
+    (strategy, tilt) pair: the next of its pool's vectors in `tilted`, or
+    built from the pool positions the snapshot keeps."""
     assets = tuple(snap.panel.assets)
     out = {}
-    for name, (s, tilt) in books.items():
+    for name, (s, _) in books.items():
         positions = pool_positions(snap, s, config)
         w = np.zeros(len(assets))
         if not positions.size:
             out[name] = WeightVector(t=snap.t, assets=assets, w=w)
+        elif s in tilted:
+            out[name] = next(tilted[s])
         elif s in ("ew_eligible", "ew_all"):
             w[positions] = 1.0 / len(positions)
             out[name] = WeightVector(t=snap.t, assets=assets, w=w)
-        elif s == "cap_weighted":
+        else:
             w[positions] = snap.mktcap[positions]
             out[name] = WeightVector(t=snap.t, assets=assets, w=w / w.sum())
-        else:
-            caps = pool_caps(snap, s, config) if s == "dmft" and config.caps is not None else None
-            out[name] = tilted_weights(pool_matrices([snap], s, config)[0], tilt, caps)
     return out
 
 
@@ -180,24 +180,28 @@ def _run(
         if t not in panel.calendar:
             raise DataError(f"rebalance date {t} outside the panel calendar")
     dates = [t for t in schedule.dates if end is None or t <= end]
-    tilted = sorted({s for s, _ in books.values()} & set(_TILTED))
     per_date = []
     for i in range(0, len(dates), _BLOCK):
-        per_date += _block_targets(panel, dates[i : i + _BLOCK], config, books, tilted, snapshots)
+        per_date += _block_targets(panel, dates[i : i + _BLOCK], config, books, snapshots)
     return evolve(panel, {name: (s, [targets[name] for targets in per_date]) for name, (s, _) in books.items()},
                   config, end)
 
 
-def _block_targets(panel: MarketPanel, dates: list[str], config: BacktestConfig, books, tilted, snapshots):
+def _block_targets(panel: MarketPanel, dates: list[str], config: BacktestConfig, books, snapshots=None):
     """Every book's targets at each of the dates, from one snapshot per date
-    (built, or taken from `snapshots` keyed by date) whose factor matrices
-    are built in one kernel call per pool the `tilted` strategies read.
-    The snapshots go when this returns."""
+    (built, or taken from `snapshots` keyed by date), with one
+    select_factor_matrices and one tilted_block call per tilted pool over
+    its non-empty dates. The snapshots go when this returns."""
     block = [snapshot(panel, t, config) if snapshots is None else _given_snapshot(snapshots, panel, t, config)
              for t in dates]
-    for s in tilted:
-        pool_matrices([snap for snap in block if pool_positions(snap, s, config).size], s, config)
-    return [_date_targets(snap, config, books) for snap in block]
+    vectors = {}
+    for s in sorted({s for s, _ in books.values()} & set(_TILTED)):
+        snaps = [snap for snap in block if pool_positions(snap, s, config).size]
+        caps = [pool_caps(snap, s, config) for snap in snaps] if s == "dmft" and config.caps is not None else None
+        if snaps:
+            vectors[s] = iter(tilted_block(pool_matrices(snaps, s, config), [t for b, t in books.values() if b == s],
+                                           caps))
+    return [_date_targets(snap, config, books, vectors) for snap in block]
 
 
 def evolve(

@@ -176,8 +176,6 @@ def _standardized_rows(x: np.ndarray) -> np.ndarray:
     dev = x - (np.add.reduce(x, axis=1) / n)[:, None]
     sigma = np.sqrt(np.add.reduce(dev**2, axis=1) / n)[:, None]
     varied = (sigma > 0) & ~np.logical_and.reduce(x == x[:, :1], axis=1, keepdims=True)
-    if np.logical_and.reduce(varied, axis=None):
-        return np.divide(dev, sigma, out=dev)
     return np.divide(dev, sigma, out=np.zeros(x.shape), where=varied)
 
 
@@ -195,9 +193,8 @@ def select_factor_matrices(
         return []
     lengths = [len(pos) for pos in positions] * 3  # one segment per (column, date)
     # momentum, value and the quality components, one column per member, the dates side by side
-    rows = [np.array((s.momentum, s.value, s.roe, s.gross_margin, s.debt_to_assets))[:, pos]
-            for s, pos in zip(snapshots, positions)]
-    rows = rows[0] if len(rows) == 1 else np.concatenate(rows, axis=1)
+    rows = np.concatenate([np.array((s.momentum, s.value, s.roe, s.gross_margin, s.debt_to_assets))[:, pos]
+                           for s, pos in zip(snapshots, positions)], axis=1)
     components = rows[2:]
     np.negative(components[2], out=components[2])
     components_p = params.winsor_p if params.winsorize_quality_components else 0.0

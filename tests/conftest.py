@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from factortilt.backtest import _date_targets, snapshot
+from factortilt.backtest import _block_targets
 from factortilt.cli import cmd_synth
 from factortilt.market_data import _REPORT_FIELDS, FundamentalRecord, MarketPanel
 from factortilt.synthetic import trading_days
@@ -62,7 +62,7 @@ def make_panel(n_days, assets, price, volume=1000.0, mktcap=1e6, fundamentals=No
 def targets_at(panel, t, config, strategy):
     """One strategy's target weights at rebalance date t, built as the walk
     builds them."""
-    return _date_targets(snapshot(panel, t, config), config, {strategy: (strategy, config.tilt)})[strategy]
+    return _block_targets(panel, [t], config, {strategy: (strategy, config.tilt)})[0][strategy]
 
 
 def fundamental(report_date, book=math.nan, roe=math.nan, margin=math.nan, leverage=math.nan):

@@ -3,8 +3,10 @@ as oracles and compared bit for bit: winsorize with one np.quantile call,
 standardize with np.mean, the factor matrices of many dates against one
 date's build over those two, the Pearson kernel with np.corrcoef, stacked
 average ranks with one argsort per row, the latest fundamental report with
-one bisection per asset, and the average dollar volume with a stable argsort
-that left-packs each asset's valid days. Also the synthetic generator
+one bisection per asset, the average dollar volume with a stable argsort
+that left-packs each asset's valid days, and the weights of a walk block's
+(matrix, tilt) rows against one tilted_weights call per row over the
+one-vector normalization and projection. Also the synthetic generator
 against its expression form, which held about ten grid-sized temporaries at
 once and drew the gap mask whole.
 """
@@ -24,7 +26,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from factortilt.backtest import pool_positions, snapshot
 from factortilt.calibration import average_ranks, average_ranks_rows, centered_rows, pearson
-from factortilt.errors import ConfigError
+from factortilt.errors import ConfigError, InfeasibleCapsError
 from factortilt.factors import FACTORS, FactorMatrix, FactorParams, select_factor_matrices, standardize, winsorize
 from factortilt.market_data import (
     _REPORT_FIELDS,
@@ -32,6 +34,17 @@ from factortilt.market_data import (
     MarketPanel,
     _average_dollar_volumes,
     _latest_reports,
+)
+from factortilt.weighting import (
+    WEIGHT_SUM_TOL,
+    TiltParams,
+    WeightVector,
+    bounded_multiplier,
+    composite_score,
+    normalize_tilt,
+    project_onto_caps,
+    tilted_block,
+    tilted_weights,
 )
 from factortilt.synthetic import (
     _BASE_DRIFT,
@@ -121,6 +134,69 @@ def average_dollar_volumes_oracle(panel: MarketPanel, it: int, lookback: int) ->
         rows = counts == k
         out[rows] = np.ascontiguousarray(packed[rows, :k]).sum(axis=1) / k
     return out
+
+
+def normalize_tilt_oracle(w: np.ndarray, m: np.ndarray) -> np.ndarray:
+    support = w > 0
+    if not support.any():
+        return w.copy()
+    m_support = m[support]
+    if np.all(m_support == m_support[0]):
+        return w.copy()
+    raw = w * m
+    denom = float(raw.sum())
+    if denom <= 0:
+        raise ConfigError("tilted weights sum to a non-positive value")
+    return raw / denom
+
+
+def project_onto_caps_oracle(w: np.ndarray, caps: np.ndarray) -> np.ndarray:
+    w = np.array(w, dtype=float)
+    c = np.minimum(caps, 1.0)
+    if np.any(c < 0):
+        raise ConfigError("caps must be non-negative")
+    total = float(w.sum())
+    if abs(total - 1.0) > WEIGHT_SUM_TOL:
+        raise ConfigError(f"projection input must sum to 1, got {total!r}")
+    held = np.flatnonzero(w > 0)
+    room = float(c[held].sum())
+    if room < 1.0 - WEIGHT_SUM_TOL:
+        raise InfeasibleCapsError(
+            f"caps of the members that hold weight sum to {room!r} < 1; no feasible capped allocation"
+        )
+    if not (w > c).any():
+        return w
+    order = held[(c[held] / w[held]).argsort(kind="stable")]
+    wo, co = w[order], c[order]
+    capped_mass = np.zeros(len(order))
+    co[:-1].cumsum(out=capped_mass[1:])  # sum(c[:k])
+    s = (1.0 - capped_mass) / wo[::-1].cumsum()[::-1]
+    fits = s * wo <= co
+    # none fits when the caps sum to 1 within WEIGHT_SUM_TOL: every member binds
+    k = int(fits.argmax()) if fits.any() else len(order)
+    w[order[:k]] = co[:k]
+    if k < len(order):
+        w[order[k:]] = s[k] * wo[k:]
+    return w
+
+
+def tilted_weights_oracle(factor_matrix: FactorMatrix, tilt: TiltParams, caps: np.ndarray | None) -> WeightVector:
+    positions = factor_matrix.positions
+    n = len(factor_matrix.panel_assets)
+    baseline = np.zeros(n)
+    baseline[positions] = 1.0 / len(positions)
+    multipliers = np.ones(n)
+    multipliers[positions] = bounded_multiplier(composite_score(factor_matrix, tilt), tilt)
+    w = normalize_tilt_oracle(baseline, multipliers)
+    cap_row = None
+    if caps is not None:
+        projected = project_onto_caps_oracle(w[positions], caps)
+        w = np.zeros(n)
+        w[positions] = projected
+        cap_row = np.full(n, np.nan)
+        cap_row[positions] = caps
+    return WeightVector(t=factor_matrix.t, assets=tuple(factor_matrix.panel_assets), w=w, multipliers=multipliers,
+                        caps=cap_row)
 
 
 def generate_oracle(spec: ScenarioSpec) -> MarketPanel:
@@ -341,6 +417,132 @@ def test_factor_matrices_reject_an_empty_pool():
     with pytest.raises(ConfigError, match="cannot build factor matrix for empty universe at d"):
         select_factor_matrices([snap, snap], [np.array([0]), np.array([], dtype=np.intp)], FactorParams())
     assert select_factor_matrices([], [], FactorParams()) == []
+
+
+# --- tilted weights of a block -------------------------------------------------------
+
+def outcome(fn, *args):
+    """fn(*args), or the type and text of the error it raises."""
+    try:
+        return fn(*args)
+    except (ConfigError, InfeasibleCapsError) as exc:
+        return type(exc), str(exc)
+
+
+CAP_KINDS = ("none bind", "some bind", "all bind", "short of one", "infeasible")
+
+
+def caps_of(kind: str, k: int, rng) -> np.ndarray:
+    """k members' caps: above every weight, about 1.25/k each, a split of
+    exactly 1 or of 1 - 5e-10 (within WEIGHT_SUM_TOL), or a split of less
+    than 1 - WEIGHT_SUM_TOL."""
+    if kind == "none bind":
+        return rng.uniform(0.999999, 3.0, k)  # above 1 counts as 1
+    if kind == "some bind":
+        return rng.uniform(0.5, 2.0, k) / k
+    split = rng.dirichlet(np.ones(k))
+    shrink = {"all bind": 1.0, "short of one": 1.0 - 5e-10, "infeasible": rng.uniform(0.5, 0.99)}[kind]
+    return split * shrink
+
+
+MIXTURES = [None, {"MOM": 1.0, "VAL": 0.0, "QUAL": 0.0}, {"MOM": 0.5, "VAL": 0.5, "QUAL": 0.0}]
+tilt_params = st.builds(
+    lambda alpha, lam, bounds: TiltParams(**({} if alpha is None else {"alpha": alpha}), lam=lam,
+                                          m_min=bounds[0], m_max=bounds[1]),
+    st.sampled_from(MIXTURES), st.sampled_from([0.0, 0.25, 2.5, 40.0]),
+    st.sampled_from([(0.5, 1.5), (1.0, 1.0), (0.1, 3.0), (0.9, 1.0)]))
+
+
+@st.composite
+def weight_blocks(draw):
+    """1-8 factor matrices over one panel of 1-40 assets, pools of different
+    sizes in any order, and each matrix's caps of a drawn kind (or none):
+    z-scores arbitrary, tied, or all zero (every multiplier equal)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_assets = draw(st.integers(1, 40))
+    assets = tuple(f"A{i}" for i in range(n_assets))
+    matrices, caps = [], []
+    for d in range(draw(st.integers(1, 8))):
+        k = min(n_assets, draw(st.sampled_from([1, 2, n_assets, draw(st.integers(1, n_assets))])))
+        positions = rng.permutation(n_assets)[:k].astype(np.intp)
+        kind = draw(st.sampled_from(("normal", "ties", "zeros")))
+        z = {"normal": rng.normal(size=(k, 3)) * 2.0, "ties": rng.choice([-1.0, 0.0, 0.0, 1.0], size=(k, 3)),
+             "zeros": np.zeros((k, 3))}[kind]
+        matrices.append(FactorMatrix(t=f"day{d}", positions=positions, panel_assets=assets, raw=z.copy(), z=z))
+        caps.append(caps_of(draw(st.sampled_from(CAP_KINDS)), k, rng))
+    return matrices, caps if draw(st.booleans()) else None
+
+
+def same_vector(got: WeightVector, want: WeightVector, what):
+    assert (got.t, got.assets) == (want.t, want.assets), what
+    for attr in ("w", "multipliers", "caps"):
+        g, w = getattr(got, attr), getattr(want, attr)
+        assert (g is None) == (w is None), (what, attr)
+        if w is not None:
+            same_bits(g, w, (what, attr))
+
+
+@settings(SETTINGS, max_examples=200)
+@given(block=weight_blocks(), tilts=st.lists(tilt_params, min_size=1, max_size=4))
+def test_block_weights_equal_one_call_per_row(block, tilts):
+    """tilted_block equals tilted_weights_oracle on each (matrix, tilt) row,
+    in that order, bit for bit; when a row fails, it raises the error of the
+    first failing row, as one call per row in that order does."""
+    matrices, caps = block
+    want = [outcome(tilted_weights_oracle, m, tilt, None if caps is None else caps[i])
+            for i, m in enumerate(matrices) for tilt in tilts]
+    got = outcome(tilted_block, matrices, tilts, caps)
+    failed = [w for w in want if isinstance(w, tuple)]
+    if failed:
+        assert got == failed[0]
+        return
+    assert len(got) == len(want)
+    for r, (g, w) in enumerate(zip(got, want)):
+        same_vector(g, w, r)
+    for i, m in enumerate(matrices):  # the one-row case
+        same_vector(tilted_weights(m, tilts[0], None if caps is None else caps[i]), want[i * len(tilts)], i)
+
+
+def test_an_infeasible_row_after_feasible_ones_raises_its_own_error():
+    rng = np.random.default_rng(5)
+    assets = tuple(f"A{i}" for i in range(6))
+    matrices = [FactorMatrix(t=f"day{d}", positions=np.arange(k), panel_assets=assets, raw=z, z=z)
+                for d, k in enumerate((6, 4, 6, 4)) for z in [rng.normal(size=(k, 3))]]
+    caps = [caps_of("some bind", 6, rng), caps_of("all bind", 4, rng), np.full(6, 0.16), np.full(4, 0.2)]
+    want = outcome(tilted_weights_oracle, matrices[2], TiltParams(), caps[2])
+    assert want[0] is InfeasibleCapsError and "sum to 0.96" in want[1]
+    assert outcome(tilted_block, matrices, [TiltParams(), TiltParams(lam=0.0)], caps) == want
+
+
+zero_weight_cases = [([0.6, 0.4, 0.0], [0.5, 0.3, 1.0]), ([0.6, 0.0, 0.4], [0.5, 1.0, 1.0])]
+
+
+@SETTINGS
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 30), zeros=st.integers(0, 5),
+       kind=st.sampled_from(CAP_KINDS), scale=st.sampled_from([1.0, 1.0 + 2e-9, 0.5]))
+@example(seed=0, k=3, zeros=-1, kind="zero weight", scale=1.0)
+@example(seed=1, k=3, zeros=-2, kind="zero weight", scale=1.0)
+def test_one_row_kernels_equal_one_vector_code(seed, k, zeros, kind, scale):
+    """project_onto_caps and normalize_tilt equal the one-vector code,
+    with members that hold no weight, inputs that do not sum to 1, and
+    multipliers equal on the support."""
+    rng = np.random.default_rng(seed)
+    if kind == "zero weight":  # the zero-weight cases of the projection's unit tests
+        w, caps = map(np.array, zero_weight_cases[-1 - zeros])
+    else:
+        w = rng.dirichlet(np.ones(k))
+        w[rng.permutation(k)[: min(zeros, k - 1)]] = 0.0
+        w = w / w.sum() * scale
+        caps = caps_of(kind, k, rng)
+    got, want = outcome(project_onto_caps, w, caps), outcome(project_onto_caps_oracle, w, caps)
+    assert type(got) is type(want)
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        same_bits(got, want, (w, caps))
+    for m in (rng.uniform(0.5, 1.5, k), np.where(w > 0, 1.25, rng.uniform(0.5, 1.5, k))):
+        same_bits(normalize_tilt(w, m), normalize_tilt_oracle(w, m), (w, m))
+    same_bits(normalize_tilt(np.zeros(k), np.ones(k)), np.zeros(k), "no support")
 
 
 # --- Pearson correlation and average ranks ---------------------------------------------

@@ -37,6 +37,7 @@ from factortilt.backtest import (
     WEIGHT_MODES,
     BacktestConfig,
     BacktestResult,
+    _run,
     evolve,
     removal_tilt,
     run_baselines,
@@ -498,6 +499,53 @@ def test_walk_truncated_at_any_end_is_a_prefix_of_the_full_run(n_dates, data, se
                     same_bits(getattr(got, attr), getattr(want, attr), f"{name} {got.t} {attr} to {end}")
             for attr, k in (("daily_returns", m), ("equity_curve", m), ("turnover", n), ("costs", n)):
                 same_bits(getattr(cut, attr), getattr(whole, attr)[:k], f"{name} {attr} to {end}")
+
+
+def walk_or_error(panel, schedule, config, books):
+    try:
+        return _run(panel, schedule, config, books, None)
+    except InfeasibleCapsError as exc:
+        return str(exc)
+
+
+@settings(SETTINGS, max_examples=40)
+@given(data=st.data(), p=short_windows, weight_mode=st.sampled_from(WEIGHT_MODES),
+       panel=st.builds(random_panel, seed=st.integers(0, 2**32 - 1), n_assets=st.integers(8, 40),
+                       n_days=st.integers(40, 80), gap=st.sampled_from([0.1, 0.3])),
+       caps=st.sampled_from([None, (1.0, 1.0, 0.5), (0.4, 0.3, 1.0), (0.3, 0.15, 0.5), (0.05, 0.05, 0.5)]))
+def test_a_removal_book_walks_alike_alone_and_in_any_block(data, panel, p, caps, weight_mode):
+    # the removal books share one pool, so the walk weighs them in one call
+    # per block, over gappy panels whose pools differ in size from date to
+    # date; a book's targets and results are those of a walk of that book
+    # alone, and from any later first date (other blocks, other dates beside
+    # it) its targets keep their bits
+    cap_params = None if caps is None else CapParams(c_max=caps[0], kappa=caps[1], gamma=caps[2])
+    config = config_for(p, cost_rate=0.001, weight_mode=weight_mode, caps=cap_params)
+    days = panel.calendar.days
+    n_dates = data.draw(st.sampled_from([17, 33, 40, 2, 9]))  # up to three blocks
+    schedule = RebalanceSchedule(dates=tuple(sorted(data.draw(st.permutations(days))[:n_dates])))
+    later = RebalanceSchedule(dates=schedule.dates[data.draw(st.integers(1, len(schedule.dates) - 1)):])
+    books = {"full": ("dmft", config.tilt),
+             **{f"drop_{f}": ("dmft", removal_tilt(config.tilt, f)) for f in config.tilt.alpha}}
+    together = walk_or_error(panel, schedule, config, books)
+    assert isinstance(together, str) or list(together) == list(run_factor_removals(panel, schedule, config))
+    for name, book in books.items():
+        alone = walk_or_error(panel, schedule, config, {name: book})
+        if isinstance(together, str):
+            assert alone == together, name  # the first infeasible date's error, whichever books walk
+            continue
+        alone, whole = alone[name], together[name]
+        assert (alone.dates, alone.rebalance_dates) == (whole.dates, whole.rebalance_dates), name
+        for attr in ("daily_returns", "equity_curve", "turnover", "costs"):
+            same_bits(getattr(alone, attr), getattr(whole, attr), f"{name} {attr}")
+        shifted = walk_or_error(panel, later, config, {name: book})[name]
+        for got, want, t in zip(alone.weights, whole.weights, whole.rebalance_dates, strict=True):
+            assert (got.t, got.assets) == (want.t, want.assets)
+            for attr in ("w", "multipliers", "caps"):
+                same_bits(getattr(got, attr), getattr(want, attr), f"{name} {t} {attr}")
+        for got, want in zip(shifted.weights, whole.weights[len(whole.weights) - len(later.dates):], strict=True):
+            for attr in ("w", "multipliers", "caps"):
+                same_bits(getattr(got, attr), getattr(want, attr), f"{name} {got.t} {attr} from {later.dates[0]}")
 
 
 @settings(SETTINGS, max_examples=40)
