@@ -19,7 +19,9 @@ one `tilted_block` call over every book on it (4 removal books, or dmft
 and fixed_universe one each; `tilted_weights` once per date and book made
 872 calls at 218 removal dates), and lets the snapshots go before the
 next block: matrices and weights have the bits of their date alone (see
-`factors`, `weighting`), and the walk holds one block of snapshots.
+`factors`, `weighting`), and the walk holds one block of snapshots. Each
+date's ADV row and report block stay in the panel's store
+(`MarketPanel.as_of_row`), for the next walk or screen of that panel.
 
 `evolve` works one holding period (segment) at a time: the days after a
 trade through the next trade or the end. Over a segment a constant_mix

@@ -131,6 +131,9 @@ class MarketPanel:
     each asset's reports are adjacent, in strictly increasing date order.
     Grids and report arrays are read-only (assigning into one raises
     ValueError); reads are thread-safe.
+
+    `as_of_rows` is the panel's store of as-of rows (see as_of_row): empty
+    on a new panel, filled by snapshots, never to be written by callers.
     """
 
     def __init__(self, assets: list[str], calendar: TradingCalendar, price: np.ndarray, volume: np.ndarray,
@@ -158,6 +161,7 @@ class MarketPanel:
         self._check_reports()
         for arr in (price, volume, mktcap, self.report_asset, self.report_date, self.report_values):
             arr.flags.writeable = False
+        self.as_of_rows: dict[tuple, np.ndarray] = {}
 
     def _check_reports(self) -> None:
         """DataError unless the report arrays agree in length, name the panel's
@@ -224,6 +228,21 @@ class MarketPanel:
         values[:, self.report_asset, rank] = self.report_values.T
         days.flags.writeable = values.flags.writeable = False
         return days, values
+
+    def as_of_row(self, kernel, *args) -> np.ndarray:
+        """kernel(self, *args), stored read-only in as_of_rows under
+        (kernel, *args) on its first request and that same array on every
+        later one, so each as-of row is computed once per panel. The store
+        holds one entry per distinct request and lives as long as the
+        panel. Two threads asking at once may both compute the row, but
+        both get the one array stored."""
+        key = (kernel, *args)
+        row = self.as_of_rows.get(key)
+        if row is None:
+            row = kernel(self, *args)
+            row.flags.writeable = False
+            row = self.as_of_rows.setdefault(key, row)
+        return row
 
     @property
     def fundamentals(self) -> dict[str, list[FundamentalRecord]]:
@@ -835,7 +854,9 @@ class AsOf:
     l_fund calendar days at t; value is missing when book equity is absent
     or non-positive (a negative ratio is not rankable) or mktcap is missing.
     A row whose window is not given is None. Momentum needs skip >= 1.
-    `panel`, `t` and `windows` (l_adv, l_mom, skip, l_fund) record what the
+    The adv row and the four report rows are read-only arrays the panel
+    stores (MarketPanel.as_of_row), shared by every snapshot of that panel,
+    date and window; the other rows are the snapshot's own. `panel`, `t` and `windows` (l_adv, l_mom, skip, l_fund) record what the
     snapshot was built from; `pools`, `matrices` and `caps` keep what
     backtest.pool_positions, pool_matrices and pool_caps build from its rows.
     """
@@ -850,7 +871,7 @@ class AsOf:
         self.history = panel.history_counts[it].astype(np.int64)
         self.listed = self.history > 0
         self.mktcap = panel.mktcap[it - 1] if it > 0 else np.full(panel.n_assets, np.nan)
-        self.adv = None if l_adv is None else _average_dollar_volumes(panel, it, l_adv)
+        self.adv = None if l_adv is None else panel.as_of_row(_average_dollar_volumes, it, l_adv)
         self.momentum = self.value = self.roe = self.gross_margin = self.debt_to_assets = None
         if l_mom is not None:
             self.momentum = np.full(panel.n_assets, np.nan)
@@ -858,7 +879,7 @@ class AsOf:
                 # prices are > 0 or NaN, so the ratio is NaN exactly where either is missing
                 self.momentum = panel.price[it - skip] / panel.price[it - l_mom - skip] - 1.0
         if l_fund is not None:
-            book, self.roe, self.gross_margin, self.debt_to_assets = _latest_reports(panel, t, l_fund)
+            book, self.roe, self.gross_margin, self.debt_to_assets = panel.as_of_row(_latest_reports, t, l_fund)
             self.value = np.where(book > 0, book / self.mktcap, np.nan)  # mktcap is > 0 or NaN
 
 
@@ -873,7 +894,8 @@ def censor_panel(panel: MarketPanel, cutoff: str) -> MarketPanel:
     """Copy of the panel with every cell dated on or after `cutoff` missing and
     fundamental reports dated on or after `cutoff` dropped. The calendar is
     unchanged. Used by look-ahead checks: any quantity computed as of t must be
-    identical on panel and censor_panel(panel, t)."""
+    identical on panel and censor_panel(panel, t). The copy is a new panel,
+    so no as-of row stored on `panel` carries over."""
     ic = panel.calendar.position(cutoff)
 
     def blanked(arr):

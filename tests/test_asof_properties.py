@@ -3,23 +3,35 @@
 The snapshot-based screens, signals, factor matrix and forward returns are
 compared bit for bit with a plain per-asset oracle kept here, on random
 panels with missing prices, volumes and market caps, and fundamentals with
-missing fields, stale reports and report dates off the calendar.
+missing fields, stale reports and report dates off the calendar. The ADV
+and report rows a panel stores for its snapshots are compared with those
+of a fresh panel, asked for in any order and from several threads at once.
 """
 
 from __future__ import annotations
 
 import math
+import sys
+import threading
 from datetime import date, timedelta
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from factortilt.backtest import STRATEGIES, BacktestConfig, snapshot
 from factortilt.calibration import forward_returns
 from factortilt.eligibility import EligibilityParams, compute_eligibility
 from factortilt.errors import InfeasibleCapsError
 from factortilt.factors import FactorParams, build_factor_matrix, standardize, winsorize
-from factortilt.market_data import FundamentalRecord, MarketPanel, censor_panel
+from factortilt.market_data import (
+    AsOf,
+    FundamentalRecord,
+    MarketPanel,
+    _average_dollar_volumes,
+    _latest_reports,
+    censor_panel,
+)
 from factortilt.synthetic import trading_days
 from factortilt.weighting import CapParams, TiltParams
 
@@ -54,6 +66,13 @@ def random_panel(seed: int, n_assets: int, n_days: int, gap: float) -> MarketPan
         if records:
             fundamentals[a] = records
     return MarketPanel(assets, cal, price, volume, mktcap, **report_arrays(assets, fundamentals))
+
+
+def fresh_copy(panel: MarketPanel) -> MarketPanel:
+    """A new panel over the same arrays: it stores no as-of row yet."""
+    return MarketPanel(list(panel.assets), panel.calendar, panel.price, panel.volume, panel.mktcap,
+                       report_asset=panel.report_asset, report_date=panel.report_date,
+                       report_values=panel.report_values)
 
 
 panels = st.builds(
@@ -206,16 +225,94 @@ def test_snapshot_matches_per_asset_oracle(panel, p, day, horizon):
 @SETTINGS
 @given(panel=panels, p=params, day=st.floats(0.0, 1.0))
 def test_targets_ignore_data_from_t_on(panel, p, day):
-    t = panel.calendar.days[int(day * (panel.n_days - 1))]
+    it = int(day * (panel.n_days - 1))
+    t = panel.calendar.days[it]
+    config = config_for(p, caps=CapParams(c_max=1.0, kappa=1.0))
+    for later in panel.calendar.days[it :: 1 + (panel.n_days - it) // 3]:
+        snapshot(panel, later, config)  # the full panel's targets read stored rows, at t and after it
     censored = censor_panel(panel, t)
+    assert censored.as_of_rows == {}  # a new panel: none of the full panel's rows carry over
     for s in STRATEGIES:
-        config = config_for(p, caps=CapParams(c_max=1.0, kappa=1.0))
         try:
             full = targets_at(panel, t, config, s)
         except InfeasibleCapsError:
             continue
         cut = targets_at(censored, t, config, s)
         np.testing.assert_array_equal(full.w, cut.w, err_msg=s)
+
+
+# (fraction of the calendar, l_adv, l_fund) requests, drawn from few values so that keys repeat
+requests = st.lists(st.tuples(st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0),
+                              st.sampled_from([None, 1, 3, 20]), st.sampled_from([None, 1, 30, 400])),
+                    min_size=1, max_size=12)
+
+
+def store_key(panel, t, l_adv=None, l_fund=None):
+    """The key of the ADV row or of the report block a snapshot at t reads."""
+    if l_adv is not None:
+        return _average_dollar_volumes, panel.calendar.position(t), l_adv
+    return _latest_reports, t, l_fund
+
+
+@SETTINGS
+@given(panel=panels, requests=requests)
+@example(panel=random_panel(5, 3, 30, 0.1), requests=[(0.5, 3, 30), (0.5, 20, 400), (0.5, 3, 30), (1.0, None, 30)])
+def test_stored_rows_equal_fresh_ones(panel, requests):
+    assert panel.as_of_rows == {}  # a new panel stores nothing until its first snapshot
+    first = {}
+    for day, l_adv, l_fund in requests:
+        t = panel.calendar.days[int(day * (panel.n_days - 1))]
+        snap = AsOf(panel, t, l_adv=l_adv, l_fund=l_fund)
+        fresh_panel = fresh_copy(panel)
+        fresh = AsOf(fresh_panel, t, l_adv=l_adv, l_fund=l_fund)
+        for name in ("adv", "value", "roe", "gross_margin", "debt_to_assets"):
+            got, want = getattr(snap, name), getattr(fresh, name)
+            assert (got is None) == (want is None) and (got is None or got.tobytes() == want.tobytes()), name
+        keys = [store_key(panel, t, l_adv=l_adv)] if l_adv is not None else []
+        keys += [store_key(panel, t, l_fund=l_fund)] if l_fund is not None else []
+        assert fresh_panel.as_of_rows.keys() == set(keys)
+        for key in keys:
+            row = panel.as_of_rows[key]
+            assert row.tobytes() == fresh_panel.as_of_rows[key].tobytes()  # the book row too
+            assert first.setdefault(key, row) is row  # asked again, the same array
+        if l_adv is not None:
+            assert snap.adv is first[keys[0]]
+        if l_fund is not None:
+            assert snap.roe.base is first[keys[-1]]
+    assert panel.as_of_rows.keys() == first.keys()
+    stored = list(panel.as_of_rows.values())
+    for i, row in enumerate(stored):
+        assert not row.flags.writeable
+        with pytest.raises(ValueError):
+            row[...] = 0.0
+        assert not any(np.shares_memory(row, other) for other in stored[i + 1 :])  # no two windows share a row
+
+
+def test_threads_asking_at_once_share_one_stored_row():
+    panel = random_panel(9, 40, 300, 0.1)
+    dates = panel.calendar.days[::25]
+    got, start = [], threading.Barrier(8)
+
+    def ask():
+        start.wait(timeout=60)
+        for t in dates:
+            snap = AsOf(panel, t, l_adv=20, l_fund=30)
+            got.append((store_key(panel, t, l_adv=20), snap.adv))
+            got.append((store_key(panel, t, l_fund=30), snap.roe.base))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=ask) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(got) == 8 * 2 * len(dates) and len(panel.as_of_rows) == 2 * len(dates)
+    assert all(row is panel.as_of_rows[key] for key, row in got)
 
 
 @SETTINGS

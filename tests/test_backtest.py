@@ -362,7 +362,10 @@ def test_walk_peak_does_not_grow_with_the_rebalance_dates():
     it returns) stays about 0.3 of the panel's price grid from 16 to 128
     rebalance dates (200 assets). Holding every date's snapshot until the
     last target is built, the transient grew with the dates, to 2.5 grids
-    at 128."""
+    at 128. The ADV row and report block of each date stay in the panel's
+    store after the walk, so they count in `kept`, not in the transient:
+    this test does not see that retained memory, which grows with the
+    dates."""
     panel = generate(ScenarioSpec(seed=1, n_assets=200, n_days=1500, dispersion=0.8,
                                   liquidity_tiers=(1.0, 50.0, 300.0), missing_rate=0.02))
     days = panel.calendar.days

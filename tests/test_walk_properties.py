@@ -19,8 +19,10 @@ rounding is pinned bit for bit instead: a run truncated at any end is a
 prefix of the full run, and a book evolves alike alone or beside others
 in any position. `evolve` on the targets a walk built returns that walk's
 results. Also compared with a plain oracle: AsOf.history with a direct
-count of prices before t. Last, the accounting identities of every
-strategy's backtest. All on random panels with gaps.
+count of prices before t. The walks give the same bits on a fresh panel
+as on one whose store of as-of rows other screens and walks filled first.
+Last, the accounting identities of every strategy's backtest. All on
+random panels with gaps.
 """
 
 from __future__ import annotations
@@ -58,7 +60,7 @@ from factortilt.weighting import (
     composite_score,
 )
 
-from test_asof_properties import SETTINGS, config_for, panels, random_panel
+from test_asof_properties import SETTINGS, config_for, fresh_copy, panels, random_panel, store_key
 
 # --- the Mapping-based pipeline the walk replaced ------------------------------
 
@@ -600,6 +602,40 @@ def test_generated_panel_has_no_history_counts_until_a_snapshot():
     assert "history_counts" not in vars(panel)
     AsOf(panel, panel.calendar.days[5])
     assert panel.history_counts.shape == (41, 4) and panel.history_counts.dtype == np.int32
+
+
+def store_keys(panel, dates, l_adv, l_fund) -> set:
+    """The keys of the ADV rows and report blocks that snapshots at `dates` read."""
+    return {store_key(panel, t, l_adv=l_adv) for t in dates} | {store_key(panel, t, l_fund=l_fund) for t in dates}
+
+
+@settings(SETTINGS, max_examples=20)
+@given(panel=wide_panels, p=short_windows, fractions=days, weight_mode=st.sampled_from(WEIGHT_MODES),
+       other_adv=st.integers(1, 10), other_fund=st.integers(30, 120))
+def test_walks_do_not_depend_on_what_filled_the_store(panel, p, fractions, weight_mode, other_adv, other_fund):
+    config = config_for(p, cost_rate=0.001, weight_mode=weight_mode, caps=CapParams(c_max=1.0, kappa=1.0))
+    schedule = schedule_of(panel, fractions)
+    n, l_adv, l_fund = len(schedule.dates), config.eligibility.l_adv, config.factors.l_fund
+    filled = fresh_copy(panel)
+    for t in schedule.dates:
+        compute_eligibility(filled, t, replace(config.eligibility, l_adv=other_adv))
+    run_baselines(filled, schedule, replace(config, factors=replace(config.factors, l_fund=other_fund)))
+    for walk in (run_baselines, run_factor_removals):
+        want, got = walk(panel, schedule, config), walk(filled, schedule, config)
+        assert list(got) == list(want)
+        for name, res in want.items():
+            assert (got[name].dates, got[name].rebalance_dates) == (res.dates, res.rebalance_dates), name
+            for attr in ("daily_returns", "equity_curve", "turnover", "costs"):
+                same_bits(getattr(got[name], attr), getattr(res, attr), f"{name} {attr}")
+            for g, w in zip(got[name].weights, res.weights, strict=True):
+                assert (g.t, g.assets) == (w.t, w.assets)
+                for attr in ("w", "multipliers", "caps"):
+                    same_bits(getattr(g, attr), getattr(w, attr), f"{name} {w.t} {attr}")
+    # one ADV row and one report block per date and window, however many walks read them
+    assert panel.as_of_rows.keys() == store_keys(panel, schedule.dates, l_adv, l_fund)
+    assert len(panel.as_of_rows) == 2 * n
+    assert filled.as_of_rows.keys() == (store_keys(panel, schedule.dates, l_adv, l_fund)
+                                        | store_keys(panel, schedule.dates, other_adv, other_fund))
 
 
 @SETTINGS
