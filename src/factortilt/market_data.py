@@ -856,8 +856,9 @@ class AsOf:
     A row whose window is not given is None. Momentum needs skip >= 1.
     The adv row and the four report rows are read-only arrays the panel
     stores (MarketPanel.as_of_row), shared by every snapshot of that panel,
-    date and window; the other rows are the snapshot's own. `panel`, `t` and `windows` (l_adv, l_mom, skip, l_fund) record what the
-    snapshot was built from; `pools`, `matrices` and `caps` keep what
+    date and window; the other rows are the snapshot's own. `panel`, `t`
+    and `windows` (l_adv, l_mom, skip, l_fund) record what the snapshot was
+    built from; `pools`, `matrices` and `caps` keep what
     backtest.pool_positions, pool_matrices and pool_caps build from its rows.
     """
 
