@@ -16,8 +16,7 @@ A walk takes the rebalance dates in blocks of _BLOCK (16). For each
 block it builds the dates' snapshots, then for every pool its books tilt
 (the screened pool, fixed_universe) one `select_factor_matrices` call and
 one `tilted_block` call over every book on it (4 removal books, or dmft
-and fixed_universe one each; `tilted_weights` once per date and book made
-872 calls at 218 removal dates), and lets the snapshots go before the
+and fixed_universe one each), and lets the snapshots go before the
 next block: matrices and weights have the bits of their date alone (see
 `factors`, `weighting`), and the walk holds one block of snapshots. Each
 date's ADV row and report block stay in the panel's store
@@ -121,16 +120,6 @@ def pool_matrices(snaps: list[AsOf], strategy: str, config: BacktestConfig) -> l
     return [snap.matrices[key] for snap in snaps]
 
 
-def pool_caps(snap: AsOf, strategy: str, config: BacktestConfig) -> np.ndarray:
-    """The liquidity caps of the members of the strategy's non-empty pool
-    at the snapshot's date, from their ADV and config.caps: built once per
-    pool, eligibility and cap parameters and kept on the snapshot."""
-    key = (_POOLS.get(strategy, strategy), config.eligibility, config.caps)
-    if key not in snap.caps:
-        snap.caps[key] = cap_values(snap.adv[pool_positions(snap, strategy, config)], config.caps)
-    return snap.caps[key]
-
-
 def _date_targets(snap: AsOf, config: BacktestConfig, books, tilted) -> dict[str, WeightVector]:
     """Every book's target weights at the snapshot's date, each book a
     (strategy, tilt) pair: the next of its pool's vectors in `tilted`, or
@@ -199,7 +188,9 @@ def _block_targets(panel: MarketPanel, dates: list[str], config: BacktestConfig,
     vectors = {}
     for s in sorted({s for s, _ in books.values()} & set(_TILTED)):
         snaps = [snap for snap in block if pool_positions(snap, s, config).size]
-        caps = [pool_caps(snap, s, config) for snap in snaps] if s == "dmft" and config.caps is not None else None
+        caps = None
+        if s == "dmft" and config.caps is not None:
+            caps = [cap_values(snap.adv[pool_positions(snap, s, config)], config.caps) for snap in snaps]
         if snaps:
             vectors[s] = iter(tilted_block(pool_matrices(snaps, s, config), [t for b, t in books.values() if b == s],
                                            caps))

@@ -33,7 +33,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import ConfigError
-from .factors import FactorMatrix
+from .factors import FACTORS, FactorMatrix
 from .market_data import MarketPanel, RebalanceSchedule
 
 
@@ -54,7 +54,8 @@ class CalibrationParams:
 
 @dataclass(frozen=True)
 class ICSeries:
-    factor: str
+    """One factor's IC per rebalance date; build_ic_series keys it by factor."""
+
     dates: tuple[str, ...]
     values: np.ndarray
 
@@ -167,31 +168,22 @@ def build_ic_series(
     is spearman(z column, forward returns): z is complete, so every factor
     pairs on the members with a forward return, and a date's z columns and
     forward returns are ranked in one call and centered once."""
-    factors = None
-    per_factor: dict[str, tuple[list[str], list[float]]] = {}
-    for t in schedule.dates:
-        matrix = factor_matrices.get(t)
-        if matrix is None:
-            continue
-        if factors is None:
-            factors = matrix.factors
-            per_factor = {f: ([], []) for f in factors}
+    dated = [(t, factor_matrices[t]) for t in schedule.dates if t in factor_matrices]
+    if not dated:
+        return {}
+    per_factor = {f: ([], []) for f in FACTORS}
+    for t, matrix in dated:
         fwd = forward_returns(panel, t, params.horizon)[matrix.positions]
         ok = np.isfinite(fwd)
         if int(ok.sum()) < max(params.min_universe, 3):
             continue
         rows = np.vstack((matrix.z[ok].T, fwd[ok]))  # each factor's z, then the forward returns
         last = len(rows) - 1
-        for f, ic in zip(matrix.factors, _rank_correlations(rows, [(j, last) for j in range(last)])):
+        for f, ic in zip(FACTORS, _rank_correlations(rows, [(j, last) for j in range(last)])):
             if not math.isnan(ic):
                 per_factor[f][0].append(t)
                 per_factor[f][1].append(ic)
-    if factors is None:
-        return {}
-    return {
-        f: ICSeries(factor=f, dates=tuple(dates), values=np.array(values))
-        for f, (dates, values) in per_factor.items()
-    }
+    return {f: ICSeries(dates=tuple(dates), values=np.array(values)) for f, (dates, values) in per_factor.items()}
 
 
 def information_ratio(values, m_min: int) -> float:

@@ -373,8 +373,8 @@ def _write_screens(panel, snapshots, members, matrices, out: Path) -> None:
     ]))
     _write_csv(out / "factors.csv", (["date", "asset", "factor", "raw", "z"], [
         [t for t, m in matrices.items() for _ in range(m.raw.size)],
-        [a for m in matrices.values() for a in m.assets for _ in m.factors],
-        [f for m in matrices.values() for _ in m.assets for f in m.factors],
+        [a for m in matrices.values() for a in m.assets for _ in FACTORS],
+        [f for m in matrices.values() for _ in m.assets for f in FACTORS],
         _concat([m.raw.ravel() for m in matrices.values()]),
         _concat([m.z.ravel() for m in matrices.values()]),
     ]))

@@ -858,8 +858,8 @@ class AsOf:
     stores (MarketPanel.as_of_row), shared by every snapshot of that panel,
     date and window; the other rows are the snapshot's own. `panel`, `t`
     and `windows` (l_adv, l_mom, skip, l_fund) record what the snapshot was
-    built from; `pools`, `matrices` and `caps` keep what
-    backtest.pool_positions, pool_matrices and pool_caps build from its rows.
+    built from; `pools` and `matrices` keep what backtest.pool_positions and
+    pool_matrices build from its rows.
     """
 
     def __init__(self, panel: MarketPanel, t: str, l_adv: int | None = None, l_mom: int | None = None,
@@ -868,7 +868,7 @@ class AsOf:
             check_skip(skip)
         it = panel.calendar.position(t)
         self.panel, self.t, self.windows = panel, t, (l_adv, l_mom, skip, l_fund)
-        self.pools, self.matrices, self.caps = {}, {}, {}
+        self.pools, self.matrices = {}, {}
         self.history = panel.history_counts[it].astype(np.int64)
         self.listed = self.history > 0
         self.mktcap = panel.mktcap[it - 1] if it > 0 else np.full(panel.n_assets, np.nan)

@@ -28,7 +28,7 @@ import numpy as np
 from .backtest import BacktestResult
 from .calibration import centered_rows, pearson
 from .errors import StatsError
-from .factors import FactorMatrix
+from .factors import FACTORS, FactorMatrix
 from .weighting import WeightVector
 
 TRADING_DAYS = 252
@@ -228,8 +228,7 @@ def factor_correlations(matrices: Iterable[FactorMatrix]) -> tuple[tuple[str, ..
         raise StatsError("no rebalance date has a non-empty universe, so there are no factor correlations")
     if len(matrices) < 2:
         raise StatsError("factor correlations need at least 2 rebalance dates with a non-empty universe, got 1")
-    factors = matrices[0].factors
-    nf = len(factors)
+    nf = len(FACTORS)
     sums = np.zeros((nf, nf))
     counts = np.zeros((nf, nf), dtype=int)
     for m in matrices:
@@ -244,7 +243,7 @@ def factor_correlations(matrices: Iterable[FactorMatrix]) -> tuple[tuple[str, ..
     for i in range(nf):
         for j in range(i + 1, nf):
             corr[i, j] = corr[j, i] = sums[i, j] / counts[i, j] if counts[i, j] else math.nan
-    return factors, corr
+    return FACTORS, corr
 
 
 def factor_redundancy(

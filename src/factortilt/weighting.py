@@ -98,11 +98,9 @@ class WeightVector:
 
 def composite_score(z: FactorMatrix, params: TiltParams) -> np.ndarray:
     """Convex combination of factor z-scores, one per row of z."""
-    if set(params.alpha) != set(z.factors):
-        raise ConfigError(
-            f"mixture factors {sorted(params.alpha)} do not match matrix factors {sorted(z.factors)}"
-        )
-    alpha = np.array([params.alpha[f] for f in z.factors])
+    if set(params.alpha) != set(FACTORS):
+        raise ConfigError(f"mixture factors {sorted(params.alpha)} do not match matrix factors {sorted(FACTORS)}")
+    alpha = np.array([params.alpha[f] for f in FACTORS])
     return z.z @ alpha
 
 

@@ -230,7 +230,7 @@ def test_criterion_6_ic_construction():
         assert n_skipped >= 1  # dates lacking t+H data are absent
 
         losing = {
-            f: ICSeries(factor=f, dates=("2020-01-01", "2020-07-01"), values=np.array([-0.2, -0.1]))
+            f: ICSeries(dates=("2020-01-01", "2020-07-01"), values=np.array([-0.2, -0.1]))
             for f in ("MOM", "VAL", "QUAL")
         }
         alpha = ir_to_alpha(losing, m_min=2)

@@ -124,7 +124,7 @@ def oracle_screens(panel, universes, matrices):
     rows = []
     for t, m in matrices.items():
         for i, a in enumerate(m.assets):
-            for j, f in enumerate(m.factors):
+            for j, f in enumerate(FACTORS):
                 rows.append((t, a, f, float(m.raw[i, j]), float(m.z[i, j])))
     yield "factors.csv", ["date", "asset", "factor", "raw", "z"], rows
 

@@ -255,19 +255,28 @@ class TestBaselines:
 
 
 def test_given_snapshots_change_nothing():
+    # both walks read one snapshot dict, the second after the first filled
+    # its pools and matrices, with caps that bind: each walk computes its
+    # caps from the snapshot's ADV row and keeps none on it
     panel = generate(ScenarioSpec(seed=9, n_assets=8, n_days=220, dispersion=0.8, vol=0.01,
                                   liquidity_tiers=(1.0, 4.0)))
     sched = schedule_at(panel, 60, 120, 180)
     cfg = loose_config(eligibility=EligibilityParams(40, 0.0, 10), factors=FactorParams(l_mom=30, skip=3),
-                       tilt=TiltParams(lam=0.4), cost_rate=0.001)
+                       tilt=TiltParams(lam=0.4), caps=CapParams(c_max=0.15, kappa=0.2), cost_rate=0.001)
     snapshots = {t: snapshot(panel, t, cfg) for t in sched.dates}
     for run in (run_baselines, run_factor_removals):
         built, given = run(panel, sched, cfg), run(panel, sched, cfg, snapshots=snapshots)
         assert built.keys() == given.keys()
+        binding = 0
         for name, res in built.items():
             assert res.daily_returns.tobytes() == given[name].daily_returns.tobytes(), name
-            for a, b in zip(res.weights, given[name].weights):
-                assert a.w.tobytes() == b.w.tobytes(), name
+            for a, b in zip(res.weights, given[name].weights, strict=True):
+                for attr in ("w", "multipliers", "caps"):
+                    x, y = getattr(a, attr), getattr(b, attr)
+                    assert (x is None) == (y is None) and (x is None or x.tobytes() == y.tobytes()), (name, attr)
+                if a.caps is not None:
+                    binding += int(np.sum(np.isclose(a.w, a.caps, rtol=0, atol=1e-15)))
+        assert binding, run.__name__  # a cap binds somewhere in each walk
 
 
 def test_snapshots_shared_by_configs_with_other_screens_change_nothing():

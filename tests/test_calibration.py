@@ -15,7 +15,7 @@ from factortilt.calibration import (
     spearman,
 )
 from factortilt.eligibility import EligibilityParams, compute_eligibility
-from factortilt.factors import FactorParams, build_factor_matrix
+from factortilt.factors import FACTORS, FactorParams, build_factor_matrix
 from factortilt.market_data import build_schedule
 from factortilt.stats import factor_correlations
 from factortilt.synthetic import ScenarioSpec, generate
@@ -178,10 +178,10 @@ class TestBuildICSeries:
                      for t in schedule.dates}
         matrices = matrices_for(panel, schedule, universes, FactorParams(l_mom=120, skip=5))
         params = CalibrationParams(horizon=21, m_min=2, min_universe=8)
-        expected = {f: ([], []) for f in next(iter(matrices.values())).factors}
+        expected = {f: ([], []) for f in FACTORS}
         for t, m in matrices.items():
             fwd = forward_returns(panel, t, params.horizon)[panel.positions(m.assets)]
-            for f in m.factors:
+            for f in FACTORS:
                 ic = spearman(m.column(f), fwd, min_pairs=params.min_universe)
                 if not math.isnan(ic):
                     expected[f][0].append(t)
@@ -215,15 +215,15 @@ def test_diagnostics_never_call_corrcoef(monkeypatch):
 
 
 class TestIrToAlpha:
-    def series(self, factor, values):
+    def series(self, values):
         dates = [f"2020-01-{i + 1:02d}" for i in range(len(values))]
-        return ICSeries(factor=factor, dates=tuple(dates), values=np.asarray(values, float))
+        return ICSeries(dates=tuple(dates), values=np.asarray(values, float))
 
     def test_all_non_positive_falls_back_to_uniform(self):
         s = {
-            "MOM": self.series("MOM", [-0.2, -0.1, -0.3]),
-            "VAL": self.series("VAL", [0.0, 0.0, 0.0]),
-            "QUAL": self.series("QUAL", [-0.5, 0.1, -0.5]),
+            "MOM": self.series([-0.2, -0.1, -0.3]),
+            "VAL": self.series([0.0, 0.0, 0.0]),
+            "QUAL": self.series([-0.5, 0.1, -0.5]),
         }
         alpha = ir_to_alpha(s, m_min=2)
         assert alpha == {"MOM": 1 / 3, "VAL": 1 / 3, "QUAL": 1 / 3}
@@ -231,9 +231,9 @@ class TestIrToAlpha:
     def test_hand_normalization(self):
         # IRs engineered to 0.5, 0.25, -0.1 up to scaling
         s = {
-            "MOM": self.series("MOM", [0.2, 0.1, 0.2, 0.1]),   # mean .15 / std .05 = 3
-            "VAL": self.series("VAL", [0.3, 0.0, 0.3, 0.0]),   # mean .15 / std .15 = 1.5... scaled below
-            "QUAL": self.series("QUAL", [-0.2, 0.0, -0.2, 0.0]),
+            "MOM": self.series([0.2, 0.1, 0.2, 0.1]),   # mean .15 / std .05 = 3
+            "VAL": self.series([0.3, 0.0, 0.3, 0.0]),   # mean .15 / std .15 = 1.5... scaled below
+            "QUAL": self.series([-0.2, 0.0, -0.2, 0.0]),
         }
         alpha = ir_to_alpha(s, m_min=2)
         irs = {}
@@ -247,13 +247,13 @@ class TestIrToAlpha:
         assert alpha["QUAL"] == 0.0
 
     def test_singleton_positive(self):
-        alpha = ir_to_alpha({"MOM": self.series("MOM", [0.3, 0.1, 0.2])}, m_min=2)
+        alpha = ir_to_alpha({"MOM": self.series([0.3, 0.1, 0.2])}, m_min=2)
         assert alpha == {"MOM": 1.0}
 
     def test_short_series_scores_zero(self):
         s = {
-            "MOM": self.series("MOM", [0.9]),
-            "VAL": self.series("VAL", [0.1, 0.2, 0.1, 0.2]),
+            "MOM": self.series([0.9]),
+            "VAL": self.series([0.1, 0.2, 0.1, 0.2]),
         }
         alpha = ir_to_alpha(s, m_min=3)
         assert alpha["MOM"] == 0.0 and alpha["VAL"] == 1.0
@@ -262,7 +262,7 @@ class TestIrToAlpha:
         rng = np.random.default_rng(8)
         for _ in range(50):
             s = {
-                f: self.series(f, rng.uniform(-0.5, 0.5, rng.integers(1, 12)))
+                f: self.series(rng.uniform(-0.5, 0.5, rng.integers(1, 12)))
                 for f in ("MOM", "VAL", "QUAL")
             }
             alpha = ir_to_alpha(s, m_min=3)
@@ -271,10 +271,10 @@ class TestIrToAlpha:
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(9)
-        s = {f: self.series(f, rng.uniform(-0.3, 0.6, 10)) for f in ("MOM", "VAL", "QUAL")}
+        s = {f: self.series(rng.uniform(-0.3, 0.6, 10)) for f in ("MOM", "VAL", "QUAL")}
         base = ir_to_alpha(s, m_min=3)
         scaled = {
-            f: self.series(f, 0.5 * ser.values) for f, ser in s.items()
+            f: self.series(0.5 * ser.values) for f, ser in s.items()
         }
         again = ir_to_alpha(scaled, m_min=3)
         for f in s:

@@ -361,17 +361,33 @@ def assert_matrices_equal_oracle(snapshots, positions, params):
     assert len(got) == len(snapshots)
     for m, snap, pos in zip(got, snapshots, positions):
         want = select_factor_matrix_oracle(snap, pos, params)
-        assert (m.t, m.factors) == (want.t, want.factors) and m.positions.tolist() == pos.tolist()
+        assert m.t == want.t and m.positions.tolist() == pos.tolist()
         assert m.assets == tuple(snap.panel.assets[i] for i in pos)
         same_bits(m.raw, want.raw, (snap.t, "raw"))
         same_bits(m.z, want.z, (snap.t, "z"))
         assert m.raw.flags.c_contiguous and m.z.flags.c_contiguous
 
 
+def example_dates(*rows):
+    """(snapshots, positions) of one date per row over every asset: the
+    date's five signal rows are the row times 1, 2, ..., 5."""
+    panel = SimpleNamespace(assets=[f"A{i}" for i in range(len(rows[0]))])
+    snapshots = [SimpleNamespace(t=f"day{k}", panel=panel,
+                                 **{name: (j + 1.0) * np.array(row) for j, name in enumerate(SIGNAL_ROWS)})
+                 for k, row in enumerate(rows)]
+    return snapshots, [np.arange(len(row)) for row in rows]
+
+
 @settings(SETTINGS, max_examples=150)
 @given(dates=signal_dates(), params=factor_params)
 @example(dates=([SimpleNamespace(t="d", panel=SimpleNamespace(assets=["A"]), **dict.fromkeys(SIGNAL_ROWS, np.array([-0.0])))],
                 [np.array([0])]), params=FactorParams(winsor_p=0.1, winsorize_quality_components=True))
+# every signal finite: _finite_groups reads each group as a slice of the values
+@example(dates=example_dates([0.5, -1.0, 2.0, 0.0], [3.0, 1.0, -2.0, 0.25], [1.0, 1.0, -0.0, 4.0]),
+         params=FactorParams(winsor_p=0.1, winsorize_quality_components=True))
+# the dates with 4 finite entries sit apart, the one with 3 between them: a group of joined positions
+@example(dates=example_dates([0.5, -1.0, 2.0, 0.0], [3.0, math.nan, -2.0, 0.25], [1.0, 1.0, -0.0, 4.0]),
+         params=FactorParams(winsor_p=0.1, winsorize_quality_components=True))
 def test_factor_matrices_of_many_dates_equal_one_date_builds(dates, params):
     snapshots, positions = dates
     assert_matrices_equal_oracle(snapshots, positions, params)
