@@ -68,6 +68,7 @@ from .stats import (
 from .synthetic import ScenarioSpec, generate
 from .weighting import (
     CapParams,
+    Targets,
     TiltParams,
     WeightVector,
     bounded_multiplier,

@@ -1,7 +1,8 @@
 """Portfolio evolution through time: piecewise-constant target weights,
-built per rebalance date by a walk or given to `evolve`, daily returns,
-one-way turnover, linear transaction costs, and the counterfactual
-baseline strategies run on identical data and schedule.
+a book's `Targets` (one row per rebalance date) built by a walk or given
+to `evolve`, daily returns, one-way turnover, linear transaction costs,
+and the counterfactual baseline strategies run on identical data and
+schedule.
 
 Conventions: every book starts in cash. Turnover is one-way sum |dw| in
 [0, 2], under drift measured against the drifted weights; the cost
@@ -12,15 +13,16 @@ credited on the day the price comes back; an asset with no earlier price
 earns zero. An empty universe holds cash at exactly zero return until the
 next rebalance.
 
-A walk takes the rebalance dates in blocks of _BLOCK (16). For each
-block it builds the dates' snapshots, then for every pool its books tilt
-(the screened pool, fixed_universe) one `select_factor_matrices` call and
-one `tilted_block` call over every book on it (4 removal books, or dmft
-and fixed_universe one each), and lets the snapshots go before the
-next block: matrices and weights have the bits of their date alone (see
-`factors`, `weighting`), and the walk holds one block of snapshots. Each
-date's ADV row and report block stay in the panel's store
-(`MarketPanel.as_of_row`), for the next walk or screen of that panel.
+A walk writes each book's rows into its blocks, taking the rebalance
+dates in blocks of _BLOCK (16). For each block it builds the dates'
+snapshots, then for every pool its books tilt (the screened pool,
+fixed_universe) one `select_factor_matrices` call and one `tilted_block`
+call over every book on it, whose rows go to the books by slice; the
+other books' rows are written date by date. It lets the snapshots go
+before the next block: matrices and weights have the bits of their date
+alone (see `factors`, `weighting`), and the walk holds one block of
+snapshots. Each date's ADV row and report block stay in the panel's
+store (`MarketPanel.as_of_row`), for the next walk or screen of it.
 
 `evolve` works one holding period (segment) at a time: the days after a
 trade through the next trade or the end. Over a segment a constant_mix
@@ -45,7 +47,7 @@ from .eligibility import EligibilityParams, eligible
 from .errors import ConfigError, DataError, check_finite
 from .factors import FactorMatrix, FactorParams, select_factor_matrices
 from .market_data import AsOf, MarketPanel, RebalanceSchedule
-from .weighting import CapParams, TiltParams, WeightVector, cap_values, tilted_block
+from .weighting import CapParams, Targets, TiltParams, cap_values, tilted_block
 
 log = logging.getLogger(__name__)
 
@@ -82,7 +84,7 @@ class BacktestResult:
     rebalance_dates: list[str]
     turnover: np.ndarray
     costs: np.ndarray
-    weights: list[WeightVector]
+    weights: Targets
 
 
 def pool_positions(snap: AsOf, strategy: str, config: BacktestConfig) -> np.ndarray:
@@ -120,28 +122,6 @@ def pool_matrices(snaps: list[AsOf], strategy: str, config: BacktestConfig) -> l
     return [snap.matrices[key] for snap in snaps]
 
 
-def _date_targets(snap: AsOf, config: BacktestConfig, books, tilted) -> dict[str, WeightVector]:
-    """Every book's target weights at the snapshot's date, each book a
-    (strategy, tilt) pair: the next of its pool's vectors in `tilted`, or
-    built from the pool positions the snapshot keeps."""
-    assets = tuple(snap.panel.assets)
-    out = {}
-    for name, (s, _) in books.items():
-        positions = pool_positions(snap, s, config)
-        w = np.zeros(len(assets))
-        if not positions.size:
-            out[name] = WeightVector(t=snap.t, assets=assets, w=w)
-        elif s in tilted:
-            out[name] = next(tilted[s])
-        elif s in ("ew_eligible", "ew_all"):
-            w[positions] = 1.0 / len(positions)
-            out[name] = WeightVector(t=snap.t, assets=assets, w=w)
-        else:
-            w[positions] = snap.mktcap[positions]
-            out[name] = WeightVector(t=snap.t, assets=assets, w=w / w.sum())
-    return out
-
-
 def _windows(config: BacktestConfig) -> tuple:
     f = config.factors
     return config.eligibility.l_adv, f.l_mom, f.skip, f.l_fund
@@ -166,58 +146,81 @@ def _run(
     panel: MarketPanel, schedule: RebalanceSchedule, config: BacktestConfig, books, end: str | None, snapshots=None
 ) -> dict[str, BacktestResult]:
     """Walk the rebalance dates through `end` once under one config, _BLOCK
-    dates at a time (see the module docstring), then evolve every book."""
+    dates at a time (see the module docstring), writing every book's rows
+    into its blocks, then evolve every book's Targets."""
     for t in schedule.dates:
         if t not in panel.calendar:
             raise DataError(f"rebalance date {t} outside the panel calendar")
     dates = [t for t in schedule.dates if end is None or t <= end]
-    per_date = []
+    shape = (len(dates), panel.n_assets)
+    blocks = {name: (np.zeros(shape), np.ones(shape) if s in _TILTED else None,
+                     np.full(shape, np.nan) if s == "dmft" and config.caps is not None else None)
+              for name, (s, _) in books.items()}
     for i in range(0, len(dates), _BLOCK):
-        per_date += _block_targets(panel, dates[i : i + _BLOCK], config, books, snapshots)
-    return evolve(panel, {name: (s, [targets[name] for targets in per_date]) for name, (s, _) in books.items()},
+        _block_targets(panel, dates[i : i + _BLOCK], config, books, blocks, i, snapshots)
+    return evolve(panel, {name: (s, Targets(dates, panel.assets, *blocks[name])) for name, (s, _) in books.items()},
                   config, end)
 
 
-def _block_targets(panel: MarketPanel, dates: list[str], config: BacktestConfig, books, snapshots=None):
-    """Every book's targets at each of the dates, from one snapshot per date
-    (built, or taken from `snapshots` keyed by date), with one
-    select_factor_matrices and one tilted_block call per tilted pool over
-    its non-empty dates. The snapshots go when this returns."""
+def _block_targets(panel: MarketPanel, dates: list[str], config: BacktestConfig, books, blocks, at: int,
+                   snapshots=None) -> None:
+    """Write every book's targets at the dates into rows at, at + 1, ... of
+    its (w, multipliers, caps) blocks, from one snapshot per date (built, or
+    taken from `snapshots` keyed by date). Each tilted pool takes one
+    select_factor_matrices and one tilted_block call over its non-empty
+    dates, whose rows go by slice to its n books: the j-th book's are every
+    n-th from row j. The snapshots go when this returns."""
     block = [snapshot(panel, t, config) if snapshots is None else _given_snapshot(snapshots, panel, t, config)
              for t in dates]
-    vectors = {}
     for s in sorted({s for s, _ in books.values()} & set(_TILTED)):
-        snaps = [snap for snap in block if pool_positions(snap, s, config).size]
+        held = [k for k, snap in enumerate(block) if pool_positions(snap, s, config).size]
+        if not held:
+            continue
+        snaps = [block[k] for k in held]
         caps = None
         if s == "dmft" and config.caps is not None:
             caps = [cap_values(snap.adv[pool_positions(snap, s, config)], config.caps) for snap in snaps]
-        if snaps:
-            vectors[s] = iter(tilted_block(pool_matrices(snaps, s, config), [t for b, t in books.values() if b == s],
-                                           caps))
-    return [_date_targets(snap, config, books, vectors) for snap in block]
+        names = [name for name, (b, _) in books.items() if b == s]
+        w, mult, cap_rows = tilted_block(pool_matrices(snaps, s, config), [books[name][1] for name in names], caps)
+        rows = at + np.array(held)
+        for j, name in enumerate(names):
+            out_w, out_mult, out_caps = blocks[name]
+            out_w[rows], out_mult[rows] = w[j :: len(names)], mult[j :: len(names)]
+            if out_caps is not None:
+                out_caps[rows] = cap_rows
+    for k, snap in enumerate(block, at):
+        for name, (s, _) in books.items():
+            positions = pool_positions(snap, s, config)
+            if s in ("ew_eligible", "ew_all") and positions.size:
+                blocks[name][0][k, positions] = 1.0 / len(positions)
+            elif s == "cap_weighted" and positions.size:
+                w = blocks[name][0][k]
+                w[positions] = snap.mktcap[positions]
+                w /= w.sum()
 
 
 def evolve(
-    panel: MarketPanel, books: dict[str, tuple[str, list[WeightVector]]], config: BacktestConfig, end: str | None = None
+    panel: MarketPanel, books: dict[str, tuple[str, Targets]], config: BacktestConfig, end: str | None = None
 ) -> dict[str, BacktestResult]:
-    """One BacktestResult per named (strategy label, target WeightVectors)
-    book, all books dated alike in rising order, evolved from the first date
-    through `end` (panel end by default) under config's cost_rate and
-    weight_mode; targets dated after `end` are not traded. Every book starts
-    in cash, earns day d on the weights it held coming into d, and on a
-    rebalance date trades to its target, the turnover cost deducted from
-    that day's return. Between rebalances constant_mix holds the targets;
-    drift lets them grow with returns, and turnover is measured against them.
-    Each holding period is one array expression per book over the period's
-    asset returns (see the module docstring); an empty book earns exactly 0."""
+    """One BacktestResult per named (strategy label, Targets) book, all books
+    dated alike in rising order, evolved from the first date through `end`
+    (panel end by default) under config's cost_rate and weight_mode;
+    targets dated after `end` are not traded, and each result's weights are
+    the targets through `end`. Every book starts in cash, earns day d on the
+    weights it held coming into d, and on a rebalance date trades to its
+    target, the turnover cost deducted from that day's return. Between
+    rebalances constant_mix holds the targets; drift lets a copy of them
+    grow with returns, and turnover is measured against it. Each holding
+    period is one array expression per book over the period's asset
+    returns (see the module docstring); an empty book earns exactly 0."""
     cal, assets = panel.calendar, tuple(panel.assets)
-    vectors = [v for _, v in books.values()]
-    dates = [wv.t for wv in vectors[0]] if vectors else []
-    if any([wv.t for wv in v] != dates for v in vectors):
+    targets = [v for _, v in books.values()]
+    dates = targets[0].dates if targets else ()
+    if any(v.dates != dates for v in targets):
         raise ConfigError("books rebalance on different dates")
-    if any(wv.assets != assets for v in vectors for wv in v):
-        raise ConfigError("a target weight vector is not over the panel's assets")
-    RebalanceSchedule(tuple(dates))  # strictly increasing
+    if any(v.assets != assets for v in targets):
+        raise ConfigError("a book's targets are not over the panel's assets")
+    RebalanceSchedule(dates)  # strictly increasing
     end = cal.last_on_or_before(end) if end is not None else cal.days[-1]
     if end is None:
         raise DataError("backtest end precedes the panel calendar")
@@ -233,7 +236,7 @@ def evolve(
     turnover = np.empty((len(books), n_reb))
     # segment j: the rows after trade j, through the next trade or `end`
     for j, (a, b) in enumerate(zip(trades, trades[1:] + [i_end - i_start])):
-        target = np.array([v[j].w for v in vectors])  # books x assets
+        target = np.array([v.w[j] for v in targets])  # books x assets, a copy that drift grows
         np.add.reduce(np.abs(target - held), axis=1, out=turnover[:, j])
         held = target
         if a == b:
@@ -261,8 +264,8 @@ def evolve(
     equity = np.cumprod(1.0 + daily, axis=1)
     return {
         name: BacktestResult(strategy=s, dates=list(cal.days[i_start : i_end + 1]), daily_returns=daily[j],
-                             equity_curve=equity[j], rebalance_dates=dates[:n_reb], turnover=turnover[j],
-                             costs=costs[j], weights=v[:n_reb])
+                             equity_curve=equity[j], rebalance_dates=list(dates[:n_reb]), turnover=turnover[j],
+                             costs=costs[j], weights=v.head(n_reb))
         for j, (name, (s, v)) in enumerate(books.items())
     }
 

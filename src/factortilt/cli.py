@@ -382,16 +382,13 @@ def _write_screens(panel, snapshots, members, matrices, out: Path) -> None:
 
 def _weight_columns(result) -> list:
     """Date, asset, weight, multiplier (1 when untilted) and liquidity cap
-    (empty when uncapped) of the held assets at each rebalance."""
-    dates, assets, weights, mults, caps = [], [], [], [], []
-    for wv in result.weights:
-        held = np.flatnonzero(wv.w)
-        dates += [wv.t] * len(held)
-        assets += map(wv.assets.__getitem__, held.tolist())
-        weights.append(wv.w[held])
-        mults.append(wv.multipliers[held] if wv.multipliers is not None else np.ones(len(held)))
-        caps.append(wv.caps[held] if wv.caps is not None else np.full(len(held), np.nan))
-    return [dates, assets, _concat(weights), _concat(mults), _concat(caps)]
+    (empty when uncapped) of the held assets at each rebalance, date by
+    date."""
+    targets = result.weights
+    held = rows, cols = np.nonzero(targets.w)
+    return [list(map(targets.dates.__getitem__, rows.tolist())), list(map(targets.assets.__getitem__, cols.tolist())),
+            targets.w[held], np.ones(len(rows)) if targets.multipliers is None else targets.multipliers[held],
+            np.full(len(rows), np.nan) if targets.caps is None else targets.caps[held]]
 
 
 def _write_results(results, cfg: RunConfig, out: Path) -> list[tuple[str, str]]:

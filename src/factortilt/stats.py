@@ -334,7 +334,7 @@ def summarize(
         value("turnover_adjusted_alpha_oneway", turnover_adjusted_alpha, result, benchmark)
     stats["ann_turnover_oneway"] = float(result.turnover.sum()) * TRADING_DAYS / len(result.dates)
     value("max_drawdown", max_drawdown, result.equity_curve)
-    rows = np.array([w.w for w in result.weights], ndmin=2)  # n_reb x n_assets
+    rows = result.weights.w  # n_reb x n_assets
     value("effective_n_mean", _held_mean, _effective_ns, rows)
     value("top5_concentration_mean", _held_mean, lambda held: _top_k_sums(held, 5), rows)
     return StatsReport(result.strategy, **stats, undefined=undefined)

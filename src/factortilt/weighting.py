@@ -9,7 +9,10 @@ composite_score (over 1,200 random cases a stacked gemm changed bits in
 the row sums of a C-contiguous block (numpy sums each row as it sums it
 alone), and the projection is a row kernel over the member rows of the
 pools of one size. normalize_tilt, project_onto_caps and tilted_weights
-are the one-row case."""
+are the one-row case.
+
+A book's `Targets` hold its rows as read-only blocks, checked at once by
+the rule a `WeightVector` checks its one row by."""
 
 from __future__ import annotations
 
@@ -85,15 +88,67 @@ class WeightVector:
 
     def __post_init__(self):
         self.w = np.asarray(self.w, dtype=float)
-        if self.w.shape != (len(self.assets),):
-            raise ConfigError("weight vector length does not match asset list")
-        if not np.isfinite(self.w).all():
+        _check_rows(self.w[None], self.assets)
+
+
+@dataclass(frozen=True, eq=False)  # == on numpy blocks has no single truth value
+class Targets:
+    """A book's targets at its rebalance dates: read-only (dates x assets)
+    blocks of a WeightVector's weights and, for a tilted book, multipliers
+    and (when capped) caps, one checked row per date (a date with an empty
+    pool holds weights 0, multipliers 1 and caps NaN). Iterating yields each
+    row's WeightVector."""
+
+    dates: tuple[str, ...]
+    assets: tuple[str, ...]
+    w: np.ndarray
+    multipliers: np.ndarray | None = None
+    caps: np.ndarray | None = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "dates", tuple(self.dates))
+        object.__setattr__(self, "assets", tuple(self.assets))
+        for name in ("w", "multipliers", "caps"):
+            block = getattr(self, name)
+            if block is not None:
+                block = np.asarray(block, dtype=float).view()  # read-only, whoever else holds the array
+                block.flags.writeable = False
+                object.__setattr__(self, name, block)
+        _check_rows(self.w, self.assets)
+        if len(self.w) != len(self.dates):
+            raise ConfigError(f"{len(self.w)} weight rows for {len(self.dates)} rebalance dates")
+
+    def __len__(self) -> int:
+        return len(self.dates)
+
+    def __iter__(self):
+        for i, t in enumerate(self.dates):
+            yield WeightVector(t, self.assets, *(None if b is None else b[i]
+                                                 for b in (self.w, self.multipliers, self.caps)))
+
+    def head(self, n: int) -> Targets:
+        """The targets of the first n dates (these targets when that is all)."""
+        return self if n == len(self) else Targets(self.dates[:n], self.assets, *(
+            None if b is None else b[:n] for b in (self.w, self.multipliers, self.caps)))
+
+
+def _check_rows(w: np.ndarray, assets) -> None:
+    """Raise the ConfigError of the first row of the block w that is not a
+    WeightVector's weights over `assets`: finite, non-negative, summing to 1
+    within WEIGHT_SUM_TOL or to 0."""
+    if w.ndim != 2 or w.shape[1] != len(assets):
+        raise ConfigError("weight vector length does not match asset list")
+    with np.errstate(invalid="ignore"):  # inf - inf, in a row that is not finite
+        totals = np.add.reduce(w, axis=1)
+    off = (totals != 0.0) & (abs(totals - 1.0) > WEIGHT_SUM_TOL)
+    bad = np.flatnonzero(np.logical_or.reduce(~np.isfinite(w) | (w < 0), axis=1) | off)
+    if bad.size:
+        row, total = w[bad[0]], float(totals[bad[0]])
+        if not np.isfinite(row).all():
             raise ConfigError("weights must be finite")
-        if np.any(self.w < 0):
+        if (row < 0).any():
             raise ConfigError("weights must be non-negative")
-        total = float(self.w.sum())
-        if total != 0.0 and abs(total - 1.0) > WEIGHT_SUM_TOL:
-            raise ConfigError(f"weights must sum to 1 (or all zero), got {total!r}")
+        raise ConfigError(f"weights must sum to 1 (or all zero), got {total!r}")
 
 
 def composite_score(z: FactorMatrix, params: TiltParams) -> np.ndarray:
@@ -208,15 +263,18 @@ def tilted_weights(factor_matrix: FactorMatrix, tilt: TiltParams, caps: np.ndarr
     of their composite score, normalized, then (when given) projected onto
     the members' caps `caps`, in row order (see cap_values). Carries the
     multipliers and, when capped, the caps."""
-    return tilted_block([factor_matrix], [tilt], None if caps is None else [caps])[0]
+    w, mult, cap_rows = tilted_block([factor_matrix], [tilt], None if caps is None else [caps])
+    return WeightVector(t=factor_matrix.t, assets=tuple(factor_matrix.panel_assets), w=w[0], multipliers=mult[0],
+                        caps=None if cap_rows is None else cap_rows[0])
 
 
 def tilted_block(matrices: Sequence[FactorMatrix], tilts: Sequence[TiltParams],
-                 caps: Sequence[np.ndarray] | None = None) -> list[WeightVector]:
-    """tilted_weights(matrix, tilt, matrix's caps) for each of the matrices,
-    over one panel's assets, and within each for each of the tilts, in that
-    order, `caps` (when given) each matrix's member caps. Raises the error
-    of the first of those (matrix, tilt) rows that has one."""
+                 caps: Sequence[np.ndarray] | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """The weights and multipliers of tilted_weights(matrix, tilt, matrix's
+    caps) for each of the matrices, over one panel's assets, and within each
+    for each of the tilts, as the rows of two blocks in that order, and (when
+    `caps` gives each matrix's member caps) the caps, one row per matrix.
+    Raises the error of the first of those (matrix, tilt) rows that has one."""
     n_tilts, n = len(tilts), len(matrices[0].panel_assets)
     sizes = np.array([len(m.positions) for m in matrices])
     owner, members = np.repeat(np.arange(len(matrices)), sizes), np.concatenate([m.positions for m in matrices])
@@ -240,6 +298,4 @@ def tilted_block(matrices: Sequence[FactorMatrix], tilts: Sequence[TiltParams],
             errors.update((int(rows[i, 0]), e) for i, e in failed.items())
     if errors:
         raise errors[min(errors)]
-    return [WeightVector(t=m.t, assets=tuple(m.panel_assets), w=w[r], multipliers=mult[r],
-                         caps=None if cap_rows is None else cap_rows[r // n_tilts])
-            for r, m in enumerate(m for m in matrices for _ in tilts)]
+    return w, mult, cap_rows

@@ -9,9 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from factortilt.backtest import _block_targets
+from factortilt.backtest import _run
 from factortilt.cli import cmd_synth
-from factortilt.market_data import _REPORT_FIELDS, FundamentalRecord, MarketPanel
+from factortilt.market_data import _REPORT_FIELDS, FundamentalRecord, MarketPanel, RebalanceSchedule
 from factortilt.synthetic import trading_days
 
 
@@ -61,8 +61,9 @@ def make_panel(n_days, assets, price, volume=1000.0, mktcap=1e6, fundamentals=No
 
 def targets_at(panel, t, config, strategy):
     """One strategy's target weights at rebalance date t, built as the walk
-    builds them."""
-    return _block_targets(panel, [t], config, {strategy: (strategy, config.tilt)})[0][strategy]
+    builds them: the one row of its Targets."""
+    (row,) = _run(panel, RebalanceSchedule((t,)), config, {strategy: (strategy, config.tilt)}, None)[strategy].weights
+    return row
 
 
 def fundamental(report_date, book=math.nan, roe=math.nan, margin=math.nan, leverage=math.nan):

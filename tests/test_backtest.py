@@ -19,7 +19,7 @@ from factortilt.errors import ConfigError, DataError
 from factortilt.factors import FactorParams
 from factortilt.market_data import RebalanceSchedule, censor_panel
 from factortilt.synthetic import ScenarioSpec, generate
-from factortilt.weighting import CapParams, TiltParams, WeightVector, cap_values
+from factortilt.weighting import CapParams, Targets, TiltParams, cap_values
 
 from conftest import make_panel, targets_at
 
@@ -110,9 +110,9 @@ class TestRunBacktest:
         a = [100.0, 110.0, None, None, 121.0, 121.0]
         b = [None, None, None, 50.0, 55.0, 55.0]
         panel = make_panel(6, ["A", "B"], price={"A": a, "B": b})
-        w = WeightVector(t=panel.calendar.days[2], assets=("A", "B"), w=[0.5, 0.5])
+        w = Targets(dates=[panel.calendar.days[2]], assets=("A", "B"), w=[[0.5, 0.5]])
         for mode in ("constant_mix", "drift"):
-            res = evolve(panel, {"x": ("ew_all", [w])}, BacktestConfig(weight_mode=mode))["x"]
+            res = evolve(panel, {"x": ("ew_all", w)}, BacktestConfig(weight_mode=mode))["x"]
             want = [0.0, 0.0, 0.5 * (121.0 / 110.0 - 1.0) + 0.5 * (55.0 / 50.0 - 1.0), 0.0]
             np.testing.assert_allclose(res.daily_returns, want, rtol=0, atol=1e-15, err_msg=mode)
 
@@ -124,7 +124,7 @@ class TestRunBacktest:
             res = run_baselines(panel, sched, cfg)["ew_eligible"]
         assert "empty universe" in caplog.text
         np.testing.assert_array_equal(res.daily_returns, np.zeros(5))
-        np.testing.assert_array_equal(res.weights[0].w, [0.0])
+        np.testing.assert_array_equal(res.weights.w[0], [0.0])
 
     def test_empty_universe_logged_once_per_date_and_pool(self, caplog):
         # the screens admit no asset; every other pool holds both assets
@@ -190,8 +190,7 @@ class TestTurnoverSeries:
         sched = schedule_at(panel, 5, 10)
         cfg = loose_config(eligibility=EligibilityParams(3, 0.0, 3))
         res = run_baselines(panel, sched, cfg)["ew_eligible"]
-        np.testing.assert_array_equal(res.weights[0].w, [1.0, 0.0])
-        np.testing.assert_array_equal(res.weights[1].w, [0.0, 1.0])
+        np.testing.assert_array_equal(res.weights.w, [[1.0, 0.0], [0.0, 1.0]])
         assert res.turnover[1] == 2.0
 
     def test_hand_delta(self):
@@ -199,9 +198,9 @@ class TestTurnoverSeries:
         panel = make_panel(8, ["A", "B"], price=100.0, mktcap={"A": 60e6, "B": 40e6})
         sched = schedule_at(panel, 4, 6)
         res_cw = run_baselines(panel, sched, loose_config())["cap_weighted"]
-        np.testing.assert_allclose(res_cw.weights[0].w, [0.6, 0.4], atol=1e-12)
+        np.testing.assert_allclose(res_cw.weights.w[0], [0.6, 0.4], atol=1e-12)
         # switch: compare cap-weight book against the equal-weight targets by hand
-        assert abs(res_cw.weights[0].w - np.array([0.5, 0.5])).sum() == pytest.approx(0.2)
+        assert abs(res_cw.weights.w[0] - np.array([0.5, 0.5])).sum() == pytest.approx(0.2)
 
 
 class TestBaselines:
@@ -325,7 +324,7 @@ def test_evolve_rejects_books_it_cannot_trade():
     d = panel.calendar.days
 
     def book(*dates, assets=("A", "B")):
-        return "ew_all", [WeightVector(t=t, assets=assets, w=[0.5, 0.5]) for t in dates]
+        return "ew_all", Targets(dates=dates, assets=assets, w=np.full((len(dates), 2), 0.5))
 
     cases = [
         ({"x": book(d[2], d[5]), "y": book(d[2], d[6])}, ConfigError, "books rebalance on different dates"),
@@ -354,7 +353,8 @@ def test_evolve_peak_follows_the_walked_rows():
     w = np.full(panel.n_assets, 1.0 / panel.n_assets)
     for mode in ("constant_mix", "drift"):
         for every, end, gate in ((21, days[1200], 0.25), (len(days), None, 2.5)):
-            books = {"ew": ("ew_all", [WeightVector(t=t, assets=assets, w=w) for t in days[::every]])}
+            dates = days[::every]
+            books = {"ew": ("ew_all", Targets(dates=dates, assets=assets, w=np.broadcast_to(w, (len(dates), len(w)))))}
             tracemalloc.start()
             try:
                 before = tracemalloc.get_traced_memory()[0]

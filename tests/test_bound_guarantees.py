@@ -1,0 +1,77 @@
+"""What the bounded tilt guarantees, read straight from `tilted_block`'s
+weight block, for the uncapped tilt of a pool of N members with score
+s = z @ alpha (alpha convex) and multipliers m = clip(1 + lam * s, m_min,
+m_max), so that w = m / sum(m):
+
+- concentration: effective N = 1 / sum(w^2) >= N * m_min / m_max, since
+  sum(w^2) <= max w <= m_max / (N * m_min);
+- stability: on one pool, two z blocks give ||w - w'||_1 <=
+  2 * lam * max|z - z'| / m_min, since sum|dw| <= 2 * sum|dm| / sum(m),
+  |dm| <= lam * |ds| <= lam * max|dz| and sum(m) >= N * m_min.
+
+Both are claims of the code, so the only slack is ROUNDING: the float
+arithmetic of the sums and divisions, about 1e-12, stated once here. A
+failing case is a finding about the code, not a reason to widen it.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from factortilt.factors import FACTORS, FactorMatrix
+from factortilt.weighting import TiltParams, tilted_block
+
+SETTINGS = settings(derandomize=True, max_examples=300, deadline=None)
+ROUNDING = 1e-12  # relative for effective N, absolute for the L1 change
+
+
+@st.composite
+def tilts(draw):
+    """A tilt with a convex mixture, lam in [0, 5], m_min in [0.05, 1] and
+    m_max in [1, 5]."""
+    shares = draw(st.lists(st.floats(0.0, 1.0), min_size=len(FACTORS), max_size=len(FACTORS)).filter(sum))
+    alpha = {f: x / sum(shares) for f, x in zip(FACTORS, shares)}
+    return TiltParams(alpha=alpha, lam=draw(st.floats(0.0, 5.0)), m_min=draw(st.floats(0.05, 1.0)),
+                      m_max=draw(st.floats(1.0, 5.0)))
+
+
+@st.composite
+def pools(draw):
+    """A pool's member positions among 1-60 panel assets, and a seeded rng
+    for its z blocks."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_assets = draw(st.integers(1, 60))
+    positions = np.sort(rng.permutation(n_assets)[: draw(st.integers(1, n_assets))]).astype(np.intp)
+    return tuple(f"A{i}" for i in range(n_assets)), positions, rng
+
+
+def matrix(t, assets, positions, z) -> FactorMatrix:
+    return FactorMatrix(t=t, positions=positions, panel_assets=assets, raw=z.copy(), z=z)
+
+
+@SETTINGS
+@given(pool=pools(), tilt_list=st.lists(tilts(), min_size=1, max_size=3))
+def test_effective_n_is_at_least_n_m_min_over_m_max(pool, tilt_list):
+    assets, positions, rng = pool
+    z = rng.standard_t(3, size=(len(positions), len(FACTORS))) * rng.choice([0.1, 1.0, 10.0])
+    w, _, _ = tilted_block([matrix("d0", assets, positions, z)], tilt_list)
+    for row, tilt in zip(w, tilt_list):
+        bound = len(positions) * tilt.m_min / tilt.m_max
+        assert 1.0 / np.sum(row * row) >= bound * (1.0 - ROUNDING), (tilt, len(positions))
+
+
+@SETTINGS
+@given(pool=pools(), tilt=tilts(), scale=st.sampled_from([1e-3, 1e-2, 0.1, 1.0]), near_floor=st.booleans())
+def test_a_score_move_bounds_the_weight_move(pool, tilt, scale, near_floor):
+    assets, positions, rng = pool
+    z = rng.standard_t(3, size=(len(positions), len(FACTORS)))
+    moved = z + scale * rng.uniform(-1.0, 1.0, size=z.shape)
+    if near_floor and tilt.lam > 0:
+        # where the bound is tightest: every multiplier just above m_min, and
+        # half the scores up, half down by the whole move (about half the bound)
+        z = np.full_like(z, (tilt.m_min + 1.0001 * tilt.lam * scale - 1.0) / tilt.lam)
+        moved = z + scale * rng.choice([-1.0, 1.0], size=(len(positions), 1))
+    w, _, _ = tilted_block([matrix("d0", assets, positions, z), matrix("d1", assets, positions, moved)], [tilt])
+    bound = 2.0 * tilt.lam * np.max(np.abs(moved - z)) / tilt.m_min
+    assert np.sum(np.abs(w[1] - w[0])) <= bound + ROUNDING, (tilt, len(positions), scale)

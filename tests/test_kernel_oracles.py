@@ -512,9 +512,13 @@ def test_block_weights_equal_one_call_per_row(block, tilts):
     if failed:
         assert got == failed[0]
         return
-    assert len(got) == len(want)
-    for r, (g, w) in enumerate(zip(got, want)):
-        same_vector(g, w, r)
+    w, mult, cap_rows = got
+    assert len(w) == len(mult) == len(want)
+    for r, want_row in enumerate(want):
+        m = matrices[r // len(tilts)]
+        row = WeightVector(t=m.t, assets=tuple(m.panel_assets), w=w[r], multipliers=mult[r],
+                           caps=None if cap_rows is None else cap_rows[r // len(tilts)])
+        same_vector(row, want_row, r)
     for i, m in enumerate(matrices):  # the one-row case
         same_vector(tilted_weights(m, tilts[0], None if caps is None else caps[i]), want[i * len(tilts)], i)
 

@@ -24,7 +24,7 @@ from factortilt.stats import (
     turnover_adjusted_alpha,
 )
 from factortilt.synthetic import trading_days
-from factortilt.weighting import WeightVector
+from factortilt.weighting import Targets
 
 
 def result_from(returns, turnover=(), strategy="x", start_idx=0, n_total=None):
@@ -42,7 +42,7 @@ def result_from(returns, turnover=(), strategy="x", start_idx=0, n_total=None):
         rebalance_dates=reb * len(turnover) if len(turnover) == 1 else list(dates[: len(turnover)]),
         turnover=turnover,
         costs=np.zeros_like(turnover),
-        weights=[],
+        weights=Targets(dates=(), assets=(), w=np.empty((0, 0))),
     )
 
 
@@ -279,8 +279,7 @@ def test_summarize_concentration_equals_the_mean_over_held_vectors(rows):
     # each held row (sum > 0) scaled to sum to 1, as a book's targets are
     rows = [np.asarray(r) / sum(r) if sum(r) > 0 else np.asarray(r) for r in rows]
     result = result_from(np.zeros(len(rows)), turnover=np.zeros(len(rows)))
-    result.weights = [WeightVector(t=t, assets=tuple(f"A{i}" for i in range(len(r))), w=r)
-                      for t, r in zip(result.dates, rows)]
+    result.weights = Targets(dates=result.dates, assets=tuple(f"A{i}" for i in range(len(rows[0]))), w=rows)
     report = summarize(result)
     held = [r for r in rows if r.sum() > 0]
     if not held:

@@ -54,6 +54,7 @@ from factortilt.synthetic import ScenarioSpec, generate
 from factortilt.weighting import (
     WEIGHT_SUM_TOL,
     CapParams,
+    Targets,
     TiltParams,
     WeightVector,
     bounded_multiplier,
@@ -186,6 +187,10 @@ def oracle_targets(panel, snap: AsOf, books) -> tuple[dict[str, WeightVector], s
         universe = universes[pool]
         if not universe.members:
             out[name] = WeightVector(t=snap.t, assets=assets, w=np.zeros(len(assets)))
+            if s in ("dmft", "fixed_universe"):  # a tilted book's block rows: multipliers 1, caps NaN
+                out[name].multipliers = np.ones(len(assets))
+                if s == "dmft" and config.caps is not None:
+                    out[name].caps = np.full(len(assets), np.nan)
         elif s in ("ew_eligible", "ew_all"):
             out[name] = oracle_equal_weight(universe)
         elif s == "cap_weighted":
@@ -203,7 +208,7 @@ def oracle_targets(panel, snap: AsOf, books) -> tuple[dict[str, WeightVector], s
     return out, bound
 
 
-def oracle_evolve(dates: list[str], returns: np.ndarray, targets: list[WeightVector], strategy: str,
+def oracle_evolve(dates: list[str], returns: np.ndarray, targets: Targets, strategy: str,
                   config) -> BacktestResult:
     """One (strategy, config) book's daily evolution over `dates`, whose
     asset returns are the rows of `returns`, trading to each target on its
@@ -313,9 +318,15 @@ def end_of(panel, first: str, end_at) -> str | None:
     return panel.calendar.days[i_start + int(end_at * (panel.n_days - 1 - i_start))]
 
 
+def same_targets(got: Targets, want: Targets, what):
+    assert (got.dates, got.assets) == (want.dates, want.assets), what
+    for attr in ("w", "multipliers", "caps"):
+        same_bits(getattr(got, attr), getattr(want, attr), f"{what} {attr}")
+
+
 def assert_same_result(got: BacktestResult, want: BacktestResult, what):
     assert (got.strategy, got.dates, got.rebalance_dates) == (want.strategy, want.dates, want.rebalance_dates), what
-    assert all(g is w for g, w in zip(got.weights, want.weights, strict=True)), what
+    same_targets(got.weights, want.weights, what)
     for attr in ("daily_returns", "equity_curve", "turnover", "costs"):
         same_bits(getattr(got, attr), getattr(want, attr), f"{what} {attr}")
 
@@ -324,7 +335,7 @@ def assert_same_result(got: BacktestResult, want: BacktestResult, what):
 ORACLE_TOL = 1e-12
 
 
-def cash_rows(dates: list[str], targets: list[WeightVector]) -> np.ndarray:
+def cash_rows(dates: list[str], targets: Targets) -> np.ndarray:
     """The days a book earns on no holdings: before its first trade and
     after a trade to an all-zero target, through the next trade."""
     by_date = {wv.t: wv.w for wv in targets}
@@ -341,7 +352,7 @@ def assert_close_to_oracle(got: BacktestResult, want: BacktestResult, drift: boo
     cash rows and constant_mix turnover and costs, within ORACLE_TOL
     elsewhere."""
     assert (got.strategy, got.dates, got.rebalance_dates) == (want.strategy, want.dates, want.rebalance_dates), what
-    assert all(g is w for g, w in zip(got.weights, want.weights, strict=True)), what
+    same_targets(got.weights, want.weights, what)
     close = ["daily_returns", "equity_curve"] + (["turnover", "costs"] if drift else [])
     for attr in ("daily_returns", "equity_curve", "turnover", "costs"):
         g, w = getattr(got, attr), getattr(want, attr)
@@ -366,14 +377,14 @@ def target_books(draw, panel):
     cell = st.one_of(st.just(0.0), st.floats(0.0, 1e6))
     books = {}
     for b in range(draw(st.integers(1, 3))):
-        vectors = []
+        rows = []
         for t in dates:
             w = np.zeros(panel.n_assets)
             if draw(st.booleans()):
                 w = np.array(draw(st.lists(cell, min_size=panel.n_assets, max_size=panel.n_assets)))
                 w = w / w.sum() if w.sum() > 0 else w
-            vectors.append(WeightVector(t=t, assets=tuple(panel.assets), w=w))
-        books[f"book{b}"] = (draw(st.sampled_from(STRATEGIES)), vectors)
+            rows.append(w)
+        books[f"book{b}"] = (draw(st.sampled_from(STRATEGIES)), Targets(dates, panel.assets, rows))
     return books
 
 
@@ -394,10 +405,11 @@ def test_walk_equals_mapping_oracle(panel, p, fractions, lam, caps, weight_mode,
             for t in schedule.dates:
                 oracle_targets(panel, snapshot(panel, t, config), books)
         return
+    rows = {name: list(res.weights) for name, res in results.items()}
     for k, t in enumerate(schedule.dates):
         targets, bound = oracle_targets(panel, snapshot(panel, t, config), books)
         for name, want in targets.items():
-            got = results[name].weights[k]
+            got = rows[name][k]
             assert (got.t, got.assets) == (want.t, want.assets)
             for attr in ("multipliers", "caps"):
                 same_bits(getattr(got, attr), getattr(want, attr), f"{name} {t} {attr}")
@@ -434,7 +446,7 @@ def test_day_loop_equals_per_config_evolution(panel, p, fractions, weight_mode, 
        end_at=st.one_of(st.none(), st.floats(0.0, 1.0)))
 def test_evolve_equals_per_book_evolution_on_arbitrary_targets(data, panel, weight_mode, cost_rate, end_at):
     books = data.draw(target_books(panel))
-    first = next(iter(books.values()))[1][0].t
+    first = next(iter(books.values()))[1].dates[0]
     config = BacktestConfig(cost_rate=cost_rate, weight_mode=weight_mode)
     end = end_of(panel, first, end_at)
     results = evolve(panel, books, config, end)
@@ -443,16 +455,15 @@ def test_evolve_equals_per_book_evolution_on_arbitrary_targets(data, panel, weig
     i_start, i_end = cal.position(first), cal.position(end or cal.days[-1])
     dates = list(cal.days[i_start : i_end + 1])
     span = oracle_asset_returns(panel)[i_start : i_end + 1]
-    for name, (s, vectors) in books.items():
-        kept = [wv for wv in vectors if wv.t <= dates[-1]]
+    for name, (s, targets) in books.items():
+        kept = targets.head(sum(t <= dates[-1] for t in targets.dates))
         assert_close_to_oracle(results[name], oracle_evolve(dates, span, kept, s, config), weight_mode == "drift", name)
 
 
 def with_cash_book(books: dict) -> dict:
     """books plus one whose every target is all zero, dated as theirs."""
-    vectors = next(iter(books.values()))[1]
-    return {**books, "cash": ("ew_all", [WeightVector(t=wv.t, assets=wv.assets, w=np.zeros(len(wv.w)))
-                                         for wv in vectors])}
+    targets = next(iter(books.values()))[1]
+    return {**books, "cash": ("ew_all", Targets(targets.dates, targets.assets, np.zeros_like(targets.w)))}
 
 
 @settings(SETTINGS, max_examples=40)
@@ -463,12 +474,13 @@ def test_evolve_truncated_at_any_end_is_a_prefix_of_the_full_run(data, panel, we
     books = with_cash_book(books) if cash_book else books
     config = BacktestConfig(cost_rate=cost_rate, weight_mode=weight_mode)
     full = evolve(panel, books, config)
-    first = next(iter(books.values()))[1][0].t
+    first = next(iter(books.values()))[1].dates[0]
     for end in panel.calendar.days[panel.calendar.position(first):]:
         for name, cut in evolve(panel, books, config, end).items():
             whole, m, n = full[name], len(cut.dates), len(cut.rebalance_dates)
             assert (cut.dates, cut.rebalance_dates) == (whole.dates[:m], whole.rebalance_dates[:n]), (name, end)
-            assert cut.dates[-1] == end and all(a is b for a, b in zip(cut.weights, whole.weights[:n], strict=True))
+            assert cut.dates[-1] == end
+            same_targets(cut.weights, whole.weights.head(n), (name, end))
             for attr, k in (("daily_returns", m), ("equity_curve", m), ("turnover", n), ("costs", n)):
                 same_bits(getattr(cut, attr), getattr(whole, attr)[:k], f"{name} {attr} to {end}")
 
@@ -496,7 +508,7 @@ def test_walk_truncated_at_any_end_is_a_prefix_of_the_full_run(n_dates, data, se
             whole, m, n = full[name], len(cut.dates), len(cut.rebalance_dates)
             assert (cut.dates, cut.rebalance_dates) == (whole.dates[:m], whole.rebalance_dates[:n]), (name, end)
             assert cut.dates[-1] == end
-            for got, want in zip(cut.weights, whole.weights[:n], strict=True):
+            for got, want in zip(cut.weights, whole.weights.head(n), strict=True):
                 for attr in ("w", "multipliers", "caps"):
                     same_bits(getattr(got, attr), getattr(want, attr), f"{name} {got.t} {attr} to {end}")
             for attr, k in (("daily_returns", m), ("equity_curve", m), ("turnover", n), ("costs", n)):
@@ -545,7 +557,7 @@ def test_a_removal_book_walks_alike_alone_and_in_any_block(data, panel, p, caps,
             assert (got.t, got.assets) == (want.t, want.assets)
             for attr in ("w", "multipliers", "caps"):
                 same_bits(getattr(got, attr), getattr(want, attr), f"{name} {t} {attr}")
-        for got, want in zip(shifted.weights, whole.weights[len(whole.weights) - len(later.dates):], strict=True):
+        for got, want in zip(shifted.weights, list(whole.weights)[len(whole.weights) - len(later.dates):], strict=True):
             for attr in ("w", "multipliers", "caps"):
                 same_bits(getattr(got, attr), getattr(want, attr), f"{name} {got.t} {attr} from {later.dates[0]}")
 
@@ -561,7 +573,7 @@ def test_a_book_evolves_alike_alone_and_beside_others_in_any_position(data, pane
     books["twin"] = books[name0]  # equal targets give equal bits
     order = data.draw(st.permutations(list(books)))
     config = BacktestConfig(cost_rate=cost_rate, weight_mode=weight_mode)
-    end = end_of(panel, books[name0][1][0].t, end_at)
+    end = end_of(panel, books[name0][1].dates[0], end_at)
     together = evolve(panel, books, config, end)
     shuffled = evolve(panel, {name: books[name] for name in order}, config, end)
     assert list(shuffled) == order

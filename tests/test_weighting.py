@@ -1,14 +1,18 @@
 import numpy as np
 import pytest
 
-from factortilt.backtest import BacktestConfig
+from factortilt.backtest import BacktestConfig, evolve, run_baselines
 from factortilt.eligibility import EligibilityParams
 from factortilt.errors import ConfigError, InfeasibleCapsError
 from factortilt.factors import FactorMatrix
+from factortilt.market_data import build_schedule
+from factortilt.synthetic import ScenarioSpec, generate
 from factortilt.weighting import (
     WEIGHT_SUM_TOL,
     CapParams,
+    Targets,
     TiltParams,
+    WeightVector,
     bounded_multiplier,
     cap_values,
     composite_score,
@@ -308,3 +312,59 @@ class TestBuildWeights:
     def test_empty_universe_all_zero(self):
         out = empty_universe_weights("dmft")
         np.testing.assert_array_equal(out.w, [0.0, 0.0])
+
+
+def weight_vector_error(assets, w) -> str:
+    with pytest.raises(ConfigError) as exc:
+        WeightVector(t=T, assets=assets, w=w)
+    return str(exc.value)
+
+
+def test_targets_raise_the_first_bad_rows_weight_vector_error_and_iterate_as_weight_vectors():
+    assets, good = ("A", "B", "C"), [0.5, 0.25, 0.25]
+    bad = {
+        "non-finite": [0.5, np.inf, 0.25],
+        "negative": [1.25, -0.25, 0.0],
+        "sum off 1": [0.5, 0.5, 2 * WEIGHT_SUM_TOL],
+        "all NaN": [np.nan] * 3,
+    }
+    dates = ("d0", "d1", "d2", "d3")
+    for what, row in bad.items():
+        for other in bad.values():  # a second bad row after the first keeps the first row's error
+            block = [good, [0.0] * 3, row, other]
+            with pytest.raises(ConfigError) as exc:
+                Targets(dates, assets, block)
+            assert str(exc.value) == weight_vector_error(assets, row), what
+    # a 2-D block's rows share one length, so a wrong one is wrong in every row
+    with pytest.raises(ConfigError) as exc:
+        Targets(dates[:2], assets, [good + [0.0], good + [0.0]])
+    assert str(exc.value) == weight_vector_error(assets, good + [0.0])
+    with pytest.raises(ConfigError, match="2 weight rows for 3 rebalance dates"):
+        Targets(dates[:3], assets, [good, good])
+
+    # a walk's targets: read-only blocks whose rows iterate as checked
+    # WeightVectors, bit for bit, and that drift evolution leaves as they were
+    panel = generate(ScenarioSpec(seed=3, n_assets=12, n_days=400, liquidity_tiers=(1.0, 4.0)))
+    days = panel.calendar.days
+    config = BacktestConfig(eligibility=EligibilityParams(h_min=60, adv_min=0.0, l_adv=20),
+                            caps=CapParams(c_max=0.3, kappa=0.5), weight_mode="drift")
+    results = run_baselines(panel, build_schedule(panel.calendar, days[100], days[-1]), config)
+    for name, res in results.items():
+        targets = res.weights
+        before = {attr: None if getattr(targets, attr) is None else getattr(targets, attr).tobytes()
+                  for attr in ("w", "multipliers", "caps")}
+        assert targets.dates == tuple(res.rebalance_dates) and targets.assets == tuple(panel.assets)
+        assert (targets.multipliers is not None, targets.caps is not None) == (name in ("dmft", "fixed_universe"),
+                                                                               name == "dmft")
+        rows = list(targets)
+        assert len(rows) == len(targets) == len(res.rebalance_dates) > 1, name
+        for i, wv in enumerate(rows):
+            assert isinstance(wv, WeightVector) and wv.t == targets.dates[i] and wv.assets == targets.assets
+            assert wv.w.dtype == np.float64 and wv.w.shape == (panel.n_assets,)
+            assert wv.w.tobytes() == targets.w[i].tobytes(), (name, wv.t)
+        for attr in ("w", "multipliers", "caps"):
+            block = getattr(targets, attr)
+            assert block is None or not block.flags.writeable, (name, attr)
+        evolve(panel, {name: (res.strategy, targets)}, config)
+        for attr, bits in before.items():
+            assert bits is None or getattr(targets, attr).tobytes() == bits, (name, attr)
