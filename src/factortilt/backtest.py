@@ -16,23 +16,37 @@ next rebalance.
 A walk writes each book's rows into its blocks, taking the rebalance
 dates in blocks of _BLOCK (16). For each block it builds the dates'
 snapshots, then for every pool its books tilt (the screened pool,
-fixed_universe) one `select_factor_matrices` call and one `tilted_block`
-call over every book on it, whose rows go to the books by slice; the
-other books' rows are written date by date. It lets the snapshots go
-before the next block: matrices and weights have the bits of their date
-alone (see `factors`, `weighting`), and the walk holds one block of
-snapshots. Each date's ADV row and report block stay in the panel's
-store (`MarketPanel.as_of_row`), for the next walk or screen of it.
+fixed_universe) one `select_factor_matrices` call, for capped dmft one
+`member_caps` call, and one `tilted_block` call over every book on it,
+whose rows go to the books by slice; the other books' rows are written
+date by date. It lets the snapshots go before the next block: matrices
+and weights have the bits of their date alone (see `factors`,
+`weighting`), and the walk holds one block of snapshots. Each date's ADV
+row and report block stay in the panel's store (`MarketPanel.as_of_row`),
+for the next walk or screen of it.
 
-`evolve` works one holding period (segment) at a time: the days after a
-trade through the next trade or the end. Over a segment a constant_mix
-book's daily returns are the row sums of r * w, and a drift book's value is
-the row sums of cumprod(1 + r) * w, its daily return value_k / value_k-1 - 1
-from value = sum(w) at the trade. Each book is summed on its own, row by
-row, never through a matrix product: BLAS rounds a row of r @ w or
-r @ W.T differently with the number of rows or books in the call, and the
-row sums keep a run truncated at any end a bitwise prefix of the full run
-and give equal targets equal bits whatever books sit beside them.
+`evolve` walks the calendar rows in fixed blocks of _ROW_BLOCK_CELLS
+price cells, max(1, 32768 // n_assets) rows (546 at 60 assets, 65 at
+500). Each block's asset returns are built once, their gaps filled from
+the last valid prices carried in from the block before. A holding period
+(segment: the rows after a trade through the next trade or the end) is
+cut by the blocks into pieces. Over a piece a constant_mix book's daily
+returns are the row sums of r * w; a drift book's value is the row sums
+of g * w, with g each asset's growth cumprod(1 + r) since the trade, and
+its daily return is value_k / value_k-1 - 1 from value = sum(w) at the
+trade. Across a block boundary inside a segment three things carry: the
+growth row, shared by every book (a piece's first row is carry * (1 + r),
+then np.multiply.accumulate, so cumprod's sequential order holds), each
+book's last value, and, at the segment's end, its drifted weights. Each
+piece takes one (live books, rows, assets) product and one np.add.reduce
+over its last axis for every book that holds something, never a matrix
+product: BLAS rounds a row of r @ w or r @ W.T differently with the number
+of rows or books in the call, while numpy sums each contiguous row of a
+block exactly as it sums that row alone. So no bit depends on the block
+size, a run truncated at any end is a bitwise prefix of the full run, and
+equal targets get equal bits whatever books sit beside them. evolve holds
+one block of returns and one piece's products, whatever the holding
+period's length.
 """
 
 from __future__ import annotations
@@ -47,7 +61,7 @@ from .eligibility import EligibilityParams, eligible
 from .errors import ConfigError, DataError, check_finite
 from .factors import FactorMatrix, FactorParams, select_factor_matrices
 from .market_data import AsOf, MarketPanel, RebalanceSchedule
-from .weighting import CapParams, Targets, TiltParams, cap_values, tilted_block
+from .weighting import CapParams, Targets, TiltParams, member_caps, tilted_block
 
 log = logging.getLogger(__name__)
 
@@ -55,6 +69,7 @@ STRATEGIES = ("dmft", "fixed_universe", "ew_eligible", "ew_all", "cap_weighted")
 _POOLS = {"dmft": "screened", "ew_eligible": "screened"}  # every other strategy holds a pool of its own
 _TILTED = ("dmft", "fixed_universe")  # the strategies whose targets read a factor matrix
 _BLOCK = 16  # rebalance dates whose snapshots a walk holds at once
+_ROW_BLOCK_CELLS = 1 << 15  # price cells of the calendar rows whose asset returns evolve holds at once
 WEIGHT_MODES = ("constant_mix", "drift")
 
 
@@ -169,7 +184,8 @@ def _block_targets(panel: MarketPanel, dates: list[str], config: BacktestConfig,
     taken from `snapshots` keyed by date). Each tilted pool takes one
     select_factor_matrices and one tilted_block call over its non-empty
     dates, whose rows go by slice to its n books: the j-th book's are every
-    n-th from row j. The snapshots go when this returns."""
+    n-th from row j. A capped dmft pool's caps take one member_caps call.
+    The snapshots go when this returns."""
     block = [snapshot(panel, t, config) if snapshots is None else _given_snapshot(snapshots, panel, t, config)
              for t in dates]
     for s in sorted({s for s, _ in books.values()} & set(_TILTED)):
@@ -179,7 +195,7 @@ def _block_targets(panel: MarketPanel, dates: list[str], config: BacktestConfig,
         snaps = [block[k] for k in held]
         caps = None
         if s == "dmft" and config.caps is not None:
-            caps = [cap_values(snap.adv[pool_positions(snap, s, config)], config.caps) for snap in snaps]
+            caps = member_caps([snap.adv[pool_positions(snap, s, config)] for snap in snaps], config.caps)
         names = [name for name, (b, _) in books.items() if b == s]
         w, mult, cap_rows = tilted_block(pool_matrices(snaps, s, config), [books[name][1] for name in names], caps)
         rows = at + np.array(held)
@@ -210,9 +226,12 @@ def evolve(
     weights it held coming into d, and on a rebalance date trades to its
     target, the turnover cost deducted from that day's return. Between
     rebalances constant_mix holds the targets; drift lets a copy of them
-    grow with returns, and turnover is measured against it. Each holding
-    period is one array expression per book over the period's asset
-    returns (see the module docstring); an empty book earns exactly 0."""
+    grow with returns, and turnover is measured against it. The rows go in
+    fixed blocks, each holding period in pieces of one block, with one
+    product and one row sum per piece over every book that holds
+    something; the growth row, each book's last value and its drifted
+    weights carry across a block boundary, so no bit depends on the block
+    size (see the module docstring). An empty book earns exactly 0."""
     cal, assets = panel.calendar, tuple(panel.assets)
     targets = [v for _, v in books.values()]
     dates = targets[0].dates if targets else ()
@@ -228,37 +247,50 @@ def evolve(
     if not n_reb:
         raise ConfigError(f"no target weights dated on or before the backtest end {end}")
     i_start, i_end = cal.position(dates[0]), cal.position(end)
+    n_days, step = i_end + 1 - i_start, max(1, _ROW_BLOCK_CELLS // panel.n_assets)
     trades = [cal.position(t) - i_start for t in dates[:n_reb]]
     drift = config.weight_mode == "drift"
     held = np.zeros((len(books), panel.n_assets))
     last = _last_prices(panel.price, i_start)
-    daily = np.zeros((len(books), i_end + 1 - i_start))
+    daily = np.zeros((len(books), n_days))
     turnover = np.empty((len(books), n_reb))
     # segment j: the rows after trade j, through the next trade or `end`
-    for j, (a, b) in enumerate(zip(trades, trades[1:] + [i_end - i_start])):
+    segments = list(zip(trades, trades[1:] + [n_days - 1]))
+    rows = np.empty((min(step, n_days - 1) + 1, panel.n_assets))  # the prices, then the returns, of one block
+    cells = np.empty(len(books) * min(step, max(b - a for a, b in segments)) * panel.n_assets)  # a piece's products
+    r, first = None, 1 - step  # the returns of the block of rows first, ..., first + step - 1
+    for j, (a, b) in enumerate(segments):
         target = np.array([v.w[j] for v in targets])  # books x assets, a copy that drift grows
         np.add.reduce(np.abs(target - held), axis=1, out=turnover[:, j])
         held = target
-        if a == b:
-            continue
-        r = _segment_returns(panel.price, last, i_start + a + 1, i_start + b)
-        if drift:
-            # r becomes each asset's growth since trade j, from a first row of ones
-            growth = np.empty((len(r) + 1, r.shape[1]))
-            growth[0] = 1.0
-            np.add(r, 1.0, out=growth[1:])
-            r = np.multiply.accumulate(growth, axis=0, out=growth)
-        part = np.empty_like(r)
-        for i in np.flatnonzero(held.any(axis=1)):  # an empty book holds cash at exactly zero
-            w, out = held[i], daily[i, a + 1 : b + 1]
-            np.multiply(r, w, out=part)
+        live = np.flatnonzero(held.any(axis=1))  # an empty book holds cash at exactly zero
+        w = held[live]
+        growth, value = np.ones(panel.n_assets), np.add.reduce(w, axis=1)  # drift's carries from trade j
+        lo = a + 1
+        while lo <= b:  # one piece: the segment's rows in one block
+            if lo >= first + step:  # the blocks follow each other: rows 1, 1 + step, ...
+                first = lo
+                r = _segment_returns(panel.price, last, i_start + first, i_start + min(first + step, n_days) - 1, rows)
+            hi = min(b, first + step - 1)
+            piece = r[lo - first : hi + 1 - first]
             if drift:
-                value = np.add.reduce(part, axis=1)  # from sum(w) at trade j
-                np.divide(value[1:], value[:-1], out=out)
-                out -= 1.0
-                np.divide(part[-1], value[-1], out=w)
+                # the piece's rows become each asset's growth since trade j
+                piece += 1.0
+                piece[0] *= growth
+                np.multiply.accumulate(piece, axis=0, out=piece)
+                growth = piece[-1].copy()
+            part = np.multiply(piece, w[:, None], out=cells[: w.size * len(piece)].reshape(len(w), *piece.shape))
+            if drift:
+                v = np.empty((len(live), len(piece) + 1))
+                v[:, 0] = value
+                np.add.reduce(part, axis=2, out=v[:, 1:])
+                daily[live, lo : hi + 1] = v[:, 1:] / v[:, :-1] - 1.0
+                value = v[:, -1]
+                if hi == b:
+                    held[live] = part[:, -1] / value[:, None]
             else:
-                np.add.reduce(part, axis=1, out=out)
+                daily[live, lo : hi + 1] = np.add.reduce(part, axis=2)
+            lo = hi + 1
     costs = config.cost_rate * turnover
     daily[:, trades] -= costs
     equity = np.cumprod(1.0 + daily, axis=1)
@@ -296,17 +328,19 @@ def _fill_gaps(rows: np.ndarray) -> None:
         rows[at, col] = rows[at[run] - 1, col[run]][np.cumsum(run) - 1]
 
 
-def _segment_returns(price: np.ndarray, last: np.ndarray, lo: int, hi: int) -> np.ndarray:
+def _segment_returns(price: np.ndarray, last: np.ndarray, lo: int, hi: int, rows: np.ndarray) -> np.ndarray:
     """The asset returns of calendar rows lo..hi, each from the asset's last
     valid price before it, so the return across a gap is credited on the day
     the price comes back; a day without a price, or without an earlier one,
-    earns zero. `last` holds the last valid prices at or before row lo - 1
-    and is moved on to row hi."""
-    rows = price[lo - 1 : hi + 1].copy()
-    rows[0] = last
+    earns zero. They are built in place in the first hi + 1 - lo rows of
+    `rows`, at least hi + 2 - lo rows of the panel's width, and returned as
+    a view of them. `last` holds the last valid prices at or before row
+    lo - 1 and is moved on to row hi."""
+    rows = rows[: hi + 2 - lo]
+    rows[0], rows[1:] = last, price[lo : hi + 1]
     _fill_gaps(rows)
     last[:] = rows[-1]
-    r = rows[1:] / rows[:-1]
+    r = np.divide(rows[1:], rows[:-1], out=rows[:-1])  # in place: each row is read before it is written
     r -= 1.0
     r[np.isnan(r)] = 0.0
     return r

@@ -9,7 +9,9 @@ composite_score (over 1,200 random cases a stacked gemm changed bits in
 the row sums of a C-contiguous block (numpy sums each row as it sums it
 alone), and the projection is a row kernel over the member rows of the
 pools of one size. normalize_tilt, project_onto_caps and tilted_weights
-are the one-row case.
+are the one-row case. So is cap_values of member_caps, whose liquidity
+caps take one row median per pool size (np.median(axis=1): the 1-d
+median's partition and mean, row by row).
 
 A book's `Targets` hold its rows as read-only blocks, checked at once by
 the rule a `WeightVector` checks its one row by."""
@@ -71,7 +73,7 @@ class CapParams:
             raise ConfigError(f"gamma must be in [0, 1], got {self.gamma}")
 
 
-@dataclass
+@dataclass(eq=False)  # == on numpy rows has no single truth value
 class WeightVector:
     """Long-only, finite weights over the full asset list, zero outside the
     universe. Sums to 1 unless the universe was empty (then all zero).
@@ -192,13 +194,28 @@ def cap_values(adv: np.ndarray, params: CapParams) -> np.ndarray:
 
     The median over an even count is the mean of the two central order
     statistics. A zero median (all-zero ADV) falls back to a ratio of 1.
+    The one-row case of member_caps.
     """
-    if not np.all(np.isfinite(adv)):
-        raise ConfigError("missing ADV for a universe member")
-    med = float(np.median(adv))
-    ratio = adv / med if med > 0 else np.ones_like(adv)
-    caps = np.minimum(params.c_max, params.kappa * ratio**params.gamma)
-    return np.minimum(caps, 1.0)
+    return member_caps([adv], params)[0]
+
+
+def member_caps(advs: Sequence[np.ndarray], params: CapParams) -> list[np.ndarray]:
+    """cap_values of each of the pools' member ADV arrays, one row kernel
+    over the arrays of each size (a row's median is the 1-d median's
+    partition and mean, so every row has the bits of its pool alone)."""
+    sizes = np.array([len(adv) for adv in advs])
+    caps = [None] * len(advs)
+    for k in np.unique(sizes).tolist():
+        at = np.flatnonzero(sizes == k).tolist()
+        adv = np.array([advs[i] for i in at], dtype=float)
+        if not np.all(np.isfinite(adv)):
+            raise ConfigError("missing ADV for a universe member")
+        med = np.median(adv, axis=1, keepdims=True)
+        ratio = np.divide(adv, med, out=np.ones_like(adv), where=med > 0)
+        rows = np.minimum(np.minimum(params.c_max, params.kappa * ratio**params.gamma), 1.0)
+        for i, row in zip(at, rows):
+            caps[i] = row
+    return caps
 
 
 def project_onto_caps(w: np.ndarray, caps: np.ndarray) -> np.ndarray:

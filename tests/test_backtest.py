@@ -19,7 +19,7 @@ from factortilt.errors import ConfigError, DataError
 from factortilt.factors import FactorParams
 from factortilt.market_data import RebalanceSchedule, censor_panel
 from factortilt.synthetic import ScenarioSpec, generate
-from factortilt.weighting import CapParams, Targets, TiltParams, cap_values
+from factortilt.weighting import CapParams, Targets, TiltParams, member_caps
 
 from conftest import make_panel, targets_at
 
@@ -342,27 +342,33 @@ def test_evolve_rejects_books_it_cannot_trade():
 
 
 def test_evolve_peak_follows_the_walked_rows():
-    """evolve builds asset returns one holding period at a time: with a
-    trade every 21 days over 1,201 of 1,500 days its transient is a few of
-    those periods' grids (0.09-0.11 of the panel's price grid). The day loop
-    over a returns grid of all walked rows peaked at 1.35 (1.68 walking to
-    the last day). A single holding period over every day holds its returns
-    and one product of them, about two grids (the day loop: 1.63)."""
+    """evolve builds asset returns in fixed blocks of calendar rows (163 rows
+    at 200 assets), one block at a time, and one product of a piece's
+    returns with every book's weights. With a trade every 21 days over
+    1,201 of 1,500 days its transient is 0.18 of the panel's price grid
+    (0.07 when evolve built one holding period at a time; the day loop
+    over a returns grid of all walked rows peaked at 1.35). A single
+    holding period peaks at 0.26 grids whether it lasts 500 days or 1,500,
+    where evolve built that period's returns whole (0.71 and 2.13); five
+    books over it peak at 0.74, their products of one block each (2.16)."""
     panel = generate(ScenarioSpec(seed=1, n_assets=200, n_days=1500, missing_rate=0.02))
     days, assets = panel.calendar.days, tuple(panel.assets)
     w = np.full(panel.n_assets, 1.0 / panel.n_assets)
+    cases = ((21, days[1200], 1, 0.25), (len(days), days[499], 1, 0.4), (len(days), None, 1, 0.4),
+             (len(days), None, 5, 1.0))
     for mode in ("constant_mix", "drift"):
-        for every, end, gate in ((21, days[1200], 0.25), (len(days), None, 2.5)):
+        for every, end, n_books, gate in cases:
             dates = days[::every]
-            books = {"ew": ("ew_all", Targets(dates=dates, assets=assets, w=np.broadcast_to(w, (len(dates), len(w)))))}
+            book = ("ew_all", Targets(dates=dates, assets=assets, w=np.broadcast_to(w, (len(dates), len(w)))))
             tracemalloc.start()
             try:
                 before = tracemalloc.get_traced_memory()[0]
-                evolve(panel, books, BacktestConfig(weight_mode=mode), end=end)
+                evolve(panel, {f"ew{i}": book for i in range(n_books)}, BacktestConfig(weight_mode=mode), end=end)
                 peak = tracemalloc.get_traced_memory()[1] - before
             finally:
                 tracemalloc.stop()
-            assert peak < gate * panel.price.nbytes, f"{mode} every {every}: peak {peak / panel.price.nbytes:.2f} grids"
+            assert peak < gate * panel.price.nbytes, \
+                f"{mode} every {every} to {end}, {n_books} books: peak {peak / panel.price.nbytes:.2f} grids"
 
 
 def test_walk_peak_does_not_grow_with_the_rebalance_dates():
@@ -438,21 +444,23 @@ class TestFactorRemovals:
 
 
     def test_caps_are_computed_once_per_date(self, monkeypatch):
-        # the four dmft books share one pool, so they share its cap row
+        # the four dmft books share one pool, so they share its cap row, and
+        # the walk's one block of three dates takes one member_caps call
         panel = generate(ScenarioSpec(seed=7, n_assets=12, n_days=220, liquidity_tiers=(1.0, 4.0, 16.0)))
         sched = schedule_at(panel, 60, 120, 180)
         cfg = loose_config(eligibility=EligibilityParams(40, 0.0, 10), factors=FactorParams(l_mom=30, skip=3),
                            caps=CapParams(c_max=0.15, kappa=0.1))
         calls = []
 
-        def counting(adv, params):
-            calls.append(adv.size)
-            return cap_values(adv, params)
+        def counting(advs, params):
+            calls.append([adv.size for adv in advs])
+            return member_caps(advs, params)
 
-        monkeypatch.setattr(backtest, "cap_values", counting)
+        monkeypatch.setattr(backtest, "member_caps", counting)
         runs = run_factor_removals(panel, sched, cfg)
-        assert len(calls) == len(sched) and all(calls)
-        assert all(np.isfinite(w.caps).sum() == n for res in runs.values() for w, n in zip(res.weights, calls))
+        sizes = [n for call in calls for n in call]
+        assert len(calls) == 1 and len(sizes) == len(sched) and all(sizes)
+        assert all(np.isfinite(w.caps).sum() == n for res in runs.values() for w, n in zip(res.weights, sizes))
 
 
 class TestRemovalTilt:

@@ -37,10 +37,13 @@ from factortilt.market_data import (
 )
 from factortilt.weighting import (
     WEIGHT_SUM_TOL,
+    CapParams,
     TiltParams,
     WeightVector,
     bounded_multiplier,
+    cap_values,
     composite_score,
+    member_caps,
     normalize_tilt,
     project_onto_caps,
     tilted_block,
@@ -178,6 +181,15 @@ def project_onto_caps_oracle(w: np.ndarray, caps: np.ndarray) -> np.ndarray:
     if k < len(order):
         w[order[k:]] = s[k] * wo[k:]
     return w
+
+
+def cap_values_oracle(adv: np.ndarray, params: CapParams) -> np.ndarray:
+    if not np.all(np.isfinite(adv)):
+        raise ConfigError("missing ADV for a universe member")
+    med = float(np.median(adv))
+    ratio = adv / med if med > 0 else np.ones_like(adv)
+    caps = np.minimum(params.c_max, params.kappa * ratio**params.gamma)
+    return np.minimum(caps, 1.0)
 
 
 def tilted_weights_oracle(factor_matrix: FactorMatrix, tilt: TiltParams, caps: np.ndarray | None) -> WeightVector:
@@ -532,6 +544,47 @@ def test_an_infeasible_row_after_feasible_ones_raises_its_own_error():
     want = outcome(tilted_weights_oracle, matrices[2], TiltParams(), caps[2])
     assert want[0] is InfeasibleCapsError and "sum to 0.96" in want[1]
     assert outcome(tilted_block, matrices, [TiltParams(), TiltParams(lam=0.0)], caps) == want
+
+
+# ADVs a pool's median and ratio meet: ties, zeros of either sign, an
+# all-zero pool (a zero median), and, when drawn, a missing one
+ADV_KINDS = ("spread", "ties", "signed zeros", "all zero")
+cap_params = st.builds(CapParams, c_max=st.sampled_from([0.1, 1.0, 0.03]), kappa=st.sampled_from([0.05, 1.0, 7.5]),
+                       gamma=st.sampled_from([0.5, 0.0, 1.0, 0.37]))
+
+
+def advs_of(kind: str, k: int, rng) -> np.ndarray:
+    if kind == "spread":
+        return rng.lognormal(10.0, 3.0, k)
+    if kind == "ties":
+        return rng.choice([0.0, 1e6, 1e6, 3.5e6], k)
+    if kind == "signed zeros":
+        return rng.choice([0.0, -0.0, -0.0, 2e5, 7e5], k)
+    return rng.choice([0.0, -0.0], k)
+
+
+@settings(SETTINGS, max_examples=300)
+@given(seed=st.integers(0, 2**32 - 1), kinds=st.lists(st.sampled_from(ADV_KINDS), min_size=1, max_size=40),
+       sizes=st.lists(st.sampled_from([1, 2, 3, 4, 7, 8, 59, 60]), min_size=1, max_size=3), params=cap_params,
+       missing=st.one_of(st.none(), st.integers(0, 39)))
+@example(seed=0, kinds=["signed zeros"] * 4, sizes=[2, 1], params=CapParams(), missing=None)
+@example(seed=1, kinds=["all zero", "ties", "spread"], sizes=[4], params=CapParams(), missing=1)
+def test_block_caps_equal_one_median_call_per_pool(seed, kinds, sizes, params, missing):
+    """member_caps over a walk block's pools, of mixed sizes, gives every
+    pool the bits cap_values_oracle gives it alone, signbit included, and
+    a missing ADV raises the oracle's error; cap_values is the one-row case."""
+    rng = np.random.default_rng(seed)
+    advs = [advs_of(kind, sizes[i % len(sizes)], rng) for i, kind in enumerate(kinds)]
+    if missing is not None:
+        advs[missing % len(advs)][rng.integers(len(advs[missing % len(advs)]))] = math.nan
+    want = [outcome(cap_values_oracle, adv, params) for adv in advs]
+    failed = [w for w in want if isinstance(w, tuple)]
+    if failed:
+        assert outcome(member_caps, advs, params) == failed[0]
+        return
+    for i, (got, one) in enumerate(zip(member_caps(advs, params), want, strict=True)):
+        same_bits(got, one, (i, advs[i]))
+        same_bits(cap_values(advs[i], params), one, (i, "one row"))
 
 
 zero_weight_cases = [([0.6, 0.4, 0.0], [0.5, 0.3, 1.0]), ([0.6, 0.0, 0.4], [0.5, 1.0, 1.0])]

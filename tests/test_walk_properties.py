@@ -5,8 +5,8 @@ the pipeline it replaced, kept here as the oracle: screens into an
 EligibilitySet, then weights built from mappings keyed by asset id and
 projected onto their caps by the iterative cap-and-redistribute loop. They agree bit for bit, except
 that weights on a date where a cap binds agree within 1e-12 (the closed-form
-projection rounds differently from the loop). `evolve`, which works one
-holding period at a time, is compared with the per-book day loop it
+projection rounds differently from the loop). `evolve`, which works in
+fixed blocks of calendar rows, is compared with the per-book day loop it
 replaced, kept here too over asset returns taken cell by cell from each
 asset's last valid price, both through the walks and on arbitrary target
 rows: dates, weights, the rows a book holds cash and constant_mix
@@ -16,13 +16,13 @@ cumulative growth round differently from one dot product and one
 renormalisation per day (the artifact break that segment-wise evolution
 made on purpose). `evolve`'s own
 rounding is pinned bit for bit instead: a run truncated at any end is a
-prefix of the full run, and a book evolves alike alone or beside others
-in any position. `evolve` on the targets a walk built returns that walk's
-results. Also compared with a plain oracle: AsOf.history with a direct
-count of prices before t. The walks give the same bits on a fresh panel
-as on one whose store of as-of rows other screens and walks filled first.
-Last, the accounting identities of every strategy's backtest. All on
-random panels with gaps.
+prefix of the full run, a book evolves alike alone or beside others in
+any position, and a run is alike in row blocks of any size. `evolve` on
+the targets a walk built returns that walk's results. Also compared with
+a plain oracle: AsOf.history with a direct count of prices before t. The
+walks give the same bits on a fresh panel as on one whose store of as-of
+rows other screens and walks filled first. Last, the accounting
+identities of every strategy's backtest. All on random panels with gaps.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from factortilt import backtest
 from factortilt.backtest import (
     STRATEGIES,
     WEIGHT_MODES,
@@ -582,6 +583,27 @@ def test_a_book_evolves_alike_alone_and_beside_others_in_any_position(data, pane
         assert_same_result(together[name], alone, f"{name} beside others")
         assert_same_result(shuffled[name], alone, f"{name} in position {order.index(name)}")
     assert_same_result(together["twin"], together[name0], "twin")
+
+
+@settings(SETTINGS, max_examples=40)
+@given(data=st.data(), panel=wide_panels, weight_mode=st.sampled_from(WEIGHT_MODES), cost_rate=st.floats(0.0, 1.0),
+       end_at=st.one_of(st.none(), st.floats(0.0, 1.0)), cash_book=st.booleans(), rows=st.integers(1, 9),
+       extra=st.floats(0.0, 0.99))
+def test_a_run_is_alike_in_row_blocks_of_any_size(data, panel, weight_mode, cost_rate, end_at, cash_book, rows,
+                                                  extra):
+    # these panels fit in one block of the default size; blocks of a few
+    # rows cut holding periods, so growth, values and drifted weights carry
+    # across block boundaries, and a block may end on a trade or just after one
+    books = data.draw(target_books(panel))
+    books = with_cash_book(books) if cash_book else books
+    config = BacktestConfig(cost_rate=cost_rate, weight_mode=weight_mode)
+    end = end_of(panel, next(iter(books.values()))[1].dates[0], end_at)
+    whole = evolve(panel, books, config, end)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(backtest, "_ROW_BLOCK_CELLS", int((rows + extra) * panel.n_assets))
+        blocked = evolve(panel, books, config, end)
+    for name in books:
+        assert_same_result(blocked[name], whole[name], f"{name} in blocks of {rows} rows")
 
 
 @settings(SETTINGS, max_examples=40)

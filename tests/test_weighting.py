@@ -320,6 +320,14 @@ def weight_vector_error(assets, w) -> str:
     return str(exc.value)
 
 
+def test_weight_vectors_compare_by_identity_without_raising():
+    # == on two numpy rows of two or more assets has no single truth value;
+    # a WeightVector, like Targets, compares by identity and returns a bool
+    a, b = (WeightVector(t=T, assets=("A", "B"), w=[0.5, 0.5]) for _ in range(2))
+    assert (a == b) is False and (a != b) is True
+    assert (a == a) is True
+
+
 def test_targets_raise_the_first_bad_rows_weight_vector_error_and_iterate_as_weight_vectors():
     assets, good = ("A", "B", "C"), [0.5, 0.25, 0.25]
     bad = {
