@@ -10,25 +10,29 @@ from after it, until a walk-forward alpha replaces it. Note the forward
 window starts at the rebalance date itself and therefore overlaps the holding
 period.
 
-Every correlation goes through one kernel, `pearson` on the rows of
-`centered_rows`, which gives np.corrcoef(x, y)[0, 1] bit for bit. Each row
-is centered by its row sum / n over a C-contiguous block: numpy reduces
-each row of such a block exactly as it reduces that row alone, while an
-F-ordered block is summed column by column and rounds differently. Each
-pair then takes its own 2 x n product np.dot(X, X.T), as np.cov does (a
-product over more rows is a wider BLAS call and rounds differently),
-scaled by 1 / (n - 1), divided by the square roots of its two diagonal
-entries in turn, and clipped to [-1, 1]. The IC series ranks a date's z
-columns and forward returns in one stacked call, whose average ranks are
-exact half-integers and so have the bits of one column at a time, and
-centers them once.
+Every correlation goes through one stacked kernel, `stacked_correlations`,
+which gives np.corrcoef's bits for each date and pair. It groups the dates
+by their member count n (as factors._finite_groups groups segments) and
+cuts each group into C-contiguous (rows, n) chunks of at most _CHUNK_CELLS
+cells. Per chunk it makes one average_ranks_rows call (rank correlations
+only) and one centered_rows call, then one np.matmul over the (pairs, 2, n)
+stack of each pair's two centered rows, scaled by 1 / (n - 1); each
+off-diagonal is divided by the square root of the first diagonal entry and
+then of the second, and clipped to [-1, 1]. Each step keeps the bits of
+one date and one pair at a time. Average ranks are exact half-integers.
+numpy reduces each row of a C-contiguous block exactly as it reduces that
+row alone, so each row is centered by its own sum / n (an F-ordered block
+would be summed column by column and round differently). And the stacked
+matmul makes, for each item, the BLAS call (syrk) that np.dot(X, X.T)
+makes for one 2 x n pair in np.cov, under one BLAS thread or several.
+`pearson` and `spearman` are the one-pair case.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Mapping
+from itertools import compress
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -100,61 +104,119 @@ def average_ranks_rows(x: np.ndarray) -> np.ndarray:
     ordered = x.ravel()[at]
     first = np.ones((k, n), dtype=bool)  # where a run of ties starts; each row starts one
     np.not_equal(ordered[:, 1:], ordered[:, :-1], out=first[:, 1:])
+    del ordered  # a stack of rows holds several arrays of its size at once
     starts = np.flatnonzero(first)
-    counts = np.append(starts[1:], k * n) - starts
+    counts = np.diff(starts, append=k * n)
+    rank = 0.5 * (counts + 1.0)
+    rank += starts % n  # each run's rank
     out = np.empty(k * n)
-    out[at.ravel()] = np.repeat(starts % n + 0.5 * (counts + 1), counts)
+    out[at.ravel()] = np.repeat(rank, counts)
     return out.reshape(k, n)
 
 
 def centered_rows(x) -> np.ndarray:
-    """Each row of the 2-D x less its mean, as np.cov centers it: row sums
-    / n of a C-contiguous block, which numpy reduces row by row exactly as
-    it reduces each row alone. An F-ordered block would be summed column by
-    column and round differently, so x is made C-contiguous first."""
-    x = np.ascontiguousarray(x, dtype=float)
-    return x - (np.add.reduce(x, axis=1) / x.shape[1])[:, None]
+    """A C-contiguous copy of x with each row (along the last axis) less its
+    mean, as np.cov centers it: row sums / n of a C-contiguous block, which
+    numpy reduces row by row exactly as it reduces each row alone. An
+    F-ordered block would be summed column by column and round
+    differently, so x is copied into C order first."""
+    x = np.array(x, dtype=float, order="C")
+    x -= (np.add.reduce(x, axis=-1) / x.shape[-1])[..., None]
+    return x
+
+
+# cells of one chunk: a ranked chunk holds about seven arrays of its size at
+# once, which shows in a 60-asset panel's peak RSS; smaller chunks run slower
+_CHUNK_CELLS = 8192
+
+
+def pair_correlations(pairs: np.ndarray, where=True) -> np.ndarray:
+    """np.corrcoef(x, y)[0, 1] bit for bit for each (x, y) item of a
+    C-contiguous (items, 2, n) stack of centered rows (n >= 2), as the
+    module docstring sets out; NaN for each item where `where` is False,
+    which is never divided."""
+    products = np.matmul(pairs, pairs.transpose(0, 2, 1))
+    products *= 1 / (pairs.shape[2] - 1)
+    r = np.full(len(pairs), np.nan)
+    np.divide(products[:, 0, 1], np.sqrt(products[:, 0, 0]), out=r, where=where)
+    np.divide(r, np.sqrt(products[:, 1, 1]), out=r, where=where)
+    return np.clip(r, -1.0, 1.0, out=r)
 
 
 def pearson(centered: np.ndarray, i: int, j: int) -> float:
     """np.corrcoef(x[i], x[j])[0, 1] bit for bit, for rows i and j of
-    centered = centered_rows(x) (n >= 2 columns): the 2 x n product
-    np.dot(X, X.T) of the two rows that np.cov makes, scaled by
-    1 / (n - 1), the off-diagonal divided by the square root of the first
-    diagonal and then of the second, and clipped to [-1, 1]. One product
-    per pair: a wider BLAS call over more rows rounds differently."""
-    pair = centered[[i, j]]
-    (xx, xy), (_, yy) = (np.dot(pair, pair.T) * (1 / (centered.shape[1] - 1))).tolist()
-    r = np.float64(xy) / math.sqrt(xx) / math.sqrt(yy)  # numpy's division: x / 0 is inf or NaN
-    return min(max(float(r), -1.0), 1.0)
+    centered = centered_rows(x) (n >= 2 columns): the one-pair case of
+    pair_correlations."""
+    return float(pair_correlations(centered[[i, j]][None])[0])
 
 
-def _rank_correlations(rows: np.ndarray, pairs: list[tuple[int, int]]) -> list[float]:
-    """Pearson correlation of the average ranks of rows i and j of a 2-D
-    array, for each (i, j) in pairs: NaN when either ranking is constant,
-    and exactly +-1 when ranking i equals ranking j or its reverse."""
-    ranks = average_ranks_rows(rows)
-    constant = (ranks == ranks[:, :1]).all(axis=1).tolist()
-    i, j = np.array(pairs).T
-    same = (ranks[i] == ranks[j]).all(axis=1).tolist()
-    reverse = (ranks[i] == ranks.shape[1] + 1.0 - ranks[j]).all(axis=1).tolist()
-    centered = centered_rows(ranks)
-    return [math.nan if constant[a] or constant[b] else 1.0 if s else -1.0 if r else pearson(centered, a, b)
-            for (a, b), s, r in zip(pairs, same, reverse)]
+def stacked_correlations(
+    blocks: Sequence[np.ndarray], pairs, ranked: bool = False, min_members: int = 2,
+    last: Sequence[np.ndarray] | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The correlations over each date's members of columns i and j, for
+    each (i, j) in pairs, and whether each was computed: two (dates, pairs)
+    arrays, NaN where not computed. blocks[d] holds date d's members, one
+    finite row each; last[d], when given, is one more column (an IC's
+    forward returns), and a member whose entry there is not finite is left
+    out. A date with fewer than min_members (>= 2) members computes nothing.
+    Ranked (Spearman's), a pair is the Pearson correlation of average ranks,
+    not computed when either ranking is constant and exactly +-1 when one
+    equals the other or its reverse. Unranked, a pair is computed when both
+    columns vary on the date (np.std > 0 over a C-contiguous block's
+    members, as a factor matrix's z.std(axis=0) reads it)."""
+    keep = None if last is None else [np.isfinite(v) for v in last]
+    by_size = {}  # the dates with each member count n, in order
+    for d, block in enumerate(blocks):
+        n = len(block) if keep is None else int(np.count_nonzero(keep[d]))
+        if n >= min_members:
+            by_size.setdefault(n, []).append(d)
+    pairs = np.asarray(pairs).reshape(-1, 2)
+    r = np.full((len(blocks), len(pairs)), np.nan)
+    computed = np.zeros(r.shape, dtype=bool)
+    for n, dates in by_size.items():
+        k = blocks[dates[0]].shape[1] + (keep is not None)
+        step = max(1, _CHUNK_CELLS // (k * n))
+        for s in range(0, len(dates), step):
+            chunk = dates[s : s + step]
+            stack = np.stack([blocks[d] if keep is None else np.column_stack((blocks[d], last[d]))[keep[d]]
+                              for d in chunk])
+            r[chunk], computed[chunk] = _chunk_correlations(stack, pairs, ranked)
+    return r, computed
+
+
+def _chunk_correlations(stack: np.ndarray, pairs: np.ndarray, ranked: bool) -> tuple[np.ndarray, np.ndarray]:
+    """stacked_correlations of one (dates, n, k) stack of member rows."""
+    c, n, k = stack.shape
+    rows = stack.transpose(0, 2, 1)  # each date's k columns as rows
+    x, y = pairs.T
+    if ranked:
+        rows = average_ranks_rows(rows.reshape(c * k, n)).reshape(c, k, n)
+        constant = (rows == rows[:, :, :1]).all(axis=2)
+        computed = ~(constant[:, x] | constant[:, y])
+        same = (rows[:, x] == rows[:, y]).all(axis=2)
+        reverse = (rows[:, x] == n + 1.0 - rows[:, y]).all(axis=2)
+    else:
+        varied = stack.std(axis=1) > 0
+        computed = varied[:, x] & varied[:, y]
+    centered = centered_rows(rows)
+    r = pair_correlations(centered[:, pairs].reshape(-1, 2, n), computed.reshape(-1)).reshape(c, len(pairs))
+    if ranked:
+        r = np.select([~computed, same, reverse], [np.nan, 1.0, -1.0], r)
+    return r, computed
 
 
 def spearman(x, y, min_pairs: int = 3) -> float:
     """Rank correlation with average ranks for ties. Pairs with a missing
     side are dropped; NaN when fewer than min_pairs remain or either rank
-    vector has zero variance."""
+    vector has zero variance: the one-pair case of stacked_correlations."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape:
         raise ConfigError("spearman inputs must have equal length")
     ok = np.isfinite(x) & np.isfinite(y)
-    if int(ok.sum()) < max(min_pairs, 3):
-        return math.nan
-    return _rank_correlations(np.stack((x[ok], y[ok])), [(0, 1)])[0]
+    r, _ = stacked_correlations([np.column_stack((x[ok], y[ok]))], [(0, 1)], ranked=True, min_members=max(min_pairs, 3))
+    return float(r[0, 0])
 
 
 def build_ic_series(
@@ -165,25 +227,22 @@ def build_ic_series(
 ) -> dict[str, ICSeries]:
     """Per-factor IC time series over the rebalance dates with enough valid
     (z, forward return) pairs; invalid dates are skipped. Each factor's IC
-    is spearman(z column, forward returns): z is complete, so every factor
-    pairs on the members with a forward return, and a date's z columns and
-    forward returns are ranked in one call and centered once."""
+    is spearman(z column, forward returns) at each date: z is complete, so
+    every factor pairs on the members with a forward return. Every date is
+    ranked and correlated in one stacked_correlations call, and a date's IC
+    reads nothing of any other date, so the series over a schedule cut at
+    any date is a prefix of the whole one."""
     dated = [(t, factor_matrices[t]) for t in schedule.dates if t in factor_matrices]
     if not dated:
         return {}
-    per_factor = {f: ([], []) for f in FACTORS}
-    for t, matrix in dated:
-        fwd = forward_returns(panel, t, params.horizon)[matrix.positions]
-        ok = np.isfinite(fwd)
-        if int(ok.sum()) < max(params.min_universe, 3):
-            continue
-        rows = np.vstack((matrix.z[ok].T, fwd[ok]))  # each factor's z, then the forward returns
-        last = len(rows) - 1
-        for f, ic in zip(FACTORS, _rank_correlations(rows, [(j, last) for j in range(last)])):
-            if not math.isnan(ic):
-                per_factor[f][0].append(t)
-                per_factor[f][1].append(ic)
-    return {f: ICSeries(dates=tuple(dates), values=np.array(values)) for f, (dates, values) in per_factor.items()}
+    dates, matrices = zip(*dated)
+    nf = len(FACTORS)
+    fwd = [forward_returns(panel, t, params.horizon)[m.positions] for t, m in dated]
+    ics, _ = stacked_correlations([m.z for m in matrices], [(j, nf) for j in range(nf)], ranked=True,
+                                  min_members=max(params.min_universe, 3), last=fwd)
+    valid = ~np.isnan(ics)
+    return {f: ICSeries(dates=tuple(compress(dates, valid[:, j])), values=ics[valid[:, j], j])
+            for j, f in enumerate(FACTORS)}
 
 
 def information_ratio(values, m_min: int) -> float:

@@ -11,22 +11,23 @@ a row-wise sort. numpy reduces each row of a C-contiguous block exactly
 as it reduces that row alone, so each row has the bits of `effective_n`
 and `top_k_concentration`, which are the one-row case.
 
-`factor_correlations` centers each date's z.T once, as a C-contiguous
-block (an F-ordered one rounds its row sums differently), and correlates
-each pair of factors through `calibration.pearson`, which gives
-np.corrcoef's bits (see `calibration`).
+`factor_correlations` correlates every pair of factors on every date in
+one `calibration.stacked_correlations` call, which gives np.corrcoef's
+bits for each date and pair (see `calibration`), and adds each pair's
+correlations in date order.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, fields
 from typing import Iterable, Mapping
 
 import numpy as np
 
 from .backtest import BacktestResult
-from .calibration import centered_rows, pearson
+from .calibration import stacked_correlations
 from .errors import StatsError
 from .factors import FACTORS, FactorMatrix
 from .weighting import WeightVector
@@ -157,15 +158,20 @@ def deflated_sharpe(returns, n_trials: int, benchmark_sr: float | None = None) -
 
 def turnover_adjusted_alpha(result: BacktestResult, benchmark: BacktestResult) -> float:
     """Annualized excess return over the benchmark per unit of annualized
-    one-way turnover, computed on the overlapping date range. Zero-turnover
-    strategies map to a signed infinity (or 0 when the excess is also 0)."""
-    common, at_r, at_b = np.intersect1d(result.dates, benchmark.dates, assume_unique=True, return_indices=True)
-    if not common.size:
+    one-way turnover, computed on the overlapping date range, where both
+    results must hold the same trading days. Zero-turnover strategies map
+    to a signed infinity (or 0 when the excess is also 0)."""
+    r_dates, b_dates = result.dates, benchmark.dates
+    if not (len(r_dates) and len(b_dates)) or max(r_dates[0], b_dates[0]) > min(r_dates[-1], b_dates[-1]):
         raise StatsError("backtest results cover disjoint date ranges")
+    first, last = max(r_dates[0], b_dates[0]), min(r_dates[-1], b_dates[-1])
+    at_r = slice(bisect_left(r_dates, first), bisect_right(r_dates, last))
+    at_b = slice(bisect_left(b_dates, first), bisect_right(b_dates, last))
+    if list(r_dates[at_r]) != list(b_dates[at_b]):
+        raise StatsError("backtest results hold different trading days over their common date range")
     excess = annualized_return(result.daily_returns[at_r]) - annualized_return(benchmark.daily_returns[at_b])
-    first, last = str(common[0]), str(common[-1])
     in_window = [i for i, d in enumerate(result.rebalance_dates) if first <= d <= last]
-    ann_turnover = float(result.turnover[in_window].sum()) * TRADING_DAYS / len(common)
+    ann_turnover = float(result.turnover[in_window].sum()) * TRADING_DAYS / (at_r.stop - at_r.start)
     if ann_turnover == 0:
         return 0.0 if excess == 0 else math.copysign(math.inf, excess)
     return excess / ann_turnover
@@ -221,28 +227,23 @@ def _top_k_sums(rows: np.ndarray, k: int) -> np.ndarray:
 def factor_correlations(matrices: Iterable[FactorMatrix]) -> tuple[tuple[str, ...], np.ndarray]:
     """Average over rebalance dates of the cross-sectional Pearson
     correlations between factor z columns, given one factor matrix per date
-    with a non-empty universe. Pairs degenerate (constant) on every date
-    come back NaN."""
+    with a non-empty universe. A pair enters a date's average when both of
+    its columns vary there (z.std(axis=0) > 0); pairs degenerate (constant)
+    on every date come back NaN. Each pair's correlations are added one
+    date after another from 0.0, as np.cumsum adds them (np.sum's order
+    follows the array's layout: pairwise along a contiguous axis)."""
     matrices = list(matrices)
     if not matrices:
         raise StatsError("no rebalance date has a non-empty universe, so there are no factor correlations")
     if len(matrices) < 2:
         raise StatsError("factor correlations need at least 2 rebalance dates with a non-empty universe, got 1")
     nf = len(FACTORS)
-    sums = np.zeros((nf, nf))
-    counts = np.zeros((nf, nf), dtype=int)
-    for m in matrices:
-        varied = (m.z.std(axis=0) > 0).tolist()
-        centered = centered_rows(m.z.T)  # one C-contiguous row per factor
-        for i in range(nf):
-            for j in range(i + 1, nf):
-                if varied[i] and varied[j]:
-                    sums[i, j] += pearson(centered, i, j)
-                    counts[i, j] += 1
+    i, j = np.triu_indices(nf, 1)
+    r, computed = stacked_correlations([m.z for m in matrices], np.column_stack((i, j)))
+    sums = np.cumsum(np.vstack((np.zeros(len(i)), np.where(computed, r, 0.0))), axis=0)[-1]
+    counts = np.count_nonzero(computed, axis=0)
     corr = np.eye(nf)
-    for i in range(nf):
-        for j in range(i + 1, nf):
-            corr[i, j] = corr[j, i] = sums[i, j] / counts[i, j] if counts[i, j] else math.nan
+    corr[i, j] = corr[j, i] = np.divide(sums, counts, out=np.full(len(i), np.nan), where=counts > 0)
     return FACTORS, corr
 
 

@@ -18,6 +18,7 @@ the rule a `WeightVector` checks its one row by."""
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -129,9 +130,16 @@ class Targets:
                                                  for b in (self.w, self.multipliers, self.caps)))
 
     def head(self, n: int) -> Targets:
-        """The targets of the first n dates (these targets when that is all)."""
-        return self if n == len(self) else Targets(self.dates[:n], self.assets, *(
-            None if b is None else b[:n] for b in (self.w, self.multipliers, self.caps)))
+        """The targets of the first n dates (these targets when that is all):
+        slices of these blocks, whose rows were checked when they were built
+        and so are not checked again."""
+        if n == len(self):
+            return self
+        cut = copy.copy(self)  # a new instance without __post_init__
+        for name in ("dates", "w", "multipliers", "caps"):
+            block = getattr(self, name)
+            object.__setattr__(cut, name, None if block is None else block[:n])
+        return cut
 
 
 def _check_rows(w: np.ndarray, assets) -> None:

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from factortilt import backtest
+from factortilt import backtest, weighting
 from factortilt.backtest import (
     BacktestConfig,
     evolve,
@@ -339,6 +339,24 @@ def test_evolve_rejects_books_it_cannot_trade():
             evolve(panel, books, BacktestConfig(), end=d[6])
     with pytest.raises(DataError, match="backtest end precedes the panel calendar"):
         evolve(panel, {"x": book(d[2])}, BacktestConfig(), end="2019-12-31")
+
+
+def test_a_walk_cut_short_checks_no_row_again(monkeypatch):
+    """evolve cut short by `end` keeps the head of each book's targets:
+    slices of the blocks the constructor checked, with no second check."""
+    panel = make_panel(30, ["A", "B"], price={"A": np.linspace(100, 130, 30), "B": 100.0})
+    d = panel.calendar.days
+    targets = Targets(dates=(d[2], d[10], d[20]), assets=("A", "B"), w=[[0.5, 0.5], [0.25, 0.75], [1.0, 0.0]])
+    checks = []
+    check_rows = weighting._check_rows
+    monkeypatch.setattr(weighting, "_check_rows", lambda *args: checks.append(args) or check_rows(*args))
+    kept = evolve(panel, {"x": ("ew_all", targets)}, BacktestConfig(), end=d[12])["x"].weights
+    assert not checks
+    assert kept.dates == targets.dates[:2] and kept.assets == targets.assets
+    assert kept.w.tobytes() == targets.w[:2].tobytes() and not kept.w.flags.writeable
+    assert kept.multipliers is None and kept.caps is None
+    Targets(kept.dates, kept.assets, kept.w)  # the public constructor still checks
+    assert len(checks) == 1
 
 
 def test_evolve_peak_follows_the_walked_rows():

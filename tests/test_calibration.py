@@ -16,7 +16,7 @@ from factortilt.calibration import (
 )
 from factortilt.eligibility import EligibilityParams, compute_eligibility
 from factortilt.factors import FACTORS, FactorParams, build_factor_matrix
-from factortilt.market_data import build_schedule
+from factortilt.market_data import RebalanceSchedule, build_schedule
 from factortilt.stats import factor_correlations
 from factortilt.synthetic import ScenarioSpec, generate
 
@@ -191,6 +191,28 @@ class TestBuildICSeries:
         for f, (dates, values) in expected.items():
             assert series[f].dates == tuple(dates)
             assert series[f].values.tobytes() == np.array(values).tobytes()
+
+
+    def test_a_cut_schedule_gives_a_prefix_of_the_series(self):
+        """The series over the schedule cut at any date is a bitwise prefix
+        of the whole series, for every factor: a date's IC reads no other
+        date, however the stacked kernel groups and chunks the dates. A
+        walk-forward alpha reads one such prefix per date."""
+        panel = generate(ScenarioSpec(seed=4, n_assets=30, n_days=700, missing_rate=0.2))
+        cal = panel.calendar
+        schedule = build_schedule(cal, cal.days[300], cal.days[-1], anchors=tuple((m, 1) for m in range(1, 13)))
+        universes = {t: compute_eligibility(panel, t, EligibilityParams(h_min=120, adv_min=0.0, l_adv=10))
+                     for t in schedule.dates}
+        matrices = matrices_for(panel, schedule, universes, FactorParams(l_mom=120, skip=5))
+        params = CalibrationParams(horizon=21, m_min=2, min_universe=8)
+        whole = build_ic_series(panel, schedule, matrices, params)
+        assert all(len(s) > 5 for s in whole.values())
+        for cut in (1, 2, 5, len(schedule) // 2, len(schedule) - 1):
+            part = build_ic_series(panel, RebalanceSchedule(schedule.dates[:cut]), matrices, params)
+            for f in FACTORS:
+                n = sum(t <= schedule.dates[cut - 1] for t in whole[f].dates)
+                assert part[f].dates == whole[f].dates[:n], (cut, f)
+                assert part[f].values.tobytes() == whole[f].values[:n].tobytes(), (cut, f)
 
 
 def test_diagnostics_never_call_corrcoef(monkeypatch):

@@ -2,7 +2,9 @@
 as oracles and compared bit for bit: winsorize with one np.quantile call,
 standardize with np.mean, the factor matrices of many dates against one
 date's build over those two, the Pearson kernel with np.corrcoef, stacked
-average ranks with one argsort per row, the latest fundamental report with
+average ranks with one argsort per row, the IC series and factor
+correlations of every date in one stacked kernel against one date and one
+pair at a time, the latest fundamental report with
 one bisection per asset, the average dollar volume with a stable argsort
 that left-packs each asset's valid days, and the weights of a walk block's
 (matrix, tilt) rows against one tilted_weights call per row over the
@@ -19,22 +21,36 @@ from functools import partial
 from itertools import compress
 from operator import attrgetter, getitem
 from types import SimpleNamespace
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from factortilt.backtest import pool_positions, snapshot
-from factortilt.calibration import average_ranks, average_ranks_rows, centered_rows, pearson
+from factortilt import calibration
+from factortilt.calibration import (
+    CalibrationParams,
+    average_ranks,
+    average_ranks_rows,
+    build_ic_series,
+    centered_rows,
+    forward_returns,
+    pair_correlations,
+    pearson,
+    stacked_correlations,
+)
 from factortilt.errors import ConfigError, InfeasibleCapsError
 from factortilt.factors import FACTORS, FactorMatrix, FactorParams, select_factor_matrices, standardize, winsorize
 from factortilt.market_data import (
     _REPORT_FIELDS,
     AsOf,
     MarketPanel,
+    RebalanceSchedule,
     _average_dollar_volumes,
     _latest_reports,
 )
+from factortilt.stats import factor_correlations
 from factortilt.weighting import (
     WEIGHT_SUM_TOL,
     CapParams,
@@ -677,11 +693,23 @@ def test_pearson_equals_corrcoef(n, seed, x_kind, y_kind, layout):
         block[i], block[j] = x, y
         if layout == "columns of a matrix":  # as a factor matrix's z.T
             block = np.ascontiguousarray(block.T).T
+    # the stacked kernel: the pair as one item of a stack of pairs, and as
+    # one date among others with as many members
+    others = rng.normal(size=(3, 2, n))
+    stack = np.concatenate((others[:1], np.stack((x, y))[None], others[1:]))
+    blocks = [others[0].T, np.column_stack((x, y)), others[1].T, others[2].T]
     with np.errstate(all="ignore"):
         want = np.corrcoef(x, y)[0, 1]
         got = pearson(centered_rows(block), i, j)
+        in_stack = pair_correlations(centered_rows(stack))[1]
+        dated, computed = stacked_correlations(blocks, [(0, 1)])
     assert type(got) is float
     assert np.float64(got).tobytes() == want.tobytes() or (math.isnan(got) and math.isnan(want))
+    assert in_stack.tobytes() == want.tobytes() or (math.isnan(in_stack) and math.isnan(want))
+    if computed[1, 0]:
+        assert dated[1, 0].tobytes() == want.tobytes() or (math.isnan(dated[1, 0]) and math.isnan(want))
+    else:  # a column with no spread on the date, as a factor matrix's z.std(axis=0) reads it
+        assert math.isnan(dated[1, 0]) and not (blocks[1].std(axis=0) > 0).all()
 
 
 rank_values = st.sampled_from([0.0, -0.0, 1.0, 2.5, -1.0, math.nan, math.inf, -math.inf])
@@ -701,6 +729,198 @@ def test_stacked_ranks_equal_one_column_at_a_time(rows, fortran):
     for j in range(z.shape[1]):
         same_bits(stacked[j], average_ranks_oracle(z[:, j]), j)
         same_bits(stacked[j], average_ranks(z[:, j]), j)
+
+
+# --- IC series and factor correlations: every date in one stacked kernel ------------
+
+def centered_rows_oracle(x) -> np.ndarray:
+    x = np.ascontiguousarray(x, dtype=float)
+    return x - (np.add.reduce(x, axis=1) / x.shape[1])[:, None]
+
+
+def pearson_oracle(centered: np.ndarray, i: int, j: int) -> float:
+    """The one-pair kernel the stacked one replaced: the 2 x n product
+    np.dot(X, X.T) of rows i and j that np.cov makes, scaled by 1 / (n - 1),
+    divided by the square roots of its diagonal in turn, clipped."""
+    pair = centered[[i, j]]
+    (xx, xy), (_, yy) = (np.dot(pair, pair.T) * (1 / (centered.shape[1] - 1))).tolist()
+    r = np.float64(xy) / math.sqrt(xx) / math.sqrt(yy)
+    return min(max(float(r), -1.0), 1.0)
+
+
+def rank_correlations_oracle(rows: np.ndarray, pairs) -> list[float]:
+    """One date's rank correlations, one pair at a time: NaN when either
+    ranking is constant, exactly +-1 when ranking i equals ranking j or its
+    reverse."""
+    ranks = np.array([average_ranks_oracle(row) for row in rows])
+    constant = (ranks == ranks[:, :1]).all(axis=1).tolist()
+    i, j = np.array(pairs).T
+    same = (ranks[i] == ranks[j]).all(axis=1).tolist()
+    reverse = (ranks[i] == ranks.shape[1] + 1.0 - ranks[j]).all(axis=1).tolist()
+    centered = centered_rows_oracle(ranks)
+    return [math.nan if constant[a] or constant[b] else 1.0 if s else -1.0 if r else pearson_oracle(centered, a, b)
+            for (a, b), s, r in zip(pairs, same, reverse)]
+
+
+def ic_series_oracle(panel, schedule, factor_matrices, params):
+    """build_ic_series one date at a time: each date's z columns and forward
+    returns ranked and correlated on their own."""
+    if not any(t in factor_matrices for t in schedule.dates):
+        return {}
+    per_factor = {f: ([], []) for f in FACTORS}
+    for t in schedule.dates:
+        if t not in factor_matrices:
+            continue
+        matrix = factor_matrices[t]
+        fwd = forward_returns(panel, t, params.horizon)[matrix.positions]
+        ok = np.isfinite(fwd)
+        if int(ok.sum()) < max(params.min_universe, 3):
+            continue
+        rows = np.vstack((matrix.z[ok].T, fwd[ok]))
+        last = len(rows) - 1
+        for f, ic in zip(FACTORS, rank_correlations_oracle(rows, [(j, last) for j in range(last)])):
+            if not math.isnan(ic):
+                per_factor[f][0].append(t)
+                per_factor[f][1].append(ic)
+    return {f: (tuple(dates), np.array(values)) for f, (dates, values) in per_factor.items()}
+
+
+def factor_correlations_oracle(matrices) -> np.ndarray:
+    """factor_correlations one date and one pair at a time."""
+    nf = len(FACTORS)
+    sums = np.zeros((nf, nf))
+    counts = np.zeros((nf, nf), dtype=int)
+    for m in matrices:
+        varied = (m.z.std(axis=0) > 0).tolist()
+        centered = centered_rows_oracle(m.z.T)
+        for i in range(nf):
+            for j in range(i + 1, nf):
+                if varied[i] and varied[j]:
+                    sums[i, j] += pearson_oracle(centered, i, j)
+                    counts[i, j] += 1
+    corr = np.eye(nf)
+    for i in range(nf):
+        for j in range(i + 1, nf):
+            corr[i, j] = corr[j, i] = sums[i, j] / counts[i, j] if counts[i, j] else math.nan
+    return corr
+
+
+def member_column(kind: str, rng, fwd: np.ndarray) -> np.ndarray:
+    n = len(fwd)
+    if kind == "the forward returns":  # the same ranking
+        return fwd.copy()
+    if kind == "reversed":
+        return -fwd
+    if kind == "ties":
+        return rng.integers(0, 3, size=n).astype(float)
+    if kind == "zero":
+        return np.zeros(n)
+    if kind == "one inexact value":  # constant, its mean not exactly the value
+        return np.full(n, 0.1)
+    if kind == "signed zeros":
+        return rng.choice([0.0, -0.0, 1.0], size=n)
+    return rng.normal(size=n)
+
+
+MEMBER_KINDS = ("normal", "ties", "zero", "one inexact value", "signed zeros", "the forward returns", "reversed")
+
+
+@st.composite
+def member_dates(draw, min_members=0):
+    """Dates of (z, forward returns): mixed member counts, NaN forward
+    returns, and z columns that are constant, tied, or the forward returns'
+    ranking or its reverse."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dates = []
+    for _ in range(draw(st.integers(1, 14))):
+        n = draw(st.sampled_from([min_members, 1, 2, 3, 4, 5, 8, 9, 17, 40]))
+        n = max(n, min_members)
+        fwd = rng.integers(0, 4, size=n) * 0.5 if draw(st.booleans()) else rng.normal(size=n)  # with ties or not
+        fwd[rng.random(n) < draw(st.sampled_from([0.0, 0.0, 0.2, 0.6]))] = np.nan
+        kinds = draw(st.lists(st.sampled_from(MEMBER_KINDS), min_size=len(FACTORS), max_size=len(FACTORS)))
+        z = np.column_stack([member_column(kind, rng, np.nan_to_num(fwd)) for kind in kinds]).reshape(n, len(FACTORS))
+        dates.append((z, fwd))
+    return dates
+
+
+chunk_budgets = st.one_of(st.integers(1, 64), st.sampled_from([4096, 10**9]))
+
+
+def same_values(got, want, what):
+    """Equal bits, any NaN equal to any NaN."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    same_bits(np.where(np.isnan(got), np.nan, got), np.where(np.isnan(want), np.nan, want), what)
+
+
+@settings(SETTINGS, max_examples=200)
+@given(dates=member_dates(), budget=chunk_budgets, min_members=st.integers(2, 6))
+@example(dates=[(np.array([[1.0, 2.0, 0.1]] * 3 + [[2.0, 1.0, 0.1]] * 3), np.arange(6.0))] * 3, budget=1, min_members=3)
+def test_stacked_rank_correlations_equal_one_date_at_a_time(dates, budget, min_members):
+    """The ranked kernel gives each date's rank correlations of its z columns
+    with the forward returns, and of two z columns, with the bits of one
+    date at a time, under any chunk budget from one date per chunk up."""
+    nf = len(FACTORS)
+    pairs = [(j, nf) for j in range(nf)] + [(0, 1)]
+    with patch.object(calibration, "_CHUNK_CELLS", budget):
+        got, computed = stacked_correlations([z for z, _ in dates], pairs, ranked=True, min_members=min_members,
+                                             last=[fwd for _, fwd in dates])
+    for d, (z, fwd) in enumerate(dates):
+        ok = np.isfinite(fwd)
+        want = ([math.nan] * len(pairs) if ok.sum() < min_members
+                else rank_correlations_oracle(np.vstack((z[ok].T, fwd[ok])), pairs))
+        same_values(got[d], want, (d, z, fwd))
+        assert computed[d].tolist() == [ok.sum() >= min_members and not math.isnan(w) for w in want]
+
+
+def matrices_of(dates):
+    return [FactorMatrix(t=f"2020-01-{d + 1:02d}", positions=np.arange(len(z)),
+                         panel_assets=[f"A{i}" for i in range(len(z))], raw=z, z=z) for d, (z, _) in enumerate(dates)]
+
+
+@settings(SETTINGS, max_examples=200)
+@given(dates=member_dates(min_members=1).filter(lambda dates: len(dates) >= 2), budget=chunk_budgets)
+@example(dates=[(np.column_stack((np.full(9, 0.1), np.arange(9.0), np.arange(9.0) ** 2)), None)] * 2, budget=1)
+def test_factor_correlations_equal_one_pair_at_a_time(dates, budget):
+    """factor_correlations, and each date's correlations in its kernel,
+    give the bits of one date and one pair at a time: constant columns,
+    a column of one value whose mean is not exact, and one-member dates."""
+    matrices = matrices_of(dates)
+    pairs = [(0, 1), (0, 2), (1, 2)]
+    with patch.object(calibration, "_CHUNK_CELLS", budget), np.errstate(divide="ignore", invalid="ignore"):
+        got = factor_correlations(matrices)[1]
+        per_date, computed = stacked_correlations([m.z for m in matrices], pairs)
+        want = factor_correlations_oracle(matrices)
+        for d, m in enumerate(matrices):
+            varied = m.z.std(axis=0) > 0
+            centered = centered_rows_oracle(m.z.T)
+            for p, (i, j) in enumerate(pairs):
+                assert computed[d, p] == (varied[i] and varied[j])
+                same_values(per_date[d, p], pearson_oracle(centered, i, j) if computed[d, p] else math.nan, (d, i, j))
+    same_values(got, want, dates)
+
+
+@settings(SETTINGS, max_examples=60)
+@given(panel=st.builds(random_panel, seed=st.integers(0, 2**32 - 1), n_assets=st.integers(4, 30),
+                       n_days=st.integers(20, 90), gap=st.sampled_from([0.0, 0.1, 0.3])),
+       p=params, data=st.data())
+def test_ic_series_of_gappy_panels_equal_one_date_at_a_time(panel, p, data):
+    """build_ic_series over gappy panels, any horizon, minimum universe and
+    chunk budget, equals the series built one date at a time."""
+    config = config_for(p)
+    days = sorted(data.draw(st.lists(st.sampled_from(panel.calendar.days), min_size=1, max_size=20, unique=True)))
+    snaps = [snapshot(panel, t, config) for t in days]
+    kept = [(snap, pool_positions(snap, "fixed_universe", config)) for snap in snaps]
+    kept = [(snap, pos) for snap, pos in kept if pos.size]
+    matrices = {m.t: m for m in select_factor_matrices([s for s, _ in kept], [pos for _, pos in kept], config.factors)}
+    schedule = RebalanceSchedule(tuple(days))
+    params_ = CalibrationParams(horizon=data.draw(st.integers(1, 30)), min_universe=data.draw(st.integers(3, 6)))
+    with patch.object(calibration, "_CHUNK_CELLS", data.draw(chunk_budgets)):
+        got = build_ic_series(panel, schedule, matrices, params_)
+    want = ic_series_oracle(panel, schedule, matrices, params_)
+    assert got.keys() == want.keys()
+    for f in want:
+        assert got[f].dates == want[f][0], f
+        same_bits(got[f].values, want[f][1], f)
 
 
 # --- latest fundamental report -----------------------------------------------------

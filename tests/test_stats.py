@@ -200,6 +200,47 @@ class TestTurnoverAdjustedAlpha:
         with pytest.raises(StatsError, match="disjoint"):
             turnover_adjusted_alpha(a, b)
 
+    @pytest.mark.parametrize("strat_span, bench_span", [
+        ((0, 80), (30, 120)),  # the benchmark starts later and ends later
+        ((30, 120), (0, 80)),
+        ((0, 120), (40, 60)),  # one range inside the other
+        ((40, 60), (0, 120)),
+        ((0, 50), (49, 90)),  # one common day
+        ((10, 90), (10, 90)),  # the same range
+    ])
+    def test_overlaps_equal_the_intersect1d_form(self, strat_span, bench_span):
+        """Partly overlapping results give the bits of the np.intersect1d
+        form this replaced, the turnover counted on the trades in the
+        common range."""
+        rng = np.random.default_rng(29)
+        (a0, a1), (b0, b1) = strat_span, bench_span
+        strat = result_from(rng.normal(0.001, 0.01, a1 - a0), turnover=rng.uniform(0.1, 0.5, 4), start_idx=a0,
+                            n_total=120)
+        strat.rebalance_dates = strat.dates[:: -(-(a1 - a0) // 4)]
+        bench = result_from(rng.normal(0.0005, 0.01, b1 - b0), start_idx=b0, n_total=120)
+        for result, benchmark in ((strat, bench), (bench, strat)):
+            got, want = turnover_adjusted_alpha(result, benchmark), turnover_adjusted_alpha_oracle(result, benchmark)
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+    def test_other_trading_days_in_the_common_range_error(self):
+        a = result_from(np.full(40, 0.001), n_total=100)
+        b = result_from(np.full(39, 0.0005), start_idx=10, n_total=100)
+        b.dates = a.dates[10:20] + a.dates[21:] + [result_from(np.zeros(1), start_idx=40, n_total=100).dates[0]]
+        with pytest.raises(StatsError, match="different trading days"):
+            turnover_adjusted_alpha(a, b)
+
+
+def turnover_adjusted_alpha_oracle(result, benchmark) -> float:
+    """turnover_adjusted_alpha over the np.intersect1d of the two date lists."""
+    common, at_r, at_b = np.intersect1d(result.dates, benchmark.dates, assume_unique=True, return_indices=True)
+    excess = annualized_return(result.daily_returns[at_r]) - annualized_return(benchmark.daily_returns[at_b])
+    first, last = str(common[0]), str(common[-1])
+    in_window = [i for i, d in enumerate(result.rebalance_dates) if first <= d <= last]
+    ann_turnover = float(result.turnover[in_window].sum()) * 252 / len(common)
+    if ann_turnover == 0:
+        return 0.0 if excess == 0 else math.copysign(math.inf, excess)
+    return excess / ann_turnover
+
 
 def test_summarize_annualizes_turnover_over_the_days_covered():
     r = np.random.default_rng(19).normal(0.0005, 0.01, 126)
