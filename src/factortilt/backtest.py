@@ -90,16 +90,20 @@ class BacktestConfig:
             raise ConfigError(f"unknown weight_mode {self.weight_mode!r}")
 
 
-@dataclass
+@dataclass(eq=False)  # == on numpy arrays has no single truth value
 class BacktestResult:
     strategy: str
     dates: list[str]
     daily_returns: np.ndarray
     equity_curve: np.ndarray
-    rebalance_dates: list[str]
     turnover: np.ndarray
     costs: np.ndarray
     weights: Targets
+
+    @property
+    def rebalance_dates(self) -> list[str]:
+        """The dates the book traded on: its weights' dates."""
+        return list(self.weights.dates)
 
 
 def pool_positions(snap: AsOf, strategy: str, config: BacktestConfig) -> np.ndarray:
@@ -296,8 +300,7 @@ def evolve(
     equity = np.cumprod(1.0 + daily, axis=1)
     return {
         name: BacktestResult(strategy=s, dates=list(cal.days[i_start : i_end + 1]), daily_returns=daily[j],
-                             equity_curve=equity[j], rebalance_dates=list(dates[:n_reb]), turnover=turnover[j],
-                             costs=costs[j], weights=v.head(n_reb))
+                             equity_curve=equity[j], turnover=turnover[j], costs=costs[j], weights=v.head(n_reb))
         for j, (name, (s, v)) in enumerate(books.items())
     }
 
@@ -367,15 +370,12 @@ def run_baselines(
 
 def removal_tilt(tilt: TiltParams, factor: str) -> TiltParams:
     """The tilt with one factor removed from the mixture: remaining weights
-    are renormalized proportionally, shared uniformly if they carried no
-    weight, and removal of the last factor degenerates to the untilted
-    baseline."""
+    are renormalized proportionally, or shared uniformly if they carried no
+    weight (a mixture holds every factor of FACTORS, so some remain)."""
     alpha = dict(tilt.alpha)
     if factor not in alpha:
         raise ConfigError(f"factor {factor!r} not in mixture")
     rest = [f for f in alpha if f != factor]
-    if not rest:
-        return replace(tilt, lam=0.0)
     rest_total = sum(alpha[f] for f in rest)
     share = {f: alpha[f] / rest_total for f in rest} if rest_total > 0 else dict.fromkeys(rest, 1.0 / len(rest))
     return replace(tilt, alpha={f: share.get(f, 0.0) for f in alpha})

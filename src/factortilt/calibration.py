@@ -25,7 +25,10 @@ row alone, so each row is centered by its own sum / n (an F-ordered block
 would be summed column by column and round differently). And the stacked
 matmul makes, for each item, the BLAS call (syrk) that np.dot(X, X.T)
 makes for one 2 x n pair in np.cov, under one BLAS thread or several.
-`pearson` and `spearman` are the one-pair case.
+A pair with a constant column on a date (all its values equal, as
+factors._standardized_rows tests a row) is not computed there and reads
+NaN, the kernel's one "not computed" mark. `spearman` is the one-pair
+case.
 """
 
 from __future__ import annotations
@@ -43,9 +46,13 @@ from .market_data import MarketPanel, RebalanceSchedule
 
 @dataclass(frozen=True)
 class CalibrationParams:
+    """The IC/IR diagnostics' settings, and `apply`: whether a backtest
+    tilts by the calibrated mixture in place of the configured one."""
+
     horizon: int = 126  # forward window, trading days
     m_min: int = 4      # minimum IC observations for a usable IR
     min_universe: int = 5
+    apply: bool = False
 
     def __post_init__(self):
         if self.horizon < 1:
@@ -56,7 +63,7 @@ class CalibrationParams:
             raise ConfigError(f"min_universe must be >= 3, got {self.min_universe}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # == on numpy arrays has no single truth value
 class ICSeries:
     """One factor's IC per rebalance date; build_ic_series keys it by factor."""
 
@@ -87,17 +94,12 @@ def forward_returns(panel: MarketPanel, t: str, horizon: int) -> np.ndarray:
     return panel.price[it + horizon] / panel.price[it] - 1.0  # prices are > 0 or NaN
 
 
-def average_ranks(x) -> np.ndarray:
-    """1-based ranks of a 1-D array, tied values sharing the mean of their
-    ranks: the values of scipy's `rankdata(x, method="average")`."""
-    return average_ranks_rows(np.asarray(x)[None, :])[0]
-
-
 def average_ranks_rows(x: np.ndarray) -> np.ndarray:
-    """average_ranks of each row of a 2-D array, from one row-wise sort: a
-    run of c tied values from sorted position s ranks s + (c + 1) / 2. The
-    ranks are exact half-integers, so any correct tie rule gives them the
-    same bits."""
+    """1-based ranks of each row of a 2-D array, tied values sharing the
+    mean of their ranks (scipy's `rankdata(row, method="average")`), from
+    one row-wise sort: a run of c tied values from sorted position s ranks
+    s + (c + 1) / 2. The ranks are exact half-integers, so any correct tie
+    rule gives them the same bits."""
     k, n = x.shape
     at = np.argsort(x, axis=1, kind="stable")
     at += np.arange(k)[:, None] * n  # positions in the flat stack
@@ -143,28 +145,20 @@ def pair_correlations(pairs: np.ndarray, where=True) -> np.ndarray:
     return np.clip(r, -1.0, 1.0, out=r)
 
 
-def pearson(centered: np.ndarray, i: int, j: int) -> float:
-    """np.corrcoef(x[i], x[j])[0, 1] bit for bit, for rows i and j of
-    centered = centered_rows(x) (n >= 2 columns): the one-pair case of
-    pair_correlations."""
-    return float(pair_correlations(centered[[i, j]][None])[0])
-
-
 def stacked_correlations(
     blocks: Sequence[np.ndarray], pairs, ranked: bool = False, min_members: int = 2,
     last: Sequence[np.ndarray] | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> np.ndarray:
     """The correlations over each date's members of columns i and j, for
-    each (i, j) in pairs, and whether each was computed: two (dates, pairs)
-    arrays, NaN where not computed. blocks[d] holds date d's members, one
-    finite row each; last[d], when given, is one more column (an IC's
-    forward returns), and a member whose entry there is not finite is left
-    out. A date with fewer than min_members (>= 2) members computes nothing.
-    Ranked (Spearman's), a pair is the Pearson correlation of average ranks,
-    not computed when either ranking is constant and exactly +-1 when one
-    equals the other or its reverse. Unranked, a pair is computed when both
-    columns vary on the date (np.std > 0 over a C-contiguous block's
-    members, as a factor matrix's z.std(axis=0) reads it)."""
+    each (i, j) in pairs: one (dates, pairs) array, NaN where a pair is not
+    computed. blocks[d] holds date d's members, one finite row each;
+    last[d], when given, is one more column (an IC's forward returns), and
+    a member whose entry there is not finite is left out. A date with fewer
+    than min_members (>= 2) members computes nothing, nor does a pair with
+    a constant column on the date (all its values equal, the rule of
+    factors._standardized_rows). Ranked (Spearman's), a pair is the Pearson
+    correlation of average ranks, exactly +-1 when one ranking equals the
+    other or its reverse."""
     keep = None if last is None else [np.isfinite(v) for v in last]
     by_size = {}  # the dates with each member count n, in order
     for d, block in enumerate(blocks):
@@ -173,7 +167,6 @@ def stacked_correlations(
             by_size.setdefault(n, []).append(d)
     pairs = np.asarray(pairs).reshape(-1, 2)
     r = np.full((len(blocks), len(pairs)), np.nan)
-    computed = np.zeros(r.shape, dtype=bool)
     for n, dates in by_size.items():
         k = blocks[dates[0]].shape[1] + (keep is not None)
         step = max(1, _CHUNK_CELLS // (k * n))
@@ -181,29 +174,26 @@ def stacked_correlations(
             chunk = dates[s : s + step]
             stack = np.stack([blocks[d] if keep is None else np.column_stack((blocks[d], last[d]))[keep[d]]
                               for d in chunk])
-            r[chunk], computed[chunk] = _chunk_correlations(stack, pairs, ranked)
-    return r, computed
+            r[chunk] = _chunk_correlations(stack, pairs, ranked)
+    return r
 
 
-def _chunk_correlations(stack: np.ndarray, pairs: np.ndarray, ranked: bool) -> tuple[np.ndarray, np.ndarray]:
+def _chunk_correlations(stack: np.ndarray, pairs: np.ndarray, ranked: bool) -> np.ndarray:
     """stacked_correlations of one (dates, n, k) stack of member rows."""
     c, n, k = stack.shape
     rows = stack.transpose(0, 2, 1)  # each date's k columns as rows
     x, y = pairs.T
+    constant = (stack == stack[:, :1]).all(axis=1)  # equal values have equal ranks
+    computed = ~(constant[:, x] | constant[:, y])
     if ranked:
         rows = average_ranks_rows(rows.reshape(c * k, n)).reshape(c, k, n)
-        constant = (rows == rows[:, :, :1]).all(axis=2)
-        computed = ~(constant[:, x] | constant[:, y])
         same = (rows[:, x] == rows[:, y]).all(axis=2)
         reverse = (rows[:, x] == n + 1.0 - rows[:, y]).all(axis=2)
-    else:
-        varied = stack.std(axis=1) > 0
-        computed = varied[:, x] & varied[:, y]
     centered = centered_rows(rows)
     r = pair_correlations(centered[:, pairs].reshape(-1, 2, n), computed.reshape(-1)).reshape(c, len(pairs))
     if ranked:
         r = np.select([~computed, same, reverse], [np.nan, 1.0, -1.0], r)
-    return r, computed
+    return r
 
 
 def spearman(x, y, min_pairs: int = 3) -> float:
@@ -215,7 +205,7 @@ def spearman(x, y, min_pairs: int = 3) -> float:
     if x.shape != y.shape:
         raise ConfigError("spearman inputs must have equal length")
     ok = np.isfinite(x) & np.isfinite(y)
-    r, _ = stacked_correlations([np.column_stack((x[ok], y[ok]))], [(0, 1)], ranked=True, min_members=max(min_pairs, 3))
+    r = stacked_correlations([np.column_stack((x[ok], y[ok]))], [(0, 1)], ranked=True, min_members=max(min_pairs, 3))
     return float(r[0, 0])
 
 
@@ -238,8 +228,8 @@ def build_ic_series(
     dates, matrices = zip(*dated)
     nf = len(FACTORS)
     fwd = [forward_returns(panel, t, params.horizon)[m.positions] for t, m in dated]
-    ics, _ = stacked_correlations([m.z for m in matrices], [(j, nf) for j in range(nf)], ranked=True,
-                                  min_members=max(params.min_universe, 3), last=fwd)
+    ics = stacked_correlations([m.z for m in matrices], [(j, nf) for j in range(nf)], ranked=True,
+                               min_members=max(params.min_universe, 3), last=fwd)
     valid = ~np.isnan(ics)
     return {f: ICSeries(dates=tuple(compress(dates, valid[:, j])), values=ics[valid[:, j], j])
             for j, f in enumerate(FACTORS)}

@@ -69,8 +69,9 @@ _CONVENTIONS = (
 @dataclass
 class RunConfig:
     """A run config: the input paths and schedule, the statistics' settings,
-    the tilted strategy's BacktestConfig, and the calibration. Every value
-    is checked when the config is built."""
+    the tilted strategy's BacktestConfig, and the calibration (whose `apply`
+    says whether the backtest tilts by it). Every value is checked when the
+    config is built."""
 
     prices: Path
     volumes: Path
@@ -84,7 +85,6 @@ class RunConfig:
     out_dir: Path = Path("out")
     backtest: BacktestConfig = field(default_factory=BacktestConfig)
     calibration: CalibrationParams = field(default_factory=CalibrationParams)
-    apply_calibration: bool = False
 
     def __post_init__(self):
         if self.n_trials < 1:
@@ -124,15 +124,14 @@ def _items(params) -> list[tuple[str, str, object]]:
 
 
 # every section and key load_config reads; anything else is rejected.
-# `[caps] enabled` and `[calibration] apply` are the two keys of a
-# parameter section that its class does not hold
+# `[caps] enabled` is the one key of a parameter section that its class
+# does not hold: a CapParams means caps on
 _KEYS = {
     "data": ("prices", "volumes", "mktcap", "fundamentals"),
     "run": ("start", "end", "anchors", "cost_rate", "weight_mode", "n_trials", "nw_lag", "out", "threads"),
     **{section: tuple(key for _, key, _ in _items(cls())) for section, cls in _PARAMS.items()},
 }
 _KEYS["caps"] = ("enabled", *_KEYS["caps"])
-_KEYS["calibration"] += ("apply",)
 
 
 def _check_keys(cp, path: Path, keys: dict) -> None:
@@ -202,6 +201,8 @@ def _read_ini(path: Path, kind: str, section: str | None = None):
 def load_config(path, out_override=None) -> RunConfig:
     """Parse an INI run config; missing keys take the defaults of the
     classes they configure, and unknown sections or keys are a ConfigError.
+    Each parameter section is read into its class, `[calibration] apply`
+    included; `[caps] enabled` says whether the backtest gets a CapParams.
     `[run] threads` is parsed for compatibility and has no effect."""
     path = Path(path)
     cp = _read_ini(path, "config")
@@ -238,7 +239,6 @@ def load_config(path, out_override=None) -> RunConfig:
             caps=caps if _get(cp, "caps", "enabled", False) else None,
         ),
         calibration=_params(cp, "calibration", CalibrationParams),
-        apply_calibration=_get(cp, "calibration", "apply", RunConfig.apply_calibration),
     )
 
 
@@ -308,7 +308,6 @@ def write_manifest(cfg: RunConfig, path: Path, extra: list[tuple[str, str]] | No
         params = cfg.calibration if section == "calibration" else getattr(bt, section)
         sections[section] = [] if params is None else [(key, value) for _, key, value in _items(params)]
     sections["caps"].insert(0, ("enabled", bt.caps is not None))
-    sections["calibration"].append(("apply", cfg.apply_calibration))
     sections["conventions"] = _CONVENTIONS
     if extra:
         sections["notes"] = extra
@@ -343,27 +342,26 @@ def cmd_validate(cfg: RunConfig) -> int:
 
 
 def _screens_and_factors(panel, schedule, config: BacktestConfig):
-    """Per rebalance date, the as-of snapshot, the screened members'
-    positions and their factor matrix (where there are members), which the
-    snapshot keeps for the walk."""
+    """Per rebalance date, the as-of snapshot, which keeps the screened
+    members' positions for the walk, and their factor matrix (where there
+    are members)."""
     snapshots = {t: snapshot(panel, t, config) for t in schedule.dates}
-    members = {t: pool_positions(snap, "dmft", config) for t, snap in snapshots.items()}
-    dated = [t for t in snapshots if members[t].size]
+    dated = [t for t, snap in snapshots.items() if pool_positions(snap, "dmft", config).size]
     matrices = dict(zip(dated, pool_matrices([snapshots[t] for t in dated], "dmft", config)))
-    return snapshots, members, matrices
+    return snapshots, matrices
 
 
 def _concat(parts) -> np.ndarray:
     return np.concatenate(parts) if parts else np.empty(0)
 
 
-def _write_screens(panel, snapshots, members, matrices, out: Path) -> None:
+def _write_screens(panel, snapshots, matrices, config: BacktestConfig, out: Path) -> None:
     """eligibility.csv (every panel asset at every rebalance date, with the
-    snapshot's history and ADV) and factors.csv (each member's raw and z
-    per factor)."""
+    snapshot's history and ADV, and whether it is a screened member) and
+    factors.csv (each member's raw and z per factor)."""
     eligible = np.zeros((len(snapshots), panel.n_assets), dtype=int)
-    for k, positions in enumerate(members.values()):
-        eligible[k, positions] = 1
+    for k, snap in enumerate(snapshots.values()):
+        eligible[k, pool_positions(snap, "dmft", config)] = 1
     _write_csv(out / "eligibility.csv", (["date", "asset", "history_days", "adv", "eligible"], [
         [t for t in snapshots for _ in panel.assets],
         panel.assets * len(snapshots),
@@ -466,9 +464,9 @@ def cmd_backtest(cfg: RunConfig) -> int:
         panel, schedule = _load_inputs(cfg)
         notes = []
         config = cfg.backtest
-        snapshots, members, matrices = _screens_and_factors(panel, schedule, config)
-        _write_screens(panel, snapshots, members, matrices, out)
-        if cfg.apply_calibration:
+        snapshots, matrices = _screens_and_factors(panel, schedule, config)
+        _write_screens(panel, snapshots, matrices, config, out)
+        if cfg.calibration.apply:
             ics = build_ic_series(panel, schedule, matrices, cfg.calibration)
             if ics:
                 alpha = ir_to_alpha(ics, cfg.calibration.m_min)
@@ -486,7 +484,7 @@ def cmd_diagnose(cfg: RunConfig) -> int:
     with _staged_out(cfg.out_dir) as out:
         panel, schedule = _load_inputs(cfg)
         config = cfg.backtest
-        snapshots, _, matrices = _screens_and_factors(panel, schedule, config)
+        snapshots, matrices = _screens_and_factors(panel, schedule, config)
         ics = build_ic_series(panel, schedule, matrices, cfg.calibration)
         names = sorted(ics)
         alpha = ir_to_alpha(ics, cfg.calibration.m_min) if ics else {}

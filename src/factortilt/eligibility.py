@@ -53,9 +53,6 @@ class EligibilitySet:
         if self.assets and not self._member_set <= set(self.assets):
             raise ConfigError("universe members not a subset of panel assets")
 
-    def __len__(self) -> int:
-        return len(self.members)
-
     def __contains__(self, asset: str) -> bool:
         return asset in self._member_set
 

@@ -51,7 +51,7 @@ class FactorParams:
             raise ConfigError(f"winsor_p must be in [0, 0.5), got {self.winsor_p}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # == on numpy arrays has no single truth value
 class FactorMatrix:
     """Per-rebalance raw and standardized signals over the eligible universe.
 
@@ -69,10 +69,6 @@ class FactorMatrix:
     @cached_property
     def assets(self) -> tuple[str, ...]:
         return tuple(map(self.panel_assets.__getitem__, self.positions.tolist()))
-
-    def column(self, factor: str, standardized: bool = True) -> np.ndarray:
-        j = FACTORS.index(factor)
-        return (self.z if standardized else self.raw)[:, j]
 
 
 def winsorize(values, p: float) -> np.ndarray:

@@ -13,8 +13,8 @@ and `top_k_concentration`, which are the one-row case.
 
 `factor_correlations` correlates every pair of factors on every date in
 one `calibration.stacked_correlations` call, which gives np.corrcoef's
-bits for each date and pair (see `calibration`), and adds each pair's
-correlations in date order.
+bits for each date and pair (see `calibration`) and NaN where a column
+is constant, and adds each pair's other correlations in date order.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from .factors import FACTORS, FactorMatrix
 from .weighting import WeightVector
 
 TRADING_DAYS = 252
-EULER_GAMMA = 0.5772156649015329
 MIN_OBS = 8
 
 
@@ -121,7 +120,7 @@ def expected_max_sharpe(n_trials: int, t_obs: int) -> float:
     scale = 1.0 / math.sqrt(t_obs)
     hi = ndtri(1.0 - 1.0 / n_trials)
     lo = ndtri(1.0 - 1.0 / (n_trials * math.e))
-    return float(scale * ((1.0 - EULER_GAMMA) * hi + EULER_GAMMA * lo))
+    return float(scale * ((1.0 - np.euler_gamma) * hi + np.euler_gamma * lo))
 
 
 def deflated_sharpe(returns, n_trials: int, benchmark_sr: float | None = None) -> float:
@@ -170,8 +169,9 @@ def turnover_adjusted_alpha(result: BacktestResult, benchmark: BacktestResult) -
     if list(r_dates[at_r]) != list(b_dates[at_b]):
         raise StatsError("backtest results hold different trading days over their common date range")
     excess = annualized_return(result.daily_returns[at_r]) - annualized_return(benchmark.daily_returns[at_b])
-    in_window = [i for i, d in enumerate(result.rebalance_dates) if first <= d <= last]
-    ann_turnover = float(result.turnover[in_window].sum()) * TRADING_DAYS / (at_r.stop - at_r.start)
+    reb = result.weights.dates
+    traded = slice(bisect_left(reb, first), bisect_right(reb, last))
+    ann_turnover = float(result.turnover[traded].sum()) * TRADING_DAYS / (at_r.stop - at_r.start)
     if ann_turnover == 0:
         return 0.0 if excess == 0 else math.copysign(math.inf, excess)
     return excess / ann_turnover
@@ -227,11 +227,12 @@ def _top_k_sums(rows: np.ndarray, k: int) -> np.ndarray:
 def factor_correlations(matrices: Iterable[FactorMatrix]) -> tuple[tuple[str, ...], np.ndarray]:
     """Average over rebalance dates of the cross-sectional Pearson
     correlations between factor z columns, given one factor matrix per date
-    with a non-empty universe. A pair enters a date's average when both of
-    its columns vary there (z.std(axis=0) > 0); pairs degenerate (constant)
-    on every date come back NaN. Each pair's correlations are added one
-    date after another from 0.0, as np.cumsum adds them (np.sum's order
-    follows the array's layout: pairwise along a contiguous axis)."""
+    with a non-empty universe. A pair enters a date's average when neither
+    of its columns is constant there (all its values equal), that is, when
+    stacked_correlations computes it; pairs with a constant column on every
+    date come back NaN. Each pair's correlations are added one date after
+    another from 0.0, as np.cumsum adds them (np.sum's order follows the
+    array's layout: pairwise along a contiguous axis)."""
     matrices = list(matrices)
     if not matrices:
         raise StatsError("no rebalance date has a non-empty universe, so there are no factor correlations")
@@ -239,7 +240,8 @@ def factor_correlations(matrices: Iterable[FactorMatrix]) -> tuple[tuple[str, ..
         raise StatsError("factor correlations need at least 2 rebalance dates with a non-empty universe, got 1")
     nf = len(FACTORS)
     i, j = np.triu_indices(nf, 1)
-    r, computed = stacked_correlations([m.z for m in matrices], np.column_stack((i, j)))
+    r = stacked_correlations([m.z for m in matrices], np.column_stack((i, j)))
+    computed = ~np.isnan(r)
     sums = np.cumsum(np.vstack((np.zeros(len(i)), np.where(computed, r, 0.0))), axis=0)[-1]
     counts = np.count_nonzero(computed, axis=0)
     corr = np.eye(nf)

@@ -8,10 +8,10 @@ composite_score (over 1,200 random cases a stacked gemm changed bits in
 900, a stacked gemv in 4); the clip is elementwise, normalization takes
 the row sums of a C-contiguous block (numpy sums each row as it sums it
 alone), and the projection is a row kernel over the member rows of the
-pools of one size. normalize_tilt, project_onto_caps and tilted_weights
-are the one-row case. So is cap_values of member_caps, whose liquidity
-caps take one row median per pool size (np.median(axis=1): the 1-d
-median's partition and mean, row by row).
+pools of one size. project_onto_caps and tilted_weights are the one-row
+case. So is cap_values of member_caps, whose liquidity caps take one row
+median per pool size (np.median(axis=1): the 1-d median's partition and
+mean, row by row).
 
 A book's `Targets` hold its rows as read-only blocks, checked at once by
 the rule a `WeightVector` checks its one row by."""
@@ -36,7 +36,7 @@ def _default_alpha() -> dict[str, float]:
 
 @dataclass(frozen=True)
 class TiltParams:
-    """Convex factor mixture, tilt strength, and multiplier bounds."""
+    """Convex factor mixture over exactly FACTORS, tilt strength, and multiplier bounds."""
 
     alpha: Mapping[str, float] = field(default_factory=_default_alpha)
     lam: float = 0.25
@@ -44,7 +44,10 @@ class TiltParams:
     m_max: float = 1.5
 
     def __post_init__(self):
-        check_finite(**{f"alpha[{f}]": a for f, a in self.alpha.items()}, lam=self.lam)
+        if set(self.alpha) != set(FACTORS):
+            raise ConfigError(f"mixture factors {sorted(self.alpha)} do not match the factors {sorted(FACTORS)}")
+        check_finite(**{f"alpha[{f}]": a for f, a in self.alpha.items()}, lam=self.lam, m_min=self.m_min,
+                     m_max=self.m_max)
         if any(a < 0 for a in self.alpha.values()):
             raise ConfigError("mixture weights must be non-negative")
         total = sum(self.alpha.values())
@@ -163,8 +166,6 @@ def _check_rows(w: np.ndarray, assets) -> None:
 
 def composite_score(z: FactorMatrix, params: TiltParams) -> np.ndarray:
     """Convex combination of factor z-scores, one per row of z."""
-    if set(params.alpha) != set(FACTORS):
-        raise ConfigError(f"mixture factors {sorted(params.alpha)} do not match matrix factors {sorted(FACTORS)}")
     alpha = np.array([params.alpha[f] for f in FACTORS])
     return z.z @ alpha
 
@@ -175,17 +176,12 @@ def bounded_multiplier(z, params: TiltParams):
     return np.clip(1.0 + params.lam * np.asarray(z, dtype=float), params.m_min, params.m_max)
 
 
-def normalize_tilt(w: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """w * m / sum(w * m) for baseline weights w and multipliers m.
-
-    When every multiplier on the support of w is identical the normalization
-    cancels algebraically, so a copy of w is returned (this keeps the
-    zero-tilt degeneracy exact in floating point)."""
-    return _normalized_rows(np.array(w, dtype=float, ndmin=2), np.asarray(m)[None])[0]
-
-
 def _normalized_rows(w: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """normalize_tilt of each row of the (r, n) blocks w and m, in place of w."""
+    """w * m / sum(w * m) for each row of the (r, n) blocks of baseline
+    weights w and multipliers m, in place of w. A row whose multipliers on
+    the support of w are all equal keeps w: the normalization cancels
+    algebraically, and keeping w keeps the zero-tilt degeneracy exact in
+    floating point."""
     support = w > 0
     first = np.take_along_axis(m, support.argmax(axis=1)[:, None], axis=1)
     flat = np.logical_and.reduce((m == first) | ~support, axis=1)  # also a row without support

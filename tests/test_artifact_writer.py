@@ -240,7 +240,7 @@ def test_cli_artifacts_equal_the_row_writer(synth_dir, tmp_path, command, varian
     universes = {t: compute_eligibility(panel, t, config.eligibility) for t in schedule.dates}
     matrices = {t: build_factor_matrix(panel, u, t, config.factors) for t, u in universes.items() if u.members}
     if command == "backtest":
-        if cfg.apply_calibration:
+        if cfg.calibration.apply:
             alpha = ir_to_alpha(build_ic_series(panel, schedule, matrices, cfg.calibration), cfg.calibration.m_min)
             assert set(alpha) == set(FACTORS)  # the calibrated weights differ from the plain ones
             config = replace(config, tilt=replace(config.tilt, alpha=alpha))

@@ -9,11 +9,13 @@ from factortilt import backtest, weighting
 from factortilt.backtest import (
     BacktestConfig,
     evolve,
+    pool_matrices,
     removal_tilt,
     run_baselines,
     run_factor_removals,
     snapshot,
 )
+from factortilt.calibration import CalibrationParams, build_ic_series
 from factortilt.eligibility import EligibilityParams
 from factortilt.errors import ConfigError, DataError
 from factortilt.factors import FactorParams
@@ -251,6 +253,31 @@ class TestBaselines:
         for res in results.values():
             assert res.rebalance_dates == reference
             assert res.dates == results["dmft"].dates
+
+    def test_results_matrices_and_ic_series_compare_by_identity_without_raising(self):
+        # == on numpy arrays has no single truth value; like WeightVector and
+        # Targets, each of these compares by identity and returns a bool
+        panel, sched, cfg = self.small_run(lam=0.3)
+
+        def built():
+            matrices = pool_matrices([snapshot(panel, t, cfg) for t in sched.dates], "dmft", cfg)
+            ics = build_ic_series(panel, sched, dict(zip(sched.dates, matrices)), CalibrationParams(horizon=5))
+            assert len(ics["MOM"]) > 1  # == on its values would have no single truth value
+            return run_baselines(panel, sched, cfg)["dmft"], matrices[0], ics["MOM"]
+
+        for a, b in zip(built(), built(), strict=True):
+            assert (a == b) is False and (a != b) is True and (a == a) is True, type(a).__name__
+
+    def test_rebalance_dates_are_the_weights_dates(self):
+        # a result's trades are dated by its weights alone, in every walk and
+        # when `end` cuts the schedule short
+        panel, sched, cfg = self.small_run(lam=0.3)
+        for end in (None, panel.calendar.days[-1], sched.dates[-1], sched.dates[1]):
+            for run in (run_baselines, run_factor_removals):
+                for name, res in run(panel, sched, cfg, end).items():
+                    assert res.rebalance_dates == list(res.weights.dates) == [t for t in sched.dates
+                                                                             if end is None or t <= end], name
+                    assert len(res.turnover) == len(res.costs) == len(res.rebalance_dates), name
 
 
 def test_given_snapshots_change_nothing():
@@ -490,10 +517,6 @@ class TestRemovalTilt:
     def test_rest_without_weight_shared_uniformly(self):
         tilt = removal_tilt(TiltParams(alpha={"MOM": 1.0, "VAL": 0.0, "QUAL": 0.0}), "MOM")
         assert tilt.alpha == {"MOM": 0.0, "VAL": 0.5, "QUAL": 0.5}
-
-    def test_last_factor_removed_is_untilted(self):
-        tilt = TiltParams(alpha={"MOM": 1.0}, lam=0.7)
-        assert removal_tilt(tilt, "MOM") == replace(tilt, lam=0.0)
 
     def test_unknown_factor(self):
         with pytest.raises(ConfigError, match="factor 'SIZE' not in mixture"):

@@ -8,7 +8,7 @@ from scipy.stats import rankdata
 from factortilt.calibration import (
     CalibrationParams,
     ICSeries,
-    average_ranks,
+    average_ranks_rows,
     build_ic_series,
     forward_returns,
     ir_to_alpha,
@@ -102,7 +102,7 @@ RANK_POOL = [0.0, -0.0, 1.0, -1.0, 2.5, 1e-300, math.inf, -math.inf]
 def test_average_ranks_equal_rankdata(values):
     x = np.array(values)
     expected = rankdata(x, method="average")  # the oracle
-    ranks = average_ranks(x)
+    ranks = average_ranks_rows(x[None])[0]
     assert ranks.dtype == expected.dtype and np.array_equal(ranks, expected)
 
 
@@ -182,7 +182,7 @@ class TestBuildICSeries:
         for t, m in matrices.items():
             fwd = forward_returns(panel, t, params.horizon)[panel.positions(m.assets)]
             for f in FACTORS:
-                ic = spearman(m.column(f), fwd, min_pairs=params.min_universe)
+                ic = spearman(m.z[:, FACTORS.index(f)], fwd, min_pairs=params.min_universe)
                 if not math.isnan(ic):
                     expected[f][0].append(t)
                     expected[f][1].append(ic)

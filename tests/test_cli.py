@@ -438,6 +438,8 @@ def test_one_snapshot_per_rebalance_date(tmp_path, synth_dir, monkeypatch, comma
 @pytest.mark.parametrize("make, name", [
     (lambda v: TiltParams(lam=v), "lam"),
     (lambda v: TiltParams(alpha={"MOM": v, "VAL": 0.5, "QUAL": 0.5}), "alpha[MOM]"),
+    (lambda v: TiltParams(m_min=v), "m_min"),
+    (lambda v: TiltParams(m_max=v), "m_max"),
     (lambda v: BacktestConfig(cost_rate=v), "cost_rate"),
     (lambda v: EligibilityParams(adv_min=v), "adv_min"),
     (lambda v: CapParams(kappa=v), "kappa"),
@@ -445,7 +447,7 @@ def test_one_snapshot_per_rebalance_date(tmp_path, synth_dir, monkeypatch, comma
     (lambda v: ScenarioSpec(dispersion=v), "dispersion"),
     (lambda v: ScenarioSpec(ic_target=v), "ic_target"),
     (lambda v: ScenarioSpec(liquidity_tiers=(1.0, v)), "liquidity_tiers"),
-], ids=["lam", "alpha", "cost_rate", "adv_min", "kappa", "vol", "dispersion", "ic_target", "tiers"])
+], ids=["lam", "alpha", "m_min", "m_max", "cost_rate", "adv_min", "kappa", "vol", "dispersion", "ic_target", "tiers"])
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
 def test_non_finite_parameters_are_rejected(make, name, value):
     with pytest.raises(ConfigError, match=re.escape(f"{name} must be finite, got ")):

@@ -64,8 +64,7 @@ def run_configs(data: Path):
         nw_lag=st.none() | st.integers(0, 30),
         backtest=backtest_configs(),
         calibration=st.builds(CalibrationParams, horizon=st.integers(1, 300), m_min=st.integers(1, 20),
-                              min_universe=st.integers(3, 50)),
-        apply_calibration=st.booleans(),
+                              min_universe=st.integers(3, 50), apply=st.booleans()),
     )
 
 
@@ -206,7 +205,7 @@ def test_disabled_caps_are_still_checked(tmp_path, synth_dir, capsys, line, mess
 ])
 def test_boolean_spellings_load(tmp_path, raw, value):
     loaded = load_sections(tmp_path / "run.ini", {**BASE, "caps": {"enabled": raw}, "calibration": {"apply": raw}})
-    assert (loaded.backtest.caps is not None, loaded.apply_calibration) == (value, value)
+    assert (loaded.backtest.caps is not None, loaded.calibration.apply) == (value, value)
 
 
 EVERY_KEY_MANIFEST = """[data]
@@ -271,7 +270,7 @@ def test_manifest_text(tmp_path):
             factors=FactorParams(l_mom=180, skip=15, l_fund=300, winsor_p=0.02, winsorize_quality_components=True),
             tilt=TiltParams(alpha={"MOM": 0.5, "VAL": 0.3, "QUAL": 0.2}, lam=0.4, m_min=0.6, m_max=1.7),
             caps=CapParams(c_max=0.12, kappa=0.08, gamma=0.6)),
-        calibration=CalibrationParams(horizon=80, m_min=3, min_universe=6), apply_calibration=True)
+        calibration=CalibrationParams(horizon=80, m_min=3, min_universe=6, apply=True))
     write_manifest(cfg, tmp_path / "manifest.txt", extra=[("calibrated_alpha", "MOM=1.0,VAL=0.0,QUAL=0.0")])
     text = (tmp_path / "manifest.txt").read_text(encoding="utf-8")
     assert text.startswith(f"factortilt {__version__}\n\n" + EVERY_KEY_MANIFEST)

@@ -5,7 +5,7 @@ import pytest
 
 from factortilt.eligibility import EligibilityParams, compute_eligibility
 from factortilt.errors import ConfigError
-from factortilt.factors import FactorParams, build_factor_matrix, standardize, winsorize
+from factortilt.factors import FACTORS, FactorParams, build_factor_matrix, standardize, winsorize
 from factortilt.market_data import AsOf, censor_panel
 
 from conftest import fundamental, make_panel
@@ -102,7 +102,7 @@ def raw_quality(panel, universe, t):
     """The raw quality composite of each member: the QUAL column of its
     factor matrix, whose l_fund is 400 calendar days."""
     m = build_factor_matrix(panel, universe, t, FactorParams(l_fund=400))
-    return dict(zip(m.assets, m.column("QUAL", standardized=False).tolist()))
+    return dict(zip(m.assets, m.raw[:, FACTORS.index("QUAL")].tolist()))
 
 
 def quality_panel(roes, margins, leverages):
@@ -215,8 +215,8 @@ class TestFactorMatrix:
         price = {f"A{i}": [100.0 * (1 + 0.01 * i) ** d for d in range(12)] for i in range(5)}
         panel = make_panel(12, list(price), price=price)
         m = self.build(panel, panel.calendar.days[11], l_mom=5, skip=1, winsor_p=0.0)
-        mom_raw = m.column("MOM", standardized=False)
-        mom_z = m.column("MOM")
+        mom_raw = m.raw[:, FACTORS.index("MOM")]
+        mom_z = m.z[:, FACTORS.index("MOM")]
         assert np.all(np.diff(mom_raw[np.argsort(mom_raw)]) >= 0)
         np.testing.assert_array_equal(np.argsort(mom_raw), np.argsort(mom_z))
 

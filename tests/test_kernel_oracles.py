@@ -31,13 +31,11 @@ from factortilt.backtest import pool_positions, snapshot
 from factortilt import calibration
 from factortilt.calibration import (
     CalibrationParams,
-    average_ranks,
     average_ranks_rows,
     build_ic_series,
     centered_rows,
     forward_returns,
     pair_correlations,
-    pearson,
     stacked_correlations,
 )
 from factortilt.errors import ConfigError, InfeasibleCapsError
@@ -60,7 +58,7 @@ from factortilt.weighting import (
     cap_values,
     composite_score,
     member_caps,
-    normalize_tilt,
+    _normalized_rows,
     project_onto_caps,
     tilted_block,
     tilted_weights,
@@ -612,9 +610,9 @@ zero_weight_cases = [([0.6, 0.4, 0.0], [0.5, 0.3, 1.0]), ([0.6, 0.0, 0.4], [0.5,
 @example(seed=0, k=3, zeros=-1, kind="zero weight", scale=1.0)
 @example(seed=1, k=3, zeros=-2, kind="zero weight", scale=1.0)
 def test_one_row_kernels_equal_one_vector_code(seed, k, zeros, kind, scale):
-    """project_onto_caps and normalize_tilt equal the one-vector code,
-    with members that hold no weight, inputs that do not sum to 1, and
-    multipliers equal on the support."""
+    """project_onto_caps and the tilt's normalization of one row equal the
+    one-vector code, with members that hold no weight, inputs that do not
+    sum to 1, and multipliers equal on the support."""
     rng = np.random.default_rng(seed)
     if kind == "zero weight":  # the zero-weight cases of the projection's unit tests
         w, caps = map(np.array, zero_weight_cases[-1 - zeros])
@@ -630,8 +628,8 @@ def test_one_row_kernels_equal_one_vector_code(seed, k, zeros, kind, scale):
     else:
         same_bits(got, want, (w, caps))
     for m in (rng.uniform(0.5, 1.5, k), np.where(w > 0, 1.25, rng.uniform(0.5, 1.5, k))):
-        same_bits(normalize_tilt(w, m), normalize_tilt_oracle(w, m), (w, m))
-    same_bits(normalize_tilt(np.zeros(k), np.ones(k)), np.zeros(k), "no support")
+        same_bits(_normalized_rows(w[None].copy(), m[None])[0], normalize_tilt_oracle(w, m), (w, m))
+    same_bits(_normalized_rows(np.zeros((1, k)), np.ones((1, k)))[0], np.zeros(k), "no support")
 
 
 # --- Pearson correlation and average ranks ---------------------------------------------
@@ -677,8 +675,9 @@ ROW_KINDS = ("normal", "ranks", "constant", "signed zeros", "large", "tiny")
 @example(n=4, seed=2, x_kind="signed zeros", y_kind="signed zeros", layout="F-ordered pair")
 @example(n=57, seed=3, x_kind="large", y_kind="tiny", layout="rows of a stack")
 def test_pearson_equals_corrcoef(n, seed, x_kind, y_kind, layout):
-    """pearson on rows of centered_rows equals np.corrcoef(x, y)[0, 1] bit
-    for bit, whatever the layout of the block it is given."""
+    """pair_correlations of two rows of centered_rows equals
+    np.corrcoef(x, y)[0, 1] bit for bit, whatever the layout of the block
+    they are taken from."""
     rng = np.random.default_rng(seed)
     x = correlation_row(x_kind, n, rng, np.zeros(n))
     y = correlation_row(y_kind, n, rng, x)
@@ -700,16 +699,15 @@ def test_pearson_equals_corrcoef(n, seed, x_kind, y_kind, layout):
     blocks = [others[0].T, np.column_stack((x, y)), others[1].T, others[2].T]
     with np.errstate(all="ignore"):
         want = np.corrcoef(x, y)[0, 1]
-        got = pearson(centered_rows(block), i, j)
+        got = pair_correlations(centered_rows(block)[[i, j]][None])[0]
         in_stack = pair_correlations(centered_rows(stack))[1]
-        dated, computed = stacked_correlations(blocks, [(0, 1)])
-    assert type(got) is float
-    assert np.float64(got).tobytes() == want.tobytes() or (math.isnan(got) and math.isnan(want))
+        dated = stacked_correlations(blocks, [(0, 1)])
+    assert got.tobytes() == want.tobytes() or (math.isnan(got) and math.isnan(want))
     assert in_stack.tobytes() == want.tobytes() or (math.isnan(in_stack) and math.isnan(want))
-    if computed[1, 0]:
+    if not (blocks[1] == blocks[1][0]).all(axis=0).any():
         assert dated[1, 0].tobytes() == want.tobytes() or (math.isnan(dated[1, 0]) and math.isnan(want))
-    else:  # a column with no spread on the date, as a factor matrix's z.std(axis=0) reads it
-        assert math.isnan(dated[1, 0]) and not (blocks[1].std(axis=0) > 0).all()
+    else:  # a column of one value on the date is not computed
+        assert math.isnan(dated[1, 0])
 
 
 rank_values = st.sampled_from([0.0, -0.0, 1.0, 2.5, -1.0, math.nan, math.inf, -math.inf])
@@ -723,12 +721,12 @@ rank_values = st.sampled_from([0.0, -0.0, 1.0, 2.5, -1.0, math.nan, math.inf, -m
 @example(rows=[[math.nan] * 6, [2.0] * 6], fortran=True)
 def test_stacked_ranks_equal_one_column_at_a_time(rows, fortran):
     """average_ranks_rows of a matrix's columns, stacked (z.T), equals each
-    column ranked alone, by the oracle and by average_ranks."""
+    column ranked alone, by the oracle and as a stack of one row."""
     z = np.array(rows)  # n members x 6 columns
     stacked = average_ranks_rows(np.asfortranarray(z.T) if fortran else np.ascontiguousarray(z.T))
     for j in range(z.shape[1]):
         same_bits(stacked[j], average_ranks_oracle(z[:, j]), j)
-        same_bits(stacked[j], average_ranks(z[:, j]), j)
+        same_bits(stacked[j], average_ranks_rows(z[:, j][None])[0], j)
 
 
 # --- IC series and factor correlations: every date in one stacked kernel ------------
@@ -791,7 +789,7 @@ def factor_correlations_oracle(matrices) -> np.ndarray:
     sums = np.zeros((nf, nf))
     counts = np.zeros((nf, nf), dtype=int)
     for m in matrices:
-        varied = (m.z.std(axis=0) > 0).tolist()
+        varied = (~(m.z == m.z[0]).all(axis=0)).tolist()  # a column of one value is not computed
         centered = centered_rows_oracle(m.z.T)
         for i in range(nf):
             for j in range(i + 1, nf):
@@ -862,14 +860,13 @@ def test_stacked_rank_correlations_equal_one_date_at_a_time(dates, budget, min_m
     nf = len(FACTORS)
     pairs = [(j, nf) for j in range(nf)] + [(0, 1)]
     with patch.object(calibration, "_CHUNK_CELLS", budget):
-        got, computed = stacked_correlations([z for z, _ in dates], pairs, ranked=True, min_members=min_members,
-                                             last=[fwd for _, fwd in dates])
+        got = stacked_correlations([z for z, _ in dates], pairs, ranked=True, min_members=min_members,
+                                   last=[fwd for _, fwd in dates])
     for d, (z, fwd) in enumerate(dates):
         ok = np.isfinite(fwd)
         want = ([math.nan] * len(pairs) if ok.sum() < min_members
                 else rank_correlations_oracle(np.vstack((z[ok].T, fwd[ok])), pairs))
         same_values(got[d], want, (d, z, fwd))
-        assert computed[d].tolist() == [ok.sum() >= min_members and not math.isnan(w) for w in want]
 
 
 def matrices_of(dates):
@@ -883,19 +880,21 @@ def matrices_of(dates):
 def test_factor_correlations_equal_one_pair_at_a_time(dates, budget):
     """factor_correlations, and each date's correlations in its kernel,
     give the bits of one date and one pair at a time: constant columns,
-    a column of one value whose mean is not exact, and one-member dates."""
+    a column of one value whose mean is not exact, and one-member dates.
+    A pair with a constant column divides nothing, so no RuntimeWarning
+    is raised."""
     matrices = matrices_of(dates)
     pairs = [(0, 1), (0, 2), (1, 2)]
-    with patch.object(calibration, "_CHUNK_CELLS", budget), np.errstate(divide="ignore", invalid="ignore"):
+    with patch.object(calibration, "_CHUNK_CELLS", budget):
         got = factor_correlations(matrices)[1]
-        per_date, computed = stacked_correlations([m.z for m in matrices], pairs)
-        want = factor_correlations_oracle(matrices)
-        for d, m in enumerate(matrices):
-            varied = m.z.std(axis=0) > 0
-            centered = centered_rows_oracle(m.z.T)
-            for p, (i, j) in enumerate(pairs):
-                assert computed[d, p] == (varied[i] and varied[j])
-                same_values(per_date[d, p], pearson_oracle(centered, i, j) if computed[d, p] else math.nan, (d, i, j))
+        per_date = stacked_correlations([m.z for m in matrices], pairs)
+    want = factor_correlations_oracle(matrices)
+    for d, m in enumerate(matrices):
+        varied = ~(m.z == m.z[0]).all(axis=0)
+        centered = centered_rows_oracle(m.z.T)
+        for p, (i, j) in enumerate(pairs):
+            same_values(per_date[d, p], pearson_oracle(centered, i, j) if varied[i] and varied[j] else math.nan,
+                        (d, i, j))
     same_values(got, want, dates)
 
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -27,22 +28,23 @@ from factortilt.synthetic import trading_days
 from factortilt.weighting import Targets
 
 
-def result_from(returns, turnover=(), strategy="x", start_idx=0, n_total=None):
+def result_from(returns, turnover=(), strategy="x", start_idx=0, n_total=None, traded=None):
+    """A result over `returns` whose targets (over no assets) are dated at
+    the slice `traded` of its dates, by default the first len(turnover)."""
     returns = np.asarray(returns, dtype=float)
     n_total = n_total or (start_idx + len(returns))
     days = trading_days(n_total).days
     dates = list(days[start_idx : start_idx + len(returns)])
-    reb = [dates[0]] if len(dates) else []
     turnover = np.asarray(turnover if len(turnover) else [0.0], dtype=float)
+    reb = dates[traded or slice(len(turnover))]
     return BacktestResult(
         strategy=strategy,
         dates=dates,
         daily_returns=returns,
         equity_curve=np.cumprod(1 + returns),
-        rebalance_dates=reb * len(turnover) if len(turnover) == 1 else list(dates[: len(turnover)]),
         turnover=turnover,
         costs=np.zeros_like(turnover),
-        weights=Targets(dates=(), assets=(), w=np.empty((0, 0))),
+        weights=Targets(dates=reb, assets=(), w=np.zeros((len(reb), 0))),
     )
 
 
@@ -187,8 +189,8 @@ class TestTurnoverAdjustedAlpha:
         # the benchmark covers days 30-119, so only days 30-79 and the
         # trades on days 40 and 60 count
         rng = np.random.default_rng(23)
-        strat = result_from(rng.normal(0.001, 0.01, 80), turnover=[0.5, 0.1, 0.2, 0.4], n_total=120)
-        strat.rebalance_dates = strat.dates[0:80:20]
+        strat = result_from(rng.normal(0.001, 0.01, 80), turnover=[0.5, 0.1, 0.2, 0.4], n_total=120,
+                            traded=slice(0, 80, 20))
         bench = result_from(rng.normal(0.0005, 0.01, 90), start_idx=30, n_total=120)
         excess = annualized_return(strat.daily_returns[30:]) - annualized_return(bench.daily_returns[:50])
         assert turnover_adjusted_alpha(strat, bench) == excess / ((0.2 + 0.4) * 252 / 50)
@@ -206,6 +208,7 @@ class TestTurnoverAdjustedAlpha:
         ((0, 120), (40, 60)),  # one range inside the other
         ((40, 60), (0, 120)),
         ((0, 50), (49, 90)),  # one common day
+        ((0, 80), (30, 61)),  # the last common day is a trade
         ((10, 90), (10, 90)),  # the same range
     ])
     def test_overlaps_equal_the_intersect1d_form(self, strat_span, bench_span):
@@ -215,8 +218,7 @@ class TestTurnoverAdjustedAlpha:
         rng = np.random.default_rng(29)
         (a0, a1), (b0, b1) = strat_span, bench_span
         strat = result_from(rng.normal(0.001, 0.01, a1 - a0), turnover=rng.uniform(0.1, 0.5, 4), start_idx=a0,
-                            n_total=120)
-        strat.rebalance_dates = strat.dates[:: -(-(a1 - a0) // 4)]
+                            n_total=120, traded=slice(None, None, -(-(a1 - a0) // 4)))
         bench = result_from(rng.normal(0.0005, 0.01, b1 - b0), start_idx=b0, n_total=120)
         for result, benchmark in ((strat, bench), (bench, strat)):
             got, want = turnover_adjusted_alpha(result, benchmark), turnover_adjusted_alpha_oracle(result, benchmark)
@@ -373,9 +375,27 @@ class TestFactorRedundancy:
         i, j = factors.index("MOM"), factors.index("VAL")
         assert math.isnan(corr[i, j])
 
+    def test_a_column_of_one_value_is_not_computed(self):
+        """0.1 repeated has an inexact mean, so z.std(axis=0) calls the
+        column varying; its pairs are NaN without a RuntimeWarning, and the
+        other pair is still the average of np.corrcoef over the dates."""
+        x = np.arange(8.0)
+        other = [x**2, np.random.default_rng(24).normal(size=8)]
+        mats = [matrix(f"2020-0{k + 1}-01", np.column_stack([x, np.full(8, 0.1), y])) for k, y in enumerate(other)]
+        assert mats[0].z.std(axis=0)[1] > 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            factors, corr = factor_correlations(mats)
+        mom, val, qual = (factors.index(f) for f in ("MOM", "VAL", "QUAL"))
+        assert math.isnan(corr[mom, val]) and math.isnan(corr[val, qual]) and math.isnan(corr[qual, val])
+        want = (0.0 + float(np.corrcoef(x, other[0])[0, 1]) + float(np.corrcoef(x, other[1])[0, 1])) / 2
+        assert corr[mom, qual] == corr[qual, mom] == want
+
     def test_average_of_corrcoef_bit_for_bit(self):
         """Each date's correlations are np.corrcoef's bits, ties, a column
-        constant on some dates and a column of one value mean included."""
+        constant on some dates and a column of one value mean included; a
+        pair with a constant column (all its values equal) on a date is not
+        averaged there."""
         rng = np.random.default_rng(21)
         mats, sums, counts = [], np.zeros((3, 3)), np.zeros((3, 3))
         for k in range(12):
@@ -385,10 +405,10 @@ class TestFactorRedundancy:
             if k % 4 == 0:
                 z[:, 2] = 0.1  # constant, its mean not exactly 0.1
             mats.append(matrix(f"2020-{k + 1:02d}-01", z))
-            stds = z.std(axis=0)
+            varied = ~(z == z[0]).all(axis=0)
             for i in range(3):
                 for j in range(i + 1, 3):
-                    if stds[i] > 0 and stds[j] > 0:  # the oracle: one np.corrcoef per date and pair
+                    if varied[i] and varied[j]:  # the oracle: one np.corrcoef per date and pair
                         sums[i, j] += float(np.corrcoef(z[:, i], z[:, j])[0, 1])
                         counts[i, j] += 1
         _, corr = factor_correlations(mats)

@@ -243,12 +243,12 @@ def oracle_evolve(dates: list[str], returns: np.ndarray, targets: Targets, strat
             daily[k] = gross
             w = w_eod
 
+    assert list(targets.dates) == reb_dates  # the targets are the trades made, so they date the result
     return BacktestResult(
         strategy=strategy,
         dates=dates,
         daily_returns=daily,
         equity_curve=np.cumprod(1.0 + daily),
-        rebalance_dates=reb_dates,
         turnover=np.array(turnover),
         costs=np.array(costs),
         weights=targets,

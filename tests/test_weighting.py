@@ -4,7 +4,7 @@ import pytest
 from factortilt.backtest import BacktestConfig, evolve, run_baselines
 from factortilt.eligibility import EligibilityParams
 from factortilt.errors import ConfigError, InfeasibleCapsError
-from factortilt.factors import FactorMatrix
+from factortilt.factors import FACTORS, FactorMatrix
 from factortilt.market_data import build_schedule
 from factortilt.synthetic import ScenarioSpec, generate
 from factortilt.weighting import (
@@ -16,7 +16,7 @@ from factortilt.weighting import (
     bounded_multiplier,
     cap_values,
     composite_score,
-    normalize_tilt,
+    _normalized_rows,
     project_onto_caps,
     tilted_weights,
 )
@@ -103,9 +103,12 @@ class TestCompositeScore:
         assert composite_score(m, TiltParams())[0] == 0.0
 
     def test_factor_mismatch_errors(self):
-        m = matrix_for(["A"], [[0.0, 0.0, 0.0]])
-        with pytest.raises(ConfigError, match="mixture factors"):
-            composite_score(m, TiltParams(alpha={"MOM": 0.5, "VAL": 0.5}))
+        """A mixture over factors other than FACTORS is refused when the tilt
+        is built, so no score reads one."""
+        for alpha in ({"MOM": 0.5, "VAL": 0.5}, {"MOM": 0.5, "VAL": 0.3, "SIZE": 0.2},
+                      {**dict.fromkeys(FACTORS, 0.25), "SIZE": 0.25}):
+            with pytest.raises(ConfigError, match="mixture factors .* do not match the factors"):
+                TiltParams(alpha=alpha)
 
 
 class TestBoundedMultiplier:
@@ -123,21 +126,26 @@ class TestBoundedMultiplier:
         assert bounded_multiplier(-10.0, params) == 0.5
 
 
+def normalized(w, m):
+    """The tilt stage's normalization of one row: w * m / sum(w * m)."""
+    return _normalized_rows(np.array(w, dtype=float, ndmin=2), np.asarray(m, dtype=float)[None])[0]
+
+
 class TestTiltAndNormalize:
-    """normalize_tilt, the tilt stage."""
+    """The tilt stage's normalization."""
 
     def test_equal_multipliers_return_baseline_bitwise(self):
         base = np.full(3, 1.0 / 3)
-        out = normalize_tilt(base, np.array([1.3, 1.3, 1.3]))
+        out = normalized(base, np.array([1.3, 1.3, 1.3]))
         np.testing.assert_array_equal(out, base)
 
     def test_two_asset_hand_case(self):
-        out = normalize_tilt(np.full(2, 0.5), np.array([1.5, 0.5]))
+        out = normalized(np.full(2, 0.5), np.array([1.5, 0.5]))
         np.testing.assert_allclose(out, [0.75, 0.25], atol=1e-15)
 
     def test_bound_ratio_identity(self):
         mults = np.array([1.5 if i < 3 else 0.5 for i in range(6)])
-        out = normalize_tilt(np.full(6, 1.0 / 6), mults)
+        out = normalized(np.full(6, 1.0 / 6), mults)
         assert out[0] / out[5] == pytest.approx(1.5 / 0.5, rel=1e-12)
 
     def test_order_preserved(self):
@@ -145,7 +153,7 @@ class TestTiltAndNormalize:
         z = rng.normal(size=10)
         params = TiltParams(lam=0.4)
         mults = np.array([bounded_multiplier(zi, params) for zi in z])
-        out = normalize_tilt(np.full(10, 1.0 / 10), mults)
+        out = normalized(np.full(10, 1.0 / 10), mults)
         for i in range(10):
             for j in range(10):
                 if z[i] > z[j]:
