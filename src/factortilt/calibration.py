@@ -96,7 +96,7 @@ def forward_returns(panel: MarketPanel, t: str, horizon: int) -> np.ndarray:
 
 def average_ranks_rows(x: np.ndarray) -> np.ndarray:
     """1-based ranks of each row of a 2-D array, tied values sharing the
-    mean of their ranks (scipy's `rankdata(row, method="average")`), from
+    mean of their ranks (the "average" tie method), from
     one row-wise sort: a run of c tied values from sorted position s ranks
     s + (c + 1) / 2. The ranks are exact half-integers, so any correct tie
     rule gives them the same bits."""

@@ -15,6 +15,13 @@ and `top_k_concentration`, which are the one-row case.
 one `calibration.stacked_correlations` call, which gives np.corrcoef's
 bits for each date and pair (see `calibration`) and NaN where a column
 is constant, and adds each pair's other correlations in date order.
+
+The deflated Sharpe ratio's standard normal CDF and quantile, `_ndtr` and
+`_ndtri`, are a port of `ndtr` and `ndtri` (with the `erf` and `erfc` that
+`ndtr` calls) from the Cephes Math Library by Stephen L. Moshier
+(Copyright 1984-2000, distributed under the BSD licence): the same
+rational approximations, evaluated in the same order with the same libm
+`exp`, `log` and `sqrt`, so each result has the bits of the C routines.
 """
 
 from __future__ import annotations
@@ -106,20 +113,111 @@ def _nw_lag(t_obs: int, lag: int | None) -> int:
     return min(lag_used, t_obs - 1)
 
 
+# Cephes's coefficient tables (see the module docstring). Each denominator
+# table starts with Cephes's implied leading 1.0, so one Horner loop serves
+# for both polevl and p1evl (1.0 * x + c is x + c).
+_MAXLOG = 7.09782712893383996843e2  # log(2**1024): erfc(x) is 0 once x * x > MAXLOG
+_SQRT1_2 = 7.07106781186547524401e-1
+_S2PI = 2.50662827463100050242e0  # sqrt(2 pi)
+_EXP_M2 = 0.13533528323661269189  # exp(-2)
+
+# erf(x) = x T(x^2) / U(x^2) for |x| < 1
+_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+      7.00332514112805075473e3, 5.55923013010394962768e4)
+_U = (1.0, 3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+      2.26290000613890934246e4, 4.92673942608635921086e4)
+# erfc(x) = exp(-x^2) P(x) / Q(x) for 1 <= x < 8, R(x) / S(x) from 8
+_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+      4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+      9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
+_Q = (1.0, 1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+      9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+      1.65666309194161350182e3, 5.57535340817727675546e2)
+_R = (5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
+      6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0)
+_S = (1.0, 2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
+      1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0)
+# ndtri: P0/Q0 for |p - 0.5| <= 0.5 - exp(-2); in the tails, with
+# x = sqrt(-2 log p), P1/Q1 for 2 <= x < 8 and P2/Q2 for x >= 8
+_P0 = (-5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1,
+       1.39312609387279679503e1, -1.23916583867381258016e0)
+_Q0 = (1.0, 1.95448858338141759834e0, 4.67627912898881538453e0, 8.63602421390890590575e1,
+       -2.25462687854119370527e2, 2.00260212380060660359e2, -8.20372256168333339912e1,
+       1.59056225126211695515e1, -1.18331621121330003142e0)
+_P1 = (4.05544892305962419923e0, 3.15251094599893866154e1, 5.71628192246421288162e1,
+       4.40805073893200834700e1, 1.46849561928858024014e1, 2.18663306850790267539e0,
+       -1.40256079171354495875e-1, -3.50424626827848203418e-2, -8.57456785154685413611e-4)
+_Q1 = (1.0, 1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
+       1.50425385692907503408e1, 2.50464946208309415979e0, -1.42182922854787788574e-1,
+       -3.80806407691578277194e-2, -9.33259480895457427372e-4)
+_P2 = (3.23774891776946035970e0, 6.91522889068984211695e0, 3.93881025292474443415e0,
+       1.33303460815807542389e0, 2.01485389549179081538e-1, 1.23716634817820021358e-2,
+       3.01581553508235416007e-4, 2.65806974686737550832e-6, 6.23974539184983293730e-9)
+_Q2 = (1.0, 6.02427039364742014255e0, 3.67983563856160859403e0, 1.37702099489081330271e0,
+       2.16236993594496635890e-1, 1.34204006088543189037e-2, 3.28014464682127739104e-4,
+       2.89247864745380683936e-6, 6.79019408009981274425e-9)
+
+
+def _polevl(x: float, coef: tuple[float, ...]) -> float:
+    """The polynomial with these coefficients, highest power first, at x
+    by Horner's rule."""
+    ans = coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _ndtr(a: float) -> float:
+    """The standard normal CDF: 0.5 + 0.5 erf(x) at x = a / sqrt 2 while
+    |x| < 1, else 0.5 erfc(|x|) from the nearer tail."""
+    if math.isnan(a):
+        return math.nan
+    x = a * _SQRT1_2
+    z = abs(x)
+    if z < 1.0:
+        return 0.5 + 0.5 * (x * _polevl(x * x, _T) / _polevl(x * x, _U))
+    if -z * z < -_MAXLOG:
+        y = 0.0
+    else:
+        num, den = (_P, _Q) if z < 8.0 else (_R, _S)
+        y = 0.5 * (math.exp(-z * z) * _polevl(z, num) / _polevl(z, den))
+    return 1.0 - y if x > 0 else y
+
+
+def _ndtri(p: float) -> float:
+    """The standard normal quantile: the x with _ndtr(x) = p, -inf at 0,
+    inf at 1 and NaN outside [0, 1]."""
+    if p == 0.0:
+        return -math.inf
+    if p == 1.0:
+        return math.inf
+    if not 0.0 < p < 1.0:
+        return math.nan
+    upper = p > 1.0 - _EXP_M2
+    y = 1.0 - p if upper else p
+    if y > _EXP_M2:
+        y -= 0.5
+        y2 = y * y
+        return (y + y * (y2 * _polevl(y2, _P0) / _polevl(y2, _Q0))) * _S2PI
+    x = math.sqrt(-2.0 * math.log(y))
+    x0 = x - math.log(x) / x
+    z = 1.0 / x
+    num, den = (_P1, _Q1) if x < 8.0 else (_P2, _Q2)
+    x1 = z * _polevl(z, num) / _polevl(z, den)
+    return x0 - x1 if upper else -(x0 - x1)
+
+
 def expected_max_sharpe(n_trials: int, t_obs: int) -> float:
     """Expected maximum per-period Sharpe over n_trials independent null
     strategies of length t_obs (Gaussian order-statistic approximation with
-    the Euler-Mascheroni correction). Imports scipy.special on first use,
-    so a process that never asks for it never loads scipy."""
+    the Euler-Mascheroni correction)."""
     if n_trials < 1:
         raise StatsError(f"n_trials must be >= 1, got {n_trials}")
     if n_trials == 1:
         return 0.0
-    from scipy.special import ndtri  # the standard normal quantile
-
     scale = 1.0 / math.sqrt(t_obs)
-    hi = ndtri(1.0 - 1.0 / n_trials)
-    lo = ndtri(1.0 - 1.0 / (n_trials * math.e))
+    hi = _ndtri(1.0 - 1.0 / n_trials)
+    lo = _ndtri(1.0 - 1.0 / (n_trials * math.e))
     return float(scale * ((1.0 - np.euler_gamma) * hi + np.euler_gamma * lo))
 
 
@@ -149,10 +247,8 @@ def deflated_sharpe(returns, n_trials: int, benchmark_sr: float | None = None) -
     denom_sq = 1.0 - g3 * sr + (g4 - 1.0) / 4.0 * sr**2
     if denom_sq <= 0:
         raise StatsError("moment condition violated")
-    from scipy.special import ndtr  # the standard normal CDF
-
     z = (sr - sr_star) * math.sqrt(t_obs - 1.0) / math.sqrt(denom_sq)
-    return float(ndtr(z))
+    return _ndtr(z)
 
 
 def turnover_adjusted_alpha(result: BacktestResult, benchmark: BacktestResult) -> float:

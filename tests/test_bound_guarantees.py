@@ -27,6 +27,8 @@ failing case is a finding about the code, not a reason to widen it.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
@@ -78,10 +80,12 @@ def test_a_score_move_bounds_the_weight_move(pool, tilt, scale, near_floor):
     assets, positions, rng = pool
     z = rng.standard_t(3, size=(len(positions), len(FACTORS)))
     moved = z + scale * rng.uniform(-1.0, 1.0, size=z.shape)
-    if near_floor and tilt.lam > 0:
+    floor_z = (tilt.m_min + 1.0001 * tilt.lam * scale - 1.0) / tilt.lam if tilt.lam > 0 else math.inf
+    if near_floor and math.isfinite(floor_z):
         # where the bound is tightest: every multiplier just above m_min, and
-        # half the scores up, half down by the whole move (about half the bound)
-        z = np.full_like(z, (tilt.m_min + 1.0001 * tilt.lam * scale - 1.0) / tilt.lam)
+        # half the scores up, half down by the whole move (about half the
+        # bound); a subnormal lam overflows that score, and keeps the random z
+        z = np.full_like(z, floor_z)
         moved = z + scale * rng.choice([-1.0, 1.0], size=(len(positions), 1))
     w, _, _ = tilted_block([matrix("d0", assets, positions, z), matrix("d1", assets, positions, moved)], [tilt])
     bound = 2.0 * tilt.lam * np.max(np.abs(moved - z)) / tilt.m_min

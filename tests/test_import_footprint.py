@@ -35,7 +35,7 @@ def test_import_loads_no_scipy(module):
     assert loaded_scipy_modules(f"import {module}") == []
 
 
-@pytest.mark.parametrize("command", ["validate", "synth", "diagnose"])
+@pytest.mark.parametrize("command", ["validate", "synth", "backtest", "diagnose"])
 def test_command_loads_no_scipy(tmp_path, synth_dir, command):
     if command == "synth":
         scenario = tmp_path / "s.ini"
@@ -45,9 +45,3 @@ def test_command_loads_no_scipy(tmp_path, synth_dir, command):
         argv = [command, "--config", str(write_config(tmp_path, synth_dir)), "--out", str(tmp_path / "out")]
     code = f"from factortilt import cli\nassert cli.main({argv!r}) == 0"
     assert loaded_scipy_modules(code) == []
-
-
-def test_backtest_loads_only_scipy_special(tmp_path, synth_dir):
-    argv = ["backtest", "--config", str(write_config(tmp_path, synth_dir)), "--out", str(tmp_path / "out")]
-    loaded = loaded_scipy_modules(f"from factortilt import cli\nassert cli.main({argv!r}) == 0")
-    assert "scipy.special" in loaded and "scipy.stats" not in loaded

@@ -10,7 +10,9 @@ that left-packs each asset's valid days, and the weights of a walk block's
 (matrix, tilt) rows against one tilted_weights call per row over the
 one-vector normalization and projection. Also the synthetic generator
 against its expression form, which held about ten grid-sized temporaries at
-once and drew the gap mask whole.
+once and drew the gap mask whole. And the deflated Sharpe's standard normal
+CDF and quantile against scipy.special's `ndtr` and `ndtri`, which run the
+Cephes routines they port, on every branch of each.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from unittest.mock import patch
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from scipy.special import ndtr, ndtri
 
 from factortilt.backtest import pool_positions, snapshot
 from factortilt import calibration
@@ -48,7 +51,7 @@ from factortilt.market_data import (
     _average_dollar_volumes,
     _latest_reports,
 )
-from factortilt.stats import factor_correlations
+from factortilt.stats import _ndtr, _ndtri, factor_correlations
 from factortilt.weighting import (
     WEIGHT_SUM_TOL,
     CapParams,
@@ -1023,3 +1026,101 @@ def test_generate_equals_expression_form(spec):
         same_bits(g, w, (name, spec))
     for name in ("report_asset", "report_date"):
         assert np.array_equal(getattr(got, name), getattr(want, name)), (name, spec)
+
+
+# --- the standard normal CDF and quantile -----------------------------------------------
+
+SQRT2 = math.sqrt(2.0)
+UNDERFLOW = math.sqrt(2.0 * 7.09782712893383996843e2)  # where erfc(|a| / sqrt 2) is taken as 0
+EXP_M2, EXP_M32 = math.exp(-2.0), math.exp(-32.0)
+# ndtr's branches by |a|: erf below sqrt 2, erfc's P/Q below 8 sqrt 2 and
+# R/S above it, and the underflow to 0 (or 1)
+NDTR_BRANCHES = {"erf": (0.0, SQRT2), "erfc P/Q": (SQRT2, 8.0 * SQRT2), "erfc R/S": (8.0 * SQRT2, UNDERFLOW),
+                 "underflow": (UNDERFLOW, math.inf)}
+# ndtri's branches by p: P0/Q0 in the centre, P1/Q1 in each tail down to
+# exp(-32) from its end, P2/Q2 beyond (the upper one is enumerated below)
+NDTRI_BRANCHES = {"centre": (EXP_M2, 1.0 - EXP_M2), "lower P1/Q1": (EXP_M32, EXP_M2),
+                  "upper P1/Q1": (1.0 - EXP_M2, 1.0 - EXP_M32), "lower P2/Q2": (0.0, EXP_M32)}
+
+
+def neighbours(x: float, steps: int = 1) -> list[float]:
+    """x and the floats up to `steps` ulps either side of it."""
+    out = [x]
+    for direction in (-math.inf, math.inf):
+        y = x
+        for _ in range(steps):
+            y = math.nextafter(y, direction)
+            out.append(y)
+    return out
+
+
+def same_float(got, want, what):
+    """got is a Python float with want's bits (a NaN matches any NaN)."""
+    assert type(got) is float, what
+    want = float(want)
+    assert np.float64(got).tobytes() == np.float64(want).tobytes() or (math.isnan(got) and math.isnan(want)), \
+        (what, got, want)
+
+
+@pytest.mark.parametrize("branch", NDTR_BRANCHES)
+@settings(SETTINGS, max_examples=1000)
+@given(data=st.data())
+def test_ndtr_equals_cephes(branch, data):
+    size = data.draw(st.floats(*NDTR_BRANCHES[branch]))
+    for a in (size, -size):
+        same_float(_ndtr(a), ndtr(a), a)
+
+
+@pytest.mark.parametrize("a", [
+    *(s * x for s in (1.0, -1.0) for edge in (1.0, SQRT2, 8.0, 8.0 * SQRT2) for x in neighbours(edge)),
+    *(s * x for s in (1.0, -1.0) for x in neighbours(UNDERFLOW, 4)),
+    0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, math.inf, -math.inf, math.nan])
+def test_ndtr_edges_equal_cephes(a):
+    same_float(_ndtr(a), ndtr(a), a)
+
+
+@pytest.mark.parametrize("branch", NDTRI_BRANCHES)
+@settings(SETTINGS, max_examples=1000)
+@given(data=st.data())
+def test_ndtri_equals_cephes(branch, data):
+    p = data.draw(st.floats(*NDTRI_BRANCHES[branch]))
+    same_float(_ndtri(p), ndtri(p), p)
+
+
+@pytest.mark.parametrize("p", [
+    *(x for edge in (0.5, EXP_M2, 1.0 - EXP_M2, EXP_M32, 1.0 - EXP_M32) for x in neighbours(edge)),
+    0.0, -0.0, 5e-324, 1.0, -1e-300, math.nextafter(1.0, 2.0), math.inf, -math.inf, math.nan])
+def test_ndtri_edges_equal_cephes(p):
+    same_float(_ndtri(p), ndtri(p), p)
+
+
+def sweep(lo: float, hi: float) -> np.ndarray:
+    return np.random.default_rng(0).uniform(lo, hi, 20_000)
+
+
+# 20,000 seeded points per branch find the rarer differences, such as a
+# coefficient a few ulps off, that a thousand draws can miss. ndtr is swept
+# on the lower tail, where the upper tail's 1 - y rounds away most of y
+@pytest.mark.parametrize("f, reference, points", [
+    (_ndtr, ndtr, sweep(-SQRT2, SQRT2)),
+    (_ndtr, ndtr, -sweep(SQRT2, 8.0 * SQRT2)),
+    (_ndtr, ndtr, -sweep(8.0 * SQRT2, UNDERFLOW)),
+    (_ndtri, ndtri, sweep(EXP_M2, 1.0 - EXP_M2)),
+    (_ndtri, ndtri, np.exp(-sweep(2.0, 32.0))),
+    (_ndtri, ndtri, 1.0 - np.exp(-sweep(2.0, 32.0))),
+    (_ndtri, ndtri, np.exp(-sweep(32.0, 700.0))),
+], ids=["erf", "erfc P/Q", "erfc R/S", "centre", "lower P1/Q1", "upper P1/Q1", "lower P2/Q2"])
+def test_normal_functions_equal_cephes_on_a_sweep_of_each_branch(f, reference, points):
+    same_bits(np.array([f(x) for x in points.tolist()]), reference(points), f.__name__)
+
+
+def test_ndtri_equals_cephes_on_its_upper_p2_q2_branch_and_the_trial_counts():
+    """Every float from 1 - exp(-32) up to 1, and both probabilities that
+    expected_max_sharpe asks for at 1 to 199 trials."""
+    p, upper = 1.0 - EXP_M32, []
+    while p < 1.0:
+        upper.append(p)
+        p = math.nextafter(p, 2.0)
+    trials = [q for n in range(1, 200) for q in (1.0 - 1.0 / n, 1.0 - 1.0 / (n * math.e))]
+    for p in upper + trials:
+        same_float(_ndtri(p), ndtri(p), p)
