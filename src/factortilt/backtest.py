@@ -25,7 +25,7 @@ and weights have the bits of their date alone (see `factors`,
 row and report block stay in the panel's store (`MarketPanel.as_of_row`),
 for the next walk or screen of it.
 
-`evolve` walks the calendar rows in fixed blocks of _ROW_BLOCK_CELLS
+`evolve` walks the calendar rows in fixed blocks of ROW_BLOCK_CELLS
 price cells, max(1, 32768 // n_assets) rows (546 at 60 assets, 65 at
 500). Each block's asset returns are built once, their gaps filled from
 the last valid prices carried in from the block before. A holding period
@@ -60,7 +60,7 @@ import numpy as np
 from .eligibility import EligibilityParams, eligible
 from .errors import ConfigError, DataError, check_finite
 from .factors import FactorMatrix, FactorParams, select_factor_matrices
-from .market_data import AsOf, MarketPanel, RebalanceSchedule
+from .market_data import ROW_BLOCK_CELLS, AsOf, MarketPanel, RebalanceSchedule
 from .weighting import CapParams, Targets, TiltParams, member_caps, tilted_block
 
 log = logging.getLogger(__name__)
@@ -69,7 +69,6 @@ STRATEGIES = ("dmft", "fixed_universe", "ew_eligible", "ew_all", "cap_weighted")
 _POOLS = {"dmft": "screened", "ew_eligible": "screened"}  # every other strategy holds a pool of its own
 _TILTED = ("dmft", "fixed_universe")  # the strategies whose targets read a factor matrix
 _BLOCK = 16  # rebalance dates whose snapshots a walk holds at once
-_ROW_BLOCK_CELLS = 1 << 15  # price cells of the calendar rows whose asset returns evolve holds at once
 WEIGHT_MODES = ("constant_mix", "drift")
 
 
@@ -251,7 +250,7 @@ def evolve(
     if not n_reb:
         raise ConfigError(f"no target weights dated on or before the backtest end {end}")
     i_start, i_end = cal.position(dates[0]), cal.position(end)
-    n_days, step = i_end + 1 - i_start, max(1, _ROW_BLOCK_CELLS // panel.n_assets)
+    n_days, step = i_end + 1 - i_start, max(1, ROW_BLOCK_CELLS // panel.n_assets)
     trades = [cal.position(t) - i_start for t in dates[:n_reb]]
     drift = config.weight_mode == "drift"
     held = np.zeros((len(books), panel.n_assets))

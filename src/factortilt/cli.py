@@ -21,7 +21,7 @@ import tempfile
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field, fields, replace
 from datetime import date
-from itertools import starmap
+from itertools import chain, repeat, starmap
 from pathlib import Path
 
 import numpy as np
@@ -242,25 +242,31 @@ def load_config(path, out_override=None) -> RunConfig:
     )
 
 
-def _fields(column) -> list:
-    """One column's fields: a float array as the shortest round-trip `repr`
-    of each value, NaN as an empty field; any other column (strings, ints)
-    as its values, which `str.format` writes as `str` does."""
+def _fields(column) -> list[str]:
+    """One column's fields as a list of str: a float array's values as their
+    shortest round-trip `repr`, NaN as an empty field, any other array's as
+    `str`. An array is formatted once per run of equal values, a float
+    array's runs compared by their bits, so 0.0 and -0.0 are never merged.
+    A sequence of str is returned as it is, any other as `str` of each
+    value."""
     if not isinstance(column, np.ndarray):
-        return column
-    if column.dtype.kind != "f":
-        return column.tolist()
-    text = list(map(repr, column.tolist()))
-    for i in np.flatnonzero(np.isnan(column)).tolist():
-        text[i] = ""
-    return text
+        return column if all(map(isinstance, column, repeat(str))) else list(map(str, column))
+    floats = column.dtype.kind == "f"
+    keys = column.view(f"i{column.itemsize}") if floats else column
+    starts = np.ones(column.size, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=starts[1:])
+    heads = column[starts]
+    text = np.array(list(map(repr if floats else str, heads.tolist())), dtype=object)
+    if floats:
+        text[np.isnan(heads)] = ""
+    return text.repeat(np.diff(np.append(np.flatnonzero(starts), column.size))).tolist()
 
 
 def _table(header: list[str], columns) -> str:
     """One CSV table: the header row, then one row per index of the equally
     long columns, each line ended by CRLF."""
-    line = ",".join(["{}"] * len(header)) + "\r\n"
-    return ",".join(header) + "\r\n" + "".join(starmap(line.format, zip(*map(_fields, columns), strict=True)))
+    rows = map(",".join, zip(*map(_fields, columns), strict=True))
+    return "\r\n".join(chain([",".join(header)], rows, [""]))
 
 
 def _write_csv(path: Path, *tables: tuple[list[str], list], note: str = "") -> None:
@@ -363,16 +369,18 @@ def _write_screens(panel, snapshots, matrices, config: BacktestConfig, out: Path
     for k, snap in enumerate(snapshots.values()):
         eligible[k, pool_positions(snap, "dmft", config)] = 1
     _write_csv(out / "eligibility.csv", (["date", "asset", "history_days", "adv", "eligible"], [
-        [t for t in snapshots for _ in panel.assets],
+        np.array(list(snapshots), dtype=object).repeat(panel.n_assets).tolist(),
         panel.assets * len(snapshots),
         _concat([snap.history for snap in snapshots.values()]),
         _concat([snap.adv for snap in snapshots.values()]),
         eligible.ravel(),
     ]))
+    members = np.array([len(m.assets) for m in matrices.values()], dtype=np.intp)  # per date
+    assets = np.array(list(chain.from_iterable(m.assets for m in matrices.values())), dtype=object)
     _write_csv(out / "factors.csv", (["date", "asset", "factor", "raw", "z"], [
-        [t for t, m in matrices.items() for _ in range(m.raw.size)],
-        [a for m in matrices.values() for a in m.assets for _ in FACTORS],
-        [f for m in matrices.values() for _ in m.assets for f in FACTORS],
+        np.array(list(matrices), dtype=object).repeat(members * len(FACTORS)).tolist(),
+        assets.repeat(len(FACTORS)).tolist(),
+        list(FACTORS) * len(assets),
         _concat([m.raw.ravel() for m in matrices.values()]),
         _concat([m.z.ravel() for m in matrices.values()]),
     ]))
@@ -384,7 +392,7 @@ def _weight_columns(result) -> list:
     date."""
     targets = result.weights
     held = rows, cols = np.nonzero(targets.w)
-    return [list(map(targets.dates.__getitem__, rows.tolist())), list(map(targets.assets.__getitem__, cols.tolist())),
+    return [np.array(targets.dates, dtype=object)[rows].tolist(), np.array(targets.assets, dtype=object)[cols].tolist(),
             targets.w[held], np.ones(len(rows)) if targets.multipliers is None else targets.multipliers[held],
             np.full(len(rows), np.nan) if targets.caps is None else targets.caps[held]]
 

@@ -31,6 +31,10 @@ from .errors import ConfigError, DataError
 log = logging.getLogger(__name__)
 
 DEFAULT_ANCHORS = ((1, 1), (7, 1))
+# The price cells of the calendar rows a kernel that runs down the calendar
+# (history_counts, backtest.evolve) holds at once: max(1, ROW_BLOCK_CELLS //
+# n_assets) rows.
+ROW_BLOCK_CELLS = 1 << 15
 _ISO_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
 
 
@@ -204,9 +208,16 @@ class MarketPanel:
     def history_counts(self) -> np.ndarray:
         """Row k holds each asset's number of non-missing prices in the rows
         before k: (n_days + 1) x n_assets int32, read-only. Built on first
-        use and held by the panel, so it lives as long as the panel does."""
-        counts = np.zeros((self.n_days + 1, self.n_assets), dtype=np.int32)
-        np.cumsum(np.isfinite(self.price), axis=0, dtype=np.int32, out=counts[1:])
+        use and held by the panel, so it lives as long as the panel does.
+        The sums run down blocks of ROW_BLOCK_CELLS price cells, which stay
+        in cache; each block starts from the last row of the one before."""
+        counts = np.empty((self.n_days + 1, self.n_assets), dtype=np.int32)
+        counts[0] = 0
+        step = max(1, ROW_BLOCK_CELLS // self.n_assets)
+        for i in range(0, self.n_days, step):
+            block = counts[i : i + step + 1]  # row i holds the counts of the rows before it
+            block[1:] = np.isfinite(self.price[i : i + step])
+            np.add.accumulate(block, axis=0, out=block)
         counts.flags.writeable = False
         return counts
 
@@ -296,11 +307,14 @@ def _reads(path: Path):
 
 def _decoded(path: Path, data: bytes, offset: int) -> str:
     """The text of the file's bytes `data`, which start at `offset`, with
-    CRLF and lone CR line ends turned into LF."""
+    CRLF and lone CR line ends turned into LF, and at the start of the file
+    without a UTF-8 byte-order mark."""
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text (byte {offset + exc.start})") from None
+    if not offset:
+        text = text.removeprefix("\ufeff")
     return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
 
 
@@ -308,11 +322,12 @@ def _blocks(path: Path, digests: list | None = None):
     """The file's text block by block, line ends turned into LF: each read
     is cut after its last line end and the rest carried into the next
     block, so a block holds whole lines (a line longer than a read spans
-    reads) and only the last may lack a final LF. An empty file is one
-    empty block. The sha256 of the bytes read is appended to `digests`,
-    when given, after the last block. A file that cannot be read, or is
-    not UTF-8, is a DataError naming it, the bad byte's offset counted
-    from the start of the file."""
+    reads) and only the last may lack a final LF. A byte-order mark that
+    starts the file is dropped. An empty file is one empty block. The
+    sha256 of the bytes read is appended to `digests`, when given, after
+    the last block. A file that cannot be read, or is not UTF-8, is a
+    DataError naming it, the bad byte's offset counted from the start of
+    the file (a byte-order mark included)."""
     digest, offset, rest = hashlib.sha256(), 0, b""
     for chunk in _reads(path):
         digest.update(chunk)

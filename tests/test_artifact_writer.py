@@ -60,19 +60,49 @@ ints = st.integers(-(2**62), 2**62)
 texts = st.text(st.characters(exclude_characters=',"\r\n', exclude_categories=("Cs",)), max_size=6)
 
 
+# Float columns are formatted once per run of equal bits. Each run's value
+# is drawn from a small pool of bit patterns, often one family of values
+# that compare equal but differ in bits (0.0 and -0.0, NaNs of other sign
+# or payload) or differ only in their last bit, so neighbouring runs hold
+# them. The run count ranges from one run to all values distinct, through
+# half the column and one either side of it.
+FAMILIES = [np.array(values, dtype=np.float64).view(np.int64).tolist() for values in (
+    [0.0, -0.0], [5e-324, 1e-323, -5e-324, 1e-310], [1.0, np.nextafter(1.0, 2.0), math.inf, -math.inf])]
+FAMILIES.append([0x7FF8000000000000, -0x0008000000000000, 0x7FF8000000000001, 0x7FF0000000000001,
+                 -0x000FFFFFFFFFFFFF])  # quiet and signalling NaNs of either sign
+run_bits = st.one_of(st.sampled_from([b for family in FAMILIES for b in family]), st.integers(-(2**63), 2**63 - 1))
+
+
+@st.composite
+def run_columns(draw, n):
+    """A float64 column of n values in runs, each run one bit pattern."""
+    pool = draw(st.one_of(st.sampled_from(FAMILIES), st.lists(run_bits, min_size=1, max_size=4)))
+    half = n // 2
+    runs = draw(st.one_of(st.sampled_from([1, max(1, half - 1), max(1, half), min(n, half + 1), n]),
+                          st.integers(1, n))) if n else 0
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1), min_size=runs - 1, max_size=runs - 1))) if n > 1 else []
+    lengths = np.diff([0, *cuts, n])
+    bits = [draw(st.sampled_from(pool)) for _ in lengths]
+    return np.repeat(np.array(bits, dtype=np.int64), lengths).view(np.float64)
+
+
 @st.composite
 def tables(draw):
     """A header and, per column, what the new writer is given and the cells
     the old row loop saw: floats as a float64 array (numpy or Python float
-    cells), ints as an int64 array (numpy cells) or a list of Python ints,
-    strings as a list."""
+    cells, or values in runs with numpy cells), ints as an int64 array
+    (numpy cells) or a list of Python ints, strings as a list."""
     n = draw(st.integers(0, 12))
-    kinds = draw(st.lists(st.sampled_from(["float_np", "float_py", "int_np", "int_py", "str"]),
+    kinds = draw(st.lists(st.sampled_from(["float_np", "float_py", "float_runs", "int_np", "int_py", "str"]),
                           min_size=2, max_size=6))
     header = [f"c{j}" for j in range(len(kinds))]
     columns, cells = [], []
     for kind in kinds:
-        if kind.startswith("float"):
+        if kind == "float_runs":
+            col = draw(run_columns(n))
+            columns.append(col)
+            cells.append(list(col))
+        elif kind.startswith("float"):
             col = np.array(draw(st.lists(floats, min_size=n, max_size=n)), dtype=np.float64)
             columns.append(col)
             cells.append(list(col) if kind == "float_np" else col.tolist())
@@ -100,6 +130,18 @@ def test_columnar_writer_matches_csv_writer(first, second, note):
         cli._write_csv(new, *new_tables, note=note)
         oracle_write(old, *old_tables, note=note)
         assert new.read_bytes() == old.read_bytes()
+
+
+def test_runs_keep_signed_zeros_and_every_nan_apart():
+    nans = np.array([0x7FF8000000000000, -0x0008000000000000, 0x7FF8000000000001], dtype=np.int64).view(np.float64)
+    column = np.array([0.0, -0.0, -0.0, 0.0, nans[0], nans[1], nans[2], nans[2], 5e-324, 5e-324, 1e-323])
+    assert cli._fields(column) == ["0.0", "-0.0", "-0.0", "0.0", "", "", "", "", "5e-324", "5e-324", "1e-323"]
+
+
+def test_a_list_of_str_passes_through_uncopied():
+    dates = ["2020-01-02", "2020-01-03"]
+    assert cli._fields(dates) is dates
+    assert cli._fields([1, "a"]) == ["1", "a"]
 
 
 def test_zero_row_table_is_its_header(tmp_path):

@@ -4,7 +4,15 @@ import numpy as np
 import pytest
 
 from factortilt.errors import ConfigError, DataError
-from factortilt.market_data import AsOf, build_schedule, censor_panel, load_panel, save_panel
+from factortilt.market_data import (
+    ROW_BLOCK_CELLS,
+    AsOf,
+    MarketPanel,
+    build_schedule,
+    censor_panel,
+    load_panel,
+    save_panel,
+)
 from factortilt.synthetic import ScenarioSpec, generate, trading_days
 
 from conftest import fundamental, make_panel, write_cell_csv, write_fundamentals_csv
@@ -209,3 +217,25 @@ def test_asof_quantities_ignore_cells_from_t_onward():
         lhs = AsOf(panel, t, l_adv=10).adv[i]
         rhs = AsOf(censored, t, l_adv=10).adv[j]
         assert (math.isnan(lhs) and math.isnan(rhs)) or lhs == rhs
+
+
+@pytest.mark.parametrize("width", [1, 60, 700])
+@pytest.mark.parametrize("length", ["one day", "a row short of a block", "one block", "a block and a row",
+                                    "three blocks and a rest"])
+def test_history_counts_equal_a_whole_column_cumsum(width, length):
+    # history_counts sums down blocks of max(1, ROW_BLOCK_CELLS // width)
+    # rows; these lengths end a panel on, beside and past block boundaries
+    rows = max(1, ROW_BLOCK_CELLS // width)
+    n_days = {"one day": 1, "a row short of a block": rows - 1, "one block": rows, "a block and a row": rows + 1,
+              "three blocks and a rest": 3 * rows + rows // 3 + 1}[length]
+    rng = np.random.default_rng([width, n_days])
+    price = np.where(rng.random((n_days, width)) < 0.3, np.nan, rng.uniform(1.0, 2.0, (n_days, width)))
+    if width > 1:
+        price[:, -1] = np.nan  # an asset never priced
+    ones = np.ones_like(price)
+    panel = MarketPanel([f"A{j}" for j in range(width)], trading_days(n_days, "1900-01-01"), price, ones, ones)
+    want = np.zeros((n_days + 1, width), dtype=np.int32)
+    want[1:] = np.cumsum(np.isfinite(price), axis=0)
+    got = panel.history_counts
+    assert got.dtype == np.int32 and got.shape == want.shape
+    assert np.array_equal(got, want)

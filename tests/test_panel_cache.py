@@ -360,3 +360,32 @@ def test_validate_never_touches_the_cache(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(market_data, "_write_cache", untouchable)
     assert main(["validate", "--config", str(cfg)]) == 0
     assert capsys.readouterr().out.endswith("OK\n")
+
+
+@pytest.mark.parametrize("name", INPUTS)
+def test_a_byte_order_mark_loads_the_panel_of_the_file_without_it(tmp_path, monkeypatch, name):
+    # Excel's "CSV UTF-8" files start with one
+    plain, marked = tmp_path / "plain", tmp_path / "marked"
+    for d in (plain, marked):
+        d.mkdir()
+        write_inputs(d)
+    (marked / name).write_bytes(b"\xef\xbb\xbf" + (plain / name).read_bytes())
+    want = fresh_parse(plain)
+    assert_identical(fresh_parse(marked), want)
+    load_dir(marked)  # writes the cache
+    assert_identical(load_hit(marked, monkeypatch), want)
+
+
+def test_after_a_byte_order_mark_errors_count_lines_and_file_bytes(tmp_path):
+    write_inputs(tmp_path)
+    text = (tmp_path / "prices.csv").read_bytes()
+    (tmp_path / "prices.csv").write_bytes(b"\xef\xbb\xbf" + text + f"{DAYS[1]},CCC,ten\n".encode())
+    with pytest.raises(DataError, match=r"prices\.csv:8: unparseable value 'ten'"):
+        fresh_parse(tmp_path)
+    (tmp_path / "prices.csv").write_bytes(b"\xef\xbb\xbf" + text + b"\xff")
+    with pytest.raises(DataError, match=rf"not UTF-8 text \(byte {3 + len(text)}\)"):
+        fresh_parse(tmp_path)
+    # a mark anywhere but the file's start is text: here it starts a date
+    (tmp_path / "prices.csv").write_bytes(text + f"\ufeff{DAYS[1]},CCC,1.0\n".encode())
+    with pytest.raises(DataError, match=r"prices\.csv:8: invalid ISO date"):
+        fresh_parse(tmp_path)

@@ -600,7 +600,7 @@ def test_a_run_is_alike_in_row_blocks_of_any_size(data, panel, weight_mode, cost
     end = end_of(panel, next(iter(books.values()))[1].dates[0], end_at)
     whole = evolve(panel, books, config, end)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(backtest, "_ROW_BLOCK_CELLS", int((rows + extra) * panel.n_assets))
+        patch.setattr(backtest, "ROW_BLOCK_CELLS", int((rows + extra) * panel.n_assets))
         blocked = evolve(panel, books, config, end)
     for name in books:
         assert_same_result(blocked[name], whole[name], f"{name} in blocks of {rows} rows")
