@@ -16,14 +16,17 @@ next rebalance.
 A walk writes each book's rows into its blocks, taking the rebalance
 dates in blocks of _BLOCK (16). For each block it builds the dates'
 snapshots, then for every pool its books tilt (the screened pool,
-fixed_universe) one `select_factor_matrices` call, for capped dmft one
-`member_caps` call, and one `tilted_block` call over every book on it,
-whose rows go to the books by slice; the other books' rows are written
-date by date. It lets the snapshots go before the next block: matrices
-and weights have the bits of their date alone (see `factors`,
-`weighting`), and the walk holds one block of snapshots. Each date's ADV
-row and report block stay in the panel's store (`MarketPanel.as_of_row`),
-for the next walk or screen of it.
+fixed_universe) reads the block's factor matrices from the panel's store
+(`factors.stored_matrices`, those not stored yet built in one
+`select_factor_matrices` call), for capped dmft makes one `member_caps`
+call, and one `tilted_block` call over every book on it, whose rows go
+to the books by slice; the other books' rows are written date by date.
+It lets the snapshots go before the next block, while their factor
+matrices, one per date and distinct member set, stay in the panel's
+store: matrices and weights have the bits of their date alone (see
+`factors`, `weighting`), and the walk holds one block of snapshots. Each
+date's ADV row and report block stay in the panel's store of as-of rows
+(`MarketPanel.as_of_row`), for the next walk, screen or diagnostic of it.
 
 `evolve` walks the calendar rows in fixed blocks of ROW_BLOCK_CELLS
 price cells, max(1, 32768 // n_assets) rows (546 at 60 assets, 65 at
@@ -59,7 +62,7 @@ import numpy as np
 
 from .eligibility import EligibilityParams, eligible
 from .errors import ConfigError, DataError, check_finite
-from .factors import FactorMatrix, FactorParams, select_factor_matrices
+from .factors import FactorMatrix, FactorParams, stored_matrices
 from .market_data import ROW_BLOCK_CELLS, AsOf, MarketPanel, RebalanceSchedule
 from .weighting import CapParams, Targets, TiltParams, member_caps, tilted_block
 
@@ -129,15 +132,13 @@ def pool_positions(snap: AsOf, strategy: str, config: BacktestConfig) -> np.ndar
 
 def pool_matrices(snaps: list[AsOf], strategy: str, config: BacktestConfig) -> list[FactorMatrix]:
     """The factor matrices of the strategy's non-empty pools at the
-    snapshots' dates: built once per pool, eligibility and factor parameters
-    and kept on each snapshot, those not yet kept in one
-    select_factor_matrices call."""
-    key = (_POOLS.get(strategy, strategy), config.eligibility, config.factors)
-    todo = [snap for snap in snaps if key not in snap.matrices]
-    built = select_factor_matrices(todo, [pool_positions(snap, strategy, config) for snap in todo], config.factors)
-    for snap, matrix in zip(todo, built):
-        snap.matrices[key] = matrix
-    return [snap.matrices[key] for snap in snaps]
+    snapshots' dates, read from the panel's store (factors.stored_matrices):
+    one per date, member set and factor parameters, whichever pool asks
+    first, those not stored yet built in one select_factor_matrices call."""
+    if not snaps:
+        return []
+    positions = [pool_positions(snap, strategy, config) for snap in snaps]
+    return stored_matrices(snaps[0].panel, [snap.t for snap in snaps], positions, config.factors, snaps)
 
 
 def _windows(config: BacktestConfig) -> tuple:
@@ -184,11 +185,12 @@ def _block_targets(panel: MarketPanel, dates: list[str], config: BacktestConfig,
                    snapshots=None) -> None:
     """Write every book's targets at the dates into rows at, at + 1, ... of
     its (w, multipliers, caps) blocks, from one snapshot per date (built, or
-    taken from `snapshots` keyed by date). Each tilted pool takes one
-    select_factor_matrices and one tilted_block call over its non-empty
-    dates, whose rows go by slice to its n books: the j-th book's are every
-    n-th from row j. A capped dmft pool's caps take one member_caps call.
-    The snapshots go when this returns."""
+    taken from `snapshots` keyed by date). Each tilted pool reads its
+    non-empty dates' matrices with one pool_matrices call and takes one
+    tilted_block call over them, whose rows go by slice to its n books: the
+    j-th book's are every n-th from row j. A capped dmft pool's caps take
+    one member_caps call. The snapshots go when this returns; the matrices
+    stay in the panel's store."""
     block = [snapshot(panel, t, config) if snapshots is None else _given_snapshot(snapshots, panel, t, config)
              for t in dates]
     for s in sorted({s for s, _ in books.values()} & set(_TILTED)):
@@ -361,9 +363,8 @@ def run_baselines(
     to the screened tilted strategy (the screens guarantee ADV for every
     member; the unscreened pools do not). `snapshots`, when given, maps each
     rebalance date t to `snapshot(panel, t, config)`, which is then not
-    rebuilt, nor are the pools and factor matrices it already keeps; a
-    missing date or a snapshot of another panel, date or set of windows
-    raises ConfigError."""
+    rebuilt, nor are the pools it already keeps; a missing date or a
+    snapshot of another panel, date or set of windows raises ConfigError."""
     return _run(panel, schedule, config, {s: (s, config.tilt) for s in STRATEGIES}, end, snapshots)
 
 

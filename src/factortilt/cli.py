@@ -350,7 +350,7 @@ def cmd_validate(cfg: RunConfig) -> int:
 def _screens_and_factors(panel, schedule, config: BacktestConfig):
     """Per rebalance date, the as-of snapshot, which keeps the screened
     members' positions for the walk, and their factor matrix (where there
-    are members)."""
+    are members), which the panel stores for the walk too."""
     snapshots = {t: snapshot(panel, t, config) for t in schedule.dates}
     dated = [t for t, snap in snapshots.items() if pool_positions(snap, "dmft", config).size]
     matrices = dict(zip(dated, pool_matrices([snapshots[t] for t in dated], "dmft", config)))

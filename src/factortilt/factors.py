@@ -210,10 +210,50 @@ def select_factor_matrices(
     return out
 
 
+def stored_matrices(
+    panel: MarketPanel,
+    dates: Sequence[str],
+    positions: Sequence[np.ndarray],
+    params: FactorParams,
+    snapshots: Sequence[AsOf] | None = None,
+) -> list[FactorMatrix]:
+    """select_factor_matrices' matrix at each date over the members at the
+    matching positions, from the panel's store (MarketPanel.factor_matrices),
+    keyed by the date, the windows (l_mom, skip, l_fund), the member
+    positions as intp bytes and the winsor settings. The keys not stored
+    yet are built in one select_factor_matrices call, from the matching
+    `snapshots` when given (each of this panel and date under params'
+    windows, else ConfigError) or from new ones, and stored read-only (raw,
+    z and positions); every later request gets that same object. Two
+    threads asking at once may both build a matrix, but both get the one
+    stored."""
+    windows = (params.l_mom, params.skip, params.l_fund)
+    if snapshots is not None:
+        for t, snap in zip(dates, snapshots, strict=True):
+            if snap.panel is not panel or snap.t != t or snap.windows[1:] != windows:
+                raise ConfigError(f"the snapshot given for {t} is not AsOf(panel, {t}) of this panel under the "
+                                  f"factor windows (l_mom, skip, l_fund) = {windows}")
+    members = [np.asarray(pos, dtype=np.intp).tobytes() for pos in positions]
+    keys = [(t, *windows, m, params.winsor_p, params.winsorize_quality_components)
+            for t, m in zip(dates, members, strict=True)]
+    store = panel.factor_matrices
+    todo = {key: i for i, key in enumerate(keys) if key not in store}  # each missing key once
+    if todo:
+        snaps = [AsOf(panel, dates[i], l_mom=params.l_mom, skip=params.skip, l_fund=params.l_fund)
+                 if snapshots is None else snapshots[i] for i in todo.values()]
+        # read-only views of bytes that no other stored matrix holds
+        pos = [np.frombuffer(members[i], dtype=np.intp) for i in todo.values()]
+        for key, matrix in zip(todo, select_factor_matrices(snaps, pos, params)):
+            matrix.raw.flags.writeable = matrix.z.flags.writeable = False
+            store.setdefault(key, matrix)
+    return [store[key] for key in keys]
+
+
 def build_factor_matrix(
     panel: MarketPanel, universe: EligibilitySet, t: str, params: FactorParams
 ) -> FactorMatrix:
     """Raw signals per factor over the universe, then winsorize and
-    standardize each factor column independently."""
-    snap = AsOf(panel, t, l_mom=params.l_mom, skip=params.skip, l_fund=params.l_fund)
-    return select_factor_matrices([snap], [panel.positions(universe.members)], params)[0]
+    standardize each factor column independently: the panel's stored
+    matrix (see stored_matrices), built with its snapshot on the first
+    request."""
+    return stored_matrices(panel, [t], [panel.positions(universe.members)], params)[0]

@@ -136,8 +136,11 @@ class MarketPanel:
     Grids and report arrays are read-only (assigning into one raises
     ValueError); reads are thread-safe.
 
-    `as_of_rows` is the panel's store of as-of rows (see as_of_row): empty
-    on a new panel, filled by snapshots, never to be written by callers.
+    `as_of_rows` is the panel's store of as-of rows (see as_of_row), and
+    `factor_matrices` its store of factor matrices, one per date, member
+    set, signal windows and winsor settings (see factors.stored_matrices):
+    both empty on a new panel, filled on first request, kept as long as
+    the panel lives and never to be written by callers.
     """
 
     def __init__(self, assets: list[str], calendar: TradingCalendar, price: np.ndarray, volume: np.ndarray,
@@ -166,6 +169,7 @@ class MarketPanel:
         for arr in (price, volume, mktcap, self.report_asset, self.report_date, self.report_values):
             arr.flags.writeable = False
         self.as_of_rows: dict[tuple, np.ndarray] = {}
+        self.factor_matrices: dict[tuple, object] = {}  # factors.FactorMatrix values
 
     def _check_reports(self) -> None:
         """DataError unless the report arrays agree in length, name the panel's
@@ -873,8 +877,9 @@ class AsOf:
     stores (MarketPanel.as_of_row), shared by every snapshot of that panel,
     date and window; the other rows are the snapshot's own. `panel`, `t`
     and `windows` (l_adv, l_mom, skip, l_fund) record what the snapshot was
-    built from; `pools` and `matrices` keep what backtest.pool_positions and
-    pool_matrices build from its rows.
+    built from; `pools` keeps what backtest.pool_positions builds from its
+    rows. The factor matrices built from its rows are kept by the panel
+    (MarketPanel.factor_matrices), not by the snapshot.
     """
 
     def __init__(self, panel: MarketPanel, t: str, l_adv: int | None = None, l_mom: int | None = None,
@@ -883,7 +888,7 @@ class AsOf:
             check_skip(skip)
         it = panel.calendar.position(t)
         self.panel, self.t, self.windows = panel, t, (l_adv, l_mom, skip, l_fund)
-        self.pools, self.matrices = {}, {}
+        self.pools = {}
         self.history = panel.history_counts[it].astype(np.int64)
         self.listed = self.history > 0
         self.mktcap = panel.mktcap[it - 1] if it > 0 else np.full(panel.n_assets, np.nan)

@@ -4,8 +4,9 @@ The snapshot-based screens, signals, factor matrix and forward returns are
 compared bit for bit with a plain per-asset oracle kept here, on random
 panels with missing prices, volumes and market caps, and fundamentals with
 missing fields, stale reports and report dates off the calendar. The ADV
-and report rows a panel stores for its snapshots are compared with those
-of a fresh panel, asked for in any order and from several threads at once.
+and report rows and the factor matrices a panel stores are compared with
+those of a fresh panel, asked for in any order and from several threads
+at once.
 """
 
 from __future__ import annotations
@@ -13,17 +14,26 @@ from __future__ import annotations
 import math
 import sys
 import threading
+from dataclasses import replace
 from datetime import date, timedelta
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from factortilt.backtest import STRATEGIES, BacktestConfig, snapshot
+from factortilt import factors
+from factortilt.backtest import STRATEGIES, BacktestConfig, pool_matrices, pool_positions, snapshot
 from factortilt.calibration import forward_returns
-from factortilt.eligibility import EligibilityParams, compute_eligibility
-from factortilt.errors import InfeasibleCapsError
-from factortilt.factors import FactorParams, build_factor_matrix, standardize, winsorize
+from factortilt.eligibility import EligibilityParams, EligibilitySet, compute_eligibility
+from factortilt.errors import ConfigError, InfeasibleCapsError
+from factortilt.factors import (
+    FactorParams,
+    build_factor_matrix,
+    select_factor_matrices,
+    standardize,
+    stored_matrices,
+    winsorize,
+)
 from factortilt.market_data import (
     AsOf,
     FundamentalRecord,
@@ -229,9 +239,13 @@ def test_targets_ignore_data_from_t_on(panel, p, day):
     t = panel.calendar.days[it]
     config = config_for(p, caps=CapParams(c_max=1.0, kappa=1.0))
     for later in panel.calendar.days[it :: 1 + (panel.n_days - it) // 3]:
-        snapshot(panel, later, config)  # the full panel's targets read stored rows, at t and after it
+        # the full panel's targets read stored rows and matrices, at t and after it
+        snap = snapshot(panel, later, config)
+        for s in ("dmft", "fixed_universe"):
+            pool_matrices([snap] if pool_positions(snap, s, config).size else [], s, config)
     censored = censor_panel(panel, t)
-    assert censored.as_of_rows == {}  # a new panel: none of the full panel's rows carry over
+    # a new panel: none of the full panel's rows or matrices carry over
+    assert censored.as_of_rows == {} and censored.factor_matrices == {}
     for s in STRATEGIES:
         try:
             full = targets_at(panel, t, config, s)
@@ -313,6 +327,134 @@ def test_threads_asking_at_once_share_one_stored_row():
     assert not any(thread.is_alive() for thread in threads)
     assert len(got) == 8 * 2 * len(dates) and len(panel.as_of_rows) == 2 * len(dates)
     assert all(row is panel.as_of_rows[key] for key, row in got)
+
+
+def matrix_key(t, positions, fp: FactorParams) -> tuple:
+    """The key of the factor matrix at t over the members at `positions`
+    under fp in the panel's store."""
+    return (t, fp.l_mom, fp.skip, fp.l_fund, np.asarray(positions, dtype=np.intp).tobytes(), fp.winsor_p,
+            fp.winsorize_quality_components)
+
+
+def fresh_matrix(panel, t, positions, fp: FactorParams):
+    """The matrix the kernel builds on a new panel, which stores nothing."""
+    fresh = fresh_copy(panel)
+    snap = AsOf(fresh, t, l_mom=fp.l_mom, skip=fp.skip, l_fund=fp.l_fund)
+    return select_factor_matrices([snap], [np.asarray(positions, dtype=np.intp)], fp)[0]
+
+
+# factor parameters drawn from few values, so that keys repeat
+factor_params = st.builds(FactorParams, l_mom=st.sampled_from([1, 5]), skip=st.sampled_from([1, 3]),
+                          l_fund=st.sampled_from([30, 400]), winsor_p=st.sampled_from([0.0, 0.1]),
+                          winsorize_quality_components=st.booleans())
+# batches of (fraction of the calendar, member bits, reversed, params) requests, each batch one call
+matrix_requests = st.lists(st.lists(st.tuples(st.sampled_from([0.5, 1.0]) | st.floats(0.0, 1.0),
+                                              st.integers(1, 2**7 - 1), st.booleans(), factor_params),
+                                    min_size=1, max_size=4), min_size=1, max_size=5)
+
+
+@SETTINGS
+@given(panel=panels, batches=matrix_requests)
+@example(panel=random_panel(5, 3, 30, 0.1), batches=[
+    [(0.5, 3, False, FactorParams(l_mom=5)), (0.5, 3, False, FactorParams(l_mom=5))],
+    [(0.5, 3, False, FactorParams(l_mom=5, winsor_p=0.1)), (0.5, 3, False, FactorParams(l_mom=1))],
+    [(0.5, 3, True, FactorParams(l_mom=5)), (0.5, 3, False, FactorParams(l_mom=5))]])
+def test_stored_matrices_equal_fresh_ones(panel, batches):
+    assert panel.factor_matrices == {}  # a new panel stores no matrix until its first request
+    first = {}
+    for batch in batches:
+        requests = []
+        for day, bits, backwards, fp in batch:
+            t = panel.calendar.days[int(day * (panel.n_days - 1))]
+            positions = np.flatnonzero([bits >> i & 1 for i in range(panel.n_assets)])
+            if not positions.size:
+                positions = np.arange(panel.n_assets)
+            requests.append((t, positions[::-1] if backwards else positions, fp))
+        by_params = {}  # one call per params, its dates side by side
+        for t, positions, fp in requests:
+            by_params.setdefault(fp, []).append((t, positions))
+        for fp, asked in by_params.items():
+            got = stored_matrices(panel, [t for t, _ in asked], [pos for _, pos in asked], fp)
+            for (t, positions), m in zip(asked, got, strict=True):
+                want = fresh_matrix(panel, t, positions, fp)
+                assert m.t == t and m.positions.tobytes() == positions.astype(np.intp).tobytes()
+                assert m.raw.tobytes() == want.raw.tobytes() and m.z.tobytes() == want.z.tobytes()
+                assert first.setdefault(matrix_key(t, positions, fp), m) is m  # asked again, the same object
+    assert panel.factor_matrices.keys() == first.keys()
+    arrays = []
+    for key, m in panel.factor_matrices.items():
+        assert m is first[key]
+        for a in (m.raw, m.z, m.positions):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[...] = 0
+        arrays.append((m.raw, m.z, m.positions))
+    for i, own in enumerate(arrays):  # no two keys share an array
+        assert not any(np.shares_memory(a, b) for other in arrays[i + 1 :] for a in own for b in other)
+
+
+def test_a_matrix_stored_under_other_windows_or_winsor_is_never_returned():
+    panel = random_panel(3, 7, 70, 0.0)
+    t, members = panel.calendar.days[60], panel.assets
+    universe = EligibilitySet(t=t, members=tuple(members), assets=tuple(members))
+    base = FactorParams(l_mom=5, skip=1, l_fund=400, winsor_p=0.0)
+    others = [replace(base, l_mom=20), replace(base, skip=3), replace(base, l_fund=30),
+              replace(base, winsor_p=0.3), replace(base, winsor_p=0.3, winsorize_quality_components=True)]
+    stored = build_factor_matrix(panel, universe, t, base)
+    for fp in others:
+        m = build_factor_matrix(panel, universe, t, fp)
+        want = fresh_matrix(panel, t, panel.positions(members), fp)
+        assert m is not stored and (m.raw.tobytes(), m.z.tobytes()) == (want.raw.tobytes(), want.z.tobytes())
+        assert (m.raw.tobytes(), m.z.tobytes()) != (stored.raw.tobytes(), stored.z.tobytes()), fp
+    assert len(panel.factor_matrices) == 1 + len(others)
+    assert build_factor_matrix(panel, universe, t, base) is stored
+    # a snapshot built under other windows than the params' is refused, though its date is stored
+    for fp in (base, *others[:3]):
+        for wrong in ((fp.l_mom + 1, fp.skip, fp.l_fund), (fp.l_mom, fp.skip + 1, fp.l_fund),
+                      (fp.l_mom, fp.skip, fp.l_fund + 1)):
+            snap = AsOf(panel, t, None, *wrong)
+            with pytest.raises(ConfigError, match=f"the snapshot given for {t} is not AsOf"):
+                stored_matrices(panel, [t], [panel.positions(members)], fp, [snap])
+
+
+def test_a_hit_builds_no_snapshot(monkeypatch):
+    panel = random_panel(4, 5, 40, 0.1)
+    t = panel.calendar.days[30]
+    universe = EligibilitySet(t=t, members=tuple(panel.assets[1:]), assets=tuple(panel.assets))
+    stored = build_factor_matrix(panel, universe, t, FactorParams(l_mom=5))
+    built = []
+    monkeypatch.setattr(factors, "AsOf", lambda *args, **kw: built.append(args) or AsOf(*args, **kw))
+    assert build_factor_matrix(panel, universe, t, FactorParams(l_mom=5)) is stored and not built
+    build_factor_matrix(panel, universe, t, FactorParams(l_mom=6))
+    assert len(built) == 1
+
+
+def test_threads_asking_at_once_share_one_stored_matrix():
+    panel = random_panel(9, 40, 300, 0.1)
+    dates = panel.calendar.days[30::25]
+    members = tuple(panel.assets[::3])
+    fp = FactorParams(l_mom=20, skip=2, l_fund=60, winsor_p=0.1)
+    got, start = [], threading.Barrier(8)
+
+    def ask():
+        start.wait(timeout=60)
+        for t in dates:
+            universe = EligibilitySet(t=t, members=members, assets=tuple(panel.assets))
+            got.append((matrix_key(t, panel.positions(members), fp), build_factor_matrix(panel, universe, t, fp)))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=ask) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(got) == 8 * len(dates) and len(panel.factor_matrices) == len(dates)
+    assert all(m is panel.factor_matrices[key] for key, m in got)
 
 
 @SETTINGS

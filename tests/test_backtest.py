@@ -24,6 +24,7 @@ from factortilt.synthetic import ScenarioSpec, generate
 from factortilt.weighting import CapParams, Targets, TiltParams, member_caps
 
 from conftest import make_panel, targets_at
+from test_asof_properties import fresh_copy
 
 
 def loose_config(**kw):
@@ -259,13 +260,14 @@ class TestBaselines:
         # Targets, each of these compares by identity and returns a bool
         panel, sched, cfg = self.small_run(lam=0.3)
 
-        def built():
+        def built(panel):
             matrices = pool_matrices([snapshot(panel, t, cfg) for t in sched.dates], "dmft", cfg)
             ics = build_ic_series(panel, sched, dict(zip(sched.dates, matrices)), CalibrationParams(horizon=5))
             assert len(ics["MOM"]) > 1  # == on its values would have no single truth value
             return run_baselines(panel, sched, cfg)["dmft"], matrices[0], ics["MOM"]
 
-        for a, b in zip(built(), built(), strict=True):
+        # the second set on a new panel: the same panel returns its stored matrices themselves
+        for a, b in zip(built(panel), built(fresh_copy(panel)), strict=True):
             assert (a == b) is False and (a != b) is True and (a == a) is True, type(a).__name__
 
     def test_rebalance_dates_are_the_weights_dates(self):
@@ -282,8 +284,8 @@ class TestBaselines:
 
 def test_given_snapshots_change_nothing():
     # both walks read one snapshot dict, the second after the first filled
-    # its pools and matrices, with caps that bind: each walk computes its
-    # caps from the snapshot's ADV row and keeps none on it
+    # its pools and the panel's matrices, with caps that bind: each walk
+    # computes its caps from the snapshot's ADV row and keeps none on it
     panel = generate(ScenarioSpec(seed=9, n_assets=8, n_days=220, dispersion=0.8, vol=0.01,
                                   liquidity_tiers=(1.0, 4.0)))
     sched = schedule_at(panel, 60, 120, 180)
@@ -307,7 +309,8 @@ def test_given_snapshots_change_nothing():
 
 def test_snapshots_shared_by_configs_with_other_screens_change_nothing():
     # adv_min and winsor_p are not snapshot windows, so one snapshot serves
-    # every config here; the pools and factor matrices it keeps must not
+    # every config here; the pools it keeps and the factor matrices the
+    # panel stores for each config must not
     panel = generate(ScenarioSpec(seed=9, n_assets=8, n_days=220, dispersion=0.8, vol=0.01,
                                   liquidity_tiers=(1.0, 4.0)))
     sched = schedule_at(panel, 60, 120, 180)
@@ -422,10 +425,11 @@ def test_walk_peak_does_not_grow_with_the_rebalance_dates():
     it returns) stays about 0.3 of the panel's price grid from 16 to 128
     rebalance dates (200 assets). Holding every date's snapshot until the
     last target is built, the transient grew with the dates, to 2.5 grids
-    at 128. The ADV row and report block of each date stay in the panel's
-    store after the walk, so they count in `kept`, not in the transient:
-    this test does not see that retained memory, which grows with the
-    dates."""
+    at 128. The ADV row and report block of each date, and its factor
+    matrices (one per distinct member set of the tilted pools), stay in the
+    panel's stores after the walk, so they count in `kept`, not in the
+    transient: this test does not see that retained memory, which grows
+    with the dates."""
     panel = generate(ScenarioSpec(seed=1, n_assets=200, n_days=1500, dispersion=0.8,
                                   liquidity_tiers=(1.0, 50.0, 300.0), missing_rate=0.02))
     days = panel.calendar.days

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from factortilt import backtest, cli, errors
+from factortilt import backtest, cli, errors, factors
 from factortilt.backtest import STRATEGIES, BacktestConfig
 from factortilt.cli import load_config, main
 from factortilt.eligibility import EligibilityParams
@@ -406,24 +406,25 @@ def test_config_dates_must_be_yyyy_mm_dd(tmp_path, synth_dir, capsys, key):
 
 @pytest.mark.parametrize("command, calibrate", [("backtest", False), ("backtest", True), ("diagnose", False)])
 def test_one_snapshot_per_rebalance_date(tmp_path, synth_dir, monkeypatch, command, calibrate):
-    built = Counter()
+    built, snaps = Counter(), {}
     real = backtest.snapshot
 
     def counting(panel, t, config):
         built[t] += 1
-        return real(panel, t, config)
+        snaps[t] = real(panel, t, config)
+        return snaps[t]
 
     monkeypatch.setattr(backtest, "snapshot", counting)
     monkeypatch.setattr(cli, "snapshot", counting)
     matrices = Counter()
-    real_select = backtest.select_factor_matrices
+    real_select = factors.select_factor_matrices
 
     def counting_select(snapshots, positions, params):
         matrices.update(snap.t for snap in snapshots)
         return real_select(snapshots, positions, params)
 
-    for module in (backtest, cli):  # each binding a command could call it through
-        monkeypatch.setattr(module, "select_factor_matrices", counting_select, raising=False)
+    # the binding the panel's matrix store builds through
+    monkeypatch.setattr(factors, "select_factor_matrices", counting_select)
     cfg = tmp_path / "run.ini"
     cfg.write_text(CONFIG_TEMPLATE.format(data=synth_dir, start="2020-06-01", end="2022-06-30", lam="0.3")
                    + f"apply = {calibrate}\n")
@@ -431,8 +432,13 @@ def test_one_snapshot_per_rebalance_date(tmp_path, synth_dir, monkeypatch, comma
     _, schedule = cli._load_inputs(load_config(cfg))
     assert len(schedule) >= 4
     assert built == Counter(schedule.dates)
-    # one factor matrix per date and pool: the screened pool, plus fixed_universe in backtest
-    assert matrices == Counter({t: 2 if command == "backtest" else 1 for t in schedule.dates})
+    # one factor matrix per date and distinct member set of the tilted pools the
+    # command reads (the screened pool, plus fixed_universe in backtest): a pool
+    # whose members another pool has at that date reads the matrix stored for them
+    tilted = ("screened", "fixed_universe") if command == "backtest" else ("screened",)
+    assert {pool for t in snaps for pool, _ in snaps[t].pools} >= set(tilted)
+    assert matrices == Counter({t: len({pos.tobytes() for (pool, _), pos in snaps[t].pools.items()
+                                        if pool in tilted and pos.size}) for t in schedule.dates})
 
 
 @pytest.mark.parametrize("make, name", [

@@ -14,8 +14,8 @@ from factortilt.calibration import CalibrationParams, ICSeries, forward_returns,
 from factortilt.cli import cmd_synth, load_config
 from factortilt.eligibility import EligibilityParams, EligibilitySet
 from factortilt.errors import ConfigError, DataError, StatsError
-from factortilt.factors import FactorMatrix, FactorParams, winsorize
-from factortilt.market_data import MarketPanel, TradingCalendar, build_schedule
+from factortilt.factors import FactorMatrix, FactorParams, stored_matrices, winsorize
+from factortilt.market_data import AsOf, MarketPanel, TradingCalendar, build_schedule
 from factortilt.stats import (
     annualized_return,
     annualized_vol,
@@ -51,6 +51,13 @@ def panel_of(shape=(2, 1), assets=("A",), price=1.0, volume=1.0, mktcap=1.0) -> 
 def matrix(t: str) -> FactorMatrix:
     z = np.arange(12.0).reshape(4, 3) % 5
     return FactorMatrix(t=t, positions=np.arange(4), panel_assets=("A", "B", "C", "D"), raw=z, z=z)
+
+
+def snapshot_under_other_windows():
+    """The matrix store asked for l_mom = 1 with a snapshot built under l_mom = 2."""
+    panel = panel_of()
+    snap = AsOf(panel, "2020-01-02", l_mom=2, skip=1, l_fund=30)
+    return stored_matrices(panel, ["2020-01-02"], [np.array([0])], FactorParams(l_mom=1, skip=1, l_fund=30), [snap])
 
 
 def result(returns) -> BacktestResult:
@@ -104,6 +111,9 @@ BRANCHES = {
     "factors-l_fund": (lambda tmp: FactorParams(l_fund=0), ConfigError, "l_fund must be >= 1, got 0"),
     "factors-winsor_p": (lambda tmp: FactorParams(winsor_p=0.5), ConfigError,
                          "winsor_p must be in [0, 0.5), got 0.5"),
+    "factors-snapshot-windows": (lambda tmp: snapshot_under_other_windows(), ConfigError,
+                                 "the snapshot given for 2020-01-02 is not AsOf(panel, 2020-01-02) of this panel "
+                                 "under the factor windows (l_mom, skip, l_fund) = (1, 1, 30)"),
     "winsorize-p": (lambda tmp: winsorize([1.0, 2.0], -0.1), ConfigError,
                     "winsorization quantile must be in [0, 0.5), got -0.1"),
     # market_data

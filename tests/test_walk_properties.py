@@ -20,8 +20,9 @@ prefix of the full run, a book evolves alike alone or beside others in
 any position, and a run is alike in row blocks of any size. `evolve` on
 the targets a walk built returns that walk's results. Also compared with
 a plain oracle: AsOf.history with a direct count of prices before t. The
-walks give the same bits on a fresh panel as on one whose store of as-of
-rows other screens and walks filled first. Last, the accounting
+walks give the same bits on a fresh panel as on one whose stores of as-of
+rows and factor matrices other screens, factor matrices and walks filled
+first. Last, the accounting
 identities of every strategy's backtest. All on random panels with gaps.
 """
 
@@ -42,6 +43,7 @@ from factortilt.backtest import (
     BacktestResult,
     _run,
     evolve,
+    pool_positions,
     removal_tilt,
     run_baselines,
     run_factor_removals,
@@ -62,7 +64,7 @@ from factortilt.weighting import (
     composite_score,
 )
 
-from test_asof_properties import SETTINGS, config_for, fresh_copy, panels, random_panel, store_key
+from test_asof_properties import SETTINGS, config_for, fresh_copy, matrix_key, panels, random_panel, store_key
 
 # --- the Mapping-based pipeline the walk replaced ------------------------------
 
@@ -643,17 +645,38 @@ def store_keys(panel, dates, l_adv, l_fund) -> set:
     return {store_key(panel, t, l_adv=l_adv) for t in dates} | {store_key(panel, t, l_fund=l_fund) for t in dates}
 
 
+def matrix_keys(panel, dates, config) -> set:
+    """The keys of the factor matrices a walk at `dates` reads: one per
+    date and distinct member set of its tilted pools."""
+    keys = set()
+    for t in dates:
+        snap = snapshot(panel, t, config)
+        for s in ("dmft", "fixed_universe"):
+            positions = pool_positions(snap, s, config)
+            if positions.size:
+                keys.add(matrix_key(t, positions, config.factors))
+    return keys
+
+
 @settings(SETTINGS, max_examples=20)
 @given(panel=wide_panels, p=short_windows, fractions=days, weight_mode=st.sampled_from(WEIGHT_MODES),
-       other_adv=st.integers(1, 10), other_fund=st.integers(30, 120))
-def test_walks_do_not_depend_on_what_filled_the_store(panel, p, fractions, weight_mode, other_adv, other_fund):
+       other_adv=st.integers(1, 10), other_fund=st.integers(30, 120), other_p=st.sampled_from([0.0, 0.05, 0.3]),
+       other_h=st.integers(0, 15))
+def test_walks_do_not_depend_on_what_filled_the_store(panel, p, fractions, weight_mode, other_adv, other_fund,
+                                                      other_p, other_h):
     config = config_for(p, cost_rate=0.001, weight_mode=weight_mode, caps=CapParams(c_max=1.0, kappa=1.0))
     schedule = schedule_of(panel, fractions)
     n, l_adv, l_fund = len(schedule.dates), config.eligibility.l_adv, config.factors.l_fund
     filled = fresh_copy(panel)
     for t in schedule.dates:
         compute_eligibility(filled, t, replace(config.eligibility, l_adv=other_adv))
+        # the screened members' matrices under another winsor_p, stored beside the walk's
+        universe = compute_eligibility(filled, t, config.eligibility)
+        if universe.members:
+            build_factor_matrix(filled, universe, t, replace(config.factors, winsor_p=other_p))
     run_baselines(filled, schedule, replace(config, factors=replace(config.factors, l_fund=other_fund)))
+    # other screens on the same windows: the members they share with the walk's pools read one stored matrix
+    run_baselines(filled, schedule, replace(config, eligibility=replace(config.eligibility, h_min=other_h)))
     for walk in (run_baselines, run_factor_removals):
         want, got = walk(panel, schedule, config), walk(filled, schedule, config)
         assert list(got) == list(want)
@@ -670,6 +693,9 @@ def test_walks_do_not_depend_on_what_filled_the_store(panel, p, fractions, weigh
     assert len(panel.as_of_rows) == 2 * n
     assert filled.as_of_rows.keys() == (store_keys(panel, schedule.dates, l_adv, l_fund)
                                         | store_keys(panel, schedule.dates, other_adv, other_fund))
+    # one factor matrix per date and distinct member set of the tilted pools
+    assert panel.factor_matrices.keys() == matrix_keys(panel, schedule.dates, config)
+    assert filled.factor_matrices.keys() >= matrix_keys(panel, schedule.dates, config)
 
 
 @SETTINGS
