@@ -15,13 +15,17 @@ next rebalance.
 
 A walk writes each book's rows into its blocks, taking the rebalance
 dates in blocks of _BLOCK (16). For each block it builds the dates'
-snapshots, then for every pool its books tilt (the screened pool,
-fixed_universe) reads the block's factor matrices from the panel's store
-(`factors.stored_matrices`, those not stored yet built in one
-`select_factor_matrices` call), for capped dmft makes one `member_caps`
-call, and one `tilted_block` call over every book on it, whose rows go
-to the books by slice; the other books' rows are written date by date.
-It lets the snapshots go before the next block, while their factor
+snapshots and, once per date and pool its books hold, the pool's member
+positions (`pool_positions`, which keeps nothing; the walk logs each
+empty one). Then for every pool its books tilt (the screened pool,
+fixed_universe) it reads the block's factor matrices from the panel's
+store (`factors.stored_matrices`, those not stored yet built from the
+block's snapshots in one `select_factor_matrices` call), for capped dmft
+makes one `member_caps` call, and one `tilted_block` call over every book
+on it, whose rows go to the books by slice; the other books' rows are
+written date by date. No walk takes a snapshot from its caller: the
+panel's stores are its only cache. It lets the snapshots go before the
+next block, while their factor
 matrices, one per date and distinct member set, stay in the panel's
 store: matrices and weights have the bits of their date alone (see
 `factors`, `weighting`), and the walk holds one block of snapshots. Each
@@ -112,22 +116,18 @@ def pool_positions(snap: AsOf, strategy: str, config: BacktestConfig) -> np.ndar
     """Positions of the members of the strategy's pool at the snapshot's date:
     the screens for dmft and ew_eligible, any computable raw signal for
     fixed_universe (quality needs all three components), any price before t
-    for ew_all, a market cap at t-1 for cap_weighted. Built once per pool and
-    eligibility parameters, kept on the snapshot, and logged when empty."""
+    for ew_all, a market cap at t-1 for cap_weighted."""
+    if strategy not in STRATEGIES:
+        raise ConfigError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
     pool = _POOLS.get(strategy, strategy)
-    key = (pool, config.eligibility)
-    if key not in snap.pools:
-        if pool == "screened":
-            row = eligible(snap.history, snap.adv, config.eligibility)
-        elif pool == "fixed_universe":
-            quality_ok = ~(np.isnan(snap.roe) | np.isnan(snap.gross_margin) | np.isnan(snap.debt_to_assets))
-            row = ~np.isnan(snap.momentum) | ~np.isnan(snap.value) | quality_ok
-        else:
-            row = snap.listed if pool == "ew_all" else np.isfinite(snap.mktcap)
-        snap.pools[key] = np.flatnonzero(row)
-        if not snap.pools[key].size:
-            log.warning("empty universe at %s in the %s pool; holding cash until next rebalance", snap.t, pool)
-    return snap.pools[key]
+    if pool == "screened":
+        row = eligible(snap.history, snap.adv, config.eligibility)
+    elif pool == "fixed_universe":
+        quality_ok = ~(np.isnan(snap.roe) | np.isnan(snap.gross_margin) | np.isnan(snap.debt_to_assets))
+        row = ~np.isnan(snap.momentum) | ~np.isnan(snap.value) | quality_ok
+    else:
+        row = snap.listed if pool == "ew_all" else np.isfinite(snap.mktcap)
+    return np.flatnonzero(row)
 
 
 def pool_matrices(snaps: list[AsOf], strategy: str, config: BacktestConfig) -> list[FactorMatrix]:
@@ -141,28 +141,14 @@ def pool_matrices(snaps: list[AsOf], strategy: str, config: BacktestConfig) -> l
     return stored_matrices(snaps[0].panel, [snap.t for snap in snaps], positions, config.factors, snaps)
 
 
-def _windows(config: BacktestConfig) -> tuple:
-    f = config.factors
-    return config.eligibility.l_adv, f.l_mom, f.skip, f.l_fund
-
-
 def snapshot(panel: MarketPanel, t: str, config: BacktestConfig) -> AsOf:
     """The as-of snapshot at t with every row the config's strategies read."""
-    return AsOf(panel, t, *_windows(config))
-
-
-def _given_snapshot(snapshots: dict[str, AsOf], panel: MarketPanel, t: str, config: BacktestConfig) -> AsOf:
-    """snapshots[t], checked to be what snapshot(panel, t, config) builds."""
-    snap = snapshots.get(t)
-    if snap is None:
-        raise ConfigError(f"no snapshot given for rebalance date {t}")
-    if snap.panel is not panel or snap.t != t or snap.windows != _windows(config):
-        raise ConfigError(f"the snapshot given for {t} is not snapshot(panel, {t}, config) of this panel and config")
-    return snap
+    f = config.factors
+    return AsOf(panel, t, config.eligibility.l_adv, f.l_mom, f.skip, f.l_fund)
 
 
 def _run(
-    panel: MarketPanel, schedule: RebalanceSchedule, config: BacktestConfig, books, end: str | None, snapshots=None
+    panel: MarketPanel, schedule: RebalanceSchedule, config: BacktestConfig, books, end: str | None
 ) -> dict[str, BacktestResult]:
     """Walk the rebalance dates through `end` once under one config, _BLOCK
     dates at a time (see the module docstring), writing every book's rows
@@ -176,46 +162,52 @@ def _run(
                      np.full(shape, np.nan) if s == "dmft" and config.caps is not None else None)
               for name, (s, _) in books.items()}
     for i in range(0, len(dates), _BLOCK):
-        _block_targets(panel, dates[i : i + _BLOCK], config, books, blocks, i, snapshots)
+        _block_targets(panel, dates[i : i + _BLOCK], config, books, blocks, i)
     return evolve(panel, {name: (s, Targets(dates, panel.assets, *blocks[name])) for name, (s, _) in books.items()},
                   config, end)
 
 
-def _block_targets(panel: MarketPanel, dates: list[str], config: BacktestConfig, books, blocks, at: int,
-                   snapshots=None) -> None:
+def _block_targets(panel: MarketPanel, dates: list[str], config: BacktestConfig, books, blocks, at: int) -> None:
     """Write every book's targets at the dates into rows at, at + 1, ... of
-    its (w, multipliers, caps) blocks, from one snapshot per date (built, or
-    taken from `snapshots` keyed by date). Each tilted pool reads its
-    non-empty dates' matrices with one pool_matrices call and takes one
-    tilted_block call over them, whose rows go by slice to its n books: the
-    j-th book's are every n-th from row j. A capped dmft pool's caps take
-    one member_caps call. The snapshots go when this returns; the matrices
-    stay in the panel's store."""
-    block = [snapshot(panel, t, config) if snapshots is None else _given_snapshot(snapshots, panel, t, config)
-             for t in dates]
+    its (w, multipliers, caps) blocks, from one snapshot per date and one
+    pool_positions call per date and pool the books hold, each empty one
+    logged. Each tilted pool reads its non-empty dates' matrices with one
+    stored_matrices call and takes one tilted_block call over them, whose
+    rows go by slice to its n books: the j-th book's are every n-th from
+    row j. A capped dmft pool's caps take one member_caps call. The
+    snapshots go when this returns; the matrices stay in the panel's store."""
+    block = [snapshot(panel, t, config) for t in dates]
+    held_by = {_POOLS.get(s, s): s for s, _ in books.values()}  # each pool the books hold, by one of its strategies
+    pools = {pool: [pool_positions(snap, s, config) for snap in block] for pool, s in held_by.items()}
+    for k, snap in enumerate(block):
+        for pool, positions in pools.items():
+            if not positions[k].size:
+                log.warning("empty universe at %s in the %s pool; holding cash until next rebalance", snap.t, pool)
     for s in sorted({s for s, _ in books.values()} & set(_TILTED)):
-        held = [k for k, snap in enumerate(block) if pool_positions(snap, s, config).size]
+        positions = pools[_POOLS.get(s, s)]
+        held = [k for k, pos in enumerate(positions) if pos.size]
         if not held:
             continue
-        snaps = [block[k] for k in held]
         caps = None
         if s == "dmft" and config.caps is not None:
-            caps = member_caps([snap.adv[pool_positions(snap, s, config)] for snap in snaps], config.caps)
+            caps = member_caps([block[k].adv[positions[k]] for k in held], config.caps)
+        matrices = stored_matrices(panel, [dates[k] for k in held], [positions[k] for k in held], config.factors,
+                                   [block[k] for k in held])
         names = [name for name, (b, _) in books.items() if b == s]
-        w, mult, cap_rows = tilted_block(pool_matrices(snaps, s, config), [books[name][1] for name in names], caps)
+        w, mult, cap_rows = tilted_block(matrices, [books[name][1] for name in names], caps)
         rows = at + np.array(held)
         for j, name in enumerate(names):
             out_w, out_mult, out_caps = blocks[name]
             out_w[rows], out_mult[rows] = w[j :: len(names)], mult[j :: len(names)]
             if out_caps is not None:
                 out_caps[rows] = cap_rows
-    for k, snap in enumerate(block, at):
+    for k, snap in enumerate(block):
         for name, (s, _) in books.items():
-            positions = pool_positions(snap, s, config)
+            positions = pools[_POOLS.get(s, s)][k]
             if s in ("ew_eligible", "ew_all") and positions.size:
-                blocks[name][0][k, positions] = 1.0 / len(positions)
+                blocks[name][0][at + k, positions] = 1.0 / len(positions)
             elif s == "cap_weighted" and positions.size:
-                w = blocks[name][0][k]
+                w = blocks[name][0][at + k]
                 w[positions] = snap.mktcap[positions]
                 w /= w.sum()
 
@@ -355,17 +347,13 @@ def run_baselines(
     schedule: RebalanceSchedule,
     config: BacktestConfig,
     end: str | None = None,
-    *,
-    snapshots: dict[str, AsOf] | None = None,
 ) -> dict[str, BacktestResult]:
     """Run the tilted strategy and all counterfactual baselines under
-    identical data, schedule, and cost assumptions. Liquidity caps apply only
+    identical data, schedule, and cost assumptions, in one walk that builds
+    each date's snapshot and its four pools once. Liquidity caps apply only
     to the screened tilted strategy (the screens guarantee ADV for every
-    member; the unscreened pools do not). `snapshots`, when given, maps each
-    rebalance date t to `snapshot(panel, t, config)`, which is then not
-    rebuilt, nor are the pools it already keeps; a missing date or a
-    snapshot of another panel, date or set of windows raises ConfigError."""
-    return _run(panel, schedule, config, {s: (s, config.tilt) for s in STRATEGIES}, end, snapshots)
+    member; the unscreened pools do not)."""
+    return _run(panel, schedule, config, {s: (s, config.tilt) for s in STRATEGIES}, end)
 
 
 def removal_tilt(tilt: TiltParams, factor: str) -> TiltParams:
@@ -386,13 +374,11 @@ def run_factor_removals(
     schedule: RebalanceSchedule,
     config: BacktestConfig,
     end: str | None = None,
-    *,
-    snapshots: dict[str, AsOf] | None = None,
 ) -> dict[str, BacktestResult]:
     """The dmft book under the full tilt plus one per factor with that
-    factor removed, for marginal contribution diagnostics, in one walk.
-    `snapshots` is as in run_baselines."""
+    factor removed, for marginal contribution diagnostics, in one walk that
+    screens each date once for all of them."""
     books = {"full": ("dmft", config.tilt)}
     for f in config.tilt.alpha:
         books[f"drop_{f}"] = ("dmft", removal_tilt(config.tilt, f))
-    return _run(panel, schedule, config, books, end, snapshots)
+    return _run(panel, schedule, config, books, end)

@@ -348,9 +348,9 @@ def cmd_validate(cfg: RunConfig) -> int:
 
 
 def _screens_and_factors(panel, schedule, config: BacktestConfig):
-    """Per rebalance date, the as-of snapshot, which keeps the screened
-    members' positions for the walk, and their factor matrix (where there
-    are members), which the panel stores for the walk too."""
+    """Per rebalance date, the as-of snapshot and the screened members'
+    factor matrix (where there are members), which the panel stores for
+    the walk that follows."""
     snapshots = {t: snapshot(panel, t, config) for t in schedule.dates}
     dated = [t for t, snap in snapshots.items() if pool_positions(snap, "dmft", config).size]
     matrices = dict(zip(dated, pool_matrices([snapshots[t] for t in dated], "dmft", config)))
@@ -361,13 +361,14 @@ def _concat(parts) -> np.ndarray:
     return np.concatenate(parts) if parts else np.empty(0)
 
 
-def _write_screens(panel, snapshots, matrices, config: BacktestConfig, out: Path) -> None:
+def _write_screens(panel, snapshots, matrices, out: Path) -> None:
     """eligibility.csv (every panel asset at every rebalance date, with the
     snapshot's history and ADV, and whether it is a screened member) and
     factors.csv (each member's raw and z per factor)."""
     eligible = np.zeros((len(snapshots), panel.n_assets), dtype=int)
-    for k, snap in enumerate(snapshots.values()):
-        eligible[k, pool_positions(snap, "dmft", config)] = 1
+    for k, t in enumerate(snapshots):
+        if t in matrices:  # a date without members has no matrix
+            eligible[k, matrices[t].positions] = 1
     _write_csv(out / "eligibility.csv", (["date", "asset", "history_days", "adv", "eligible"], [
         np.array(list(snapshots), dtype=object).repeat(panel.n_assets).tolist(),
         panel.assets * len(snapshots),
@@ -473,15 +474,15 @@ def cmd_backtest(cfg: RunConfig) -> int:
         notes = []
         config = cfg.backtest
         snapshots, matrices = _screens_and_factors(panel, schedule, config)
-        _write_screens(panel, snapshots, matrices, config, out)
+        _write_screens(panel, snapshots, matrices, out)
         if cfg.calibration.apply:
             ics = build_ic_series(panel, schedule, matrices, cfg.calibration)
             if ics:
                 alpha = ir_to_alpha(ics, cfg.calibration.m_min)
                 config = replace(config, tilt=replace(config.tilt, alpha=alpha))
                 notes.append(("calibrated_alpha", ",".join(f"{f}={alpha[f]!r}" for f in FACTORS)))
-        # calibration changes only the tilt, which no snapshot, pool or factor matrix reads
-        results = run_baselines(panel, schedule, config, end=cfg.end, snapshots=snapshots)
+        # calibration changes only the tilt, which no pool or factor matrix reads
+        results = run_baselines(panel, schedule, config, end=cfg.end)
         notes += _write_results(results, cfg, out)
         write_manifest(cfg, out / "manifest.txt", extra=notes or None)
     return 0
@@ -492,7 +493,7 @@ def cmd_diagnose(cfg: RunConfig) -> int:
     with _staged_out(cfg.out_dir) as out:
         panel, schedule = _load_inputs(cfg)
         config = cfg.backtest
-        snapshots, matrices = _screens_and_factors(panel, schedule, config)
+        _, matrices = _screens_and_factors(panel, schedule, config)
         ics = build_ic_series(panel, schedule, matrices, cfg.calibration)
         names = sorted(ics)
         alpha = ir_to_alpha(ics, cfg.calibration.m_min) if ics else {}
@@ -511,7 +512,7 @@ def cmd_diagnose(cfg: RunConfig) -> int:
             note="# forward window starts at the rebalance date and overlaps the holding period\n",
         )
 
-        removals = run_factor_removals(panel, schedule, config, end=cfg.end, snapshots=snapshots)
+        removals = run_factor_removals(panel, schedule, config, end=cfg.end)
         factors, corr, marginal = factor_redundancy(matrices.values(), removals)
         pairs = [(i, j) for i in range(len(factors)) for j in range(i + 1, len(factors))]
         _write_csv(out / "factor_diagnostics.csv", (["metric", "factor_a", "factor_b", "value"], [

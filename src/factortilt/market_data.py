@@ -877,9 +877,9 @@ class AsOf:
     stores (MarketPanel.as_of_row), shared by every snapshot of that panel,
     date and window; the other rows are the snapshot's own. `panel`, `t`
     and `windows` (l_adv, l_mom, skip, l_fund) record what the snapshot was
-    built from; `pools` keeps what backtest.pool_positions builds from its
-    rows. The factor matrices built from its rows are kept by the panel
-    (MarketPanel.factor_matrices), not by the snapshot.
+    built from. A snapshot keeps nothing built from its rows: the factor
+    matrices are kept by the panel (MarketPanel.factor_matrices), and the
+    pools (backtest.pool_positions) by the walk that reads them.
     """
 
     def __init__(self, panel: MarketPanel, t: str, l_adv: int | None = None, l_mom: int | None = None,
@@ -888,7 +888,6 @@ class AsOf:
             check_skip(skip)
         it = panel.calendar.position(t)
         self.panel, self.t, self.windows = panel, t, (l_adv, l_mom, skip, l_fund)
-        self.pools = {}
         self.history = panel.history_counts[it].astype(np.int64)
         self.listed = self.history > 0
         self.mktcap = panel.mktcap[it - 1] if it > 0 else np.full(panel.n_assets, np.nan)

@@ -1,6 +1,6 @@
 import logging
 import tracemalloc
-from dataclasses import replace
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -282,71 +282,27 @@ class TestBaselines:
                     assert len(res.turnover) == len(res.costs) == len(res.rebalance_dates), name
 
 
-def test_given_snapshots_change_nothing():
-    # both walks read one snapshot dict, the second after the first filled
-    # its pools and the panel's matrices, with caps that bind: each walk
-    # computes its caps from the snapshot's ADV row and keeps none on it
-    panel = generate(ScenarioSpec(seed=9, n_assets=8, n_days=220, dispersion=0.8, vol=0.01,
-                                  liquidity_tiers=(1.0, 4.0)))
-    sched = schedule_at(panel, 60, 120, 180)
+def test_each_walk_computes_each_pool_once_per_date(monkeypatch):
+    # one pool_positions call per (date, pool) the walk's books hold, however
+    # many books or lookups (matrices, caps, weights, logging) read it
+    panel = generate(ScenarioSpec(seed=9, n_assets=60, n_days=300, liquidity_tiers=(1.0, 4.0)))
+    sched = schedule_at(panel, *range(60, 280, 4))
     cfg = loose_config(eligibility=EligibilityParams(40, 0.0, 10), factors=FactorParams(l_mom=30, skip=3),
-                       tilt=TiltParams(lam=0.4), caps=CapParams(c_max=0.15, kappa=0.2), cost_rate=0.001)
-    snapshots = {t: snapshot(panel, t, cfg) for t in sched.dates}
-    for run in (run_baselines, run_factor_removals):
-        built, given = run(panel, sched, cfg), run(panel, sched, cfg, snapshots=snapshots)
-        assert built.keys() == given.keys()
-        binding = 0
-        for name, res in built.items():
-            assert res.daily_returns.tobytes() == given[name].daily_returns.tobytes(), name
-            for a, b in zip(res.weights, given[name].weights, strict=True):
-                for attr in ("w", "multipliers", "caps"):
-                    x, y = getattr(a, attr), getattr(b, attr)
-                    assert (x is None) == (y is None) and (x is None or x.tobytes() == y.tobytes()), (name, attr)
-                if a.caps is not None:
-                    binding += int(np.sum(np.isclose(a.w, a.caps, rtol=0, atol=1e-15)))
-        assert binding, run.__name__  # a cap binds somewhere in each walk
+                       caps=CapParams(c_max=0.15, kappa=0.2))
+    calls = Counter()
+    real = backtest.pool_positions
 
+    def counting(snap, strategy, config):
+        calls[snap.t, backtest._POOLS.get(strategy, strategy)] += 1
+        return real(snap, strategy, config)
 
-def test_snapshots_shared_by_configs_with_other_screens_change_nothing():
-    # adv_min and winsor_p are not snapshot windows, so one snapshot serves
-    # every config here; the pools it keeps and the factor matrices the
-    # panel stores for each config must not
-    panel = generate(ScenarioSpec(seed=9, n_assets=8, n_days=220, dispersion=0.8, vol=0.01,
-                                  liquidity_tiers=(1.0, 4.0)))
-    sched = schedule_at(panel, 60, 120, 180)
-    base = loose_config(eligibility=EligibilityParams(40, 0.0, 10), factors=FactorParams(l_mom=30, skip=3),
-                        tilt=TiltParams(lam=0.4), cost_rate=0.001)
-    configs = [base, replace(base, eligibility=EligibilityParams(40, 1e7, 10)),
-               replace(base, factors=FactorParams(l_mom=30, skip=3, winsor_p=0.2))]
-    shared = {t: snapshot(panel, t, base) for t in sched.dates}
-    for run in (run_baselines, run_factor_removals):
-        alone = [run(panel, sched, cfg) for cfg in configs]
-        together = [run(panel, sched, cfg, snapshots=shared) for cfg in configs]
-        for built, given in zip(alone, together):
-            for name, res in built.items():
-                assert res.daily_returns.tobytes() == given[name].daily_returns.tobytes(), name
-                for a, b in zip(res.weights, given[name].weights):
-                    assert a.w.tobytes() == b.w.tobytes(), name
-        tilted = [next(iter(results.values())).daily_returns for results in alone]
-        assert not np.array_equal(tilted[0], tilted[1]) and not np.array_equal(tilted[0], tilted[2])
-
-
-def test_given_snapshots_must_match_panel_dates_and_windows():
-    panel = generate(ScenarioSpec(seed=9, n_assets=8, n_days=220, dispersion=0.8, vol=0.01,
-                                  liquidity_tiers=(1.0, 4.0)))
-    sched = schedule_at(panel, 60, 120, 180)
-    cfg = loose_config(eligibility=EligibilityParams(40, 0.0, 10), factors=FactorParams(l_mom=30, skip=3))
-    other_windows = loose_config(eligibility=EligibilityParams(40, 0.0, 10), factors=FactorParams(l_mom=30, skip=4))
-    other_panel = generate(ScenarioSpec(seed=9, n_assets=8, n_days=220, dispersion=0.8, vol=0.01,
-                                        liquidity_tiers=(1.0, 4.0)))
-    good = {t: snapshot(panel, t, cfg) for t in sched.dates}
-    t0, t1 = sched.dates[:2]
-    for run in (run_baselines, run_factor_removals):
-        with pytest.raises(ConfigError, match=f"no snapshot given for rebalance date {sched.dates[-1]}"):
-            run(panel, sched, cfg, snapshots={t: good[t] for t in sched.dates[:-1]})
-        for bad in (snapshot(panel, t0, other_windows), snapshot(other_panel, t0, cfg), good[t1]):
-            with pytest.raises(ConfigError, match=f"the snapshot given for {t0} is not"):
-                run(panel, sched, cfg, snapshots={**good, t0: bad})
+    monkeypatch.setattr(backtest, "pool_positions", counting)
+    assert len(sched) == 55
+    for run, pools in ((run_baselines, ("screened", "fixed_universe", "ew_all", "cap_weighted")),
+                       (run_factor_removals, ("screened",))):
+        calls.clear()
+        run(panel, sched, cfg)
+        assert calls == Counter({(t, pool): 1 for t in sched.dates for pool in pools}), run.__name__
 
 
 def test_evolve_rejects_books_it_cannot_trade():

@@ -431,14 +431,18 @@ def test_one_snapshot_per_rebalance_date(tmp_path, synth_dir, monkeypatch, comma
     assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
     _, schedule = cli._load_inputs(load_config(cfg))
     assert len(schedule) >= 4
-    assert built == Counter(schedule.dates)
+    # two snapshots per date: the screens' (eligibility.csv, factors.csv, the
+    # ICs) and the walk's, which takes none from its caller
+    assert built == Counter({t: 2 for t in schedule.dates})
     # one factor matrix per date and distinct member set of the tilted pools the
-    # command reads (the screened pool, plus fixed_universe in backtest): a pool
+    # command reads (dmft's screened pool, plus fixed_universe in backtest): a pool
     # whose members another pool has at that date reads the matrix stored for them
-    tilted = ("screened", "fixed_universe") if command == "backtest" else ("screened",)
-    assert {pool for t in snaps for pool, _ in snaps[t].pools} >= set(tilted)
-    assert matrices == Counter({t: len({pos.tobytes() for (pool, _), pos in snaps[t].pools.items()
-                                        if pool in tilted and pos.size}) for t in schedule.dates})
+    config = load_config(cfg).backtest
+    tilted = ("dmft", "fixed_universe") if command == "backtest" else ("dmft",)
+    members = {t: {pos.tobytes() for pos in (backtest.pool_positions(snaps[t], s, config) for s in tilted) if pos.size}
+               for t in schedule.dates}
+    assert any(members.values())
+    assert matrices == Counter({t: len(members[t]) for t in schedule.dates})
 
 
 @pytest.mark.parametrize("make, name", [

@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from factortilt.backtest import BacktestResult
+from factortilt.backtest import BacktestConfig, BacktestResult, pool_positions
 from factortilt.calibration import CalibrationParams, ICSeries, forward_returns, ir_to_alpha, spearman
 from factortilt.cli import cmd_synth, load_config
 from factortilt.eligibility import EligibilityParams, EligibilitySet
@@ -70,6 +70,10 @@ def result(returns) -> BacktestResult:
 SERIES = [0.01, -0.02, 0.03, 0.0, 0.01, -0.01, 0.02, 0.005]
 
 BRANCHES = {
+    # backtest
+    "pool-strategy": (lambda tmp: pool_positions(AsOf(panel_of(), "2020-01-02"), "screened", BacktestConfig()),
+                      ConfigError, "unknown strategy 'screened'; expected one of "
+                      "('dmft', 'fixed_universe', 'ew_eligible', 'ew_all', 'cap_weighted')"),
     # calibration
     "calibration-horizon": (lambda tmp: CalibrationParams(horizon=0), ConfigError, "horizon must be >= 1, got 0"),
     "calibration-m_min": (lambda tmp: CalibrationParams(m_min=0), ConfigError, "m_min must be >= 1, got 0"),
