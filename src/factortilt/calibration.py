@@ -19,16 +19,19 @@ only) and one centered_rows call, then one np.matmul over the (pairs, 2, n)
 stack of each pair's two centered rows, scaled by 1 / (n - 1); each
 off-diagonal is divided by the square root of the first diagonal entry and
 then of the second, and clipped to [-1, 1]. Each step keeps the bits of
-one date and one pair at a time. Average ranks are exact half-integers.
-numpy reduces each row of a C-contiguous block exactly as it reduces that
-row alone, so each row is centered by its own sum / n (an F-ordered block
-would be summed column by column and round differently). And the stacked
-matmul makes, for each item, the BLAS call (syrk) that np.dot(X, X.T)
-makes for one 2 x n pair in np.cov, under one BLAS thread or several.
+one date and one pair at a time. Average ranks are exact half-integers,
+whatever order the row sort leaves tied values in, so the ranks sort with
+numpy's default (SIMD) sort, not a stable one. numpy reduces each row of
+a C-contiguous block exactly as it reduces that row alone, so each row is
+centered by its own sum / n (an F-ordered block would be summed column
+by column and round differently). And the stacked matmul makes, for each
+item, the BLAS call (syrk) that np.dot(X, X.T) makes for one 2 x n pair
+in np.cov, under one BLAS thread or several.
 A pair with a constant column on a date (all its values equal, as
 factors._standardized_rows tests a row) is not computed there and reads
-NaN, the kernel's one "not computed" mark. `spearman` is the one-pair
-case.
+NaN, the kernel's one "not computed" mark. So does a pair with a column
+whose squares underflow to a zero diagonal entry, the one departure from
+np.corrcoef, which divides by that zero. `spearman` is the one-pair case.
 """
 
 from __future__ import annotations
@@ -95,13 +98,20 @@ def forward_returns(panel: MarketPanel, t: str, horizon: int) -> np.ndarray:
 
 
 def average_ranks_rows(x: np.ndarray) -> np.ndarray:
-    """1-based ranks of each row of a 2-D array, tied values sharing the
-    mean of their ranks (the "average" tie method), from
+    """1-based ranks of each row of a 2-D array of rows with no NaN, tied
+    values sharing the mean of their ranks (the "average" tie method), from
     one row-wise sort: a run of c tied values from sorted position s ranks
     s + (c + 1) / 2. The ranks are exact half-integers, so any correct tie
-    rule gives them the same bits."""
+    rule gives them the same bits.
+
+    The sort need not be stable, so it is numpy's default, which runs
+    SIMD code where the CPU has it: every member of a run of equal values
+    (0.0 and -0.0 compare equal and share one) gets the same rank, so the
+    order a sort leaves inside a run moves no rank, on any dispatch path.
+    A NaN equals nothing, so each NaN would be a run of its own, ranked by
+    where the sort happens to leave it; every caller passes finite rows."""
     k, n = x.shape
-    at = np.argsort(x, axis=1, kind="stable")
+    at = np.argsort(x, axis=1)
     at += np.arange(k)[:, None] * n  # positions in the flat stack
     ordered = x.ravel()[at]
     first = np.ones((k, n), dtype=bool)  # where a run of ties starts; each row starts one
@@ -135,10 +145,13 @@ _CHUNK_CELLS = 8192
 def pair_correlations(pairs: np.ndarray, where=True) -> np.ndarray:
     """np.corrcoef(x, y)[0, 1] bit for bit for each (x, y) item of a
     C-contiguous (items, 2, n) stack of centered rows (n >= 2), as the
-    module docstring sets out; NaN for each item where `where` is False,
-    which is never divided."""
+    module docstring sets out; NaN for each item where `where` is False or
+    a diagonal entry is 0, which is never divided. np.corrcoef divides by
+    a zero diagonal too, with a warning: a row whose squares underflow
+    reads +-1 or NaN there."""
     products = np.matmul(pairs, pairs.transpose(0, 2, 1))
     products *= 1 / (pairs.shape[2] - 1)
+    where = where & (products[:, 0, 0] != 0) & (products[:, 1, 1] != 0)
     r = np.full(len(pairs), np.nan)
     np.divide(products[:, 0, 1], np.sqrt(products[:, 0, 0]), out=r, where=where)
     np.divide(r, np.sqrt(products[:, 1, 1]), out=r, where=where)
@@ -156,9 +169,11 @@ def stacked_correlations(
     a member whose entry there is not finite is left out. A date with fewer
     than min_members (>= 2) members computes nothing, nor does a pair with
     a constant column on the date (all its values equal, the rule of
-    factors._standardized_rows). Ranked (Spearman's), a pair is the Pearson
-    correlation of average ranks, exactly +-1 when one ranking equals the
-    other or its reverse."""
+    factors._standardized_rows) or, unranked, a column whose squares
+    underflow to a zero diagonal entry, which np.corrcoef divides by.
+    Ranked (Spearman's), a pair is the Pearson correlation of average
+    ranks (>= 1, so no diagonal underflows), exactly +-1 when one ranking
+    equals the other or its reverse."""
     keep = None if last is None else [np.isfinite(v) for v in last]
     by_size = {}  # the dates with each member count n, in order
     for d, block in enumerate(blocks):

@@ -95,14 +95,33 @@ class TestSpearman:
 RANK_POOL = [0.0, -0.0, 1.0, -1.0, 2.5, 1e-300, math.inf, -math.inf]
 
 
+def rank_stack(k: int, n: int, seed: int, kind: str) -> np.ndarray:
+    """A (k, n) stack of rows: tie-heavy (drawn from RANK_POOL), floats
+    of any magnitude, or each entry either."""
+    rng = np.random.default_rng(seed)
+    ties = rng.choice(RANK_POOL, size=(k, n))
+    floats = rng.normal(size=(k, n)) * 10.0 ** rng.integers(-300, 300, size=(k, n))
+    return {"ties": ties, "floats": floats, "mixed": np.where(rng.random((k, n)) < 0.5, ties, floats)}[kind]
+
+
+# short rows entry by entry, and stacks of rows up to 3,000 long: a SIMD
+# sort sorts a short row in registers and partitions a long one
 @settings(derandomize=True, max_examples=300, deadline=None)
-@given(st.lists(st.one_of(st.sampled_from(RANK_POOL), st.floats(allow_nan=False)), min_size=1, max_size=200))
-@example([0.0, -0.0, math.inf, -math.inf, math.inf, -0.0, 1.0])
-@example([7.0])
-def test_average_ranks_equal_rankdata(values):
-    x = np.array(values)
-    expected = rankdata(x, method="average")  # the oracle
-    ranks = average_ranks_rows(x[None])[0]
+@given(st.one_of(
+    st.lists(st.one_of(st.sampled_from(RANK_POOL), st.floats(allow_nan=False)), min_size=1, max_size=200)
+    .map(lambda values: np.array(values)[None]),
+    st.builds(rank_stack, k=st.integers(1, 4), n=st.integers(1, 3000), seed=st.integers(0, 2**32 - 1),
+              kind=st.sampled_from(("ties", "floats", "mixed")))))
+@example(np.array([[0.0, -0.0, math.inf, -math.inf, math.inf, -0.0, 1.0]]))
+@example(np.array([[7.0]]))
+@example(rank_stack(k=1, n=3000, seed=0, kind="ties"))
+@example(rank_stack(k=4, n=256, seed=1, kind="ties"))
+@example(rank_stack(k=3, n=257, seed=2, kind="mixed"))
+def test_average_ranks_equal_rankdata(x):
+    """Ranks are >= 1, so np.array_equal with the oracle compares bits:
+    each row of a (k, n) stack ranks as rankdata ranks it alone."""
+    expected = rankdata(x, method="average", axis=1)  # the oracle
+    ranks = average_ranks_rows(x)
     assert ranks.dtype == expected.dtype and np.array_equal(ranks, expected)
 
 
