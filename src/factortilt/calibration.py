@@ -98,20 +98,25 @@ def forward_returns(panel: MarketPanel, t: str, horizon: int) -> np.ndarray:
 
 
 def average_ranks_rows(x: np.ndarray) -> np.ndarray:
-    """1-based ranks of each row of a 2-D array of rows with no NaN, tied
-    values sharing the mean of their ranks (the "average" tie method), from
-    one row-wise sort: a run of c tied values from sorted position s ranks
-    s + (c + 1) / 2. The ranks are exact half-integers, so any correct tie
-    rule gives them the same bits.
+    """1-based ranks of each row of a 2-D array, tied values sharing the
+    mean of their ranks (the "average" tie method), from one row-wise sort:
+    a run of c tied values from sorted position s ranks s + (c + 1) / 2.
+    The ranks are exact half-integers, so any correct tie rule gives them
+    the same bits.
 
     The sort need not be stable, so it is numpy's default, which runs
     SIMD code where the CPU has it: every member of a run of equal values
     (0.0 and -0.0 compare equal and share one) gets the same rank, so the
     order a sort leaves inside a run moves no rank, on any dispatch path.
-    A NaN equals nothing, so each NaN would be a run of its own, ranked by
-    where the sort happens to leave it; every caller passes finite rows."""
+    A NaN equals nothing, so each NaN is a run of its own; every sort puts
+    a row's NaNs last, and they are put in the order of their positions
+    there, so they rank as a stable sort ranks them. Every caller passes
+    finite rows."""
     k, n = x.shape
     at = np.argsort(x, axis=1)
+    nan = np.isnan(x)
+    if nan.any():  # each row's NaN tail, in row-major order as np.nonzero gives it
+        at[np.arange(n) >= n - np.count_nonzero(nan, axis=1)[:, None]] = np.nonzero(nan)[1]
     at += np.arange(k)[:, None] * n  # positions in the flat stack
     ordered = x.ravel()[at]
     first = np.ones((k, n), dtype=bool)  # where a run of ties starts; each row starts one

@@ -19,7 +19,6 @@ import sys
 from pathlib import Path
 
 import numpy as np
-from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
 
 from factortilt.calibration import average_ranks_rows
 from factortilt.factors import _winsorized_rows
@@ -52,7 +51,8 @@ def kernel_digest() -> str:
     """The sha256 of the average ranks and winsorized rows of tie-heavy
     (k, n) stacks: a few distinct values, 0.0 beside -0.0 and both
     infinities, n from 3 to 3,000 (rows short enough for a SIMD sort to
-    sort in registers and long enough to partition)."""
+    sort in registers and long enough to partition); and the ranks of
+    such stacks with NaNs among them."""
     rng = np.random.default_rng(34)
     pool = np.array([0.0, -0.0, 1.0, -1.0, 2.5, np.inf, -np.inf])
     h = hashlib.sha256()
@@ -63,6 +63,7 @@ def kernel_digest() -> str:
             with np.errstate(invalid="ignore"):  # a bound between two infinities
                 for p in (0.01, 0.1, 0.3):
                     h.update(_winsorized_rows(x, p).tobytes())
+            h.update(average_ranks_rows(np.where(rng.random((4, n)) < 0.2, np.nan, x)).tobytes())
     return h.hexdigest()
 
 
@@ -81,6 +82,8 @@ sys.exit(test_golden.golden.main([]))
 def test_no_artifact_bit_follows_numpy_simd_dispatch():
     """numpy ignores a disabled name this CPU lacks, so disabling every
     dispatch target runs its baseline code on any CPU."""
+    from numpy._core._multiarray_umath import __cpu_dispatch__  # numpy >= 2
+
     env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": " ".join(__cpu_dispatch__),
            "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"), str(ROOT / "tests"), os.environ.get("PYTHONPATH")]))}
     run = subprocess.run([sys.executable, "-c", _UNDISPATCHED], env=env, capture_output=True, text=True)
