@@ -34,32 +34,34 @@ date's ADV row and report block stay in the panel's store of as-of rows
 
 `evolve` walks the calendar rows in fixed blocks of ROW_BLOCK_CELLS
 price cells, max(1, 32768 // n_assets) rows (546 at 60 assets, 65 at
-500). Each block's asset returns are built once, their gaps filled from
-the last valid prices carried in from the block before. A holding period
-(segment: the rows after a trade through the next trade or the end) is
-cut by the blocks into pieces. Over a piece a constant_mix book's daily
-returns are the row sums of r * w; a drift book's value is the row sums
-of g * w, with g each asset's growth cumprod(1 + r) since the trade, and
-its daily return is value_k / value_k-1 - 1 from value = sum(w) at the
-trade. Across a block boundary inside a segment three things carry: the
-growth row, shared by every book (a piece's first row is carry * (1 + r),
-then np.multiply.accumulate, so cumprod's sequential order holds), each
-book's last value, and, at the segment's end, its drifted weights. Each
-piece takes one (live books, rows, assets) product and one np.add.reduce
-over its last axis for every book that holds something, never a matrix
-product: BLAS rounds a row of r @ w or r @ W.T differently with the number
-of rows or books in the call, while numpy sums each contiguous row of a
-block exactly as it sums that row alone. So no bit depends on the block
-size, a run truncated at any end is a bitwise prefix of the full run, and
-equal targets get equal bits whatever books sit beside them. evolve holds
-one block of returns and one piece's products, whatever the holding
-period's length.
+500). A block holds its asset returns, built once from the last valid
+prices carried in from the block before, one book's products at a time,
+and each book's carries. Per book it takes one gather of each row's
+holding-period target (`take`; a period is the rows after a trade
+through the next trade or the end), one product with the returns and one
+np.add.reduce over each row, however many periods it holds: the row sums
+are a constant_mix book's daily returns. Under drift the returns first
+become each asset's growth cumprod(1 + r) since its period's trade (one
+np.multiply.accumulate per period in the block, the first row times the
+growth carried in), the row sums are the book's values, its daily return
+is value_k / value_k-1 - 1 from value = sum(w) at the trade, and a trade
+row's products over their sum are the drifted weights that trade's
+turnover is measured against. No product is a matrix product: BLAS
+rounds a row of r @ W.T differently with the number of rows in the call,
+while each cell here is the product r * w makes, numpy sums each
+contiguous row exactly as it sums that row alone, and the cumprod runs
+in the same sequential order however the rows are cut. So no bit depends
+on the block size or on the periods beside a row, a run truncated at any
+end is a bitwise prefix of the full run, and equal targets get equal bits
+whatever books sit beside them. A row in cash sums +-0.0 products to
+numpy's +0.0 and under drift is never divided. evolve's memory follows
+the block, whatever the periods' lengths and number.
 """
 
 from __future__ import annotations
 
 import logging
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -224,11 +226,11 @@ def evolve(
     target, the turnover cost deducted from that day's return. Between
     rebalances constant_mix holds the targets; drift lets a copy of them
     grow with returns, and turnover is measured against it. The rows go in
-    fixed blocks, each holding period in pieces of one block, with one
-    product and one row sum per piece over every book that holds
-    something; the growth row, each book's last value and its drifted
-    weights carry across a block boundary, so no bit depends on the block
-    size (see the module docstring). An empty book earns exactly 0."""
+    fixed blocks; per book a block takes one gather of its rows' targets,
+    one product with its returns and one row sum, however many holding
+    periods it holds, and only drift's growth row and each book's last
+    value carry to the next block, so no bit depends on the block size (see
+    the module docstring). A book in cash earns exactly +0.0."""
     cal, assets = panel.calendar, tuple(panel.assets)
     targets = [v for _, v in books.values()]
     dates = targets[0].dates if targets else ()
@@ -244,50 +246,10 @@ def evolve(
     if not n_reb:
         raise ConfigError(f"no target weights dated on or before the backtest end {end}")
     i_start, i_end = cal.position(dates[0]), cal.position(end)
-    n_days, step = i_end + 1 - i_start, max(1, ROW_BLOCK_CELLS // panel.n_assets)
+    n_days = i_end + 1 - i_start
     trades = [cal.position(t) - i_start for t in dates[:n_reb]]
-    drift = config.weight_mode == "drift"
-    held = np.zeros((len(books), panel.n_assets))
-    last = _last_prices(panel.price, i_start)
-    daily = np.zeros((len(books), n_days))
-    turnover = np.empty((len(books), n_reb))
-    # segment j: the rows after trade j, through the next trade or `end`
-    segments = list(zip(trades, trades[1:] + [n_days - 1]))
-    rows = np.empty((min(step, n_days - 1) + 1, panel.n_assets))  # the prices, then the returns, of one block
-    cells = np.empty(len(books) * min(step, max(b - a for a, b in segments)) * panel.n_assets)  # a piece's products
-    r, first = None, 1 - step  # the returns of the block of rows first, ..., first + step - 1
-    for j, (a, b) in enumerate(segments):
-        target = np.array([v.w[j] for v in targets])  # books x assets, a copy that drift grows
-        np.add.reduce(np.abs(target - held), axis=1, out=turnover[:, j])
-        held = target
-        live = np.flatnonzero(held.any(axis=1))  # an empty book holds cash at exactly zero
-        w = held[live]
-        growth, value = np.ones(panel.n_assets), np.add.reduce(w, axis=1)  # drift's carries from trade j
-        lo = a + 1
-        while lo <= b:  # one piece: the segment's rows in one block
-            if lo >= first + step:  # the blocks follow each other: rows 1, 1 + step, ...
-                first = lo
-                r = _segment_returns(panel.price, last, i_start + first, i_start + min(first + step, n_days) - 1, rows)
-            hi = min(b, first + step - 1)
-            piece = r[lo - first : hi + 1 - first]
-            if drift:
-                # the piece's rows become each asset's growth since trade j
-                piece += 1.0
-                piece[0] *= growth
-                np.multiply.accumulate(piece, axis=0, out=piece)
-                growth = piece[-1].copy()
-            part = np.multiply(piece, w[:, None], out=cells[: w.size * len(piece)].reshape(len(w), *piece.shape))
-            if drift:
-                v = np.empty((len(live), len(piece) + 1))
-                v[:, 0] = value
-                np.add.reduce(part, axis=2, out=v[:, 1:])
-                daily[live, lo : hi + 1] = v[:, 1:] / v[:, :-1] - 1.0
-                value = v[:, -1]
-                if hi == b:
-                    held[live] = part[:, -1] / value[:, None]
-            else:
-                daily[live, lo : hi + 1] = np.add.reduce(part, axis=2)
-            lo = hi + 1
+    daily, turnover = _evolve_rows(panel.price, i_start, n_days, trades, [v.w[:n_reb] for v in targets],
+                                   config.weight_mode == "drift")
     costs = config.cost_rate * turnover
     daily[:, trades] -= costs
     equity = np.cumprod(1.0 + daily, axis=1)
@@ -296,6 +258,67 @@ def evolve(
                              equity_curve=equity[j], turnover=turnover[j], costs=costs[j], weights=v.head(n_reb))
         for j, (name, (s, v)) in enumerate(books.items())
     }
+
+
+def _evolve_rows(price: np.ndarray, i_start: int, n_days: int, trades: list[int], w: list[np.ndarray], drift: bool):
+    """The gross daily returns and the turnover of books that trade to the
+    rows of w at calendar rows i_start + trades (trades[0] is 0), over the
+    n_days rows from i_start, one block of rows at a time (see evolve)."""
+    n_assets, n_reb = price.shape[1], len(trades)
+    step, at = max(1, ROW_BLOCK_CELLS // n_assets), np.array(trades)
+    value0 = [np.add.reduce(x, axis=1) for x in w]  # each target's value at its trade: 1, or 0 in cash
+    # holding period j: the rows after trade j through the next trade or the end; row k's is own[k - 1]
+    own = np.repeat(np.arange(n_reb), np.diff([*trades, n_days - 1]))
+    rows = np.empty((min(step, n_days - 1) + 1, n_assets))  # the prices, then the returns, of one block
+    daily, turnover = np.zeros((len(w), n_days)), np.empty((len(w), n_reb))
+    for b, x in enumerate(w):  # from cash at the first trade; under constant_mix from the last target at the rest
+        turnover[b, 0] = np.add.reduce(np.abs(x[0]))
+        for lo in range(1, 1 if drift else n_reb, step):
+            hi = min(lo + step, n_reb)
+            d = np.subtract(x[lo:hi], x[lo - 1 : hi - 1], out=rows[: hi - lo])
+            np.add.reduce(np.abs(d, out=d), axis=1, out=turnover[b, lo:hi])
+    last = _last_prices(price, i_start)
+    growth, value = np.ones(n_assets), np.zeros(len(w))  # drift's carries from the row before a block
+    batch = max(1, step // 8)  # the drifted weights of at most this many ended periods are held at once
+    for lo in range(1, n_days, step):
+        hi = min(lo + step, n_days)
+        r = _segment_returns(price, last, i_start + lo, i_start + hi - 1, rows)
+        periods = own[lo - 1 : hi - 1]
+        ended = slice(bisect_left(trades, lo), bisect_left(trades, hi))  # the trades at rows lo..hi-1
+        begun = slice(bisect_left(trades, lo - 1), bisect_left(trades, hi - 1))  # those at rows lo-1..hi-2
+        if drift:  # each row becomes each asset's growth since the trade of its period
+            r += 1.0
+            if trades[ended.start - 1] != lo - 1:  # the block goes on with a period
+                r[0] *= growth
+            cuts = [t + 1 - lo for t in trades[begun]]
+            for a, z in zip([0, *cuts], [*cuts, len(r)]):
+                np.multiply.accumulate(r[a:z], axis=0, out=r[a:z])
+            growth = r[-1].copy()
+        p = np.empty_like(r)  # one book's products, freed before the next block's returns are built
+        for b, x in enumerate(w):
+            x.take(periods, axis=0, out=p, mode="clip")  # each row's target
+            np.multiply(p, r, out=p)
+            if not drift:  # a cash row's sum of +-0.0 products is numpy's +0.0: the sum starts from it
+                np.add.reduce(p, axis=1, out=daily[b, lo:hi])
+                continue
+            v = np.empty(hi - lo + 1)  # the book's value at rows lo - 1, ..., hi - 1
+            v[0] = value[b]
+            np.add.reduce(p, axis=1, out=v[1:])
+            value[b] = v[-1]
+            den = v[:-1].copy()  # the value each row's return is made on: a new period's is its target's
+            den[cuts] = value0[b][begun]
+            on = value0[b][periods] > 0  # the rows of periods the book holds something in
+            np.divide(v[1:], den, out=den, where=on)
+            np.subtract(den, 1.0, out=daily[b, lo:hi], where=on)
+            for s in range(ended.start, ended.stop, batch):  # each ended period's drifted weights, then its trade
+                e = slice(s, min(s + batch, ended.stop))
+                t = at[e] - lo
+                h = p[t]
+                np.divide(h, v[t + 1, None], out=h, where=value0[b][s - 1 : e.stop - 1, None] > 0)
+                np.subtract(x[e], h, out=h)
+                np.add.reduce(np.abs(h, out=h), axis=1, out=turnover[b, e])
+        del p
+    return daily, turnover
 
 
 def _last_prices(price: np.ndarray, i: int) -> np.ndarray:
@@ -313,14 +336,11 @@ def _fill_gaps(rows: np.ndarray) -> None:
     valid cell above them (row 0's, NaN or not, when there is none)."""
     gaps = np.isnan(rows)
     gaps[0] = False
-    # numbered column by column, a run of gaps is a run of consecutive numbers;
-    # row 0 is never a gap, so no run reaches into the next column
-    cells = np.flatnonzero(gaps.T)
-    if cells.size:
-        col, at = np.divmod(cells, len(rows))
-        run = np.empty(cells.size, dtype=bool)  # the first cell of each run
-        run[0] = True
-        np.not_equal(np.diff(cells), 1, out=run[1:])
+    at, col = np.divmod(np.flatnonzero(gaps), rows.shape[1])  # row by row
+    if at.size:
+        order = np.argsort(col, kind="stable")  # column by column, each column's gaps in row order
+        at, col = at[order], col[order]
+        run = ~gaps[at - 1, col]  # the first gap of each run: row 0 is never a gap
         rows[at, col] = rows[at[run] - 1, col[run]][np.cumsum(run) - 1]
 
 

@@ -99,11 +99,12 @@ class WeightVector:
 
 @dataclass(frozen=True, eq=False)  # == on numpy blocks has no single truth value
 class Targets:
-    """A book's targets at its rebalance dates: read-only (dates x assets)
-    blocks of a WeightVector's weights and, for a tilted book, multipliers
-    and (when capped) caps, one checked row per date (a date with an empty
-    pool holds weights 0, multipliers 1 and caps NaN). Iterating yields each
-    row's WeightVector."""
+    """A book's targets at its rebalance dates: read-only, C-contiguous
+    (dates x assets) blocks of a WeightVector's weights and, for a tilted
+    book, multipliers and (when capped) caps, one checked row per date (a
+    date with an empty pool holds weights 0, multipliers 1 and caps NaN;
+    any other layout is copied, so evolve gathers rows in place). Iterating
+    yields each row's WeightVector."""
 
     dates: tuple[str, ...]
     assets: tuple[str, ...]
@@ -117,7 +118,7 @@ class Targets:
         for name in ("w", "multipliers", "caps"):
             block = getattr(self, name)
             if block is not None:
-                block = np.asarray(block, dtype=float).view()  # read-only, whoever else holds the array
+                block = np.ascontiguousarray(block, dtype=float).view()  # read-only, whoever else holds the array
                 block.flags.writeable = False
                 object.__setattr__(self, name, block)
         _check_rows(self.w, self.assets)

@@ -347,19 +347,26 @@ def test_a_walk_cut_short_checks_no_row_again(monkeypatch):
 
 def test_evolve_peak_follows_the_walked_rows():
     """evolve builds asset returns in fixed blocks of calendar rows (163 rows
-    at 200 assets), one block at a time, and one product of a piece's
-    returns with every book's weights. With a trade every 21 days over
-    1,201 of 1,500 days its transient is 0.18 of the panel's price grid
-    (0.07 when evolve built one holding period at a time; the day loop
-    over a returns grid of all walked rows peaked at 1.35). A single
-    holding period peaks at 0.26 grids whether it lasts 500 days or 1,500,
-    where evolve built that period's returns whole (0.71 and 2.13); five
-    books over it peak at 0.74, their products of one block each (2.16)."""
+    at 200 assets), one block at a time, and for each book one product of
+    the block's returns with each row's target, freed before the next
+    block. With a trade every 21 days over 1,201 of 1,500 days its
+    transient is 0.23 of the panel's price grid under constant_mix and 0.25
+    under drift (0.16 with one product per holding-period piece, 0.07 when
+    evolve built one holding period at a time; the day loop over a returns
+    grid of all walked rows peaked at 1.35). A single holding period peaks
+    at 0.23 grids whether it lasts 500 days or 1,500, where evolve built
+    that period's returns whole (0.71 and 2.13); five books over it peak at
+    0.25, one book's products at a time (0.74 with all five books' products
+    in one array, 2.16 before blocks). Five books that trade every day or
+    every 5 days peak at 0.33 and 0.27 (drift 0.36 and 0.30; 0.23-0.33 with
+    one product per piece), since a block holds no array that grows with
+    the trades in it: drift finds the drifted weights of at most an eighth
+    of a block's rows of ended periods at once."""
     panel = generate(ScenarioSpec(seed=1, n_assets=200, n_days=1500, missing_rate=0.02))
     days, assets = panel.calendar.days, tuple(panel.assets)
     w = np.full(panel.n_assets, 1.0 / panel.n_assets)
     cases = ((21, days[1200], 1, 0.25), (len(days), days[499], 1, 0.4), (len(days), None, 1, 0.4),
-             (len(days), None, 5, 1.0))
+             (len(days), None, 5, 1.0), (1, None, 5, 0.4), (5, None, 5, 0.4))
     for mode in ("constant_mix", "drift"):
         for every, end, n_books, gate in cases:
             dates = days[::every]
@@ -375,11 +382,25 @@ def test_evolve_peak_follows_the_walked_rows():
                 f"{mode} every {every} to {end}, {n_books} books: peak {peak / panel.price.nbytes:.2f} grids"
 
 
+@pytest.mark.parametrize("weight_mode", ["constant_mix", "drift"])
+def test_a_book_in_cash_earns_plus_zero_on_days_every_price_falls(weight_mode):
+    # a cash row's products are 0 * r, -0.0 wherever r < 0; its return is
+    # the +0.0 of a book that holds nothing, never -0.0 or a 0 / 0
+    panel = make_panel(8, [f"A{i}" for i in range(12)], price={f"A{i}": [100.0 * 0.99**k for k in range(8)]
+                                                              for i in range(12)})
+    days, w = panel.calendar.days, np.full(12, 1.0 / 12)
+    book = Targets(dates=[days[0], days[2], days[6]], assets=panel.assets, w=[w, np.zeros(12), w])
+    res = evolve(panel, {"x": ("ew_all", book)}, BacktestConfig(weight_mode=weight_mode))["x"]
+    assert res.daily_returns[3:7].tobytes() == np.zeros(4).tobytes()
+    assert (res.daily_returns[[1, 2, 7]] < 0).all()
+
+
 def test_walk_peak_does_not_grow_with_the_rebalance_dates():
-    """A walk holds one block of snapshots at a time, and evolve one
-    holding period's targets, so its transient (its traced peak less what
-    it returns) stays about 0.3 of the panel's price grid from 16 to 128
-    rebalance dates (200 assets). Holding every date's snapshot until the
+    """A walk holds one block of snapshots at a time, and evolve one block
+    of rows, so its transient (its traced peak less what it returns) stays
+    0.24-0.26 of the panel's price grid from 16 to 128 rebalance dates (200
+    assets; 0.32-0.38 when evolve made one product per holding-period piece
+    over every book at once). Holding every date's snapshot until the
     last target is built, the transient grew with the dates, to 2.5 grids
     at 128. The ADV row and report block of each date, and its factor
     matrices (one per distinct member set of the tilted pools), stay in the

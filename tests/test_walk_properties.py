@@ -369,13 +369,15 @@ def assert_close_to_oracle(got: BacktestResult, want: BacktestResult, drift: boo
 
 @st.composite
 def target_books(draw, panel):
-    """1-3 named books on 1-4 shared dates of the panel, in about half the
+    """1-3 named books on 1-12 shared dates of the panel, in about half the
     draws the first on calendar day 0 (whose asset returns are 0), each row
     over the panel's assets all zero or arbitrary non-negative values scaled
-    to sum to 1."""
-    picks = draw(st.lists(st.integers(0, panel.n_days - 1), min_size=1, max_size=4, unique=True))
+    to sum to 1. With many dates several holding periods share a block of
+    rows, a period crosses a block boundary, and a cash target sits between
+    held ones."""
+    picks = draw(st.lists(st.integers(0, panel.n_days - 1), min_size=1, max_size=12, unique=True))
     if draw(st.booleans()):
-        picks = [0, *(i for i in picks if i)][:4]
+        picks = [0, *(i for i in picks if i)][:12]
     dates = [panel.calendar.days[i] for i in sorted(picks)]
     cell = st.one_of(st.just(0.0), st.floats(0.0, 1e6))
     books = {}
