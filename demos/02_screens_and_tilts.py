@@ -17,7 +17,7 @@ from factortilt import (
     generate,
 )
 from factortilt.backtest import pool_matrices, pool_positions, snapshot
-from factortilt.weighting import tilted_weights
+from factortilt.weighting import tilted_block
 
 panel = generate(ScenarioSpec(seed=11, n_assets=12, n_days=600, vol=0.01,
                               dispersion=0.9, ic_target=0.4,
@@ -38,18 +38,18 @@ for i, asset in enumerate(panel.assets):
 matrix = pool_matrices([snap], "dmft", config)[0]  # one row per member, in position order
 tilt = TiltParams(alpha={"MOM": 0.5, "VAL": 0.25, "QUAL": 0.25}, lam=0.5,
                   m_min=0.5, m_max=1.5)
-weights = tilted_weights(matrix, tilt)
+# one weight row per (matrix, tilt): this tilt, and lam = 0 for comparison
+(weights, flat), _, _ = tilted_block([matrix], [tilt, TiltParams(lam=0.0)])
 
 print("\nasset   z(MOM)  z(VAL) z(QUAL)   weight  vs 1/N")
 ew = 1.0 / len(positions)
 for i, asset in enumerate(matrix.assets):
-    w = weights.w[positions[i]]
+    w = weights[positions[i]]
     zs = "  ".join(f"{matrix.z[i, j]:+.2f}" for j in range(3))
     print(f"  {asset}  {zs}   {w:.4f}  {w / ew:+.2f}x")
 
-print(f"\nsum of weights: {weights.w.sum():.12f}")
+print(f"\nsum of weights: {weights.sum():.12f}")
 print(f"max weight bound (m_max/m_min)/N = {(1.5 / 0.5) / len(positions):.4f}, "
-      f"realized max = {weights.w.max():.4f}")
+      f"realized max = {weights.max():.4f}")
 print("with lam = 0 the tilt disappears and the baseline comes back exactly:")
-flat = tilted_weights(matrix, TiltParams(lam=0.0))
-print(f"  all weights equal 1/N: {np.all(flat.w[flat.w > 0] == ew)}")
+print(f"  all weights equal 1/N: {np.all(flat[flat > 0] == ew)}")

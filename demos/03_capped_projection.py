@@ -10,13 +10,13 @@ proportionally to the uncapped rest, until every cap holds, ends.
 import numpy as np
 
 from factortilt import CapParams, InfeasibleCapsError
-from factortilt.weighting import cap_values, project_onto_caps
+from factortilt.weighting import member_caps, project_onto_caps
 
 assets = ("thin", "small", "mid", "large", "mega")
 advs = np.array([0.2e6, 0.8e6, 2e6, 8e6, 40e6])
 
 params = CapParams(c_max=0.35, kappa=0.25, gamma=0.5)
-caps = cap_values(advs, params)
+(caps,) = member_caps([advs], params)  # one pool
 print("cap_i = min(c_max, kappa * (ADV_i / median ADV)^gamma):")
 for a, adv, cap in zip(assets, advs, caps):
     print(f"  {a:>6}: ADV={adv / 1e6:5.1f}M  cap={cap:.3f}")
@@ -26,7 +26,8 @@ print(f"\nraw tilted weights:      {np.round(raw, 4)}")
 projected = project_onto_caps(raw, caps)
 print(f"after the projection:    {np.round(projected, 4)}")
 print(f"caps respected: {bool(np.all(projected <= caps + 1e-12))}")
-print(f"still fully invested: sum = {projected.sum():.12f}")
+print(f"sum of weights: {projected.sum():.12f}")
+print(f"fully invested: {bool(abs(projected.sum() - 1.0) <= 1e-12)}")
 
 ratio_before = raw[3] / raw[4]
 ratio_after = projected[3] / projected[4]

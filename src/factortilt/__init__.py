@@ -20,7 +20,6 @@ from .calibration import (
     ICSeries,
     build_ic_series,
     ir_to_alpha,
-    spearman,
 )
 from .eligibility import EligibilityParams, EligibilitySet, compute_eligibility
 from .errors import (
@@ -35,8 +34,6 @@ from .factors import (
     FactorMatrix,
     FactorParams,
     build_factor_matrix,
-    standardize,
-    winsorize,
 )
 from .market_data import (
     FundamentalRecord,
@@ -54,7 +51,6 @@ from .stats import (
     annualized_return,
     annualized_vol,
     deflated_sharpe,
-    effective_n,
     expected_max_sharpe,
     factor_correlations,
     factor_redundancy,
@@ -62,7 +58,6 @@ from .stats import (
     newey_west_tstat,
     sharpe_ratio,
     summarize,
-    top_k_concentration,
     turnover_adjusted_alpha,
 )
 from .synthetic import ScenarioSpec, generate

@@ -31,7 +31,7 @@ A pair with a constant column on a date (all its values equal, as
 factors._standardized_rows tests a row) is not computed there and reads
 NaN, the kernel's one "not computed" mark. So does a pair with a column
 whose squares underflow to a zero diagonal entry, the one departure from
-np.corrcoef, which divides by that zero. `spearman` is the one-pair case.
+np.corrcoef, which divides by that zero.
 """
 
 from __future__ import annotations
@@ -216,19 +216,6 @@ def _chunk_correlations(stack: np.ndarray, pairs: np.ndarray, ranked: bool) -> n
     return r
 
 
-def spearman(x, y, min_pairs: int = 3) -> float:
-    """Rank correlation with average ranks for ties. Pairs with a missing
-    side are dropped; NaN when fewer than min_pairs remain or either rank
-    vector has zero variance: the one-pair case of stacked_correlations."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != y.shape:
-        raise ConfigError("spearman inputs must have equal length")
-    ok = np.isfinite(x) & np.isfinite(y)
-    r = stacked_correlations([np.column_stack((x[ok], y[ok]))], [(0, 1)], ranked=True, min_members=max(min_pairs, 3))
-    return float(r[0, 0])
-
-
 def build_ic_series(
     panel: MarketPanel,
     schedule: RebalanceSchedule,
@@ -237,8 +224,9 @@ def build_ic_series(
 ) -> dict[str, ICSeries]:
     """Per-factor IC time series over the rebalance dates with enough valid
     (z, forward return) pairs; invalid dates are skipped. Each factor's IC
-    is spearman(z column, forward returns) at each date: z is complete, so
-    every factor pairs on the members with a forward return. Every date is
+    is the rank correlation, average ranks for ties, of its z column and the
+    forward returns at each date: z is complete, so every factor pairs on
+    the members with a forward return. Every date is
     ranked and correlated in one stacked_correlations call, and a date's IC
     reads nothing of any other date, so the series over a schedule cut at
     any date is a prefix of the whole one."""

@@ -12,8 +12,7 @@ the winsor bounds come from one row-wise partition of it, the mean and sd
 from its row sums. numpy reduces each row of such a block exactly as it
 reduces that row alone (the rule `market_data._average_dollar_volumes`
 relies on too), so every row gets the bits of the one-dimensional call,
-and a date's matrix does not depend on the dates beside it. `winsorize`
-and `standardize` are the one-segment case.
+and a date's matrix does not depend on the dates beside it.
 """
 
 from __future__ import annotations
@@ -71,30 +70,10 @@ class FactorMatrix:
         return tuple(map(self.panel_assets.__getitem__, self.positions.tolist()))
 
 
-def winsorize(values, p: float) -> np.ndarray:
-    """Clamp non-missing values to the [p, 1-p] empirical quantiles
-    (linear-interpolation definition). Missing entries are untouched."""
-    if not 0 <= p < 0.5:
-        raise ConfigError(f"winsorization quantile must be in [0, 0.5), got {p}")
-    arr = np.asarray(values, dtype=float)
-    if not p:
-        return arr.copy()
-    flat = arr.reshape(-1)
-    return _by_group(flat, [flat.size], lambda x: _winsorized_rows(x, p), flat.copy()).reshape(arr.shape)
-
-
-def standardize(values) -> np.ndarray:
-    """Cross-sectional z-scores with population moments over non-missing
-    entries; zeros everywhere when the spread is zero, and zero for missing
-    entries (neutral exposure)."""
-    arr = np.asarray(values, dtype=float)
-    flat = arr.reshape(-1)
-    return _by_group(flat, [flat.size], _standardized_rows, np.zeros(flat.size)).reshape(arr.shape)
-
-
 def _zscores(values: np.ndarray, lengths: list[int], p: float) -> np.ndarray:
-    """standardize(winsorize(segment, p)) of each segment of `values`, the
-    consecutive runs of `lengths`."""
+    """Each segment of `values` (the consecutive runs of `lengths`)
+    winsorized at p (unless p is 0) and z-scored over its finite entries,
+    0 at the others."""
     # a winsorized row is standardized as it stands: a bound that overflows
     # clamps nothing (a lower -inf, an upper +inf) or sets its whole row to
     # one value, and a row of one value standardizes to zeros, finite (a
@@ -252,8 +231,8 @@ def stored_matrices(
 def build_factor_matrix(
     panel: MarketPanel, universe: EligibilitySet, t: str, params: FactorParams
 ) -> FactorMatrix:
-    """Raw signals per factor over the universe, then winsorize and
-    standardize each factor column independently: the panel's stored
+    """Raw signals per factor over the universe, each factor column then
+    winsorized and z-scored on its own: the panel's stored
     matrix (see stored_matrices), built with its snapshot on the first
     request."""
     return stored_matrices(panel, [t], [panel.positions(universe.members)], params)[0]

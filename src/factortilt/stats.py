@@ -8,8 +8,9 @@ are population (divide by N) throughout.
 `summarize` computes a book's concentration statistics from its stacked
 weights (one row per rebalance date): row sums of w * w and the top k of
 a row-wise sort. numpy reduces each row of a C-contiguous block exactly
-as it reduces that row alone, so each row has the bits of `effective_n`
-and `top_k_concentration`, which are the one-row case.
+as it reduces that row alone, so a row's statistics do not depend on the
+rows beside it. Each held row of a `Targets` is finite, non-negative and
+sums to 1, so neither statistic needs a check of its own.
 
 `factor_correlations` correlates every pair of factors on every date in
 one `calibration.stacked_correlations` call, which gives np.corrcoef's
@@ -37,7 +38,6 @@ from .backtest import BacktestResult
 from .calibration import stacked_correlations
 from .errors import StatsError
 from .factors import FACTORS, FactorMatrix
-from .weighting import WeightVector
 
 TRADING_DAYS = 252
 MIN_OBS = 8
@@ -282,41 +282,15 @@ def max_drawdown(equity) -> float:
     return float(np.min(eq / running_max - 1.0))
 
 
-def _weight_row(w) -> np.ndarray:
-    """The weights as a (1, n_assets) block of rows."""
-    return (w.w if isinstance(w, WeightVector) else np.asarray(w, dtype=float))[None]
-
-
-def effective_n(w) -> float:
-    """Inverse Herfindahl index 1 / sum(w^2)."""
-    return float(_effective_ns(_weight_row(w))[0])
-
-
-def top_k_concentration(w, k: int = 5) -> float:
-    """Sum of the k largest weights (all weights when fewer than k)."""
-    return float(_top_k_sums(_weight_row(w), k)[0])
-
-
-def _check_rows(rows: np.ndarray) -> None:
-    if np.any(rows < 0):
-        raise StatsError("weights must be non-negative")
-
-
 def _effective_ns(rows: np.ndarray) -> np.ndarray:
-    """effective_n of each row of a block of weight rows."""
-    _check_rows(rows)
-    denom = (rows * rows).sum(axis=1)
-    if np.any(denom == 0):
-        raise StatsError("effective N undefined for an all-zero weight vector")
-    return 1.0 / denom
+    """The inverse Herfindahl index 1 / sum(w^2) of each row of a block of
+    weight rows, none of them all zero."""
+    return 1.0 / (rows * rows).sum(axis=1)
 
 
 def _top_k_sums(rows: np.ndarray, k: int) -> np.ndarray:
-    """top_k_concentration of each row of a block of weight rows, each row's
-    largest first, as the one-row sum adds them."""
-    _check_rows(rows)
-    if k < 1:
-        raise StatsError(f"k must be >= 1, got {k}")
+    """The sum of the k largest weights (all of them when fewer than k) of
+    each row of a block of weight rows, each row's largest first."""
     return np.sort(rows, axis=1)[:, ::-1][:, :k].sum(axis=1)
 
 

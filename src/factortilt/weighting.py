@@ -8,10 +8,9 @@ composite_score (over 1,200 random cases a stacked gemm changed bits in
 900, a stacked gemv in 4); the clip is elementwise, normalization takes
 the row sums of a C-contiguous block (numpy sums each row as it sums it
 alone), and the projection is a row kernel over the member rows of the
-pools of one size. project_onto_caps and tilted_weights are the one-row
-case. So is cap_values of member_caps, whose liquidity caps take one row
-median per pool size (np.median(axis=1): the 1-d median's partition and
-mean, row by row).
+pools of one size; project_onto_caps is its one-row case. member_caps'
+liquidity caps take one row median per pool size (np.median(axis=1): the
+1-d median's partition and mean, row by row).
 
 A book's `Targets` hold its rows as read-only blocks, checked at once by
 the rule a `WeightVector` checks its one row by."""
@@ -193,21 +192,14 @@ def _normalized_rows(w: np.ndarray, m: np.ndarray) -> np.ndarray:
     return np.divide(raw, denom[:, None], out=w, where=~flat[:, None])
 
 
-def cap_values(adv: np.ndarray, params: CapParams) -> np.ndarray:
-    """Per-member cap min(c_max, kappa * (ADV_i / median ADV)^gamma, 1) for
-    the members' ADV array.
+def member_caps(advs: Sequence[np.ndarray], params: CapParams) -> list[np.ndarray]:
+    """The per-member caps min(c_max, kappa * (ADV_i / median ADV)^gamma, 1)
+    of each of the pools' member ADV arrays, one row kernel over the arrays
+    of each size (a row's median is the 1-d median's partition and mean, so
+    every row has the bits of its pool alone).
 
     The median over an even count is the mean of the two central order
-    statistics. A zero median (all-zero ADV) falls back to a ratio of 1.
-    The one-row case of member_caps.
-    """
-    return member_caps([adv], params)[0]
-
-
-def member_caps(advs: Sequence[np.ndarray], params: CapParams) -> list[np.ndarray]:
-    """cap_values of each of the pools' member ADV arrays, one row kernel
-    over the arrays of each size (a row's median is the 1-d median's
-    partition and mean, so every row has the bits of its pool alone)."""
+    statistics. A zero median (all-zero ADV) falls back to a ratio of 1."""
     sizes = np.array([len(adv) for adv in advs])
     caps = [None] * len(advs)
     for k in np.unique(sizes).tolist():
@@ -279,24 +271,15 @@ def _projected_rows(w: np.ndarray, caps: np.ndarray) -> tuple[np.ndarray, dict[i
     return w, errors
 
 
-def tilted_weights(factor_matrix: FactorMatrix, tilt: TiltParams, caps: np.ndarray | None = None) -> WeightVector:
-    """Weights at the matrix's date over its panel's assets: the equal-weight
-    baseline on the members at its positions, times the bounded multipliers
-    of their composite score, normalized, then (when given) projected onto
-    the members' caps `caps`, in row order (see cap_values). Carries the
-    multipliers and, when capped, the caps."""
-    w, mult, cap_rows = tilted_block([factor_matrix], [tilt], None if caps is None else [caps])
-    return WeightVector(t=factor_matrix.t, assets=tuple(factor_matrix.panel_assets), w=w[0], multipliers=mult[0],
-                        caps=None if cap_rows is None else cap_rows[0])
-
-
 def tilted_block(matrices: Sequence[FactorMatrix], tilts: Sequence[TiltParams],
                  caps: Sequence[np.ndarray] | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """The weights and multipliers of tilted_weights(matrix, tilt, matrix's
-    caps) for each of the matrices, over one panel's assets, and within each
-    for each of the tilts, as the rows of two blocks in that order, and (when
-    `caps` gives each matrix's member caps) the caps, one row per matrix.
-    Raises the error of the first of those (matrix, tilt) rows that has one."""
+    """The weights at each matrix's date over its panel's assets under each
+    of the tilts: the equal-weight baseline on the members at its positions,
+    times the bounded multipliers of their composite score, normalized, then
+    (when `caps` gives each matrix's member caps, in row order) projected
+    onto them. Returns the weight and multiplier rows, the tilts within each
+    matrix, and the caps, one row per matrix (None when uncapped). Raises
+    the error of the first of those (matrix, tilt) rows that has one."""
     n_tilts, n = len(tilts), len(matrices[0].panel_assets)
     sizes = np.array([len(m.positions) for m in matrices])
     owner, members = np.repeat(np.arange(len(matrices)), sizes), np.concatenate([m.positions for m in matrices])

@@ -76,6 +76,36 @@ def fundamental(report_date, book=math.nan, roe=math.nan, margin=math.nan, lever
     )
 
 
+def winsorize_oracle(values, p) -> np.ndarray:
+    """The finite entries clamped to their [p, 1-p] quantiles, one
+    np.quantile call (linear interpolation); the others untouched."""
+    arr = np.asarray(values, dtype=float).copy()
+    finite = np.isfinite(arr)
+    if p == 0 or not finite.any():
+        return arr
+    lo, hi = np.quantile(arr[finite], [p, 1.0 - p])
+    arr[finite] = np.clip(arr[finite], lo, hi)
+    return arr
+
+
+def standardize_oracle(values) -> np.ndarray:
+    """z-scores of the finite entries with np.mean's population moments;
+    zeros for the others and for a constant or spreadless cross-section."""
+    arr = np.asarray(values, dtype=float)
+    z = np.zeros(arr.shape, dtype=float)
+    finite = np.isfinite(arr)
+    if not finite.any():
+        return z
+    x = arr[finite]
+    if np.all(x == x[0]):
+        return z
+    mu = float(np.mean(x))
+    sigma = float(np.sqrt(np.mean((x - mu) ** 2)))
+    if sigma > 0:
+        z[finite] = (x - mu) / sigma
+    return z
+
+
 def write_cell_csv(path: Path, rows):
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)

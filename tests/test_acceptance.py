@@ -20,15 +20,15 @@ from factortilt.errors import InfeasibleCapsError
 from factortilt.factors import FactorParams, build_factor_matrix
 from factortilt.market_data import build_schedule, censor_panel
 from factortilt.stats import (
+    _effective_ns,
+    _top_k_sums,
     deflated_sharpe,
-    effective_n,
     expected_max_sharpe,
     max_drawdown,
     newey_west_tstat,
-    top_k_concentration,
 )
 from factortilt.synthetic import ScenarioSpec, generate
-from factortilt.weighting import WEIGHT_SUM_TOL, CapParams, TiltParams, cap_values, project_onto_caps, tilted_weights
+from factortilt.weighting import WEIGHT_SUM_TOL, CapParams, TiltParams, member_caps, project_onto_caps, tilted_block
 
 from test_weighting import project_oracle
 
@@ -126,9 +126,9 @@ def test_criterion_2_lookahead_invariance():
             assert _same_with_nans(m_f.raw, m_c.raw)
             assert np.array_equal(m_f.z, m_c.z)
             adv_f, adv_c = (np.array([u.screen_values[a].adv for a in u.members]) for u in (uni_f, uni_c))
-            w_f = tilted_weights(m_f, tilt, cap_values(adv_f, caps))
-            w_c = tilted_weights(m_c, tilt, cap_values(adv_c, caps))
-            assert np.array_equal(w_f.w, w_c.w)
+            w_f = tilted_block([m_f], [tilt], member_caps([adv_f], caps))[0]
+            w_c = tilted_block([m_c], [tilt], member_caps([adv_c], caps))[0]
+            assert np.array_equal(w_f, w_c)
 
 
 def test_criterion_3_bound_containment():
@@ -185,7 +185,7 @@ def test_criterion_5_statistics_oracles():
         assert max_drawdown([1.0, 1.2, 0.9, 1.1]) == -0.25
 
         for n in (1, 2, 3, 4, 7, 8, 16, 32, 64):
-            assert effective_n(np.full(n, 1.0 / n)) == n
+            assert _effective_ns(np.full((1, n), 1.0 / n))[0] == n
 
         flat = np.tile([0.01, -0.01], 4)
         assert deflated_sharpe(flat, n_trials=1) == 0.5
@@ -254,8 +254,7 @@ def test_criterion_7_behavioral_claims():
         )
         results = run_baselines(panel, schedule, config)
         assert len(results["dmft"].weights) >= 6
-        for w_tilt, w_cap in zip(results["dmft"].weights, results["cap_weighted"].weights):
-            assert top_k_concentration(w_tilt, 5) < top_k_concentration(w_cap, 5)
+        assert np.all(_top_k_sums(results["dmft"].weights.w, 5) < _top_k_sums(results["cap_weighted"].weights.w, 5))
         # the two books share their dates, so their turnover sums compare as
         # their annualized turnover does
         assert results["dmft"].turnover.sum() <= results["ew_all"].turnover.sum()

@@ -30,9 +30,7 @@ from factortilt.factors import (
     FactorParams,
     build_factor_matrix,
     select_factor_matrices,
-    standardize,
     stored_matrices,
-    winsorize,
 )
 from factortilt.market_data import (
     AsOf,
@@ -45,7 +43,7 @@ from factortilt.market_data import (
 from factortilt.synthetic import trading_days
 from factortilt.weighting import CapParams, TiltParams
 
-from conftest import report_arrays, targets_at
+from conftest import report_arrays, standardize_oracle, targets_at, winsorize_oracle
 
 SETTINGS = settings(derandomize=True, max_examples=40, deadline=None)
 
@@ -163,8 +161,8 @@ def oracle_quality(panel, members, t, l_fund, p):
             roe[i], gm[i], neg_dta[i] = rec.roe, rec.gross_margin, -rec.debt_to_assets
     have_all = np.isfinite(roe) & np.isfinite(gm) & np.isfinite(neg_dta)
     if p is not None:
-        roe, gm, neg_dta = winsorize(roe, p), winsorize(gm, p), winsorize(neg_dta, p)
-    composite = standardize(roe) + standardize(gm) + standardize(neg_dta)
+        roe, gm, neg_dta = winsorize_oracle(roe, p), winsorize_oracle(gm, p), winsorize_oracle(neg_dta, p)
+    composite = standardize_oracle(roe) + standardize_oracle(gm) + standardize_oracle(neg_dta)
     return [float(composite[i]) if have_all[i] else math.nan for i in range(n)]
 
 
@@ -179,7 +177,7 @@ def oracle_matrix(panel, members, t, fp):
                                fp.winsor_p if fp.winsorize_quality_components else None)
     z = np.empty_like(raw)
     for j in range(3):
-        z[:, j] = standardize(winsorize(raw[:, j], fp.winsor_p))
+        z[:, j] = standardize_oracle(winsorize_oracle(raw[:, j], fp.winsor_p))
     return raw, z
 
 

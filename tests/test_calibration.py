@@ -12,7 +12,7 @@ from factortilt.calibration import (
     build_ic_series,
     forward_returns,
     ir_to_alpha,
-    spearman,
+    stacked_correlations,
 )
 from factortilt.eligibility import EligibilityParams, compute_eligibility
 from factortilt.factors import FACTORS, FactorParams, build_factor_matrix
@@ -61,34 +61,40 @@ class TestForwardReturn:
 
 
 class TestSpearman:
+    """stacked_correlations' rank correlation of one date's two columns."""
+
+    def rank(self, x, y, min_members=2):
+        return stacked_correlations([np.column_stack((x, y))], [(0, 1)], ranked=True, min_members=min_members)[0, 0]
+
     def test_monotone_increasing(self):
-        assert spearman([1, 2, 3, 5], [10, 20, 21, 40]) == 1.0
+        assert self.rank([1, 2, 3, 5], [10, 20, 21, 40]) == 1.0
 
     def test_monotone_decreasing(self):
-        assert spearman([1, 2, 3, 5], [9, 7, 3, 1]) == -1.0
+        assert self.rank([1, 2, 3, 5], [9, 7, 3, 1]) == -1.0
 
     def test_hand_case_with_oracle(self):
         x = [1.0, 2.0, 3.0, 4.0]
         y = [1.0, 3.0, 2.0, 4.0]
-        assert spearman(x, y) == pytest.approx(0.8)
-        assert spearman(x, y) == pytest.approx(pearson(ranks_oracle(x), ranks_oracle(y)))
+        assert self.rank(x, y) == pytest.approx(0.8)
+        assert self.rank(x, y) == pytest.approx(pearson(ranks_oracle(x), ranks_oracle(y)))
 
     def test_missing_pairs_dropped(self):
-        x = [1.0, 2.0, math.nan, 3.0, 4.0]
-        y = [1.0, 3.0, 5.0, 2.0, 4.0]
-        assert spearman(x, y) == pytest.approx(0.8)
+        # a member whose last column (an IC's forward return) is missing is left out
+        x = np.array([[1.0], [2.0], [9.0], [3.0], [4.0]])
+        y = np.array([1.0, 3.0, math.nan, 2.0, 4.0])
+        assert stacked_correlations([x], [(0, 1)], ranked=True, last=[y])[0, 0] == pytest.approx(0.8)
 
     def test_too_few_pairs_is_nan(self):
-        assert math.isnan(spearman([1.0, 2.0], [2.0, 1.0]))
-        assert math.isnan(spearman([1, 2, 3, 4], [1, 2, 3, 4], min_pairs=5))
+        assert math.isnan(self.rank([1.0, 2.0], [2.0, 1.0], min_members=3))
+        assert math.isnan(self.rank([1, 2, 3, 4], [1, 2, 3, 4], min_members=5))
 
     def test_tied_everything_is_nan(self):
-        assert math.isnan(spearman([1.0, 1.0, 1.0], [1.0, 2.0, 3.0]))
+        assert math.isnan(self.rank([1.0, 1.0, 1.0], [1.0, 2.0, 3.0]))
 
     def test_ties_use_average_ranks(self):
         x = [1.0, 2.0, 2.0, 3.0]
         y = [4.0, 5.0, 6.0, 7.0]
-        assert spearman(x, y) == pytest.approx(pearson(ranks_oracle(x), ranks_oracle(y)))
+        assert self.rank(x, y) == pytest.approx(pearson(ranks_oracle(x), ranks_oracle(y)))
 
 
 # a small pool makes ties common; -0.0 ties with 0.0 and each infinity with itself
@@ -188,8 +194,9 @@ class TestBuildICSeries:
 
     def test_each_ic_is_spearman_of_its_column(self):
         """The series ranks each date's forward returns once for all factors:
-        every IC is still spearman(z column, forward returns) bit for bit,
-        with gaps in the prices and ties in the z-scores."""
+        every IC is still the one-pair rank correlation of its z column and
+        the forward returns bit for bit, with gaps in the prices and ties in
+        the z-scores."""
         panel = generate(ScenarioSpec(seed=4, n_assets=30, n_days=700, missing_rate=0.2))
         cal = panel.calendar
         schedule = build_schedule(cal, cal.days[300], cal.days[-1], anchors=tuple((m, 1) for m in range(1, 13)))
@@ -200,8 +207,10 @@ class TestBuildICSeries:
         expected = {f: ([], []) for f in FACTORS}
         for t, m in matrices.items():
             fwd = forward_returns(panel, t, params.horizon)[panel.positions(m.assets)]
+            ok = np.isfinite(fwd)  # z is complete
             for f in FACTORS:
-                ic = spearman(m.z[:, FACTORS.index(f)], fwd, min_pairs=params.min_universe)
+                pair = np.column_stack((m.z[ok, FACTORS.index(f)], fwd[ok]))
+                ic = stacked_correlations([pair], [(0, 1)], ranked=True, min_members=params.min_universe)[0, 0]
                 if not math.isnan(ic):
                     expected[f][0].append(t)
                     expected[f][1].append(ic)
@@ -235,8 +244,8 @@ class TestBuildICSeries:
 
 
 def test_diagnostics_never_call_corrcoef(monkeypatch):
-    """spearman, the IC series and the factor correlations all correlate
-    through the one Pearson kernel."""
+    """A rank correlation, the IC series and the factor correlations all
+    correlate through the one Pearson kernel."""
     panel = generate(ScenarioSpec(seed=4, n_assets=30, n_days=700, missing_rate=0.2))
     cal = panel.calendar
     schedule = build_schedule(cal, cal.days[300], cal.days[-1], anchors=tuple((m, 1) for m in range(1, 13)))
@@ -248,7 +257,8 @@ def test_diagnostics_never_call_corrcoef(monkeypatch):
         raise AssertionError("np.corrcoef called")
 
     monkeypatch.setattr(np, "corrcoef", refuse)
-    assert spearman([1.0, 2.0, 3.0, 4.0], [1.0, 3.0, 2.0, 4.0]) == pytest.approx(0.8)
+    pair = np.column_stack(([1.0, 2.0, 3.0, 4.0], [1.0, 3.0, 2.0, 4.0]))
+    assert stacked_correlations([pair], [(0, 1)], ranked=True)[0, 0] == pytest.approx(0.8)
     series = build_ic_series(panel, schedule, matrices, CalibrationParams(horizon=21, m_min=2))
     assert all(len(s) for s in series.values())
     _, corr = factor_correlations(matrices.values())

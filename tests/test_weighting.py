@@ -14,11 +14,11 @@ from factortilt.weighting import (
     TiltParams,
     WeightVector,
     bounded_multiplier,
-    cap_values,
     composite_score,
+    member_caps,
     _normalized_rows,
     project_onto_caps,
-    tilted_weights,
+    tilted_block,
 )
 
 from conftest import make_panel, targets_at
@@ -36,10 +36,10 @@ def matrix_for(members, z, assets=None):
 
 
 def weights(members, z, tilt, caps=None, adv=None, assets=None):
-    """tilted_weights over `assets` (the members by default) for the members
-    with factor rows z and, when capped, ADV array adv."""
+    """tilted_block's weight row over `assets` (the members by default) for
+    the members with factor rows z and, when capped, ADV array adv."""
     matrix = matrix_for(members, z, assets)
-    return tilted_weights(matrix, tilt, None if caps is None else cap_values(adv, caps))
+    return tilted_block([matrix], [tilt], None if caps is None else member_caps([adv], caps))[0][0]
 
 
 def empty_universe_weights(strategy):
@@ -76,11 +76,11 @@ class TestEqualWeight:
     # lambda = 0 gives every member multiplier 1, so the weights are the baseline's
     def test_four_members(self):
         out = weights(["A", "B", "C", "D"], np.zeros((4, 3)), TiltParams(lam=0.0))
-        np.testing.assert_array_equal(out.w, np.full(4, 0.25))
+        np.testing.assert_array_equal(out, np.full(4, 0.25))
 
     def test_singleton(self):
         out = weights(["A"], np.zeros((1, 3)), TiltParams(lam=0.0), assets=["A", "B"])
-        np.testing.assert_array_equal(out.w, [1.0, 0.0])
+        np.testing.assert_array_equal(out, [1.0, 0.0])
 
     def test_empty_universe(self):
         out = empty_universe_weights("ew_eligible")
@@ -161,22 +161,22 @@ class TestTiltAndNormalize:
 
 
 class TestLiquidityCaps:
-    """cap_values, the liquidity caps."""
+    """member_caps, the liquidity caps, of one pool."""
 
     def test_gamma_zero(self):
-        caps = cap_values(np.array([10.0, 99999.0]), CapParams(c_max=0.3, kappa=0.2, gamma=0.0))
+        (caps,) = member_caps([np.array([10.0, 99999.0])], CapParams(c_max=0.3, kappa=0.2, gamma=0.0))
         assert caps.tolist() == [0.2, 0.2]
 
     def test_hand_formula(self):
-        caps = cap_values(np.array([100.0, 200.0, 400.0]), CapParams(c_max=0.3, kappa=0.1, gamma=1.0))
+        (caps,) = member_caps([np.array([100.0, 200.0, 400.0])], CapParams(c_max=0.3, kappa=0.1, gamma=1.0))
         assert caps[2] == pytest.approx(0.2)  # ADV twice the median of 200
 
     def test_huge_kappa_saturates(self):
-        caps = cap_values(np.array([100.0, 300.0]), CapParams(c_max=0.25, kappa=1e9, gamma=0.5))
+        (caps,) = member_caps([np.array([100.0, 300.0])], CapParams(c_max=0.25, kappa=1e9, gamma=0.5))
         assert set(caps.tolist()) == {0.25}
 
     def test_even_median_is_midpoint(self):
-        caps = cap_values(np.array([100.0, 300.0]), CapParams(c_max=1.0, kappa=1.0, gamma=1.0))
+        (caps,) = member_caps([np.array([100.0, 300.0])], CapParams(c_max=1.0, kappa=1.0, gamma=1.0))
         assert caps[0] == pytest.approx(0.5)  # 100/200
 
 
@@ -257,7 +257,7 @@ class TestCapAndRedistribute:
 
 
 class TestBuildWeights:
-    """tilted_weights, every stage composed."""
+    """tilted_block on one matrix and tilt, every stage composed."""
 
     def members(self, n):
         return [f"A{i}" for i in range(n)]
@@ -265,11 +265,11 @@ class TestBuildWeights:
     def test_lambda_zero_degenerates_to_equal_weight(self):
         members = self.members(5)
         out = weights(members, np.random.default_rng(3).normal(size=(5, 3)), TiltParams(lam=0.0))
-        np.testing.assert_array_equal(out.w, np.full(5, 1.0 / 5))
+        np.testing.assert_array_equal(out, np.full(5, 1.0 / 5))
 
     def test_zero_dispersion_degenerates_to_equal_weight(self):
         out = weights(self.members(4), np.zeros((4, 3)), TiltParams(lam=0.8))
-        np.testing.assert_array_equal(out.w, np.full(4, 1.0 / 4))
+        np.testing.assert_array_equal(out, np.full(4, 1.0 / 4))
 
     def test_with_caps_matches_manual_composition(self):
         members = self.members(3)
@@ -281,15 +281,15 @@ class TestBuildWeights:
         raw = mults / mults.sum()
         caps = np.minimum(0.45, 0.4 * np.array([400, 200, 100]) / 200.0)
         ref = project_oracle(raw, caps)
-        np.testing.assert_allclose(out.w, ref, atol=1e-9)
-        assert np.all(out.w <= caps + 1e-12)
+        np.testing.assert_allclose(out, ref, atol=1e-9)
+        assert np.all(out <= caps + 1e-12)
 
     def test_caps_short_of_one_within_the_weight_sum_tolerance(self):
         # equal ADV gives every member the cap c_max; these sum to 1 - 5e-10
         c_max = (1.0 - 5e-10) / 3
         out = weights(self.members(3), np.zeros((3, 3)), TiltParams(), CapParams(c_max=c_max, kappa=1.0),
                       adv=np.ones(3))
-        np.testing.assert_array_equal(out.w, np.full(3, c_max))
+        np.testing.assert_array_equal(out, np.full(3, c_max))
 
     def test_caps_short_of_one_beyond_the_tolerance_are_infeasible(self):
         # an InfeasibleCapsError, not a WeightVector whose weights sum to 0.99
@@ -305,9 +305,9 @@ class TestBuildWeights:
             m_max = float(rng.uniform(1.0, 3.0))
             tilt = TiltParams(lam=float(rng.uniform(0, 2)), m_min=m_min, m_max=m_max)
             out = weights(self.members(n), z, tilt)
-            assert out.w.max() <= (m_max / m_min) / n + 1e-9
-            assert abs(out.w.sum() - 1.0) <= 1e-9
-            assert out.w.min() >= 0.0
+            assert out.max() <= (m_max / m_min) / n + 1e-9
+            assert abs(out.sum() - 1.0) <= 1e-9
+            assert out.min() >= 0.0
 
     def test_continuity_at_lambda_zero(self):
         members = self.members(6)
@@ -315,7 +315,7 @@ class TestBuildWeights:
         w0 = weights(members, z, TiltParams(lam=0.0))
         for lam in (1e-8, 1e-10):
             w_eps = weights(members, z, TiltParams(lam=lam))
-            assert np.max(np.abs(w_eps.w - w0.w)) < 1e-6
+            assert np.max(np.abs(w_eps - w0)) < 1e-6
 
     def test_empty_universe_all_zero(self):
         out = empty_universe_weights("dmft")
