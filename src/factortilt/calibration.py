@@ -42,7 +42,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, check_integer
 from .factors import FACTORS, FactorMatrix
 from .market_data import MarketPanel, RebalanceSchedule
 
@@ -58,6 +58,7 @@ class CalibrationParams:
     apply: bool = False
 
     def __post_init__(self):
+        check_integer(horizon=self.horizon, m_min=self.m_min, min_universe=self.min_universe)
         if self.horizon < 1:
             raise ConfigError(f"horizon must be >= 1, got {self.horizon}")
         if self.m_min < 1:

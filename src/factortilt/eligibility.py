@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import compress, repeat
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, check_finite
+from .errors import ConfigError, check_finite, check_integer
 from .market_data import AsOf, MarketPanel
 
 
@@ -24,6 +25,7 @@ class EligibilityParams:
 
     def __post_init__(self):
         check_finite(adv_min=self.adv_min)
+        check_integer(h_min=self.h_min, l_adv=self.l_adv)
         if self.h_min < 0:
             raise ConfigError(f"h_min must be >= 0, got {self.h_min}")
         if self.adv_min < 0:
@@ -37,24 +39,45 @@ class ScreenValues(NamedTuple):
     adv: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # == on numpy rows has no single truth value
 class EligibilitySet:
-    """Assets passing the screens at rebalance date t, with the screen values
-    that produced the decision for every asset in the panel."""
+    """Assets passing the screens at rebalance date t. `history` and `adv`
+    are the read-only rows of the snapshot that produced the decision, one
+    entry per panel asset in `assets` order; `screen_values`, the same
+    values keyed by asset, is built when first read ({} for a set built
+    without rows)."""
 
     t: str
     members: tuple[str, ...]
-    screen_values: dict[str, ScreenValues] = field(default_factory=dict)
     assets: tuple[str, ...] = ()
-    _member_set: frozenset[str] = field(init=False, repr=False, compare=False)
+    history: np.ndarray | None = field(default=None, repr=False)
+    adv: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "_member_set", frozenset(self.members))
-        if self.assets and not self._member_set <= set(self.assets):
+        if self.assets and not set(self.assets).issuperset(self.members):
             raise ConfigError("universe members not a subset of panel assets")
+
+    @cached_property
+    def _member_set(self) -> frozenset[str]:
+        return frozenset(self.members)
+
+    @cached_property
+    def screen_values(self) -> dict[str, ScreenValues]:
+        if self.history is None:
+            return {}
+        adv = self.adv.tolist()
+        for i in np.flatnonzero(np.isnan(self.adv)).tolist():
+            adv[i] = math.nan  # one NaN object, so equal sets compare equal
+        return dict(zip(self.assets, map(tuple.__new__, repeat(ScreenValues), zip(self.history.tolist(), adv))))
 
     def __contains__(self, asset: str) -> bool:
         return asset in self._member_set
+
+    def __eq__(self, other):
+        if not isinstance(other, EligibilitySet):
+            return NotImplemented
+        return ((self.t, self.members, self.assets, self.screen_values)
+                == (other.t, other.members, other.assets, other.screen_values))
 
 
 def eligible(history: np.ndarray, adv: np.ndarray, params: EligibilityParams) -> np.ndarray:
@@ -65,13 +88,10 @@ def eligible(history: np.ndarray, adv: np.ndarray, params: EligibilityParams) ->
 
 
 def compute_eligibility(panel: MarketPanel, t: str, params: EligibilityParams) -> EligibilitySet:
-    """The universe `eligible` admits at t, with every asset's screen values
-    (history and ADV, both measured strictly before t). An empty result is
-    legitimate, not an error."""
+    """The universe `eligible` admits at t, with the history and ADV rows
+    (both measured strictly before t) that every asset's screen values are
+    built from on first read. An empty result is legitimate, not an error."""
     snap = AsOf(panel, t, l_adv=params.l_adv)
-    adv = snap.adv.tolist()
-    for i in np.flatnonzero(np.isnan(snap.adv)).tolist():
-        adv[i] = math.nan  # one NaN object, so equal sets compare equal
-    screen_values = dict(zip(panel.assets, map(tuple.__new__, repeat(ScreenValues), zip(snap.history.tolist(), adv))))
+    snap.history.flags.writeable = False  # the snapshot's own copy; adv is the panel's stored row
     members = tuple(compress(panel.assets, eligible(snap.history, snap.adv, params).tolist()))
-    return EligibilitySet(t=t, members=members, screen_values=screen_values, assets=tuple(panel.assets))
+    return EligibilitySet(t=t, members=members, assets=tuple(panel.assets), history=snap.history, adv=snap.adv)

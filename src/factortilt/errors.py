@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the finite-value check."""
+"""Exception types shared across the package, and the finite-value and integer checks."""
 
 import numpy as np
 
@@ -31,3 +31,10 @@ def check_finite(**params) -> None:
     for name, value in params.items():
         if not np.isfinite(value).all():
             raise ConfigError(f"{name} must be finite, got {value!r}")
+
+
+def check_integer(**params) -> None:
+    """Raise a ConfigError naming the first keyword parameter that is not a Python or numpy int (a bool is not)."""
+    for name, value in params.items():
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ConfigError(f"{name} must be an integer, got {value!r}")

@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .eligibility import EligibilitySet
-from .errors import ConfigError
+from .errors import ConfigError, check_integer
 from .market_data import AsOf, MarketPanel, check_skip
 
 FACTORS = ("MOM", "VAL", "QUAL")
@@ -41,6 +41,7 @@ class FactorParams:
     winsorize_quality_components: bool = False
 
     def __post_init__(self):
+        check_integer(l_mom=self.l_mom, skip=self.skip, l_fund=self.l_fund)
         if self.l_mom < 1:
             raise ConfigError(f"l_mom must be >= 1, got {self.l_mom}")
         check_skip(self.skip)

@@ -1,7 +1,11 @@
-import numpy as np
+import tracemalloc
 
-from factortilt.eligibility import EligibilityParams, compute_eligibility
-from factortilt.market_data import censor_panel
+import numpy as np
+import pytest
+
+from factortilt.eligibility import EligibilityParams, EligibilitySet, compute_eligibility
+from factortilt.market_data import MarketPanel, build_schedule, censor_panel
+from factortilt.synthetic import ScenarioSpec, generate
 
 from conftest import make_panel
 
@@ -80,6 +84,36 @@ def test_determinism():
     a = compute_eligibility(panel, t, params)
     b = compute_eligibility(panel, t, params)
     assert a.members == b.members and a.screen_values == b.screen_values
+    assert a == b  # Z's missing ADV is one NaN object in both
+
+
+def test_sets_differing_only_in_screen_values_compare_unequal():
+    panel = three_asset_panel()
+    t = panel.calendar.days[5]
+    params = EligibilityParams(h_min=2, adv_min=1000.0, l_adv=5)
+    volume = panel.volume.copy()
+    volume[2, 0] = 110.0  # X's ADV 1500 -> 1530: still the only member
+    moved = compute_eligibility(MarketPanel(list(panel.assets), panel.calendar, panel.price, volume, panel.mktcap),
+                                t, params)
+    base = compute_eligibility(panel, t, params)
+    assert base.members == moved.members == ("X",)
+    assert base != moved and base.screen_values["X"] != moved.screen_values["X"]
+
+
+def test_screen_rows_are_read_only_and_values_built_once():
+    panel = three_asset_panel()
+    uni = compute_eligibility(panel, panel.calendar.days[5], EligibilityParams(h_min=2, adv_min=1000.0, l_adv=5))
+    for row, value in ((uni.history, 0), (uni.adv, 0.0)):
+        with pytest.raises(ValueError):
+            row[0] = value
+    assert uni.screen_values is uni.screen_values
+    x = uni.screen_values["X"]
+    assert x == (5, 1500.0) and type(x.history) is int and type(x.adv) is float
+
+
+def test_set_without_rows_has_no_screen_values():
+    uni = EligibilitySet(t="2020-01-06", members=("A",), assets=("A", "B"))
+    assert uni.screen_values == {} and "A" in uni and "B" not in uni
 
 
 def test_empty_universe_is_representable():
@@ -87,3 +121,25 @@ def test_empty_universe_is_representable():
     t = panel.calendar.days[5]
     uni = compute_eligibility(panel, t, EligibilityParams(h_min=1000, adv_min=0.0, l_adv=5))
     assert uni.members == ()
+
+
+def test_sets_hold_rows_not_per_asset_objects():
+    """The sets of every rebalance date, held at once, cost a few machine
+    words per asset and date: the history row and the assets and members
+    tuples, about 25 bytes (the ADV row is the panel's). A dict of
+    ScreenValues per date costs about 210."""
+    panel = generate(ScenarioSpec(seed=3, n_assets=200, n_days=600, dispersion=0.8,
+                                  liquidity_tiers=(1.0, 50.0, 300.0), missing_rate=0.01))
+    days = panel.calendar.days
+    dates = build_schedule(panel.calendar, days[300], days[-1], anchors=[(m, 1) for m in range(1, 13)]).dates
+    params = EligibilityParams(h_min=126, l_adv=63)
+    for t in dates:
+        compute_eligibility(panel, t, params)  # fills the panel's history counts and ADV rows
+    tracemalloc.start()
+    try:
+        sets = [compute_eligibility(panel, t, params) for t in dates]
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(sets) >= 12 and all(s.members for s in sets)
+    assert held / (len(sets) * panel.n_assets) < 50

@@ -78,6 +78,8 @@ BRANCHES = {
     "calibration-m_min": (lambda tmp: CalibrationParams(m_min=0), ConfigError, "m_min must be >= 1, got 0"),
     "calibration-min_universe": (lambda tmp: CalibrationParams(min_universe=2), ConfigError,
                                  "min_universe must be >= 3, got 2"),
+    "calibration-integer": (lambda tmp: CalibrationParams(horizon=126.0), ConfigError,
+                            "horizon must be an integer, got 126.0"),
     "ic-length": (lambda tmp: ICSeries(dates=("2020-01-06",), values=np.zeros(2)), ConfigError,
                   "IC dates and values length mismatch"),
     "ic-order": (lambda tmp: ICSeries(dates=("2020-01-07", "2020-01-06"), values=np.zeros(2)), ConfigError,
@@ -105,11 +107,14 @@ BRANCHES = {
     "eligibility-adv_min": (lambda tmp: EligibilityParams(adv_min=-1.0), ConfigError,
                             "adv_min must be >= 0, got -1.0"),
     "eligibility-l_adv": (lambda tmp: EligibilityParams(l_adv=0), ConfigError, "l_adv must be >= 1, got 0"),
+    "eligibility-integer": (lambda tmp: EligibilityParams(l_adv=2.5), ConfigError,
+                            "l_adv must be an integer, got 2.5"),
     "eligibility-members": (lambda tmp: EligibilitySet(t="2020-01-06", members=("X",), assets=("A",)), ConfigError,
                             "universe members not a subset of panel assets"),
     # factors
     "factors-l_mom": (lambda tmp: FactorParams(l_mom=0), ConfigError, "l_mom must be >= 1, got 0"),
     "factors-l_fund": (lambda tmp: FactorParams(l_fund=0), ConfigError, "l_fund must be >= 1, got 0"),
+    "factors-integer": (lambda tmp: FactorParams(l_mom=True), ConfigError, "l_mom must be an integer, got True"),
     "factors-winsor_p": (lambda tmp: FactorParams(winsor_p=0.5), ConfigError,
                          "winsor_p must be in [0, 0.5), got 0.5"),
     "factors-snapshot-windows": (lambda tmp: snapshot_under_other_windows(), ConfigError,
@@ -173,3 +178,10 @@ def test_error_branch(tmp_path, call, error, message):
     with pytest.raises(error) as raised:
         call(tmp_path)
     assert type(raised.value) is error and str(raised.value) == message.format(tmp=tmp_path)
+
+
+def test_integer_parameters_accept_numpy_integers():
+    n = np.int64(5)
+    assert EligibilityParams(h_min=n, l_adv=n).l_adv == 5
+    assert FactorParams(l_mom=n, skip=n, l_fund=n).skip == 5
+    assert CalibrationParams(horizon=n, m_min=n, min_universe=n).horizon == 5
