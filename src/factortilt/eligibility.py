@@ -41,11 +41,9 @@ class ScreenValues(NamedTuple):
 
 @dataclass(frozen=True, eq=False)  # == on numpy rows has no single truth value
 class EligibilitySet:
-    """Assets passing the screens at rebalance date t. `history` and `adv`
-    are the read-only rows of the snapshot that produced the decision, one
-    entry per panel asset in `assets` order; `screen_values`, the same
-    values keyed by asset, is built when first read ({} for a set built
-    without rows)."""
+    """Assets passing the screens at rebalance date t, with the `history` and
+    `adv` rows they were screened on (read-only copies, or both None), one
+    entry per asset of `assets`; `screen_values` is built on first read."""
 
     t: str
     members: tuple[str, ...]
@@ -56,6 +54,12 @@ class EligibilitySet:
     def __post_init__(self):
         if self.assets and not set(self.assets).issuperset(self.members):
             raise ConfigError("universe members not a subset of panel assets")
+        for name in ("history", "adv") if self.history is not None or self.adv is not None else ():
+            row = np.array(getattr(self, name))  # the set's own copy: no later write can move screen_values
+            if row.shape != (len(self.assets),):
+                raise ConfigError(f"{name} row needs {len(self.assets)} entries, got shape {row.shape}")
+            row.flags.writeable = False
+            object.__setattr__(self, name, row)
 
     @cached_property
     def _member_set(self) -> frozenset[str]:
@@ -74,10 +78,9 @@ class EligibilitySet:
         return asset in self._member_set
 
     def __eq__(self, other):
-        if not isinstance(other, EligibilitySet):
-            return NotImplemented
-        return ((self.t, self.members, self.assets, self.screen_values)
-                == (other.t, other.members, other.assets, other.screen_values))
+        return isinstance(other, EligibilitySet) and (
+            (self.t, self.members, self.assets, self.screen_values)
+            == (other.t, other.members, other.assets, other.screen_values))
 
 
 def eligible(history: np.ndarray, adv: np.ndarray, params: EligibilityParams) -> np.ndarray:
@@ -88,10 +91,8 @@ def eligible(history: np.ndarray, adv: np.ndarray, params: EligibilityParams) ->
 
 
 def compute_eligibility(panel: MarketPanel, t: str, params: EligibilityParams) -> EligibilitySet:
-    """The universe `eligible` admits at t, with the history and ADV rows
-    (both measured strictly before t) that every asset's screen values are
-    built from on first read. An empty result is legitimate, not an error."""
+    """The universe `eligible` admits at t, holding the history and ADV rows (both
+    before t) its screen values are built from on first read. Empty is not an error."""
     snap = AsOf(panel, t, l_adv=params.l_adv)
-    snap.history.flags.writeable = False  # the snapshot's own copy; adv is the panel's stored row
     members = tuple(compress(panel.assets, eligible(snap.history, snap.adv, params).tolist()))
     return EligibilitySet(t=t, members=members, assets=tuple(panel.assets), history=snap.history, adv=snap.adv)

@@ -111,6 +111,12 @@ BRANCHES = {
                             "l_adv must be an integer, got 2.5"),
     "eligibility-members": (lambda tmp: EligibilitySet(t="2020-01-06", members=("X",), assets=("A",)), ConfigError,
                             "universe members not a subset of panel assets"),
+    "eligibility-rows": (lambda tmp: EligibilitySet(t="2020-01-06", members=("A",), assets=("A", "B"),
+                                                    history=np.array([300, 300, 300]), adv=np.ones(2)), ConfigError,
+                         "history row needs 2 entries, got shape (3,)"),
+    "eligibility-rows-paired": (lambda tmp: EligibilitySet(t="2020-01-06", members=("A",), assets=("A", "B"),
+                                                           history=np.array([300, 300])), ConfigError,
+                                "adv row needs 2 entries, got shape ()"),
     # factors
     "factors-l_mom": (lambda tmp: FactorParams(l_mom=0), ConfigError, "l_mom must be >= 1, got 0"),
     "factors-l_fund": (lambda tmp: FactorParams(l_fund=0), ConfigError, "l_fund must be >= 1, got 0"),
